@@ -152,8 +152,7 @@ func TestBackendCodecOptionValidation(t *testing.T) {
 }
 
 // TestSimBackendCodec pins that compressing codecs work on the simulated
-// backend too (the store is in memory, but it is still a real store): that
-// combination is what bench-compress measures against the file backend.
+// backend too (the store is in memory, but it is still a real store).
 func TestSimBackendCodec(t *testing.T) {
 	opts := smallOpts(0)
 	opts.Backend = BackendSim
@@ -185,6 +184,78 @@ func TestSimBackendCodec(t *testing.T) {
 	for _, want := range []string{"codec_raw_bytes_total", "codec_encoded_bytes_total", "codec_compression_ratio", "disk_read_blocks_total", "disk_write_blocks_total"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("metrics output missing %s", want)
+		}
+	}
+}
+
+// codecBlocks builds one backend × codec cell's index — 400 documents in
+// four flushed batches, so long lists grow by in-place tail updates and chunk
+// growth rather than one bulk load — and reads the deterministic counters:
+// blocks written by the build, blocks read by one pass of a mixed query
+// workload, and the achieved compression ratio.
+func codecBlocks(t *testing.T, backend, codec string) (flushWritten, queryRead int64, ratio float64) {
+	t.Helper()
+	opts := Options{
+		Backend:       backend,
+		Codec:         codec,
+		Buckets:       64,
+		BucketSize:    128, // small buckets: the corpus spills into long lists
+		NumDisks:      4,
+		BlocksPerDisk: 65536,
+		BlockSize:     512,
+	}
+	if backend == BackendFile {
+		opts.Dir = t.TempDir()
+	}
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for j, text := range synthTexts(97, 400, 120, 40) {
+		eng.AddDocument(text)
+		if (j+1)%100 == 0 {
+			if _, err := eng.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	built := eng.Stats()
+	for _, q := range []string{
+		"waa and wab",
+		"wac or (wad and not wae)",
+		"wa* and not waa",
+		"(waf or wag) and (wah or wai)",
+	} {
+		if _, err := eng.SearchBoolean(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.SearchVector("waa wab wac wad wae waf wag wah wai waj wak wal wam wan wao wap", 10); err != nil {
+		t.Fatal(err)
+	}
+	queried := eng.Stats()
+	return built.WriteBlocks, queried.ReadBlocks - built.ReadBlocks, queried.CompressionRatio
+}
+
+// TestCompressedCodecsMoveFewerBlocks pins the codec layer's reason to
+// exist: on each backend, a compressed index writes fewer blocks flushing
+// and reads fewer blocks querying than the raw one, and actually compresses.
+func TestCompressedCodecsMoveFewerBlocks(t *testing.T) {
+	for _, backend := range []string{BackendSim, BackendFile} {
+		rawWritten, rawRead, _ := codecBlocks(t, backend, CodecRaw)
+		for _, codec := range []string{CodecVarint, CodecGolomb} {
+			cell := backend + "/" + codec
+			written, read, ratio := codecBlocks(t, backend, codec)
+			if written >= rawWritten {
+				t.Errorf("%s wrote %d blocks flushing, raw wrote %d", cell, written, rawWritten)
+			}
+			if read >= rawRead {
+				t.Errorf("%s read %d blocks querying, raw read %d", cell, read, rawRead)
+			}
+			if ratio <= 1 {
+				t.Errorf("%s compression ratio %.2f, want > 1", cell, ratio)
+			}
 		}
 	}
 }

@@ -107,7 +107,7 @@ var SnapshotContract = Snapshot{
 		"index", "snap", "snapBatch", "pending",
 		"live", "snapLive", "pendingDocs", "pendingPostings",
 	},
-	UnderRLock:   []string{"list", "tiers", "prefetchPlan", "verifyDocs", "liveDocTokens"},
+	UnderRLock:   []string{"tiers", "prefetchPlan", "verifyDocs", "liveDocTokens"},
 	Constructors: []string{"openShard"},
 }
 

@@ -58,8 +58,9 @@ func (e *Engine) observeClosure() func() int {
 	return func() int { return len(s.pending) } // want "accessed outside"
 }
 
-// list is snapshot-aware (the real list()'s shape): clean.
-func (s *shard) list(w int) int {
+// tiers is contractually "called under RLock" and snapshot-aware (the real
+// tiers()'s shape): clean.
+func (s *shard) tiers(w int) int {
 	if s.snap != nil {
 		return s.snap.Get(w)
 	}

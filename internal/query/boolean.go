@@ -186,8 +186,8 @@ type result struct {
 // complement ("not cat", "not cat or not dog") returns an error.
 //
 // The planner lowers the same algebra into set-operation steps at plan time
-// (see NewPlan); EvalBoolean remains the direct evaluator for callers that
-// hold an expression and a source.
+// (see NewPlan); EvalBoolean remains as the direct evaluator the planner's
+// property tests compare against.
 func EvalBoolean(e Expr, src Source) (*postings.List, error) {
 	res, err := eval(e, src)
 	if err != nil {

@@ -98,11 +98,7 @@ func ExecuteRanked(pl *Plan, env Exec) ([]Match, error) {
 	for _, d := range matched.Docs() {
 		out = append(out, Match{Doc: d, Score: scores[d]})
 	}
-	slices.SortFunc(out, compareMatches)
-	if len(out) > sp.K {
-		out = out[:sp.K]
-	}
-	return out, nil
+	return topMatches(out, sp.K), nil
 }
 
 // evalStep evaluates one step to a sorted document list.

@@ -115,17 +115,3 @@ func Prefetch(terms []string, src Source, workers int) (*Prefetched, error) {
 	}
 	return p, nil
 }
-
-// PrefetchExpr prefetches every term of a parsed boolean expression.
-func PrefetchExpr(e Expr, src Source, workers int) (*Prefetched, error) {
-	return Prefetch(Words(e), src, workers)
-}
-
-// PrefetchVector prefetches every term of a vector query.
-func PrefetchVector(q VectorQuery, src Source, workers int) (*Prefetched, error) {
-	terms := make([]string, 0, len(q.Terms))
-	for w := range q.Terms {
-		terms = append(terms, w)
-	}
-	return Prefetch(terms, src, workers)
-}

@@ -132,7 +132,7 @@ func MergeMatches(groups [][]Match, k int) []Match {
 		return nil
 	case 1:
 		if len(last) > k {
-			last = last[:k]
+			last = last[:k:k]
 		}
 		return last
 	}

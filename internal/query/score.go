@@ -79,16 +79,25 @@ func scoreList(scores map[postings.DocID]float64, list *postings.List, weight fl
 	}
 }
 
-// rankMatches orders a score map into the top-k match list: score
-// descending, ties broken by ascending document id.
+// rankMatches orders a score map into the top-k match list.
 func rankMatches(scores map[postings.DocID]float64, k int) []Match {
 	out := make([]Match, 0, len(scores))
 	for d, s := range scores {
 		out = append(out, Match{Doc: d, Score: s})
 	}
-	slices.SortFunc(out, compareMatches)
-	if len(out) > k {
-		out = out[:k]
+	return topMatches(out, k)
+}
+
+// topMatches sorts candidates — score descending, ties broken by ascending
+// document id — and returns the first k. The result's capacity is its
+// length: when candidates are dropped the survivors are copied out, so a
+// caller holding k matches does not keep every scored document alive.
+func topMatches(candidates []Match, k int) []Match {
+	slices.SortFunc(candidates, compareMatches)
+	if len(candidates) <= k {
+		return candidates[:len(candidates):len(candidates)]
 	}
-	return out
+	top := make([]Match, k)
+	copy(top, candidates)
+	return top
 }

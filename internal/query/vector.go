@@ -37,7 +37,8 @@ type Match struct {
 // exactly how the paper describes vector systems using inverted lists.
 //
 // The planner's ranked-bag lowering (NewRankedBag) executes this same
-// scoring, so a bag-of-words plan and EvalVector agree term for term.
+// scoring, so a bag-of-words plan and EvalVector agree term for term — the
+// reference the planner's property tests compare against.
 func EvalVector(q VectorQuery, src Source, totalDocs int, k int) ([]Match, error) {
 	if k <= 0 || len(q.Terms) == 0 {
 		return nil, nil

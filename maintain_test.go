@@ -56,15 +56,18 @@ func TestMaintenanceControllerConverges(t *testing.T) {
 
 	// Load phase: flush enough postings that some shard's bucket load
 	// factor crosses the rebalance threshold.
-	var ids []DocID
-	for i, text := range synthTexts(47, 160, 40, 25) {
-		ids = append(ids, eng.AddDocument(text))
-		if (i+1)%40 == 0 {
-			if _, err := eng.FlushBatch(); err != nil {
-				t.Fatal(err)
+	load := func(eng *Engine) (ids []DocID) {
+		for i, text := range synthTexts(47, 160, 40, 25) {
+			ids = append(ids, eng.AddDocument(text))
+			if (i+1)%40 == 0 {
+				if _, err := eng.FlushBatch(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		return ids
 	}
+	ids := load(eng)
 	// The controller is already live during the load phase; on a slow run
 	// (race detector, loaded CI) it can notice and rebalance between
 	// flushes, so "the load factor crossed the threshold" may only be
@@ -91,8 +94,27 @@ func TestMaintenanceControllerConverges(t *testing.T) {
 	waitFor(t, "the controller to sweep the dead postings", func() bool {
 		return eng.Maintenance().Runs["sweep"] >= 1 && eng.Stats().Deleted == 0
 	})
-	if df := eng.Stats().DeadFraction; df > th.MaxDeadFraction {
+	df := eng.Stats().DeadFraction
+	if df > th.MaxDeadFraction {
 		t.Errorf("dead fraction %v did not recover below %v", df, th.MaxDeadFraction)
+	}
+	// The same load and deletes with the controller off are left holding
+	// the dead postings, above the threshold: the recovery is the
+	// controller's doing, not the workload's.
+	offOpts := maintainOpts(2)
+	offOpts.Maintenance = nil
+	off, err := Open(offOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close()
+	offIDs := load(off)
+	for _, id := range offIDs[:len(offIDs)/2] {
+		off.Delete(id)
+	}
+	if offDF := off.Stats().DeadFraction; offDF <= th.MaxDeadFraction || df >= offDF {
+		t.Errorf("unmaintained dead fraction %v, maintained %v: want unmaintained above the %v threshold and above maintained",
+			offDF, df, th.MaxDeadFraction)
 	}
 
 	// The controller's own instrumentation: decisions in the log with the

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"dualindex/internal/disk"
 	"dualindex/internal/lexer"
 	"dualindex/internal/longlist"
 	"dualindex/internal/postings"
@@ -258,11 +257,6 @@ type Options struct {
 	// status, decision log and backlog are served by Engine.Maintenance and
 	// internal/obshttp's /maintenance endpoint.
 	Maintenance *MaintenanceOptions
-
-	// newStore overrides the in-memory block-store constructor for each
-	// shard; package benchmarks inject latency-modelled stores through it.
-	// nil means disk.NewMemStore. Ignored for persistent (Dir != "") engines.
-	newStore func(numDisks, blockSize int) disk.BlockStore
 }
 
 func (o Options) withDefaults() Options {

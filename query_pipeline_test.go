@@ -247,6 +247,27 @@ func TestScoringOption(t *testing.T) {
 	}
 }
 
+// TestQueryTopKOwnsItsArray: a ranked answer is exactly its k matches — its
+// capacity is its length — whether the bag arm or the structured arm ranked
+// it, so holding a top-k result does not pin every scored candidate.
+func TestQueryTopKOwnsItsArray(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		eng := pipelineEngine(t, smallOpts(shards))
+		for _, q := range []string{
+			"white mouse cat dance",       // pure bag: documents 1-4 score
+			"(white or dance) mouse bird", // structured: documents 1-4 match
+		} {
+			ms, err := eng.Query(q, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) != 2 || cap(ms) != len(ms) {
+				t.Errorf("shards=%d %q: len %d cap %d, want 2 and 2", shards, q, len(ms), cap(ms))
+			}
+		}
+	}
+}
+
 // TestCollectionSize: the idf numerator comes from the per-shard high-water
 // marks and equals the id allocator's count, flushed or pending.
 func TestCollectionSize(t *testing.T) {

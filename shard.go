@@ -95,11 +95,7 @@ func openShard(opts Options, dir string) (*shard, error) {
 	var store disk.BlockStore
 	resume := false
 	if dir == "" {
-		if opts.newStore != nil {
-			store = opts.newStore(opts.NumDisks, opts.BlockSize)
-		} else {
-			store = disk.NewMemStore(opts.NumDisks, opts.BlockSize)
-		}
+		store = disk.NewMemStore(opts.NumDisks, opts.BlockSize)
 	} else {
 		resume = shardResumes(dir)
 		fs, err := openFileStore(dir, opts, resume)
@@ -396,24 +392,6 @@ func (s *shard) tiers() *query.TieredSource {
 	)
 }
 
-// list returns the full current list for a word string: the merge of every
-// read tier (see tiers), filtered of deleted docs. Called under s.mu.RLock,
-// from any number of goroutines.
-func (s *shard) list(word string) (*postings.List, error) {
-	return s.tiers().List(word)
-}
-
-// shardSource adapts a shard to the query package's Source interface.
-type shardSource struct{ s *shard }
-
-func (src shardSource) List(word string) (*postings.List, error) { return src.s.list(word) }
-
-// WordsWithPrefix enumerates the shard's vocabulary through its B-tree
-// dictionary, enabling truncation queries.
-func (src shardSource) WordsWithPrefix(prefix string) []string {
-	return src.s.vocab.WordsWithPrefix(prefix)
-}
-
 // prefetchPlan is the shared head of plan execution on this shard: reject
 // plans needing stored documents when there are none, then fetch the plan's
 // term lists with at most Options.Workers reads in flight. Called under
@@ -644,7 +622,7 @@ func (s *shard) document(id postings.DocID) (text string, ok bool, err error) {
 		return "", false, fmt.Errorf("dualindex: Options.KeepDocuments not enabled")
 	}
 	// Mid-flush the live index's deletion filter is mutating; consult the
-	// published snapshot's instead, as list() does.
+	// published snapshot's instead, as tiers() does.
 	isDeleted := s.index.IsDeleted
 	if s.snap != nil {
 		isDeleted = s.snap.IsDeleted

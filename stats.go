@@ -77,7 +77,7 @@ type Stats struct {
 	// ReadBlocks and WriteBlocks count the blocks those operations moved —
 	// the I/O volume behind the operation counts. With a compressing codec,
 	// fewer blocks move for the same postings; the delta against CodecRaw is
-	// the compression win the bench-compress target measures.
+	// the compression win (pinned by TestCompressedCodecsMoveFewerBlocks).
 	ReadBlocks  int64
 	WriteBlocks int64
 	Deleted     int
