@@ -40,7 +40,7 @@ func main() {
 		codec     = flag.String("codec", "", "long-list block codec for a fresh index: raw | varint | golomb (empty adopts the manifest, raw for a fresh index)")
 		mmapReads = flag.Bool("mmap", false, "serve file-backend reads through a shared mmap where supported")
 		keepDocs  = flag.Bool("keepdocs", false, "keep document text in the index (required for -reshard and positional queries)")
-		live      = flag.Bool("live", false, "serve unflushed documents from the read-optimized live tier (Options.LiveSearch; runtime-only, not recorded in the index)")
+		live      = flag.Bool("live", false, "cache unflushed documents' positions in memory for phrase, near and region queries (Options.LiveSearch; runtime-only, not recorded in the index)")
 		reshard   = flag.Int("reshard", 0, "reshard the existing index to this many shards and exit (requires an index built with -keepdocs)")
 		check     = flag.Bool("check", true, "run the consistency check after the build")
 		metrics   = flag.String("metrics", "", "serve /metrics, /stats, /trace, /maintenance, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")

@@ -2,6 +2,7 @@ package dualindex
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,20 +90,32 @@ func TestConcurrentAddSearchFlush(t *testing.T) {
 // TestQueryDuringFlushSeesStableResults verifies the snapshot scheme's
 // correctness property: a query running while a batch flushes returns
 // exactly the documents it would return after the flush — mid-flush answers
-// never expose half-applied state.
+// never expose half-applied state. Mid-flush, queries read the detached
+// pending tier's runs while core applies those same runs, and the phrase
+// query verifies its candidates from the cached positions (LiveSearch on)
+// or the document store (off); under -race this covers both.
 func TestQueryDuringFlushSeesStableResults(t *testing.T) {
-	eng, err := Open(Options{Buckets: 16, BucketSize: 128})
+	for _, live := range []bool{false, true} {
+		t.Run(fmt.Sprintf("LiveSearch=%v", live), func(t *testing.T) {
+			testQueryDuringFlush(t, live)
+		})
+	}
+}
+
+func testQueryDuringFlush(t *testing.T, live bool) {
+	eng, err := Open(Options{Buckets: 16, BucketSize: 128, KeepDocuments: true, LiveSearch: live})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
 	// Several flushed batches grow long lists; one more batch sits pending.
+	// Word variants are letters, not digits: the lexer strips digits.
 	const rounds = 6
 	perRound := 80
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < perRound; i++ {
-			eng.AddDocument(fmt.Sprintf("stable anchor%d word%d", i%11, r*perRound+i))
+			eng.AddDocument(fmt.Sprintf("stable anchor%c word%d", 'a'+i%11, r*perRound+i))
 		}
 		if r < rounds-1 {
 			if _, err := eng.FlushBatch(); err != nil {
@@ -111,11 +124,18 @@ func TestQueryDuringFlushSeesStableResults(t *testing.T) {
 		}
 	}
 
-	queries := []string{
-		"stable",
-		"stable and anchor3",
-		"anchor1 or anchor7",
-		"anchor*",
+	boolean := func(q string) func() ([]DocID, error) {
+		return func() ([]DocID, error) { return eng.SearchBoolean(q) }
+	}
+	queries := []struct {
+		name string
+		run  func() ([]DocID, error)
+	}{
+		{"stable", boolean("stable")},
+		{"stable and anchord", boolean("stable and anchord")},
+		{"anchorb or anchorh", boolean("anchorb or anchorh")},
+		{"anchor*", boolean("anchor*")},
+		{`"stable anchorc"`, func() ([]DocID, error) { return eng.SearchPhrase("stable anchorc") }},
 	}
 	// A flush changes no query-visible state (the pending batch is already
 	// searchable), so the pre-flush answers are THE answers: every
@@ -123,22 +143,14 @@ func TestQueryDuringFlushSeesStableResults(t *testing.T) {
 	// them exactly.
 	want := make([][]DocID, len(queries))
 	for qi, q := range queries {
-		docs, err := eng.SearchBoolean(q)
+		docs, err := q.run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(docs) == 0 {
+			t.Fatalf("query %s answers nothing", q.name)
+		}
 		want[qi] = docs
-	}
-	same := func(a, b []DocID) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
 	}
 
 	var wg sync.WaitGroup
@@ -150,13 +162,13 @@ func TestQueryDuringFlushSeesStableResults(t *testing.T) {
 			<-start
 			for round := 0; round < 30; round++ {
 				for qi, q := range queries {
-					docs, err := eng.SearchBoolean(q)
+					docs, err := q.run()
 					if err != nil {
-						t.Errorf("query %q: %v", q, err)
+						t.Errorf("query %s: %v", q.name, err)
 						return
 					}
-					if !same(docs, want[qi]) {
-						t.Errorf("query %q: searcher %d saw %d docs mid-flush, want %d", q, g, len(docs), len(want[qi]))
+					if !slices.Equal(docs, want[qi]) {
+						t.Errorf("query %s: searcher %d saw %d docs mid-flush, want %d", q.name, g, len(docs), len(want[qi]))
 						return
 					}
 				}
@@ -172,12 +184,12 @@ func TestQueryDuringFlushSeesStableResults(t *testing.T) {
 		return
 	}
 	for qi, q := range queries {
-		after, err := eng.SearchBoolean(q)
+		after, err := q.run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !same(after, want[qi]) {
-			t.Fatalf("query %q: %d docs after flush, want %d", q, len(after), len(want[qi]))
+		if !slices.Equal(after, want[qi]) {
+			t.Fatalf("query %s: %d docs after flush, want %d", q.name, len(after), len(want[qi]))
 		}
 	}
 }

@@ -124,15 +124,17 @@ func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 }
 
 // AddDocument tokenizes text, assigns it the next document identifier and
-// routes it to its shard's pending batch, returning the identifier.
+// routes it to its shard's pending tier, returning the identifier.
 //
-// The shard lock is acquired while the identifier lock is still held, so a
-// shard receives its documents in identifier order and a concurrent flush
-// can never detach a batch that skips an identifier below one it contains —
-// the append-only long lists require ascending identifiers across batches.
-// Tokenization runs under the shard lock only, so additions to different
-// shards tokenize in parallel.
+// Tokenization runs before any lock is taken, so concurrent additions
+// tokenize in parallel; under the shard lock only vocabulary assignment and
+// the pending tier's tail pushes remain. The shard lock is acquired while
+// the identifier lock is still held, so a shard receives its documents in
+// identifier order and a concurrent flush can never detach a batch that
+// skips an identifier below one it contains — the append-only long lists
+// require ascending identifiers across batches.
 func (e *Engine) AddDocument(text string) DocID {
+	a := analyze(text, e.opts)
 	e.reshardMu.RLock()
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
@@ -143,7 +145,7 @@ func (e *Engine) AddDocument(text string) DocID {
 	s := e.shardFor(doc)
 	s.mu.Lock()
 	e.mu.Unlock()
-	s.addDocumentLocked(doc, text)
+	s.addDocumentLocked(doc, text, a)
 	s.mu.Unlock()
 	return doc
 }
@@ -154,7 +156,8 @@ func (e *Engine) PendingDocs() int {
 	defer e.stateMu.RUnlock()
 	n := 0
 	for _, s := range e.shards {
-		n += s.numPending()
+		docs, _ := s.numPending()
+		n += docs
 	}
 	return n
 }

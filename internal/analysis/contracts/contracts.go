@@ -52,8 +52,8 @@ var LockHierarchy = []Mutex{
 // that make a mid-flush read of it complete and safe. The on-disk tier's
 // pair is the classic snapshot rule (core.Index mutates with no shard lock
 // held while a flush applies its batch, so reads must go through the
-// published snapshot); the in-memory tiers' pairs are completeness rules
-// (the flush detaches the pending batch into its snap twin at publish time,
+// published snapshot); the pending tier's pair is a completeness rule
+// (the flush detaches the pending tier into its snap twin at publish time,
 // so a query reading only the fresh field would drop the detaching
 // documents mid-flush).
 type TierPair struct {
@@ -90,24 +90,19 @@ type Snapshot struct {
 }
 
 // SnapshotContract is the engine's snapshot-read rule, one TierPair per
-// read tier: the on-disk index behind its flush snapshot, the live tier
-// behind its detached mid-flush twin, and the legacy pending bag map behind
-// the detached batch.
+// read tier: the on-disk index behind its flush snapshot (with the detached
+// batch beside it), and the pending tier behind its detached mid-flush twin.
 var SnapshotContract = Snapshot{
 	Pkg:  "dualindex",
 	Type: "shard",
 	Tiers: []TierPair{
-		{Live: "index", Snaps: []string{"snap", "snapBatch"}},
-		{Live: "live", Snaps: []string{"snapLive"}},
-		{Live: "pending", Snaps: []string{"snapBatch"}},
+		{Live: "index", Snaps: []string{"snap", "snapPending"}},
+		{Live: "pending", Snaps: []string{"snapPending"}},
 	},
-	GuardField: "mu",
-	FlushField: "flushMu",
-	EncapFields: []string{
-		"index", "snap", "snapBatch", "pending",
-		"live", "snapLive", "pendingDocs", "pendingPostings",
-	},
-	UnderRLock:   []string{"tiers", "prefetchPlan", "verifyDocs", "liveDocTokens"},
+	GuardField:   "mu",
+	FlushField:   "flushMu",
+	EncapFields:  []string{"index", "snap", "pending", "snapPending"},
+	UnderRLock:   []string{"tiers", "prefetchPlan", "verifyDocs", "pendingTokens"},
 	Constructors: []string{"openShard"},
 }
 

@@ -1,6 +1,6 @@
 // Package dualindex mirrors the engine's shard for the snapshotsafe golden
-// tests: the field names (index, snap, snapBatch, pending, live, snapLive,
-// mu, flushMu) match internal/analysis/contracts' SnapshotContract.
+// tests: the field names (index, snap, pending, snapPending, mu, flushMu)
+// match internal/analysis/contracts' SnapshotContract.
 package dualindex
 
 import "sync"
@@ -15,21 +15,19 @@ type Snapshot struct{}
 func (sn *Snapshot) IsDeleted(id int) bool { return false }
 func (sn *Snapshot) Get(w int) int         { return w }
 
-type liveTier struct{ docs int }
+type view interface{ Get(w int) int }
 
-func (lt *liveTier) Docs(id int) (int, bool) { return id, true }
+type pendingTier struct{ docs int }
+
+func (lt *pendingTier) Docs(id int) (int, bool) { return id, true }
 
 type shard struct {
-	mu              sync.RWMutex
-	flushMu         sync.Mutex
-	index           *Index
-	snap            *Snapshot
-	snapBatch       map[int][]int
-	pending         map[int][]int
-	live            *liveTier
-	snapLive        *liveTier
-	pendingDocs     int
-	pendingPostings int64
+	mu          sync.RWMutex
+	flushMu     sync.Mutex
+	index       *Index
+	snap        *Snapshot
+	pending     *pendingTier
+	snapPending *pendingTier
 }
 
 // openShard is a constructor: it builds the shard before it is shared and
@@ -37,8 +35,7 @@ type shard struct {
 func openShard() *shard {
 	s := &shard{}
 	s.index = &Index{}
-	s.pending = map[int][]int{}
-	s.live = &liveTier{}
+	s.pending = &pendingTier{}
 	return s
 }
 
@@ -52,19 +49,29 @@ func (e *Engine) fanout() bool {
 }
 
 // observeClosure: closures registered with the metrics registry run with no
-// shard lock at all; a direct field read there is the canonical race.
+// shard lock at all; a direct field read there is the canonical race (the
+// pending tier swaps at flush publish).
 func (e *Engine) observeClosure() func() int {
 	s := e.shards[0]
-	return func() int { return len(s.pending) } // want "accessed outside"
+	return func() int { return s.pending.docs } // want "accessed outside"
 }
 
-// tiers is contractually "called under RLock" and snapshot-aware (the real
-// tiers()'s shape): clean.
-func (s *shard) tiers(w int) int {
+// view is the real view()'s shape: the snapshot while a flush applies, the
+// index otherwise. Clean.
+func (s *shard) view() view {
 	if s.snap != nil {
-		return s.snap.Get(w)
+		return s.snap
 	}
-	return s.index.Get(w)
+	return s.index
+}
+
+// tiers is contractually "called under RLock"; it reads the index only
+// through view and the pending tier beside its detached twin. Clean.
+func (s *shard) tiers(id int) (int, bool) {
+	if s.snapPending != nil {
+		return s.snapPending.Docs(id)
+	}
+	return s.pending.Docs(s.view().Get(id))
 }
 
 // document reads the live index on a read path without consulting the
@@ -76,53 +83,14 @@ func (s *shard) document(id int) bool {
 }
 
 // verifyDocs is contractually "called under RLock" (contracts.UnderRLock):
-// a live-index read is flagged even with no lock call in the body.
-func (s *shard) verifyDocs(id int) bool {
-	return s.index.IsDeleted(id) // want "without consulting the flush snapshot"
-}
-
-// liveGauge: a metrics closure reading the live tier directly runs with no
-// shard lock; the field swaps at flush publish.
-func (e *Engine) liveGauge() func() int {
-	s := e.shards[0]
-	return func() int { return s.live.docs } // want "accessed outside"
-}
-
-// pendingCounters: the size counters are encapsulated like the structures
-// they size; engine layers use the shard's accessors.
-func (e *Engine) pendingCounters() int64 {
-	s := e.shards[0]
-	docs := s.pendingDocs                  // want "accessed outside"
-	return int64(docs) + s.pendingPostings // want "accessed outside"
-}
-
-// liveDocTokens reads the live tier beside its detached mid-flush twin —
-// the tier-complete shape of the real method. Clean.
-func (s *shard) liveDocTokens(id int) (int, bool) {
-	if s.snapLive != nil {
-		return s.snapLive.Docs(id)
-	}
-	return s.live.Docs(id)
-}
-
-// liveOnly reads the live tier on a read path without the detached twin:
-// mid-flush, the documents the flush is applying vanish from its answers.
-func (s *shard) liveOnly(id int) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.live.Docs(id) // want "without consulting the flush snapshot"
-}
-
-// pendingOnly reads the pending bag map on a read path without the detached
-// batch — same completeness hole, legacy representation. Note the index
+// it reads the pending tier without its detached twin, so mid-flush the
+// documents the flush is applying vanish from its answers. The index
 // tier's snapshot does not excuse it: tiers are judged independently.
-func (s *shard) pendingOnly(w int) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *shard) verifyDocs(id int) (int, bool) {
 	if s.snap != nil {
-		return s.pending[w] // want "without consulting the flush snapshot"
+		return 0, false
 	}
-	return nil
+	return s.pending.Docs(id) // want "without consulting the flush snapshot"
 }
 
 // sweepLocked excludes a concurrent flush by holding the flush lock: the
@@ -137,7 +105,6 @@ func (s *shard) sweepLocked() bool {
 // writer, not a read path).
 func (s *shard) flushBatch() {
 	s.mu.Lock()
-	s.snap = &Snapshot{}
-	s.snapBatch = nil
+	s.snap, s.snapPending, s.pending = &Snapshot{}, s.pending, &pendingTier{}
 	s.mu.Unlock()
 }

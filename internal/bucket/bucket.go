@@ -147,6 +147,16 @@ func (s *Set) TotalLoad() int {
 	return sum
 }
 
+// LoadFactor reports how full the bucket space is: total occupancy over
+// total capacity, 0 for a space with no capacity.
+func (s *Set) LoadFactor() float64 {
+	capacity := float64(s.numBuckets) * float64(s.bucketSize)
+	if capacity == 0 {
+		return 0
+	}
+	return float64(s.TotalLoad()) / capacity
+}
+
 // ForEachWord calls fn for every word currently holding a short list, with
 // its posting count. Iteration order is unspecified.
 func (s *Set) ForEachWord(fn func(w postings.WordID, count int)) {

@@ -203,6 +203,11 @@ func (ix *Index) UpdateHistory() []UpdateStats { return ix.updateStats }
 // WordUpdate is one word's contribution to a batch update: the in-memory
 // inverted list built from the arriving documents. List may be nil in
 // simulation mode.
+//
+// ApplyUpdate only reads List: a bucket stores a clone of it, and the
+// long-list writers copy its postings into block images. The caller keeps
+// ownership, so other goroutines may keep reading the same list while the
+// update applies (the engine's mid-flush queries do).
 type WordUpdate struct {
 	Word  postings.WordID
 	Count int

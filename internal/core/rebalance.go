@@ -12,13 +12,7 @@ import (
 // units (words + postings) over total capacity. The paper's §7 observes
 // that as the database grows, a fixed bucket configuration degrades —
 // monitoring this factor tells an operator when to rebalance.
-func (ix *Index) BucketLoadFactor() float64 {
-	capacity := float64(ix.cfg.Buckets) * float64(ix.cfg.BucketSize)
-	if capacity == 0 {
-		return 0
-	}
-	return float64(ix.buckets.TotalLoad()) / capacity
-}
+func (ix *Index) BucketLoadFactor() float64 { return ix.buckets.LoadFactor() }
 
 // RebalanceBuckets moves every short list into a new bucket space of the
 // given geometry — the paper's proposed remedy for index degradation

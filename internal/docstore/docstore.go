@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sync"
 
 	"dualindex/internal/postings"
 )
@@ -24,7 +25,9 @@ type Store interface {
 	// Put stores a document's text. Identifiers must be new; documents are
 	// immutable once written.
 	Put(id postings.DocID, text string) error
-	// Get returns the document's text, with ok false for unknown ids.
+	// Get returns the document's text, with ok false for unknown ids. Gets
+	// may run concurrently with each other: the engine verifies positional
+	// candidates under a shared read lock.
 	Get(id postings.DocID) (text string, ok bool, err error)
 	// Len reports the number of stored documents.
 	Len() int
@@ -71,7 +74,12 @@ func (m *Mem) Close() error { return nil }
 // File is an append-only log-file store. Each record is a varint document
 // id, a varint length, and the text; the id → offset index is rebuilt by a
 // sequential scan at open, so the file itself is the only durable state.
+//
+// A File is safe for concurrent use. Every method holds mu, because even a
+// Get writes: it flushes the buffered Puts so the record it reads is in the
+// file.
 type File struct {
+	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
 	offsets map[postings.DocID]int64
@@ -147,6 +155,8 @@ func readUvarint(r *bufio.Reader) (uint64, int, error) {
 
 // Put implements Store.
 func (s *File) Put(id postings.DocID, text string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, dup := s.offsets[id]; dup {
 		return fmt.Errorf("docstore: duplicate document %d", id)
 	}
@@ -166,6 +176,13 @@ func (s *File) Put(id postings.DocID, text string) error {
 
 // Get implements Store.
 func (s *File) Get(id postings.DocID) (string, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.get(id)
+}
+
+// get is Get with s.mu held.
+func (s *File) get(id postings.DocID) (string, bool, error) {
 	off, ok := s.offsets[id]
 	if !ok {
 		return "", false, nil
@@ -190,10 +207,16 @@ func (s *File) Get(id postings.DocID) (string, bool, error) {
 }
 
 // Len implements Store.
-func (s *File) Len() int { return len(s.offsets) }
+func (s *File) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.offsets)
+}
 
 // Sync implements Store.
 func (s *File) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
@@ -202,6 +225,8 @@ func (s *File) Sync() error {
 
 // Close implements Store.
 func (s *File) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.w.Flush(); err != nil {
 		s.f.Close()
 		return err
@@ -214,7 +239,7 @@ func (s *File) Close() error {
 type Walker interface {
 	// ForEach calls fn for every stored document in ascending identifier
 	// order, stopping at the first error. The order guarantee lets crash
-	// recovery rebuild pending batches with per-word lists already sorted.
+	// recovery grow the pending tier's per-word runs by tail appends.
 	ForEach(fn func(id postings.DocID, text string) error) error
 }
 
@@ -238,9 +263,13 @@ func (m *Mem) ForEach(fn func(id postings.DocID, text string) error) error {
 	return nil
 }
 
-// ForEach implements Walker for File.
+// ForEach implements Walker for File. fn runs without the store's lock
+// held, so it may call back into the store.
 func (s *File) ForEach(fn func(id postings.DocID, text string) error) error {
-	for _, id := range sortedIDs(s.offsets) {
+	s.mu.Lock()
+	ids := sortedIDs(s.offsets)
+	s.mu.Unlock()
+	for _, id := range ids {
 		text, ok, err := s.Get(id)
 		if err != nil {
 			return err
@@ -276,6 +305,8 @@ func (m *Mem) Compact(keep func(postings.DocID) bool) error {
 // Compact implements Compactor for File: surviving records stream into a
 // sibling temporary file which atomically replaces the log.
 func (s *File) Compact(keep func(postings.DocID) bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
@@ -289,7 +320,7 @@ func (s *File) Compact(keep func(postings.DocID) bool) error {
 		if !keep(id) {
 			continue
 		}
-		text, ok, err := s.Get(id)
+		text, ok, err := s.get(id)
 		if err != nil || !ok {
 			tmp.Close()
 			os.Remove(tmpPath)
@@ -314,6 +345,6 @@ func (s *File) Compact(keep func(postings.DocID) bool) error {
 	if err != nil {
 		return err
 	}
-	*s = *re
+	s.f, s.w, s.offsets, s.size = re.f, re.w, re.offsets, re.size
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -230,5 +231,72 @@ func TestCompactFile(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 11 {
 		t.Fatalf("reopened Len = %d", re.Len())
+	}
+}
+
+// TestFileConcurrentGetWhileBuffered pins the store's own concurrency
+// contract: Gets may run concurrently — the engine issues them under a
+// shared read lock — even while Puts sit in the write buffer that Get must
+// flush first. Run under -race. A reopen then finds every document exactly
+// once with its text.
+func TestFileConcurrentGetWhileBuffered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "docs.log")
+	s, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := func(id postings.DocID) string { return strings.Repeat("w", int(id)%7) + " doc" }
+	const rounds, perRound, readers = 4, 16, 4
+	var next postings.DocID
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			next++
+			if err := s.Put(next, text(next)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for id := postings.DocID(1); id <= next; id++ {
+					got, ok, err := s.Get(id)
+					if err != nil || !ok || got != text(id) {
+						t.Errorf("Get(%d) = %q, %v, %v", id, got, ok, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	seen := map[postings.DocID]int{}
+	err = re.ForEach(func(id postings.DocID, got string) error {
+		seen[id]++
+		if got != text(id) {
+			t.Errorf("reopened doc %d = %q, want %q", id, got, text(id))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != int(next) {
+		t.Fatalf("reopen found %d documents, want %d", len(seen), next)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("doc %d walked %d times", id, n)
+		}
 	}
 }

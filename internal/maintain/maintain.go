@@ -174,7 +174,7 @@ type ShardSignals struct {
 	DeletedDocs  int     `json:"deleted_docs"`
 	DocsIndexed  int     `json:"docs_indexed"`
 	// PendingDocs is the shard's unflushed batch size in documents, and
-	// PendingPostings in postings — the live tier's in-memory volume. A
+	// PendingPostings in postings — the pending tier's in-memory volume. A
 	// sustained climb means flushes are not keeping up with ingest; the
 	// values ride along in every decision's signal record so the log shows
 	// how much unflushed state each decision was made under.

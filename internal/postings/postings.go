@@ -143,7 +143,7 @@ func (l *List) Append(m *List) error {
 // Push appends one posting in place, keeping the ascending-identifier
 // invariant: doc must be at least MaxDoc(). Pushing the current tail
 // document again accumulates its frequency, so a tokenized document can be
-// pushed one occurrence at a time. Push is how the live tier grows a
+// pushed one occurrence at a time. Push is how the pending tier grows a
 // per-word run incrementally — one posting per arriving document — where
 // Append moves whole already-built lists. It panics on an out-of-order
 // document, like NewList, so a corrupted run is caught at construction.

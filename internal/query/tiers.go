@@ -3,7 +3,7 @@ package query
 import "dualindex/internal/postings"
 
 // The tier merge: a dynamic index answers queries from several read tiers at
-// once — an in-memory live tier of still-unflushed documents, possibly a
+// once — an in-memory pending tier of still-unflushed documents, possibly a
 // detached batch that a running flush is applying, and the on-disk index (or
 // its published pre-flush snapshot). TieredSource composes those tiers into
 // the one Source the executor, the prefetcher and the scorer already
@@ -28,8 +28,8 @@ type TieredSource struct {
 }
 
 // NewTieredSource composes tiers into one Source. Nil tiers are skipped, so
-// callers can pass optional tiers (a flush's detached batch, an engine
-// without a live tier) unconditionally.
+// callers can pass optional tiers (a flush's detached batch)
+// unconditionally.
 func NewTieredSource(tiers ...Source) *TieredSource {
 	ts := &TieredSource{tiers: make([]Source, 0, len(tiers))}
 	for _, t := range tiers {

@@ -1,47 +1,45 @@
 package dualindex
 
 import (
+	"slices"
+
+	"dualindex/internal/core"
 	"dualindex/internal/lexer"
 	"dualindex/internal/postings"
 	"dualindex/internal/query"
 )
 
-// The live tier (Options.LiveSearch): a read-optimized in-memory inverted
-// index of the documents awaiting a flush, making AddDocument → searchable
-// instantaneous instead of a flush interval away. With it, every query
-// consults three tiers behind one merge abstraction (query.TieredSource):
+// The pending tier: the paper's in-memory inverted index of the documents
+// awaiting a flush. It is both the write buffer and a read tier. AddDocument
+// grows it, every query reads it beside the on-disk index, and a flush hands
+// its per-word runs to core.ApplyUpdate as the batch's in-memory lists.
+// Every query consults up to three tiers behind one merge abstraction
+// (query.TieredSource):
 //
-//   - the live tier — per-word sorted, frequency-aggregated posting runs
-//     plus per-document positional tokens, maintained incrementally as
-//     documents arrive;
-//   - mid-flush, the detached batch the flush is applying (the live tier
-//     frozen at publish time), read beside the flush's index snapshot;
-//   - the on-disk index (or its published pre-flush snapshot).
+//   - the on-disk index (or, mid-flush, its published pre-flush snapshot);
+//   - mid-flush, the detached pending tier the flush is applying;
+//   - the pending tier of documents added since.
 //
 // The tiers partition the document set — a document is pending, detaching,
 // or flushed, never two at once — so the merged per-word lists equal what
 // the same documents yield after a flush, and query answers are independent
-// of flush timing. With LiveSearch off the read path serves the same three
-// tiers from the legacy structures (the pending bag map), byte-identical to
-// the pre-live-tier engine.
+// of flush timing.
 
-// liveTier is the in-memory pending batch in its queryable form: what the
-// write path appends one document at a time, the read path consumes as
-// sorted per-word runs. Positions ride along so the positional layer can
-// verify phrase, proximity and region conditions against unflushed
-// documents from memory, without a document-store round trip.
+// pendingTier holds one batch of unflushed documents as sorted per-word
+// posting runs. Under Options.LiveSearch it also caches each document's
+// positional tokens, so phrase, proximity and region conditions on
+// unflushed documents verify from memory instead of the document store.
 //
-// A liveTier is guarded by its shard's mu: grown under Lock
+// A pendingTier is guarded by its shard's mu: grown under Lock
 // (addDocumentLocked), read under RLock, detached and retired by the flush
-// publish/release protocol under Lock.
-type liveTier struct {
+// publish/release protocol under Lock. While detached it is never grown,
+// so mid-flush queries and core.ApplyUpdate read its runs together.
+type pendingTier struct {
 	// words holds one sorted (doc, freq) run per word. Documents reach a
-	// shard in ascending identifier order, so each run grows by a tail
-	// Push — no per-query sort, unlike the legacy bag map.
+	// shard in ascending identifier order, so each run grows by a tail Push.
 	words map[postings.WordID]*postings.List
-	// tokens holds each pending document's positional token sequence,
-	// exactly lexer.TokenizePositions of its text — what candidate
-	// verification would otherwise re-derive from the document store.
+	// tokens holds each document's lexer.TokenizePositions output; empty
+	// unless Options.LiveSearch.
 	tokens map[postings.DocID][]lexer.Token
 	// docs and postings size the tier for stats, metrics and the
 	// maintenance controller's signals.
@@ -49,19 +47,18 @@ type liveTier struct {
 	postings int64
 }
 
-func newLiveTier() *liveTier {
-	return &liveTier{
+func newPendingTier() *pendingTier {
+	return &pendingTier{
 		words:  make(map[postings.WordID]*postings.List),
 		tokens: make(map[postings.DocID][]lexer.Token),
 	}
 }
 
-// add indexes one arriving document into the tier: words is the document's
-// token bag resolved to word identifiers (the same lexer.Tokenize output
-// the pending flush batch records, so live answers and post-flush answers
-// agree byte for byte) and toks its positional sequence. doc must exceed
-// every identifier already in the tier.
-func (lt *liveTier) add(doc postings.DocID, words []postings.WordID, toks []lexer.Token) {
+// add indexes one arriving document into the tier: words is its
+// lexer.Tokenize bag resolved to word identifiers, toks its positional
+// tokens (nil when they are not cached). doc must be at least every
+// identifier already in the tier.
+func (lt *pendingTier) add(doc postings.DocID, words []postings.WordID, toks []lexer.Token) {
 	for _, w := range words {
 		run := lt.words[w]
 		if run == nil {
@@ -70,31 +67,44 @@ func (lt *liveTier) add(doc postings.DocID, words []postings.WordID, toks []lexe
 		}
 		// A duplicate token (under lexer.Options.KeepDuplicates) pushes the
 		// tail document again, and Push folds it into one posting with the
-		// frequency accumulated — the same aggregation postings.FromDocs
-		// applies to the flush batch.
+		// frequency accumulated.
 		run.Push(doc, 1)
 	}
-	lt.tokens[doc] = toks
+	if toks != nil {
+		lt.tokens[doc] = toks
+	}
 	lt.docs++
 	lt.postings += int64(len(words))
 }
 
-// list returns the tier's run for w, or nil when the word has no pending
-// postings. The returned list aliases the tier; callers filter (and thereby
-// copy) before handing it to query execution.
-func (lt *liveTier) list(w postings.WordID) *postings.List { return lt.words[w] }
-
-// docTokens returns doc's positional tokens, if the document is in the tier.
-func (lt *liveTier) docTokens(doc postings.DocID) ([]lexer.Token, bool) {
+// docTokens returns doc's cached positional tokens, if the tier has them.
+func (lt *pendingTier) docTokens(doc postings.DocID) ([]lexer.Token, bool) {
 	toks, ok := lt.tokens[doc]
 	return toks, ok
+}
+
+// updates renders the tier as one batch update: its words in ascending
+// identifier order, each run handed over as the word's in-memory list. The
+// runs are shared, not copied; core.WordUpdate documents why that is safe.
+func (lt *pendingTier) updates() []core.WordUpdate {
+	words := make([]postings.WordID, 0, len(lt.words))
+	for w := range lt.words {
+		words = append(words, w)
+	}
+	slices.Sort(words)
+	out := make([]core.WordUpdate, len(words))
+	for i, w := range words {
+		run := lt.words[w]
+		out[i] = core.WordUpdate{Word: w, Count: run.Len(), List: run}
+	}
+	return out
 }
 
 // absorb folds newer — a tier whose every document identifier exceeds this
 // tier's — back into lt. It is the flush failure path: the detached tier
 // rejoins the documents that arrived while the failed flush ran, so no
-// document loses searchability.
-func (lt *liveTier) absorb(newer *liveTier) {
+// document is lost or loses searchability.
+func (lt *pendingTier) absorb(newer *pendingTier) {
 	for w, run := range newer.words {
 		old := lt.words[w]
 		if old == nil {
@@ -143,17 +153,23 @@ func (t diskTier) WordsWithPrefix(prefix string) []string {
 	return t.s.vocab.WordsWithPrefix(prefix)
 }
 
-// memTier adapts one in-memory tier — the live tier or, mid-flush, the
-// detached batch — to the query package's Source, in whichever
-// representation the engine maintains: the read-optimized liveTier
-// (Options.LiveSearch) or the legacy pending bag map. Deleted documents are
-// filtered here, with the same deletion view as the disk tier beside it, so
-// a document deleted mid-flush disappears from every tier at once.
+// memTier adapts one pending tier to the query package's Source. Deleted
+// documents are filtered here, with the same deletion view as the disk tier
+// beside it, so a document deleted mid-flush disappears from every tier at
+// once.
 type memTier struct {
 	s         *shard
-	live      *liveTier                            // LiveSearch representation, or nil
-	bags      map[postings.WordID][]postings.DocID // legacy representation
+	tier      *pendingTier
 	isDeleted func(postings.DocID) bool
+}
+
+// newMemTier adapts tier, or returns nil for a nil tier (no flush in
+// progress), which query.NewTieredSource skips.
+func newMemTier(s *shard, tier *pendingTier, isDeleted func(postings.DocID) bool) query.Source {
+	if tier == nil {
+		return nil
+	}
+	return memTier{s: s, tier: tier, isDeleted: isDeleted}
 }
 
 func (t memTier) List(word string) (*postings.List, error) {
@@ -161,17 +177,10 @@ func (t memTier) List(word string) (*postings.List, error) {
 	if !known {
 		return &postings.List{}, nil
 	}
-	if t.live != nil {
-		run := t.live.list(w)
-		if run.Len() == 0 {
-			return &postings.List{}, nil
-		}
-		// Filter copies, so query execution never aliases the growing run.
-		return run.Filter(t.isDeleted), nil
-	}
-	docs := t.bags[w]
-	if len(docs) == 0 {
+	run := t.tier.words[w]
+	if run.Len() == 0 {
 		return &postings.List{}, nil
 	}
-	return postings.FromDocs(docs).Filter(t.isDeleted), nil
+	// Filter copies, so query execution never aliases the growing run.
+	return run.Filter(t.isDeleted), nil
 }

@@ -1,4 +1,4 @@
-// Tests for the live tier (Options.LiveSearch): a document must be
+// Tests for the pending tier and Options.LiveSearch: a document must be
 // servable by every query kind the moment AddDocument returns, with answers
 // byte-equal to the flushed-then-queried ones — and, more generally, query
 // answers must be invariant under flush placement.
@@ -116,43 +116,75 @@ func TestLiveSearchImmediateVisibility(t *testing.T) {
 	}
 }
 
-// TestLiveSearchMatchesLegacyPending pins the two representations of the
-// pending tier against each other: with documents awaiting a flush, an
-// engine with LiveSearch on answers exactly like one with it off (which
-// sorts the legacy pending bags per query) — same docs, same scores.
-func TestLiveSearchMatchesLegacyPending(t *testing.T) {
-	texts := synthTexts(11, 60, 50, 30)
-	for _, scoring := range []string{ScoringVector, ScoringBM25} {
-		on := liveEngine(t, true, scoring, 2)
-		off := liveEngine(t, false, scoring, 2)
-		for i, text := range texts {
-			on.AddDocument(text)
-			off.AddDocument(text)
-			if i == len(texts)/2 {
-				// Half the corpus on disk, half pending.
-				if _, err := on.FlushBatch(); err != nil {
+// TestLiveSearchOnMatchesOff pins what LiveSearch selects — whether pending
+// documents' positional tokens are cached in memory or read back from the
+// document store — as invisible in answers: with half the corpus pending,
+// an engine with LiveSearch on answers every query kind exactly like one
+// with it off — same docs, same scores. The file-backed pair makes the off
+// side verify buffered pending documents through the docs.log store.
+func TestLiveSearchOnMatchesOff(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	texts := make([]string, 60)
+	for i := range texts {
+		texts[i] = liveInvarianceDoc(r)
+	}
+	queries := []string{
+		"waa and wab", "wa* and not wac", "waa or (wab and wad)", "waa wab wac",
+		`"waa wab"`, "waa near/4 wac", "title:waa or title:wab",
+	}
+	open := func(live bool, scoring string, dir string) *Engine {
+		eng, err := Open(Options{
+			Dir:           dir,
+			KeepDocuments: true,
+			LiveSearch:    live,
+			Scoring:       scoring,
+			Shards:        2,
+			Buckets:       8,
+			BucketSize:    128,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	for _, backend := range []string{"mem", "file"} {
+		for _, scoring := range []string{ScoringVector, ScoringBM25} {
+			dir := func() string {
+				if backend == "file" {
+					return t.TempDir()
+				}
+				return ""
+			}
+			on, off := open(true, scoring, dir()), open(false, scoring, dir())
+			for i, text := range texts {
+				on.AddDocument(text)
+				off.AddDocument(text)
+				if i == len(texts)/2 {
+					// Half the corpus on disk, half pending.
+					if _, err := on.FlushBatch(); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := off.FlushBatch(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, q := range queries {
+				got, err := on.Query(q, 15)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := off.FlushBatch(); err != nil {
+				want, err := off.Query(q, 15)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s %q: LiveSearch on %v, off %v", backend, scoring, q, got, want)
+				}
 			}
+			on.Close()
+			off.Close()
 		}
-		for _, q := range []string{"waa and wab", "wa* and not wac", "waa or (wab and wad)", "waa wab wac"} {
-			got, err := on.Query(q, 15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := off.Query(q, 15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %q: live %v, legacy %v", scoring, q, got, want)
-			}
-		}
-		on.Close()
-		off.Close()
 	}
 }
 
@@ -227,8 +259,8 @@ func TestFlushInvarianceProperty(t *testing.T) {
 }
 
 // TestStatsPendingCounts covers the observability satellite: Stats and
-// ShardStats report the unflushed volume, identically in both pending-tier
-// representations, and a flush drains the counts to zero.
+// ShardStats report the unflushed volume, identically with LiveSearch on
+// and off, and a flush drains the counts to zero.
 func TestStatsPendingCounts(t *testing.T) {
 	for _, live := range []bool{false, true} {
 		eng := liveEngine(t, live, ScoringVector, 2)

@@ -429,7 +429,8 @@ func (e *Engine) registerShardFuncs() {
 				if s == nil {
 					return 0
 				}
-				return float64(s.numPending())
+				docs, _ := s.numPending()
+				return float64(docs)
 			})
 		reg.RegisterFunc(`pending_postings{shard="`+shard+`"}`,
 			func() float64 {
@@ -437,7 +438,8 @@ func (e *Engine) registerShardFuncs() {
 				if s == nil {
 					return 0
 				}
-				return float64(s.numPendingPostings())
+				_, postings := s.numPending()
+				return float64(postings)
 			})
 		reg.RegisterFunc(`bucket_load_factor{shard="`+shard+`"}`,
 			func() float64 {

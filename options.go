@@ -194,18 +194,13 @@ type Options struct {
 	// Document retrieval and the positional query layer (SearchPhrase,
 	// SearchNear, SearchInRegion).
 	KeepDocuments bool
-	// LiveSearch maintains a read-optimized in-memory inverted index of the
-	// unflushed pending batch (the live tier, see live.go), with per-document
-	// positions, so every query kind — boolean, phrase, proximity, region,
-	// ranked under either scoring — sees a document the moment AddDocument
-	// returns, at in-memory cost instead of a flush away. Off (the default),
-	// pending documents are still merged into answers, but from the
-	// write-optimized pending bag (sorted per query, no positions kept:
-	// positional verification falls back to the document store), and the
-	// simulated I/O traces stay byte-identical to the pre-live-tier engine.
-	// LiveSearch shapes only the in-memory read path, never the on-disk
-	// layout, so it is a runtime choice — not recorded in the manifest, free
-	// to differ between engines opened on the same directory.
+	// LiveSearch caches each unflushed document's positional tokens in the
+	// pending tier (see live.go), so phrase, proximity and region conditions
+	// on pending documents verify from memory. Off (the default), they are
+	// verified by reading the text back from the document store. Every query
+	// kind sees a document the moment AddDocument returns either way, with
+	// identical answers. It is a runtime choice — not recorded in the
+	// manifest, free to differ between engines opened on the same directory.
 	LiveSearch bool
 	// Workers bounds query-time fetch concurrency within one shard: a
 	// multi-term query reads its inverted lists with at most Workers

@@ -164,9 +164,10 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 			st.Skipped++
 			continue
 		}
+		a := analyze(text, e.opts)
 		t := newShards[newRouter.Shard(id)]
 		t.mu.Lock()
-		t.addDocumentLocked(id, text)
+		t.addDocumentLocked(id, text, a)
 		t.mu.Unlock()
 		st.Docs++
 		pending++

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 
+	"dualindex/internal/bucket"
 	"dualindex/internal/cache"
 	"dualindex/internal/core"
+	"dualindex/internal/directory"
 	"dualindex/internal/disk"
 	"dualindex/internal/docstore"
 	"dualindex/internal/lexer"
@@ -49,24 +50,15 @@ type shard struct {
 	// sweep, rebalanceBuckets and close. Lock order: flushMu before mu.
 	flushMu sync.Mutex
 
-	// While a flush is applying its batch, snap holds the pre-flush index
-	// state and snapBatch the detached batch; searches read them instead of
-	// the live index (guarded by mu: written under Lock, read under RLock).
-	snap      *core.Snapshot
-	snapBatch map[postings.WordID][]postings.DocID
-
-	// The in-memory inverted index of documents awaiting a flush; it is
-	// searched together with the on-disk index, as the paper prescribes.
-	// pending is the write-side bag form the flush consumes; live is the
-	// read-optimized form (sorted runs + positional tokens) queries consult
-	// when Options.LiveSearch is on, and snapLive its detached counterpart
-	// while a flush is applying the batch (paired with snap/snapBatch,
-	// following the same publish/release protocol).
-	pending         map[postings.WordID][]postings.DocID
-	live            *liveTier // nil unless Options.LiveSearch
-	snapLive        *liveTier // non-nil only mid-flush, and only with live
-	pendingDocs     int
-	pendingPostings int64
+	// pending is the in-memory inverted index of documents awaiting a
+	// flush, searched together with the on-disk index as the paper
+	// prescribes. While a flush applies a batch, snap holds the pre-flush
+	// index state and snapPending the detached batch; searches read them
+	// (through view and tiers) instead of the mutating index. All three are
+	// guarded by mu: written under Lock, read under RLock.
+	snap        *core.Snapshot
+	pending     *pendingTier
+	snapPending *pendingTier
 
 	// lastDoc is the largest document identifier this shard has seen, used
 	// by Open to resume the engine-wide identifier sequence.
@@ -134,10 +126,7 @@ func openShard(opts Options, dir string) (*shard, error) {
 		store:   store,
 		cache:   blockCache,
 		vocab:   vocab.New(),
-		pending: make(map[postings.WordID][]postings.DocID),
-	}
-	if opts.LiveSearch {
-		s.live = newLiveTier()
+		pending: newPendingTier(),
 	}
 	if resume {
 		s.index, err = core.Open(cfg)
@@ -182,7 +171,8 @@ func openShard(opts Options, dir string) (*shard, error) {
 // recoverPendingDocs re-ingests documents that reached the document store
 // after the index's last checkpoint: the doc log is written at AddDocument
 // time, so a crash between batches loses no stored document — it reappears
-// in the pending batch, ready for the next flush.
+// in the pending tier, ready for the next flush. ForEach walks in ascending
+// identifier order, which is the order the tier's runs must grow in.
 func (s *shard) recoverPendingDocs() error {
 	w, ok := s.docs.(docstore.Walker)
 	if !ok || s.docs == nil {
@@ -194,7 +184,7 @@ func (s *shard) recoverPendingDocs() error {
 			s.docsIndexed++ // already in the on-disk index: reseed the count
 			return nil
 		}
-		s.indexPendingLocked(id, text)
+		s.indexPendingLocked(id, analyze(text, s.opts))
 		return nil
 	})
 }
@@ -216,51 +206,62 @@ func (s *shard) maxIndexedDoc() postings.DocID {
 	return max
 }
 
-// addDocumentLocked tokenizes text and appends it to the shard's pending
-// batch (and live tier, when enabled). The engine has already assigned the
-// identifier, routed the document here, and acquired s.mu (see
-// Engine.AddDocument for why the two locks overlap).
-func (s *shard) addDocumentLocked(doc postings.DocID, text string) {
-	s.indexPendingLocked(doc, text)
+// analyzedDoc is one document's lexer output, computed before any lock is
+// taken: the word bag the index stores (lexer.Tokenize) and, under
+// Options.LiveSearch, the positional tokens the pending tier caches
+// (lexer.TokenizePositions). Neither is derived from the other: Tokenize
+// indexes the word "subject" of a Subject: line, TokenizePositions strips it.
+type analyzedDoc struct {
+	words []string
+	toks  []lexer.Token
+}
+
+func analyze(text string, opts Options) analyzedDoc {
+	a := analyzedDoc{words: lexer.Tokenize(text, opts.Lexer)}
+	if opts.LiveSearch {
+		a.toks = lexer.TokenizePositions(text, opts.Lexer)
+	}
+	return a
+}
+
+// addDocumentLocked appends an analyzed document to the shard's pending
+// tier and document store. The engine has already assigned the identifier,
+// routed the document here, and acquired s.mu (see Engine.AddDocument for
+// why the two locks overlap).
+func (s *shard) addDocumentLocked(doc postings.DocID, text string, a analyzedDoc) {
+	s.indexPendingLocked(doc, a)
 	if s.docs != nil && s.docErr == nil {
 		s.docErr = s.docs.Put(doc, text)
 	}
 }
 
-// indexPendingLocked indexes one document into the shard's in-memory
-// structures: the pending bag map the next flush consumes, and — under
-// Options.LiveSearch — the live tier's sorted runs and positional tokens,
-// which is what makes the document searchable the moment this returns.
+// indexPendingLocked assigns the document's word identifiers and pushes it
+// into the pending tier, which makes it searchable the moment this returns.
 // Called with s.mu held (or on a shard not yet shared, during recovery).
-func (s *shard) indexPendingLocked(doc postings.DocID, text string) {
-	words := lexer.Tokenize(text, s.opts.Lexer)
-	ids := make([]postings.WordID, len(words))
-	for i, word := range words {
+func (s *shard) indexPendingLocked(doc postings.DocID, a analyzedDoc) {
+	ids := make([]postings.WordID, len(a.words))
+	for i, word := range a.words {
 		ids[i] = s.vocab.GetOrAssign(word)
-		s.pending[ids[i]] = append(s.pending[ids[i]], doc)
 	}
-	if s.live != nil {
-		s.live.add(doc, ids, lexer.TokenizePositions(text, s.opts.Lexer))
-	}
-	s.pendingDocs++
-	s.pendingPostings += int64(len(words))
+	s.pending.add(doc, ids, a.toks)
 	if doc > s.lastDoc {
 		s.lastDoc = doc
 	}
 }
 
-func (s *shard) numPending() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pendingDocs
+// pendingSize reports the unflushed volume in documents and postings. It
+// counts the pending tier only: mid-flush, the detached batch is already
+// on its way to disk. Called under s.mu.
+func (s *shard) pendingSize() (docs int, postings int64) {
+	return s.pending.docs, s.pending.postings
 }
 
-// numPendingPostings reports how many postings await a flush — the live
-// tier's volume, feeding the pending_postings gauge and Stats.
-func (s *shard) numPendingPostings() int64 {
+// numPending is pendingSize under the shard's read lock, for callers that
+// do not hold it: Engine.PendingDocs and the pending gauges.
+func (s *shard) numPending() (docs int, postings int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.pendingPostings
+	return s.pendingSize()
 }
 
 // flushBatch applies the shard's pending batch to its on-disk index — the
@@ -286,7 +287,7 @@ func (s *shard) flushBatch() (BatchStats, error) {
 		s.mu.Unlock()
 		return BatchStats{}, fmt.Errorf("dualindex: document store: %w", s.docErr)
 	}
-	if s.pendingDocs == 0 {
+	if s.pending.docs == 0 {
 		s.mu.Unlock()
 		return BatchStats{}, nil
 	}
@@ -296,55 +297,28 @@ func (s *shard) flushBatch() (BatchStats, error) {
 			return BatchStats{}, err
 		}
 	}
-	batch, batchDocs, batchPostings := s.pending, s.pendingDocs, s.pendingPostings
-	s.pending = make(map[postings.WordID][]postings.DocID)
-	s.pendingDocs, s.pendingPostings = 0, 0
-	s.snap = s.index.Snapshot()
-	s.snapBatch = batch
-	if s.live != nil {
-		// Publish the live tier as the flush's detached tier and start a
-		// fresh one: documents added while the batch applies land in the new
-		// tier, queries read snap + snapLive + live, and answers stay equal
-		// to the pre-flush (hence post-flush) ones throughout.
-		s.snapLive, s.live = s.live, newLiveTier()
-	}
+	// Publish: detach the pending tier as the batch and start a fresh one.
+	// Documents added while the batch applies land in the fresh tier;
+	// queries read snap + snapPending + pending, so answers stay equal to
+	// the pre-flush (hence post-flush) ones throughout.
+	batch := s.pending
+	s.snap, s.snapPending, s.pending = s.index.Snapshot(), batch, newPendingTier()
 	s.mu.Unlock()
 
-	words := make([]postings.WordID, 0, len(batch))
-	for w := range batch {
-		words = append(words, w)
-	}
-	slices.Sort(words)
-	updates := make([]core.WordUpdate, 0, len(words))
-	for _, w := range words {
-		list := postings.FromDocs(batch[w])
-		updates = append(updates, core.WordUpdate{Word: w, Count: list.Len(), List: list})
-	}
-	st, err := s.index.ApplyUpdate(updates)
+	st, err := s.index.ApplyUpdate(batch.updates())
 
 	s.mu.Lock()
-	s.snap, s.snapBatch = nil, nil
+	s.snap, s.snapPending = nil, nil
 	if err != nil {
-		// Put the batch back so no documents are lost. Batch documents
-		// precede anything added while the flush ran, so prepending keeps
-		// every per-word list sorted; the detached live tier likewise
-		// re-absorbs the fresh one.
-		for w, docs := range batch {
-			s.pending[w] = append(docs, s.pending[w]...)
-		}
-		s.pendingDocs += batchDocs
-		s.pendingPostings += batchPostings
-		if s.snapLive != nil {
-			s.snapLive.absorb(s.live)
-			s.live, s.snapLive = s.snapLive, nil
-		}
+		// Put the batch back so no documents are lost: its documents precede
+		// everything added while the flush ran, so it absorbs the fresh tier.
+		batch.absorb(s.pending)
+		s.pending = batch
 		s.mu.Unlock()
 		return BatchStats{}, err
 	}
-	// The batch is on disk: retire the detached live tier with the snapshot.
-	s.snapLive = nil
 	out := BatchStats{
-		Docs:      batchDocs,
+		Docs:      batch.docs,
 		Words:     st.Words,
 		Postings:  st.Postings,
 		Evictions: st.Evictions,
@@ -358,13 +332,13 @@ func (s *shard) flushBatch() (BatchStats, error) {
 			Release:     st.ReleaseDur,
 		},
 	}
-	s.docsIndexed += batchDocs
+	s.docsIndexed += batch.docs
 	var vocabErr error
 	if s.dir != "" {
 		vocabErr = s.saveVocab()
 	}
 	s.mu.Unlock()
-	s.obs.observeFlush(t0, st, batchDocs)
+	s.obs.observeFlush(t0, st, batch.docs)
 	return out, vocabErr
 }
 
@@ -378,18 +352,34 @@ func (s *shard) flushBatch() (BatchStats, error) {
 // same reason. Called under s.mu.RLock, and the returned source is read
 // under that same RLock, so the tier set cannot change beneath a query.
 func (s *shard) tiers() *query.TieredSource {
-	if s.snap != nil {
-		isDeleted := s.snap.IsDeleted
-		return query.NewTieredSource(
-			diskTier{s: s, get: s.snap.GetList},
-			memTier{s: s, live: s.snapLive, bags: s.snapBatch, isDeleted: isDeleted},
-			memTier{s: s, live: s.live, bags: s.pending, isDeleted: isDeleted},
-		)
-	}
+	v := s.view()
 	return query.NewTieredSource(
-		diskTier{s: s, get: s.index.GetList},
-		memTier{s: s, live: s.live, bags: s.pending, isDeleted: s.index.IsDeleted},
+		diskTier{s: s, get: v.GetList},
+		newMemTier(s, s.snapPending, v.IsDeleted),
+		newMemTier(s, s.pending, v.IsDeleted),
 	)
+}
+
+// indexView is the searchable state a core.Index and its core.Snapshot
+// share: what the shard's read paths consult.
+type indexView interface {
+	GetList(w postings.WordID) (*postings.List, error)
+	ReadCost(w postings.WordID) int
+	IsDeleted(doc postings.DocID) bool
+	DeletedCount() int
+	Batches() int
+	Directory() *directory.Dir
+	Buckets() *bucket.Set
+}
+
+// view returns the index state every read path consults: the flush's
+// published snapshot while a batch applies, the index otherwise. Called
+// under s.mu (either mode).
+func (s *shard) view() indexView {
+	if s.snap != nil {
+		return s.snap
+	}
+	return s.index
 }
 
 // prefetchPlan is the shared head of plan execution on this shard: reject
@@ -514,25 +504,14 @@ func (s *shard) readCost(word string) int {
 	if !ok {
 		return 0
 	}
-	if s.snap != nil {
-		return s.snap.ReadCost(w)
-	}
-	return s.index.ReadCost(w)
+	return s.view().ReadCost(w)
 }
 
 // bucketLoadFactor reports how full this shard's short-list bucket space is.
 func (s *shard) bucketLoadFactor() float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.snap != nil {
-		b := s.snap.Buckets()
-		capacity := float64(b.NumBuckets()) * float64(b.BucketSize())
-		if capacity == 0 {
-			return 0
-		}
-		return float64(b.TotalLoad()) / capacity
-	}
-	return s.index.BucketLoadFactor()
+	return s.view().Buckets().LoadFactor()
 }
 
 // rebalanceBuckets moves every short list of this shard into a new bucket
@@ -564,25 +543,18 @@ func (s *shard) tryRebalance(buckets, bucketSize int) error {
 func (s *shard) maintainSignals(i int) maintain.ShardSignals {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	v := s.view()
+	b := v.Buckets()
 	sig := maintain.ShardSignals{
-		Shard:           i,
-		PendingDocs:     s.pendingDocs,
-		PendingPostings: s.pendingPostings,
+		Shard:       i,
+		Buckets:     b.NumBuckets(),
+		BucketSize:  b.BucketSize(),
+		LoadFactor:  b.LoadFactor(),
+		DeletedDocs: v.DeletedCount(),
+		DocsIndexed: s.docsIndexed,
 	}
-	b := s.index.Buckets()
-	deleted := s.index.DeletedCount()
-	if s.snap != nil {
-		b = s.snap.Buckets()
-		deleted = s.snap.DeletedCount()
-	}
-	sig.Buckets = b.NumBuckets()
-	sig.BucketSize = b.BucketSize()
-	if capacity := float64(sig.Buckets) * float64(sig.BucketSize); capacity > 0 {
-		sig.LoadFactor = float64(b.TotalLoad()) / capacity
-	}
-	sig.DeletedDocs = deleted
-	sig.DocsIndexed = s.docsIndexed
-	sig.DeadFraction = deadFraction(s.docsIndexed, deleted)
+	sig.PendingDocs, sig.PendingPostings = s.pendingSize()
+	sig.DeadFraction = deadFraction(s.docsIndexed, sig.DeletedDocs)
 	return sig
 }
 
@@ -591,10 +563,7 @@ func (s *shard) maintainSignals(i int) maintain.ShardSignals {
 func (s *shard) deletedCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.snap != nil {
-		return s.snap.DeletedCount()
-	}
-	return s.index.DeletedCount()
+	return s.view().DeletedCount()
 }
 
 // numDocsIndexed reports how many documents this shard's on-disk index
@@ -621,21 +590,15 @@ func (s *shard) document(id postings.DocID) (text string, ok bool, err error) {
 	if s.docs == nil {
 		return "", false, fmt.Errorf("dualindex: Options.KeepDocuments not enabled")
 	}
-	// Mid-flush the live index's deletion filter is mutating; consult the
-	// published snapshot's instead, as tiers() does.
-	isDeleted := s.index.IsDeleted
-	if s.snap != nil {
-		isDeleted = s.snap.IsDeleted
-	}
-	if isDeleted(id) {
+	if s.view().IsDeleted(id) {
 		return "", false, nil
 	}
 	return s.docs.Get(id)
 }
 
 // compressionBytes samples the codec's cumulative raw/encoded byte
-// counters for the observability closures. The counters are monotonic
-// atomics inside the long-list store and s.index is set once at
+// counters for the observability closures and stats. The counters are
+// monotonic atomics inside the long-list store and s.index is set once at
 // construction, so the sample takes no shard lock — metric scrapes run
 // concurrently with flushes and must not queue behind them.
 func (s *shard) compressionBytes() (raw, encoded int64) {
@@ -648,22 +611,28 @@ func (s *shard) diskOpCounts(d int) disk.DiskOps {
 	return s.index.Array().DiskOpCounts(d)
 }
 
+// ioCounts samples the whole array's operation counters, like diskOpCounts.
+func (s *shard) ioCounts() disk.DiskOps {
+	a := s.index.Array()
+	return disk.DiskOps{ReadOps: a.ReadOps(), WriteOps: a.WriteOps(), ReadBlocks: a.ReadBlocks(), WriteBlocks: a.WriteBlocks()}
+}
+
 // verifyDocs is the positional half of candidate verification (the
 // executor's VerifyFunc): it keeps the candidates whose positional tokens
-// satisfy check. A candidate still in the live tier verifies from the
-// tier's in-memory tokens — no document-store read, no re-tokenization —
-// which is what makes phrase, proximity and region conditions on unflushed
-// documents as cheap as boolean ones; everything else reads the document
-// store. Both paths apply the same tokenization, so a document verifies
-// identically before and after its flush. Called under s.mu.RLock, from
-// plan execution.
+// satisfy check. A candidate whose tokens the pending tier caches
+// (Options.LiveSearch) verifies from memory — no document-store read, no
+// re-tokenization — which is what makes phrase, proximity and region
+// conditions on unflushed documents as cheap as boolean ones; everything
+// else reads the document store. Both paths apply the same tokenization, so
+// a document verifies identically before and after its flush. Called under
+// s.mu.RLock, from plan execution.
 func (s *shard) verifyDocs(candidates []DocID, check func([]lexer.Token) bool) ([]DocID, error) {
 	if s.docs == nil {
 		return nil, fmt.Errorf("dualindex: positional queries need Options.KeepDocuments")
 	}
 	var out []DocID
 	for _, d := range candidates {
-		if toks, ok := s.liveDocTokens(d); ok {
+		if toks, ok := s.pendingTokens(d); ok {
 			if check(toks) {
 				out = append(out, d)
 			}
@@ -683,21 +652,17 @@ func (s *shard) verifyDocs(candidates []DocID, check func([]lexer.Token) bool) (
 	return out, nil
 }
 
-// liveDocTokens looks a document's positional tokens up in the live tier
-// and, mid-flush, in the detached tier being applied (snapLive) — the same
-// publish/release pairing every tier read honors. ok is false when the
-// document is not in either (flushed, or the engine runs without
-// Options.LiveSearch). Called under s.mu.RLock.
-func (s *shard) liveDocTokens(d postings.DocID) ([]lexer.Token, bool) {
-	if s.live != nil {
-		if toks, ok := s.live.docTokens(d); ok {
-			return toks, true
-		}
+// pendingTokens looks a document's cached positional tokens up in the
+// pending tier and, mid-flush, in the detached tier being applied
+// (snapPending) — the same publish/release pairing every tier read honors.
+// ok is false when neither caches them (the document is flushed, or the
+// engine runs without Options.LiveSearch). Called under s.mu.RLock.
+func (s *shard) pendingTokens(d postings.DocID) ([]lexer.Token, bool) {
+	if toks, ok := s.pending.docTokens(d); ok {
+		return toks, true
 	}
-	if s.snapLive != nil {
-		if toks, ok := s.snapLive.docTokens(d); ok {
-			return toks, true
-		}
+	if s.snapPending != nil {
+		return s.snapPending.docTokens(d)
 	}
 	return nil, false
 }

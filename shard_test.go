@@ -311,7 +311,7 @@ func TestShardedCrashReopen(t *testing.T) {
 	for i := 0; ; i++ {
 		empty := false
 		for _, s := range eng.shards {
-			if s.numPending() == 0 {
+			if docs, _ := s.numPending(); docs == 0 {
 				empty = true
 			}
 		}

@@ -96,10 +96,8 @@ type Stats struct {
 	CodecRawBytes     int64
 	CodecEncodedBytes int64
 	CompressionRatio  float64
-	// PendingDocs and PendingPostings are the unflushed in-memory volume:
-	// documents added since the last flush and the postings they carry —
-	// the live tier's size when Options.LiveSearch is on, the pending bag
-	// map's otherwise (the two representations always agree). A flush
+	// PendingDocs and PendingPostings are the pending tier's size: documents
+	// added since the last flush and the postings they carry. A flush
 	// drains them to zero; mid-flush, the batch being applied is no longer
 	// counted here.
 	PendingDocs     int
@@ -126,41 +124,28 @@ type Stats struct {
 func (s *shard) stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	v, ops := s.view(), s.ioCounts()
 	st := Stats{
-		Words:       s.vocab.Len(),
-		ReadOps:     s.index.Array().ReadOps(),
-		WriteOps:    s.index.Array().WriteOps(),
-		ReadBlocks:  s.index.Array().ReadBlocks(),
-		WriteBlocks: s.index.Array().WriteBlocks(),
+		Words:               s.vocab.Len(),
+		Batches:             v.Batches(),
+		LongLists:           v.Directory().NumWords(),
+		BucketWords:         v.Buckets().TotalWords(),
+		Utilization:         v.Directory().Utilization(),
+		AvgReadsPerList:     v.Directory().AvgReadsPerList(),
+		ReadOps:             ops.ReadOps,
+		WriteOps:            ops.WriteOps,
+		ReadBlocks:          ops.ReadBlocks,
+		WriteBlocks:         ops.WriteBlocks,
+		Deleted:             v.DeletedCount(),
+		DocsIndexed:         int64(s.docsIndexed),
+		MaxBucketLoadFactor: v.Buckets().LoadFactor(),
 	}
-	st.CodecRawBytes, st.CodecEncodedBytes = s.index.LongLists().CompressionBytes()
+	st.CodecRawBytes, st.CodecEncodedBytes = s.compressionBytes()
 	if st.CodecEncodedBytes > 0 {
 		st.CompressionRatio = float64(st.CodecRawBytes) / float64(st.CodecEncodedBytes)
 	}
-	if s.snap != nil {
-		st.Batches = s.snap.Batches()
-		st.LongLists = s.snap.Directory().NumWords()
-		st.BucketWords = s.snap.Buckets().TotalWords()
-		st.Utilization = s.snap.Directory().Utilization()
-		st.AvgReadsPerList = s.snap.Directory().AvgReadsPerList()
-		st.Deleted = s.snap.DeletedCount()
-		b := s.snap.Buckets()
-		if capacity := float64(b.NumBuckets()) * float64(b.BucketSize()); capacity > 0 {
-			st.MaxBucketLoadFactor = float64(b.TotalLoad()) / capacity
-		}
-	} else {
-		st.Batches = s.index.Batches()
-		st.LongLists = s.index.Directory().NumWords()
-		st.BucketWords = s.index.Buckets().TotalWords()
-		st.Utilization = s.index.Directory().Utilization()
-		st.AvgReadsPerList = s.index.Directory().AvgReadsPerList()
-		st.Deleted = s.index.DeletedCount()
-		st.MaxBucketLoadFactor = s.index.BucketLoadFactor()
-	}
-	st.DocsIndexed = int64(s.docsIndexed)
 	st.DeadFraction = deadFraction(s.docsIndexed, st.Deleted)
-	st.PendingDocs = s.pendingDocs
-	st.PendingPostings = s.pendingPostings
+	st.PendingDocs, st.PendingPostings = s.pendingSize()
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		st.CacheHits = cs.Hits
