@@ -3,6 +3,7 @@ package dualindex
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -282,5 +283,85 @@ func TestConcurrentDeleteAndSearch(t *testing.T) {
 	}
 	if len(docs) != 100 {
 		t.Fatalf("after deletes, %d docs visible, want 100", len(docs))
+	}
+}
+
+// TestPrefixQueriesRightAfterOpen: a cold open leaves the vocabulary's
+// prefix tree unbuilt, so the first truncation queries race to build it
+// under the shard read lock while documents — some with new words — keep
+// arriving under the write lock. Run with -race, this pins the build's
+// synchronisation; every answer must still hold what the checkpoint held,
+// and the words added meanwhile must be found by prefix afterwards.
+func TestPrefixQueriesRightAfterOpen(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(0)
+			opts.Dir = persistDir(t, shards)
+			eng, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.SearchBoolean("wa*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			eng, err = Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			// vocabulary 60 adds words "wb…" and "wc…" the checkpoint lacks.
+			added := synthTexts(89, 30, 60, 15)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < 10; i++ {
+						got, err := eng.SearchBoolean("wa*")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for _, d := range want {
+							if _, found := slices.BinarySearch(got, d); !found {
+								t.Errorf("prefix answer lost checkpointed doc %d", d)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, text := range added {
+					eng.AddDocument(text)
+				}
+			}()
+			close(start)
+			wg.Wait()
+
+			var wantNew []DocID
+			for i, text := range added {
+				if strings.Contains(" "+text, " wc") {
+					wantNew = append(wantNew, want[len(want)-1]+DocID(i+1))
+				}
+			}
+			got, err := eng.SearchBoolean("wc*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wantNew) == 0 || !slices.Equal(got, wantNew) {
+				t.Fatalf("prefix over words added after open = %v, want %v", got, wantNew)
+			}
+		})
 	}
 }

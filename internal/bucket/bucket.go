@@ -351,6 +351,11 @@ func (s *Set) DecodeBucket(i int, buf []byte) (int, error) {
 	if off <= 0 {
 		return 0, fmt.Errorf("bucket: corrupt bucket %d header", i)
 	}
+	// An entry takes at least two bytes (word id, then count or list): a
+	// larger count is corrupt, and must not size the allocation below.
+	if n > uint64(len(buf)-off)/2 {
+		return 0, fmt.Errorf("bucket: bucket %d count %d exceeds its %d-byte image", i, n, len(buf)-off)
+	}
 	b := &s.buckets[i]
 	b.entries = make(map[postings.WordID]*entry, n)
 	b.load = 0

@@ -1,6 +1,7 @@
 package bucket
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -272,6 +273,11 @@ func TestDecodeBucketCorrupt(t *testing.T) {
 	}
 	if _, err := s.DecodeBucket(0, []byte{3, 1}); err == nil {
 		t.Error("truncated buffer accepted")
+	}
+	// A count no image could hold is refused before it sizes the map.
+	huge := binary.AppendUvarint(nil, 1<<60)
+	if _, err := s.DecodeBucket(0, append(huge, 1, 1)); err == nil {
+		t.Error("entry count 2^60 accepted")
 	}
 }
 

@@ -177,10 +177,12 @@ func (ix *Index) flushDeleted() error {
 }
 
 // Superblock layout constants. Version 2 added the codec field after the
-// bucket geometry; version-1 checkpoints (always raw) are still readable.
+// bucket geometry; version 3 added the high-water document identifier after
+// the deleted-list region. Version-1 (always raw) and version-2 checkpoints
+// are still readable.
 const (
 	superMagic   = 0x494C5549 // "IULI": Inverted-List Update
-	superVersion = 2
+	superVersion = 3
 )
 
 // writeSuperblock records where everything lives. It is written last, so a
@@ -210,6 +212,7 @@ func (ix *Index) encodeSuperblock() []byte {
 	b = appendRegion(b, ix.bucketRegion)
 	b = appendRegion(b, ix.dirRegion)
 	b = appendRegion(b, ix.delRegion)
+	b = binary.AppendUvarint(b, uint64(ix.maxDoc))
 	return b
 }
 
@@ -244,6 +247,11 @@ func decodeDocSet(buf []byte) (map[postings.DocID]bool, error) {
 	n, off := binary.Uvarint(buf)
 	if off <= 0 {
 		return nil, fmt.Errorf("core: corrupt deleted list header")
+	}
+	// Every identifier takes at least one byte: a larger count is corrupt,
+	// and must not size the allocation below.
+	if n > uint64(len(buf)-off) {
+		return nil, fmt.Errorf("core: deleted list count %d exceeds its %d-byte image", n, len(buf)-off)
 	}
 	set := make(map[postings.DocID]bool, n)
 	prev := uint64(0)

@@ -87,8 +87,12 @@ type Index struct {
 
 	deleted map[postings.DocID]bool
 
+	// maxDoc is the high-water document identifier: the largest one any
+	// applied update carried. Checkpointed in the superblock, it survives
+	// the sweep that removes that document's postings.
+	maxDoc postings.DocID
+
 	batches     int
-	totalSeen   map[postings.WordID]struct{} // words ever seen (new-word stat)
 	updateStats []UpdateStats
 }
 
@@ -169,13 +173,12 @@ func New(cfg Config) (*Index, error) {
 		return nil, err
 	}
 	return &Index{
-		cfg:       cfg,
-		array:     array,
-		buckets:   bs,
-		dir:       dir,
-		long:      long,
-		deleted:   make(map[postings.DocID]bool),
-		totalSeen: make(map[postings.WordID]struct{}),
+		cfg:     cfg,
+		array:   array,
+		buckets: bs,
+		dir:     dir,
+		long:    long,
+		deleted: make(map[postings.DocID]bool),
 	}, nil
 }
 
@@ -196,6 +199,11 @@ func (ix *Index) Policy() longlist.Policy { return ix.long.Policy() }
 
 // Batches reports how many batch updates have been applied.
 func (ix *Index) Batches() int { return ix.batches }
+
+// MaxDoc reports the high-water document identifier: the largest one any
+// update applied to this index carried, deleted and swept documents
+// included. It is 0 in simulation mode, where updates carry no lists.
+func (ix *Index) MaxDoc() postings.DocID { return ix.maxDoc }
 
 // UpdateHistory returns per-update statistics for all applied batches.
 func (ix *Index) UpdateHistory() []UpdateStats { return ix.updateStats }
@@ -271,7 +279,9 @@ func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
 		default:
 			st.NewWords++
 		}
-		ix.totalSeen[u.Word] = struct{}{}
+		if u.List != nil && u.List.MaxDoc() > ix.maxDoc {
+			ix.maxDoc = u.List.MaxDoc()
+		}
 
 		if ix.dir.Has(u.Word) {
 			if err := ix.long.Append(u.Word, int64(u.Count), u.List); err != nil {

@@ -8,7 +8,7 @@ import (
 	"dualindex/internal/postings"
 )
 
-func fillIndex(t *testing.T, ix *Index, batches, docsPerBatch int) map[postings.WordID][]postings.DocID {
+func fillIndex(t testing.TB, ix *Index, batches, docsPerBatch int) map[postings.WordID][]postings.DocID {
 	t.Helper()
 	ref := map[postings.WordID][]postings.DocID{}
 	r := rand.New(rand.NewSource(33))

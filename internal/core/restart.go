@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"dualindex/internal/bucket"
 	"dualindex/internal/directory"
@@ -23,6 +24,12 @@ var ErrNoCheckpoint = errors.New("core: store holds no checkpoint")
 // if it is aborted"). The store must contain the checkpoint written by the
 // most recent successful flush; everything applied after that flush is
 // simply re-applied by the caller.
+//
+// Open reads the checkpoint and nothing else: the superblock, then the
+// bucket region, the directory and the deleted list it points to. Long
+// lists stay on disk (their chunks are only reserved in the allocator),
+// except for a checkpoint older than superblock version 3, whose missing
+// high-water document identifier is recomputed by reading every long list.
 func Open(cfg Config) (*Index, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("core: Open requires a data store")
@@ -41,99 +48,132 @@ func Open(cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-func (ix *Index) restoreSuperblock(buf []byte) error {
-	off := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("core: truncated superblock at byte %d", off)
+// superblock is a decoded checkpoint root: where the bucket, directory and
+// deleted-list images live, and the scalar state a resumed index needs.
+type superblock struct {
+	version                            uint64
+	batches, nextDisk                  int
+	buckets, bucketSize                int
+	codec                              postings.CodecID
+	bucketRegion, dirRegion, delRegion []regionChunk
+	maxDoc                             postings.DocID // version 3 on; 0 before
+}
+
+// superReader reads a superblock image one bounded varint at a time. The
+// first failure sticks: later reads return 0 and err reports it.
+type superReader struct {
+	buf []byte
+	off int
+	geo disk.Geometry
+	err error
+}
+
+// next reads one field, refusing values above limit.
+func (r *superReader) next(what string, limit uint64) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		r.err = fmt.Errorf("core: truncated superblock at byte %d", r.off)
+		return 0
+	}
+	r.off += n
+	if v > limit {
+		r.err = fmt.Errorf("core: superblock %s %d exceeds %d", what, v, limit)
+		return 0
+	}
+	return v
+}
+
+// region reads one region list, every chunk of which must lie inside the
+// geometry.
+func (r *superReader) region() []regionChunk {
+	// A chunk takes at least three bytes: a count the rest of the image
+	// cannot hold is corrupt, and must not size the allocation below.
+	n := r.next("region chunk count", uint64(len(r.buf)-r.off)/3)
+	rs := make([]regionChunk, 0, n)
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		d := r.next("region disk", uint64(r.geo.NumDisks-1))
+		block := r.next("region block", uint64(r.geo.BlocksPerDisk-1))
+		blocks := r.next("region length", uint64(r.geo.BlocksPerDisk)-block)
+		if r.err == nil && blocks == 0 {
+			r.err = fmt.Errorf("core: empty superblock region chunk at disk %d block %d", d, block)
 		}
-		off += n
-		return v, nil
+		rs = append(rs, regionChunk{int(d), int64(block), int64(blocks)})
 	}
-	magic, err := next()
-	if err != nil {
-		return err
-	}
-	if magic == 0 {
-		return ErrNoCheckpoint
-	}
-	if magic != superMagic {
-		return fmt.Errorf("core: bad superblock magic %#x", magic)
-	}
-	version, err := next()
-	if err != nil {
-		return err
+	return rs
+}
+
+// decodeSuperblock parses a superblock image and validates it against the
+// configured geometry. Every count is bounded by the bytes left in the
+// image and every location by the disk array, so a corrupt image is
+// refused with an error before it can size an allocation or address a
+// block — never with a panic.
+func decodeSuperblock(buf []byte, geo disk.Geometry, blockPosting int64) (superblock, error) {
+	var sb superblock
+	r := &superReader{buf: buf, geo: geo}
+	magic := r.next("magic", math.MaxUint64)
+	switch {
+	case r.err != nil:
+		return sb, r.err
+	case magic == 0:
+		return sb, ErrNoCheckpoint
+	case magic != superMagic:
+		return sb, fmt.Errorf("core: bad superblock magic %#x", magic)
 	}
 	// Version 1 predates the codec field and implies raw; version 2 carries
-	// the codec explicitly.
-	if version != superVersion && version != 1 {
-		return fmt.Errorf("core: superblock version %d unsupported", version)
+	// the codec; version 3 adds the high-water document identifier.
+	sb.version = r.next("version", math.MaxUint64)
+	if r.err == nil && (sb.version < 1 || sb.version > superVersion) {
+		return sb, fmt.Errorf("core: superblock version %d unsupported", sb.version)
 	}
-	batches, err := next()
+	sb.batches = int(r.next("batch count", math.MaxInt32))
+	sb.nextDisk = int(r.next("next disk", uint64(geo.NumDisks-1)))
+	sb.buckets = int(r.next("bucket count", math.MaxInt32))
+	sb.bucketSize = int(r.next("bucket size", math.MaxInt32))
+	if sb.version >= 2 {
+		sb.codec = postings.CodecID(r.next("codec", math.MaxUint8))
+	}
+	sb.bucketRegion = r.region()
+	sb.dirRegion = r.region()
+	sb.delRegion = r.region()
+	if sb.version >= 3 {
+		sb.maxDoc = postings.DocID(r.next("high-water document", math.MaxUint32))
+	}
+	if r.err != nil {
+		return sb, r.err
+	}
+	if sb.buckets == 0 || sb.bucketSize <= 1 {
+		return sb, fmt.Errorf("core: corrupt bucket geometry %d×%d in superblock", sb.buckets, sb.bucketSize)
+	}
+	// The bucket region holds every bucket at full capacity (flushBuckets),
+	// which also bounds the bucket count by the bytes Open will decode.
+	var regionBlocks int64
+	for _, c := range sb.bucketRegion {
+		regionBlocks += c.blocks
+	}
+	if units := int64(sb.buckets) * int64(sb.bucketSize); units > regionBlocks*blockPosting {
+		return sb, fmt.Errorf("core: bucket geometry %d×%d overflows its %d-block region",
+			sb.buckets, sb.bucketSize, regionBlocks)
+	}
+	return sb, nil
+}
+
+func (ix *Index) restoreSuperblock(buf []byte) error {
+	sb, err := decodeSuperblock(buf, ix.cfg.Geometry, ix.cfg.BlockPosting)
 	if err != nil {
 		return err
 	}
-	nextDisk, err := next()
-	if err != nil {
-		return err
-	}
-	numBuckets, err := next()
-	if err != nil {
-		return err
-	}
-	bucketSize, err := next()
-	if err != nil {
-		return err
-	}
-	if numBuckets == 0 || bucketSize <= 1 {
-		return fmt.Errorf("core: corrupt bucket geometry %d×%d in superblock", numBuckets, bucketSize)
-	}
-	codec := uint64(postings.CodecRaw)
-	if version >= 2 {
-		if codec, err = next(); err != nil {
-			return err
-		}
-	}
-	if postings.CodecID(codec) != ix.cfg.Codec {
+	if sb.codec != ix.cfg.Codec {
 		// Mixed-codec opens are refused: the codec is part of the on-disk
 		// format, fixed when the index is created.
-		return fmt.Errorf("core: checkpoint uses codec %v, configuration says %v",
-			postings.CodecID(codec), ix.cfg.Codec)
+		return fmt.Errorf("core: checkpoint uses codec %v, configuration says %v", sb.codec, ix.cfg.Codec)
 	}
 	// The checkpoint geometry wins over the configured one: a rebalance may
 	// have grown the bucket space since the index was created.
-	ix.cfg.Buckets = int(numBuckets)
-	ix.cfg.BucketSize = int(bucketSize)
-	readRegion := func() ([]regionChunk, error) {
-		n, err := next()
-		if err != nil {
-			return nil, err
-		}
-		rs := make([]regionChunk, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var vals [3]uint64
-			for k := range vals {
-				if vals[k], err = next(); err != nil {
-					return nil, err
-				}
-			}
-			rs = append(rs, regionChunk{int(vals[0]), int64(vals[1]), int64(vals[2])})
-		}
-		return rs, nil
-	}
-	bucketRegion, err := readRegion()
-	if err != nil {
-		return err
-	}
-	dirRegion, err := readRegion()
-	if err != nil {
-		return err
-	}
-	delRegion, err := readRegion()
-	if err != nil {
-		return err
-	}
+	ix.cfg.Buckets = sb.buckets
+	ix.cfg.BucketSize = sb.bucketSize
 
 	// Reserve and read every checkpointed region.
 	readAll := func(rs []regionChunk) ([]byte, error) {
@@ -150,15 +190,15 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 		}
 		return image, nil
 	}
-	bucketImage, err := readAll(bucketRegion)
+	bucketImage, err := readAll(sb.bucketRegion)
 	if err != nil {
 		return fmt.Errorf("core: restoring buckets: %w", err)
 	}
-	dirImage, err := readAll(dirRegion)
+	dirImage, err := readAll(sb.dirRegion)
 	if err != nil {
 		return fmt.Errorf("core: restoring directory: %w", err)
 	}
-	delImage, err := readAll(delRegion)
+	delImage, err := readAll(sb.delRegion)
 	if err != nil {
 		return fmt.Errorf("core: restoring deleted list: %w", err)
 	}
@@ -207,7 +247,7 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	long.SetNextDisk(int(nextDisk))
+	long.SetNextDisk(sb.nextDisk)
 
 	if len(delImage) > 0 {
 		if ix.deleted, err = decodeDocSet(delImage); err != nil {
@@ -218,17 +258,37 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	ix.buckets = bs
 	ix.dir = dir
 	ix.long = long
-	ix.batches = int(batches)
-	ix.bucketRegion = bucketRegion
-	ix.dirRegion = dirRegion
-	ix.delRegion = delRegion
-
-	// Every word with a list somewhere has been seen.
-	bs.ForEachWord(func(w postings.WordID, _ int) {
-		ix.totalSeen[w] = struct{}{}
-	})
-	for _, w := range dir.Words() {
-		ix.totalSeen[w] = struct{}{}
+	ix.batches = sb.batches
+	ix.maxDoc = sb.maxDoc
+	ix.bucketRegion = sb.bucketRegion
+	ix.dirRegion = sb.dirRegion
+	ix.delRegion = sb.delRegion
+	if sb.version < 3 {
+		ix.maxDoc, err = ix.scanMaxDoc()
 	}
-	return nil
+	return err
+}
+
+// scanMaxDoc recomputes the high-water document identifier from the lists
+// themselves — every short list and one read of every long list — for
+// checkpoints that predate the superblock field. Deleted but unswept
+// documents still have postings and count; swept ones are gone, so the
+// answer can be lower than the identifiers the index once held.
+func (ix *Index) scanMaxDoc() (postings.DocID, error) {
+	var high postings.DocID
+	ix.buckets.ForEachWord(func(w postings.WordID, _ int) {
+		if l := ix.buckets.List(w); l != nil && l.MaxDoc() > high {
+			high = l.MaxDoc()
+		}
+	})
+	for _, w := range ix.dir.Words() {
+		l, _, err := ix.long.ReadList(w)
+		if err != nil {
+			return 0, fmt.Errorf("core: scanning long list of word %d: %w", w, err)
+		}
+		if l.MaxDoc() > high {
+			high = l.MaxDoc()
+		}
+	}
+	return high, nil
 }

@@ -144,8 +144,13 @@ func (a *Array) Free(disk int, start, n int64) {
 	a.free[disk].Free(start, n)
 }
 
-// Reserve marks the specific range as allocated; see FreeList.Reserve.
+// Reserve marks the specific range as allocated; see FreeList.Reserve. It
+// re-adopts locations read back from a checkpoint, so an out-of-range disk
+// is an error like an out-of-range block, not a panic.
 func (a *Array) Reserve(disk int, start, n int64) error {
+	if disk < 0 || disk >= len(a.free) {
+		return fmt.Errorf("disk: Reserve on disk %d of %d", disk, len(a.free))
+	}
 	a.freeMu[disk].Lock()
 	defer a.freeMu[disk].Unlock()
 	return a.free[disk].Reserve(start, n)

@@ -237,25 +237,35 @@ func (s *File) Close() error {
 // A Walker can enumerate stored documents, used to recover documents that
 // were persisted after the index's last checkpoint.
 type Walker interface {
-	// ForEach calls fn for every stored document in ascending identifier
-	// order, stopping at the first error. The order guarantee lets crash
-	// recovery grow the pending tier's per-word runs by tail appends.
-	ForEach(fn func(id postings.DocID, text string) error) error
+	// ForEach calls fn for every stored document with an identifier above
+	// after, in ascending identifier order, stopping at the first error.
+	// The lower bound lets crash recovery read only the documents newer
+	// than the checkpoint; the order lets it grow the pending tier's
+	// per-word runs by tail appends.
+	ForEach(after postings.DocID, fn func(id postings.DocID, text string) error) error
 }
 
-// sortedIDs returns the keys of a document map in ascending order.
-func sortedIDs[V any](m map[postings.DocID]V) []postings.DocID {
-	ids := make([]postings.DocID, 0, len(m))
+// sortedIDs returns the keys of a document map that keep accepts, in
+// ascending order.
+func sortedIDs[V any](m map[postings.DocID]V, keep func(postings.DocID) bool) []postings.DocID {
+	var ids []postings.DocID
 	for id := range m {
-		ids = append(ids, id)
+		if keep(id) {
+			ids = append(ids, id)
+		}
 	}
 	slices.Sort(ids)
 	return ids
 }
 
+// above returns the predicate accepting identifiers greater than after.
+func above(after postings.DocID) func(postings.DocID) bool {
+	return func(id postings.DocID) bool { return id > after }
+}
+
 // ForEach implements Walker for Mem.
-func (m *Mem) ForEach(fn func(id postings.DocID, text string) error) error {
-	for _, id := range sortedIDs(m.docs) {
+func (m *Mem) ForEach(after postings.DocID, fn func(id postings.DocID, text string) error) error {
+	for _, id := range sortedIDs(m.docs, above(after)) {
 		if err := fn(id, m.docs[id]); err != nil {
 			return err
 		}
@@ -265,9 +275,9 @@ func (m *Mem) ForEach(fn func(id postings.DocID, text string) error) error {
 
 // ForEach implements Walker for File. fn runs without the store's lock
 // held, so it may call back into the store.
-func (s *File) ForEach(fn func(id postings.DocID, text string) error) error {
+func (s *File) ForEach(after postings.DocID, fn func(id postings.DocID, text string) error) error {
 	s.mu.Lock()
-	ids := sortedIDs(s.offsets)
+	ids := sortedIDs(s.offsets, above(after))
 	s.mu.Unlock()
 	for _, id := range ids {
 		text, ok, err := s.Get(id)
@@ -316,10 +326,7 @@ func (s *File) Compact(keep func(postings.DocID) bool) error {
 		return err
 	}
 	// Walk in ascending id order so the compacted log is deterministic.
-	for _, id := range sortedIDs(s.offsets) {
-		if !keep(id) {
-			continue
-		}
+	for _, id := range sortedIDs(s.offsets, keep) {
 		text, ok, err := s.get(id)
 		if err != nil || !ok {
 			tmp.Close()

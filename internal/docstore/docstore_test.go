@@ -3,6 +3,7 @@ package docstore
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +49,42 @@ func TestPutGet(t *testing.T) {
 			}
 			if err := s.Sync(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestForEachAfter pins the walker's lower bound: only identifiers above
+// it are visited, in ascending order, whatever order they were stored in.
+func TestForEachAfter(t *testing.T) {
+	for name, s := range testStores(t) {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			for _, id := range []postings.DocID{5, 1, 9, 3, 7} {
+				if err := s.Put(id, strings.Repeat("x", int(id))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for after, want := range map[postings.DocID][]postings.DocID{
+				0: {1, 3, 5, 7, 9},
+				3: {5, 7, 9},
+				4: {5, 7, 9},
+				9: nil,
+			} {
+				var got []postings.DocID
+				err := s.(Walker).ForEach(after, func(id postings.DocID, text string) error {
+					if len(text) != int(id) {
+						t.Errorf("doc %d text %q", id, text)
+					}
+					got = append(got, id)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("ForEach(after %d) visited %v, want %v", after, got, want)
+				}
 			}
 		})
 	}
@@ -281,7 +318,7 @@ func TestFileConcurrentGetWhileBuffered(t *testing.T) {
 	}
 	defer re.Close()
 	seen := map[postings.DocID]int{}
-	err = re.ForEach(func(id postings.DocID, got string) error {
+	err = re.ForEach(0, func(id postings.DocID, got string) error {
 		seen[id]++
 		if got != text(id) {
 			t.Errorf("reopened doc %d = %q, want %q", id, got, text(id))

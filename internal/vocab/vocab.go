@@ -11,6 +11,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dualindex/internal/btree"
 	"dualindex/internal/postings"
@@ -19,17 +20,26 @@ import (
 // Vocab is an in-memory bidirectional word map. Identifiers are assigned
 // densely in first-seen order. A B+tree dictionary — the structure
 // traditional retrieval systems keep for their vocabulary — backs ordered
-// and prefix scans for truncation queries. The zero value is not usable;
+// and prefix scans for truncation queries. It is built on the first prefix
+// scan, not when the vocabulary is loaded, so opening an index pays nothing
+// for truncation queries it may never run. The zero value is not usable;
 // call New.
+//
+// The read methods (Lookup, Word, WordsWithPrefix, Len, WriteTo) may run
+// concurrently with each other; GetOrAssign must run alone.
 type Vocab struct {
 	ids   map[string]postings.WordID
 	words []string
-	tree  *btree.Tree
+
+	// once guards the first build of tree: concurrent prefix scans may race
+	// to it. Once built, GetOrAssign keeps it current.
+	once sync.Once
+	tree *btree.Tree
 }
 
 // New returns an empty vocabulary.
 func New() *Vocab {
-	return &Vocab{ids: make(map[string]postings.WordID), tree: btree.New()}
+	return &Vocab{ids: make(map[string]postings.WordID)}
 }
 
 // Len reports the number of words.
@@ -50,13 +60,22 @@ func (v *Vocab) GetOrAssign(word string) postings.WordID {
 	id := postings.WordID(len(v.words))
 	v.ids[word] = id
 	v.words = append(v.words, word)
-	v.tree.Set(word, uint64(id))
+	if v.tree != nil {
+		v.tree.Set(word, uint64(id))
+	}
 	return id
 }
 
 // WordsWithPrefix returns every word starting with prefix, in lexicographic
 // order — the dictionary scan behind truncation queries like "inver*".
 func (v *Vocab) WordsWithPrefix(prefix string) []string {
+	v.once.Do(func() {
+		t := btree.New()
+		for id, word := range v.words {
+			t.Set(word, uint64(id))
+		}
+		v.tree = t
+	})
 	var out []string
 	v.tree.Prefix(prefix, func(key string, _ uint64) bool {
 		out = append(out, key)
@@ -104,7 +123,10 @@ func Read(r io.Reader) (*Vocab, error) {
 	if err != nil || count < 0 {
 		return nil, fmt.Errorf("vocab: bad header %q", sc.Text())
 	}
-	v := New()
+	// Presize from the header, capped so a corrupt count cannot allocate
+	// more than a large real vocabulary needs before the file runs out.
+	size := min(count, maxPresize)
+	v := &Vocab{ids: make(map[string]postings.WordID, size), words: make([]string, 0, size)}
 	for i := 0; i < count; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("vocab: truncated at word %d of %d", i, count)
@@ -117,3 +139,6 @@ func Read(r io.Reader) (*Vocab, error) {
 	}
 	return v, sc.Err()
 }
+
+// maxPresize caps the word count Read trusts from a header.
+const maxPresize = 1 << 20

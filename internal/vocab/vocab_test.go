@@ -2,6 +2,7 @@ package vocab
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,5 +154,50 @@ func TestWordsWithPrefix(t *testing.T) {
 	got2 := re.WordsWithPrefix("inver")
 	if strings.Join(got2, ",") != strings.Join(want, ",") {
 		t.Fatalf("reloaded WordsWithPrefix = %v", got2)
+	}
+}
+
+// TestPrefixTreeBuiltOnFirstUse pins the lazy dictionary: nothing is built
+// until the first prefix scan, assignments after the build keep it current,
+// and a vocabulary from Read defers its build again — every path answering
+// exactly like the same words scanned fresh.
+func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
+	v := New()
+	for _, w := range []string{"invert", "index", "inversion"} {
+		v.GetOrAssign(w)
+	}
+	if v.tree != nil {
+		t.Fatal("tree built before the first prefix scan")
+	}
+	if got, want := v.WordsWithPrefix("inv"), []string{"inversion", "invert"}; !slices.Equal(got, want) {
+		t.Fatalf("first scan = %v, want %v", got, want)
+	}
+	v.GetOrAssign("inverted")
+	v.GetOrAssign("zebra")
+	want := []string{"inversion", "invert", "inverted"}
+	if got := v.WordsWithPrefix("inv"); !slices.Equal(got, want) {
+		t.Fatalf("scan after later assignments = %v, want %v", got, want)
+	}
+
+	var buf bytes.Buffer
+	if _, err := v.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.tree != nil {
+		t.Fatal("Read built the tree")
+	}
+	if got := re.WordsWithPrefix("inv"); !slices.Equal(got, want) {
+		t.Fatalf("scan after Read = %v, want %v", got, want)
+	}
+	re.GetOrAssign("invest")
+	if got, want := re.WordsWithPrefix("inv"), append(want, "invest"); !slices.Equal(got, want) {
+		t.Fatalf("scan after Read and a later assignment = %v, want %v", got, want)
+	}
+	if got := re.WordsWithPrefix(""); len(got) != re.Len() {
+		t.Fatalf("empty prefix = %d words, vocabulary holds %d", len(got), re.Len())
 	}
 }

@@ -21,6 +21,14 @@ import (
 // last FlushBatch are not part of a checkpoint; re-add them after a crash
 // (with Options.KeepDocuments they are recovered from the document log).
 //
+// Resuming reads each shard's checkpoint, not its data: the superblock, the
+// bucket region, the directory and the deleted list it points to, the
+// vocabulary, the document log's record offsets, and the text of only the
+// documents newer than the checkpoint. Long lists are not read. The
+// superblock (version 3) records the largest document identifier ever
+// indexed, so identifiers continue past documents a sweep has removed;
+// older superblocks still open, at the cost of decoding every list once.
+//
 // On-disk layout: a single-shard engine stores its files (disk*.dat,
 // vocab.txt, docs.log) directly under Dir — the pre-sharding layout,
 // unchanged. A sharded engine gives each shard its own Dir/shard-<i>/

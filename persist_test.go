@@ -1,6 +1,7 @@
 package dualindex
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -264,5 +265,133 @@ func TestOpenRoutingKinds(t *testing.T) {
 		if err := reopened.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDocIDNotReusedAfterSweepReopen: a swept document's identifier stays
+// spent across a reopen, and ranked scores do not move. Recomputing the
+// high-water mark from the surviving postings handed a swept trailing
+// document's identifier out again and shrank the idf collection size; the
+// checkpoint now carries the mark.
+func TestDocIDNotReusedAfterSweepReopen(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(shards)
+			opts.Dir = t.TempDir()
+			eng, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range []string{"alpha beta", "beta gamma", "gamma alpha"} {
+				eng.AddDocument(text)
+			}
+			if _, err := eng.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			eng.Delete(3)
+			if err := eng.Sweep(); err != nil {
+				t.Fatal(err)
+			}
+			const bag = "alpha beta gamma"
+			before, err := eng.Query(bag, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			zero := opts
+			zero.Shards = 0
+			re, err := Open(zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			after, err := re.Query(bag, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(after, before) {
+				t.Errorf("ranked answer moved across reopen:\n before %v\n after  %v", before, after)
+			}
+			if id := re.AddDocument("delta"); id != 4 {
+				t.Fatalf("AddDocument after sweep and reopen = %d, want 4 (3 was swept, not free)", id)
+			}
+		})
+	}
+}
+
+// TestReopenRecoversUnflushedDocsAndCounts: a cold open reads only the
+// documents newer than the checkpoint, yet resumes exactly where Close left
+// off — those documents pending and searchable, the indexed count and the
+// dead fraction unchanged. The newest checkpointed document is deleted, so
+// only the checkpoint's high-water mark says where the indexed documents
+// end. (Deletions become durable at the next flush that applies documents,
+// so the deletes precede the second flush.)
+func TestReopenRecoversUnflushedDocsAndCounts(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(shards)
+			opts.Dir = t.TempDir()
+			opts.KeepDocuments = true
+			eng, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts := synthTexts(83, 60, 25, 15)
+			buildCorpus(t, eng, texts[:40])
+			eng.Delete(3)
+			eng.Delete(17)
+			for _, text := range texts[40:50] {
+				eng.AddDocument(text)
+			}
+			eng.Delete(50)
+			if _, err := eng.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range texts[50:] {
+				eng.AddDocument(text)
+			}
+			eng.AddDocument("unflushed zebra")
+			before := eng.Stats()
+			want, err := eng.SearchBoolean("wa* or zebra")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			zero := opts
+			zero.Shards = 0
+			re, err := Open(zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			after := re.Stats()
+			if after.DocsIndexed != before.DocsIndexed || after.DeadFraction != before.DeadFraction ||
+				after.Deleted != before.Deleted || after.PendingDocs != before.PendingDocs {
+				t.Fatalf("reopened stats: indexed %d dead %v deleted %d pending %d; before close %d %v %d %d",
+					after.DocsIndexed, after.DeadFraction, after.Deleted, after.PendingDocs,
+					before.DocsIndexed, before.DeadFraction, before.Deleted, before.PendingDocs)
+			}
+			if got, err := re.SearchBoolean("wa* or zebra"); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("reopened answer %v, %v; want %v", got, err, want)
+			}
+			if _, err := re.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := re.SearchBoolean("zebra"); err != nil || !slices.Equal(got, []DocID{61}) {
+				t.Fatalf("recovered document after flush: %v, %v", got, err)
+			}
+			if id := re.AddDocument("fresh"); id != 62 {
+				t.Fatalf("AddDocument after reopen = %d, want 62", id)
+			}
+		})
 	}
 }

@@ -61,7 +61,8 @@ type shard struct {
 	snapPending *pendingTier
 
 	// lastDoc is the largest document identifier this shard has seen, used
-	// by Open to resume the engine-wide identifier sequence.
+	// by Open to resume the engine-wide identifier sequence: the index's
+	// checkpointed high-water mark, raised by every document added since.
 	lastDoc postings.DocID
 
 	// docsIndexed counts the documents applied to this shard's on-disk
@@ -159,7 +160,9 @@ func openShard(opts Options, dir string) (*shard, error) {
 		}
 	}
 	if resume {
-		s.lastDoc = s.maxIndexedDoc()
+		// The checkpoint's high-water mark resumes the identifier sequence,
+		// even past documents a sweep has since removed.
+		s.lastDoc = s.index.MaxDoc()
 		if err := s.recoverPendingDocs(); err != nil {
 			s.close()
 			return nil, err
@@ -171,39 +174,23 @@ func openShard(opts Options, dir string) (*shard, error) {
 // recoverPendingDocs re-ingests documents that reached the document store
 // after the index's last checkpoint: the doc log is written at AddDocument
 // time, so a crash between batches loses no stored document — it reappears
-// in the pending tier, ready for the next flush. ForEach walks in ascending
-// identifier order, which is the order the tier's runs must grow in.
+// in the pending tier, ready for the next flush. Only documents above the
+// checkpoint's high-water mark are read, in ascending identifier order (the
+// order the tier's runs must grow in); every other stored document is
+// already in the on-disk index and reseeds the indexed count.
 func (s *shard) recoverPendingDocs() error {
 	w, ok := s.docs.(docstore.Walker)
-	if !ok || s.docs == nil {
+	if !ok {
 		return nil
 	}
-	indexed := s.lastDoc
-	return w.ForEach(func(id postings.DocID, text string) error {
-		if id <= indexed {
-			s.docsIndexed++ // already in the on-disk index: reseed the count
-			return nil
-		}
+	recovered := 0
+	err := w.ForEach(s.lastDoc, func(id postings.DocID, text string) error {
 		s.indexPendingLocked(id, analyze(text, s.opts))
+		recovered++
 		return nil
 	})
-}
-
-// maxIndexedDoc scans the index for the largest document identifier so new
-// documents continue the sequence after a resume.
-func (s *shard) maxIndexedDoc() postings.DocID {
-	var max postings.DocID
-	s.index.Buckets().ForEachWord(func(w postings.WordID, _ int) {
-		if l := s.index.Buckets().List(w); l != nil && l.MaxDoc() > max {
-			max = l.MaxDoc()
-		}
-	})
-	for _, w := range s.index.Directory().Words() {
-		if l, err := s.index.GetList(w); err == nil && l.MaxDoc() > max {
-			max = l.MaxDoc()
-		}
-	}
-	return max
+	s.docsIndexed = s.docs.Len() - recovered
+	return err
 }
 
 // analyzedDoc is one document's lexer output, computed before any lock is
