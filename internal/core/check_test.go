@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,4 +99,28 @@ func TestDirectoryRejectsInvalidChunk(t *testing.T) {
 	cs[0].Postings = cs[0].Capacity + 1
 	_, err := ix.dir.Replace(w, cs)
 	wantError(t, err, "invalid chunk")
+}
+
+// TestZeroedRawBlockIsAnError zeroes the first block of a raw long list in
+// the store, as an unwritten or corrupt block would read: GetList and
+// CheckConsistency must report it as an error naming the chunk, not panic.
+func TestZeroedRawBlockIsAnError(t *testing.T) {
+	ix, words := corruptibleIndex(t)
+	var w postings.WordID
+	var c directory.ChunkRef
+	for _, cand := range words {
+		if cs := ix.dir.Chunks(cand); cs[0].Postings >= 2 {
+			w, c = cand, cs[0]
+			break
+		}
+	}
+	if c.Postings < 2 {
+		t.Fatal("no long list with a chunk of two or more postings")
+	}
+	if err := ix.cfg.Store.WriteAt(c.Disk, c.Block, make([]byte, ix.cfg.Geometry.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ix.GetList(w)
+	wantError(t, err, fmt.Sprintf("word %d chunk at %d/%d", w, c.Disk, c.Block))
+	wantError(t, ix.CheckConsistency(), "out of order")
 }

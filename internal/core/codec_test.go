@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,71 +62,156 @@ func eachCoreCodec(t *testing.T, f func(t *testing.T, id postings.CodecID)) {
 	}
 }
 
-func eachCodecPolicy(t *testing.T, f func(t *testing.T, id postings.CodecID, p longlist.Policy)) {
-	eachCoreCodec(t, func(t *testing.T, id postings.CodecID) {
-		policies := map[string]longlist.Policy{
-			"whole-rec": longlist.NewRecommended(),
-			"new":       {Style: longlist.StyleNew, Alloc: longlist.AllocConstant, K: 50, Limit: longlist.LimitZ},
-			"fill":      {Style: longlist.StyleFill, Alloc: longlist.AllocConstant, ExtentBlocks: 2},
-			"adaptive":  {Style: longlist.StyleWhole, Alloc: longlist.AllocAdaptive, K: 2, Limit: longlist.LimitZ},
-		}
-		for name, p := range policies {
-			t.Run(name, func(t *testing.T) { f(t, id, p) })
-		}
-	})
+// diffPolicies are the long-list policies the differential test crosses
+// with every codec and flush width: the four named ones, and whole style
+// without in-place updates, which reads every old chunk on each append.
+var diffPolicies = []struct {
+	name   string
+	policy longlist.Policy
+}{
+	{"whole-rec", longlist.NewRecommended()},
+	{"whole-0", longlist.Policy{Style: longlist.StyleWhole, Limit: longlist.LimitZero}},
+	{"new", longlist.Policy{Style: longlist.StyleNew, Alloc: longlist.AllocConstant, K: 50, Limit: longlist.LimitZ}},
+	{"fill", longlist.Policy{Style: longlist.StyleFill, Alloc: longlist.AllocConstant, ExtentBlocks: 2}},
+	{"adaptive", longlist.Policy{Style: longlist.StyleWhole, Alloc: longlist.AllocAdaptive, K: 2, Limit: longlist.LimitZ}},
 }
 
-// TestCodecMatchesRaw runs the same batches through a raw index and a
-// codec index and requires identical query results, a consistent structure,
-// and less long-list write traffic for the codec.
-func TestCodecMatchesRaw(t *testing.T) {
-	eachCodecPolicy(t, func(t *testing.T, id postings.CodecID, p longlist.Policy) {
-		batches := codecBatches(42, 6)
+// docRange returns the document identifiers lo..hi inclusive.
+func docRange(lo, hi postings.DocID) []postings.DocID {
+	var docs []postings.DocID
+	for d := lo; d <= hi; d++ {
+		docs = append(docs, d)
+	}
+	return docs
+}
 
-		raw := storeConfig()
-		raw.Policy = p
-		rawIx, err := New(raw)
+// TestCodecMatchesRaw is the differential test of the flush path. Each
+// codec (raw included), under every policy of diffPolicies, runs at flush
+// width 1 and 0 (one writer per disk) beside a raw width-1 reference that
+// applies the same batches. After every batch, after a sweep, after a
+// bucket rebalance and after a reopen, every word must read back exactly as
+// in the reference and every index must pass CheckConsistency. The codecs
+// must also allocate fewer long-list blocks than raw.
+func TestCodecMatchesRaw(t *testing.T) {
+	shapes := []diffShape{
+		{"mixed", 64, 256, codecBatches(42, 6), true},
+		// Word 5 is short after batch 1. In batch 2 word 1's add evicts it
+		// from the only bucket, and word 5's own update follows in the same
+		// batch: it reads blocks the eviction wrote moments earlier.
+		{"evict-then-update", 1, 64, [][]WordUpdate{
+			{upd(5, docRange(1, 40)...)},
+			{upd(1, docRange(41, 70)...), upd(5, docRange(71, 73)...)},
+		}, false},
+	}
+	for _, id := range []postings.CodecID{postings.CodecRaw, postings.CodecVarint, postings.CodecGolomb} {
+		t.Run(id.String(), func(t *testing.T) {
+			for _, dp := range diffPolicies {
+				t.Run(dp.name, func(t *testing.T) {
+					for _, sh := range shapes {
+						t.Run(sh.name, func(t *testing.T) { differential(t, id, dp.policy, sh) })
+					}
+				})
+			}
+		})
+	}
+}
+
+// diffShape is one batch sequence of TestCodecMatchesRaw, with the bucket
+// geometry it runs on. compresses marks sequences with lists long enough
+// for a codec to save blocks.
+type diffShape struct {
+	name                string
+	buckets, bucketSize int
+	batches             [][]WordUpdate
+	compresses          bool
+}
+
+// differential runs TestCodecMatchesRaw's comparison for one codec, policy
+// and shape.
+func differential(t *testing.T, id postings.CodecID, p longlist.Policy, sh diffShape) {
+	words := map[postings.WordID]bool{}
+	var maxDoc postings.DocID
+	for _, us := range sh.batches {
+		for _, u := range us {
+			words[u.Word] = true
+			maxDoc = max(maxDoc, u.List.MaxDoc())
+		}
+	}
+	open := func(codec postings.CodecID, workers int) *Index {
+		cfg := codecConfig(codec, codecStore())
+		cfg.Buckets, cfg.BucketSize = sh.buckets, sh.bucketSize
+		cfg.Policy = p
+		cfg.FlushWorkers = workers
+		ix, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc := codecConfig(id, codecStore())
-		cc.Policy = p
-		encIx, err := New(cc)
-		if err != nil {
-			t.Fatal(err)
+		return ix
+	}
+	ref := open(postings.CodecRaw, 1)
+	cells := map[int]*Index{0: open(id, 0)}
+	if id != postings.CodecRaw {
+		cells[1] = open(id, 1)
+	}
+	// each runs op on the reference and on every cell, then compares them.
+	each := func(stage string, op func(ix *Index) error) {
+		t.Helper()
+		if err := op(ref); err != nil {
+			t.Fatalf("%s: reference: %v", stage, err)
 		}
-		for _, us := range batches {
-			if _, err := rawIx.ApplyUpdate(us); err != nil {
-				t.Fatal(err)
+		if err := ref.CheckConsistency(); err != nil {
+			t.Fatalf("%s: reference inconsistent: %v", stage, err)
+		}
+		for workers, ix := range cells {
+			if err := op(ix); err != nil {
+				t.Fatalf("%s: workers=%d: %v", stage, workers, err)
 			}
-			if _, err := encIx.ApplyUpdate(us); err != nil {
-				t.Fatal(err)
+			if err := ix.CheckConsistency(); err != nil {
+				t.Fatalf("%s: workers=%d inconsistent: %v", stage, workers, err)
+			}
+			for w := range words {
+				want, err := ref.GetList(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ix.GetList(w)
+				if err != nil {
+					t.Fatalf("%s: workers=%d GetList(%d): %v", stage, workers, w, err)
+				}
+				if !postings.Equal(got, want) {
+					t.Fatalf("%s: workers=%d word %d: %d postings, reference %d", stage, workers, w, got.Len(), want.Len())
+				}
 			}
 		}
-		if err := encIx.CheckConsistency(); err != nil {
-			t.Fatalf("codec index inconsistent: %v", err)
-		}
-		for w := postings.WordID(0); w < 30; w++ {
-			a, err := rawIx.GetList(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := encIx.GetList(w)
-			if err != nil {
-				t.Fatalf("codec GetList(%d): %v", w, err)
-			}
-			if !postings.Equal(a, b) {
-				t.Fatalf("word %d: codec list differs from raw", w)
+	}
+	for i, us := range sh.batches {
+		each(fmt.Sprintf("batch %d", i), func(ix *Index) error {
+			_, err := ix.ApplyUpdate(us)
+			return err
+		})
+	}
+	if id != postings.CodecRaw && sh.compresses {
+		for workers, ix := range cells {
+			if got, raw := ix.Directory().TotalBlocks(), ref.Directory().TotalBlocks(); got >= raw {
+				t.Errorf("workers=%d: codec allocates %d blocks, raw %d — no win", workers, got, raw)
 			}
 		}
-		if rawIx.Directory().NumWords() == 0 {
-			t.Fatal("corpus built no long lists; test is vacuous")
+	}
+	each("sweep", func(ix *Index) error {
+		for d := postings.DocID(0); d <= maxDoc; d += 3 {
+			ix.Delete(d)
 		}
-		rawBlocks := rawIx.Directory().TotalBlocks()
-		encBlocks := encIx.Directory().TotalBlocks()
-		if encBlocks >= rawBlocks {
-			t.Errorf("codec %v allocates %d blocks, raw %d — no win", id, encBlocks, rawBlocks)
+		return ix.Sweep()
+	})
+	each("rebalance", func(ix *Index) error {
+		return ix.RebalanceBuckets(sh.buckets, sh.bucketSize/4)
+	})
+	each("reopen", func(ix *Index) error {
+		re, err := Open(ix.cfg)
+		if err == nil {
+			*ix = *re
 		}
+		return err
 	})
 }
 

@@ -15,11 +15,14 @@ import (
 // deleted-document list are written, a superblock recording their locations
 // is written so the build can restart, the previous images are returned to
 // free space, and the RELEASE list of the long-list manager is drained.
+// Every batch, sweep and rebalance ends here: the bucket stripes join the
+// long-list writes already staged in the array's write plan, and one
+// executor writes them all before the checkpoint.
 //
-// st, when non-nil, receives the wall-clock durations of the flush's three
-// phases (bucket write, checkpoint, release) — the per-phase numbers the
-// observability layer exports. Maintenance flushes (Sweep, rebalance) pass
-// nil.
+// st, when non-nil, receives the wall-clock durations of the flush's phases
+// (bucket staging, executor, checkpoint, release) — the per-phase numbers
+// the observability layer exports. Maintenance flushes (Sweep, rebalance)
+// pass nil.
 func (ix *Index) flush(st *UpdateStats) error {
 	if st == nil {
 		st = &UpdateStats{}
@@ -31,6 +34,11 @@ func (ix *Index) flush(st *UpdateStats) error {
 		return err
 	}
 	st.BucketFlushDur = time.Since(bucketStart)
+	applyStart := time.Now()
+	if err := ix.array.Commit(ix.cfg.FlushWorkers); err != nil {
+		return err
+	}
+	st.LongApplyDur = time.Since(applyStart)
 	checkpointStart := time.Now()
 	if err := ix.flushDirectory(); err != nil {
 		return err
@@ -66,7 +74,7 @@ func (ix *Index) flush(st *UpdateStats) error {
 	return nil
 }
 
-// flushBuckets writes the whole fixed-size bucket region, striped evenly
+// flushBuckets stages the whole fixed-size bucket region, striped evenly
 // across all disks: one sequential write per disk, as in the paper's trace
 // ("update bucket disk 0 id 0 size 1678" once per disk).
 func (ix *Index) flushBuckets() error {
@@ -87,10 +95,6 @@ func (ix *Index) flushBuckets() error {
 	// region's chunks for deallocation, and they must not be overwritten.
 	ix.bucketRegion = make([]regionChunk, 0, ix.cfg.Geometry.NumDisks)
 	bytesPerDisk := perDisk * int64(ix.cfg.Geometry.BlockSize)
-	// Allocation and trace recording run sequentially per disk (deterministic
-	// trace); the stripes target distinct disks, so their data movement is
-	// then overlapped through a one-worker-per-disk plan.
-	plan := newFlushPlan(ix.cfg.Geometry.NumDisks)
 	for d := 0; d < ix.cfg.Geometry.NumDisks; d++ {
 		block, err := ix.array.Alloc(d, perDisk)
 		if err != nil {
@@ -98,29 +102,15 @@ func (ix *Index) flushBuckets() error {
 		}
 		var piece []byte
 		if ix.cfg.Store != nil {
-			lo := int64(d) * bytesPerDisk
-			if lo > int64(len(image)) {
-				lo = int64(len(image))
-			}
-			hi := lo + bytesPerDisk
-			if hi > int64(len(image)) {
-				hi = int64(len(image))
-			}
-			piece = image[lo:hi]
+			lo := min(int64(d)*bytesPerDisk, int64(len(image)))
+			piece = image[lo:min(lo+bytesPerDisk, int64(len(image)))]
 		}
-		ix.array.RecordWrite(d, block, perDisk, disk.TagBucket)
-		if ix.cfg.Store != nil {
-			d, block, piece := d, block, piece
-			run := func() error { return ix.array.StoreWriteAt(d, block, perDisk, piece) }
-			if ix.parallelFlush() {
-				plan.add(d, run)
-			} else if err := run(); err != nil {
-				return err
-			}
+		if err := ix.array.Stage(d, block, perDisk, piece, disk.TagBucket); err != nil {
+			return err
 		}
 		ix.bucketRegion = append(ix.bucketRegion, regionChunk{d, block, perDisk})
 	}
-	return plan.run()
+	return nil
 }
 
 // flushDirectory writes the directory image as one chunk, rotating the home

@@ -44,14 +44,13 @@ type Config struct {
 	// I/O traces. The compressing codecs require a Store, are recorded in
 	// every checkpoint, and are fixed for the life of the index.
 	Codec postings.CodecID
-	// FlushWorkers controls the parallel batch apply. The planning half of
-	// every update (allocation, directory bookkeeping, trace recording) is
-	// always sequential and deterministic; the data movement is partitioned
-	// by target disk and applied with one worker per disk — the paper's "one
-	// sequential write per disk", actually overlapped. 1 forces the fully
-	// serial path; any other value (0 = auto) enables per-disk parallelism
-	// whenever a store is attached and the array has more than one disk.
-	// Simulation mode (no store) has no data to move and is unaffected.
+	// FlushWorkers is the width of the executor that writes each flush's
+	// plan. Planning — allocation, directory mutation, trace recording,
+	// every read and every encode — always runs on the caller, in update
+	// order, and stages its writes; the executor then writes the staged
+	// steps. 1 runs them all on the caller; any other value (0 = auto) runs
+	// one goroutine per disk that has steps — the paper's "one sequential
+	// write per disk", actually overlapped. Both widths write the same steps.
 	FlushWorkers int
 }
 
@@ -122,9 +121,9 @@ type UpdateStats struct {
 	// its time. Always recorded (a handful of clock reads per batch, never
 	// per word); the engine's observability layer turns them into
 	// histograms and trace spans.
-	PlanDur        time.Duration // per-word apply: allocation, directory and bucket bookkeeping, trace recording
-	LongApplyDur   time.Duration // deferred long-list data movement (parallel flush only; 0 when serial, where the movement is inside PlanDur)
-	BucketFlushDur time.Duration // striped write of the bucket region
+	PlanDur        time.Duration // per-word apply: allocation, directory and bucket bookkeeping, reads, encoding, trace recording
+	LongApplyDur   time.Duration // the executor writing the flush's staged plan: long-list chunks and bucket stripes
+	BucketFlushDur time.Duration // encoding and staging the striped bucket region
 	CheckpointDur  time.Duration // directory + deleted list + superblock writes
 	ReleaseDur     time.Duration // freeing previous images, RELEASE drain, store sync
 }
@@ -251,21 +250,12 @@ func UpdatesFromBatch(b *corpus.Batch, withPostings bool) []WordUpdate {
 // the directory, the deleted-document list and the superblock, completing
 // the batch. It implements Section 2's per-word algorithm: words with long
 // lists append to them; all others go through their bucket, and overflow
-// evictions become long lists.
+// evictions become long lists. The word loop stages every long-list write in
+// the array's write plan, and flush writes the plan before the checkpoint.
 func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
 	st := UpdateStats{Batch: ix.batches, Words: len(updates)}
 	r0, w0 := ix.array.ReadOps(), ix.array.WriteOps()
 	planStart := time.Now()
-	var plan *flushPlan
-	if ix.parallelFlush() {
-		// Plan/execute split: the word loop below stays single-threaded and
-		// performs all allocation, directory mutation and trace recording in
-		// update order; the long-list manager defers only the store data
-		// movement into the plan, which runs with one worker per disk.
-		plan = newFlushPlan(ix.cfg.Geometry.NumDisks)
-		ix.long.SetSink(plan.add)
-		defer ix.long.SetSink(nil)
-	}
 	for _, u := range updates {
 		if u.Count <= 0 {
 			return st, fmt.Errorf("core: word %d update with count %d", u.Word, u.Count)
@@ -301,14 +291,6 @@ func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
 		}
 	}
 	st.PlanDur = time.Since(planStart)
-	if plan != nil {
-		ix.long.SetSink(nil)
-		applyStart := time.Now()
-		if err := plan.run(); err != nil {
-			return st, err
-		}
-		st.LongApplyDur = time.Since(applyStart)
-	}
 	if err := ix.flush(&st); err != nil {
 		return st, err
 	}

@@ -37,8 +37,8 @@ func writeSuperblockImage(t testing.TB, cfg Config, image []byte) {
 // currentSuperblock decodes the superblock ix last checkpointed.
 func currentSuperblock(t testing.TB, ix *Index) superblock {
 	t.Helper()
-	buf, err := ix.array.StoreReadAt(0, 0, superBlocks)
-	if err != nil {
+	buf := make([]byte, superBlocks*ix.cfg.Geometry.BlockSize)
+	if err := ix.cfg.Store.ReadAt(0, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	sb, err := decodeSuperblock(buf, ix.cfg.Geometry, ix.cfg.BlockPosting)

@@ -54,9 +54,9 @@ func (e ErrNoSpace) Error() string {
 // parallel (one allocator lock per disk, matching the paper's one-spindle-
 // per-disk parallelism). Both provided stores tolerate concurrent access.
 // Note that concurrent allocation makes placement nondeterministic; the
-// index's batch protocol therefore allocates from a single planning
-// goroutine and parallelises only the data movement, which keeps simulated
-// I/O traces deterministic.
+// index's batch protocol therefore allocates, reads and stages writes from a
+// single planning goroutine, and only Commit's executor writes in parallel,
+// which keeps simulated I/O traces deterministic.
 type Array struct {
 	geo    Geometry
 	free   []Allocator
@@ -68,6 +68,11 @@ type Array struct {
 	readOps, writeOps       int64
 	readBlocks, writeBlocks int64
 	perDisk                 []DiskOps // per-disk slices of the counters above
+
+	// The write plan (plan.go): staged steps in plan order, and the newest
+	// staged image of each block they cover.
+	plan   []Step
+	staged map[blockKey][]byte
 }
 
 // DiskOps are one disk's cumulative operation and block counters — the
@@ -99,6 +104,7 @@ func NewArrayWith(geo Geometry, store BlockStore, newAlloc func(total int64) All
 		store:   store,
 		freeMu:  make([]sync.Mutex, geo.NumDisks),
 		perDisk: make([]DiskOps, geo.NumDisks),
+		staged:  make(map[blockKey][]byte),
 	}
 	for i := 0; i < geo.NumDisks; i++ {
 		a.free = append(a.free, newAlloc(geo.BlocksPerDisk))
@@ -235,37 +241,31 @@ func (a *Array) checkRange(disk int, block, count int64) {
 	}
 }
 
-// RecordRead appends a read of count blocks to the trace and counters
-// without touching the store. It is the planning half of a deferred read:
-// the batch-update planner records I/O in deterministic order, then the
-// per-disk workers perform the matching StoreReadAt calls in parallel.
-func (a *Array) RecordRead(disk int, block, count int64, tag string) {
+// record appends one operation of count blocks to the trace and counters.
+func (a *Array) record(kind Kind, disk int, block, count int64, tag string) {
 	a.checkRange(disk, block, count)
 	a.mu.Lock()
-	a.trace.Append(Op{Kind: Read, Disk: disk, Block: block, Count: count, Tag: tag})
-	a.readOps++
-	a.readBlocks += count
-	a.perDisk[disk].ReadOps++
-	a.perDisk[disk].ReadBlocks += count
-	a.mu.Unlock()
-}
-
-// RecordWrite appends a write of count blocks to the trace and counters
-// without touching the store; see RecordRead.
-func (a *Array) RecordWrite(disk int, block, count int64, tag string) {
-	a.checkRange(disk, block, count)
-	a.mu.Lock()
-	a.trace.Append(Op{Kind: Write, Disk: disk, Block: block, Count: count, Tag: tag})
+	defer a.mu.Unlock()
+	a.trace.Append(Op{Kind: kind, Disk: disk, Block: block, Count: count, Tag: tag})
+	if kind == Read {
+		a.readOps++
+		a.readBlocks += count
+		a.perDisk[disk].ReadOps++
+		a.perDisk[disk].ReadBlocks += count
+		return
+	}
 	a.writeOps++
 	a.writeBlocks += count
 	a.perDisk[disk].WriteOps++
 	a.perDisk[disk].WriteBlocks += count
-	a.mu.Unlock()
 }
 
-// StoreReadAt performs the data movement of a previously recorded read.
-// Without a store it returns nil data. Safe for concurrent use.
-func (a *Array) StoreReadAt(disk int, block, count int64) ([]byte, error) {
+// ReadBlocksAt records (and, with a store, performs) a read of count blocks:
+// blocks the write plan has staged read as their staged image, the rest
+// from the store. Without a store it returns nil data. Safe for concurrent
+// use.
+func (a *Array) ReadBlocksAt(disk int, block, count int64, tag string) ([]byte, error) {
+	a.record(Read, disk, block, count, tag)
 	if a.store == nil {
 		return nil, nil
 	}
@@ -273,40 +273,24 @@ func (a *Array) StoreReadAt(disk int, block, count int64) ([]byte, error) {
 	if err := a.store.ReadAt(disk, block, buf); err != nil {
 		return nil, err
 	}
+	a.overlay(disk, block, buf)
 	return buf, nil
 }
 
-// StoreWriteAt performs the data movement of a previously recorded write.
-// data shorter than the block run is zero-padded. Safe for concurrent use.
-func (a *Array) StoreWriteAt(disk int, block, count int64, data []byte) error {
+// WriteBlocksAt records (and, with a store, performs) a write of count
+// blocks straight to the store, bypassing the write plan. data may be nil
+// when no store is attached; when a store is attached, data shorter than
+// the block run is zero-padded.
+func (a *Array) WriteBlocksAt(disk int, block, count int64, data []byte, tag string) error {
+	a.record(Write, disk, block, count, tag)
 	if a.store == nil {
 		return nil
 	}
-	want := count * int64(a.geo.BlockSize)
-	if int64(len(data)) > want {
-		return fmt.Errorf("disk: %d bytes exceed %d blocks", len(data), count)
-	}
-	buf := data
-	if int64(len(data)) != want {
-		buf = make([]byte, want)
-		copy(buf, data)
+	buf, err := a.blockImage(count, data)
+	if err != nil {
+		return err
 	}
 	return a.store.WriteAt(disk, block, buf)
-}
-
-// ReadBlocksAt records (and, with a store, performs) a read of count blocks.
-// Without a store it returns nil data.
-func (a *Array) ReadBlocksAt(disk int, block, count int64, tag string) ([]byte, error) {
-	a.RecordRead(disk, block, count, tag)
-	return a.StoreReadAt(disk, block, count)
-}
-
-// WriteBlocksAt records (and, with a store, performs) a write of count
-// blocks. data may be nil when no store is attached; when a store is
-// attached, data shorter than the block run is zero-padded.
-func (a *Array) WriteBlocksAt(disk int, block, count int64, data []byte, tag string) error {
-	a.RecordWrite(disk, block, count, tag)
-	return a.StoreWriteAt(disk, block, count, data)
 }
 
 // Sync flushes the store, modelling the paper's flush of all system buffers

@@ -1,0 +1,132 @@
+package disk
+
+import (
+	"fmt"
+	"sync"
+)
+
+// Step is one staged write of the array's write plan: the image of Blocks
+// whole blocks starting at Block on Disk.
+type Step struct {
+	Disk          int
+	Block, Blocks int64
+	Image         []byte
+}
+
+type blockKey struct {
+	disk  int
+	block int64
+}
+
+// Stage records a write of count blocks in the trace and, with a store,
+// appends its image to the write plan: ReadBlocksAt sees the image at once,
+// the store at Commit. data shorter than the block run is zero-padded; data
+// may be nil when no store is attached. Stage keeps data, so the caller must
+// not modify it afterwards.
+//
+// Staging is the batch update's one write path. Its caller is the single
+// planning goroutine, which never reallocates a block between two Commits,
+// so the plan's newest image of a block is the block's content.
+func (a *Array) Stage(disk int, block, count int64, data []byte, tag string) error {
+	a.record(Write, disk, block, count, tag)
+	if a.store == nil {
+		return nil
+	}
+	img, err := a.blockImage(count, data)
+	if err != nil {
+		return err
+	}
+	bs := int64(a.geo.BlockSize)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.plan = append(a.plan, Step{Disk: disk, Block: block, Blocks: count, Image: img})
+	for i := int64(0); i < count; i++ {
+		a.staged[blockKey{disk, block + i}] = img[i*bs : (i+1)*bs]
+	}
+	return nil
+}
+
+// Commit writes the staged plan to the store and empties it. workers is the
+// executor's width: 1 runs every step on the caller in plan order; any
+// other value runs one goroutine per disk that has steps, each writing its
+// disk's steps in plan order. The plan is emptied even when a write fails,
+// and Commit returns the first error.
+func (a *Array) Commit(workers int) error {
+	a.mu.Lock()
+	plan := a.plan
+	a.mu.Unlock()
+	err := a.execute(plan, workers)
+	a.mu.Lock()
+	clear(a.plan)
+	a.plan = a.plan[:0]
+	clear(a.staged)
+	a.mu.Unlock()
+	return err
+}
+
+func (a *Array) execute(plan []Step, workers int) error {
+	write := func(steps []Step) error {
+		for _, s := range steps {
+			if err := a.store.WriteAt(s.Disk, s.Block, s.Image); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if workers == 1 {
+		return write(plan)
+	}
+	perDisk := make([][]Step, a.geo.NumDisks)
+	for _, s := range plan {
+		perDisk[s.Disk] = append(perDisk[s.Disk], s)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(perDisk))
+	for d, steps := range perDisk {
+		if len(steps) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[d] = write(steps)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// overlay lays the plan's staged images over buf, a store read of the run
+// starting at block on disk.
+func (a *Array) overlay(disk int, block int64, buf []byte) {
+	bs := a.geo.BlockSize
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.staged) == 0 {
+		return
+	}
+	for i := 0; i*bs < len(buf); i++ {
+		if img, ok := a.staged[blockKey{disk, block + int64(i)}]; ok {
+			copy(buf[i*bs:], img)
+		}
+	}
+}
+
+// blockImage returns data zero-padded to count whole blocks.
+func (a *Array) blockImage(count int64, data []byte) ([]byte, error) {
+	want := count * int64(a.geo.BlockSize)
+	if int64(len(data)) > want {
+		return nil, fmt.Errorf("disk: %d bytes exceed %d blocks", len(data), count)
+	}
+	if int64(len(data)) == want {
+		return data, nil
+	}
+	buf := make([]byte, want)
+	copy(buf, data)
+	return buf, nil
+}

@@ -45,10 +45,6 @@ type Manager struct {
 	// signal of the adaptive allocation strategy. Nil unless needed.
 	lastUpdate map[postings.WordID]int64
 
-	// sink, when non-nil, receives the data-movement half of each Append
-	// instead of it executing inline; see SetSink.
-	sink func(disk int, run func() error)
-
 	stats Stats
 }
 
@@ -151,27 +147,6 @@ func (m *Manager) Stats() Stats { return m.stats }
 // Directory returns the chunk directory the manager maintains.
 func (m *Manager) Directory() *directory.Dir { return m.dir }
 
-// SetSink splits each Append into its two halves: the deterministic half
-// (allocation, directory updates, trace recording) keeps executing inline on
-// the caller's goroutine, while the data-movement half (store reads, posting
-// encoding, store writes) is handed to sink together with the disk it
-// writes to. The batch-update path uses this to apply a batch with one
-// worker per disk while the I/O trace stays byte-identical to the serial
-// execution. A nil sink restores inline execution (the default). The sink
-// discipline requires that all deferred tasks complete before the next
-// Append-visible state change (EndBatch, Rewrite, reads).
-func (m *Manager) SetSink(sink func(disk int, run func() error)) { m.sink = sink }
-
-// dispatch runs the data-movement half of an operation: inline when no sink
-// is installed, otherwise deferred to the sink's worker for the disk.
-func (m *Manager) dispatch(disk int, run func() error) error {
-	if m.sink != nil {
-		m.sink(disk, run)
-		return nil
-	}
-	return run()
-}
-
 func (m *Manager) blocksFor(ps int64) int64 {
 	if ps <= 0 {
 		return 0
@@ -183,6 +158,10 @@ func (m *Manager) blocksFor(ps int64) int64 {
 // postings, with data when the array has a store) is combined with word w's
 // long list on disk. For a word with no long list yet (a fresh bucket
 // eviction) the algorithm runs with an empty L.
+//
+// Every read goes through the array, which serves blocks staged earlier in
+// the batch from their staged images, and every write is staged with
+// disk.Array.Stage; the caller commits the batch's writes.
 func (m *Manager) Append(w postings.WordID, count int64, list *postings.List) error {
 	if count <= 0 {
 		return fmt.Errorf("longlist: Append(%d) with count %d", w, count)
@@ -201,18 +180,18 @@ func (m *Manager) Append(w postings.WordID, count int64, list *postings.List) er
 	if m.lastUpdate != nil {
 		m.lastUpdate[w] = count
 	}
-	if m.codec != nil {
-		return m.appendCodec(w, count, list, exists)
-	}
 
 	// Lines 1-2: in-place update when the in-memory list fits the limit.
 	if exists && m.policy.Limit == LimitZ {
 		if last, ok := m.dir.LastChunk(w); ok && count <= last.Free() {
-			if err := m.updateInPlace(w, last, count, list); err != nil {
+			done, err := m.updateInPlace(w, last, count, list)
+			if err != nil {
 				return err
 			}
-			m.stats.InPlace++
-			return nil
+			if done {
+				m.stats.InPlace++
+				return nil
+			}
 		}
 	}
 
@@ -220,105 +199,77 @@ func (m *Manager) Append(w postings.WordID, count int64, list *postings.List) er
 	case StyleWhole:
 		return m.appendWhole(w, count, list, exists)
 	case StyleFill:
+		if m.codec != nil {
+			return m.fillCodec(w, count, list)
+		}
 		return m.appendFill(w, count, list)
 	case StyleNew:
-		return m.appendNew(w, count, list)
+		// Lines 10-11: WRITE_RESERVED of the in-memory list as a new chunk.
+		ref, err := m.writeReserved(count, count, list)
+		if err != nil {
+			return err
+		}
+		return m.dir.AppendChunk(w, ref)
 	}
 	return fmt.Errorf("longlist: unreachable style %v", m.policy.Style)
 }
 
 // updateInPlace implements UPDATE(M): read the last block containing
 // postings for w, append, and write the touched tail blocks back. An
-// in-memory list is never split across chunks by an in-place update.
-func (m *Manager) updateInPlace(w postings.WordID, last directory.ChunkRef, count int64, list *postings.List) error {
+// in-memory list is never split across chunks by an in-place update. It
+// reports false when the update does not fit the chunk after all (codec
+// packs only), leaving the style path to apply it.
+func (m *Manager) updateInPlace(w postings.WordID, last directory.ChunkRef, count int64, list *postings.List) (bool, error) {
+	if m.codec != nil {
+		return m.inPlaceCodec(w, last, count, list)
+	}
 	firstBlock := last.Postings / m.blockPosting // block holding the append point
 	if firstBlock == last.Blocks {
 		// The chunk's data blocks are exactly full; the append point opens a
 		// fresh block, which cannot happen because capacity = blocks ×
 		// blockPosting and Free() > 0 implies a partial or untouched block
 		// inside the chunk.
-		return fmt.Errorf("longlist: append point beyond chunk for word %d", w)
+		return false, fmt.Errorf("longlist: append point beyond chunk for word %d", w)
 	}
 	lastBlock := (last.Postings + count - 1) / m.blockPosting
 	readBlock := last.Block + firstBlock
 	writeBlocks := lastBlock - firstBlock + 1
-	appendOff := (last.Postings % m.blockPosting) * PostingBytes
 
-	m.array.RecordRead(last.Disk, readBlock, 1, disk.TagLong)
-	m.array.RecordWrite(last.Disk, readBlock, writeBlocks, disk.TagLong)
-	err := m.dispatch(last.Disk, func() error {
-		buf, err := m.array.StoreReadAt(last.Disk, readBlock, 1)
-		if err != nil {
-			return err
-		}
-		var out []byte
-		if m.array.HasStore() {
-			blockSize := int64(m.array.Geometry().BlockSize)
-			out = make([]byte, writeBlocks*blockSize)
-			copy(out, buf)
-			writeRecords(out[appendOff:], list)
-		}
-		return m.array.StoreWriteAt(last.Disk, readBlock, writeBlocks, out)
-	})
+	buf, err := m.array.ReadBlocksAt(last.Disk, readBlock, 1, disk.TagLong)
 	if err != nil {
-		return err
+		return false, err
 	}
-	return m.dir.GrowLastChunk(w, count)
+	var out []byte
+	if buf != nil {
+		out = make([]byte, writeBlocks*int64(m.array.Geometry().BlockSize))
+		copy(out, buf)
+		writeRecords(out[(last.Postings%m.blockPosting)*PostingBytes:], list.Postings())
+	}
+	if err := m.array.Stage(last.Disk, readBlock, writeBlocks, out, disk.TagLong); err != nil {
+		return false, err
+	}
+	return true, m.dir.GrowLastChunk(w, count)
 }
 
 // appendWhole implements lines 4-6: read the whole list, release its chunks,
-// and write old+new postings as one fresh chunk with reserved space. The
-// reads and the write are recorded inline (deterministic trace); the data
-// movement — reading the old chunks, merging and re-encoding — runs through
-// dispatch, on the target disk's worker when a sink is installed.
+// and write old+new postings as one fresh chunk with reserved space.
 func (m *Manager) appendWhole(w postings.WordID, count int64, list *postings.List, exists bool) error {
-	total := count
-	var oldChunks []directory.ChunkRef
+	old, combined := int64(0), &postings.List{}
 	if exists {
-		oldChunks = append(oldChunks, m.dir.Chunks(w)...)
-		for _, c := range oldChunks {
-			if c.Postings == 0 {
-				continue
-			}
-			total += c.Postings
-			m.array.RecordRead(c.Disk, c.Block, m.blocksFor(c.Postings), disk.TagLong)
+		chunks := m.dir.Chunks(w)
+		var err error
+		if old, combined, err = m.ReadChunks(w, chunks); err != nil {
+			return err
 		}
-		for _, c := range oldChunks {
+		for _, c := range chunks {
 			m.release = append(m.release, releasedChunk{c.Disk, c.Block, c.Blocks})
 		}
 		m.stats.Moves++
 	}
-	ref, err := m.planReserved(total, count)
-	if err != nil {
-		return err
+	if err := combined.Append(list); err != nil {
+		return fmt.Errorf("longlist: word %d: %w", w, err)
 	}
-	err = m.dispatch(ref.Disk, func() error {
-		var data []byte
-		if m.array.HasStore() {
-			combined := &postings.List{}
-			for _, c := range oldChunks {
-				if c.Postings == 0 {
-					continue
-				}
-				buf, err := m.array.StoreReadAt(c.Disk, c.Block, m.blocksFor(c.Postings))
-				if err != nil {
-					return err
-				}
-				part, err := readRecords(buf, c.Postings)
-				if err != nil {
-					return fmt.Errorf("longlist: word %d chunk at %d/%d: %w", w, c.Disk, c.Block, err)
-				}
-				if err := combined.Append(part); err != nil {
-					return fmt.Errorf("longlist: word %d: %w", w, err)
-				}
-			}
-			if err := combined.Append(list); err != nil {
-				return fmt.Errorf("longlist: word %d: %w", w, err)
-			}
-			data = recordsOf(combined, 0, total)
-		}
-		return m.array.StoreWriteAt(ref.Disk, ref.Block, m.blocksFor(total), data)
-	})
+	ref, err := m.writeReserved(old+count, count, combined)
 	if err != nil {
 		return err
 	}
@@ -330,26 +281,17 @@ func (m *Manager) appendWhole(w postings.WordID, count int64, list *postings.Lis
 // fixed-size extents, one write per extent, each on the next disk.
 func (m *Manager) appendFill(w postings.WordID, count int64, list *postings.List) error {
 	extentCap := m.policy.ExtentBlocks * m.blockPosting
-	var off int64
-	for off < count {
-		n := count - off
-		if n > extentCap {
-			n = extentCap
-		}
+	for off := int64(0); off < count; {
+		n := min(count-off, extentCap)
 		d, block, err := m.alloc(m.policy.ExtentBlocks)
 		if err != nil {
 			return err
 		}
-		m.array.RecordWrite(d, block, m.blocksFor(n), disk.TagLong)
-		extOff := off
-		err = m.dispatch(d, func() error {
-			var data []byte
-			if m.array.HasStore() {
-				data = recordsOf(list, extOff, n)
-			}
-			return m.array.StoreWriteAt(d, block, m.blocksFor(n), data)
-		})
-		if err != nil {
+		var data []byte
+		if m.array.HasStore() {
+			data = recordsOf(list, off, n)
+		}
+		if err := m.array.Stage(d, block, m.blocksFor(n), data, disk.TagLong); err != nil {
 			return err
 		}
 		ref := directory.ChunkRef{
@@ -364,23 +306,15 @@ func (m *Manager) appendFill(w postings.WordID, count int64, list *postings.List
 	return nil
 }
 
-// appendNew implements lines 10-11: WRITE_RESERVED of the in-memory list as
-// a new chunk.
-func (m *Manager) appendNew(w postings.WordID, count int64, list *postings.List) error {
-	ref, err := m.writeReserved(count, count, list)
-	if err != nil {
-		return err
+// writeReserved implements WRITE_RESERVED(a): size the chunk for x postings
+// by the allocation strategy f(x), allocate it, and stage the write of its
+// data blocks; reserved blocks are allocated but untouched. upd is the size
+// of the in-memory update being applied, the signal of the adaptive
+// strategy.
+func (m *Manager) writeReserved(x, upd int64, list *postings.List) (directory.ChunkRef, error) {
+	if m.codec != nil {
+		return m.packReserved(list, x, upd)
 	}
-	return m.dir.AppendChunk(w, ref)
-}
-
-// planReserved performs the deterministic half of WRITE_RESERVED(a): size
-// the chunk by the allocation strategy f(x), allocate it, and record the
-// write of the x data blocks. The caller dispatches the matching data
-// movement. upd is the size of the in-memory update being applied, the
-// signal of the adaptive strategy. Only the data blocks are written;
-// reserved blocks are allocated but untouched.
-func (m *Manager) planReserved(x, upd int64) (directory.ChunkRef, error) {
 	var blocks int64
 	switch m.policy.Alloc {
 	case AllocConstant:
@@ -397,41 +331,22 @@ func (m *Manager) planReserved(x, upd int64) (directory.ChunkRef, error) {
 	case AllocAdaptive:
 		blocks = m.blocksFor(x + int64(m.policy.K*float64(upd)))
 	}
-	if min := m.blocksFor(x); blocks < min {
-		blocks = min
-	}
-	if blocks == 0 {
-		blocks = 1
-	}
+	blocks = max(blocks, m.blocksFor(x), 1)
 	d, block, err := m.alloc(blocks)
 	if err != nil {
 		return directory.ChunkRef{}, err
 	}
-	m.array.RecordWrite(d, block, m.blocksFor(x), disk.TagLong)
+	var data []byte
+	if m.array.HasStore() {
+		data = recordsOf(list, 0, x)
+	}
+	if err := m.array.Stage(d, block, m.blocksFor(x), data, disk.TagLong); err != nil {
+		return directory.ChunkRef{}, err
+	}
 	return directory.ChunkRef{
 		Disk: d, Block: block, Blocks: blocks,
 		Postings: x, Capacity: blocks * m.blockPosting,
 	}, nil
-}
-
-// writeReserved is WRITE_RESERVED(a) in full: planReserved plus the data
-// movement, dispatched to the target disk's worker when a sink is installed.
-func (m *Manager) writeReserved(x, upd int64, list *postings.List) (directory.ChunkRef, error) {
-	ref, err := m.planReserved(x, upd)
-	if err != nil {
-		return directory.ChunkRef{}, err
-	}
-	err = m.dispatch(ref.Disk, func() error {
-		var data []byte
-		if m.array.HasStore() {
-			data = recordsOf(list, 0, x)
-		}
-		return m.array.StoreWriteAt(ref.Disk, ref.Block, m.blocksFor(x), data)
-	})
-	if err != nil {
-		return directory.ChunkRef{}, err
-	}
-	return ref, nil
 }
 
 // alloc chooses a disk round-robin ("the strategy considered here is to
@@ -451,13 +366,6 @@ func (m *Manager) alloc(blocks int64) (int, int64, error) {
 		}
 	}
 	return 0, 0, disk.ErrNoSpace{Disk: m.nextDisk, Blocks: blocks}
-}
-
-// readAll implements READ(a): read every chunk of w's long list (one
-// operation per chunk — exactly the paper's query cost metric) and return
-// the posting count and, with a store, the decoded postings.
-func (m *Manager) readAll(w postings.WordID) (int64, *postings.List, error) {
-	return m.ReadChunks(w, m.dir.Chunks(w))
 }
 
 // ReadChunks reads the given chunks of word w's long list (one operation
@@ -525,13 +433,7 @@ func (m *Manager) Rewrite(w postings.WordID, count int64, list *postings.List) e
 		_, err := m.dir.Replace(w, nil)
 		return err
 	}
-	var ref directory.ChunkRef
-	var err error
-	if m.codec != nil {
-		ref, err = m.writeReservedCodec(count, m.lastUpdate[w], list)
-	} else {
-		ref, err = m.writeReserved(count, m.lastUpdate[w], list)
-	}
+	ref, err := m.writeReserved(count, m.lastUpdate[w], list)
 	if err != nil {
 		return err
 	}
@@ -552,9 +454,9 @@ func (m *Manager) EndBatch() {
 // PendingReleases reports how many chunks await deallocation.
 func (m *Manager) PendingReleases() int { return len(m.release) }
 
-// writeRecords packs list's postings as fixed-width records into dst.
-func writeRecords(dst []byte, list *postings.List) {
-	for i, p := range list.Postings() {
+// writeRecords packs postings as fixed-width records into dst.
+func writeRecords(dst []byte, ps []postings.Posting) {
+	for i, p := range ps {
 		binary.LittleEndian.PutUint32(dst[i*PostingBytes:], uint32(p.Doc))
 		binary.LittleEndian.PutUint32(dst[i*PostingBytes+4:], p.Freq)
 	}
@@ -563,24 +465,25 @@ func writeRecords(dst []byte, list *postings.List) {
 // recordsOf renders postings [off, off+n) of list as records.
 func recordsOf(list *postings.List, off, n int64) []byte {
 	out := make([]byte, n*PostingBytes)
-	ps := list.Postings()[off : off+n]
-	for i, p := range ps {
-		binary.LittleEndian.PutUint32(out[i*PostingBytes:], uint32(p.Doc))
-		binary.LittleEndian.PutUint32(out[i*PostingBytes+4:], p.Freq)
-	}
+	writeRecords(out, list.Postings()[off:off+n])
 	return out
 }
 
-// readRecords decodes n fixed-width records from buf.
+// readRecords decodes n fixed-width records from buf. Records out of
+// document order (an unwritten or corrupt block) are an error.
 func readRecords(buf []byte, n int64) (*postings.List, error) {
 	if int64(len(buf)) < n*PostingBytes {
 		return nil, fmt.Errorf("longlist: %d bytes short of %d records", len(buf), n)
 	}
 	ps := make([]postings.Posting, n)
-	for i := int64(0); i < n; i++ {
+	for i := range ps {
 		ps[i] = postings.Posting{
 			Doc:  postings.DocID(binary.LittleEndian.Uint32(buf[i*PostingBytes:])),
 			Freq: binary.LittleEndian.Uint32(buf[i*PostingBytes+4:]),
+		}
+		if i > 0 && ps[i].Doc <= ps[i-1].Doc {
+			return nil, fmt.Errorf("%w: record %d out of order: %d <= %d",
+				postings.ErrCorrupt, i, ps[i].Doc, ps[i-1].Doc)
 		}
 	}
 	return postings.NewList(ps), nil

@@ -12,10 +12,10 @@ import (
 // in-place when the reserved space admits it, else the policy's style — but
 // blocks hold codec-encoded postings, so the data extent of a chunk is the
 // directory's EncBlocks rather than a function of its posting count, and
-// every pack runs through the block codec beneath the same RecordRead /
-// RecordWrite cost accounting the raw path uses. Compressed packs occupy
-// fewer blocks, so the recorded I/O shrinks with the data: that is the
-// measurement the codec exists for.
+// every pack runs through the block codec beneath the same read and write
+// accounting the raw path uses. Compressed packs occupy fewer blocks, so the
+// recorded I/O shrinks with the data: that is the measurement the codec
+// exists for.
 
 // packWindow encodes count postings of l starting at from and bumps the
 // compression counters.
@@ -26,51 +26,19 @@ func (m *Manager) packWindow(l *postings.List, from, count int) ([]byte, int64) 
 	return img, int64(blocks)
 }
 
-// appendCodec is Append for codec-mode managers, dispatched after the shared
-// bookkeeping in Append.
-func (m *Manager) appendCodec(w postings.WordID, count int64, list *postings.List, exists bool) error {
-	// Lines 1-2: the paper's gate is on reserved posting capacity; the codec
-	// adds a physical check — the re-packed tail must fit the allocation —
-	// with a fall-through to the style paths when it does not.
-	if exists && m.policy.Limit == LimitZ {
-		if last, ok := m.dir.LastChunk(w); ok && count <= last.Free() {
-			done, err := m.inPlaceCodec(w, last, count, list)
-			if err != nil {
-				return err
-			}
-			if done {
-				m.stats.InPlace++
-				return nil
-			}
-		}
-	}
-	switch m.policy.Style {
-	case StyleWhole:
-		return m.wholeCodec(w, count, list, exists)
-	case StyleFill:
-		return m.fillCodec(w, count, list)
-	case StyleNew:
-		return m.newCodec(w, count, list)
-	}
-	return fmt.Errorf("longlist: unreachable style %v", m.policy.Style)
-}
-
 // inPlaceCodec implements UPDATE(M) on an encoded chunk: read the chunk's
 // final data block, re-pack its postings together with the update, and write
-// the re-packed tail back. Reports false (without recording any I/O) when
-// the result would overflow the chunk's allocation.
+// the re-packed tail back. The repack size decides the directory update, so
+// the tail is read and packed while planning. Reports false when the result
+// would overflow the chunk's allocation; the tail read is then still
+// recorded, and nothing is written.
 func (m *Manager) inPlaceCodec(w postings.WordID, last directory.ChunkRef, count int64, list *postings.List) (bool, error) {
 	used := last.EncBlocks
 	if used < 1 || last.Postings <= 0 {
 		return false, nil // nothing packed yet; let the style path lay it out
 	}
 	tailBlock := last.Block + used - 1
-	// The tail read happens at planning time — the repack size decides the
-	// directory update — so it is recorded and performed inline. Deferred
-	// writes from other words never touch this block: a chunk belongs to one
-	// word and each word is updated at most once per batch.
-	m.array.RecordRead(last.Disk, tailBlock, 1, disk.TagLong)
-	buf, err := m.array.StoreReadAt(last.Disk, tailBlock, 1)
+	buf, err := m.array.ReadBlocksAt(last.Disk, tailBlock, 1, disk.TagLong)
 	if err != nil {
 		return false, err
 	}
@@ -90,11 +58,7 @@ func (m *Manager) inPlaceCodec(w postings.WordID, last directory.ChunkRef, count
 		m.compEnc.Add(-int64(payloadOf(img, m.blockSize)))
 		return false, nil
 	}
-	m.array.RecordWrite(last.Disk, tailBlock, blocks, disk.TagLong)
-	err = m.dispatch(last.Disk, func() error {
-		return m.array.StoreWriteAt(last.Disk, tailBlock, blocks, img)
-	})
-	if err != nil {
+	if err := m.array.Stage(last.Disk, tailBlock, blocks, img, disk.TagLong); err != nil {
 		return false, err
 	}
 	return true, m.dir.GrowLastChunkEnc(w, count, used-1+blocks)
@@ -119,50 +83,6 @@ func payloadOf(img []byte, blockSize int) int {
 	return total
 }
 
-// wholeCodec: read and decode the whole list, release its chunks, re-pack
-// old+new postings as one fresh chunk with reserved blocks. Decoding must
-// happen at planning time (the encoded size determines the allocation), so
-// the reads run inline; only the final write is deferred.
-func (m *Manager) wholeCodec(w postings.WordID, count int64, list *postings.List, exists bool) error {
-	total := count
-	combined := &postings.List{}
-	if exists {
-		oldChunks := m.dir.Chunks(w)
-		for _, c := range oldChunks {
-			if c.Postings == 0 {
-				continue
-			}
-			total += c.Postings
-			nb := c.DataBlocks(m.blockPosting)
-			m.array.RecordRead(c.Disk, c.Block, nb, disk.TagLong)
-			buf, err := m.array.StoreReadAt(c.Disk, c.Block, nb)
-			if err != nil {
-				return err
-			}
-			part, err := postings.UnpackBlocks(m.codec, buf, m.blockSize, int(c.Postings))
-			if err != nil {
-				return fmt.Errorf("longlist: word %d chunk at %d/%d: %w", w, c.Disk, c.Block, err)
-			}
-			if err := combined.Append(part); err != nil {
-				return fmt.Errorf("longlist: word %d: %w", w, err)
-			}
-		}
-		for _, c := range oldChunks {
-			m.release = append(m.release, releasedChunk{c.Disk, c.Block, c.Blocks})
-		}
-		m.stats.Moves++
-	}
-	if err := combined.Append(list); err != nil {
-		return fmt.Errorf("longlist: word %d: %w", w, err)
-	}
-	ref, err := m.packReserved(combined, total, count)
-	if err != nil {
-		return err
-	}
-	_, err = m.dir.Replace(w, []directory.ChunkRef{ref})
-	return err
-}
-
 // fillCodec: pack the update into fixed-size extents, one write per extent,
 // each on the next disk round-robin.
 func (m *Manager) fillCodec(w postings.WordID, count int64, list *postings.List) error {
@@ -174,13 +94,9 @@ func (m *Manager) fillCodec(w postings.WordID, count int64, list *postings.List)
 		if err != nil {
 			return err
 		}
-		m.array.RecordWrite(d, block, int64(blocks), disk.TagLong)
 		m.compRaw.Add(int64(n) * PostingBytes)
 		m.compEnc.Add(int64(payload))
-		err = m.dispatch(d, func() error {
-			return m.array.StoreWriteAt(d, block, int64(blocks), img)
-		})
-		if err != nil {
+		if err := m.array.Stage(d, block, int64(blocks), img, disk.TagLong); err != nil {
 			return err
 		}
 		// Estimate the extent's posting capacity from its achieved density,
@@ -201,24 +117,11 @@ func (m *Manager) fillCodec(w postings.WordID, count int64, list *postings.List)
 	return nil
 }
 
-// newCodec: WRITE_RESERVED of the update as a fresh chunk.
-func (m *Manager) newCodec(w postings.WordID, count int64, list *postings.List) error {
-	ref, err := m.writeReservedCodec(count, count, list)
-	if err != nil {
-		return err
-	}
-	return m.dir.AppendChunk(w, ref)
-}
-
-// writeReservedCodec is WRITE_RESERVED(a) for encoded postings.
-func (m *Manager) writeReservedCodec(x, upd int64, list *postings.List) (directory.ChunkRef, error) {
-	return m.packReserved(list, x, upd)
-}
-
-// packReserved encodes list (x postings), sizes the chunk by the allocation
-// strategy f(x) translated into blocks at the pack's achieved density, and
-// records the write of the encoded blocks. upd is the in-memory update size
-// driving the adaptive strategy.
+// packReserved is WRITE_RESERVED(a) for encoded postings: it encodes list
+// (x postings), sizes the chunk by the allocation strategy f(x) translated
+// into blocks at the pack's achieved density, and stages the write of the
+// encoded blocks. upd is the in-memory update size driving the adaptive
+// strategy.
 func (m *Manager) packReserved(list *postings.List, x, upd int64) (directory.ChunkRef, error) {
 	img, need := m.packWindow(list, 0, int(x))
 	density := (x + need - 1) / need // postings per encoded block, rounded up
@@ -245,11 +148,7 @@ func (m *Manager) packReserved(list *postings.List, x, upd int64) (directory.Chu
 	if err != nil {
 		return directory.ChunkRef{}, err
 	}
-	m.array.RecordWrite(d, block, need, disk.TagLong)
-	err = m.dispatch(d, func() error {
-		return m.array.StoreWriteAt(d, block, need, img)
-	})
-	if err != nil {
+	if err := m.array.Stage(d, block, need, img, disk.TagLong); err != nil {
 		return directory.ChunkRef{}, err
 	}
 	return directory.ChunkRef{

@@ -205,10 +205,12 @@ type Options struct {
 	// Workers bounds query-time fetch concurrency within one shard: a
 	// multi-term query reads its inverted lists with at most Workers
 	// goroutines per shard, overlapping reads across the disks of that
-	// shard's array. It also gates the flush path's per-disk parallel batch
-	// apply, and caps how many shards FlushBatch applies concurrently. 0
-	// defaults to NumDisks (one in-flight read per disk); 1 disables the
-	// in-shard parallelism.
+	// shard's array. It is also the width of each shard's flush executor,
+	// which writes the batch's planned block images with one goroutine per
+	// disk, or all on the flushing goroutine at 1; both widths write the
+	// same images. And it caps how many shards FlushBatch applies
+	// concurrently. 0 defaults to NumDisks (one in-flight read per disk); 1
+	// disables the in-shard parallelism.
 	Workers int
 	// CacheBlocks, when positive, layers an LRU block cache of that many
 	// blocks (per shard) over the store, so repeated reads of hot chunks —

@@ -4,9 +4,10 @@ import "time"
 
 // FlushPhases breaks one batch flush's wall-clock time into the paper's
 // phases: the per-word apply (allocation, bucket and directory
-// bookkeeping), the deferred long-list data movement, the striped bucket
-// write, the checkpoint (directory + deleted list + superblock) and the
-// release of the previous images. For a sharded engine the durations are
+// bookkeeping, reads and encoding), the executor writing the planned
+// long-list and bucket-stripe images (LongApply), encoding and staging the
+// striped bucket region, the checkpoint (directory + deleted list +
+// superblock) and the release of the previous images. For a sharded engine the durations are
 // sums over the shards' flushes — CPU-seconds of flush work, not elapsed
 // time, since shards flush concurrently.
 type FlushPhases struct {
