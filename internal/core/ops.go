@@ -81,11 +81,14 @@ func (ix *Index) GetList(w postings.WordID) (*postings.List, error) {
 		raw = l
 	case SourceBucket:
 		raw = ix.buckets.List(w)
+		if len(ix.deleted) == 0 {
+			return raw.Clone(), nil // buckets.List returns the bucket's storage
+		}
 	default:
 		return &postings.List{}, nil
 	}
 	if len(ix.deleted) == 0 {
-		return raw.Clone(), nil
+		return raw, nil // freshly decoded: no one else holds it
 	}
 	return raw.Filter(func(d postings.DocID) bool { return ix.deleted[d] }), nil
 }

@@ -83,11 +83,14 @@ func (s *Snapshot) GetList(w postings.WordID) (*postings.List, error) {
 		raw = l
 	case s.buckets.Contains(w):
 		raw = s.buckets.List(w)
+		if len(s.deleted) == 0 {
+			return raw.Clone(), nil // buckets.List returns the bucket's storage
+		}
 	default:
 		return &postings.List{}, nil
 	}
 	if len(s.deleted) == 0 {
-		return raw.Clone(), nil
+		return raw, nil // freshly decoded: no one else holds it
 	}
 	return raw.Filter(func(d postings.DocID) bool { return s.deleted[d] }), nil
 }

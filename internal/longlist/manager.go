@@ -380,6 +380,9 @@ func (m *Manager) ReadChunks(w postings.WordID, chunks []directory.ChunkRef) (in
 	}
 	var total int64
 	out := &postings.List{}
+	if m.array.HasStore() {
+		out = presized(chunks)
+	}
 	for _, c := range chunks {
 		if c.Postings == 0 {
 			continue
@@ -400,6 +403,16 @@ func (m *Manager) ReadChunks(w postings.WordID, chunks []directory.ChunkRef) (in
 		}
 	}
 	return total, out, nil
+}
+
+// presized returns an empty list with room for every posting the chunks
+// hold, so appending their decoded postings never regrows it.
+func presized(chunks []directory.ChunkRef) *postings.List {
+	var n int64
+	for _, c := range chunks {
+		n += c.Postings
+	}
+	return postings.NewList(make([]postings.Posting, 0, n))
 }
 
 // ReadList reads word w's entire long list for query evaluation, returning

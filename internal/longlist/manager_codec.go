@@ -161,7 +161,7 @@ func (m *Manager) packReserved(list *postings.List, x, upd int64) (directory.Chu
 // chunk covering its encoded extent, then a decode.
 func (m *Manager) readChunksCodec(w postings.WordID, chunks []directory.ChunkRef) (int64, *postings.List, error) {
 	var total int64
-	out := &postings.List{}
+	out := presized(chunks)
 	for _, c := range chunks {
 		if c.Postings == 0 {
 			continue

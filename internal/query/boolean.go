@@ -5,9 +5,8 @@
 // against any Source (exec.go), scoring ranked nodes through the paper's
 // vector-space model or BM25 (score.go).
 //
-// This file keeps the original boolean model — the legacy grammar
-// ("(cat and dog) or mouse") and the direct list-merging evaluator — whose
-// behaviour the planner's set-operation lowering mirrors exactly.
+// This file keeps the legacy boolean grammar ("(cat and dog) or mouse"); the
+// planner lowers its trees like any other.
 package query
 
 import (
@@ -45,7 +44,7 @@ type PrefixSource interface {
 // here, so the boolean entry point keeps rejecting what it always rejected.
 //
 // Queries that are purely negative (e.g. "not cat") parse but fail at
-// evaluation: an inverted index cannot enumerate the complement.
+// planning: an inverted index cannot enumerate the complement.
 func Parse(s string) (Expr, error) {
 	toks, err := tokenize(s)
 	if err != nil {
@@ -171,111 +170,4 @@ func (p *parser) parseFactor() (Expr, error) {
 		}
 		return Word{tok}, nil
 	}
-}
-
-// result carries an evaluated sub-expression: a list, possibly under
-// negation (the complement of the list).
-type result struct {
-	list    *postings.List
-	negated bool
-}
-
-// EvalBoolean evaluates a parsed expression against src and returns the
-// matching documents in ascending order. Negation is supported only where
-// it can be resolved by list difference; a query whose overall answer is a
-// complement ("not cat", "not cat or not dog") returns an error.
-//
-// The planner lowers the same algebra into set-operation steps at plan time
-// (see NewPlan); EvalBoolean remains as the direct evaluator the planner's
-// property tests compare against.
-func EvalBoolean(e Expr, src Source) (*postings.List, error) {
-	res, err := eval(e, src)
-	if err != nil {
-		return nil, err
-	}
-	if res.negated {
-		return nil, errComplement
-	}
-	return res.list, nil
-}
-
-// errComplement rejects queries whose answer would be the complement of a
-// list — the executor and the planner report the identical condition.
-var errComplement = fmt.Errorf("query: answer is a complement; add a positive term")
-
-func eval(e Expr, src Source) (result, error) {
-	switch e := e.(type) {
-	case Word:
-		l, err := src.List(e.W)
-		if err != nil {
-			return result{}, err
-		}
-		if l == nil {
-			l = &postings.List{}
-		}
-		return result{list: l}, nil
-	case Prefix:
-		ps, ok := src.(PrefixSource)
-		if !ok {
-			return result{}, fmt.Errorf("query: source does not support truncation (%s*)", e.P)
-		}
-		words := ps.WordsWithPrefix(e.P)
-		lists := make([]*postings.List, 0, len(words))
-		for _, w := range words {
-			l, err := src.List(w)
-			if err != nil {
-				return result{}, err
-			}
-			lists = append(lists, l)
-		}
-		// A truncation can expand to hundreds of words; merge them all in
-		// one k-way heap pass.
-		return result{list: postings.UnionAll(lists)}, nil
-	case Not:
-		r, err := eval(e.E, src)
-		if err != nil {
-			return result{}, err
-		}
-		r.negated = !r.negated
-		return r, nil
-	case And:
-		l, err := eval(e.L, src)
-		if err != nil {
-			return result{}, err
-		}
-		r, err := eval(e.R, src)
-		if err != nil {
-			return result{}, err
-		}
-		switch {
-		case !l.negated && !r.negated:
-			return result{list: postings.Intersect(l.list, r.list)}, nil
-		case !l.negated && r.negated:
-			return result{list: postings.Difference(l.list, r.list)}, nil
-		case l.negated && !r.negated:
-			return result{list: postings.Difference(r.list, l.list)}, nil
-		default: // ¬a ∧ ¬b = ¬(a ∪ b)
-			return result{list: postings.Union(l.list, r.list), negated: true}, nil
-		}
-	case Or:
-		l, err := eval(e.L, src)
-		if err != nil {
-			return result{}, err
-		}
-		r, err := eval(e.R, src)
-		if err != nil {
-			return result{}, err
-		}
-		switch {
-		case !l.negated && !r.negated:
-			return result{list: postings.Union(l.list, r.list)}, nil
-		case !l.negated && r.negated: // a ∨ ¬b = ¬(b − a)
-			return result{list: postings.Difference(r.list, l.list), negated: true}, nil
-		case l.negated && !r.negated:
-			return result{list: postings.Difference(l.list, r.list), negated: true}, nil
-		default: // ¬a ∨ ¬b = ¬(a ∩ b)
-			return result{list: postings.Intersect(l.list, r.list), negated: true}, nil
-		}
-	}
-	return result{}, fmt.Errorf("query: unknown expression %T", e)
 }

@@ -42,10 +42,14 @@ func ExecuteMatch(pl *Plan, env Exec) (*postings.List, error) {
 }
 
 // ExecuteRanked runs a ranked plan and returns the top-k matches, score
-// descending (ties by ascending document). With a nil Root (a pure bag of
-// words) every document containing a scoring term matches — byte-for-byte
-// EvalVector's behaviour under the vector model; with a Root, the matching
-// structure selects the documents and the scoring terms rank them.
+// descending (ties by ascending document). It opens one cursor per scoring
+// list — terms in sorted order, a "p*" term's expansions in WordsWithPrefix
+// order — and scores document-at-a-time into a size-k heap: no per-query
+// score accumulator, no sort of every candidate. With a nil Root (a pure bag
+// of words) every document containing a scoring term matches, the paper's
+// vector-space evaluation; with a Root, the matching structure selects the
+// documents and the cursors rank them — a matched document no scoring term
+// touches scores 0.
 func ExecuteRanked(pl *Plan, env Exec) ([]Match, error) {
 	sp := pl.Score
 	if sp == nil {
@@ -54,51 +58,107 @@ func ExecuteRanked(pl *Plan, env Exec) ([]Match, error) {
 	if sp.K <= 0 || len(sp.Terms) == 0 {
 		return nil, nil
 	}
-	total := EffectiveCollectionSize(env.Total)
-	scores := map[postings.DocID]float64{}
-	// Deterministic term order: float accumulation is not associative, so
-	// ranging the Terms map directly would let the same query score the same
-	// document differently from run to run (and across flush placements) in
-	// the last ulp. Sorted order pins scores bit-for-bit.
-	terms := make([]string, 0, len(sp.Terms))
-	for term := range sp.Terms {
-		terms = append(terms, term)
-	}
-	slices.Sort(terms)
-	for _, term := range terms {
-		weight := sp.Terms[term]
-		if p, ok := strings.CutSuffix(term, "*"); ok {
-			ps, ok := env.Src.(PrefixSource)
-			if !ok {
-				return nil, fmt.Errorf("query: source does not support truncation (%s*)", p)
-			}
-			for _, w := range ps.WordsWithPrefix(p) {
-				list, err := env.Src.List(w)
-				if err != nil {
-					return nil, err
-				}
-				scoreList(scores, list, weight, sp.Mode, total)
-			}
-			continue
-		}
-		list, err := env.Src.List(term)
-		if err != nil {
-			return nil, err
-		}
-		scoreList(scores, list, weight, sp.Mode, total)
+	curs, bound, err := openCursors(sp, env)
+	if err != nil {
+		return nil, err
 	}
 	if pl.Root == nil {
-		return rankMatches(scores, sp.K), nil
+		return rank(curs, sp.K, bound, nil), nil
 	}
 	matched, err := evalStep(pl.Root, env)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Match, 0, matched.Len())
-	for _, d := range matched.Docs() {
-		out = append(out, Match{Doc: d, Score: scores[d]})
+	return rank(curs, sp.K, matched.Len(), matched), nil
+}
+
+// openCursors opens the scoring plan's cursors in cursor order, skipping
+// empty lists, and returns them with their total posting count — an upper
+// bound on the documents they touch.
+func openCursors(sp *ScorePlan, env Exec) ([]cursor, int, error) {
+	total := EffectiveCollectionSize(env.Total)
+	terms := make([]string, 0, len(sp.Terms))
+	for term := range sp.Terms {
+		terms = append(terms, term)
 	}
-	return topMatches(out, sp.K), nil
+	slices.Sort(terms)
+	curs := make([]cursor, 0, len(terms))
+	bound := 0
+	for _, term := range terms {
+		words := []string{term}
+		if p, ok := strings.CutSuffix(term, "*"); ok {
+			ps, ok := env.Src.(PrefixSource)
+			if !ok {
+				return nil, 0, fmt.Errorf("query: source does not support truncation (%s*)", p)
+			}
+			words = ps.WordsWithPrefix(p)
+		}
+		for _, w := range words {
+			list, err := env.Src.List(w)
+			if err != nil {
+				return nil, 0, err
+			}
+			if list.Len() > 0 {
+				curs = append(curs, newCursor(list, sp.Terms[term], sp.Mode, total))
+				bound += list.Len()
+			}
+		}
+	}
+	return curs, bound, nil
+}
+
+// rank is the one document walker: it repeatedly takes the lowest current
+// document of the cursor heap and sums the contributions of the cursors on
+// it in cursor order. With a nil filter every such document is offered to
+// the top-k heap; otherwise only the filter's documents are scored and
+// offered, one no cursor holds with score 0, and the walk stops once the
+// filter is used up. The cursors are consumed.
+func rank(curs []cursor, k, bound int, filter *postings.List) []Match {
+	h := make(cursorHeap, len(curs))
+	for i := range curs {
+		h[i] = cursorKey(curs[i].ps[0].Doc, i)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	top := newTopK(k, bound)
+	var want []postings.Posting
+	if filter != nil {
+		want = filter.Postings()
+	}
+	for len(h) > 0 && (filter == nil || len(want) > 0) {
+		d := postings.DocID(h[0] >> 32)
+		for ; len(want) > 0 && want[0].Doc < d; want = want[1:] {
+			top.offer(Match{Doc: want[0].Doc})
+		}
+		matched := len(want) > 0 && want[0].Doc == d
+		offer := filter == nil || matched
+		s := 0.0
+		for len(h) > 0 && postings.DocID(h[0]>>32) == d {
+			ord := int(uint32(h[0]))
+			c := &curs[ord]
+			if offer {
+				s += c.score()
+			}
+			if c.ps = c.ps[1:]; len(c.ps) > 0 {
+				h[0] = cursorKey(c.ps[0].Doc, ord)
+			} else {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			h.down(0)
+		}
+		if offer {
+			top.offer(Match{Doc: d, Score: s})
+		}
+		if matched {
+			want = want[1:]
+		}
+	}
+	for _, p := range want {
+		top.offer(Match{Doc: p.Doc})
+	}
+	return top.ranked()
 }
 
 // evalStep evaluates one step to a sorted document list.

@@ -8,11 +8,11 @@ import (
 
 // The planner: lowers one query AST into a Plan a shard can execute without
 // re-walking the tree. Planning happens once per query, on the engine;
-// execution happens once per shard, against that shard's Source. The split
-// mirrors the legacy evaluators exactly — the plan's set-operation steps are
-// EvalBoolean's negation algebra resolved structurally (it depends only on
-// the AST's shape, never on list contents), and a ranked plan's scoring
-// terms reproduce EvalVector's bag-of-words accumulation.
+// execution happens once per shard, against that shard's Source. The plan's
+// set-operation steps are the boolean negation algebra resolved
+// structurally — it depends only on the AST's shape, never on list
+// contents — and a ranked plan carries its scoring terms for the executor's
+// cursors.
 
 // PlanOptions parameterize lowering.
 type PlanOptions struct {
@@ -54,6 +54,10 @@ type ScorePlan struct {
 	Terms map[string]float64 // scoring term → query weight; "p*" entries expand
 	K     int                // result budget
 }
+
+// errComplement rejects queries whose answer would be the complement of a
+// list: an inverted index cannot enumerate it.
+var errComplement = fmt.Errorf("query: answer is a complement; add a positive term")
 
 // A Step is one node of the executable matching structure. Each evaluates to
 // a sorted list of matching documents.
@@ -120,8 +124,8 @@ func (c Check) Match(toks []lexer.Token) bool {
 
 // NewPlan lowers an expression into a plan. Planning validates everything
 // that does not need a source: scoring mode, positional-leaf wellformedness,
-// and the negation algebra (a query whose answer is a complement is rejected
-// here, exactly as EvalBoolean rejects it at evaluation time).
+// and the negation algebra (a query whose answer is a complement is
+// rejected here).
 func NewPlan(e Expr, po PlanOptions) (*Plan, error) {
 	mode := ""
 	if po.Scoring != "" {
@@ -141,8 +145,7 @@ func NewPlan(e Expr, po PlanOptions) (*Plan, error) {
 	}
 	if pl.Score != nil && isBag(e) {
 		// A pure bag of words — the classic ranked query. No matching
-		// structure: every document containing any term is scored, which is
-		// exactly EvalVector's behaviour.
+		// structure: every document containing any term is scored.
 		return pl, nil
 	}
 	root, negated, err := lowerStep(e, po)
@@ -159,7 +162,8 @@ func NewPlan(e Expr, po PlanOptions) (*Plan, error) {
 
 // NewRankedBag builds the plan of a weighted bag of words directly — the
 // vector entry point's fast path, which has no expression to lower. words
-// may repeat; each distinct word scores with weight 1, like FromDocument.
+// may repeat; each distinct word scores with weight 1 (abstracts-style
+// indexes drop duplicate tokens, so a query document's term frequency is 1).
 func NewRankedBag(words []string, mode string, k int) *Plan {
 	terms := make(map[string]float64, len(words))
 	fetch := make([]string, 0, len(words))
@@ -241,9 +245,9 @@ func collectScoreTerms(e Expr, neg bool, po PlanOptions, terms map[string]float6
 	return nil
 }
 
-// lowerStep lowers one expression node, tracking negation structurally —
-// the same four-case And/Or algebra EvalBoolean resolves with lists, decided
-// here from the tree's shape alone.
+// lowerStep lowers one expression node, tracking negation structurally: the
+// four-case And/Or algebra of negated and plain operands, decided from the
+// tree's shape alone.
 func lowerStep(e Expr, po PlanOptions) (Step, bool, error) {
 	switch e := e.(type) {
 	case Word:

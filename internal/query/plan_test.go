@@ -118,7 +118,7 @@ func TestPlanFetchAndShape(t *testing.T) {
 
 // TestPlanComplementRejected: the planner resolves the negation algebra
 // structurally, so a complement-valued query fails at plan time with the
-// same condition EvalBoolean reports at evaluation time.
+// same condition the reference EvalBoolean reports at evaluation time.
 func TestPlanComplementRejected(t *testing.T) {
 	for _, q := range []string{"not cat", "not cat or not dog", "not (cat and dog)"} {
 		e, err := ParseQuery(q)
@@ -190,7 +190,7 @@ func TestQuickPlanMatchesEvalBoolean(t *testing.T) {
 }
 
 // TestRankedBagMatchesEvalVector: a pure bag plan scores byte-identically
-// with the legacy vector evaluator under the vector model.
+// with the reference vector evaluator under the vector model.
 func TestRankedBagMatchesEvalVector(t *testing.T) {
 	words := []string{"cat", "dog", "mouse", "bird", "cat"}
 	want, err := EvalVector(FromDocument(words), corpus, 7, 10)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -8,11 +9,18 @@ import (
 	"dualindex/internal/postings"
 )
 
-// Ranked-retrieval scoring models. Both score a document by summing, over
-// the query's positive leaf terms, a per-term contribution built from the
-// term's document frequency (shard-local, the standard distributed-retrieval
-// approximation) and the posting's within-document frequency; they differ
-// only in the idf and tf shaping, so either model runs from the same plan.
+// Ranked retrieval: the paper's vector-space workload, where "a query may be
+// derived from a document, consequently the query often contains many words
+// (more than 100) and the words tend to be frequently appearing words" — so
+// every ranked query reads several long lists. The executor walks those
+// lists in place with one cursor each and keeps the best k documents in a
+// heap; nothing here grows with the number of scored documents.
+//
+// Both scoring models score a document by summing, over the query's positive
+// leaf terms, a per-term contribution built from the term's document
+// frequency (shard-local, the standard distributed-retrieval approximation)
+// and the posting's within-document frequency; they differ only in the idf
+// and tf shaping, so either model runs from the same plan.
 const (
 	// ScoringVector is the paper's vector-space model: tf·idf with
 	// tf = 1 + ln(freq) and idf = ln(1 + N/df).
@@ -52,52 +60,138 @@ func EffectiveCollectionSize(total int) int {
 	return total
 }
 
-// scoreList folds one term's inverted list into the score accumulator under
-// the given model. totalDocs must already be clamped by
-// EffectiveCollectionSize.
-func scoreList(scores map[postings.DocID]float64, list *postings.List, weight float64, mode string, totalDocs int) {
+// Match is one scored document.
+type Match struct {
+	Doc   postings.DocID
+	Score float64
+}
+
+// bm25Norm is BM25's length denominator term k1·(1 − b + b·dl/avgdl) with
+// dl/avgdl ≈ 1: no document lengths are stored, so it reduces to k1 itself.
+const bm25Norm = BM25K1 * (1 - BM25B + BM25B*1)
+
+// A cursor walks one scoring list in ascending document order. The executor
+// keeps one per list it scores — a word reached twice, say as a plain term
+// and through a truncation, gets two — and a document's score is the sum of
+// the contributions of the cursors positioned on it, added in cursor order
+// starting from 0. That order is the terms' sorted order: float addition is
+// not associative, so a fixed order is what pins every score bit for bit,
+// run to run and across flush placements.
+type cursor struct {
+	ps     []postings.Posting // unread postings; ps[0] is the current one
+	weight float64            // the term's query weight
+	idf    float64            // from the list's shard-local document frequency
+	bm25   bool
+	// freq and last memoize the contribution of the frequency scored last,
+	// skipping a math.Log per posting. The engine indexes word sets, so its
+	// stored frequencies are all 1 and every scored posting repeats its
+	// predecessor's; the memo gives the bits recomputing would.
+	freq uint32
+	last float64
+}
+
+// newCursor opens a cursor over a non-empty list under the given model.
+// totalDocs must already be clamped by EffectiveCollectionSize.
+func newCursor(list *postings.List, weight float64, mode string, totalDocs int) cursor {
 	df := list.Len()
-	if df == 0 {
-		return
+	c := cursor{ps: list.Postings(), weight: weight, bm25: mode == ScoringBM25}
+	if c.bm25 {
+		c.idf = math.Log(1 + (float64(totalDocs)-float64(df)+0.5)/(float64(df)+0.5))
+	} else { // ScoringVector
+		c.idf = math.Log(1 + float64(totalDocs)/float64(df))
 	}
-	switch mode {
-	case ScoringBM25:
-		idf := math.Log(1 + (float64(totalDocs)-float64(df)+0.5)/(float64(df)+0.5))
-		// dl/avgdl ≈ 1 (no stored document lengths): the length term of the
-		// denominator reduces to k1 itself.
-		norm := BM25K1 * (1 - BM25B + BM25B*1)
-		for _, p := range list.Postings() {
-			tf := float64(p.Freq)
-			scores[p.Doc] += weight * idf * tf * (BM25K1 + 1) / (tf + norm)
+	c.freq = c.ps[0].Freq
+	c.last = c.contribution(c.freq)
+	return c
+}
+
+// score is the cursor's contribution to its current document.
+func (c *cursor) score() float64 {
+	if f := c.ps[0].Freq; f != c.freq {
+		c.freq, c.last = f, c.contribution(f)
+	}
+	return c.last
+}
+
+// contribution is the term's share of a score for a posting of frequency
+// freq. The explicit conversion rounds the product before the caller adds
+// it, so no platform fuses the multiply into that addition.
+func (c *cursor) contribution(freq uint32) float64 {
+	tf := float64(freq)
+	if c.bm25 {
+		return c.weight * c.idf * tf * (BM25K1 + 1) / (tf + bm25Norm)
+	}
+	tf = 1 + math.Log(tf)
+	return float64(c.weight * tf * c.idf)
+}
+
+// cursorHeap is a min-heap of open cursors, each keyed by its current
+// document in the high 32 bits and its position in cursor order in the low
+// 32, so the cursors on one document leave the top in the order their
+// contributions must be added, and a comparison is one integer compare. It
+// is sifted here rather than through container/heap because it moves once
+// per scored posting, where the interface calls dominate the walk.
+type cursorHeap []uint64
+
+// cursorKey is the heap key of cursor ord positioned on doc.
+func cursorKey(doc postings.DocID, ord int) uint64 { return uint64(doc)<<32 | uint64(ord) }
+
+func (h cursorHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
 		}
-	default: // ScoringVector
-		idf := math.Log(1 + float64(totalDocs)/float64(df))
-		for _, p := range list.Postings() {
-			tf := 1 + math.Log(float64(p.Freq))
-			scores[p.Doc] += weight * tf * idf
+		m := l
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			m = r
 		}
+		if h[m] >= h[i] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 
-// rankMatches orders a score map into the top-k match list.
-func rankMatches(scores map[postings.DocID]float64, k int) []Match {
-	out := make([]Match, 0, len(scores))
-	for d, s := range scores {
-		out = append(out, Match{Doc: d, Score: s})
-	}
-	return topMatches(out, k)
+// topK keeps the k best matches offered to it, in compareMatches order, in
+// a heap whose root is the worst match kept. compareMatches is a total order
+// on distinct documents, so the survivors are exactly the first k of a full
+// sort of every offer.
+type topK struct {
+	k int
+	h []Match
 }
 
-// topMatches sorts candidates — score descending, ties broken by ascending
-// document id — and returns the first k. The result's capacity is its
-// length: when candidates are dropped the survivors are copied out, so a
-// caller holding k matches does not keep every scored document alive.
-func topMatches(candidates []Match, k int) []Match {
-	slices.SortFunc(candidates, compareMatches)
-	if len(candidates) <= k {
-		return candidates[:len(candidates):len(candidates)]
+// newTopK sizes the heap for at most min(k, bound) matches, bound being an
+// upper limit on how many documents will be offered.
+func newTopK(k, bound int) *topK {
+	return &topK{k: k, h: make([]Match, 0, min(k, bound))}
+}
+
+func (t *topK) Len() int           { return len(t.h) }
+func (t *topK) Less(i, j int) bool { return compareMatches(t.h[i], t.h[j]) > 0 }
+func (t *topK) Swap(i, j int)      { t.h[i], t.h[j] = t.h[j], t.h[i] }
+func (t *topK) Push(x interface{}) { t.h = append(t.h, x.(Match)) }
+func (t *topK) Pop() interface{} {
+	n := len(t.h)
+	out := t.h[n-1]
+	t.h = t.h[:n-1]
+	return out
+}
+
+func (t *topK) offer(m Match) {
+	if len(t.h) < t.k {
+		heap.Push(t, m)
+	} else if compareMatches(m, t.h[0]) < 0 {
+		t.h[0] = m
+		heap.Fix(t, 0)
 	}
-	top := make([]Match, k)
-	copy(top, candidates)
-	return top
+}
+
+// ranked returns the kept matches best first. The result's capacity is its
+// length, so a caller holding it pins nothing beyond the k matches.
+func (t *topK) ranked() []Match {
+	slices.SortFunc(t.h, compareMatches)
+	return slices.Clip(t.h)
 }

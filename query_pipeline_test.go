@@ -2,8 +2,12 @@ package dualindex
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"dualindex/internal/query"
 )
 
 // Acceptance tests for the unified query pipeline: Engine.Query runs the
@@ -263,6 +267,108 @@ func TestQueryTopKOwnsItsArray(t *testing.T) {
 			}
 			if len(ms) != 2 || cap(ms) != len(ms) {
 				t.Errorf("shards=%d %q: len %d cap %d, want 2 and 2", shards, q, len(ms), cap(ms))
+			}
+		}
+	}
+}
+
+// referenceRanking scores a one-shard engine's ranked query term-at-a-time:
+// the documents SearchBoolean(boolean) matches, scored from the shard's own
+// lists with a map accumulator over terms (already in sorted order, each
+// truncation expanded through the vocabulary), then fully sorted and cut to
+// k. It spells out both models' contributions independently of the
+// executor.
+func referenceRanking(t *testing.T, eng *Engine, scoring, boolean string, terms []string, k int) []Match {
+	t.Helper()
+	matched, err := eng.SearchBoolean(boolean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(eng.collectionSize())
+	s := eng.shards[0]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	src := s.tiers()
+	scores := map[DocID]float64{}
+	for _, term := range terms {
+		words := []string{term}
+		if p, ok := strings.CutSuffix(term, "*"); ok {
+			words = src.WordsWithPrefix(p)
+		}
+		for _, w := range words {
+			list, err := src.List(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			df := float64(list.Len())
+			for _, p := range list.Postings() {
+				tf := float64(p.Freq)
+				if scoring == ScoringBM25 {
+					idf := math.Log(1 + (n-df+0.5)/(df+0.5))
+					scores[p.Doc] += idf * tf * (query.BM25K1 + 1) / (tf + query.BM25K1)
+				} else {
+					scores[p.Doc] += float64((1 + math.Log(tf)) * math.Log(1+n/df))
+				}
+			}
+		}
+	}
+	want := make([]Match, len(matched))
+	for i, d := range matched {
+		want[i] = Match{Doc: d, Score: scores[d]}
+	}
+	slices.SortFunc(want, func(a, b Match) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
+		}
+		return int(a.Doc) - int(b.Doc)
+	})
+	return want[:min(k, len(want))]
+}
+
+// TestQueryRankedMatchesReference: on one shard, where document frequencies
+// are global, Engine.Query's structured ranked answers — an intersection,
+// and a plain term overlapping a truncation that expands to it — equal the
+// term-at-a-time reference exactly under both scorings: same documents,
+// same order, == scores.
+func TestQueryRankedMatchesReference(t *testing.T) {
+	texts := []string{
+		"cat dog", "cat cattle herd", "dog", "cat dog catalog",
+		"bird", "cattle dog cat", "catalog", "dog cat bird",
+	}
+	cases := []struct {
+		q, boolean string
+		terms      []string // the scoring terms, sorted
+	}{
+		{"cat and dog", "cat and dog", []string{"cat", "dog"}},
+		{"cat ca*", "cat or ca*", []string{"ca*", "cat"}},
+	}
+	for _, scoring := range []string{ScoringVector, ScoringBM25} {
+		opts := smallOpts(1)
+		opts.Scoring = scoring
+		eng, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		for _, text := range texts {
+			eng.AddDocument(text)
+		}
+		if _, err := eng.FlushBatch(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			for _, k := range []int{1, 3, 100} {
+				got, err := eng.Query(tc.q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceRanking(t, eng, scoring, tc.boolean, tc.terms, k)
+				if len(want) == 0 || !slices.Equal(got, want) {
+					t.Errorf("%s %q k=%d:\n got %v\nwant %v", scoring, tc.q, k, got, want)
+				}
 			}
 		}
 	}

@@ -68,6 +68,9 @@ done
 # The unified query parser gets the same treatment: its seed corpus runs as
 # a unit test above, then a short live burst over the grammar.
 go test -run '^FuzzParseQuery$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal/query/
+# Ranked execution must equal the term-at-a-time reference bit for bit on
+# every fuzzed case: same documents, same order, == scores.
+go test -run '^FuzzRankedMatchesReference$' -fuzz '^FuzzRankedMatchesReference$' -fuzztime 5s ./internal/query/
 # So does the checkpoint root every Open trusts: arbitrary superblock images
 # must open or be refused with an error, never panic.
 go test -run '^FuzzSuperblock$' -fuzz '^FuzzSuperblock$' -fuzztime 5s ./internal/core/
