@@ -40,7 +40,6 @@ func main() {
 		codec     = flag.String("codec", "", "long-list block codec for a fresh index: raw | varint | golomb (empty adopts the manifest, raw for a fresh index)")
 		mmapReads = flag.Bool("mmap", false, "serve file-backend reads through a shared mmap where supported")
 		keepDocs  = flag.Bool("keepdocs", false, "keep document text in the index (required for -reshard and positional queries)")
-		live      = flag.Bool("live", false, "cache unflushed documents' positions in memory for phrase, near and region queries (Options.LiveSearch; runtime-only, not recorded in the index)")
 		reshard   = flag.Int("reshard", 0, "reshard the existing index to this many shards and exit (requires an index built with -keepdocs)")
 		check     = flag.Bool("check", true, "run the consistency check after the build")
 		metrics   = flag.String("metrics", "", "serve /metrics, /stats, /trace, /maintenance, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
@@ -54,7 +53,7 @@ func main() {
 		return
 	}
 	storage := storageOpts{backend: *backend, codec: *codec, mmap: *mmapReads}
-	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, storage, *keepDocs, *live, *check, *metrics, *maintain); err != nil {
+	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, storage, *keepDocs, *check, *metrics, *maintain); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -141,7 +140,7 @@ func policyByName(name string) (dualindex.Policy, error) {
 	return dualindex.Policy{}, fmt.Errorf("unknown policy %q", name)
 }
 
-func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing string, storage storageOpts, keepDocs, live, check bool, metricsAddr string, maintainEvery time.Duration) error {
+func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing string, storage storageOpts, keepDocs, check bool, metricsAddr string, maintainEvery time.Duration) error {
 	pol, err := policyByName(policyName)
 	if err != nil {
 		return err
@@ -163,7 +162,6 @@ func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int
 		Codec:         storage.codec,
 		MmapReads:     storage.mmap,
 		KeepDocuments: keepDocs,
-		LiveSearch:    live,
 		Policy:        &pol,
 		Buckets:       buckets,
 		BucketSize:    bucketSize,

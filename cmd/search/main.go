@@ -40,7 +40,6 @@ func main() {
 		phrase   = flag.Bool("phrase", false, "exact phrase query (requires an index built with documents kept)")
 		near     = flag.Int("near", 0, "proximity window: treat the two query words as 'w1 within N words of w2'")
 		docs     = flag.Bool("docs", false, "keep/load stored documents (enables -phrase and -near)")
-		live     = flag.Bool("live", false, "cache unflushed documents' positions in memory for phrase, near and region queries (Options.LiveSearch; runtime-only, not recorded in the index)")
 		shards   = flag.Int("shards", 0, "index shards (0 adopts the index's manifest — the usual choice)")
 		backend  = flag.String("backend", "", "block-store backend (empty adopts the index's manifest — the usual choice)")
 		codec    = flag.String("codec", "", "long-list block codec (empty adopts the index's manifest — the usual choice)")
@@ -58,7 +57,6 @@ func main() {
 		Codec:         *codec,
 		MmapReads:     *mmap,
 		KeepDocuments: *docs || *phrase || *near > 0,
-		LiveSearch:    *live,
 		Scoring:       *scoring,
 		SlowQuery:     *slow,
 	}

@@ -93,8 +93,9 @@ func TestConcurrentAddSearchFlush(t *testing.T) {
 // exactly the documents it would return after the flush — mid-flush answers
 // never expose half-applied state. Mid-flush, queries read the detached
 // pending tier's runs while core applies those same runs, and the phrase
-// query verifies its candidates from the cached positions (LiveSearch on)
-// or the document store (off); under -race this covers both.
+// query verifies its candidates from the document store. It runs under both
+// settings of Options.LiveSearch, which callers still pass, to pin that the
+// option changes nothing.
 func TestQueryDuringFlushSeesStableResults(t *testing.T) {
 	for _, live := range []bool{false, true} {
 		t.Run(fmt.Sprintf("LiveSearch=%v", live), func(t *testing.T) {

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dualindex/internal/lexer"
 	"dualindex/internal/maintain"
 	"dualindex/internal/postings"
 	"dualindex/internal/route"
@@ -134,7 +135,7 @@ func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 // skips an identifier below one it contains — the append-only long lists
 // require ascending identifiers across batches.
 func (e *Engine) AddDocument(text string) DocID {
-	a := analyze(text, e.opts)
+	words := lexer.Tokenize(text, e.opts.Lexer)
 	e.reshardMu.RLock()
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
@@ -145,7 +146,7 @@ func (e *Engine) AddDocument(text string) DocID {
 	s := e.shardFor(doc)
 	s.mu.Lock()
 	e.mu.Unlock()
-	s.addDocumentLocked(doc, text, a)
+	s.addDocumentLocked(doc, text, words)
 	s.mu.Unlock()
 	return doc
 }

@@ -102,7 +102,7 @@ var SnapshotContract = Snapshot{
 	GuardField:   "mu",
 	FlushField:   "flushMu",
 	EncapFields:  []string{"index", "snap", "pending", "snapPending"},
-	UnderRLock:   []string{"tiers", "prefetchPlan", "verifyDocs", "pendingTokens"},
+	UnderRLock:   []string{"tiers", "prefetchPlan", "verifyDocs"},
 	Constructors: []string{"openShard"},
 }
 

@@ -28,6 +28,7 @@ type shard struct {
 	snap        *Snapshot
 	pending     *pendingTier
 	snapPending *pendingTier
+	docs        map[int]string
 }
 
 // openShard is a constructor: it builds the shard before it is shared and
@@ -82,15 +83,23 @@ func (s *shard) document(id int) bool {
 	return s.index.IsDeleted(id) // want "without consulting the flush snapshot"
 }
 
-// verifyDocs is contractually "called under RLock" (contracts.UnderRLock):
+// prefetchPlan is contractually "called under RLock" (contracts.UnderRLock):
 // it reads the pending tier without its detached twin, so mid-flush the
 // documents the flush is applying vanish from its answers. The index
 // tier's snapshot does not excuse it: tiers are judged independently.
-func (s *shard) verifyDocs(id int) (int, bool) {
+func (s *shard) prefetchPlan(id int) (int, bool) {
 	if s.snap != nil {
 		return 0, false
 	}
 	return s.pending.Docs(id) // want "without consulting the flush snapshot"
+}
+
+// verifyDocs is "called under RLock" too, but reads only the document
+// store, which is not a tier: every pending and flushed document is in it.
+// Clean.
+func (s *shard) verifyDocs(id int) (string, bool) {
+	text, ok := s.docs[id]
+	return text, ok
 }
 
 // sweepLocked excludes a concurrent flush by holding the flush lock: the

@@ -12,9 +12,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"dualindex/internal/postings"
 )
@@ -72,19 +74,35 @@ func (m *Mem) Sync() error { return nil }
 func (m *Mem) Close() error { return nil }
 
 // File is an append-only log-file store. Each record is a varint document
-// id, a varint length, and the text; the id → offset index is rebuilt by a
-// sequential scan at open, so the file itself is the only durable state.
+// id, a varint length, and the text. The in-memory index maps each id to
+// its text's offset and length, so a Get is one exact-length read; Put
+// records the span as it appends, and a sequential scan rebuilds the index
+// at open, so the file itself is the only durable state.
 //
 // A File is safe for concurrent use. Every method holds mu, because even a
 // Get writes: it flushes the buffered Puts so the record it reads is in the
 // file.
 type File struct {
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	offsets map[postings.DocID]int64
-	size    int64
+	mu    sync.Mutex
+	f     *os.File
+	w     *bufio.Writer
+	spans map[postings.DocID]span
+	size  int64
 }
+
+// span locates one record's text in the log. It is three 32-bit words, so
+// an index entry (a 4-byte id and its span) takes 16 bytes, as the
+// offset-only entry it replaced did.
+type span struct {
+	offLo, offHi uint32 // the text's byte offset in the file
+	n            uint32 // the text's length
+}
+
+func newSpan(off int64, n int) span {
+	return span{offLo: uint32(off), offHi: uint32(off >> 32), n: uint32(n)}
+}
+
+func (sp span) off() int64 { return int64(sp.offHi)<<32 | int64(sp.offLo) }
 
 // OpenFile opens (creating if needed) a log-file store and rebuilds its
 // index. A trailing partial record — a crash mid-append — is truncated
@@ -94,7 +112,7 @@ func OpenFile(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &File{f: f, offsets: make(map[postings.DocID]int64)}
+	s := &File{f: f, spans: make(map[postings.DocID]span)}
 	if err := s.scan(); err != nil {
 		f.Close()
 		return nil, err
@@ -121,14 +139,15 @@ func (s *File) scan() error {
 			break // partial header: truncate here
 		}
 		length, lenLen, err := readUvarint(r)
-		if err != nil {
+		if err != nil || length > math.MaxUint32 {
 			break
 		}
 		if _, err := r.Discard(int(length)); err != nil {
 			break
 		}
-		s.offsets[postings.DocID(id)] = off
-		off += int64(idLen) + int64(lenLen) + int64(length)
+		text := off + int64(idLen) + int64(lenLen)
+		s.spans[postings.DocID(id)] = newSpan(text, int(length))
+		off = text + int64(length)
 	}
 	s.size = off
 	return s.f.Truncate(off)
@@ -157,8 +176,11 @@ func readUvarint(r *bufio.Reader) (uint64, int, error) {
 func (s *File) Put(id postings.DocID, text string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.offsets[id]; dup {
+	if _, dup := s.spans[id]; dup {
 		return fmt.Errorf("docstore: duplicate document %d", id)
+	}
+	if len(text) > math.MaxUint32 {
+		return fmt.Errorf("docstore: document %d is %d bytes, over the 4 GiB record limit", id, len(text))
 	}
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(id))
@@ -169,7 +191,7 @@ func (s *File) Put(id postings.DocID, text string) error {
 	if _, err := s.w.WriteString(text); err != nil {
 		return err
 	}
-	s.offsets[id] = s.size
+	s.spans[id] = newSpan(s.size+int64(len(hdr)), len(text))
 	s.size += int64(len(hdr)) + int64(len(text))
 	return nil
 }
@@ -181,36 +203,28 @@ func (s *File) Get(id postings.DocID) (string, bool, error) {
 	return s.get(id)
 }
 
-// get is Get with s.mu held.
+// get is Get with s.mu held: one read of exactly the text's bytes.
 func (s *File) get(id postings.DocID) (string, bool, error) {
-	off, ok := s.offsets[id]
+	sp, ok := s.spans[id]
 	if !ok {
 		return "", false, nil
 	}
 	if err := s.w.Flush(); err != nil {
 		return "", false, err
 	}
-	sr := io.NewSectionReader(s.f, off, s.size-off)
-	r := bufio.NewReader(sr)
-	if _, _, err := readUvarint(r); err != nil {
-		return "", false, err
+	buf := make([]byte, sp.n)
+	if n, err := s.f.ReadAt(buf, sp.off()); n < len(buf) {
+		return "", false, fmt.Errorf("docstore: reading document %d: %w", id, err)
 	}
-	length, _, err := readUvarint(r)
-	if err != nil {
-		return "", false, err
-	}
-	buf := make([]byte, length)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", false, err
-	}
-	return string(buf), true, nil
+	// buf is never written again, so the string may share its bytes.
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), true, nil
 }
 
 // Len implements Store.
 func (s *File) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.offsets)
+	return len(s.spans)
 }
 
 // Sync implements Store.
@@ -277,7 +291,7 @@ func (m *Mem) ForEach(after postings.DocID, fn func(id postings.DocID, text stri
 // held, so it may call back into the store.
 func (s *File) ForEach(after postings.DocID, fn func(id postings.DocID, text string) error) error {
 	s.mu.Lock()
-	ids := sortedIDs(s.offsets, above(after))
+	ids := sortedIDs(s.spans, above(after))
 	s.mu.Unlock()
 	for _, id := range ids {
 		text, ok, err := s.Get(id)
@@ -326,7 +340,7 @@ func (s *File) Compact(keep func(postings.DocID) bool) error {
 		return err
 	}
 	// Walk in ascending id order so the compacted log is deterministic.
-	for _, id := range sortedIDs(s.offsets, keep) {
+	for _, id := range sortedIDs(s.spans, keep) {
 		text, ok, err := s.get(id)
 		if err != nil || !ok {
 			tmp.Close()
@@ -352,6 +366,6 @@ func (s *File) Compact(keep func(postings.DocID) bool) error {
 	if err != nil {
 		return err
 	}
-	s.f, s.w, s.offsets, s.size = re.f, re.w, re.offsets, re.size
+	s.f, s.w, s.spans, s.size = re.f, re.w, re.spans, re.size
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dualindex/internal/postings"
 )
@@ -268,6 +269,100 @@ func TestCompactFile(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 11 {
 		t.Fatalf("reopened Len = %d", re.Len())
+	}
+}
+
+// TestFileGetExactTexts pins Get's single read of a recorded text span in
+// every state the span index can come from: Put (text still buffered), the
+// open-time scan, Compact's rewrite, and a scan that truncated a torn tail.
+// The texts include an empty one and one longer than a 4 KiB read buffer.
+func TestFileGetExactTexts(t *testing.T) {
+	texts := map[postings.DocID]string{
+		1: "",
+		2: "short text",
+		3: strings.Repeat("a long record spans several pages ", 300),
+		4: "Subject: café\nbody",
+		5: "",
+		6: strings.Repeat("x", 4097),
+	}
+	check := func(t *testing.T, stage string, s *File, ids ...postings.DocID) {
+		t.Helper()
+		for _, id := range ids {
+			got, ok, err := s.Get(id)
+			if err != nil || !ok || got != texts[id] {
+				t.Fatalf("%s: Get(%d) = %d bytes, %v, %v; want %d bytes", stage, id, len(got), ok, err, len(texts[id]))
+			}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "docs.log")
+	s, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := postings.DocID(1); id <= 6; id++ {
+		if err := s.Put(id, texts[id]); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "buffered", s, id)
+	}
+	check(t, "buffered", s, 1, 2, 3, 4, 5, 6)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if s, err = OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	check(t, "reopened", s, 1, 2, 3, 4, 5, 6)
+	if err := s.Compact(func(d postings.DocID) bool { return d != 2 }); err != nil {
+		t.Fatal(err)
+	}
+	check(t, "compacted", s, 1, 3, 4, 5, 6)
+	if _, ok, _ := s.Get(2); ok {
+		t.Fatal("compacted document still readable")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A torn append: a record header claiming more text than the file has.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{7, 100, 'p', 'a', 'r', 't'})
+	f.Close()
+	if s, err = OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(t, "truncated", s, 1, 3, 4, 5, 6)
+	if _, ok, _ := s.Get(7); ok {
+		t.Fatal("torn record readable")
+	}
+	texts[7] = "appended after truncation"
+	if err := s.Put(7, texts[7]); err != nil {
+		t.Fatal(err)
+	}
+	check(t, "truncated+appended", s, 1, 3, 4, 5, 6, 7)
+}
+
+// TestFileIndexEntrySize: an index entry — the id and its span, laid out
+// together in the map — takes at most 16 bytes, the size of the
+// offset-only entry, so keeping text lengths does not grow resident memory.
+// Offsets past 4 GiB survive the split into 32-bit words.
+func TestFileIndexEntrySize(t *testing.T) {
+	var entry struct {
+		id postings.DocID
+		sp span
+	}
+	if n := unsafe.Sizeof(entry); n > 16 {
+		t.Fatalf("index entry is %d bytes, want at most 16", n)
+	}
+	for _, off := range []int64{0, 1<<32 - 1, 1 << 32, 5<<32 + 12345} {
+		if got := newSpan(off, 7).off(); got != off {
+			t.Errorf("span offset %d round-trips to %d", off, got)
+		}
 	}
 }
 

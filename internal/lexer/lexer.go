@@ -9,6 +9,7 @@ package lexer
 import (
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Options control tokenization. The zero value gives the paper's behaviour.
@@ -148,31 +149,91 @@ const (
 // regions: lines beginning with "Subject:" contribute title-region tokens
 // (the News article's title), skipped header lines contribute nothing, and
 // everything else is body. Duplicates are kept — positions make them
-// meaningful.
+// meaningful. A token's position counts the tokens emitted before it, so a
+// dropped stop word or a line break leaves no gap.
 func TokenizePositions(doc string, opt Options) []Token {
+	var tokens []Token
+	ScanPositions(doc, opt, func(word string, title bool) bool {
+		region := RegionBody
+		if title {
+			region = RegionTitle
+		}
+		tokens = append(tokens, Token{Word: strings.Clone(word), Pos: len(tokens), Region: region})
+		return true
+	})
+	return tokens
+}
+
+// ScanPositions calls fn for each token TokenizePositions yields, in order,
+// with title reporting the title region, and stops early when fn returns
+// false. It allocates nothing per token: word is a substring of doc, or,
+// when the token has uppercase letters, a view of a lowercase buffer the
+// scan reuses. word is therefore valid only until fn returns; a caller that
+// keeps it must copy it.
+func ScanPositions(doc string, opt Options, fn func(word string, title bool) bool) {
 	skip := opt.SkipHeaders
 	if skip == nil {
 		skip = DefaultSkipHeaders
 	}
-	var tokens []Token
-	pos := 0
-	for _, line := range strings.Split(doc, "\n") {
-		region := RegionBody
+	var lower []byte
+	for rest := doc; ; {
+		line, next, more := strings.Cut(rest, "\n")
+		title := false
 		trimmed := strings.TrimSpace(line)
 		if len(trimmed) >= len("subject:") && strings.EqualFold(trimmed[:len("subject:")], "subject:") {
-			region = RegionTitle
+			title = true
 			line = trimmed[len("subject:"):]
 		} else if skipLine(line, skip) {
-			continue
+			line = ""
 		}
-		lineOpt := opt
-		lineOpt.KeepDuplicates = true
-		for _, w := range appendLineTokens(nil, line, lineOpt) {
-			tokens = append(tokens, Token{Word: w, Pos: pos, Region: region})
-			pos++
+		// Tokens are ASCII letter-runs and digit-runs, so scanning bytes
+		// finds the same runs as scanning runes: every byte of a multi-byte
+		// or invalid UTF-8 sequence is above 0x7F, a separator either way.
+		for i := 0; i < len(line); {
+			class := byteClass(line[i])
+			if class == 0 {
+				i++
+				continue
+			}
+			start, upper := i, false
+			for ; i < len(line) && byteClass(line[i]) == class; i++ {
+				upper = upper || (line[i] >= 'A' && line[i] <= 'Z')
+			}
+			word := line[start:i]
+			if opt.MinTokenLen > 0 && len(word) < opt.MinTokenLen {
+				continue
+			}
+			if upper {
+				lower = lower[:0]
+				for j := 0; j < len(word); j++ {
+					lower = append(lower, word[j]|0x20) // ASCII letters only
+				}
+				word = unsafe.String(unsafe.SliceData(lower), len(lower))
+			}
+			if opt.StopWords[word] {
+				continue
+			}
+			if !fn(word, title) {
+				return
+			}
 		}
+		if !more {
+			return
+		}
+		rest = next
 	}
-	return tokens
+}
+
+// byteClass reports which run a byte extends: 'a' for an ASCII letter, 'd'
+// for a digit, 0 for a separator.
+func byteClass(b byte) byte {
+	switch {
+	case (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z'):
+		return 'a'
+	case b >= '0' && b <= '9':
+		return 'd'
+	}
+	return 0
 }
 
 // LooksEnglish applies the paper's corpus filter heuristics: documents that

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"dualindex/internal/lexer"
 	"dualindex/internal/postings"
 )
 
@@ -13,11 +12,11 @@ import (
 // plan on every shard concurrently; everything here is read-only on the plan,
 // so one plan value is shared across the fan-out.
 
-// VerifyFunc checks candidate documents against their stored positional
-// tokens: it returns, in ascending order, the candidates whose token
-// sequence satisfies match. The shard's implementation reads its document
+// VerifyFunc checks candidate documents against a positional condition: it
+// returns, in ascending order, the candidates whose stored text satisfies
+// check (Check.MatchText). The shard's implementation reads its document
 // store; tests substitute a fake.
-type VerifyFunc func(candidates []postings.DocID, match func([]lexer.Token) bool) ([]postings.DocID, error)
+type VerifyFunc func(candidates []postings.DocID, check Check) ([]postings.DocID, error)
 
 // Exec is the per-shard execution environment of a plan.
 type Exec struct {
@@ -248,7 +247,7 @@ func evalVerify(st VerifyStep, env Exec) (*postings.List, error) {
 	if env.Verify == nil {
 		return nil, fmt.Errorf("query: positional conditions need stored documents")
 	}
-	docs, err := env.Verify(candidates.Docs(), st.Check.Match)
+	docs, err := env.Verify(candidates.Docs(), st.Check)
 	if err != nil {
 		return nil, err
 	}

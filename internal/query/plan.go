@@ -104,22 +104,106 @@ type Check struct {
 	Word    string   // region: the word
 }
 
-// Match reports whether one document's positional tokens satisfy the check.
-// Safe for concurrent use (it only reads).
-func (c Check) Match(toks []lexer.Token) bool {
+// MatchText reports whether a document's text satisfies the check, streaming
+// its positional tokens (lexer.ScanPositions under opt, the engine's lexer
+// configuration) and stopping at the first token that decides it. Positions
+// count emitted tokens only: a dropped stop word or a region boundary
+// between two words leaves them adjacent. Safe for concurrent use (it only
+// reads c).
+func (c Check) MatchText(text string, opt lexer.Options) bool {
 	switch c.Kind {
 	case "phrase":
-		return containsPhrase(toks, c.Ordered)
+		return matchPhrase(text, opt, c.Ordered)
 	case "near":
-		return containsNear(toks, c.A, c.B, c.K)
+		return matchNear(text, opt, c.A, c.B, c.K)
 	case "region":
-		for _, t := range toks {
-			if t.Word == c.Word && t.Region == c.Region {
+		found := false
+		lexer.ScanPositions(text, opt, func(w string, title bool) bool {
+			region := lexer.RegionBody
+			if title {
+				region = lexer.RegionTitle
+			}
+			found = w == c.Word && region == c.Region
+			return !found
+		})
+		return found
+	}
+	return false
+}
+
+// matchPhrase reports whether words occur at consecutive positions. It keeps
+// a ring of the last len(words) tokens, each held as the index of the first
+// phrase word equal to it (-1 for none) rather than as the word itself,
+// which may alias the scanner's reused buffer.
+func matchPhrase(text string, opt lexer.Options, words []string) bool {
+	n := len(words)
+	if n == 0 {
+		return false
+	}
+	var small [16]int // want and ring of phrases up to 8 words
+	var want, ring []int
+	if 2*n <= len(small) {
+		want, ring = small[:n], small[n:2*n]
+	} else {
+		s := make([]int, 2*n)
+		want, ring = s[:n], s[n:]
+	}
+	for i, w := range words {
+		want[i] = phraseIndex(words, w)
+	}
+	pos, found := 0, false
+	lexer.ScanPositions(text, opt, func(w string, _ bool) bool {
+		ring[pos%n] = phraseIndex(words, w)
+		pos++
+		if pos < n {
+			return true
+		}
+		for i := range want {
+			if ring[(pos+i)%n] != want[i] {
 				return true
 			}
 		}
+		found = true
+		return false
+	})
+	return found
+}
+
+// phraseIndex returns the index of the first phrase word equal to w, or -1.
+func phraseIndex(words []string, w string) int {
+	for i, x := range words {
+		if x == w {
+			return i
+		}
 	}
-	return false
+	return -1
+}
+
+// matchNear reports whether a and b occur within k positions of each other.
+func matchNear(text string, opt lexer.Options, a, b string, k int) bool {
+	lastA, lastB, pos, found := -1, -1, 0, false
+	lexer.ScanPositions(text, opt, func(w string, _ bool) bool {
+		switch w {
+		case a:
+			if lastB >= 0 && pos-lastB <= k {
+				found = true
+				return false
+			}
+			lastA = pos
+			if a == b {
+				lastB = pos
+			}
+		case b:
+			if lastA >= 0 && pos-lastA <= k {
+				found = true
+				return false
+			}
+			lastB = pos
+		}
+		pos++
+		return true
+	})
+	return found
 }
 
 // NewPlan lowers an expression into a plan. Planning validates everything
@@ -372,48 +456,6 @@ func stepNeedsDocs(st Step) bool {
 		return stepNeedsDocs(st.L) || stepNeedsDocs(st.R)
 	case DiffStep:
 		return stepNeedsDocs(st.L) || stepNeedsDocs(st.R)
-	}
-	return false
-}
-
-// containsPhrase reports whether the token sequence contains the words at
-// consecutive positions. Position gaps (from dropped stop words or region
-// boundaries) break adjacency, as they should.
-func containsPhrase(toks []lexer.Token, words []string) bool {
-	if len(words) == 0 {
-		return false
-	}
-outer:
-	for i := 0; i+len(words) <= len(toks); i++ {
-		for j, w := range words {
-			if toks[i+j].Word != w || toks[i+j].Pos != toks[i].Pos+j {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// containsNear reports whether a and b occur within k positions.
-func containsNear(toks []lexer.Token, a, b string, k int) bool {
-	lastA, lastB := -1, -1
-	for _, t := range toks {
-		switch t.Word {
-		case a:
-			if lastB >= 0 && t.Pos-lastB <= k {
-				return true
-			}
-			lastA = t.Pos
-			if a == b {
-				lastB = t.Pos
-			}
-		case b:
-			if lastA >= 0 && t.Pos-lastA <= k {
-				return true
-			}
-			lastB = t.Pos
-		}
 	}
 	return false
 }

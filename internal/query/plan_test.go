@@ -308,11 +308,11 @@ type docVerifier struct {
 	called bool
 }
 
-func (v *docVerifier) verify(cands []postings.DocID, match func([]lexer.Token) bool) ([]postings.DocID, error) {
+func (v *docVerifier) verify(cands []postings.DocID, check Check) ([]postings.DocID, error) {
 	v.called = true
 	var out []postings.DocID
 	for _, d := range cands {
-		if match(lexer.TokenizePositions(v.docs[d], lexer.Options{})) {
+		if check.MatchText(v.docs[d], lexer.Options{}) {
 			out = append(out, d)
 		}
 	}

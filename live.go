@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"dualindex/internal/core"
-	"dualindex/internal/lexer"
 	"dualindex/internal/postings"
 	"dualindex/internal/query"
 )
@@ -26,9 +25,10 @@ import (
 // of flush timing.
 
 // pendingTier holds one batch of unflushed documents as sorted per-word
-// posting runs. Under Options.LiveSearch it also caches each document's
-// positional tokens, so phrase, proximity and region conditions on
-// unflushed documents verify from memory instead of the document store.
+// posting runs. It holds no positional data: phrase, proximity and region
+// conditions on unflushed documents verify from the document store, which
+// AddDocument writes before the document becomes searchable, exactly as
+// they do for flushed ones (shard.verifyDocs).
 //
 // A pendingTier is guarded by its shard's mu: grown under Lock
 // (addDocumentLocked), read under RLock, detached and retired by the flush
@@ -38,9 +38,6 @@ type pendingTier struct {
 	// words holds one sorted (doc, freq) run per word. Documents reach a
 	// shard in ascending identifier order, so each run grows by a tail Push.
 	words map[postings.WordID]*postings.List
-	// tokens holds each document's lexer.TokenizePositions output; empty
-	// unless Options.LiveSearch.
-	tokens map[postings.DocID][]lexer.Token
 	// docs and postings size the tier for stats, metrics and the
 	// maintenance controller's signals.
 	docs     int
@@ -48,17 +45,13 @@ type pendingTier struct {
 }
 
 func newPendingTier() *pendingTier {
-	return &pendingTier{
-		words:  make(map[postings.WordID]*postings.List),
-		tokens: make(map[postings.DocID][]lexer.Token),
-	}
+	return &pendingTier{words: make(map[postings.WordID]*postings.List)}
 }
 
 // add indexes one arriving document into the tier: words is its
-// lexer.Tokenize bag resolved to word identifiers, toks its positional
-// tokens (nil when they are not cached). doc must be at least every
-// identifier already in the tier.
-func (lt *pendingTier) add(doc postings.DocID, words []postings.WordID, toks []lexer.Token) {
+// lexer.Tokenize bag resolved to word identifiers. doc must be at least
+// every identifier already in the tier.
+func (lt *pendingTier) add(doc postings.DocID, words []postings.WordID) {
 	for _, w := range words {
 		run := lt.words[w]
 		if run == nil {
@@ -70,17 +63,8 @@ func (lt *pendingTier) add(doc postings.DocID, words []postings.WordID, toks []l
 		// frequency accumulated.
 		run.Push(doc, 1)
 	}
-	if toks != nil {
-		lt.tokens[doc] = toks
-	}
 	lt.docs++
 	lt.postings += int64(len(words))
-}
-
-// docTokens returns doc's cached positional tokens, if the tier has them.
-func (lt *pendingTier) docTokens(doc postings.DocID) ([]lexer.Token, bool) {
-	toks, ok := lt.tokens[doc]
-	return toks, ok
 }
 
 // updates renders the tier as one batch update: its words in ascending
@@ -114,9 +98,6 @@ func (lt *pendingTier) absorb(newer *pendingTier) {
 		// Identifier disjointness makes this a pure concatenation; Union
 		// keeps it allocation-simple on a path only a failed flush takes.
 		lt.words[w] = postings.Union(old, run)
-	}
-	for d, toks := range newer.tokens {
-		lt.tokens[d] = toks
 	}
 	lt.docs += newer.docs
 	lt.postings += newer.postings

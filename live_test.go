@@ -1,7 +1,7 @@
-// Tests for the pending tier and Options.LiveSearch: a document must be
-// servable by every query kind the moment AddDocument returns, with answers
-// byte-equal to the flushed-then-queried ones — and, more generally, query
-// answers must be invariant under flush placement.
+// Tests for the pending tier: a document must be servable by every query
+// kind the moment AddDocument returns, with answers byte-equal to the
+// flushed-then-queried ones — and, more generally, query answers must be
+// invariant under flush placement.
 package dualindex
 
 import (
@@ -12,6 +12,8 @@ import (
 	"testing"
 )
 
+// liveEngine opens an in-memory engine that keeps documents. live sets
+// Options.LiveSearch, which has no effect; callers still pass it.
 func liveEngine(t *testing.T, live bool, scoring string, shards int) *Engine {
 	t.Helper()
 	eng, err := Open(Options{
@@ -66,10 +68,10 @@ func liveAnswers(t *testing.T, eng *Engine) map[string]any {
 	return out
 }
 
-// TestLiveSearchImmediateVisibility is the tentpole's acceptance gate: with
-// LiveSearch on, a document is returned by every query kind — under either
-// scoring, on one shard or several — immediately after AddDocument, and the
-// answers are deep-equal to the ones the same engine gives after flushing.
+// TestLiveSearchImmediateVisibility: a document is returned by every query
+// kind — under either scoring, on one shard or several — immediately after
+// AddDocument, and the answers are deep-equal to the ones the same engine
+// gives after flushing.
 func TestLiveSearchImmediateVisibility(t *testing.T) {
 	for _, scoring := range []string{ScoringVector, ScoringBM25} {
 		for _, shards := range []int{1, 3} {
@@ -116,75 +118,72 @@ func TestLiveSearchImmediateVisibility(t *testing.T) {
 	}
 }
 
-// TestLiveSearchOnMatchesOff pins what LiveSearch selects — whether pending
-// documents' positional tokens are cached in memory or read back from the
-// document store — as invisible in answers: with half the corpus pending,
-// an engine with LiveSearch on answers every query kind exactly like one
-// with it off — same docs, same scores. The file-backed pair makes the off
-// side verify buffered pending documents through the docs.log store.
-func TestLiveSearchOnMatchesOff(t *testing.T) {
+// TestPendingPositionalMatchesFlushed pins the one verify path: pending and
+// flushed candidates both verify by streaming their stored text. With half
+// the corpus pending, phrase, proximity and region answers equal the
+// answers after the rest is flushed, on the mem and file backends. On the
+// file backend the pending documents' text is still in the docs.log write
+// buffer when the first answers are taken.
+func TestPendingPositionalMatchesFlushed(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	texts := make([]string, 60)
 	for i := range texts {
 		texts[i] = liveInvarianceDoc(r)
 	}
 	queries := []string{
-		"waa and wab", "wa* and not wac", "waa or (wab and wad)", "waa wab wac",
-		`"waa wab"`, "waa near/4 wac", "title:waa or title:wab",
+		`"waa wab"`, `"wab waa"`, "waa near/4 wac", "wab near/2 wab",
+		"title:waa or title:wab", "body:wac and not title:wac", `"waa wab" or wac near/1 wad`,
 	}
-	open := func(live bool, scoring string, dir string) *Engine {
-		eng, err := Open(Options{
-			Dir:           dir,
-			KeepDocuments: true,
-			LiveSearch:    live,
-			Scoring:       scoring,
-			Shards:        2,
-			Buckets:       8,
-			BucketSize:    128,
-		})
+	for _, backend := range []string{"mem", "file"} {
+		dir := ""
+		if backend == "file" {
+			dir = t.TempDir()
+		}
+		eng, err := Open(Options{Dir: dir, KeepDocuments: true, Shards: 2, Buckets: 8, BucketSize: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng
-	}
-	for _, backend := range []string{"mem", "file"} {
-		for _, scoring := range []string{ScoringVector, ScoringBM25} {
-			dir := func() string {
-				if backend == "file" {
-					return t.TempDir()
-				}
-				return ""
-			}
-			on, off := open(true, scoring, dir()), open(false, scoring, dir())
-			for i, text := range texts {
-				on.AddDocument(text)
-				off.AddDocument(text)
-				if i == len(texts)/2 {
-					// Half the corpus on disk, half pending.
-					if _, err := on.FlushBatch(); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := off.FlushBatch(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for _, q := range queries {
-				got, err := on.Query(q, 15)
-				if err != nil {
+		var firstPending DocID
+		for i, text := range texts {
+			d := eng.AddDocument(text)
+			if i == len(texts)/2 {
+				// Half the corpus on disk, half pending.
+				if _, err := eng.FlushBatch(); err != nil {
 					t.Fatal(err)
 				}
-				want, err := off.Query(q, 15)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s %q: LiveSearch on %v, off %v", backend, scoring, q, got, want)
-				}
+				firstPending = d + 1
 			}
-			on.Close()
-			off.Close()
 		}
+		answers := func() [][]Match {
+			out := make([][]Match, len(queries))
+			for i, q := range queries {
+				ms, err := eng.Query(q, len(texts))
+				if err != nil {
+					t.Fatalf("%s %q: %v", backend, q, err)
+				}
+				out[i] = ms
+			}
+			return out
+		}
+		pre := answers()
+		pendingHits := 0
+		for _, ms := range pre {
+			for _, m := range ms {
+				if m.Doc >= firstPending {
+					pendingHits++
+				}
+			}
+		}
+		if pendingHits == 0 {
+			t.Fatalf("%s: no positional query matched a pending document: %v", backend, pre)
+		}
+		if _, err := eng.FlushBatch(); err != nil {
+			t.Fatal(err)
+		}
+		if post := answers(); !reflect.DeepEqual(pre, post) {
+			t.Errorf("%s: pending answers %v, flushed answers %v", backend, pre, post)
+		}
+		eng.Close()
 	}
 }
 
@@ -259,57 +258,52 @@ func TestFlushInvarianceProperty(t *testing.T) {
 }
 
 // TestStatsPendingCounts covers the observability satellite: Stats and
-// ShardStats report the unflushed volume, identically with LiveSearch on
-// and off, and a flush drains the counts to zero.
+// ShardStats report the unflushed volume, and a flush drains the counts to
+// zero.
 func TestStatsPendingCounts(t *testing.T) {
-	for _, live := range []bool{false, true} {
-		eng := liveEngine(t, live, ScoringVector, 2)
-		eng.AddDocument("one two three")
-		eng.AddDocument("two three four five")
-		st := eng.Stats()
-		if st.PendingDocs != 2 {
-			t.Errorf("live=%v: PendingDocs = %d, want 2", live, st.PendingDocs)
-		}
-		if st.PendingPostings != 7 {
-			t.Errorf("live=%v: PendingPostings = %d, want 7", live, st.PendingPostings)
-		}
-		var docs int
-		var posts int64
-		for _, ss := range eng.ShardStats() {
-			docs += ss.PendingDocs
-			posts += ss.PendingPostings
-		}
-		if docs != st.PendingDocs || posts != st.PendingPostings {
-			t.Errorf("live=%v: ShardStats sum (%d, %d) disagrees with Stats (%d, %d)",
-				live, docs, posts, st.PendingDocs, st.PendingPostings)
-		}
-		if _, err := eng.FlushBatch(); err != nil {
-			t.Fatal(err)
-		}
-		if st := eng.Stats(); st.PendingDocs != 0 || st.PendingPostings != 0 {
-			t.Errorf("live=%v: after flush PendingDocs = %d, PendingPostings = %d, want 0, 0",
-				live, st.PendingDocs, st.PendingPostings)
-		}
-		eng.Close()
+	eng := liveEngine(t, false, ScoringVector, 2)
+	defer eng.Close()
+	eng.AddDocument("one two three")
+	eng.AddDocument("two three four five")
+	st := eng.Stats()
+	if st.PendingDocs != 2 {
+		t.Errorf("PendingDocs = %d, want 2", st.PendingDocs)
+	}
+	if st.PendingPostings != 7 {
+		t.Errorf("PendingPostings = %d, want 7", st.PendingPostings)
+	}
+	var docs int
+	var posts int64
+	for _, ss := range eng.ShardStats() {
+		docs += ss.PendingDocs
+		posts += ss.PendingPostings
+	}
+	if docs != st.PendingDocs || posts != st.PendingPostings {
+		t.Errorf("ShardStats sum (%d, %d) disagrees with Stats (%d, %d)",
+			docs, posts, st.PendingDocs, st.PendingPostings)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.PendingDocs != 0 || st.PendingPostings != 0 {
+		t.Errorf("after flush PendingDocs = %d, PendingPostings = %d, want 0, 0",
+			st.PendingDocs, st.PendingPostings)
 	}
 }
 
 // TestLiveSearchDeletePending pins the deletion view across tiers: deleting
-// a pending document removes it from live answers immediately, with and
-// without LiveSearch.
+// a pending document removes it from live answers immediately.
 func TestLiveSearchDeletePending(t *testing.T) {
-	for _, live := range []bool{false, true} {
-		eng := liveEngine(t, live, ScoringVector, 1)
-		keep := eng.AddDocument("shared words here")
-		gone := eng.AddDocument("shared words there")
-		eng.Delete(gone)
-		docs, err := eng.SearchBoolean("shared and words")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(docs) != 1 || docs[0] != keep {
-			t.Errorf("live=%v: post-delete answer = %v, want [%d]", live, docs, keep)
-		}
-		eng.Close()
+	eng := liveEngine(t, false, ScoringVector, 1)
+	defer eng.Close()
+	keep := eng.AddDocument("shared words here")
+	gone := eng.AddDocument("shared words there")
+	eng.Delete(gone)
+	docs, err := eng.SearchBoolean("shared and words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) != 1 || docs[0] != keep {
+		t.Errorf("post-delete answer = %v, want [%d]", docs, keep)
 	}
 }

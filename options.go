@@ -194,13 +194,13 @@ type Options struct {
 	// Document retrieval and the positional query layer (SearchPhrase,
 	// SearchNear, SearchInRegion).
 	KeepDocuments bool
-	// LiveSearch caches each unflushed document's positional tokens in the
-	// pending tier (see live.go), so phrase, proximity and region conditions
-	// on pending documents verify from memory. Off (the default), they are
-	// verified by reading the text back from the document store. Every query
-	// kind sees a document the moment AddDocument returns either way, with
-	// identical answers. It is a runtime choice — not recorded in the
-	// manifest, free to differ between engines opened on the same directory.
+	// LiveSearch has no effect. It once cached each unflushed document's
+	// positional tokens in memory; positional verification now streams the
+	// stored text of every candidate, pending or flushed, as cheaply as the
+	// cache served it, so the cache was removed. Every query kind sees a
+	// document the moment AddDocument returns. The field remains so that
+	// existing callers that set it still compile; it is not recorded in the
+	// manifest.
 	LiveSearch bool
 	// Workers bounds query-time fetch concurrency within one shard: a
 	// multi-term query reads its inverted lists with at most Workers

@@ -1,8 +1,11 @@
 package dualindex
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
+
+	"dualindex/internal/query"
 )
 
 func positionalEngine(t *testing.T, dir string) *Engine {
@@ -270,5 +273,44 @@ func TestCrashRecoversPendingDocuments(t *testing.T) {
 	// New ids continue beyond the recovered ones.
 	if d4 := re.AddDocument("fresh"); d4 != d3+1 {
 		t.Fatalf("next id %d, want %d", d4, d3+1)
+	}
+}
+
+// TestVerifyDocsAllocsFlat pins candidate verification's cost shape: each
+// candidate is one document-store read and one streaming pass, so verifying
+// the same number of candidates allocates the same number of times whether
+// the documents hold 100 tokens or 10,000. Half the candidates are pending,
+// still in the docs.log write buffer on the first pass, and half flushed.
+// The collector is held off while counting: a GC cycle, which the long
+// documents' reads trigger, allocates runtime objects of its own that
+// AllocsPerRun would charge to verification.
+func TestVerifyDocsAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The phrase never occurs, so every candidate is scanned to its end.
+	check := query.Check{Kind: "phrase", Ordered: []string{"beta", "alpha", "zeta"}}
+	allocs := func(tokens int) float64 {
+		eng := positionalEngine(t, t.TempDir())
+		defer eng.Close()
+		text := strings.Repeat("alpha beta gamma delta ", tokens/4)
+		var ids []DocID
+		for i := 0; i < 20; i++ {
+			ids = append(ids, eng.AddDocument(text))
+			if i == 9 {
+				if _, err := eng.FlushBatch(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s := eng.shards[0]
+		return testing.AllocsPerRun(10, func() {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			if out, err := s.verifyDocs(ids, check); err != nil || len(out) != 0 {
+				t.Fatalf("verifyDocs = %v, %v", out, err)
+			}
+		})
+	}
+	if short, long := allocs(100), allocs(10000); short != long {
+		t.Errorf("verifying 20 candidates: %v allocs at 100 tokens, %v at 10,000", short, long)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"dualindex/internal/lexer"
 	"dualindex/internal/manifest"
 	"dualindex/internal/postings"
 	"dualindex/internal/route"
@@ -164,10 +165,10 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 			st.Skipped++
 			continue
 		}
-		a := analyze(text, e.opts)
+		words := lexer.Tokenize(text, e.opts.Lexer)
 		t := newShards[newRouter.Shard(id)]
 		t.mu.Lock()
-		t.addDocumentLocked(id, text, a)
+		t.addDocumentLocked(id, text, words)
 		t.mu.Unlock()
 		st.Docs++
 		pending++

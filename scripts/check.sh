@@ -71,6 +71,11 @@ go test -run '^FuzzParseQuery$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal
 # Ranked execution must equal the term-at-a-time reference bit for bit on
 # every fuzzed case: same documents, same order, == scores.
 go test -run '^FuzzRankedMatchesReference$' -fuzz '^FuzzRankedMatchesReference$' -fuzztime 5s ./internal/query/
+# Positional verification streams tokens instead of materializing them: the
+# scanner must yield exactly the reference tokenizer's tokens, and the
+# streaming matcher must decide every check as the reference does.
+go test -run '^FuzzScanPositions$' -fuzz '^FuzzScanPositions$' -fuzztime 5s ./internal/lexer/
+go test -run '^FuzzMatchText$' -fuzz '^FuzzMatchText$' -fuzztime 5s ./internal/query/
 # So does the checkpoint root every Open trusts: arbitrary superblock images
 # must open or be refused with an error, never panic.
 go test -run '^FuzzSuperblock$' -fuzz '^FuzzSuperblock$' -fuzztime 5s ./internal/core/

@@ -185,7 +185,7 @@ func (s *shard) recoverPendingDocs() error {
 	}
 	recovered := 0
 	err := w.ForEach(s.lastDoc, func(id postings.DocID, text string) error {
-		s.indexPendingLocked(id, analyze(text, s.opts))
+		s.indexPendingLocked(id, lexer.Tokenize(text, s.opts.Lexer))
 		recovered++
 		return nil
 	})
@@ -193,30 +193,14 @@ func (s *shard) recoverPendingDocs() error {
 	return err
 }
 
-// analyzedDoc is one document's lexer output, computed before any lock is
-// taken: the word bag the index stores (lexer.Tokenize) and, under
-// Options.LiveSearch, the positional tokens the pending tier caches
-// (lexer.TokenizePositions). Neither is derived from the other: Tokenize
-// indexes the word "subject" of a Subject: line, TokenizePositions strips it.
-type analyzedDoc struct {
-	words []string
-	toks  []lexer.Token
-}
-
-func analyze(text string, opts Options) analyzedDoc {
-	a := analyzedDoc{words: lexer.Tokenize(text, opts.Lexer)}
-	if opts.LiveSearch {
-		a.toks = lexer.TokenizePositions(text, opts.Lexer)
-	}
-	return a
-}
-
-// addDocumentLocked appends an analyzed document to the shard's pending
-// tier and document store. The engine has already assigned the identifier,
-// routed the document here, and acquired s.mu (see Engine.AddDocument for
-// why the two locks overlap).
-func (s *shard) addDocumentLocked(doc postings.DocID, text string, a analyzedDoc) {
-	s.indexPendingLocked(doc, a)
+// addDocumentLocked appends a document to the shard's pending tier and
+// document store; words is its lexer.Tokenize bag, computed before any lock
+// was taken. The engine has already assigned the identifier, routed the
+// document here, and acquired s.mu (see Engine.AddDocument for why the two
+// locks overlap). Storing the text here is what lets positional queries
+// verify the document before its flush.
+func (s *shard) addDocumentLocked(doc postings.DocID, text string, words []string) {
+	s.indexPendingLocked(doc, words)
 	if s.docs != nil && s.docErr == nil {
 		s.docErr = s.docs.Put(doc, text)
 	}
@@ -225,12 +209,12 @@ func (s *shard) addDocumentLocked(doc postings.DocID, text string, a analyzedDoc
 // indexPendingLocked assigns the document's word identifiers and pushes it
 // into the pending tier, which makes it searchable the moment this returns.
 // Called with s.mu held (or on a shard not yet shared, during recovery).
-func (s *shard) indexPendingLocked(doc postings.DocID, a analyzedDoc) {
-	ids := make([]postings.WordID, len(a.words))
-	for i, word := range a.words {
+func (s *shard) indexPendingLocked(doc postings.DocID, words []string) {
+	ids := make([]postings.WordID, len(words))
+	for i, word := range words {
 		ids[i] = s.vocab.GetOrAssign(word)
 	}
-	s.pending.add(doc, ids, a.toks)
+	s.pending.add(doc, ids)
 	if doc > s.lastDoc {
 		s.lastDoc = doc
 	}
@@ -605,26 +589,19 @@ func (s *shard) ioCounts() disk.DiskOps {
 }
 
 // verifyDocs is the positional half of candidate verification (the
-// executor's VerifyFunc): it keeps the candidates whose positional tokens
-// satisfy check. A candidate whose tokens the pending tier caches
-// (Options.LiveSearch) verifies from memory — no document-store read, no
-// re-tokenization — which is what makes phrase, proximity and region
-// conditions on unflushed documents as cheap as boolean ones; everything
-// else reads the document store. Both paths apply the same tokenization, so
-// a document verifies identically before and after its flush. Called under
+// executor's VerifyFunc): it keeps the candidates whose stored text
+// satisfies check. Each candidate costs one document-store read and one
+// streaming pass over its tokens that stops as soon as the check is decided
+// (query.Check.MatchText); no token slice is built. Pending documents are in
+// the store from the moment AddDocument returns, so flushed and unflushed
+// candidates take this same path and verify identically. Called under
 // s.mu.RLock, from plan execution.
-func (s *shard) verifyDocs(candidates []DocID, check func([]lexer.Token) bool) ([]DocID, error) {
+func (s *shard) verifyDocs(candidates []DocID, check query.Check) ([]DocID, error) {
 	if s.docs == nil {
 		return nil, fmt.Errorf("dualindex: positional queries need Options.KeepDocuments")
 	}
 	var out []DocID
 	for _, d := range candidates {
-		if toks, ok := s.pendingTokens(d); ok {
-			if check(toks) {
-				out = append(out, d)
-			}
-			continue
-		}
 		text, ok, err := s.docs.Get(d)
 		if err != nil {
 			return nil, err
@@ -632,26 +609,11 @@ func (s *shard) verifyDocs(candidates []DocID, check func([]lexer.Token) bool) (
 		if !ok {
 			return nil, fmt.Errorf("dualindex: indexed document %d missing from the document store", d)
 		}
-		if check(lexer.TokenizePositions(text, s.opts.Lexer)) {
+		if check.MatchText(text, s.opts.Lexer) {
 			out = append(out, d)
 		}
 	}
 	return out, nil
-}
-
-// pendingTokens looks a document's cached positional tokens up in the
-// pending tier and, mid-flush, in the detached tier being applied
-// (snapPending) — the same publish/release pairing every tier read honors.
-// ok is false when neither caches them (the document is flushed, or the
-// engine runs without Options.LiveSearch). Called under s.mu.RLock.
-func (s *shard) pendingTokens(d postings.DocID) ([]lexer.Token, bool) {
-	if toks, ok := s.pending.docTokens(d); ok {
-		return toks, true
-	}
-	if s.snapPending != nil {
-		return s.snapPending.docTokens(d)
-	}
-	return nil, false
 }
 
 // maxDoc reports the largest document identifier this shard has seen — the
