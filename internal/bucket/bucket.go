@@ -8,35 +8,69 @@
 // Capacity accounting follows the paper exactly: "each posting is charged 1
 // unit and each word is charged one unit too", i.e. a bucket's load is the
 // number of words it holds plus the number of postings it holds.
+//
+// Each bucket keeps its short lists as a slice of entries sorted by word,
+// and a stored posting list is never mutated: an append stores a new list.
+// That makes Clone cheap. It copies the bucket headers only, and the two
+// sets share every bucket's entries until one of them writes to the bucket,
+// which first copies that bucket's entry slice for itself.
 package bucket
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 
 	"dualindex/internal/postings"
 )
 
 // Evicted reports a short list pushed out of an overflowing bucket; the
-// caller turns it into a long list.
+// caller turns it into a long list. List may still be shared with a clone
+// of the set, so the caller must not mutate it.
 type Evicted struct {
 	Word  postings.WordID
 	Count int            // number of postings evicted
 	List  *postings.List // nil when the set tracks counts only
 }
 
-// entry is one short list inside a bucket.
+// entry is one word's short list inside a bucket. The list is immutable
+// once stored, so entries are plain values that clones may share.
 type entry struct {
+	word  postings.WordID
 	count int
 	list  *postings.List // nil in count-only mode
 }
 
 // bucketState holds one bucket's lists and cached load.
 type bucketState struct {
-	entries map[postings.WordID]*entry
-	load    int // words + postings
-	dirty   bool
+	entries []entry // sorted by word
+	load    int     // words + postings
+	// shared marks entries as also referenced by another Set (see Clone):
+	// the first write copies the slice before touching it.
+	shared bool
+}
+
+// find returns the index of w in b's entries, or where it would be inserted.
+func (b *bucketState) find(w postings.WordID) (int, bool) {
+	i := sort.Search(len(b.entries), func(i int) bool { return b.entries[i].word >= w })
+	return i, i < len(b.entries) && b.entries[i].word == w
+}
+
+// get returns w's entry, or nil if w has no short list in b.
+func (b *bucketState) get(w postings.WordID) *entry {
+	if i, ok := b.find(w); ok {
+		return &b.entries[i]
+	}
+	return nil
+}
+
+// own makes b's entries private to this Set before a write.
+func (b *bucketState) own() {
+	if b.shared {
+		b.entries = slices.Clone(b.entries)
+		b.shared = false
+	}
 }
 
 // Set is the full bucket data structure: NumBuckets fixed-size buckets.
@@ -74,9 +108,6 @@ func NewSet(cfg Config) (*Set, error) {
 		trackPostings: cfg.TrackPostings,
 		buckets:       make([]bucketState, cfg.NumBuckets),
 	}
-	for i := range s.buckets {
-		s.buckets[i].entries = make(map[postings.WordID]*entry)
-	}
 	return s, nil
 }
 
@@ -109,21 +140,22 @@ func (s *Set) notify(bucket int) {
 
 // Contains reports whether word w currently has a short list.
 func (s *Set) Contains(w postings.WordID) bool {
-	_, ok := s.buckets[s.Hash(w)].entries[w]
-	return ok
+	return s.buckets[s.Hash(w)].get(w) != nil
 }
 
 // Count reports the number of postings in w's short list (0 if absent).
 func (s *Set) Count(w postings.WordID) int {
-	if e, ok := s.buckets[s.Hash(w)].entries[w]; ok {
+	if e := s.buckets[s.Hash(w)].get(w); e != nil {
 		return e.count
 	}
 	return 0
 }
 
 // List returns w's short list postings (nil in count-only mode or if absent).
+// The list is the set's own storage, shared with its clones: callers must
+// not mutate it.
 func (s *Set) List(w postings.WordID) *postings.List {
-	if e, ok := s.buckets[s.Hash(w)].entries[w]; ok {
+	if e := s.buckets[s.Hash(w)].get(w); e != nil {
 		return e.list
 	}
 	return nil
@@ -158,11 +190,12 @@ func (s *Set) LoadFactor() float64 {
 }
 
 // ForEachWord calls fn for every word currently holding a short list, with
-// its posting count. Iteration order is unspecified.
+// its posting count, bucket by bucket and by ascending word within a
+// bucket. fn must not mutate the set.
 func (s *Set) ForEachWord(fn func(w postings.WordID, count int)) {
 	for i := range s.buckets {
-		for w, e := range s.buckets[i].entries {
-			fn(w, e.count)
+		for _, e := range s.buckets[i].entries {
+			fn(e.word, e.count)
 		}
 	}
 }
@@ -193,24 +226,25 @@ func (s *Set) Add(w postings.WordID, count int, list *postings.List) ([]Evicted,
 			return nil, fmt.Errorf("bucket: Add(%d) needs a list of %d postings", w, count)
 		}
 	}
-	b := &s.buckets[s.Hash(w)]
-	e, ok := b.entries[w]
+	idx := s.Hash(w)
+	b := &s.buckets[idx]
+	b.own()
+	i, ok := b.find(w)
 	if !ok {
-		e = &entry{}
-		b.entries[w] = e
+		b.entries = slices.Insert(b.entries, i, entry{word: w})
 		b.load++ // the word unit
 	}
+	e := &b.entries[i]
 	if s.trackPostings {
-		if e.list == nil {
-			e.list = list.Clone()
-		} else if err := e.list.Append(list); err != nil {
+		// A new list, never an append to the stored one: clones share it.
+		joined, err := postings.Concat(e.list, list)
+		if err != nil {
 			return nil, fmt.Errorf("bucket: word %d: %w", w, err)
 		}
+		e.list = joined
 	}
 	e.count += count
 	b.load += count
-	b.dirty = true
-	idx := s.Hash(w)
 	s.notify(idx)
 
 	var evicted []Evicted
@@ -224,30 +258,31 @@ func (s *Set) Add(w postings.WordID, count int, list *postings.List) ([]Evicted,
 
 // evictLongest removes the longest short list from b ("we then pick the
 // longest short list ... remove it, and make it a long list"; ties broken
-// arbitrarily — here by lowest word id for determinism).
+// arbitrarily — here by lowest word id for determinism). b must be owned:
+// Add, its only caller, owns it before inserting.
 func (s *Set) evictLongest(b *bucketState) Evicted {
-	var victim postings.WordID
-	best := -1
-	for w, e := range b.entries {
-		if e.count > best || (e.count == best && w < victim) {
-			victim, best = w, e.count
+	victim := 0
+	for i, e := range b.entries {
+		// Entries ascend by word, so the first longest is the lowest id.
+		if e.count > b.entries[victim].count {
+			victim = i
 		}
 	}
 	e := b.entries[victim]
-	delete(b.entries, victim)
+	b.entries = slices.Delete(b.entries, victim, victim+1)
 	b.load -= e.count + 1
-	b.dirty = true
-	return Evicted{Word: victim, Count: e.count, List: e.list}
+	return Evicted{Word: e.word, Count: e.count, List: e.list}
 }
 
 // Remove deletes w's short list outright (used by the deletion sweep).
 func (s *Set) Remove(w postings.WordID) {
-	b := &s.buckets[s.Hash(w)]
-	if e, ok := b.entries[w]; ok {
-		delete(b.entries, w)
-		b.load -= e.count + 1
-		b.dirty = true
-		s.notify(s.Hash(w))
+	idx := s.Hash(w)
+	b := &s.buckets[idx]
+	if i, ok := b.find(w); ok {
+		b.own()
+		b.load -= b.entries[i].count + 1
+		b.entries = slices.Delete(b.entries, i, i+1)
+		s.notify(idx)
 	}
 }
 
@@ -258,70 +293,44 @@ func (s *Set) ReplaceList(w postings.WordID, list *postings.List) error {
 		return fmt.Errorf("bucket: ReplaceList in count-only mode")
 	}
 	b := &s.buckets[s.Hash(w)]
-	e, ok := b.entries[w]
+	i, ok := b.find(w)
 	if !ok {
 		return fmt.Errorf("bucket: ReplaceList of absent word %d", w)
 	}
-	if list.Len() > e.count {
-		return fmt.Errorf("bucket: ReplaceList grew list %d: %d > %d", w, list.Len(), e.count)
+	if list.Len() > b.entries[i].count {
+		return fmt.Errorf("bucket: ReplaceList grew list %d: %d > %d", w, list.Len(), b.entries[i].count)
 	}
+	b.own()
+	e := &b.entries[i]
 	b.load -= e.count - list.Len()
 	e.count = list.Len()
 	e.list = list.Clone()
 	if e.count == 0 {
-		delete(b.entries, w)
+		b.entries = slices.Delete(b.entries, i, i+1)
 		b.load--
 	}
-	b.dirty = true
 	return nil
 }
 
-// Clone returns a deep copy of the bucket set (posting lists included, in
-// tracking mode). The copy shares no mutable state with the original; the
-// engine publishes one as the short-list half of its flush snapshot so
-// queries keep reading pre-flush state while the live set absorbs a batch.
-// The observer is not copied.
+// Clone returns a copy of the bucket set that evolves independently of the
+// original; the engine publishes one as the short-list half of its flush
+// snapshot so queries keep reading pre-flush state while the live set
+// absorbs a batch. It copies only the bucket headers, so it costs
+// O(buckets) and allocates the same however many postings the set holds:
+// both sets share every bucket's entries and (immutable) lists, and the
+// first write to a bucket on either side copies that bucket's entry slice.
+// Clone marks s's buckets shared, so it must not run concurrently with
+// other calls on s. The observer is not copied.
 func (s *Set) Clone() *Set {
-	c := &Set{
+	for i := range s.buckets {
+		s.buckets[i].shared = true
+	}
+	return &Set{
 		numBuckets:    s.numBuckets,
 		bucketSize:    s.bucketSize,
 		trackPostings: s.trackPostings,
-		buckets:       make([]bucketState, len(s.buckets)),
+		buckets:       slices.Clone(s.buckets),
 		changes:       s.changes,
-	}
-	for i := range s.buckets {
-		b := &s.buckets[i]
-		nb := &c.buckets[i]
-		nb.load = b.load
-		nb.dirty = b.dirty
-		nb.entries = make(map[postings.WordID]*entry, len(b.entries))
-		for w, e := range b.entries {
-			ne := &entry{count: e.count}
-			if e.list != nil {
-				ne.list = e.list.Clone()
-			}
-			nb.entries[w] = ne
-		}
-	}
-	return c
-}
-
-// DirtyBuckets returns the indexes of buckets modified since the last
-// ClearDirty, in ascending order.
-func (s *Set) DirtyBuckets() []int {
-	var out []int
-	for i := range s.buckets {
-		if s.buckets[i].dirty {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ClearDirty marks all buckets clean (after a flush).
-func (s *Set) ClearDirty() {
-	for i := range s.buckets {
-		s.buckets[i].dirty = false
 	}
 }
 
@@ -332,9 +341,8 @@ func (s *Set) ClearDirty() {
 func (s *Set) EncodeBucket(i int, dst []byte) []byte {
 	b := &s.buckets[i]
 	dst = binary.AppendUvarint(dst, uint64(len(b.entries)))
-	for _, w := range sortedWords(b.entries) {
-		e := b.entries[w]
-		dst = binary.AppendUvarint(dst, uint64(w))
+	for _, e := range b.entries {
+		dst = binary.AppendUvarint(dst, uint64(e.word))
 		if s.trackPostings {
 			dst = postings.Encode(dst, e.list)
 		} else {
@@ -345,9 +353,11 @@ func (s *Set) EncodeBucket(i int, dst []byte) []byte {
 }
 
 // DecodeBucket replaces bucket i's contents from an EncodeBucket image and
-// returns the bytes consumed.
+// returns the bytes consumed. An image whose word ids do not strictly
+// ascend, or whose words do not hash to bucket i, is corrupt. On error the
+// bucket is left as it was.
 func (s *Set) DecodeBucket(i int, buf []byte) (int, error) {
-	n, off := binary.Uvarint(buf)
+	n, off := postings.Uvarint(buf)
 	if off <= 0 {
 		return 0, fmt.Errorf("bucket: corrupt bucket %d header", i)
 	}
@@ -356,44 +366,41 @@ func (s *Set) DecodeBucket(i int, buf []byte) (int, error) {
 	if n > uint64(len(buf)-off)/2 {
 		return 0, fmt.Errorf("bucket: bucket %d count %d exceeds its %d-byte image", i, n, len(buf)-off)
 	}
-	b := &s.buckets[i]
-	b.entries = make(map[postings.WordID]*entry, n)
-	b.load = 0
+	entries := make([]entry, 0, n)
+	load := 0
 	for j := uint64(0); j < n; j++ {
-		w, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
+		id, k := postings.Uvarint(buf[off:])
+		if k <= 0 || id > uint64(^postings.WordID(0)) {
 			return 0, fmt.Errorf("bucket: corrupt word id in bucket %d", i)
 		}
 		off += k
-		e := &entry{}
+		e := entry{word: postings.WordID(id)}
+		if j > 0 && e.word <= entries[j-1].word {
+			return 0, fmt.Errorf("bucket: bucket %d word %d does not follow word %d", i, e.word, entries[j-1].word)
+		}
+		if s.Hash(e.word) != i {
+			return 0, fmt.Errorf("bucket: word %d in bucket %d hashes to bucket %d", e.word, i, s.Hash(e.word))
+		}
 		if s.trackPostings {
 			list, k, err := postings.Decode(buf[off:])
 			if err != nil {
-				return 0, fmt.Errorf("bucket: bucket %d word %d: %w", i, w, err)
+				return 0, fmt.Errorf("bucket: bucket %d word %d: %w", i, e.word, err)
 			}
 			off += k
 			e.list = list
 			e.count = list.Len()
 		} else {
-			c, k := binary.Uvarint(buf[off:])
+			c, k := postings.Uvarint(buf[off:])
 			if k <= 0 {
 				return 0, fmt.Errorf("bucket: corrupt count in bucket %d", i)
 			}
 			off += k
 			e.count = int(c)
 		}
-		b.entries[postings.WordID(w)] = e
-		b.load += e.count + 1
+		entries = append(entries, e)
+		load += e.count + 1
 	}
-	b.dirty = false
+	// A fresh slice replaces the old one, so a clone sharing it is unharmed.
+	s.buckets[i] = bucketState{entries: entries, load: load}
 	return off, nil
-}
-
-func sortedWords(m map[postings.WordID]*entry) []postings.WordID {
-	out := make([]postings.WordID, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	slices.Sort(out)
-	return out
 }

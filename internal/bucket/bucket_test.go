@@ -2,7 +2,9 @@ package bucket
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -208,24 +210,6 @@ func TestRemoveAndReplace(t *testing.T) {
 	}
 }
 
-func TestDirtyTracking(t *testing.T) {
-	s := newSet(t, 8, 100)
-	if len(s.DirtyBuckets()) != 0 {
-		t.Fatal("new set dirty")
-	}
-	s.Add(3, 1, nil)
-	s.Add(11, 1, nil) // same bucket (3 mod 8)
-	s.Add(4, 1, nil)
-	d := s.DirtyBuckets()
-	if len(d) != 2 || d[0] != 3 || d[1] != 4 {
-		t.Fatalf("DirtyBuckets = %v", d)
-	}
-	s.ClearDirty()
-	if len(s.DirtyBuckets()) != 0 {
-		t.Fatal("ClearDirty left dirt")
-	}
-}
-
 func TestEncodeDecodeBucketCountOnly(t *testing.T) {
 	s := newSet(t, 2, 1000)
 	s.Add(0, 5, nil)
@@ -278,6 +262,168 @@ func TestDecodeBucketCorrupt(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<60)
 	if _, err := s.DecodeBucket(0, append(huge, 1, 1)); err == nil {
 		t.Error("entry count 2^60 accepted")
+	}
+}
+
+func TestDecodeBucketRejectsDisorder(t *testing.T) {
+	image := func(words ...uint64) []byte {
+		buf := binary.AppendUvarint(nil, uint64(len(words)))
+		for _, w := range words {
+			buf = binary.AppendUvarint(buf, w)
+			buf = binary.AppendUvarint(buf, 1)
+		}
+		return buf
+	}
+	s := newSet(t, 2, 100)
+	if _, err := s.DecodeBucket(0, image(2, 4, 6)); err != nil {
+		t.Fatalf("ascending image refused: %v", err)
+	}
+	for name, buf := range map[string][]byte{
+		"duplicate":  image(2, 4, 4),
+		"descending": image(4, 2),
+		"misplaced":  image(2, 3),
+		"too wide":   image(2, 1<<32),
+		"overlong":   {1, 0x82, 0x00, 1}, // word 2 in two bytes
+	} {
+		if _, err := s.DecodeBucket(0, buf); err == nil {
+			t.Errorf("%s image accepted", name)
+		}
+	}
+	// A refused image leaves the bucket as it was.
+	if s.WordsIn(0) != 3 || !s.Contains(4) || s.Load(0) != 6 {
+		t.Fatalf("refused image changed bucket 0: words=%d load=%d", s.WordsIn(0), s.Load(0))
+	}
+}
+
+// setState is everything a reader can observe of a set: per-word presence,
+// count and postings over a range of words, and every bucket's image.
+type setState struct {
+	contains []bool
+	counts   []int
+	docs     [][]postings.DocID
+	images   [][]byte
+}
+
+func stateOf(s *Set, words int) setState {
+	var st setState
+	for w := postings.WordID(0); w < postings.WordID(words); w++ {
+		st.contains = append(st.contains, s.Contains(w))
+		st.counts = append(st.counts, s.Count(w))
+		st.docs = append(st.docs, s.List(w).Docs())
+	}
+	for i := 0; i < s.NumBuckets(); i++ {
+		st.images = append(st.images, s.EncodeBucket(i, nil))
+	}
+	return st
+}
+
+// TestCloneIsolation pins Clone's copy-on-write contract: every kind of
+// write to one side of a clone leaves the other side's observable state
+// exactly as it was, whichever side is written.
+func TestCloneIsolation(t *testing.T) {
+	const words = 40
+	build := func() *Set {
+		s, err := NewSet(Config{NumBuckets: 4, BucketSize: 60, TrackPostings: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := postings.WordID(0); w < 24; w++ {
+			if _, err := s.Add(w, 2, postings.FromDocs([]postings.DocID{1, postings.DocID(2 + w)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	// Bucket 2's image, as another set holds it, for DecodeBucket below.
+	other := build()
+	if err := other.ReplaceList(2, postings.FromDocs([]postings.DocID{1})); err != nil {
+		t.Fatal(err)
+	}
+	otherImage := other.EncodeBucket(2, nil)
+
+	mutate := func(t *testing.T, s *Set) {
+		t.Helper()
+		steps := []struct {
+			name string
+			fn   func() error
+		}{
+			{"append to an existing word", func() error {
+				_, err := s.Add(4, 2, postings.FromDocs([]postings.DocID{100, 101}))
+				return err
+			}},
+			{"insert a new word", func() error {
+				_, err := s.Add(29, 1, postings.FromDocs([]postings.DocID{100}))
+				return err
+			}},
+			{"evict", func() error {
+				ev, err := s.Add(1, 50, postings.FromDocs(seqDocs(100, 50)))
+				if err == nil && len(ev) == 0 {
+					err = fmt.Errorf("no eviction")
+				}
+				return err
+			}},
+			{"remove", func() error {
+				s.Remove(3)
+				return nil
+			}},
+			{"replace a list", func() error {
+				return s.ReplaceList(8, postings.FromDocs([]postings.DocID{1}))
+			}},
+			{"decode a bucket", func() error {
+				_, err := s.DecodeBucket(2, otherImage)
+				return err
+			}},
+		}
+		for _, st := range steps {
+			before := stateOf(s, words)
+			if err := st.fn(); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			if reflect.DeepEqual(before, stateOf(s, words)) {
+				t.Fatalf("%s changed nothing", st.name)
+			}
+		}
+	}
+
+	t.Run("write original", func(t *testing.T) {
+		s := build()
+		c := s.Clone()
+		want := stateOf(c, words)
+		mutate(t, s)
+		if got := stateOf(c, words); !reflect.DeepEqual(got, want) {
+			t.Fatalf("writes to the original changed the clone:\n got %+v\nwant %+v", got, want)
+		}
+	})
+	t.Run("write clone", func(t *testing.T) {
+		s := build()
+		want := stateOf(s, words)
+		c := s.Clone()
+		mutate(t, c)
+		if got := stateOf(s, words); !reflect.DeepEqual(got, want) {
+			t.Fatalf("writes to the clone changed the original:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// TestCloneAllocsFlat gates Clone's cost: it copies bucket headers, not
+// postings, so a set holding 100 times the postings clones with the same
+// allocations.
+func TestCloneAllocsFlat(t *testing.T) {
+	allocs := func(postingsPerWord int) float64 {
+		s, err := NewSet(Config{NumBuckets: 256, BucketSize: 2000, TrackPostings: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := postings.WordID(0); w < 100; w++ {
+			if _, err := s.Add(w, postingsPerWord, postings.FromDocs(seqDocs(1, postingsPerWord))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(100, func() { s.Clone() })
+	}
+	small, large := allocs(10), allocs(1000) // 1 k and 100 k postings
+	if small != large {
+		t.Fatalf("Clone allocates %v times at 1 k postings but %v at 100 k", small, large)
 	}
 }
 

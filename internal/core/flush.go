@@ -65,7 +65,6 @@ func (ix *Index) flush(st *UpdateStats) error {
 	// "In the case of the whole strategy, the old long lists on the RELEASE
 	// list are returned to free space."
 	ix.long.EndBatch()
-	ix.buckets.ClearDirty()
 	if err := ix.array.Sync(); err != nil {
 		return err
 	}

@@ -9,9 +9,11 @@ import (
 )
 
 // Snapshot is an immutable view of the index's searchable state, taken at a
-// batch boundary. It deep-copies the directory, the buckets and the
-// deleted-document filter, so queries can keep reading it while ApplyUpdate
-// mutates the live structures — the engine's search-during-flush scheme.
+// batch boundary. It deep-copies the directory and the deleted-document
+// filter and takes a copy-on-write clone of the buckets (bucket.Set.Clone:
+// O(buckets), sharing the immutable short lists), so queries can keep
+// reading it while ApplyUpdate mutates the live structures — the engine's
+// search-during-flush scheme.
 //
 // Long-list reads go to disk through the chunk references captured in the
 // snapshot. They stay valid for the duration of exactly one batch update:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // The on-disk encoding delta-compresses document identifiers and writes both
@@ -52,10 +53,22 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// Uvarint decodes an unsigned varint like binary.Uvarint, and also refuses
+// (n <= 0) a non-minimal encoding: a multi-byte varint whose last byte is
+// zero. Every value it accepts re-encodes to exactly the bytes it read.
+func Uvarint(buf []byte) (uint64, int) {
+	v, n := binary.Uvarint(buf)
+	if n > 1 && buf[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
+}
+
 // Decode decodes one encoded list from buf and returns the list and the
-// number of bytes consumed.
+// number of bytes consumed. It accepts exactly what Encode produces, so a
+// decoded list re-encodes to the bytes consumed.
 func Decode(buf []byte) (*List, int, error) {
-	count, n := binary.Uvarint(buf)
+	count, n := Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
@@ -66,16 +79,28 @@ func Decode(buf []byte) (*List, int, error) {
 	if count > uint64(len(buf)-off)/2 {
 		return nil, 0, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, count, len(buf)-off)
 	}
-	l := &List{ps: make([]Posting, 0, count)}
+	ps := make([]Posting, count)
 	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		gap, n := binary.Uvarint(buf[off:])
+	for i := range ps {
+		// Most varints here are one byte (nearly every frequency, and the
+		// gaps of dense lists): take those without the general decoder.
+		gap, n := uint64(0), 1
+		if off < len(buf) && buf[off] < 0x80 {
+			gap = uint64(buf[off])
+		} else {
+			gap, n = Uvarint(buf[off:])
+		}
 		if n <= 0 || gap == 0 {
 			return nil, 0, fmt.Errorf("%w: bad gap at posting %d", ErrCorrupt, i)
 		}
 		off += n
-		freq, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
+		freq, n := uint64(0), 1
+		if off < len(buf) && buf[off] < 0x80 {
+			freq = uint64(buf[off])
+		} else {
+			freq, n = Uvarint(buf[off:])
+		}
+		if n <= 0 || freq > math.MaxUint32 {
 			return nil, 0, fmt.Errorf("%w: bad freq at posting %d", ErrCorrupt, i)
 		}
 		off += n
@@ -83,8 +108,8 @@ func Decode(buf []byte) (*List, int, error) {
 		if doc > uint64(^DocID(0)) {
 			return nil, 0, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
 		}
-		l.ps = append(l.ps, Posting{Doc: DocID(doc), Freq: uint32(freq)})
+		ps[i] = Posting{Doc: DocID(doc), Freq: uint32(freq)}
 		prev = doc + 1
 	}
-	return l, off, nil
+	return &List{ps: ps}, off, nil
 }

@@ -140,6 +140,18 @@ func (l *List) Append(m *List) error {
 	return nil
 }
 
+// Concat returns a new list holding the postings of l followed by those of
+// m, leaving both untouched. Like Append, every document identifier in m
+// must exceed l.MaxDoc(). Either list may be nil.
+func Concat(l, m *List) (*List, error) {
+	if l.Len() > 0 && m.Len() > 0 && m.ps[0].Doc <= l.MaxDoc() {
+		return nil, fmt.Errorf("%w: have max %d, got %d", ErrAppendOrder, l.MaxDoc(), m.ps[0].Doc)
+	}
+	ps := make([]Posting, 0, l.Len()+m.Len())
+	ps = append(ps, l.Postings()...)
+	return &List{ps: append(ps, m.Postings()...)}, nil
+}
+
 // Push appends one posting in place, keeping the ascending-identifier
 // invariant: doc must be at least MaxDoc(). Pushing the current tail
 // document again accumulates its frequency, so a tokenized document can be

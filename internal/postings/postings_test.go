@@ -1,6 +1,8 @@
 package postings
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -92,6 +94,43 @@ func TestAppendEmpty(t *testing.T) {
 	}
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d", l.Len())
+	}
+}
+
+func TestConcatLeavesInputsUntouched(t *testing.T) {
+	a, b := mustList(t, 1, 2, 3), mustList(t, 4, 5)
+	c, err := Concat(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(c, mustList(t, 1, 2, 3, 4, 5)) {
+		t.Fatalf("Concat = %v", c.Docs())
+	}
+	if !Equal(a, mustList(t, 1, 2, 3)) || !Equal(b, mustList(t, 4, 5)) {
+		t.Fatalf("Concat mutated its inputs: %v, %v", a.Docs(), b.Docs())
+	}
+	if c, err := Concat(nil, b); err != nil || !Equal(c, b) || &c.Postings()[0] == &b.Postings()[0] {
+		t.Fatalf("Concat(nil, b) = %v, %v; want a copy of b", c.Docs(), err)
+	}
+	if _, err := Concat(a, mustList(t, 3, 4)); !errors.Is(err, ErrAppendOrder) {
+		t.Fatalf("overlapping Concat err = %v, want ErrAppendOrder", err)
+	}
+}
+
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	valid := Encode(nil, mustList(t, 5, 9))
+	if l, n, err := Decode(valid); err != nil || n != len(valid) || !Equal(l, mustList(t, 5, 9)) {
+		t.Fatalf("Decode(%x) = %v, %d, %v", valid, l.Docs(), n, err)
+	}
+	for name, buf := range map[string][]byte{
+		"overlong count": {0x81, 0x00, 6, 1},
+		"overlong gap":   {1, 0x86, 0x00, 1},
+		"overlong freq":  {1, 6, 0x81, 0x00},
+		"freq over 2^32": binary.AppendUvarint([]byte{1, 6}, 1<<32),
+	} {
+		if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode(%x) err = %v, want ErrCorrupt", name, buf, err)
+		}
 	}
 }
 

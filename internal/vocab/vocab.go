@@ -92,22 +92,19 @@ func (v *Vocab) Word(id postings.WordID) (string, bool) {
 	return v.words[id], true
 }
 
-// WriteTo serialises the vocabulary as one word per line, in identifier
-// order. Words never contain newlines (the lexer admits only [a-z0-9]).
+// WriteTo serialises the vocabulary as a header line holding the word
+// count, then one word per line, in identifier order. Words never contain
+// newlines (the lexer admits only [a-z0-9]).
 func (v *Vocab) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var n int64
-	k, err := fmt.Fprintf(bw, "%d\n", len(v.words))
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
+	bw.WriteString(strconv.Itoa(len(v.words)))
+	bw.WriteByte('\n')
+	n := int64(bw.Buffered())
 	for _, word := range v.words {
-		k, err := fmt.Fprintln(bw, word)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
+		// A bufio.Writer keeps its first error and reports it from Flush.
+		bw.WriteString(word)
+		bw.WriteByte('\n')
+		n += int64(len(word)) + 1
 	}
 	return n, bw.Flush()
 }

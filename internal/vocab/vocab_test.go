@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"dualindex/internal/postings"
 )
 
 func TestAssignAndLookup(t *testing.T) {
@@ -66,6 +68,41 @@ func TestSerializationRoundtrip(t *testing.T) {
 		if !ok || a != b {
 			t.Errorf("word %q: %d vs %d (ok=%v)", w, a, b, ok)
 		}
+	}
+}
+
+// TestWriteToBytes pins the on-disk format: a header line with the word
+// count, then one word per line in identifier order.
+func TestWriteToBytes(t *testing.T) {
+	v := New()
+	for _, w := range []string{"cat", "dog", "mouse", "42"} {
+		v.GetOrAssign(w)
+	}
+	var buf bytes.Buffer
+	n, err := v.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "4\ncat\ndog\nmouse\n42\n"
+	if buf.String() != want {
+		t.Fatalf("WriteTo wrote %q, want %q", buf.String(), want)
+	}
+	if n != int64(len(want)) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(want))
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []string{"cat", "dog", "mouse", "42"} {
+		if word, ok := got.Word(postings.WordID(i)); !ok || word != w {
+			t.Errorf("word %d = %q (ok=%v), want %q", i, word, ok, w)
+		}
+	}
+
+	buf.Reset()
+	if _, err := New().WriteTo(&buf); err != nil || buf.String() != "0\n" {
+		t.Fatalf("empty vocabulary wrote %q, %v; want \"0\\n\"", buf.String(), err)
 	}
 }
 

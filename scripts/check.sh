@@ -79,3 +79,6 @@ go test -run '^FuzzMatchText$' -fuzz '^FuzzMatchText$' -fuzztime 5s ./internal/q
 # So does the checkpoint root every Open trusts: arbitrary superblock images
 # must open or be refused with an error, never panic.
 go test -run '^FuzzSuperblock$' -fuzz '^FuzzSuperblock$' -fuzztime 5s ./internal/core/
+# Bucket images are read back on every open: arbitrary bytes must decode or
+# be refused, and what decodes must re-encode to exactly the bytes consumed.
+go test -run '^FuzzDecodeBucket$' -fuzz '^FuzzDecodeBucket$' -fuzztime 5s ./internal/bucket/
