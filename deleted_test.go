@@ -1,0 +1,121 @@
+package dualindex
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// deletionAnswers collects what deletions must decide: the boolean answer
+// of every vocabulary word and a few combinations, two phrase answers, and
+// which documents the store still returns.
+func deletionAnswers(t *testing.T, eng *Engine, texts []string) []string {
+	t.Helper()
+	var out []string
+	queries := []string{"waa and wab", "wac or wad", "waa and not wab"}
+	for i := 0; i < 25; i++ {
+		queries = append(queries, synthWord(i))
+	}
+	for _, q := range queries {
+		docs, err := eng.SearchBoolean(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%s: %v", q, docs))
+	}
+	for _, text := range []string{texts[3], texts[len(texts)-2]} {
+		phrase := strings.Join(strings.Fields(text)[:2], " ")
+		docs, err := eng.SearchPhrase(phrase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%q: %v", phrase, docs))
+	}
+	for id := DocID(1); int(id) <= len(texts); id++ {
+		_, ok, err := eng.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("doc %d: %v", id, ok))
+	}
+	return out
+}
+
+// TestRandomOrderDeletesSurviveSweepAndReopen deletes flushed and
+// still-pending documents in random order, then sweeps, closes and reopens:
+// every answer must stay the pre-sweep filtered answer. A pending document's
+// deletion must outlive the sweep, which cannot reclaim postings that have
+// not reached the index yet, and hold once its batch is flushed.
+func TestRandomOrderDeletesSurviveSweepAndReopen(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts(shards)
+			opts.Dir = t.TempDir()
+			opts.KeepDocuments = true
+			eng, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts := synthTexts(41, 120, 25, 12)
+			buildCorpus(t, eng, texts[:50])
+			buildCorpus(t, eng, texts[50:90])
+			for _, text := range texts[90:] {
+				eng.AddDocument(text) // documents 91..120 stay pending
+			}
+			r := rand.New(rand.NewSource(17))
+			victims := r.Perm(len(texts))[:40]
+			if !slices.ContainsFunc(victims, func(i int) bool { return i >= 90 }) {
+				t.Fatal("no pending document among the victims")
+			}
+			for _, i := range victims {
+				eng.Delete(DocID(i + 1))
+			}
+			eng.Delete(DocID(victims[0] + 1)) // deleting twice is a no-op
+			want := deletionAnswers(t, eng, texts)
+			for _, i := range victims {
+				if !slices.Contains(want, fmt.Sprintf("doc %d: false", i+1)) {
+					t.Fatalf("deleted document %d still served", i+1)
+				}
+			}
+
+			same := func(stage string, eng *Engine) {
+				t.Helper()
+				got := deletionAnswers(t, eng, texts)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: %s, want %s", stage, got[i], want[i])
+					}
+				}
+				if err := eng.CheckConsistency(); err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+			}
+			if err := eng.Sweep(); err != nil {
+				t.Fatal(err)
+			}
+			same("after sweep", eng)
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			same("after reopen", re)
+			if _, err := re.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			same("after flushing the pending documents", re)
+			if err := re.Sweep(); err != nil {
+				t.Fatal(err)
+			}
+			same("after the second sweep", re)
+			if n := re.Stats().Deleted; n != 0 {
+				t.Fatalf("%d deletions left after the second sweep", n)
+			}
+		})
+	}
+}

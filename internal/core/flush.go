@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 	"time"
 
 	"dualindex/internal/disk"
@@ -215,15 +215,10 @@ func appendRegion(b []byte, rs []regionChunk) []byte {
 	return b
 }
 
-// encodeDocSet serialises a document-identifier set (sorted, delta-coded).
-func encodeDocSet(set map[postings.DocID]bool) []byte {
-	docs := make([]postings.DocID, 0, len(set))
-	for d := range set {
-		docs = append(docs, d)
-	}
-	slices.Sort(docs)
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(docs)))
+// encodeDocSet serialises the sorted deleted-document list: a count, then
+// the identifiers delta-coded, every gap a varint of at least 1.
+func encodeDocSet(docs []postings.DocID) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(docs)))
 	prev := uint64(0)
 	for _, d := range docs {
 		b = binary.AppendUvarint(b, uint64(d)-prev)
@@ -232,8 +227,15 @@ func encodeDocSet(set map[postings.DocID]bool) []byte {
 	return b
 }
 
-func decodeDocSet(buf []byte) (map[postings.DocID]bool, error) {
-	n, off := binary.Uvarint(buf)
+// decodeDocSet parses an encodeDocSet image, which may be followed by block
+// padding. It refuses any image encodeDocSet cannot produce — a zero gap
+// after the first identifier (a duplicate), an identifier beyond the 32-bit
+// DocID range, an overlong varint — so a decoded list is sorted and
+// duplicate-free and re-encodes to exactly the bytes it was read from. The
+// first identifier is coded as itself and may be 0: the engine numbers
+// documents from 1, but a core index accepts document 0.
+func decodeDocSet(buf []byte) ([]postings.DocID, error) {
+	n, off := postings.Uvarint(buf)
 	if off <= 0 {
 		return nil, fmt.Errorf("core: corrupt deleted list header")
 	}
@@ -242,16 +244,22 @@ func decodeDocSet(buf []byte) (map[postings.DocID]bool, error) {
 	if n > uint64(len(buf)-off) {
 		return nil, fmt.Errorf("core: deleted list count %d exceeds its %d-byte image", n, len(buf)-off)
 	}
-	set := make(map[postings.DocID]bool, n)
+	docs := make([]postings.DocID, 0, n)
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		gap, k := binary.Uvarint(buf[off:])
+		gap, k := postings.Uvarint(buf[off:])
 		if k <= 0 {
 			return nil, fmt.Errorf("core: corrupt deleted list at %d", i)
 		}
+		if gap == 0 && i > 0 {
+			return nil, fmt.Errorf("core: deleted list repeats identifier %d at %d", prev, i)
+		}
+		if gap > math.MaxUint32-prev {
+			return nil, fmt.Errorf("core: deleted list identifier at %d exceeds the 32-bit range", i)
+		}
 		off += k
 		prev += gap
-		set[postings.DocID(prev)] = true
+		docs = append(docs, postings.DocID(prev))
 	}
-	return set, nil
+	return docs, nil
 }

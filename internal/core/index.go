@@ -84,7 +84,12 @@ type Index struct {
 	dirRegion    []regionChunk
 	delRegion    []regionChunk
 
-	deleted map[postings.DocID]bool
+	// deleted is the paper's "list of deleted document identifiers",
+	// sorted ascending. A Snapshot shares it; deletedShared then makes the
+	// next Delete copy it before writing, so the snapshot's view never
+	// changes (the rule bucket.Set.Clone applies to buckets).
+	deleted       []postings.DocID
+	deletedShared bool
 
 	// maxDoc is the high-water document identifier: the largest one any
 	// applied update carried. Checkpointed in the superblock, it survives
@@ -177,7 +182,6 @@ func New(cfg Config) (*Index, error) {
 		buckets: bs,
 		dir:     dir,
 		long:    long,
-		deleted: make(map[postings.DocID]bool),
 	}, nil
 }
 

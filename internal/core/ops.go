@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"dualindex/internal/postings"
 )
@@ -71,37 +73,63 @@ func (ix *Index) GetList(w postings.WordID) (*postings.List, error) {
 	if ix.cfg.Store == nil {
 		return nil, fmt.Errorf("core: GetList requires a data store")
 	}
-	var raw *postings.List
 	switch ix.Lookup(w) {
 	case SourceLong:
 		l, _, err := ix.long.ReadList(w)
 		if err != nil {
 			return nil, err
 		}
-		raw = l
+		kept, _ := l.Without(ix.deleted) // freshly decoded: no one else holds it
+		return kept, nil
 	case SourceBucket:
-		raw = ix.buckets.List(w)
-		if len(ix.deleted) == 0 {
-			return raw.Clone(), nil // buckets.List returns the bucket's storage
-		}
-	default:
-		return &postings.List{}, nil
+		return bucketListWithout(ix.buckets.List(w), ix.deleted), nil
 	}
-	if len(ix.deleted) == 0 {
-		return raw, nil // freshly decoded: no one else holds it
+	return &postings.List{}, nil
+}
+
+// bucketListWithout filters a short list through the deleted list. The
+// bucket's storage is shared, so when nothing is dropped the result is a
+// copy rather than the list itself.
+func bucketListWithout(l *postings.List, deleted []postings.DocID) *postings.List {
+	if kept, dropped := l.Without(deleted); dropped > 0 {
+		return kept
 	}
-	return raw.Filter(func(d postings.DocID) bool { return ix.deleted[d] }), nil
+	return l.Clone()
 }
 
 // Delete marks a document deleted. The document disappears from query
 // answers immediately; its postings are physically reclaimed by Sweep.
-func (ix *Index) Delete(doc postings.DocID) { ix.deleted[doc] = true }
+// Deletes usually arrive oldest-first, so the common case appends.
+func (ix *Index) Delete(doc postings.DocID) {
+	i, found := len(ix.deleted), false
+	if i > 0 && doc <= ix.deleted[i-1] {
+		i, found = slices.BinarySearch(ix.deleted, doc)
+	}
+	if found {
+		return
+	}
+	if ix.deletedShared {
+		ix.deleted = append(make([]postings.DocID, 0, len(ix.deleted)+1), ix.deleted...)
+		ix.deletedShared = false
+	}
+	ix.deleted = slices.Insert(ix.deleted, i, doc)
+}
 
 // IsDeleted reports whether doc is marked deleted.
-func (ix *Index) IsDeleted(doc postings.DocID) bool { return ix.deleted[doc] }
+func (ix *Index) IsDeleted(doc postings.DocID) bool { return isDeleted(ix.deleted, doc) }
+
+func isDeleted(deleted []postings.DocID, doc postings.DocID) bool {
+	_, found := slices.BinarySearch(deleted, doc)
+	return found
+}
 
 // DeletedCount reports how many documents are marked deleted.
 func (ix *Index) DeletedCount() int { return len(ix.deleted) }
+
+// Deleted returns the sorted deleted-document list, the argument of
+// postings.List.Without. It is read-only, and valid until the next Delete,
+// which may grow it in place; Sweep replaces it without writing to it.
+func (ix *Index) Deleted() []postings.DocID { return ix.deleted }
 
 // Sweep physically removes the postings of deleted documents, the paper's
 // background reclamation ("a background process sweeps the lists in the
@@ -109,6 +137,11 @@ func (ix *Index) DeletedCount() int { return len(ix.deleted) }
 // the index, the list of deleted document identifiers can be thrown away").
 // It requires a data store. The rewrite of each long list follows the
 // index's allocation policy; the flush at the end checkpoints the result.
+//
+// Only the identifiers up to the high-water mark are thrown away. One
+// above it names a document no update has applied yet — the engine's
+// pending tier — so it stays listed, and filters that document's postings
+// once they arrive, until a later sweep reclaims them.
 func (ix *Index) Sweep() error {
 	if len(ix.deleted) == 0 {
 		return nil
@@ -116,15 +149,18 @@ func (ix *Index) Sweep() error {
 	if ix.cfg.Store == nil {
 		return fmt.Errorf("core: Sweep requires a data store")
 	}
-	reject := func(d postings.DocID) bool { return ix.deleted[d] }
-
+	cut := sort.Search(len(ix.deleted), func(i int) bool { return ix.deleted[i] > ix.maxDoc })
+	if cut == 0 {
+		return nil
+	}
+	swept := ix.deleted[:cut]
 	for _, w := range ix.dir.Words() {
 		list, _, err := ix.long.ReadList(w)
 		if err != nil {
 			return err
 		}
-		kept := list.Filter(reject)
-		if kept.Len() == list.Len() {
+		kept, dropped := list.Without(swept)
+		if dropped == 0 {
 			continue
 		}
 		if err := ix.long.Rewrite(w, int64(kept.Len()), kept); err != nil {
@@ -138,9 +174,8 @@ func (ix *Index) Sweep() error {
 		toReplace = append(toReplace, w)
 	})
 	for _, w := range toReplace {
-		list := ix.buckets.List(w)
-		kept := list.Filter(reject)
-		if kept.Len() == list.Len() {
+		kept, dropped := ix.buckets.List(w).Without(swept)
+		if dropped == 0 {
 			continue
 		}
 		if err := ix.buckets.ReplaceList(w, kept); err != nil && sweepErr == nil {
@@ -150,6 +185,8 @@ func (ix *Index) Sweep() error {
 	if sweepErr != nil {
 		return sweepErr
 	}
-	ix.deleted = make(map[postings.DocID]bool)
+	// A fresh slice for the unapplied rest: the swept prefix may still be
+	// read through a Snapshot or by the caller.
+	ix.deleted, ix.deletedShared = slices.Clone(ix.deleted[cut:]), false
 	return ix.flush(nil)
 }

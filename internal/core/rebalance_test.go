@@ -234,7 +234,7 @@ func TestRestartAfterSweep(t *testing.T) {
 		t.Fatalf("post-sweep restart fsck: %v", err)
 	}
 	for w, docs := range ref {
-		want := postings.FromDocs(docs).Filter(func(d postings.DocID) bool { return d == victim })
+		want, _ := postings.FromDocs(docs).Without([]postings.DocID{victim})
 		got, err := re.GetList(w)
 		if err != nil {
 			t.Fatal(err)

@@ -9,11 +9,12 @@ import (
 )
 
 // Snapshot is an immutable view of the index's searchable state, taken at a
-// batch boundary. It deep-copies the directory and the deleted-document
-// filter and takes a copy-on-write clone of the buckets (bucket.Set.Clone:
-// O(buckets), sharing the immutable short lists), so queries can keep
-// reading it while ApplyUpdate mutates the live structures — the engine's
-// search-during-flush scheme.
+// batch boundary. It deep-copies the directory, shares the sorted
+// deleted-document list copy-on-write (the index's next Delete copies it
+// before writing), and takes a copy-on-write clone of the buckets
+// (bucket.Set.Clone: O(buckets), sharing the immutable short lists), so
+// queries can keep reading it while ApplyUpdate mutates the live structures
+// — the engine's search-during-flush scheme.
 //
 // Long-list reads go to disk through the chunk references captured in the
 // snapshot. They stay valid for the duration of exactly one batch update:
@@ -24,32 +25,33 @@ type Snapshot struct {
 	ix      *Index
 	dir     *directory.Dir
 	buckets *bucket.Set
-	deleted map[postings.DocID]bool
+	deleted []postings.DocID
 	batches int
 }
 
 // Snapshot captures the current searchable state. It must be called at a
 // batch boundary (no update in flight) with no concurrent mutators.
 func (ix *Index) Snapshot() *Snapshot {
-	deleted := make(map[postings.DocID]bool, len(ix.deleted))
-	for d := range ix.deleted {
-		deleted[d] = true
-	}
+	ix.deletedShared = true
 	return &Snapshot{
 		ix:      ix,
 		dir:     ix.dir.Clone(),
 		buckets: ix.buckets.Clone(),
-		deleted: deleted,
+		deleted: ix.deleted,
 		batches: ix.batches,
 	}
 }
 
 // IsDeleted reports whether doc was marked deleted when the snapshot was
 // taken.
-func (s *Snapshot) IsDeleted(doc postings.DocID) bool { return s.deleted[doc] }
+func (s *Snapshot) IsDeleted(doc postings.DocID) bool { return isDeleted(s.deleted, doc) }
 
 // DeletedCount reports the deleted-document count at capture time.
 func (s *Snapshot) DeletedCount() int { return len(s.deleted) }
+
+// Deleted returns the sorted deleted-document list at capture time
+// (read-only).
+func (s *Snapshot) Deleted() []postings.DocID { return s.deleted }
 
 // Batches reports the number of batches applied at capture time.
 func (s *Snapshot) Batches() int { return s.batches }
@@ -75,24 +77,16 @@ func (s *Snapshot) GetList(w postings.WordID) (*postings.List, error) {
 	if s.ix.cfg.Store == nil {
 		return nil, fmt.Errorf("core: GetList requires a data store")
 	}
-	var raw *postings.List
 	switch {
 	case s.dir.Has(w):
 		_, l, err := s.ix.long.ReadChunks(w, s.dir.Chunks(w))
 		if err != nil {
 			return nil, err
 		}
-		raw = l
+		kept, _ := l.Without(s.deleted) // freshly decoded: no one else holds it
+		return kept, nil
 	case s.buckets.Contains(w):
-		raw = s.buckets.List(w)
-		if len(s.deleted) == 0 {
-			return raw.Clone(), nil // buckets.List returns the bucket's storage
-		}
-	default:
-		return &postings.List{}, nil
+		return bucketListWithout(s.buckets.List(w), s.deleted), nil
 	}
-	if len(s.deleted) == 0 {
-		return raw, nil // freshly decoded: no one else holds it
-	}
-	return raw.Filter(func(d postings.DocID) bool { return s.deleted[d] }), nil
+	return &postings.List{}, nil
 }

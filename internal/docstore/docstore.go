@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"unsafe"
@@ -76,14 +77,16 @@ func (m *Mem) Close() error { return nil }
 // File is an append-only log-file store. Each record is a varint document
 // id, a varint length, and the text. The in-memory index maps each id to
 // its text's offset and length, so a Get is one exact-length read; Put
-// records the span as it appends, and a sequential scan rebuilds the index
-// at open, so the file itself is the only durable state.
+// records the span as it appends, a sequential scan rebuilds the index at
+// open, and Compact rebuilds it during its one sequential copy pass, so the
+// file itself is the only durable state.
 //
 // A File is safe for concurrent use. Every method holds mu, because even a
 // Get writes: it flushes the buffered Puts so the record it reads is in the
 // file.
 type File struct {
 	mu    sync.Mutex
+	path  string // the log's name; f's own name is the temporary one after a Compact
 	f     *os.File
 	w     *bufio.Writer
 	spans map[postings.DocID]span
@@ -112,7 +115,7 @@ func OpenFile(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &File{f: f, spans: make(map[postings.DocID]span)}
+	s := &File{path: path, f: f, spans: make(map[postings.DocID]span)}
 	if err := s.scan(); err != nil {
 		f.Close()
 		return nil, err
@@ -326,46 +329,110 @@ func (m *Mem) Compact(keep func(postings.DocID) bool) error {
 	return nil
 }
 
-// Compact implements Compactor for File: surviving records stream into a
-// sibling temporary file which atomically replaces the log.
+// Compact implements Compactor for File in one sequential pass: the log is
+// read front to back through a buffer, each kept record is copied to a
+// sibling temporary file in log order, and the new span index is built as
+// the records are written. The temporary file is fsynced before it
+// atomically replaces the log, and the directory after, so a crash leaves
+// either the old log or the complete new one.
 func (s *File) Compact(keep func(postings.DocID) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
-	tmpPath := s.f.Name() + ".compact"
-	tmp, err := OpenFile(tmpPath)
+	tmpPath := s.path + ".compact"
+	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	// Walk in ascending id order so the compacted log is deterministic.
-	for _, id := range sortedIDs(s.spans, keep) {
-		text, ok, err := s.get(id)
-		if err != nil || !ok {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("docstore: compacting doc %d: ok=%v err=%v", id, ok, err)
-		}
-		if err := tmp.Put(id, text); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
+	spans, size, err := s.copyKept(tmp, keep)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
+	if err == nil {
+		err = os.Rename(tmpPath, s.path)
+	}
+	if err != nil {
+		tmp.Close()
 		os.Remove(tmpPath)
 		return err
 	}
-	old := s.f.Name()
+	// The writes left tmp's offset at its end, where the next Put appends.
 	s.f.Close()
-	if err := os.Rename(tmpPath, old); err != nil {
-		return err
+	s.f, s.w, s.spans, s.size = tmp, bufio.NewWriter(tmp), spans, size
+	return syncDir(filepath.Dir(s.path))
+}
+
+// copyKept streams the log's records to dst, keeping those keep accepts,
+// and returns the span index and size of what it wrote. Every record must
+// be the one the current index points at: a log that disagrees with it is
+// corrupt, and compacting it would silently lose documents.
+func (s *File) copyKept(dst io.Writer, keep func(postings.DocID) bool) (map[postings.DocID]span, int64, error) {
+	const bufSize = 64 << 10
+	r := bufio.NewReaderSize(io.NewSectionReader(s.f, 0, s.size), bufSize)
+	w := bufio.NewWriterSize(dst, bufSize)
+	spans := make(map[postings.DocID]span, len(s.spans))
+	var hdr []byte
+	var off, size int64
+	for off < s.size {
+		id, idLen, err := readUvarint(r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("docstore: compacting: record at %d: %w", off, err)
+		}
+		n, nLen, err := readUvarint(r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("docstore: compacting: record at %d: %w", off, err)
+		}
+		text := off + int64(idLen) + int64(nLen)
+		sp, ok := s.spans[postings.DocID(id)]
+		if id > math.MaxUint32 || !ok || sp.off() != text || uint64(sp.n) != n {
+			return nil, 0, fmt.Errorf("docstore: compacting: record at %d (doc %d, %d bytes) disagrees with the index", off, id, n)
+		}
+		if keep(postings.DocID(id)) {
+			hdr = binary.AppendUvarint(hdr[:0], id)
+			hdr = binary.AppendUvarint(hdr, n)
+			if _, err := w.Write(hdr); err != nil {
+				return nil, 0, err
+			}
+			spans[postings.DocID(id)] = newSpan(size+int64(len(hdr)), int(n))
+			if err := copyText(w, r, int(n)); err != nil {
+				return nil, 0, fmt.Errorf("docstore: compacting doc %d: %w", id, err)
+			}
+			size += int64(len(hdr)) + int64(n)
+		} else if _, err := r.Discard(int(n)); err != nil {
+			return nil, 0, fmt.Errorf("docstore: compacting past doc %d: %w", id, err)
+		}
+		off = text + int64(n)
 	}
-	re, err := OpenFile(old)
+	return spans, size, w.Flush()
+}
+
+// copyText moves the next n bytes of r to w straight from r's buffer.
+func copyText(w *bufio.Writer, r *bufio.Reader, n int) error {
+	for n > 0 {
+		chunk, err := r.Peek(min(n, r.Size()))
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(chunk); err != nil {
+			return err
+		}
+		r.Discard(len(chunk)) // cannot fail: Peek buffered these bytes
+		n -= len(chunk)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	s.f, s.w, s.spans, s.size = re.f, re.w, re.spans, re.size
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

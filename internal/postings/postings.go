@@ -234,20 +234,58 @@ func Difference(a, b *List) *List {
 	return out
 }
 
-// Filter returns the postings of l whose documents are not rejected by
-// deleted. It implements the paper's deletion scheme of filtering query
-// answers through a list of deleted document identifiers.
-func (l *List) Filter(deleted func(DocID) bool) *List {
-	if deleted == nil {
-		return l.Clone()
+// Without returns l minus the postings of the documents in del, a sorted
+// deleted-document list, and how many postings it dropped. It implements
+// the paper's deletion scheme of filtering query answers through "a list of
+// deleted document identifiers" as one merge pass over both sorted lists.
+// Binary searches first clip del to l's identifier range and skip the
+// postings below its first identifier. When nothing is dropped it returns l
+// itself and allocates nothing; otherwise the result is a new list whose
+// storage is sized once.
+func (l *List) Without(del []DocID) (*List, int) {
+	ps := l.Postings()
+	if len(ps) == 0 || len(del) == 0 {
+		return l, 0
 	}
-	out := &List{}
-	for _, p := range l.Postings() {
-		if !deleted(p.Doc) {
-			out.ps = append(out.ps, p)
+	lo, _ := slices.BinarySearch(del, ps[0].Doc)
+	hi, found := slices.BinarySearch(del[lo:], ps[len(ps)-1].Doc)
+	if found {
+		hi++
+	}
+	del = del[lo : lo+hi]
+	if len(del) == 0 {
+		return l, 0
+	}
+	skip := sort.Search(len(ps), func(i int) bool { return ps[i].Doc >= del[0] })
+	i, j, hit := nextHit(ps[skip:], del)
+	if !hit {
+		return l, 0
+	}
+	i += skip
+	out := make([]Posting, 0, len(ps)-1)
+	for hit {
+		out = append(out, ps[:i]...)
+		ps, del = ps[i+1:], del[j+1:]
+		i, j, hit = nextHit(ps, del)
+	}
+	out = append(out, ps...)
+	return &List{ps: out}, l.Len() - len(out)
+}
+
+// nextHit merges ps against the sorted identifiers del up to their first
+// common document, reporting its index in each.
+func nextHit(ps []Posting, del []DocID) (i, j int, hit bool) {
+	for i < len(ps) && j < len(del) {
+		switch d := ps[i].Doc; {
+		case d < del[j]:
+			i++
+		case d > del[j]:
+			j++
+		default:
+			return i, j, true
 		}
 	}
-	return out
+	return 0, 0, false
 }
 
 // Equal reports whether two lists hold identical postings.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -218,14 +219,89 @@ func TestDifference(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	l := mustList(t, 1, 2, 3, 4)
-	got := l.Filter(func(d DocID) bool { return d%2 == 0 })
-	if len(got.Docs()) != 2 || got.Docs()[0] != 1 || got.Docs()[1] != 3 {
-		t.Fatalf("Filter = %v", got.Docs())
+// filterRef is the reference deletion filter Without must match: keep
+// every posting whose document the predicate does not reject, one probe per
+// posting.
+func filterRef(l *List, deleted func(DocID) bool) *List {
+	out := &List{}
+	for _, p := range l.Postings() {
+		if !deleted(p.Doc) {
+			out.ps = append(out.ps, p)
+		}
 	}
-	if all := l.Filter(nil); !Equal(all, l) {
-		t.Error("Filter(nil) != original")
+	return out
+}
+
+// sortedDocSet draws a sorted, duplicate-free deletion list of up to n
+// identifiers in [1, limit].
+func sortedDocSet(r *rand.Rand, n int, limit uint32) []DocID {
+	set := map[DocID]bool{}
+	for i := 0; i < n; i++ {
+		set[DocID(r.Uint32()%limit+1)] = true
+	}
+	out := make([]DocID, 0, len(set))
+	for d := range set {
+		out = append(out, d)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func TestWithoutMatchesFilter(t *testing.T) {
+	check := func(name string, l *List, del []DocID) {
+		t.Helper()
+		set := map[DocID]bool{}
+		for _, d := range del {
+			set[d] = true
+		}
+		want := filterRef(l, func(d DocID) bool { return set[d] })
+		got, dropped := l.Without(del)
+		if !Equal(got, want) {
+			t.Fatalf("%s: Without = %v, want %v", name, got.Docs(), want.Docs())
+		}
+		if dropped != l.Len()-want.Len() {
+			t.Fatalf("%s: dropped %d, want %d", name, dropped, l.Len()-want.Len())
+		}
+		if (dropped == 0) != (got == l) {
+			t.Fatalf("%s: dropped %d but result aliases input = %v", name, dropped, got == l)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 2000; iter++ {
+		l := randomList(r, r.Intn(60))
+		for i := range l.ps {
+			l.ps[i].Freq = uint32(r.Intn(5)) + 1
+		}
+		limit := uint32(l.MaxDoc()) + 2000
+		check("random", l, sortedDocSet(r, r.Intn(80), limit))
+	}
+	l := NewList([]Posting{{10, 1}, {20, 3}, {30, 2}, {40, 1}})
+	check("nil set", l, nil)
+	check("empty list", &List{}, []DocID{1, 2})
+	check("nil list", nil, []DocID{1, 2})
+	check("below range", l, []DocID{1, 5, 9})
+	check("above range", l, []DocID{41, 100})
+	check("between postings", l, []DocID{11, 25, 39})
+	check("all deleted", l, []DocID{10, 20, 30, 40})
+	check("first only", l, []DocID{10})
+	check("last only", l, []DocID{40})
+	check("straddling", l, []DocID{5, 20, 35, 40, 99})
+	check("single kept", NewList([]Posting{{7, 2}}), []DocID{6, 8})
+	check("single dropped", NewList([]Posting{{7, 2}}), []DocID{7})
+}
+
+// TestWithoutAllocations gates Without's cost: a miss returns the list
+// itself without allocating, and a hit allocates only the result and its
+// presized storage.
+func TestWithoutAllocations(t *testing.T) {
+	l := randomList(rand.New(rand.NewSource(3)), 500)
+	miss := []DocID{l.At(10).Doc + 1, l.At(200).Doc + 1, l.MaxDoc() + 1}
+	if a := testing.AllocsPerRun(50, func() { l.Without(miss) }); a != 0 {
+		t.Errorf("Without with no hit allocates %.0f, want 0", a)
+	}
+	hit := []DocID{l.At(0).Doc, l.At(250).Doc, l.MaxDoc()}
+	if a := testing.AllocsPerRun(50, func() { l.Without(hit) }); a > 2 {
+		t.Errorf("Without with hits allocates %.0f, want at most 2", a)
 	}
 }
 
@@ -337,12 +413,12 @@ func TestQuickUnionContainsBoth(t *testing.T) {
 }
 
 func TestQuickDeMorgan(t *testing.T) {
-	// a \ b == a ∩ complement(b), expressed via Filter.
+	// a \ b == a ∩ complement(b), expressed via filterRef.
 	f := func(seed int64, n, m uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomList(r, int(n)), randomList(r, int(m))
 		d1 := Difference(a, b)
-		d2 := a.Filter(func(doc DocID) bool { return b.Contains(doc) })
+		d2 := filterRef(a, func(doc DocID) bool { return b.Contains(doc) })
 		return Equal(d1, d2)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -139,18 +139,18 @@ func (t diskTier) WordsWithPrefix(prefix string) []string {
 // beside it, so a document deleted mid-flush disappears from every tier at
 // once.
 type memTier struct {
-	s         *shard
-	tier      *pendingTier
-	isDeleted func(postings.DocID) bool
+	s       *shard
+	tier    *pendingTier
+	deleted []postings.DocID // sorted; the view's Deleted
 }
 
 // newMemTier adapts tier, or returns nil for a nil tier (no flush in
 // progress), which query.NewTieredSource skips.
-func newMemTier(s *shard, tier *pendingTier, isDeleted func(postings.DocID) bool) query.Source {
+func newMemTier(s *shard, tier *pendingTier, deleted []postings.DocID) query.Source {
 	if tier == nil {
 		return nil
 	}
-	return memTier{s: s, tier: tier, isDeleted: isDeleted}
+	return memTier{s: s, tier: tier, deleted: deleted}
 }
 
 func (t memTier) List(word string) (*postings.List, error) {
@@ -162,6 +162,10 @@ func (t memTier) List(word string) (*postings.List, error) {
 	if run.Len() == 0 {
 		return &postings.List{}, nil
 	}
-	// Filter copies, so query execution never aliases the growing run.
-	return run.Filter(t.isDeleted), nil
+	// The result is always a copy, so query execution never aliases the
+	// growing run.
+	if kept, dropped := run.Without(t.deleted); dropped > 0 {
+		return kept, nil
+	}
+	return run.Clone(), nil
 }

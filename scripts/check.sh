@@ -79,6 +79,9 @@ go test -run '^FuzzMatchText$' -fuzz '^FuzzMatchText$' -fuzztime 5s ./internal/q
 # So does the checkpoint root every Open trusts: arbitrary superblock images
 # must open or be refused with an error, never panic.
 go test -run '^FuzzSuperblock$' -fuzz '^FuzzSuperblock$' -fuzztime 5s ./internal/core/
+# The deleted list it points to likewise: decode or refuse, and a decoded
+# list is duplicate-free and re-encodes to exactly the bytes it was read from.
+go test -run '^FuzzDecodeDocSet$' -fuzz '^FuzzDecodeDocSet$' -fuzztime 5s ./internal/core/
 # Bucket images are read back on every open: arbitrary bytes must decode or
 # be refused, and what decodes must re-encode to exactly the bytes consumed.
 go test -run '^FuzzDecodeBucket$' -fuzz '^FuzzDecodeBucket$' -fuzztime 5s ./internal/bucket/

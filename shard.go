@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"dualindex/internal/bucket"
@@ -326,8 +327,8 @@ func (s *shard) tiers() *query.TieredSource {
 	v := s.view()
 	return query.NewTieredSource(
 		diskTier{s: s, get: v.GetList},
-		newMemTier(s, s.snapPending, v.IsDeleted),
-		newMemTier(s, s.pending, v.IsDeleted),
+		newMemTier(s, s.snapPending, v.Deleted()),
+		newMemTier(s, s.pending, v.Deleted()),
 	)
 }
 
@@ -337,6 +338,7 @@ type indexView interface {
 	GetList(w postings.WordID) (*postings.List, error)
 	ReadCost(w postings.WordID) int
 	IsDeleted(doc postings.DocID) bool
+	Deleted() []postings.DocID
 	DeletedCount() int
 	Batches() int
 	Directory() *directory.Dir
@@ -443,27 +445,25 @@ func (s *shard) trySweep() error {
 
 // sweepLocked is the sweep body; the caller holds flushMu and mu.
 func (s *shard) sweepLocked() error {
-	swept := s.index.DeletedCount()
-	deleted := make(map[postings.DocID]bool)
-	c, compacting := s.docs.(docstore.Compactor)
-	if compacting {
-		// Snapshot the filter before the index sweep clears it.
-		for d := postings.DocID(1); d <= s.lastDoc; d++ {
-			if s.index.IsDeleted(d) {
-				deleted[d] = true
-			}
-		}
-	}
+	// Sweep replaces the index's deleted list without writing to it, and
+	// keeps only its suffix of still-pending documents, so what precedes
+	// that suffix here is the swept set.
+	deleted := s.index.Deleted()
 	if err := s.index.Sweep(); err != nil {
 		return err
 	}
-	if s.docsIndexed -= swept; s.docsIndexed < 0 {
+	swept := deleted[:len(deleted)-s.index.DeletedCount()]
+	if s.docsIndexed -= len(swept); s.docsIndexed < 0 {
 		s.docsIndexed = 0
 	}
-	if !compacting || len(deleted) == 0 {
+	c, compacting := s.docs.(docstore.Compactor)
+	if !compacting || len(swept) == 0 {
 		return nil
 	}
-	return c.Compact(func(d postings.DocID) bool { return !deleted[d] })
+	return c.Compact(func(d postings.DocID) bool {
+		_, gone := slices.BinarySearch(swept, d)
+		return !gone
+	})
 }
 
 // readCost reports how many disk reads a query for word would need on this
