@@ -6,8 +6,8 @@ check:
 	./scripts/check.sh
 
 # The invariant linter: lockorder, snapshotsafe, ioboundary, metricsname
-# over the whole module (see internal/analysis and DESIGN.md's
-# "Concurrency contracts"). Exits non-zero on any finding.
+# and deadexport over the whole module (see internal/analysis and
+# DESIGN.md's "Concurrency contracts"). Exits non-zero on any finding.
 lint:
 	go run ./cmd/lint ./...
 

@@ -1,6 +1,7 @@
 // Command lint is the engine's invariant linter: a multichecker that runs
 // the internal/analysis suite — lockorder, snapshotsafe, ioboundary,
-// metricsname — over the module and exits non-zero on any finding.
+// metricsname per package, then deadexport once over all of them — over the
+// module and exits non-zero on any finding.
 //
 //	go run ./cmd/lint ./...
 //
@@ -16,8 +17,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
+	"dualindex/internal/analysis/deadexport"
 	"dualindex/internal/analysis/framework"
 	"dualindex/internal/analysis/ioboundary"
 	"dualindex/internal/analysis/lockorder"
@@ -30,6 +33,21 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	findings, err := lint(os.Stdout, patterns...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lint:", err)
+		os.Exit(2)
+	}
+	if findings > 0 {
+		fmt.Fprintf(os.Stderr, "lint: %d finding(s)\n", findings)
+		os.Exit(1)
+	}
+}
+
+// lint loads the packages matching patterns, runs the per-package analyzers
+// over each and deadexport once over all of them, prints every finding to
+// w and returns how many there were.
+func lint(w io.Writer, patterns ...string) (int, error) {
 	analyzers := []*framework.Analyzer{
 		lockorder.Analyzer,
 		snapshotsafe.Analyzer,
@@ -37,24 +55,20 @@ func main() {
 		metricsname.Analyzer,
 	}
 	pkgs, err := framework.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lint:", err)
-		os.Exit(2)
+	if err != nil || len(pkgs) == 0 {
+		return 0, err
 	}
-	findings := 0
+	var diags []framework.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := framework.Run(pkg, analyzers)
+		ds, err := framework.Run(pkg, analyzers)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			os.Exit(2)
+			return 0, err
 		}
-		for _, d := range diags {
-			fmt.Printf("%s: %s [%s]\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-			findings++
-		}
+		diags = append(diags, ds...)
 	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "lint: %d finding(s)\n", findings)
-		os.Exit(1)
+	diags = append(diags, framework.RunModule(pkgs, deadexport.Analyzer)...)
+	for _, d := range diags {
+		fmt.Fprintf(w, "%s: %s [%s]\n", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
+	return len(diags), nil
 }

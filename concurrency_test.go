@@ -288,10 +288,10 @@ func TestConcurrentDeleteAndSearch(t *testing.T) {
 }
 
 // TestPrefixQueriesRightAfterOpen: a cold open leaves the vocabulary's
-// prefix tree unbuilt, so the first truncation queries race to build it
-// under the shard read lock while documents — some with new words — keep
-// arriving under the write lock. Run with -race, this pins the build's
-// synchronisation; every answer must still hold what the checkpoint held,
+// sorted view empty, so the first truncation queries race to build and
+// extend it under the shard read lock while documents — some with new
+// words — keep arriving under the write lock. Run with -race, this pins the
+// view's synchronisation; every answer must still hold what the checkpoint held,
 // and the words added meanwhile must be found by prefix afterwards.
 func TestPrefixQueriesRightAfterOpen(t *testing.T) {
 	for _, shards := range []int{1, 2} {

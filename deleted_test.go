@@ -119,3 +119,38 @@ func TestRandomOrderDeletesSurviveSweepAndReopen(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteUnassignedIDIsIgnored: deleting an identifier no document holds
+// yet — 0, or one past the last AddDocument — must not hide the document
+// that is later assigned it, pending or flushed.
+func TestDeleteUnassignedIDIsIgnored(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng, err := Open(smallOpts(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			eng.Delete(0)
+			eng.Delete(3)
+			var want []DocID
+			for i := 0; i < 4; i++ {
+				want = append(want, eng.AddDocument("common "+synthWord(i)))
+			}
+			for _, phase := range []string{"pending", "flushed"} {
+				if phase == "flushed" {
+					if _, err := eng.FlushBatch(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := eng.SearchBoolean("common")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: common = %v, want %v", phase, got, want)
+				}
+			}
+		})
+	}
+}

@@ -30,6 +30,7 @@
 package dualindex
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -221,13 +222,20 @@ func (e *Engine) flushShardsLocked() (BatchStats, error) {
 
 // Delete marks a document deleted; it disappears from results immediately
 // and its postings are reclaimed by Sweep. Delete waits for any running
-// flush of the owning shard to finish.
+// flush of the owning shard to finish. An identifier AddDocument has not
+// returned yet (0, or beyond the last one assigned) is ignored, so it cannot
+// hide the document that later receives it.
 func (e *Engine) Delete(doc DocID) {
 	e.reshardMu.RLock()
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	e.shardFor(doc).delete(doc)
+	e.mu.Lock()
+	assigned := doc != 0 && doc <= e.nextDoc
+	e.mu.Unlock()
+	if assigned {
+		e.shardFor(doc).delete(doc)
+	}
 }
 
 // Sweep physically reclaims the postings of deleted documents from every
@@ -296,6 +304,9 @@ func (e *Engine) Close() error {
 		if err := s.close(); err != nil && first == nil {
 			first = err
 		}
+	}
+	if err := e.Tracer().SinkErr(); err != nil && first == nil {
+		first = fmt.Errorf("dualindex: trace sink: %w", err)
 	}
 	return first
 }

@@ -40,7 +40,7 @@ func ExampleEngine_SearchBoolean() {
 
 	docs, _ := eng.SearchBoolean("(cats or mice) and not dogs")
 	fmt.Println(docs)
-	docs, _ = eng.SearchBoolean("cha*") // truncation via the B-tree dictionary
+	docs, _ = eng.SearchBoolean("cha*") // truncation over the sorted vocabulary
 	fmt.Println(docs)
 	// Output:
 	// [1 3]

@@ -33,27 +33,50 @@ type want struct {
 func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, name := range pkgs {
-		pkg, err := framework.LoadTree(testdata+"/src", name)
+		loaded, err := framework.LoadTree(testdata+"/src", name)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", name, err)
 		}
-		diags, err := framework.Run(pkg, []*framework.Analyzer{a})
+		diags, err := framework.Run(loaded[0], []*framework.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, name, err)
 		}
-		wants := collectWants(t, pkg)
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-			if !consume(wants[key], d.Message) {
-				t.Errorf("%s: unexpected diagnostic [%s]: %s", key, d.Analyzer, d.Message)
-			}
+		check(t, loaded, diags)
+	}
+}
+
+// RunModule loads the named packages from testdata/src together, applies
+// the module analyzer once over all of them (through framework.RunModule,
+// as cmd/lint does) and verifies the diagnostics against the want
+// annotations of every package.
+func RunModule(t *testing.T, testdata string, a *framework.ModuleAnalyzer, pkgs ...string) {
+	t.Helper()
+	loaded, err := framework.LoadTree(testdata+"/src", pkgs...)
+	if err != nil {
+		t.Fatalf("loading fixtures %v: %v", pkgs, err)
+	}
+	check(t, loaded, framework.RunModule(loaded, a))
+}
+
+// check matches diagnostics to the packages' want annotations one to one.
+func check(t *testing.T, pkgs []*framework.Package, diags []framework.Diagnostic) {
+	t.Helper()
+	fset := pkgs[0].Fset
+	wants := map[string][]*want{}
+	for _, pkg := range pkgs {
+		collectWants(t, pkg, wants)
+	}
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+		if !consume(wants[key], d.Message) {
+			t.Errorf("%s: unexpected diagnostic [%s]: %s", key, d.Analyzer, d.Message)
 		}
-		for key, ws := range wants {
-			for _, w := range ws {
-				if !w.matched {
-					t.Errorf("%s: expected diagnostic matching %s, got none", key, w.raw)
-				}
+	}
+	for key, ws := range wants {
+		for _, w := range ws {
+			if !w.matched {
+				t.Errorf("%s: expected diagnostic matching %s, got none", key, w.raw)
 			}
 		}
 	}
@@ -70,11 +93,10 @@ func consume(ws []*want, message string) bool {
 	return false
 }
 
-// collectWants parses every want annotation in the fixture, keyed by
-// file:line.
-func collectWants(t *testing.T, pkg *framework.Package) map[string][]*want {
+// collectWants adds every want annotation in the fixture to wants, keyed
+// by file:line.
+func collectWants(t *testing.T, pkg *framework.Package, wants map[string][]*want) {
 	t.Helper()
-	wants := map[string][]*want{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -94,5 +116,4 @@ func collectWants(t *testing.T, pkg *framework.Package) map[string][]*want {
 			}
 		}
 	}
-	return wants
 }

@@ -1,8 +1,9 @@
 // Package framework is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer runs over one
-// type-checked package (a Pass) and reports Diagnostics. The engine's
-// invariant linters (internal/analysis/{lockorder,snapshotsafe,ioboundary,
-// metricsname}) are written against it, and cmd/lint is the multichecker
+// type-checked package (a Pass) and reports Diagnostics, and a
+// ModuleAnalyzer runs once over all of them. The engine's invariant linters
+// (internal/analysis/{lockorder,snapshotsafe,ioboundary,metricsname,
+// deadexport}) are written against it, and cmd/lint is the multichecker
 // that drives them over ./... .
 //
 // The build environment is hermetic — no module proxy — so vendoring or
@@ -95,6 +96,40 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	out = append(out, sup.malformed...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
+}
+
+// A ModuleAnalyzer checks an invariant about references between packages,
+// which no single Pass can see. Run is invoked once over every loaded
+// package (all sharing one FileSet) and returns its findings, each carrying
+// the analyzer's name.
+type ModuleAnalyzer struct {
+	Name string
+	Doc  string
+	Run  func(pkgs []*Package) []Diagnostic
+}
+
+// RunModule executes a module analyzer and drops the findings that a
+// justified //nolint directive naming it covers, exactly as Run does for a
+// package. Malformed directives are left to Run, which reports each once.
+func RunModule(pkgs []*Package, a *ModuleAnalyzer) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
+	}
+	fset := pkgs[0].Fset
+	var files []*ast.File
+	for _, p := range pkgs {
+		files = append(files, p.Files...)
+	}
+	sup := collectSuppressions(fset, files)
+	var out []Diagnostic
+	for _, d := range a.Run(pkgs) {
+		d.Analyzer = a.Name
+		if !sup.covers(fset.Position(d.Pos), a.Name) {
+			out = append(out, d)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
+	return out
 }
 
 // A suppression is one parsed //nolint comment: which analyzers it silences

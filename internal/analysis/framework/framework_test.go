@@ -29,10 +29,11 @@ var dummy = &framework.Analyzer{
 // silences everything, a directive naming another analyzer suppresses
 // nothing, and a directive without a justification is itself a finding.
 func TestNolintSuppression(t *testing.T) {
-	pkg, err := framework.LoadTree("testdata/src", "nolintfix")
+	pkgs, err := framework.LoadTree("testdata/src", "nolintfix")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkg := pkgs[0]
 	diags, err := framework.Run(pkg, []*framework.Analyzer{dummy})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // A Package is one loaded, type-checked package ready for analysis.
@@ -148,14 +149,23 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 }
 
 // LoadTree type-checks a GOPATH-style source tree rooted at srcRoot: the
-// package in srcRoot/<name> is loaded, and its imports resolve first to
-// sibling directories under srcRoot, then to the standard library's export
-// data. This is how analysistest loads golden-test fixtures, which mirror
-// repo types (Engine, shard, Registry) without being part of the module.
-func LoadTree(srcRoot, name string) (*Package, error) {
-	fset := token.NewFileSet()
-	ld := &treeLoader{srcRoot: srcRoot, fset: fset, cache: map[string]*Package{}}
-	return ld.load(name)
+// packages in srcRoot/<name> are loaded, in order, into one FileSet — their
+// non-test files only, as Load sees a package — and
+// their imports resolve first to sibling directories under srcRoot, then to
+// the standard library's export data. This is how analysistest loads
+// golden-test fixtures, which mirror repo types (Engine, shard, Registry)
+// without being part of the module.
+func LoadTree(srcRoot string, names ...string) ([]*Package, error) {
+	ld := &treeLoader{srcRoot: srcRoot, fset: token.NewFileSet(), cache: map[string]*Package{}}
+	var out []*Package
+	for _, name := range names {
+		p, err := ld.load(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 type treeLoader struct {
@@ -177,7 +187,7 @@ func (l *treeLoader) load(name string) (*Package, error) {
 	}
 	var goFiles []string
 	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" && !strings.HasSuffix(e.Name(), "_test.go") {
 			goFiles = append(goFiles, e.Name())
 		}
 	}

@@ -85,9 +85,7 @@ type Set struct {
 	bucketSize    int
 	trackPostings bool
 	buckets       []bucketState
-
-	changes  int64 // bucket mutations, the x-axis unit of Figure 1
-	observer func(bucket int)
+	observer      func(bucket int)
 }
 
 // Config sizes a bucket set.
@@ -121,10 +119,6 @@ func (s *Set) BucketSize() int { return s.bucketSize }
 // a bucket.
 func (s *Set) Hash(w postings.WordID) int { return int(uint32(w) % uint32(s.numBuckets)) }
 
-// Changes reports the cumulative number of bucket mutations (insertions,
-// appends and evictions), the time unit of the paper's Figure 1.
-func (s *Set) Changes() int64 { return s.changes }
-
 // SetObserver registers a callback invoked after every bucket mutation —
 // one insertion of a new word, one append to an existing word, or one
 // eviction — with the index of the changed bucket. It is the sampling hook
@@ -132,7 +126,6 @@ func (s *Set) Changes() int64 { return s.changes }
 func (s *Set) SetObserver(fn func(bucket int)) { s.observer = fn }
 
 func (s *Set) notify(bucket int) {
-	s.changes++
 	if s.observer != nil {
 		s.observer(bucket)
 	}
@@ -141,14 +134,6 @@ func (s *Set) notify(bucket int) {
 // Contains reports whether word w currently has a short list.
 func (s *Set) Contains(w postings.WordID) bool {
 	return s.buckets[s.Hash(w)].get(w) != nil
-}
-
-// Count reports the number of postings in w's short list (0 if absent).
-func (s *Set) Count(w postings.WordID) int {
-	if e := s.buckets[s.Hash(w)].get(w); e != nil {
-		return e.count
-	}
-	return 0
 }
 
 // List returns w's short list postings (nil in count-only mode or if absent).
@@ -160,9 +145,6 @@ func (s *Set) List(w postings.WordID) *postings.List {
 	}
 	return nil
 }
-
-// Load reports bucket i's occupancy in units (words + postings).
-func (s *Set) Load(i int) int { return s.buckets[i].load }
 
 // WordsIn reports how many words live in bucket i.
 func (s *Set) WordsIn(i int) int { return len(s.buckets[i].entries) }
@@ -274,18 +256,6 @@ func (s *Set) evictLongest(b *bucketState) Evicted {
 	return Evicted{Word: e.word, Count: e.count, List: e.list}
 }
 
-// Remove deletes w's short list outright (used by the deletion sweep).
-func (s *Set) Remove(w postings.WordID) {
-	idx := s.Hash(w)
-	b := &s.buckets[idx]
-	if i, ok := b.find(w); ok {
-		b.own()
-		b.load -= b.entries[i].count + 1
-		b.entries = slices.Delete(b.entries, i, i+1)
-		s.notify(idx)
-	}
-}
-
 // ReplaceList swaps w's short list contents (deletion sweep rewriting a
 // list with deleted documents removed). The list must shrink or stay equal.
 func (s *Set) ReplaceList(w postings.WordID, list *postings.List) error {
@@ -330,7 +300,6 @@ func (s *Set) Clone() *Set {
 		bucketSize:    s.bucketSize,
 		trackPostings: s.trackPostings,
 		buckets:       slices.Clone(s.buckets),
-		changes:       s.changes,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,18 +43,18 @@ func TestAddAndCount(t *testing.T) {
 	if _, err := s.Add(9, 5, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Contains(9) || s.Count(9) != 5 {
-		t.Fatalf("Contains=%v Count=%d", s.Contains(9), s.Count(9))
+	if !s.Contains(9) || count(s, 9) != 5 {
+		t.Fatalf("Contains=%v Count=%d", s.Contains(9), count(s, 9))
 	}
 	// A word and its postings are both charged units.
-	if got := s.Load(s.Hash(9)); got != 6 {
+	if got := s.buckets[s.Hash(9)].load; got != 6 {
 		t.Fatalf("Load = %d, want 6 (1 word + 5 postings)", got)
 	}
 	if _, err := s.Add(9, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count(9) != 8 || s.Load(s.Hash(9)) != 9 {
-		t.Fatalf("after append Count=%d Load=%d", s.Count(9), s.Load(s.Hash(9)))
+	if count(s, 9) != 8 || s.buckets[s.Hash(9)].load != 9 {
+		t.Fatalf("after append Count=%d Load=%d", count(s, 9), s.buckets[s.Hash(9)].load)
 	}
 }
 
@@ -90,8 +91,8 @@ func TestOverflowEvictsLongest(t *testing.T) {
 	if s.Contains(1) {
 		t.Error("evicted word still present")
 	}
-	if s.Load(0) != 11 { // words 2,3 + 9 postings
-		t.Errorf("post-eviction load = %d, want 11", s.Load(0))
+	if s.buckets[0].load != 11 { // words 2,3 + 9 postings
+		t.Errorf("post-eviction load = %d, want 11", s.buckets[0].load)
 	}
 }
 
@@ -128,10 +129,10 @@ func TestOverflowMayEvictRepeatedly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ev) < 1 {
-		t.Fatalf("no evictions: load=%d", s.Load(0))
+		t.Fatalf("no evictions: load=%d", s.buckets[0].load)
 	}
-	if s.Load(0) > 10 {
-		t.Fatalf("bucket still over capacity: %d", s.Load(0))
+	if s.buckets[0].load > 10 {
+		t.Fatalf("bucket still over capacity: %d", s.buckets[0].load)
 	}
 }
 
@@ -169,7 +170,7 @@ func TestTrackPostingsKeepsLists(t *testing.T) {
 	}
 	got := s.List(7)
 	want := postings.FromDocs([]postings.DocID{1, 3, 5, 8, 9})
-	if !postings.Equal(got, want) {
+	if !slices.Equal(got.Postings(), want.Postings()) {
 		t.Fatalf("List = %v, want %v", got.Docs(), want.Docs())
 	}
 	// Evicted entries carry their lists out.
@@ -184,25 +185,18 @@ func TestTrackPostingsKeepsLists(t *testing.T) {
 
 func TestRemoveAndReplace(t *testing.T) {
 	s, _ := NewSet(Config{NumBuckets: 2, BucketSize: 50, TrackPostings: true})
-	s.Add(4, 3, postings.FromDocs([]postings.DocID{1, 2, 3}))
-	s.Remove(4)
-	if s.Contains(4) || s.Load(s.Hash(4)) != 0 {
-		t.Fatal("Remove left residue")
-	}
-	s.Remove(4) // removing an absent word is a no-op
-
 	s.Add(6, 3, postings.FromDocs([]postings.DocID{1, 2, 3}))
 	if err := s.ReplaceList(6, postings.FromDocs([]postings.DocID{2})); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count(6) != 1 || s.Load(s.Hash(6)) != 2 {
-		t.Fatalf("after replace Count=%d Load=%d", s.Count(6), s.Load(s.Hash(6)))
+	if count(s, 6) != 1 || s.buckets[s.Hash(6)].load != 2 {
+		t.Fatalf("after replace Count=%d Load=%d", count(s, 6), s.buckets[s.Hash(6)].load)
 	}
 	// Shrinking to empty removes the word entirely.
 	if err := s.ReplaceList(6, postings.FromDocs(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Contains(6) || s.Load(s.Hash(6)) != 0 {
+	if s.Contains(6) || s.buckets[s.Hash(6)].load != 0 {
 		t.Fatal("empty replacement left residue")
 	}
 	if err := s.ReplaceList(99, postings.FromDocs(nil)); err == nil {
@@ -226,12 +220,12 @@ func TestEncodeDecodeBucketCountOnly(t *testing.T) {
 		t.Fatalf("consumed %d of %d", n, len(buf))
 	}
 	for _, w := range []postings.WordID{0, 2, 4} {
-		if s2.Count(w) != s.Count(w) {
-			t.Errorf("word %d: count %d != %d", w, s2.Count(w), s.Count(w))
+		if count(s2, w) != count(s, w) {
+			t.Errorf("word %d: count %d != %d", w, count(s2, w), count(s, w))
 		}
 	}
-	if s2.Load(0) != s.Load(0) {
-		t.Errorf("load %d != %d", s2.Load(0), s.Load(0))
+	if s2.buckets[0].load != s.buckets[0].load {
+		t.Errorf("load %d != %d", s2.buckets[0].load, s.buckets[0].load)
 	}
 }
 
@@ -245,7 +239,7 @@ func TestEncodeDecodeBucketWithPostings(t *testing.T) {
 	if _, err := s2.DecodeBucket(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !postings.Equal(s2.List(1), s.List(1)) || !postings.Equal(s2.List(2), s.List(2)) {
+	if !slices.Equal(s2.List(1).Postings(), s.List(1).Postings()) || !slices.Equal(s2.List(2).Postings(), s.List(2).Postings()) {
 		t.Fatal("decoded lists differ")
 	}
 }
@@ -290,8 +284,8 @@ func TestDecodeBucketRejectsDisorder(t *testing.T) {
 		}
 	}
 	// A refused image leaves the bucket as it was.
-	if s.WordsIn(0) != 3 || !s.Contains(4) || s.Load(0) != 6 {
-		t.Fatalf("refused image changed bucket 0: words=%d load=%d", s.WordsIn(0), s.Load(0))
+	if s.WordsIn(0) != 3 || !s.Contains(4) || s.buckets[0].load != 6 {
+		t.Fatalf("refused image changed bucket 0: words=%d load=%d", s.WordsIn(0), s.buckets[0].load)
 	}
 }
 
@@ -308,7 +302,7 @@ func stateOf(s *Set, words int) setState {
 	var st setState
 	for w := postings.WordID(0); w < postings.WordID(words); w++ {
 		st.contains = append(st.contains, s.Contains(w))
-		st.counts = append(st.counts, s.Count(w))
+		st.counts = append(st.counts, count(s, w))
 		st.docs = append(st.docs, s.List(w).Docs())
 	}
 	for i := 0; i < s.NumBuckets(); i++ {
@@ -362,9 +356,8 @@ func TestCloneIsolation(t *testing.T) {
 				}
 				return err
 			}},
-			{"remove", func() error {
-				s.Remove(3)
-				return nil
+			{"replace a list with nothing", func() error {
+				return s.ReplaceList(3, postings.FromDocs(nil))
 			}},
 			{"replace a list", func() error {
 				return s.ReplaceList(8, postings.FromDocs([]postings.DocID{1}))
@@ -452,10 +445,10 @@ func TestQuickLoadInvariant(t *testing.T) {
 		}
 		resident := 0
 		for i := 0; i < s.NumBuckets(); i++ {
-			if s.Load(i) > s.BucketSize() {
+			if s.buckets[i].load > s.BucketSize() {
 				return false
 			}
-			if s.Load(i) != s.WordsIn(i)+s.PostingsIn(i) {
+			if s.buckets[i].load != s.WordsIn(i)+s.PostingsIn(i) {
 				return false
 			}
 			resident += s.PostingsIn(i)
@@ -480,7 +473,7 @@ func TestQuickEncodeDecodeRoundtrip(t *testing.T) {
 			if _, err := s2.DecodeBucket(i, buf); err != nil {
 				return false
 			}
-			if s2.Load(i) != s.Load(i) || s2.WordsIn(i) != s.WordsIn(i) {
+			if s2.buckets[i].load != s.buckets[i].load || s2.WordsIn(i) != s.WordsIn(i) {
 				return false
 			}
 		}
@@ -526,15 +519,19 @@ func TestObserverFiresPerMutation(t *testing.T) {
 	if len(events) != 2 || events[0] != 0 || events[1] != 0 {
 		t.Fatalf("overflow events = %v", events)
 	}
-	// Disabling the observer stops notifications; Changes still counts.
-	before := s.Changes()
+	// Disabling the observer stops notifications.
 	s.SetObserver(nil)
 	events = nil
 	s.Add(3, 1, nil)
 	if len(events) != 0 {
 		t.Fatal("disabled observer fired")
 	}
-	if s.Changes() != before+1 {
-		t.Fatalf("Changes = %d, want %d", s.Changes(), before+1)
+}
+
+// count is the number of postings in w's short list (0 if absent).
+func count(s *Set, w postings.WordID) int {
+	if e := s.buckets[s.Hash(w)].get(w); e != nil {
+		return e.count
 	}
+	return 0
 }

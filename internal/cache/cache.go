@@ -90,20 +90,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Len reports the number of blocks currently cached.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}
-
-// Bytes reports the encoded bytes currently charged against the budget.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // ReadAt implements disk.BlockStore. The run [block, block+n) is served
 // block by block from the cache; any missing suffix-contiguous span is
 // fetched from the inner store in one call and inserted.

@@ -102,8 +102,8 @@ func TestLRUEviction(t *testing.T) {
 	if st := c.Stats(); st.Misses-base.Misses != 1 {
 		t.Fatalf("block 1 unexpectedly resident (stats %+v)", st)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d blocks, want 2", c.Len())
+	if c.lru.Len() != 2 {
+		t.Fatalf("cache holds %d blocks, want 2", c.lru.Len())
 	}
 }
 
@@ -124,10 +124,10 @@ func TestCompressedBlocksChargedEncodedSize(t *testing.T) {
 		}
 		readBlock(t, c, 0, b)
 	}
-	if got := c.Len(); got != 16 {
+	if got := c.lru.Len(); got != 16 {
 		t.Fatalf("cache holds %d compressed blocks, want all 16", got)
 	}
-	if got := c.Bytes(); got != 16*encoded {
+	if got := c.bytes; got != 16*encoded {
 		t.Fatalf("charged %d bytes, want %d", got, 16*encoded)
 	}
 	if st := c.Stats(); st.Evictions != 0 {
@@ -156,10 +156,10 @@ func TestCompressedBlocksChargedEncodedSize(t *testing.T) {
 		fill(t, inner, 0, b, 0xEE, 1)
 		readBlock(t, c, 0, b)
 	}
-	if got := c.Len(); got != 4 {
+	if got := c.lru.Len(); got != 4 {
 		t.Fatalf("cache holds %d blocks after full-size reads, want 4", got)
 	}
-	if got := c.Bytes(); got != 4*blockSize {
+	if got := c.bytes; got != 4*blockSize {
 		t.Fatalf("charged %d bytes, want %d", got, 4*blockSize)
 	}
 
@@ -169,7 +169,7 @@ func TestCompressedBlocksChargedEncodedSize(t *testing.T) {
 	if err := c.WriteAt(0, 20, shrunk); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Bytes(); got != 3*blockSize+1 {
+	if got := c.bytes; got != 3*blockSize+1 {
 		t.Fatalf("charged %d bytes after shrink, want %d", got, 3*blockSize+1)
 	}
 	if got := readBlock(t, c, 0, 20); got[0] != 0x77 || got[1] != 0 {
@@ -211,8 +211,8 @@ func TestZeroCapacityPassesThrough(t *testing.T) {
 	if st := c.Stats(); st.Hits != 0 && st.Misses != 0 {
 		t.Fatalf("disabled cache counted %+v", st)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("disabled cache holds %d blocks", c.Len())
+	if c.lru.Len() != 0 {
+		t.Fatalf("disabled cache holds %d blocks", c.lru.Len())
 	}
 }
 

@@ -54,18 +54,6 @@ type Config struct {
 	FlushWorkers int
 }
 
-// DefaultConfig returns the reduced-scale equivalent of the paper's Table 4
-// base case for simulation mode.
-func DefaultConfig() Config {
-	return Config{
-		Buckets:      512,
-		BucketSize:   2048,
-		BlockPosting: 400,
-		Geometry:     disk.DefaultGeometry(),
-		Policy:       longlist.NewRecommended(),
-	}
-}
-
 // superBlocks is the number of blocks at the start of disk 0 reserved for
 // the checkpoint superblock.
 const superBlocks = 4
@@ -96,8 +84,7 @@ type Index struct {
 	// the sweep that removes that document's postings.
 	maxDoc postings.DocID
 
-	batches     int
-	updateStats []UpdateStats
+	batches int
 }
 
 type regionChunk struct {
@@ -131,16 +118,6 @@ type UpdateStats struct {
 	BucketFlushDur time.Duration // encoding and staging the striped bucket region
 	CheckpointDur  time.Duration // directory + deleted list + superblock writes
 	ReleaseDur     time.Duration // freeing previous images, RELEASE drain, store sync
-}
-
-// Fractions reports the Figure 7 per-update fractions of new, bucket and
-// long words.
-func (u UpdateStats) Fractions() (newF, bucketF, longF float64) {
-	if u.Words == 0 {
-		return 0, 0, 0
-	}
-	n := float64(u.Words)
-	return float64(u.NewWords) / n, float64(u.BucketWords) / n, float64(u.LongWords) / n
 }
 
 // New creates an empty index.
@@ -197,9 +174,6 @@ func (ix *Index) Directory() *directory.Dir { return ix.dir }
 // LongLists exposes the long-list manager.
 func (ix *Index) LongLists() *longlist.Manager { return ix.long }
 
-// Policy returns the index's normalized long-list policy.
-func (ix *Index) Policy() longlist.Policy { return ix.long.Policy() }
-
 // Batches reports how many batch updates have been applied.
 func (ix *Index) Batches() int { return ix.batches }
 
@@ -207,9 +181,6 @@ func (ix *Index) Batches() int { return ix.batches }
 // update applied to this index carried, deleted and swept documents
 // included. It is 0 in simulation mode, where updates carry no lists.
 func (ix *Index) MaxDoc() postings.DocID { return ix.maxDoc }
-
-// UpdateHistory returns per-update statistics for all applied batches.
-func (ix *Index) UpdateHistory() []UpdateStats { return ix.updateStats }
 
 // WordUpdate is one word's contribution to a batch update: the in-memory
 // inverted list built from the arriving documents. List may be nil in
@@ -305,7 +276,6 @@ func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
 	st.Utilization = ix.dir.Utilization()
 	st.AvgReadsPerList = ix.dir.AvgReadsPerList()
 	st.LongLists = ix.dir.NumWords()
-	ix.updateStats = append(ix.updateStats, st)
 	return st, nil
 }
 

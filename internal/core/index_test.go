@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualindex/internal/corpus"
@@ -79,12 +80,11 @@ func TestApplyUpdateCategorisesWords(t *testing.T) {
 	if st.NewWords != 1 || st.BucketWords != 1 {
 		t.Fatalf("second update stats: %+v", st)
 	}
-	nf, bf, lf := st.Fractions()
-	if nf != 0.5 || bf != 0.5 || lf != 0 {
-		t.Errorf("fractions = %v %v %v", nf, bf, lf)
+	if st.Words != 2 || st.LongWords != 0 {
+		t.Errorf("second update stats: %+v", st)
 	}
-	if ix.Batches() != 2 || len(ix.UpdateHistory()) != 2 {
-		t.Errorf("batches = %d history = %d", ix.Batches(), len(ix.UpdateHistory()))
+	if ix.Batches() != 2 {
+		t.Errorf("batches = %d", ix.Batches())
 	}
 }
 
@@ -108,8 +108,8 @@ func TestOverflowPromotesToLongList(t *testing.T) {
 	if ix.Lookup(0) != SourceLong {
 		t.Fatalf("word 0 source = %v, want long", ix.Lookup(0))
 	}
-	if ix.ListLen(0) != 300 {
-		t.Fatalf("ListLen = %d", ix.ListLen(0))
+	if listLen(ix, 0) != 300 {
+		t.Fatalf("ListLen = %d", listLen(ix, 0))
 	}
 	// Subsequent updates for word 0 are long-word appends.
 	st, err = ix.ApplyUpdate([]WordUpdate{{Word: 0, Count: 5}})
@@ -119,8 +119,8 @@ func TestOverflowPromotesToLongList(t *testing.T) {
 	if st.LongWords != 1 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if ix.ListLen(0) != 305 {
-		t.Fatalf("ListLen = %d", ix.ListLen(0))
+	if listLen(ix, 0) != 305 {
+		t.Fatalf("ListLen = %d", listLen(ix, 0))
 	}
 }
 
@@ -241,7 +241,7 @@ func TestStoreModeEndToEndQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := postings.FromDocs(docs)
-		if !postings.Equal(got, want) {
+		if !slices.Equal(got.Postings(), want.Postings()) {
 			t.Fatalf("word %d: got %d postings, want %d (source %v)", w, got.Len(), want.Len(), ix.Lookup(w))
 		}
 	}
@@ -285,13 +285,13 @@ func TestDeleteFiltersAndSweepReclaims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.Contains(20) {
+		if slices.Contains(l.Docs(), 20) {
 			t.Errorf("deleted doc 20 visible in word %d", w)
 		}
 	}
 	// Physical length is unchanged until the sweep.
-	if ix.ListLen(1) != 3 {
-		t.Errorf("pre-sweep ListLen(1) = %d", ix.ListLen(1))
+	if listLen(ix, 1) != 3 {
+		t.Errorf("pre-sweep ListLen(1) = %d", listLen(ix, 1))
 	}
 	if err := ix.Sweep(); err != nil {
 		t.Fatal(err)
@@ -299,11 +299,11 @@ func TestDeleteFiltersAndSweepReclaims(t *testing.T) {
 	if ix.DeletedCount() != 0 {
 		t.Error("sweep kept the deleted list")
 	}
-	if ix.ListLen(1) != 2 || ix.ListLen(2) != 1 || ix.ListLen(3) != 299 {
-		t.Errorf("post-sweep lens: %d %d %d", ix.ListLen(1), ix.ListLen(2), ix.ListLen(3))
+	if listLen(ix, 1) != 2 || listLen(ix, 2) != 1 || listLen(ix, 3) != 299 {
+		t.Errorf("post-sweep lens: %d %d %d", listLen(ix, 1), listLen(ix, 2), listLen(ix, 3))
 	}
 	l, _ := ix.GetList(3)
-	if l.Contains(20) || l.Len() != 299 {
+	if slices.Contains(l.Docs(), 20) || l.Len() != 299 {
 		t.Errorf("post-sweep word 3 list wrong: len=%d", l.Len())
 	}
 }
@@ -383,7 +383,7 @@ func TestRestartEqualsUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !postings.Equal(a, b) {
+		if !slices.Equal(a.Postings(), b.Postings()) {
 			t.Fatalf("word %d differs after restart: %d vs %d postings (sources %v/%v)",
 				w, a.Len(), b.Len(), full.Lookup(w), reopened.Lookup(w))
 		}
@@ -433,7 +433,7 @@ func TestRestartPreservesDeletions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Contains(6) || l.Len() != 2 {
+	if slices.Contains(l.Docs(), 6) || l.Len() != 2 {
 		t.Fatalf("filtered list wrong after restart: %v", l.Docs())
 	}
 }
@@ -468,13 +468,17 @@ func TestApplyBatchFromCorpus(t *testing.T) {
 	w := corpus.WordID(0)
 	var docs []postings.DocID
 	for _, b := range batches {
-		docs = append(docs, b.Postings(w).Docs()...)
+		for _, d := range b.Docs {
+			if _, ok := slices.BinarySearch(d.Words, w); ok {
+				docs = append(docs, d.ID)
+			}
+		}
 	}
 	got, err := ix.GetList(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !postings.Equal(got, postings.FromDocs(docs)) {
+	if !slices.Equal(got.Postings(), postings.FromDocs(docs).Postings()) {
 		t.Fatalf("word %d: %d postings, want %d", w, got.Len(), len(docs))
 	}
 }
@@ -534,12 +538,12 @@ func TestSweepUnderEveryPolicy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if l.Contains(50) {
+				if slices.Contains(l.Docs(), 50) {
 					t.Errorf("word %d still contains swept doc", w)
 				}
 			}
-			if ix.ListLen(1) != 299 || ix.ListLen(2) != 2 {
-				t.Errorf("post-sweep lens %d/%d", ix.ListLen(1), ix.ListLen(2))
+			if listLen(ix, 1) != 299 || listLen(ix, 2) != 2 {
+				t.Errorf("post-sweep lens %d/%d", listLen(ix, 1), listLen(ix, 2))
 			}
 			if err := ix.CheckConsistency(); err != nil {
 				t.Errorf("post-sweep fsck: %v", err)
@@ -572,10 +576,28 @@ func TestGetListMergesDeletedAndPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Contains(2) {
+	if slices.Contains(l.Docs(), 2) {
 		t.Error("deleted doc visible after promotion")
 	}
 	if l.Len() != 302 {
 		t.Errorf("len = %d, want 302", l.Len())
 	}
+}
+
+// listLen is the number of postings indexed for w, postings of deleted
+// documents not yet swept included.
+func listLen(ix *Index, w postings.WordID) int64 {
+	switch ix.Lookup(w) {
+	case SourceLong:
+		return ix.dir.Postings(w)
+	case SourceBucket:
+		var n int64
+		ix.buckets.ForEachWord(func(v postings.WordID, count int) {
+			if v == w {
+				n = int64(count)
+			}
+		})
+		return n
+	}
+	return 0
 }

@@ -41,18 +41,6 @@ func (ix *Index) Lookup(w postings.WordID) ListSource {
 	return SourceNone
 }
 
-// ListLen reports the number of postings currently indexed for w, including
-// postings of deleted documents not yet swept.
-func (ix *Index) ListLen(w postings.WordID) int64 {
-	switch ix.Lookup(w) {
-	case SourceLong:
-		return ix.dir.Postings(w)
-	case SourceBucket:
-		return int64(ix.buckets.Count(w))
-	}
-	return 0
-}
-
 // ReadCost reports the number of read operations a query for w would incur:
 // one per chunk for a long list, zero for a bucket word (buckets are kept in
 // memory during operation, as the paper assumes).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualindex/internal/directory"
@@ -45,7 +46,7 @@ func checkAgainstRef(t *testing.T, ix *Index, ref map[postings.WordID][]postings
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !postings.Equal(got, postings.FromDocs(docs)) {
+		if !slices.Equal(got.Postings(), postings.FromDocs(docs).Postings()) {
 			t.Fatalf("word %d: %d postings, want %d (source %v)", w, got.Len(), len(docs), ix.Lookup(w))
 		}
 	}
@@ -92,9 +93,9 @@ func TestRebalanceShrinkEvictsToLongLists(t *testing.T) {
 		t.Errorf("no evictions on shrink: %d → %d long lists", longBefore, ix.Directory().NumWords())
 	}
 	checkAgainstRef(t, ix, ref)
-	for i := 0; i < 4; i++ {
-		if ix.Buckets().Load(i) > 64 {
-			t.Fatalf("bucket %d over capacity after shrink: %d", i, ix.Buckets().Load(i))
+	for i, b := 0, ix.Buckets(); i < 4; i++ {
+		if load := b.WordsIn(i) + b.PostingsIn(i); load > 64 {
+			t.Fatalf("bucket %d over capacity after shrink: %d", i, load)
 		}
 	}
 }
@@ -239,7 +240,7 @@ func TestRestartAfterSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !postings.Equal(got, want) {
+		if !slices.Equal(got.Postings(), want.Postings()) {
 			t.Fatalf("word %d: %d postings, want %d", w, got.Len(), want.Len())
 		}
 	}

@@ -65,30 +65,6 @@ func (b *Batch) Update() []WordCount {
 	return out
 }
 
-// Postings returns the postings list for one word of the batch.
-func (b *Batch) Postings(w WordID) *postings.List {
-	var docs []postings.DocID
-	for _, d := range b.Docs {
-		if containsWord(d.Words, w) {
-			docs = append(docs, d.ID)
-		}
-	}
-	return postings.FromDocs(docs)
-}
-
-func containsWord(ws []WordID, w WordID) bool {
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ws[mid] < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ws) && ws[lo] == w
-}
-
 func sortWordCounts(s []WordCount) {
 	slices.SortFunc(s, func(a, b WordCount) int { return int(a.Word) - int(b.Word) })
 }
@@ -196,9 +172,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		nextNoise: WordID(cfg.VocabSize),
 	}, nil
 }
-
-// Days reports the configured number of batches.
-func (g *Generator) Days() int { return g.cfg.Days }
 
 // Next generates the next daily batch. It returns nil after the configured
 // number of days.

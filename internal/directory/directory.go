@@ -62,7 +62,6 @@ type Dir struct {
 	totalChunks   int64
 	totalPostings int64
 	totalCapacity int64
-	totalBlocks   int64
 }
 
 // New returns an empty directory.
@@ -80,14 +79,8 @@ func (d *Dir) Has(w postings.WordID) bool {
 // NumWords reports how many words have long lists.
 func (d *Dir) NumWords() int { return len(d.words) }
 
-// NumChunks reports the total number of chunks across all long lists.
-func (d *Dir) NumChunks() int64 { return d.totalChunks }
-
 // TotalPostings reports the postings stored in all long lists.
 func (d *Dir) TotalPostings() int64 { return d.totalPostings }
-
-// TotalBlocks reports the disk blocks allocated to all long lists.
-func (d *Dir) TotalBlocks() int64 { return d.totalBlocks }
 
 // Utilization is the paper's long-list (internal) utilization rate: the
 // fraction of allocated long-list capacity that holds postings. With no long
@@ -204,12 +197,6 @@ func (d *Dir) Replace(w postings.WordID, chunks []ChunkRef) ([]ChunkRef, error) 
 	return old, nil
 }
 
-// Remove deletes w's long list entirely and returns its chunks.
-func (d *Dir) Remove(w postings.WordID) []ChunkRef {
-	old, _ := d.Replace(w, nil)
-	return old
-}
-
 // Words returns all words with long lists in ascending order.
 func (d *Dir) Words() []postings.WordID {
 	out := make([]postings.WordID, 0, len(d.words))
@@ -230,7 +217,6 @@ func (d *Dir) Clone() *Dir {
 		totalChunks:   d.totalChunks,
 		totalPostings: d.totalPostings,
 		totalCapacity: d.totalCapacity,
-		totalBlocks:   d.totalBlocks,
 	}
 	for w, cs := range d.words {
 		c.words[w] = append([]ChunkRef(nil), cs...)
@@ -242,7 +228,6 @@ func (d *Dir) account(c ChunkRef, sign int64) {
 	d.totalChunks += sign
 	d.totalPostings += sign * c.Postings
 	d.totalCapacity += sign * c.Capacity
-	d.totalBlocks += sign * c.Blocks
 }
 
 // EncodedSize reports the byte size of Encode's output without building it,

@@ -14,7 +14,7 @@ func chunk(disk int, block, blocks, ps, cap int64) ChunkRef {
 
 func TestEmptyDir(t *testing.T) {
 	d := New()
-	if d.Has(1) || d.NumWords() != 0 || d.NumChunks() != 0 {
+	if d.Has(1) || d.NumWords() != 0 || d.totalChunks != 0 {
 		t.Fatal("empty dir not empty")
 	}
 	if d.Utilization() != 1.0 {
@@ -36,8 +36,8 @@ func TestAppendChunkAndAccounting(t *testing.T) {
 	if err := d.AppendChunk(9, chunk(0, 200, 1, 400, 400)); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Has(7) || d.NumWords() != 2 || d.NumChunks() != 3 {
-		t.Fatalf("words=%d chunks=%d", d.NumWords(), d.NumChunks())
+	if !d.Has(7) || d.NumWords() != 2 || d.totalChunks != 3 {
+		t.Fatalf("words=%d chunks=%d", d.NumWords(), d.totalChunks)
 	}
 	if d.Postings(7) != 600 || d.TotalPostings() != 1000 {
 		t.Fatalf("postings(7)=%d total=%d", d.Postings(7), d.TotalPostings())
@@ -47,9 +47,6 @@ func TestAppendChunkAndAccounting(t *testing.T) {
 	}
 	if got := d.AvgReadsPerList(); got != 1.5 {
 		t.Errorf("AvgReadsPerList = %v, want 1.5", got)
-	}
-	if d.TotalBlocks() != 4 {
-		t.Errorf("TotalBlocks = %d", d.TotalBlocks())
 	}
 }
 
@@ -110,27 +107,24 @@ func TestReplaceReturnsOldChunks(t *testing.T) {
 	if len(old) != 2 || old[0].Block != 0 || old[1].Block != 8 {
 		t.Fatalf("old chunks = %+v", old)
 	}
-	if d.NumChunks() != 1 || d.TotalPostings() != 220 {
-		t.Fatalf("chunks=%d postings=%d", d.NumChunks(), d.TotalPostings())
-	}
-	// Replacing with nil removes the word.
-	if _, err := d.Replace(5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if d.Has(5) || d.NumChunks() != 0 || d.TotalPostings() != 0 {
-		t.Fatal("Replace(nil) left residue")
+	if d.totalChunks != 1 || d.TotalPostings() != 220 {
+		t.Fatalf("chunks=%d postings=%d", d.totalChunks, d.TotalPostings())
 	}
 }
 
+// TestRemove: replacing a word's chunks with nil removes its long list and
+// returns the chunks; removing it again returns nothing.
 func TestRemove(t *testing.T) {
 	d := New()
 	d.AppendChunk(5, chunk(0, 0, 2, 100, 200))
-	old := d.Remove(5)
-	if len(old) != 1 || d.Has(5) {
-		t.Fatalf("Remove = %+v, Has=%v", old, d.Has(5))
+	if old, err := d.Replace(5, nil); err != nil || len(old) != 1 {
+		t.Fatalf("Replace(nil) = %+v, %v", old, err)
 	}
-	if got := d.Remove(5); got != nil {
-		t.Fatalf("second Remove = %+v", got)
+	if d.Has(5) || d.totalChunks != 0 || d.TotalPostings() != 0 {
+		t.Fatal("Replace(nil) left residue")
+	}
+	if old, _ := d.Replace(5, nil); old != nil {
+		t.Fatalf("second Replace(nil) = %+v", old)
 	}
 }
 
@@ -158,8 +152,8 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumWords() != 2 || got.NumChunks() != 3 {
-		t.Fatalf("decoded words=%d chunks=%d", got.NumWords(), got.NumChunks())
+	if got.NumWords() != 2 || got.totalChunks != 3 {
+		t.Fatalf("decoded words=%d chunks=%d", got.NumWords(), got.totalChunks)
 	}
 	for _, w := range d.Words() {
 		a, b := d.Chunks(w), got.Chunks(w)
@@ -208,25 +202,24 @@ func TestQuickAccountingConsistent(t *testing.T) {
 					d.GrowLastChunk(w, 1+int64(r.Intn(int(last.Free()))))
 				}
 			case 2:
-				d.Remove(w)
+				d.Replace(w, nil)
 			}
 		}
 		// Recompute aggregates from scratch and compare.
-		var chunks, ps, cap, blocks int64
+		var chunks, ps, cap int64
 		for _, w := range d.Words() {
 			for _, c := range d.Chunks(w) {
 				chunks++
 				ps += c.Postings
 				cap += c.Capacity
-				blocks += c.Blocks
 			}
 		}
-		if chunks != d.NumChunks() || ps != d.TotalPostings() || blocks != d.TotalBlocks() {
+		if chunks != d.totalChunks || ps != d.TotalPostings() || cap != d.totalCapacity {
 			return false
 		}
 		// Roundtrip through the codec preserves everything.
 		got, err := Decode(d.Encode(nil))
-		return err == nil && got.NumChunks() == chunks && got.TotalPostings() == ps
+		return err == nil && got.totalChunks == chunks && got.TotalPostings() == ps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

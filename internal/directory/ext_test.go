@@ -35,7 +35,7 @@ func TestEncodeExtRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if got.TotalBlocks() != d.TotalBlocks() || got.TotalPostings() != d.TotalPostings() {
+	if got.totalChunks != d.totalChunks || got.TotalPostings() != d.TotalPostings() {
 		t.Fatal("totals not rebuilt")
 	}
 }

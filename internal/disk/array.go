@@ -173,13 +173,6 @@ func (a *Array) FreeBlocks() int64 {
 	return sum
 }
 
-// DiskFree reports the free blocks of one disk.
-func (a *Array) DiskFree(disk int) int64 {
-	a.freeMu[disk].Lock()
-	defer a.freeMu[disk].Unlock()
-	return a.free[disk].FreeBlocks()
-}
-
 // ReadOps and friends report cumulative operation counts, the paper's
 // primary unit of measurement in §5.2.
 func (a *Array) ReadOps() int64 {
@@ -207,15 +200,6 @@ func (a *Array) ReadBlocks() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.readBlocks
-}
-
-// PerDiskOps reports each disk's cumulative operation and block counters.
-func (a *Array) PerDiskOps() []DiskOps {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]DiskOps, len(a.perDisk))
-	copy(out, a.perDisk)
-	return out
 }
 
 // DiskOpCounts reports one disk's cumulative counters.

@@ -196,14 +196,6 @@ func (b *Buddy) Reserve(start, n int64) error {
 	return fmt.Errorf("disk: buddy Reserve(%d, %d): range not free", start, n)
 }
 
-// AllocatedFor reports the blocks actually consumed by a request of n
-// blocks — the enclosing power of two. The difference from n is the buddy
-// system's internal rounding waste, the quantity the ablation experiment
-// measures.
-func (b *Buddy) AllocatedFor(n int64) int64 {
-	return int64(1) << orderFor(n)
-}
-
 var (
 	_ Allocator = (*Buddy)(nil)
 	_ Allocator = (*FreeList)(nil)

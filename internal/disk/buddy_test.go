@@ -15,8 +15,8 @@ func TestBuddyAllocRoundsToPowersOfTwo(t *testing.T) {
 	if b.FreeBlocks() != 56 {
 		t.Fatalf("free = %d, want 56 (8 consumed)", b.FreeBlocks())
 	}
-	if b.AllocatedFor(5) != 8 || b.AllocatedFor(8) != 8 || b.AllocatedFor(9) != 16 || b.AllocatedFor(1) != 1 {
-		t.Error("AllocatedFor wrong")
+	if allocatedFor(5) != 8 || allocatedFor(8) != 8 || allocatedFor(9) != 16 || allocatedFor(1) != 1 {
+		t.Error("orderFor rounds wrong")
 	}
 	// The next allocation of 8 lands on the buddy of the first.
 	start2, ok := b.Alloc(8)
@@ -32,7 +32,7 @@ func TestBuddyAlignment(t *testing.T) {
 		if !ok {
 			t.Fatalf("Alloc(%d) failed", n)
 		}
-		size := b.AllocatedFor(n)
+		size := allocatedFor(n)
 		if start%size != 0 {
 			t.Errorf("Alloc(%d) start %d not aligned to %d", n, start, size)
 		}
@@ -176,14 +176,14 @@ func TestQuickBuddyConservation(t *testing.T) {
 				n := int64(r.Intn(30) + 1)
 				if s, ok := b.Alloc(n); ok {
 					live = append(live, chunk{s, n})
-					used += b.AllocatedFor(n)
+					used += allocatedFor(n)
 				}
 			} else {
 				i := r.Intn(len(live))
 				c := live[i]
 				live = append(live[:i], live[i+1:]...)
 				b.Free(c.start, c.n)
-				used -= b.AllocatedFor(c.n)
+				used -= allocatedFor(c.n)
 			}
 			if b.FreeBlocks() != total-used {
 				return false
@@ -193,7 +193,7 @@ func TestQuickBuddyConservation(t *testing.T) {
 		for i := range live {
 			for j := i + 1; j < len(live); j++ {
 				a, c := live[i], live[j]
-				as, cs := b.AllocatedFor(a.n), b.AllocatedFor(c.n)
+				as, cs := allocatedFor(a.n), allocatedFor(c.n)
 				if a.start < c.start+cs && c.start < a.start+as {
 					return false
 				}
@@ -246,12 +246,12 @@ func TestArrayWithBuddyAllocator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Buddy consumes 16 for a 10-block request.
-	if a.DiskFree(0) != 1024-16 {
-		t.Fatalf("free = %d, want 1008", a.DiskFree(0))
+	if a.free[0].FreeBlocks() != 1024-16 {
+		t.Fatalf("free = %d, want 1008", a.free[0].FreeBlocks())
 	}
 	a.Free(0, s, 10)
-	if a.DiskFree(0) != 1024 {
-		t.Fatalf("free = %d after free", a.DiskFree(0))
+	if a.free[0].FreeBlocks() != 1024 {
+		t.Fatalf("free = %d after free", a.free[0].FreeBlocks())
 	}
 }
 
@@ -275,3 +275,7 @@ func BenchmarkBuddyAllocFree(b *testing.B) {
 		}
 	}
 }
+
+// allocatedFor is the blocks a buddy request of n blocks consumes: the
+// enclosing power of two.
+func allocatedFor(n int64) int64 { return int64(1) << orderFor(n) }

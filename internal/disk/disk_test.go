@@ -19,8 +19,8 @@ func TestArrayAllocFreeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.DiskFree(0) != 924 || a.DiskFree(1) != 1024 {
-		t.Fatalf("free after alloc: %d/%d", a.DiskFree(0), a.DiskFree(1))
+	if a.free[0].FreeBlocks() != 924 || a.free[1].FreeBlocks() != 1024 {
+		t.Fatalf("free after alloc: %d/%d", a.free[0].FreeBlocks(), a.free[1].FreeBlocks())
 	}
 	a.Free(0, start, 100)
 	if a.FreeBlocks() != 2048 {
@@ -151,38 +151,6 @@ func TestStageThenCommit(t *testing.T) {
 		if a.WriteOps() != 4 {
 			t.Fatalf("workers=%d: %d writes recorded, want 4", workers, a.WriteOps())
 		}
-	}
-}
-
-func TestFileStoreRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir, 2, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	data := bytes.Repeat([]byte{0x5C}, 1024)
-	if err := s.WriteAt(1, 3, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 1024)
-	if err := s.ReadAt(1, 3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("file store roundtrip mismatch")
-	}
-	// Reading past EOF yields zeros.
-	if err := s.ReadAt(0, 100, got); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got {
-		if b != 0 {
-			t.Fatal("EOF read not zero-filled")
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -385,8 +353,8 @@ func TestExerciserPerDiskAccounting(t *testing.T) {
 	if b.Elapsed != b.PerDisk[0] {
 		t.Errorf("Elapsed %v != busiest disk %v", b.Elapsed, b.PerDisk[0])
 	}
-	if res.TotalOps() != 12 {
-		t.Errorf("TotalOps = %d", res.TotalOps())
+	if b.Ops != 12 {
+		t.Errorf("Ops = %d", b.Ops)
 	}
 }
 
@@ -414,16 +382,6 @@ func TestGeometryBlocksFor(t *testing.T) {
 		if got := g.BlocksFor(c.bytes); got != c.want {
 			t.Errorf("BlocksFor(%d) = %d, want %d", c.bytes, got, c.want)
 		}
-	}
-}
-
-func TestTraceCountKind(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Op{Kind: Read, Count: 1})
-	tr.Append(Op{Kind: Write, Count: 1})
-	tr.Append(Op{Kind: Write, Count: 1})
-	if tr.CountKind(Read) != 1 || tr.CountKind(Write) != 2 {
-		t.Fatalf("CountKind = %d/%d", tr.CountKind(Read), tr.CountKind(Write))
 	}
 }
 

@@ -45,15 +45,6 @@ func (r Result) Total() time.Duration {
 	return sum
 }
 
-// TotalOps returns the cumulative pre-coalescing operation count.
-func (r Result) TotalOps() int {
-	n := 0
-	for _, b := range r.Batches {
-		n += b.Ops
-	}
-	return n
-}
-
 // Run replays the full trace and returns per-batch timings. Head positions
 // persist across batches, as they do on real hardware.
 func (e *Exerciser) Run(t *Trace) Result {

@@ -46,17 +46,6 @@ func (f *FreeList) TotalBlocks() int64 { return f.total }
 // FreeBlocks reports how many blocks are currently free.
 func (f *FreeList) FreeBlocks() int64 { return f.free }
 
-// LargestExtent reports the size of the largest contiguous free region.
-func (f *FreeList) LargestExtent() int64 {
-	var max int64
-	for _, e := range f.extents {
-		if e.count > max {
-			max = e.count
-		}
-	}
-	return max
-}
-
 // Alloc finds the first extent with at least n blocks, carves the chunk from
 // its beginning, and returns the chunk's starting block. ok is false when no
 // contiguous region of n blocks exists.

@@ -2,9 +2,6 @@ package disk
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 )
 
@@ -15,7 +12,8 @@ import (
 // Implementations must be safe for concurrent use: the parallel batch-apply
 // path issues reads and writes from one worker per disk, and queries read
 // concurrently with a running flush. Both provided stores satisfy this —
-// MemStore with per-disk locks, FileStore through pread/pwrite.
+// MemStore with per-disk locks, AsyncFileStore with per-disk write queues
+// and pread/pwrite.
 type BlockStore interface {
 	// ReadAt fills buf with block contents starting at the given block.
 	// len(buf) must be a multiple of the block size.
@@ -100,96 +98,3 @@ func (s *MemStore) Sync() error { return nil }
 
 // Close implements BlockStore.
 func (s *MemStore) Close() error { return nil }
-
-// FileStore backs each simulated disk with one file, the equivalent of the
-// paper's raw disk partitions for runs that want real I/O. ReadAt and
-// WriteAt go through positional pread/pwrite, so the store is safe for
-// concurrent use without additional locking.
-type FileStore struct {
-	blockSize int
-	files     []*os.File
-}
-
-// NewFileStore creates (or truncates) one backing file per disk in dir.
-func NewFileStore(dir string, numDisks, blockSize int) (*FileStore, error) {
-	return newFileStore(dir, numDisks, blockSize, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
-}
-
-// OpenFileStore reopens an existing store's backing files without
-// truncating them, for resuming an index from its checkpoint.
-func OpenFileStore(dir string, numDisks, blockSize int) (*FileStore, error) {
-	return newFileStore(dir, numDisks, blockSize, os.O_RDWR)
-}
-
-func newFileStore(dir string, numDisks, blockSize int, flag int) (*FileStore, error) {
-	s := &FileStore{blockSize: blockSize}
-	for i := 0; i < numDisks; i++ {
-		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("disk%d.dat", i)), flag, 0o644)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.files = append(s.files, f)
-	}
-	return s, nil
-}
-
-func (s *FileStore) check(disk int, buf []byte) error {
-	if disk < 0 || disk >= len(s.files) {
-		return fmt.Errorf("disk: store access to disk %d of %d", disk, len(s.files))
-	}
-	if len(buf)%s.blockSize != 0 {
-		return fmt.Errorf("disk: buffer length %d not a multiple of block size %d", len(buf), s.blockSize)
-	}
-	return nil
-}
-
-// ReadAt implements BlockStore. Reads past the written end return zeros,
-// matching raw-partition semantics for never-written blocks.
-func (s *FileStore) ReadAt(disk int, block int64, buf []byte) error {
-	if err := s.check(disk, buf); err != nil {
-		return err
-	}
-	n, err := s.files[disk].ReadAt(buf, block*int64(s.blockSize))
-	if err == io.EOF {
-		// Zero-fill the tail beyond EOF.
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
-		return nil
-	}
-	return err
-}
-
-// WriteAt implements BlockStore.
-func (s *FileStore) WriteAt(disk int, block int64, buf []byte) error {
-	if err := s.check(disk, buf); err != nil {
-		return err
-	}
-	_, err := s.files[disk].WriteAt(buf, block*int64(s.blockSize))
-	return err
-}
-
-// Sync implements BlockStore.
-func (s *FileStore) Sync() error {
-	for _, f := range s.files {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements BlockStore.
-func (s *FileStore) Close() error {
-	var first error
-	for _, f := range s.files {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -80,6 +80,43 @@ func TestBackendFileRoundTrip(t *testing.T) {
 	})
 }
 
+// TestBackendFileZeroFillPastEOF: a read reaching past the end of a disk's
+// file fills the rest of the caller's buffer with zeros, whatever it held
+// before — raw-partition semantics for never-written blocks.
+func TestBackendFileZeroFillPastEOF(t *testing.T) {
+	asyncVariants(t, func(t *testing.T, mm bool) {
+		const bs, blocks = 64, 16
+		s, err := NewAsyncFileStore(t.TempDir(), 1, bs, blocks, mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// Block 20 lies past the presized mmap range, so the file ends
+		// right after it and reads beyond it go through pread.
+		data := bytes.Repeat([]byte{0x5C}, bs)
+		if err := s.WriteAt(0, 20, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		got := bytes.Repeat([]byte{0xFF}, 2*bs)
+		if err := s.ReadAt(0, 20, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:bs], data) || !bytes.Equal(got[bs:], make([]byte, bs)) {
+			t.Fatal("read across EOF: data block lost or tail not zero-filled")
+		}
+		got = bytes.Repeat([]byte{0xFF}, bs)
+		if err := s.ReadAt(0, 100, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, bs)) {
+			t.Fatal("read past EOF not zero-filled")
+		}
+	})
+}
+
 func TestBackendFileOverwriteOrdering(t *testing.T) {
 	// Rapid rewrites of the same block: readers must always see the newest
 	// enqueued version, and the file must end with the last one.

@@ -81,17 +81,6 @@ func (t *Trace) Batch(i int) []Op {
 	return t.ops[start:t.bounds[i]]
 }
 
-// CountKind reports the number of operations of the given kind.
-func (t *Trace) CountKind(k Kind) int {
-	n := 0
-	for _, op := range t.ops {
-		if op.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteText serialises the trace in a line format close to the paper's
 // Figure 6 ("write word ... disk ... id ... size ...").
 func (t *Trace) WriteText(w io.Writer) error {

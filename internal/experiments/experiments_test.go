@@ -17,7 +17,7 @@ func quickEnv(t *testing.T) *Env {
 	if quickEnvCache != nil {
 		return quickEnvCache
 	}
-	env, err := NewEnv(QuickParams())
+	env, err := NewEnv(quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFigure1Animation(t *testing.T) {
 
 func TestFigure7Shape(t *testing.T) {
 	stats := quickEnv(t).Figure7()
-	if len(stats) != QuickParams().Corpus.Days {
+	if len(stats) != quickParams().Corpus.Days {
 		t.Fatalf("updates = %d", len(stats))
 	}
 	nf0, _, lf0 := stats[0].Fractions()
@@ -317,7 +317,7 @@ func TestExtensionDiskSweep(t *testing.T) {
 }
 
 func TestExtensionScaleSweep(t *testing.T) {
-	base := QuickParams()
+	base := quickParams()
 	base.Corpus.Days = 12
 	pts, err := ExtensionScaleSweep(base, []float64{0.5, 1.0}, longlist.NewRecommended())
 	if err != nil {
@@ -548,11 +548,11 @@ func TestMotivation(t *testing.T) {
 func TestEnvFullyDeterministic(t *testing.T) {
 	// Two independent environments with the same parameters must agree on
 	// every curve — the property that makes the figures reproducible.
-	a, err := NewEnv(QuickParams())
+	a, err := NewEnv(quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEnv(QuickParams())
+	b, err := NewEnv(quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,4 +589,12 @@ func TestEnvFullyDeterministic(t *testing.T) {
 			t.Fatalf("%s: timings diverge: %v vs %v", l, ca[len(ca)-1], cb[len(cb)-1])
 		}
 	}
+}
+
+// quickParams is a fast configuration for tests: the same shape at a
+// fraction of the volume.
+func quickParams() Params {
+	p := DefaultParams().Scaled(0.15)
+	p.Corpus.Days = 30
+	return p
 }

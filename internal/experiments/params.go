@@ -66,11 +66,3 @@ func (p Params) Scaled(f float64) Params {
 	}
 	return p
 }
-
-// QuickParams returns a fast configuration for tests: the same shape at a
-// fraction of the volume.
-func QuickParams() Params {
-	p := DefaultParams().Scaled(0.15)
-	p.Corpus.Days = 30
-	return p
-}

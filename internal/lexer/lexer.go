@@ -235,28 +235,3 @@ func byteClass(b byte) byte {
 	}
 	return 0
 }
-
-// LooksEnglish applies the paper's corpus filter heuristics: documents that
-// are too short or that look like encoded binaries (a low ratio of letters
-// to total characters) are rejected ("News documents less than N characters
-// in length were eliminated ... non-English language documents (e.g.,
-// encoded binaries and pictures) were filtered out").
-func LooksEnglish(doc string, minLen int) bool {
-	if len(doc) < minLen {
-		return false
-	}
-	letters, total := 0, 0
-	for _, r := range doc {
-		if r == '\n' || r == '\r' {
-			continue
-		}
-		total++
-		if isLetter(r) || r == ' ' {
-			letters++
-		}
-	}
-	if total == 0 {
-		return false
-	}
-	return float64(letters)/float64(total) >= 0.7
-}

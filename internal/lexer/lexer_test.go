@@ -93,23 +93,6 @@ func TestTokenizeEmpty(t *testing.T) {
 	}
 }
 
-func TestLooksEnglish(t *testing.T) {
-	long := strings.Repeat("plain english words here ", 50)
-	if !LooksEnglish(long, 100) {
-		t.Error("english text rejected")
-	}
-	if LooksEnglish("short", 100) {
-		t.Error("short doc accepted")
-	}
-	binary := strings.Repeat("\x01\x02%$#@+=09", 200)
-	if LooksEnglish(binary, 100) {
-		t.Error("binary-looking doc accepted")
-	}
-	if LooksEnglish("", 0) {
-		t.Error("empty doc accepted")
-	}
-}
-
 func TestQuickTokensSortedAndUnique(t *testing.T) {
 	f := func(doc string) bool {
 		got := Tokenize(doc, Options{})

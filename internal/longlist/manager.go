@@ -122,18 +122,12 @@ func NewManagerCodec(p Policy, array *disk.Array, dir *directory.Dir, blockPosti
 	return m, nil
 }
 
-// Codec returns the manager's block codec (nil for raw).
-func (m *Manager) Codec() postings.BlockCodec { return m.codec }
-
 // CompressionBytes reports the cumulative raw (fixed-record equivalent) and
 // encoded payload bytes of every codec pack. Both are zero for raw managers.
 // Safe to call concurrently with updates.
 func (m *Manager) CompressionBytes() (raw, encoded int64) {
 	return m.compRaw.Load(), m.compEnc.Load()
 }
-
-// Policy returns the manager's (normalized) policy.
-func (m *Manager) Policy() Policy { return m.policy }
 
 // NextDisk reports the round-robin cursor (persisted in checkpoints).
 func (m *Manager) NextDisk() int { return m.nextDisk }
@@ -143,9 +137,6 @@ func (m *Manager) SetNextDisk(d int) { m.nextDisk = d % m.array.Geometry().NumDi
 
 // Stats returns cumulative statistics.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Directory returns the chunk directory the manager maintains.
-func (m *Manager) Directory() *directory.Dir { return m.dir }
 
 func (m *Manager) blocksFor(ps int64) int64 {
 	if ps <= 0 {

@@ -2,6 +2,7 @@ package longlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -54,7 +55,7 @@ func TestNewZeroNeverReads(t *testing.T) {
 	if a.WriteOps() != 10 {
 		t.Errorf("writes = %d, want 10", a.WriteOps())
 	}
-	if got := m.Directory().NumChunks(); got != 10 {
+	if got := chunkCount(m.dir); got != 10 {
 		t.Errorf("chunks = %d, want 10 (one per update)", got)
 	}
 	if m.Stats().InPlace != 0 {
@@ -78,15 +79,15 @@ func TestNewZInPlaceUsesBlockSlack(t *testing.T) {
 	if m.Stats().InPlace != 1 {
 		t.Errorf("InPlace = %d", m.Stats().InPlace)
 	}
-	if m.Directory().NumChunks() != 1 {
-		t.Errorf("chunks = %d, want 1", m.Directory().NumChunks())
+	if chunkCount(m.dir) != 1 {
+		t.Errorf("chunks = %d, want 1", chunkCount(m.dir))
 	}
 	// Now the chunk is full: the next update cannot go in place.
 	if err := m.Append(1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.Directory().NumChunks() != 2 {
-		t.Errorf("chunks = %d, want 2", m.Directory().NumChunks())
+	if chunkCount(m.dir) != 2 {
+		t.Errorf("chunks = %d, want 2", chunkCount(m.dir))
 	}
 }
 
@@ -95,7 +96,7 @@ func TestNewZConstantReservedSpace(t *testing.T) {
 	if err := m.Append(1, 5, nil); err != nil {
 		t.Fatal(err)
 	}
-	last, _ := m.Directory().LastChunk(1)
+	last, _ := m.dir.LastChunk(1)
 	if last.Blocks != 3 { // ceil((5+25)/10)
 		t.Errorf("blocks = %d, want 3", last.Blocks)
 	}
@@ -109,7 +110,7 @@ func TestBlockAllocRoundsToMultiples(t *testing.T) {
 	if err := m.Append(1, 45, nil); err != nil { // needs 5 blocks → rounds to 8
 		t.Fatal(err)
 	}
-	last, _ := m.Directory().LastChunk(1)
+	last, _ := m.dir.LastChunk(1)
 	if last.Blocks != 8 {
 		t.Errorf("blocks = %d, want 8", last.Blocks)
 	}
@@ -120,7 +121,7 @@ func TestProportionalAllocReserves(t *testing.T) {
 	if err := m.Append(1, 30, nil); err != nil {
 		t.Fatal(err)
 	}
-	last, _ := m.Directory().LastChunk(1)
+	last, _ := m.dir.LastChunk(1)
 	if last.Blocks != 6 { // f(30) = 60 postings = 6 blocks
 		t.Errorf("blocks = %d, want 6", last.Blocks)
 	}
@@ -128,8 +129,8 @@ func TestProportionalAllocReserves(t *testing.T) {
 	if err := m.Append(1, 30, nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().InPlace != 1 || m.Directory().NumChunks() != 1 {
-		t.Errorf("InPlace=%d chunks=%d", m.Stats().InPlace, m.Directory().NumChunks())
+	if m.Stats().InPlace != 1 || chunkCount(m.dir) != 1 {
+		t.Errorf("InPlace=%d chunks=%d", m.Stats().InPlace, chunkCount(m.dir))
 	}
 }
 
@@ -143,15 +144,15 @@ func TestWholeStyleSingleChunkInvariant(t *testing.T) {
 		if err := m.Append(2, c, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(m.Directory().Chunks(2)); got != 1 {
+		if got := len(m.dir.Chunks(2)); got != 1 {
 			t.Fatalf("whole list has %d chunks after update %d", got, i)
 		}
 		m.EndBatch()
 	}
-	if m.Directory().Postings(2) != total {
-		t.Errorf("postings = %d, want %d", m.Directory().Postings(2), total)
+	if m.dir.Postings(2) != total {
+		t.Errorf("postings = %d, want %d", m.dir.Postings(2), total)
 	}
-	if got := m.Directory().AvgReadsPerList(); got != 1.0 {
+	if got := m.dir.AvgReadsPerList(); got != 1.0 {
 		t.Errorf("whole AvgReadsPerList = %v, want 1", got)
 	}
 	// Whole: one read and one write per append (after creation).
@@ -191,7 +192,7 @@ func TestFillStyleExtents(t *testing.T) {
 	if err := m.Append(1, 45, nil); err != nil {
 		t.Fatal(err)
 	}
-	cs := m.Directory().Chunks(1)
+	cs := m.dir.Chunks(1)
 	if len(cs) != 3 {
 		t.Fatalf("chunks = %d, want 3", len(cs))
 	}
@@ -218,15 +219,15 @@ func TestFillZInPlace(t *testing.T) {
 	if err := m.Append(1, 5, nil); err != nil { // fits → in place
 		t.Fatal(err)
 	}
-	if m.Stats().InPlace != 1 || m.Directory().NumChunks() != 1 {
-		t.Fatalf("InPlace=%d chunks=%d", m.Stats().InPlace, m.Directory().NumChunks())
+	if m.Stats().InPlace != 1 || chunkCount(m.dir) != 1 {
+		t.Fatalf("InPlace=%d chunks=%d", m.Stats().InPlace, chunkCount(m.dir))
 	}
 	// Over-sized update starts new extents; it is never split into the
 	// existing chunk's free space (Figure 2 consequence).
 	if err := m.Append(1, 25, nil); err != nil {
 		t.Fatal(err)
 	}
-	cs := m.Directory().Chunks(1)
+	cs := m.dir.Chunks(1)
 	if len(cs) != 3 || cs[0].Postings != 20 {
 		t.Fatalf("chunks after big update: %+v", cs)
 	}
@@ -240,7 +241,7 @@ func TestRoundRobinDiskAssignment(t *testing.T) {
 		}
 	}
 	for w := postings.WordID(0); w < 8; w++ {
-		cs := m.Directory().Chunks(w)
+		cs := m.dir.Chunks(w)
 		if cs[0].Disk != int(w)%4 {
 			t.Errorf("word %d on disk %d, want %d", w, cs[0].Disk, w%4)
 		}
@@ -329,11 +330,11 @@ func TestStoreModeRoundtripAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !postings.Equal(got, want) {
+			if !slices.Equal(got.Postings(), want.Postings()) {
 				t.Fatalf("policy %v: read %d postings, want %d", p, got.Len(), want.Len())
 			}
-			if reads != len(m.Directory().Chunks(9)) {
-				t.Errorf("reads = %d, chunk count = %d", reads, len(m.Directory().Chunks(9)))
+			if reads != len(m.dir.Chunks(9)) {
+				t.Errorf("reads = %d, chunk count = %d", reads, len(m.dir.Chunks(9)))
 			}
 		})
 	}
@@ -356,10 +357,10 @@ func TestRewriteShrinksList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !postings.Equal(got, kept) {
+	if !slices.Equal(got.Postings(), kept.Postings()) {
 		t.Fatalf("after rewrite got %d postings", got.Len())
 	}
-	if len(m.Directory().Chunks(4)) != 1 {
+	if len(m.dir.Chunks(4)) != 1 {
 		t.Error("rewrite left multiple chunks")
 	}
 	// Rewrite to empty removes the word.
@@ -367,7 +368,7 @@ func TestRewriteShrinksList(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.EndBatch()
-	if m.Directory().Has(4) {
+	if m.dir.Has(4) {
 		t.Error("empty rewrite kept the word")
 	}
 }
@@ -438,7 +439,7 @@ func TestQuickAllPoliciesAgreeOnContent(t *testing.T) {
 				continue
 			}
 			for w, l := range got {
-				if !postings.Equal(l, reference[w]) {
+				if !slices.Equal(l.Postings(), reference[w].Postings()) {
 					return false
 				}
 			}
@@ -472,7 +473,7 @@ func TestQuickDirectoryDiskConsistency(t *testing.T) {
 		}
 		m.EndBatch()
 		total := int64(geo.NumDisks) * geo.BlocksPerDisk
-		return a.FreeBlocks()+m.Directory().TotalBlocks() == total
+		return a.FreeBlocks()+allocatedBlocks(m.dir) == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -502,7 +503,7 @@ func TestAdaptiveAllocReservesLastUpdate(t *testing.T) {
 	if err := m.Append(1, 20, nil); err != nil {
 		t.Fatal(err)
 	}
-	last, _ := m.Directory().LastChunk(1)
+	last, _ := m.dir.LastChunk(1)
 	if last.Blocks != 4 || last.Free() != 20 {
 		t.Fatalf("chunk = %+v, want 4 blocks with 20 free", last)
 	}
@@ -510,15 +511,15 @@ func TestAdaptiveAllocReservesLastUpdate(t *testing.T) {
 	if err := m.Append(1, 20, nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().InPlace != 1 || m.Directory().NumChunks() != 1 {
-		t.Fatalf("InPlace=%d chunks=%d", m.Stats().InPlace, m.Directory().NumChunks())
+	if m.Stats().InPlace != 1 || chunkCount(m.dir) != 1 {
+		t.Fatalf("InPlace=%d chunks=%d", m.Stats().InPlace, chunkCount(m.dir))
 	}
 	// The chunk is now full; the third update opens a new chunk sized for
 	// itself plus one more like it.
 	if err := m.Append(1, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	cs := m.Directory().Chunks(1)
+	cs := m.dir.Chunks(1)
 	if len(cs) != 2 || cs[1].Blocks != 2 {
 		t.Fatalf("chunks = %+v", cs)
 	}
@@ -541,12 +542,12 @@ func TestAdaptiveWholeReservesOneUpdateNotWholeList(t *testing.T) {
 	}
 	// Same postings; the adaptive variant wastes at most ~one update's worth
 	// of reserved space while proportional wastes half the list.
-	au := am.Directory().Utilization()
-	pu := pm.Directory().Utilization()
+	au := am.dir.Utilization()
+	pu := pm.dir.Utilization()
 	if au <= pu {
 		t.Errorf("adaptive utilization %.3f not above proportional %.3f", au, pu)
 	}
-	if am.Directory().Postings(1) != pm.Directory().Postings(1) {
+	if am.dir.Postings(1) != pm.dir.Postings(1) {
 		t.Error("posting counts diverged")
 	}
 }
@@ -614,4 +615,24 @@ func newManagerQuick(limit Limit) (*Manager, *disk.Array) {
 	a, _ := disk.NewArray(geo, nil)
 	m, _ := NewManager(Policy{Style: StyleWhole, Limit: limit}, a, directory.New(), testBP)
 	return m, a
+}
+
+// chunkCount is the number of chunks across all of d's long lists.
+func chunkCount(d *directory.Dir) int {
+	n := 0
+	for _, w := range d.Words() {
+		n += len(d.Chunks(w))
+	}
+	return n
+}
+
+// allocatedBlocks is the disk blocks allocated to all of d's long lists.
+func allocatedBlocks(d *directory.Dir) int64 {
+	var n int64
+	for _, w := range d.Words() {
+		for _, c := range d.Chunks(w) {
+			n += c.Blocks
+		}
+	}
+	return n
 }

@@ -522,16 +522,6 @@ func (c *Controller) Backlogged() bool {
 	return false
 }
 
-// Decisions returns the decision log, oldest first.
-func (c *Controller) Decisions() []Decision {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decisionsLocked()
-}
-
 func (c *Controller) decisionsLocked() []Decision {
 	out := make([]Decision, 0, len(c.decisions))
 	out = append(out, c.decisions[c.decNext:]...)

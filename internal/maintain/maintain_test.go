@@ -147,7 +147,7 @@ func TestSweepTriggersOnDeadFractionAndConverges(t *testing.T) {
 	if !st.Enabled || st.Ticks != 2 || st.Runs[ActionSweep] != 1 || st.Backlogged {
 		t.Errorf("status = %+v", st)
 	}
-	ds := c.Decisions()
+	ds := c.Status().Decisions
 	if len(ds) != 1 || ds[0].Action != ActionSweep || ds[0].Outcome != "ok" || ds[0].Shard != 0 {
 		t.Errorf("decisions = %+v", ds)
 	}
@@ -224,7 +224,7 @@ func TestBusyDefersAndBacklogs(t *testing.T) {
 	if st.Deferred[ActionRebalance] != 1 {
 		t.Errorf("deferred = %v", st.Deferred)
 	}
-	if ds := c.Decisions(); len(ds) != 1 || ds[0].Outcome != "deferred" {
+	if ds := c.Status().Decisions; len(ds) != 1 || ds[0].Outcome != "deferred" {
 		t.Errorf("decisions = %+v", ds)
 	}
 	time.Sleep(time.Millisecond) // past BacklogAfter
@@ -282,7 +282,7 @@ func TestErrorOutcomeCountsAndRetries(t *testing.T) {
 	if st.Errors != 2 {
 		t.Errorf("errors = %d, want 2 (one per tick: failing actions retry)", st.Errors)
 	}
-	ds := c.Decisions()
+	ds := c.Status().Decisions
 	if len(ds) != 2 || !strings.Contains(ds[0].Outcome, "boom") {
 		t.Errorf("decisions = %+v", ds)
 	}
@@ -312,7 +312,7 @@ func TestPressureLowersRebalanceThreshold(t *testing.T) {
 	if !st.Pressure || st.SlowQueryRate <= 1 {
 		t.Errorf("status pressure=%v rate=%v", st.Pressure, st.SlowQueryRate)
 	}
-	ds := c.Decisions()
+	ds := c.Status().Decisions
 	if !strings.Contains(ds[len(ds)-1].Reason, "pressure") {
 		t.Errorf("pressured decision reason %q must say so", ds[len(ds)-1].Reason)
 	}
@@ -348,7 +348,7 @@ func TestDecisionLogBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Tick()
 	}
-	ds := c.Decisions()
+	ds := c.Status().Decisions
 	if len(ds) != 4 {
 		t.Fatalf("decision log length %d, want cap 4", len(ds))
 	}
@@ -436,7 +436,7 @@ func TestNilControllerIsInert(t *testing.T) {
 	if c.Backlogged() {
 		t.Error("nil controller backlogged")
 	}
-	if ds := c.Decisions(); ds != nil {
+	if ds := c.Status().Decisions; ds != nil {
 		t.Errorf("nil controller decisions = %v", ds)
 	}
 	if st := c.Status(); st.Enabled {
@@ -468,7 +468,7 @@ func TestConcurrentTickAndStatus(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				_ = c.Status()
 				_ = c.Backlogged()
-				_ = c.Decisions()
+				_ = c.Status().Decisions
 			}
 		}()
 	}

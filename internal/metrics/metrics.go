@@ -121,15 +121,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t0. A zero t0 — the "not
-// timing" sentinel of disabled instrumentation — is ignored.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil || t0.IsZero() {
-		return
-	}
-	h.Observe(time.Since(t0).Seconds())
-}
-
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
@@ -225,14 +216,6 @@ func NewRegistry(namespace string) *Registry {
 		funcs:     map[string]func() float64{},
 		hists:     map[string]*Histogram{},
 	}
-}
-
-// Namespace reports the registry's exposition prefix; "" on nil.
-func (r *Registry) Namespace() string {
-	if r == nil {
-		return ""
-	}
-	return r.namespace
 }
 
 // Counter returns the named counter, creating it on first use. A nil

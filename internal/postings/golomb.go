@@ -131,13 +131,8 @@ func encodeGolombFrom(dst []byte, ps []Posting, prev uint64, b uint64) []byte {
 	return w.buf
 }
 
-// DecodeGolomb decodes n postings Golomb-coded with parameter b.
-func DecodeGolomb(buf []byte, n int, b uint64) (*List, error) {
-	return decodeGolombFrom(buf, n, b, 0)
-}
-
-// decodeGolombFrom is DecodeGolomb with the delta chain seeded at prev,
-// mirroring encodeGolombFrom.
+// decodeGolombFrom decodes n postings Golomb-coded with parameter b, the
+// delta chain seeded at prev, mirroring encodeGolombFrom.
 func decodeGolombFrom(buf []byte, n int, b uint64, prev uint64) (*List, error) {
 	if b == 0 {
 		return nil, fmt.Errorf("%w: Golomb parameter 0", ErrCorrupt)

@@ -26,27 +26,6 @@ func (it *Iterator) Next() bool {
 // Posting returns the current posting. Valid only after a true Next.
 func (it *Iterator) Posting() Posting { return it.l.ps[it.i-1] }
 
-// Seek positions the iterator at the first posting with Doc ≥ doc and
-// reports whether one exists. If the current posting already satisfies the
-// target, the iterator does not move. Seeks binary-search the remaining
-// postings — the skipping step of conjunctive merges.
-func (it *Iterator) Seek(doc DocID) bool {
-	if it.i > 0 && it.i <= it.l.Len() && it.l.ps[it.i-1].Doc >= doc {
-		return true
-	}
-	lo, hi := it.i, it.l.Len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if it.l.ps[mid].Doc < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	it.i = lo
-	return it.Next()
-}
-
 // mergeHeap orders iterators by their current document.
 type mergeHeap []*Iterator
 
@@ -98,48 +77,6 @@ func UnionAll(lists []*List) *List {
 			heap.Fix(&h, 0)
 		} else {
 			heap.Pop(&h)
-		}
-	}
-	return out
-}
-
-// IntersectAll intersects any number of lists, smallest-first with seeking,
-// the standard conjunctive-query evaluation order.
-func IntersectAll(lists []*List) *List {
-	switch len(lists) {
-	case 0:
-		return &List{}
-	case 1:
-		return lists[0].Clone()
-	}
-	// Order by length: start from the most selective list.
-	ordered := make([]*List, len(lists))
-	copy(ordered, lists)
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].Len() < ordered[j-1].Len(); j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	out := ordered[0].Clone()
-	for _, l := range ordered[1:] {
-		if out.Len() == 0 {
-			return out
-		}
-		out = intersectSeek(out, l)
-	}
-	return out
-}
-
-// intersectSeek intersects via galloping seeks on the larger list.
-func intersectSeek(small, large *List) *List {
-	out := &List{}
-	it := large.Iter()
-	for _, p := range small.Postings() {
-		if !it.Seek(p.Doc) {
-			break
-		}
-		if q := it.Posting(); q.Doc == p.Doc {
-			out.ps = append(out.ps, Posting{Doc: p.Doc, Freq: p.Freq + q.Freq})
 		}
 	}
 	return out

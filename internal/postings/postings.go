@@ -78,9 +78,6 @@ func (l *List) Len() int {
 	return len(l.ps)
 }
 
-// At returns the i-th posting.
-func (l *List) At(i int) Posting { return l.ps[i] }
-
 // Postings returns the underlying slice. Callers must not mutate it.
 func (l *List) Postings() []Posting {
 	if l == nil {
@@ -112,12 +109,6 @@ func (l *List) MaxDoc() DocID {
 		return 0
 	}
 	return l.ps[len(l.ps)-1].Doc
-}
-
-// Contains reports whether the list has a posting for doc.
-func (l *List) Contains(doc DocID) bool {
-	i := sort.Search(l.Len(), func(i int) bool { return l.ps[i].Doc >= doc })
-	return i < l.Len() && l.ps[i].Doc == doc
 }
 
 // ErrAppendOrder is returned when an append would violate the ascending
@@ -286,17 +277,4 @@ func nextHit(ps []Posting, del []DocID) (i, j int, hit bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// Equal reports whether two lists hold identical postings.
-func Equal(a, b *List) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := range a.Postings() {
-		if a.ps[i] != b.ps[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -73,7 +73,7 @@ func TestTieredSourceDedupsSharedDocs(t *testing.T) {
 	if got, want := l.Docs(), []postings.DocID{4, 6}; !slices.Equal(got, want) {
 		t.Fatalf("docs = %v, want %v", got, want)
 	}
-	if got := l.At(0).Freq; got != 3 {
+	if got := l.Postings()[0].Freq; got != 3 {
 		t.Fatalf("doc 4 freq = %d, want 3 (2 from tier one + 1 from tier two)", got)
 	}
 }

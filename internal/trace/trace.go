@@ -7,9 +7,9 @@
 // literature (per-batch, per-phase distributions rather than end-of-run
 // aggregates).
 //
-// Like the metrics package, everything is nil-safe: Start on a nil
-// *Recorder returns an inert Span whose End is free and reads no clock, so
-// disabled tracing costs one nil check on the hot path.
+// Like the metrics package, everything is nil-safe: recording on a nil
+// *Recorder is a no-op, so disabled tracing costs one nil check on the hot
+// path.
 package trace
 
 import (
@@ -124,49 +124,6 @@ func (r *Recorder) Events() []Event {
 		out = append(out, r.buf[(start+i)%len(r.buf)])
 	}
 	return out
-}
-
-// Seq reports how many events have ever been recorded (including ones the
-// ring has since overwritten).
-func (r *Recorder) Seq() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Span is an in-flight measurement created by Start. The zero Span (and
-// any Span from a nil recorder) is inert.
-type Span struct {
-	r     *Recorder
-	scope string
-	name  string
-	start time.Time
-}
-
-// Start begins a span. On a nil recorder it returns an inert span without
-// reading the clock.
-func (r *Recorder) Start(scope, name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{r: r, scope: scope, name: name, start: time.Now()}
-}
-
-// End records the span with the given detail. No-op on an inert span.
-func (sp Span) End(detail string) {
-	if sp.r == nil {
-		return
-	}
-	sp.r.Record(Event{
-		Start:  sp.start,
-		Dur:    time.Since(sp.start),
-		Scope:  sp.scope,
-		Name:   sp.name,
-		Detail: detail,
-	})
 }
 
 // RecordAt records an already-measured span — the shape used when a lower

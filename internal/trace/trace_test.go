@@ -28,8 +28,8 @@ func TestRingKeepsMostRecent(t *testing.T) {
 				i, ev.Seq, ev.Name, wantSeq, wantName)
 		}
 	}
-	if r.Seq() != 10 {
-		t.Errorf("Seq = %d, want 10", r.Seq())
+	if r.seq != 10 {
+		t.Errorf("seq = %d, want 10", r.seq)
 	}
 }
 
@@ -45,33 +45,25 @@ func TestPartialRing(t *testing.T) {
 
 func TestSpan(t *testing.T) {
 	r := New(4)
-	sp := r.Start("shard-0", "flush.plan")
-	time.Sleep(time.Millisecond)
-	sp.End("docs=3")
+	start := time.Now()
+	r.RecordAt("shard-0", "flush.plan", "docs=3", start, time.Millisecond)
 	evs := r.Events()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events", len(evs))
 	}
 	ev := evs[0]
-	if ev.Scope != "shard-0" || ev.Name != "flush.plan" || ev.Detail != "docs=3" {
+	if ev.Scope != "shard-0" || ev.Name != "flush.plan" || ev.Detail != "docs=3" ||
+		!ev.Start.Equal(start) || ev.Dur != time.Millisecond || ev.Seq != 1 {
 		t.Errorf("event = %+v", ev)
-	}
-	if ev.Dur < time.Millisecond {
-		t.Errorf("span duration %v too short", ev.Dur)
 	}
 }
 
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	sp := r.Start("x", "y")
-	if !sp.start.IsZero() {
-		t.Error("nil recorder span read the clock")
-	}
-	sp.End("")
 	r.Record(Event{})
 	r.RecordAt("a", "b", "", time.Now(), time.Second)
 	r.SetSink(&strings.Builder{})
-	if r.Events() != nil || r.Seq() != 0 || r.SinkErr() != nil {
+	if r.Events() != nil || r.SinkErr() != nil {
 		t.Error("nil recorder not inert")
 	}
 }
@@ -141,13 +133,13 @@ func TestConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Start("s", "n").End("")
+				r.RecordAt("s", "n", "", time.Now(), 0)
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Seq() != 800 {
-		t.Errorf("Seq = %d, want 800", r.Seq())
+	if r.seq != 800 {
+		t.Errorf("seq = %d, want 800", r.seq)
 	}
 	if len(r.Events()) != 64 {
 		t.Errorf("ring holds %d, want 64", len(r.Events()))

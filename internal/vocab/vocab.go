@@ -1,40 +1,41 @@
 // Package vocab maintains the word ↔ identifier mapping of the index — the
 // paper's conversion of words to unique integers before the bucket
-// computation (traditional systems kept a B-tree from word to list
+// computation. Traditional systems kept a B-tree from word to list
 // location; here the directory and bucket hash handle locations, so the
-// vocabulary only needs the string-to-integer step).
+// vocabulary only needs the string-to-integer step, plus a sorted view of
+// the words for truncation queries.
 package vocab
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"dualindex/internal/btree"
 	"dualindex/internal/postings"
 )
 
 // Vocab is an in-memory bidirectional word map. Identifiers are assigned
-// densely in first-seen order. A B+tree dictionary — the structure
-// traditional retrieval systems keep for their vocabulary — backs ordered
-// and prefix scans for truncation queries. It is built on the first prefix
-// scan, not when the vocabulary is loaded, so opening an index pays nothing
-// for truncation queries it may never run. The zero value is not usable;
-// call New.
+// densely in first-seen order. Prefix scans for truncation queries run
+// over a view of the identifiers sorted by word, which is brought up to
+// date by the scans themselves: assignment does no ordered work, and
+// opening an index pays nothing for truncation queries it may never run.
+// The zero value is not usable; call New.
 //
-// The read methods (Lookup, Word, WordsWithPrefix, Len, WriteTo) may run
+// The read methods (Lookup, WordsWithPrefix, Len, WriteTo) may run
 // concurrently with each other; GetOrAssign must run alone.
 type Vocab struct {
 	ids   map[string]postings.WordID
 	words []string
 
-	// once guards the first build of tree: concurrent prefix scans may race
-	// to it. Once built, GetOrAssign keeps it current.
-	once sync.Once
-	tree *btree.Tree
+	// mu guards sorted, which concurrent prefix scans extend. sorted holds
+	// the identifiers 0..len(sorted)-1 ordered by word.
+	mu     sync.Mutex
+	sorted []postings.WordID
 }
 
 // New returns an empty vocabulary.
@@ -60,36 +61,45 @@ func (v *Vocab) GetOrAssign(word string) postings.WordID {
 	id := postings.WordID(len(v.words))
 	v.ids[word] = id
 	v.words = append(v.words, word)
-	if v.tree != nil {
-		v.tree.Set(word, uint64(id))
-	}
 	return id
 }
 
 // WordsWithPrefix returns every word starting with prefix, in lexicographic
-// order — the dictionary scan behind truncation queries like "inver*".
+// order — the dictionary scan behind truncation queries like "inver*". It
+// first sorts the words assigned since the previous scan and merges them
+// into the sorted view, then binary-searches for the prefix's first word.
 func (v *Vocab) WordsWithPrefix(prefix string) []string {
-	v.once.Do(func() {
-		t := btree.New()
-		for id, word := range v.words {
-			t.Set(word, uint64(id))
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if old := len(v.sorted); old < len(v.words) {
+		fresh := make([]postings.WordID, 0, len(v.words)-old)
+		for id := old; id < len(v.words); id++ {
+			fresh = append(fresh, postings.WordID(id))
 		}
-		v.tree = t
-	})
-	var out []string
-	v.tree.Prefix(prefix, func(key string, _ uint64) bool {
-		out = append(out, key)
-		return true
-	})
-	return out
-}
-
-// Word returns the string for an identifier.
-func (v *Vocab) Word(id postings.WordID) (string, bool) {
-	if int(id) >= len(v.words) {
-		return "", false
+		slices.SortFunc(fresh, func(a, b postings.WordID) int { return strings.Compare(v.words[a], v.words[b]) })
+		// Merge from the back, so the view grows in place. Words are
+		// unique, so there are no ties.
+		v.sorted = append(v.sorted, fresh...)
+		i, j := old-1, len(fresh)-1
+		for k := len(v.sorted) - 1; j >= 0; k-- {
+			if i >= 0 && v.words[v.sorted[i]] > v.words[fresh[j]] {
+				v.sorted[k] = v.sorted[i]
+				i--
+			} else {
+				v.sorted[k] = fresh[j]
+				j--
+			}
+		}
 	}
-	return v.words[id], true
+	lo := sort.Search(len(v.sorted), func(i int) bool { return v.words[v.sorted[i]] >= prefix })
+	var out []string
+	for _, id := range v.sorted[lo:] {
+		if !strings.HasPrefix(v.words[id], prefix) {
+			break
+		}
+		out = append(out, v.words[id])
+	}
+	return out
 }
 
 // WriteTo serialises the vocabulary as a header line holding the word

@@ -2,6 +2,7 @@ package vocab
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -25,12 +26,6 @@ func TestAssignAndLookup(t *testing.T) {
 	}
 	if _, ok := v.Lookup("bird"); ok {
 		t.Fatal("Lookup of unknown word succeeded")
-	}
-	if w, ok := v.Word(a); !ok || w != "cat" {
-		t.Fatalf("Word(%d) = %q, %v", a, w, ok)
-	}
-	if _, ok := v.Word(99); ok {
-		t.Fatal("Word of unknown id succeeded")
 	}
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d", v.Len())
@@ -95,8 +90,8 @@ func TestWriteToBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range []string{"cat", "dog", "mouse", "42"} {
-		if word, ok := got.Word(postings.WordID(i)); !ok || word != w {
-			t.Errorf("word %d = %q (ok=%v), want %q", i, word, ok, w)
+		if id, ok := got.Lookup(w); !ok || id != postings.WordID(i) {
+			t.Errorf("word %q = id %d (ok=%v), want %d", w, id, ok, i)
 		}
 	}
 
@@ -194,17 +189,17 @@ func TestWordsWithPrefix(t *testing.T) {
 	}
 }
 
-// TestPrefixTreeBuiltOnFirstUse pins the lazy dictionary: nothing is built
-// until the first prefix scan, assignments after the build keep it current,
-// and a vocabulary from Read defers its build again — every path answering
-// exactly like the same words scanned fresh.
+// TestPrefixTreeBuiltOnFirstUse pins the lazy sorted view: nothing is
+// sorted until the first prefix scan, words assigned after it join the view
+// at the next scan, and a vocabulary from Read defers its sort again —
+// every path answering exactly like the same words scanned fresh.
 func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
 	v := New()
 	for _, w := range []string{"invert", "index", "inversion"} {
 		v.GetOrAssign(w)
 	}
-	if v.tree != nil {
-		t.Fatal("tree built before the first prefix scan")
+	if v.sorted != nil {
+		t.Fatal("view sorted before the first prefix scan")
 	}
 	if got, want := v.WordsWithPrefix("inv"), []string{"inversion", "invert"}; !slices.Equal(got, want) {
 		t.Fatalf("first scan = %v, want %v", got, want)
@@ -224,8 +219,8 @@ func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.tree != nil {
-		t.Fatal("Read built the tree")
+	if re.sorted != nil {
+		t.Fatal("Read sorted the view")
 	}
 	if got := re.WordsWithPrefix("inv"); !slices.Equal(got, want) {
 		t.Fatalf("scan after Read = %v, want %v", got, want)
@@ -236,5 +231,62 @@ func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
 	}
 	if got := re.WordsWithPrefix(""); len(got) != re.Len() {
 		t.Fatalf("empty prefix = %d words, vocabulary holds %d", len(got), re.Len())
+	}
+}
+
+// TestWordsWithPrefixProperty checks the sorted view against a brute-force
+// filter-and-sort while assignments interleave with scans, on a fresh
+// vocabulary and on one reloaded by Read that keeps growing.
+func TestWordsWithPrefixProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randWord := func() string {
+		b := make([]byte, 1+rng.Intn(5))
+		for i := range b {
+			b[i] = "abcd"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	check := func(v *Vocab, all []string, prefix string) {
+		t.Helper()
+		var want []string
+		for _, w := range all {
+			if strings.HasPrefix(w, prefix) {
+				want = append(want, w)
+			}
+		}
+		slices.Sort(want)
+		if got := v.WordsWithPrefix(prefix); !slices.Equal(got, want) {
+			t.Fatalf("WordsWithPrefix(%q) = %v, want %v", prefix, got, want)
+		}
+	}
+	grow := func(v *Vocab, all []string, steps int) []string {
+		for i := 0; i < steps; i++ {
+			if rng.Intn(3) == 0 {
+				w := randWord()
+				check(v, all, w[:rng.Intn(len(w)+1)])
+				continue
+			}
+			w := randWord()
+			if _, ok := v.Lookup(w); !ok {
+				all = append(all, w)
+			}
+			v.GetOrAssign(w)
+		}
+		return all
+	}
+	for round := 0; round < 20; round++ {
+		v := New()
+		all := grow(v, nil, 300)
+		var buf bytes.Buffer
+		if _, err := v.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(re, all, randWord()[:1])
+		check(re, all, "")
+		grow(re, all, 300)
 	}
 }

@@ -3,6 +3,7 @@ package dualindex
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -365,5 +366,43 @@ func TestSlowQueryLogBounded(t *testing.T) {
 	// The zero value defaults to 128 — the pre-option capacity.
 	if got := (Options{}).withDefaults().SlowQueryLog; got != 128 {
 		t.Errorf("default SlowQueryLog = %d, want 128", got)
+	}
+}
+
+// failingSink accepts its first write and fails every later one.
+type failingSink struct{ writes int }
+
+var errSinkBroken = errors.New("sink broken")
+
+func (f *failingSink) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > 1 {
+		return 0, errSinkBroken
+	}
+	return len(p), nil
+}
+
+// TestTraceSinkErrorSurfacesOnClose: a trace sink that fails mid-run stops
+// receiving events, and Close reports its error instead of dropping it.
+func TestTraceSinkErrorSurfacesOnClose(t *testing.T) {
+	sink := &failingSink{}
+	opts := smallOpts(1)
+	opts.TraceBuffer = 64
+	opts.TraceSink = sink
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range synthTexts(3, 10, 20, 10) {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.writes != 2 {
+		t.Errorf("sink written %d times, want 2 (the tee stops at the first error)", sink.writes)
+	}
+	if err := eng.Close(); !errors.Is(err, errSinkBroken) {
+		t.Fatalf("Close = %v, want the sink's error", err)
 	}
 }

@@ -241,6 +241,8 @@ type Options struct {
 	// every span event to this writer as one JSON line — a per-phase
 	// latency log of the whole run. Writes happen inline on the recording
 	// path; hand it a buffered or asynchronous writer for hot workloads.
+	// The first write error stops the tee (the ring keeps recording), and
+	// Engine.Close returns that error unless closing failed first.
 	TraceSink io.Writer
 	// Maintenance, when non-nil, runs the metrics-driven background
 	// maintenance controller (internal/maintain): a goroutine that watches

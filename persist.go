@@ -398,7 +398,7 @@ func shardDir(dir string, i, shards int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 }
 
-func openFileStore(dir string, opts Options, resume bool) (disk.BlockStore, error) {
+func openAsyncStore(dir string, opts Options, resume bool) (disk.BlockStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

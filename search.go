@@ -48,7 +48,7 @@ func (e *Engine) Query(q string, k int) ([]Match, error) {
 
 // SearchBoolean evaluates a boolean query such as "(cat and dog) or mouse"
 // and returns the matching documents in ascending order. Truncation terms
-// ("inver*") expand through each shard's B-tree dictionary. Pending
+// ("inver*") expand through each shard's sorted vocabulary. Pending
 // documents are visible. The query is parsed and planned once, executed on
 // every shard concurrently — each shard fetching its term lists with at
 // most Options.Workers reads in flight — and the sorted per-shard answers

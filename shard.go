@@ -92,7 +92,7 @@ func openShard(opts Options, dir string) (*shard, error) {
 		store = disk.NewMemStore(opts.NumDisks, opts.BlockSize)
 	} else {
 		resume = shardResumes(dir)
-		fs, err := openFileStore(dir, opts, resume)
+		fs, err := openAsyncStore(dir, opts, resume)
 		if err != nil {
 			return nil, err
 		}

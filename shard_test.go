@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dualindex/internal/core"
 	"dualindex/internal/disk"
@@ -477,21 +478,19 @@ func TestShardedPendingRecovery(t *testing.T) {
 
 // TestFlushBatchAggregatesShards pins satellite semantics: the BatchStats a
 // sharded flush returns are the sums over every shard's batch, verified
-// against each shard's own update history.
+// against the flush span and phase spans each shard records.
 func TestFlushBatchAggregatesShards(t *testing.T) {
-	eng, err := Open(smallOpts(4))
+	opts := smallOpts(4)
+	opts.TraceBuffer = 1024
+	eng, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
 	texts := synthTexts(17, 40, 30, 20)
-	perShard := make([]int, 4)
-	router := route.Hash{N: 4}
-	for i, text := range texts {
-		doc := eng.AddDocument(text)
-		perShard[router.Shard(doc)]++
-		_ = i
+	for _, text := range texts {
+		eng.AddDocument(text)
 	}
 	st, err := eng.FlushBatch()
 	if err != nil {
@@ -502,33 +501,32 @@ func TestFlushBatchAggregatesShards(t *testing.T) {
 	}
 
 	var want BatchStats
-	busy := 0
-	for i, s := range eng.shards {
-		hist := s.index.UpdateHistory()
-		if len(hist) == 0 {
-			if perShard[i] != 0 {
-				t.Errorf("shard %d got %d docs but recorded no update", i, perShard[i])
-			}
+	busy := map[string]bool{}
+	phases := map[string]*time.Duration{
+		"flush.plan":         &want.Phases.Plan,
+		"flush.long_apply":   &want.Phases.LongApply,
+		"flush.bucket_flush": &want.Phases.BucketFlush,
+		"flush.checkpoint":   &want.Phases.Checkpoint,
+		"flush.release":      &want.Phases.Release,
+	}
+	for _, ev := range eng.Tracer().Events() {
+		if d, ok := phases[ev.Name]; ok {
+			*d += ev.Dur
 			continue
 		}
-		busy++
-		last := hist[len(hist)-1]
-		want.Docs += perShard[i]
-		want.Words += last.Words
-		want.Postings += last.Postings
-		want.Evictions += last.Evictions
-		want.ReadOps += last.ReadOps
-		want.WriteOps += last.WriteOps
-		want.Phases = want.Phases.add(FlushPhases{
-			Plan:        last.PlanDur,
-			LongApply:   last.LongApplyDur,
-			BucketFlush: last.BucketFlushDur,
-			Checkpoint:  last.CheckpointDur,
-			Release:     last.ReleaseDur,
-		})
+		if ev.Name != "flush" {
+			continue
+		}
+		busy[ev.Scope] = true
+		var b BatchStats
+		if _, err := fmt.Sscanf(ev.Detail, "docs=%d words=%d postings=%d evictions=%d r=%d w=%d",
+			&b.Docs, &b.Words, &b.Postings, &b.Evictions, &b.ReadOps, &b.WriteOps); err != nil {
+			t.Fatalf("%s flush span %q: %v", ev.Scope, ev.Detail, err)
+		}
+		want = want.add(b)
 	}
-	if busy < 2 {
-		t.Fatalf("only %d shards received documents; aggregation untested", busy)
+	if len(busy) < 2 {
+		t.Fatalf("only %d shards flushed documents; aggregation untested", len(busy))
 	}
 	if st != want {
 		t.Errorf("FlushBatch stats = %+v, want per-shard sums %+v", st, want)
