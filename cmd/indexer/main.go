@@ -42,8 +42,7 @@ func main() {
 		keepDocs  = flag.Bool("keepdocs", false, "keep document text in the index (required for -reshard and positional queries)")
 		reshard   = flag.Int("reshard", 0, "reshard the existing index to this many shards and exit (requires an index built with -keepdocs)")
 		check     = flag.Bool("check", true, "run the consistency check after the build")
-		metrics   = flag.String("metrics", "", "serve /metrics, /stats, /trace, /maintenance, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
-		maintain  = flag.Duration("maintain", 0, "run the background maintenance controller at this interval (e.g. 5s); 0 disables it")
+		metrics   = flag.String("metrics", "", "serve /metrics, /stats, /trace, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
 	)
 	flag.Parse()
 	if *reshard > 0 {
@@ -53,7 +52,7 @@ func main() {
 		return
 	}
 	storage := storageOpts{backend: *backend, codec: *codec, mmap: *mmapReads}
-	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, storage, *keepDocs, *check, *metrics, *maintain); err != nil {
+	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, storage, *keepDocs, *check, *metrics); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -88,10 +87,8 @@ func runReshard(indexDir string, n int) error {
 
 // serveObs starts the observability endpoint for eng on addr, in the
 // background; build failures surface on the log only, since a broken metrics
-// listener should not kill a running build. maintenance says whether the
-// engine runs the maintenance controller — without it, /maintenance answers
-// 404, the endpoint convention for disabled features.
-func serveObs(eng *dualindex.Engine, addr string, maintenance bool) {
+// listener should not kill a running build.
+func serveObs(eng *dualindex.Engine, addr string) {
 	cfg := obshttp.Config{
 		Registry:    eng.Metrics(),
 		Stats:       func() any { return eng.Stats() },
@@ -99,9 +96,6 @@ func serveObs(eng *dualindex.Engine, addr string, maintenance bool) {
 		Tracer:      eng.Tracer(),
 		SlowQueries: func() any { return eng.SlowQueries() },
 		Health:      func() obshttp.HealthState { return healthState(eng) },
-	}
-	if maintenance {
-		cfg.Maintenance = func() any { return eng.Maintenance() }
 	}
 	go func() {
 		if err := http.ListenAndServe(addr, obshttp.New(cfg)); err != nil {
@@ -140,7 +134,7 @@ func policyByName(name string) (dualindex.Policy, error) {
 	return dualindex.Policy{}, fmt.Errorf("unknown policy %q", name)
 }
 
-func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing string, storage storageOpts, keepDocs, check bool, metricsAddr string, maintainEvery time.Duration) error {
+func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing string, storage storageOpts, keepDocs, check bool, metricsAddr string) error {
 	pol, err := policyByName(policyName)
 	if err != nil {
 		return err
@@ -170,16 +164,13 @@ func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int
 		opts.Metrics = true
 		opts.TraceBuffer = 4096
 	}
-	if maintainEvery > 0 {
-		opts.Maintenance = &dualindex.MaintenanceOptions{Interval: maintainEvery}
-	}
 	eng, err := dualindex.Open(opts)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
 	if metricsAddr != "" {
-		serveObs(eng, metricsAddr, maintainEvery > 0)
+		serveObs(eng, metricsAddr)
 	}
 
 	// Resume: skip the batches already applied.

@@ -44,9 +44,8 @@ func main() {
 		backend  = flag.String("backend", "", "block-store backend (empty adopts the index's manifest — the usual choice)")
 		codec    = flag.String("codec", "", "long-list block codec (empty adopts the index's manifest — the usual choice)")
 		mmap     = flag.Bool("mmap", false, "serve file-backend reads through a shared mmap where supported")
-		metrics  = flag.String("metrics", "", "serve /metrics, /stats, /trace, /maintenance, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
+		metrics  = flag.String("metrics", "", "serve /metrics, /stats, /trace, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
 		slow     = flag.Duration("slow", 0, "log queries slower than this duration (view on the -metrics endpoint's /slow)")
-		maintain = flag.Duration("maintain", 0, "run the background maintenance controller at this interval (e.g. 5s); 0 disables it")
 	)
 	flag.Parse()
 
@@ -63,9 +62,6 @@ func main() {
 	if *metrics != "" {
 		opts.Metrics = true
 		opts.TraceBuffer = 4096
-	}
-	if *maintain > 0 {
-		opts.Maintenance = &dualindex.MaintenanceOptions{Interval: *maintain}
 	}
 	eng, err := dualindex.Open(opts)
 	if err != nil {
@@ -90,9 +86,6 @@ func main() {
 				h := eng.Health()
 				return obshttp.HealthState{Healthy: h.Healthy, Ready: h.Ready, Reasons: h.Reasons}
 			},
-		}
-		if *maintain > 0 {
-			cfg.Maintenance = func() any { return eng.Maintenance() }
 		}
 		go func() {
 			if err := http.ListenAndServe(*metrics, obshttp.New(cfg)); err != nil {

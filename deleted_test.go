@@ -3,6 +3,8 @@ package dualindex
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -152,5 +154,100 @@ func TestDeleteUnassignedIDIsIgnored(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeleteDurableWithoutDocumentFlush: a deletion must survive a reopen
+// even when no later batch carries documents. A flushed document's
+// deletion is checkpointed by a document-less FlushBatch, which counts as
+// no batch, and a pending document's by Close. Each cell checks the
+// reopened engine; the flushed cell also checks a copy of the directory
+// taken right after the FlushBatch, as a crash before Close would leave it.
+func TestDeleteDurableWithoutDocumentFlush(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, flushed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("shards=%d/flushed=%v", shards, flushed), func(t *testing.T) {
+				opts := smallOpts(shards)
+				opts.Dir = t.TempDir()
+				opts.KeepDocuments = true
+				eng, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ids []DocID
+				for i := 0; i < 4; i++ {
+					ids = append(ids, eng.AddDocument("common "+synthWord(i)))
+				}
+				if flushed {
+					if _, err := eng.FlushBatch(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				victim := ids[1]
+				eng.Delete(victim)
+				want := slices.Delete(slices.Clone(ids), 1, 2)
+
+				check := func(stage string, opts Options) {
+					t.Helper()
+					re, err := Open(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer re.Close()
+					got, err := re.SearchBoolean("common")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: common = %v, want %v", stage, got, want)
+					}
+					if _, ok, err := re.Document(victim); err != nil || ok {
+						t.Errorf("%s: Document(%d) = ok %v, err %v; want deleted", stage, victim, ok, err)
+					}
+				}
+				if flushed {
+					batches := eng.Stats().Batches
+					if _, err := eng.FlushBatch(); err != nil {
+						t.Fatal(err)
+					}
+					if got := eng.Stats().Batches; got != batches {
+						t.Errorf("document-less FlushBatch counted a batch: %d, want %d", got, batches)
+					}
+					crash := opts
+					crash.Dir = t.TempDir()
+					copyTree(t, crash.Dir, opts.Dir)
+					check("crash image after FlushBatch", crash)
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				check("reopen after Close", opts)
+			})
+		}
+	}
+}
+
+// copyTree copies the regular files under src into dst, keeping the layout.
+func copyTree(t *testing.T, dst, src string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"dualindex/internal/lexer"
-	"dualindex/internal/maintain"
 	"dualindex/internal/postings"
 	"dualindex/internal/route"
 )
@@ -74,13 +73,9 @@ type Engine struct {
 	mu      sync.Mutex // guards nextDoc
 	nextDoc postings.DocID
 
-	// maint is the background maintenance controller, nil unless
-	// Options.Maintenance is set (see maintain.go and internal/maintain).
-	maint *maintain.Controller
-
 	// closed and resharding feed the Health states: closed flips at Close,
-	// resharding brackets a running Engine.Reshard (ready = open, not
-	// resharding, maintenance not backlogged).
+	// resharding brackets a running Engine.Reshard (ready = open and not
+	// resharding).
 	closed     atomic.Bool
 	resharding atomic.Bool
 }
@@ -168,8 +163,9 @@ func (e *Engine) PendingDocs() int {
 // paper's incremental batch update — and checkpoints each shard. Shards
 // flush concurrently, at most Options.Workers at a time. The returned
 // BatchStats aggregates all shards: documents, words, postings, evictions
-// and read/write operations are summed over the per-shard batches. A flush
-// with no pending documents anywhere is a no-op.
+// and read/write operations are summed over the per-shard batches. A shard
+// with no pending documents applies no batch; on disk it still checkpoints
+// any deletions made since its last checkpoint.
 //
 // Searches are not blocked while batches are applied; each shard publishes
 // a pre-flush snapshot that its queries read mid-flush (see shard.flushBatch
@@ -221,7 +217,8 @@ func (e *Engine) flushShardsLocked() (BatchStats, error) {
 }
 
 // Delete marks a document deleted; it disappears from results immediately
-// and its postings are reclaimed by Sweep. Delete waits for any running
+// and its postings are reclaimed by Sweep. On disk the deletion is durable
+// at the next FlushBatch or Close. Delete waits for any running
 // flush of the owning shard to finish. An identifier AddDocument has not
 // returned yet (0, or beyond the last one assigned) is ignored, so it cannot
 // hide the document that later receives it.
@@ -285,15 +282,30 @@ func (e *Engine) CheckConsistency() error {
 	return nil
 }
 
-// Close releases the engine's resources, persisting each shard's vocabulary
-// first for on-disk engines. All shards are closed even if one fails; the
-// first error is returned. Close waits for a running reshard to finish.
-// The maintenance controller (if any) is stopped first — before any shard
-// store closes — so no maintenance action can run against a closing shard.
-func (e *Engine) Close() error {
-	if e.maint != nil {
-		e.maint.Stop()
+// Health describes the engine's liveness and readiness — what /healthz and
+// /readyz serve. Healthy means the engine is open; Ready additionally
+// means no reshard is migrating the shard set.
+type Health struct {
+	Healthy bool     `json:"healthy"`
+	Ready   bool     `json:"ready"`
+	Reasons []string `json:"reasons,omitempty"`
+}
+
+// Health reports the engine's current health states.
+func (e *Engine) Health() Health {
+	if e.closed.Load() {
+		return Health{Reasons: []string{"engine closed"}}
 	}
+	if e.resharding.Load() {
+		return Health{Healthy: true, Reasons: []string{"reshard in progress"}}
+	}
+	return Health{Healthy: true, Ready: true}
+}
+
+// Close releases the engine's resources, persisting each shard's unsaved
+// deletions and vocabulary first for on-disk engines. All shards are closed even if one fails; the
+// first error is returned. Close waits for a running reshard to finish.
+func (e *Engine) Close() error {
 	e.closed.Store(true)
 	e.reshardMu.RLock()
 	defer e.reshardMu.RUnlock()

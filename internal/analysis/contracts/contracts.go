@@ -16,30 +16,21 @@ package contracts
 // Locks must be acquired in strictly increasing rank order; acquiring a
 // lower-ranked lock while holding a higher-ranked one inverts the hierarchy
 // and is a deadlock waiting for the right interleaving.
-//
-// Deferral marks the long-held locks — the ones a whole reshard or a whole
-// batch flush sits on. Background maintenance must never block on these:
-// once code holds any lock it acquired with TryLock/TryRLock it has opted
-// into the deferral discipline, and blocking on a deferral lock from there
-// would queue the maintenance controller behind a flush — exactly what the
-// try-lock protocol exists to prevent (it answers maintain.ErrBusy and
-// retries next tick instead).
 type Mutex struct {
-	Pkg      string // defining package name (not import path)
-	Type     string // owning struct
-	Field    string // mutex field
-	Rank     int    // position in the hierarchy; acquire in increasing order
-	Deferral bool   // long-held: must be try-acquired from deferral contexts
+	Pkg   string // defining package name (not import path)
+	Type  string // owning struct
+	Field string // mutex field
+	Rank  int    // position in the hierarchy; acquire in increasing order
 }
 
 // LockHierarchy is the engine's documented lock order, outermost first:
 // reshardMu → stateMu → engine mu → per-shard flushMu → per-shard mu →
 // cache lock → per-disk free-list and accounting locks → store locks.
 var LockHierarchy = []Mutex{
-	{Pkg: "dualindex", Type: "Engine", Field: "reshardMu", Rank: 10, Deferral: true},
+	{Pkg: "dualindex", Type: "Engine", Field: "reshardMu", Rank: 10},
 	{Pkg: "dualindex", Type: "Engine", Field: "stateMu", Rank: 20},
 	{Pkg: "dualindex", Type: "Engine", Field: "mu", Rank: 30},
-	{Pkg: "dualindex", Type: "shard", Field: "flushMu", Rank: 40, Deferral: true},
+	{Pkg: "dualindex", Type: "shard", Field: "flushMu", Rank: 40},
 	{Pkg: "dualindex", Type: "shard", Field: "mu", Rank: 50},
 	{Pkg: "cache", Type: "Store", Field: "mu", Rank: 60},
 	{Pkg: "disk", Type: "Array", Field: "freeMu", Rank: 70},
@@ -195,6 +186,6 @@ var MetricsContract = MetricRegistrar{
 	Pkg:  "metrics",
 	Type: "Registry",
 	Methods: map[string]bool{
-		"Counter": true, "Gauge": true, "Histogram": true, "RegisterFunc": true,
+		"Counter": true, "Histogram": true, "RegisterFunc": true,
 	},
 }

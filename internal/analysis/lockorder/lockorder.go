@@ -2,9 +2,7 @@
 // (contracts.LockHierarchy): within any one function, locks must be
 // acquired in strictly increasing rank order — reshardMu before stateMu
 // before the engine mu before the per-shard flushMu and mu before the disk
-// layer's locks — and code that holds a try-acquired lock (the maintenance
-// controller's deferral discipline) must never block on another long-held
-// lock; it try-locks that one too or answers maintain.ErrBusy.
+// layer's locks. TryLock and TryRLock count as acquisitions like any other.
 //
 // The analysis is intra-procedural and linear: it walks each function body
 // in source order, tracking a held-set keyed by the lock's class (resolved
@@ -31,8 +29,7 @@ var Analyzer = NewAnalyzer(contracts.LockHierarchy)
 func NewAnalyzer(hierarchy []contracts.Mutex) *framework.Analyzer {
 	return &framework.Analyzer{
 		Name: "lockorder",
-		Doc: "enforce the reshardMu → stateMu → mu → flushMu → shard mu → disk lock hierarchy, " +
-			"and the try-lock deferral discipline (no blocking Lock on a long-held lock while holding a TryLock)",
+		Doc:  "enforce the reshardMu → stateMu → mu → flushMu → shard mu → disk lock hierarchy",
 		Run: func(pass *framework.Pass) error {
 			run(pass, hierarchy)
 			return nil
@@ -41,11 +38,11 @@ func NewAnalyzer(hierarchy []contracts.Mutex) *framework.Analyzer {
 }
 
 // lockMethods classifies the sync.Mutex/RWMutex method names.
-var lockMethods = map[string]struct{ acquire, try, release bool }{
+var lockMethods = map[string]struct{ acquire, release bool }{
 	"Lock":     {acquire: true},
 	"RLock":    {acquire: true},
-	"TryLock":  {acquire: true, try: true},
-	"TryRLock": {acquire: true, try: true},
+	"TryLock":  {acquire: true},
+	"TryRLock": {acquire: true},
 	"Unlock":   {release: true},
 	"RUnlock":  {release: true},
 }
@@ -54,7 +51,6 @@ var lockMethods = map[string]struct{ acquire, try, release bool }{
 type held struct {
 	class    contracts.Mutex
 	instance string // spelled receiver, e.g. "e.stateMu" or "a.freeMu[d]"
-	try      bool
 }
 
 func run(pass *framework.Pass, hierarchy []contracts.Mutex) {
@@ -142,14 +138,8 @@ func checkBody(pass *framework.Pass, body *ast.BlockStmt, classOf func(pkg, typ,
 							cls.Pkg, cls.Type, cls.Field, cls.Rank,
 							h.class.Pkg, h.class.Type, h.class.Field, h.class.Rank)
 					}
-					if !m.try && cls.Deferral && h.try {
-						pass.Reportf(n.Pos(),
-							"blocking %s on %s.%s.%s while holding try-acquired %s.%s.%s: deferral contexts must TryLock long-held locks (answer maintain.ErrBusy instead of queueing)",
-							method, cls.Pkg, cls.Type, cls.Field,
-							h.class.Pkg, h.class.Type, h.class.Field)
-					}
 				}
-				heldSet = append(heldSet, held{class: cls, instance: instance, try: m.try})
+				heldSet = append(heldSet, held{class: cls, instance: instance})
 			}
 			return
 		}

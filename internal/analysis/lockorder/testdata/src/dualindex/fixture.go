@@ -56,40 +56,14 @@ func (e *Engine) releaseThenTake() {
 	e.reshardMu.RUnlock()
 }
 
-// trySweep mirrors the maintenance controller's deferral shape: try-acquire
-// the long-held flush lock, then block on the short-held shard lock. Clean:
-// mu is not a deferral lock, blocking on it from a try context is fine.
-func (s *shard) trySweep() bool {
-	if !s.flushMu.TryLock() {
-		return false
-	}
-	defer s.flushMu.Unlock()
+// tryInverted try-acquires the flush lock while holding the shard lock:
+// a TryLock is an acquisition like any other, so it is held to rank order.
+func (s *shard) tryInverted() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return true
-}
-
-// blockOnDeferral blocks on the flush lock while holding a try-acquired
-// reshard lock: the deferral contract says TryLock it (and answer busy).
-func (e *Engine) blockOnDeferral(s *shard) {
-	if !e.reshardMu.TryRLock() {
-		return
+	if s.flushMu.TryLock() { // want "violates the lock hierarchy"
+		s.flushMu.Unlock()
 	}
-	defer e.reshardMu.RUnlock()
-	s.flushMu.Lock() // want "deferral contexts must TryLock"
-	s.flushMu.Unlock()
-}
-
-// tryThenTry is the deferral discipline done right: clean.
-func (e *Engine) tryThenTry(s *shard) {
-	if !e.reshardMu.TryRLock() {
-		return
-	}
-	defer e.reshardMu.RUnlock()
-	if !s.flushMu.TryLock() {
-		return
-	}
-	s.flushMu.Unlock()
 }
 
 // goroutineScope shows a function literal analyzed as its own scope: the

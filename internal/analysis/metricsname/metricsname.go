@@ -1,10 +1,9 @@
 // Package metricsname enforces the metric-naming contract on
-// internal/metrics' Registry: every registration (Counter, Gauge,
-// Histogram, RegisterFunc) names its series with a compile-time literal
-// whose base name is lower_snake, label keys are lower_snake, and no two
-// call sites in a package register the same fully-literal series. The
-// Prometheus exposition and the maintenance controller both key on these
-// strings — a typo or a drift between two registration sites silently
+// internal/metrics' Registry: every registration (Counter, Histogram,
+// RegisterFunc) names its series with a compile-time literal whose base
+// name is lower_snake, label keys are lower_snake, and no two call sites in
+// a package register the same fully-literal series. The Prometheus
+// exposition and every dashboard reading it key on these strings — a typo or a drift between two registration sites silently
 // forks a series, so the names must be greppable literals, written once.
 //
 // Dynamic label *values* are fine (the per-shard series are built as
@@ -37,7 +36,7 @@ func NewAnalyzer(cfg contracts.MetricRegistrar) *framework.Analyzer {
 	return &framework.Analyzer{
 		Name: "metricsname",
 		Doc: "metric names are literal lower_snake strings registered once: " +
-			"the exposition and the maintenance controller key on them, so they must never be computed or duplicated",
+			"the exposition and its dashboards key on them, so they must never be computed or duplicated",
 		Run: func(pass *framework.Pass) error {
 			run(pass, cfg)
 			return nil

@@ -112,9 +112,6 @@ func NewSet(cfg Config) (*Set, error) {
 // NumBuckets reports the number of buckets.
 func (s *Set) NumBuckets() int { return s.numBuckets }
 
-// BucketSize reports the per-bucket capacity in units.
-func (s *Set) BucketSize() int { return s.bucketSize }
-
 // Hash is the paper's h(w): a modular-arithmetic hash assigning each word to
 // a bucket.
 func (s *Set) Hash(w postings.WordID) int { return int(uint32(w) % uint32(s.numBuckets)) }

@@ -445,7 +445,7 @@ func TestQuickLoadInvariant(t *testing.T) {
 		}
 		resident := 0
 		for i := 0; i < s.NumBuckets(); i++ {
-			if s.buckets[i].load > s.BucketSize() {
+			if s.buckets[i].load > s.bucketSize {
 				return false
 			}
 			if s.buckets[i].load != s.WordsIn(i)+s.PostingsIn(i) {

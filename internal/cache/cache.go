@@ -61,6 +61,11 @@ type Store struct {
 	lru     *list.List // front = most recent; values are *entry
 	entries map[key]*list.Element
 	bytes   int64 // charged bytes of all resident entries
+	// gen counts WriteAt calls. A fill inserts what it fetched only if no
+	// write landed since its first pass: the inner read ran without the
+	// lock, so it may hold an image older than a write that refreshed only
+	// resident entries.
+	gen uint64
 
 	hits, misses, evictions atomic.Int64
 }
@@ -92,7 +97,8 @@ func (s *Store) Stats() Stats {
 
 // ReadAt implements disk.BlockStore. The run [block, block+n) is served
 // block by block from the cache; any missing suffix-contiguous span is
-// fetched from the inner store in one call and inserted.
+// fetched from the inner store in one call and inserted, unless a write
+// landed while it was being fetched.
 func (s *Store) ReadAt(d int, block int64, buf []byte) error {
 	if s.budget <= 0 {
 		return s.inner.ReadAt(d, block, buf)
@@ -101,6 +107,7 @@ func (s *Store) ReadAt(d int, block int64, buf []byte) error {
 	// First pass: serve resident blocks, remember the missing ones.
 	missing := make([]int, 0, n)
 	s.mu.Lock()
+	gen := s.gen
 	for i := 0; i < n; i++ {
 		k := key{d, block + int64(i)}
 		if el, ok := s.entries[k]; ok {
@@ -130,7 +137,7 @@ func (s *Store) ReadAt(d int, block int64, buf []byte) error {
 			return err
 		}
 		s.mu.Lock()
-		for i := 0; i < count; i++ {
+		for i := 0; i < count && s.gen == gen; i++ {
 			s.insertLocked(key{d, block + int64(first+i)}, span[i*s.blockSize:(i+1)*s.blockSize])
 		}
 		s.mu.Unlock()
@@ -150,6 +157,7 @@ func (s *Store) WriteAt(d int, block int64, buf []byte) error {
 	}
 	n := len(buf) / s.blockSize
 	s.mu.Lock()
+	s.gen++
 	for i := 0; i < n; i++ {
 		if _, ok := s.entries[key{d, block + int64(i)}]; ok {
 			// Re-insert so the charged cost tracks the new encoded size.

@@ -201,6 +201,58 @@ func TestWriteThroughUpdatesResident(t *testing.T) {
 	}
 }
 
+// parkingStore is an inner store whose next ReadAt, once armed, fetches
+// its bytes and then parks until released, so a test can land a write
+// between a cache fill's inner read and its insert.
+type parkingStore struct {
+	disk.BlockStore
+	armed   bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingStore) ReadAt(d int, block int64, buf []byte) error {
+	err := p.BlockStore.ReadAt(d, block, buf)
+	if p.armed {
+		p.armed = false
+		close(p.parked)
+		<-p.release
+	}
+	return err
+}
+
+// TestFillRacingWriteKeepsNewImage: a fill that fetched a block before a
+// write to it landed must not insert its older image, or the cache serves
+// stale bytes until eviction.
+func TestFillRacingWriteKeepsNewImage(t *testing.T) {
+	inner := &parkingStore{
+		BlockStore: disk.NewMemStore(1, blockSize),
+		parked:     make(chan struct{}),
+		release:    make(chan struct{}),
+	}
+	c := New(inner, blockSize, 8)
+	fill(t, c, 0, 4, 0x11, 1)
+	inner.armed = true
+
+	done := make(chan []byte)
+	go func() {
+		buf := make([]byte, blockSize)
+		if err := c.ReadAt(0, 4, buf); err != nil {
+			t.Error(err)
+		}
+		done <- buf
+	}()
+	<-inner.parked // the fill holds the old image and has not inserted it
+	fill(t, c, 0, 4, 0x22, 1)
+	close(inner.release)
+	if got := <-done; got[0] != 0x11 {
+		t.Fatalf("racing read = %#x, want the image it fetched, 0x11", got[0])
+	}
+	if got := readBlock(t, c, 0, 4); got[0] != 0x22 {
+		t.Fatalf("read after the write = %#x, want 0x22", got[0])
+	}
+}
+
 func TestZeroCapacityPassesThrough(t *testing.T) {
 	inner := disk.NewMemStore(1, blockSize)
 	c := New(inner, blockSize, 0)

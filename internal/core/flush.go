@@ -21,8 +21,8 @@ import (
 //
 // st, when non-nil, receives the wall-clock durations of the flush's phases
 // (bucket staging, executor, checkpoint, release) — the per-phase numbers
-// the observability layer exports. Maintenance flushes (Sweep, rebalance)
-// pass nil.
+// the observability layer exports. Checkpoints outside a batch (Sweep,
+// rebalance, CheckpointDeleted) pass nil.
 func (ix *Index) flush(st *UpdateStats) error {
 	if st == nil {
 		st = &UpdateStats{}
@@ -69,6 +69,7 @@ func (ix *Index) flush(st *UpdateStats) error {
 		return err
 	}
 	ix.array.EndBatch()
+	ix.deletedDirty = false
 	st.ReleaseDur = time.Since(releaseStart)
 	return nil
 }

@@ -78,6 +78,9 @@ type Index struct {
 	// changes (the rule bucket.Set.Clone applies to buckets).
 	deleted       []postings.DocID
 	deletedShared bool
+	// deletedDirty records that deleted has changed since the last
+	// checkpoint, so CheckpointDeleted has something to make durable.
+	deletedDirty bool
 
 	// maxDoc is the high-water document identifier: the largest one any
 	// applied update carried. Checkpointed in the superblock, it survives

@@ -116,9 +116,9 @@ func TestRebalanceSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Buckets().NumBuckets() != 128 || re.Buckets().BucketSize() != 300 {
+	if re.Buckets().NumBuckets() != 128 || re.cfg.BucketSize != 300 {
 		t.Fatalf("reopened geometry %d×%d, want 128×300",
-			re.Buckets().NumBuckets(), re.Buckets().BucketSize())
+			re.Buckets().NumBuckets(), re.cfg.BucketSize)
 	}
 	checkAgainstRef(t, re, ref)
 }

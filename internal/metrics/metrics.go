@@ -11,8 +11,8 @@
 //     no metric method allocates. The registry's map lookups happen once,
 //     at wiring time; hot paths hold *Counter/*Histogram handles.
 //
-//   - Everything is nil-safe: every method on a nil *Counter, *Gauge,
-//     *Histogram or *Registry is a no-op (or a zero answer), so a caller
+//   - Everything is nil-safe: every method on a nil *Counter, *Histogram
+//     or *Registry is a no-op (or a zero answer), so a caller
 //     can thread possibly-disabled instrumentation through without
 //     branching. Disabled instrumentation costs one nil check.
 //
@@ -53,25 +53,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value reports the gauge; 0 on a nil receiver.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // DefBuckets are the default latency bucket upper bounds in seconds,
@@ -201,7 +182,6 @@ type Registry struct {
 
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	funcs    map[string]func() float64
 	hists    map[string]*Histogram
 }
@@ -212,7 +192,6 @@ func NewRegistry(namespace string) *Registry {
 	return &Registry{
 		namespace: namespace,
 		counters:  map[string]*Counter{},
-		gauges:    map[string]*Gauge{},
 		funcs:     map[string]func() float64{},
 		hists:     map[string]*Histogram{},
 	}
@@ -237,27 +216,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. A nil registry
-// returns a nil (no-op) gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // RegisterFunc registers a gauge whose value is computed at scrape time —
@@ -354,15 +312,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(r.gauges) {
-		base, labels := splitName(name)
-		if err := emitType(base, "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s%s%s %v\n", prefix, base, labels, r.gauges[name].Value()); err != nil {
-			return err
-		}
-	}
 	for _, name := range sortedKeys(r.funcs) {
 		base, labels := splitName(name)
 		if err := emitType(base, "gauge"); err != nil {
@@ -414,9 +363,6 @@ func (r *Registry) Snapshot() map[string]any {
 		counters[name] = c.Value()
 	}
 	gauges := map[string]float64{}
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
 	for name, fn := range r.funcs {
 		gauges[name] = fn()
 	}

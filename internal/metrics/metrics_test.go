@@ -19,9 +19,10 @@ func TestCounterGauge(t *testing.T) {
 	if again := r.Counter("ops_total"); again != c {
 		t.Error("Counter is not get-or-create")
 	}
-	g := r.Gauge("load")
-	g.Set(0.75)
-	if got := g.Value(); got != 0.75 {
+	load := 0.5
+	r.RegisterFunc("load", func() float64 { return load })
+	load = 0.75 // a gauge is read at scrape time, not at registration
+	if got := r.Snapshot()["gauges"].(map[string]float64)["load"]; got != 0.75 {
 		t.Errorf("gauge = %v, want 0.75", got)
 	}
 }
@@ -33,11 +34,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	if c.Value() != 0 {
 		t.Error("nil counter accumulated")
-	}
-	g := r.Gauge("y")
-	g.Set(1)
-	if g.Value() != 0 {
-		t.Error("nil gauge accumulated")
 	}
 	h := r.Histogram("z", nil)
 	h.Observe(1)
@@ -113,7 +109,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry("dualindex")
 	r.Counter(`queries_total{kind="boolean"}`).Add(3)
 	r.Counter(`queries_total{kind="vector"}`).Add(2)
-	r.Gauge("pending_docs").Set(17)
+	r.RegisterFunc("pending_docs", func() float64 { return 17 })
 	r.RegisterFunc(`cache_hits_total{shard="0"}`, func() float64 { return 9 })
 	h := r.Histogram(`flush_phase_seconds{phase="plan",shard="0"}`, []float64{0.001, 0.01})
 	h.Observe(0.0005)
@@ -151,7 +147,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry("ns")
 	r.Counter("a_total").Add(2)
-	r.Gauge("b").Set(3)
+	r.RegisterFunc("b", func() float64 { return 3 })
 	r.RegisterFunc("c", func() float64 { return 4 })
 	r.Histogram("d_seconds", nil).Observe(0.1)
 	snap := r.Snapshot()

@@ -2,8 +2,7 @@
 // metrics registry as Prometheus text on /metrics and as JSON on
 // /metrics.json, caller-supplied statistics as JSON on /stats (per shard
 // with ?shard=i), the span recorder as JSONL on /trace, the slow-query log
-// as JSON on /slow, the maintenance controller's status and decision log on
-// /maintenance, liveness and readiness on /healthz and /readyz, and the
+// as JSON on /slow, liveness and readiness on /healthz and /readyz, and the
 // standard runtime profiles under /debug/pprof/. Endpoints whose feature is
 // disabled answer 404, so one handler fits any Options combination.
 //
@@ -49,9 +48,6 @@ type Config struct {
 	// SlowQueries backs /slow; called per request, encoded as JSON. Wire
 	// it to Engine.SlowQueries.
 	SlowQueries func() any
-	// Maintenance backs /maintenance; called per request, encoded as JSON.
-	// Wire it to Engine.Maintenance.
-	Maintenance func() any
 	// Health backs /healthz and /readyz: 200 when the picked state is true,
 	// 503 with the reasons otherwise. Wire it to Engine.Health.
 	Health func() HealthState
@@ -103,13 +99,6 @@ func New(cfg Config) http.Handler {
 			return
 		}
 		writeJSON(w, cfg.Stats())
-	})
-	mux.HandleFunc("/maintenance", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Maintenance == nil {
-			http.NotFound(w, r)
-			return
-		}
-		writeJSON(w, cfg.Maintenance())
 	})
 	// /healthz answers liveness, /readyz readiness; both encode the full
 	// health state, with 503 when their own dimension is false — the shape
@@ -164,7 +153,7 @@ func New(cfg Config) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "dualindex observability: /metrics /metrics.json /stats /stats?shard=i /slow /trace /maintenance /healthz /readyz /debug/pprof/\n")
+		fmt.Fprint(w, "dualindex observability: /metrics /metrics.json /stats /stats?shard=i /slow /trace /healthz /readyz /debug/pprof/\n")
 	})
 	return mux
 }

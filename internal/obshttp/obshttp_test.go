@@ -111,7 +111,7 @@ func TestHandlerDisabledFeatures(t *testing.T) {
 	defer srv.Close()
 	for _, path := range []string{
 		"/metrics", "/metrics.json", "/stats", "/stats?shard=0",
-		"/slow", "/trace", "/maintenance", "/healthz", "/readyz",
+		"/slow", "/trace", "/healthz", "/readyz",
 	} {
 		if code, _, _ := get(t, srv, path); code != 404 {
 			t.Errorf("%s with no backing feature: code %d, want 404", path, code)
@@ -168,22 +168,6 @@ func TestShardStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMaintenanceEndpoint pins /maintenance: the wired status function's
-// answer, as JSON.
-func TestMaintenanceEndpoint(t *testing.T) {
-	srv := httptest.NewServer(New(Config{
-		Maintenance: func() any {
-			return map[string]any{"enabled": true, "runs": map[string]int{"sweep": 3}}
-		},
-	}))
-	defer srv.Close()
-	code, ctype, body := get(t, srv, "/maintenance")
-	if code != 200 || !strings.Contains(ctype, "application/json") ||
-		!strings.Contains(body, `"sweep": 3`) {
-		t.Errorf("/maintenance: code %d type %q body %q", code, ctype, body)
-	}
-}
-
 // TestHealthEndpoints pins /healthz and /readyz: each answers 200 or 503 by
 // its own dimension, and both carry the full health state as a JSON body.
 func TestHealthEndpoints(t *testing.T) {
@@ -201,7 +185,7 @@ func TestHealthEndpoints(t *testing.T) {
 		}
 	}
 
-	// Alive but not ready — a reshard or a maintenance backlog: liveness
+	// Alive but not ready — a reshard in progress: liveness
 	// stays 200, readiness drops to 503 with the reason in the body.
 	state = HealthState{Healthy: true, Ready: false, Reasons: []string{"resharding"}}
 	if code, _, _ := get(t, srv, "/healthz"); code != 200 {

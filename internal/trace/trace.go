@@ -1,5 +1,5 @@
 // Package trace records structured span events from the engine's hot paths
-// — one event per flush phase, query phase, or maintenance action — into a
+// — one event per flush phase, query phase, reshard or slow query — into a
 // fixed-capacity ring buffer, optionally teeing every event to a JSONL
 // sink. The ring answers "what did the last N operations spend their time
 // on" without unbounded memory; the sink turns a run into a replayable

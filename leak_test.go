@@ -10,8 +10,7 @@ import (
 // engineGoroutines returns the stacks of every live goroutine with an
 // engine frame (a dualindex package on its call stack), excluding test
 // goroutines. The shutdown contract is that Close joins all of them: the
-// maintenance controller's tick loop, the file backend's async disk
-// writers, and any flush worker pool.
+// file backend's async disk writers and any flush worker pool.
 func engineGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
@@ -45,30 +44,6 @@ func assertNoEngineGoroutines(t *testing.T, baseline int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// TestCloseStopsMaintenanceController: Close on an instrumented engine with
-// the background controller running must join the controller loop (and any
-// maintenance operation in flight on its goroutine).
-func TestCloseStopsMaintenanceController(t *testing.T) {
-	baseline := len(engineGoroutines())
-	eng, err := Open(maintainOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, text := range synthTexts(60, 40, 30, 20) {
-		eng.AddDocument(text)
-	}
-	if _, err := eng.FlushBatch(); err != nil {
-		t.Fatal(err)
-	}
-	// Let the aggressive 2ms controller take at least one tick so the loop
-	// is demonstrably live before Close stops it.
-	waitFor(t, "controller tick", func() bool { return eng.Maintenance().Ticks > 0 })
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertNoEngineGoroutines(t, baseline)
 }
 
 // TestCloseStopsFileBackendWriters: the real-I/O backend runs async writer

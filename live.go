@@ -38,8 +38,7 @@ type pendingTier struct {
 	// words holds one sorted (doc, freq) run per word. Documents reach a
 	// shard in ascending identifier order, so each run grows by a tail Push.
 	words map[postings.WordID]*postings.List
-	// docs and postings size the tier for stats, metrics and the
-	// maintenance controller's signals.
+	// docs and postings size the tier for stats and metrics.
 	docs     int
 	postings int64
 }

@@ -3,7 +3,6 @@ package dualindex
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dualindex/internal/cache"
@@ -59,12 +58,6 @@ type observer struct {
 	slowCap  int               // Options.SlowQueryLog
 	slow     []SlowQueryRecord // ring, capacity slowCap
 	slowNext int
-
-	// slowSeen counts every slow query ever recorded, independently of the
-	// ring's capacity and of the registry (slowTotal is nil without one) —
-	// the cumulative signal the maintenance controller differentiates into
-	// a slow-query rate.
-	slowSeen atomic.Int64
 }
 
 // newObserver builds the observer an Options set asks for, or nil when
@@ -221,16 +214,6 @@ func (so *shardObs) observeFlush(start time.Time, st core.UpdateStats, docs int)
 	}
 }
 
-// flushP95 reports this shard's flush-latency p95 in seconds — one of the
-// maintenance controller's pressure signals. 0 when the shard is
-// uninstrumented or has no metrics registry.
-func (so *shardObs) flushP95() float64 {
-	if so == nil {
-		return 0
-	}
-	return so.flushTotal.Snapshot().P95
-}
-
 // observeFetch records the query fetch phase (term-list prefetch) begun at
 // t0 and starts the score phase, returning its start time.
 func (so *shardObs) observeFetch(t0 time.Time) time.Time {
@@ -324,12 +307,11 @@ func (q *queryObs) finish(text string, results int) {
 }
 
 // recordSlow appends to the slow-query ring and emits the slow-query
-// signals (counter, span). A non-positive capacity keeps the counters and
+// signals (counter, span). A non-positive capacity keeps the counter and
 // span but no ring — Options normally defaults the capacity to 128, but the
 // ring must not index into an empty slice (modulo zero) if an observer is
 // ever built without that defaulting.
 func (o *observer) recordSlow(r SlowQueryRecord) {
-	o.slowSeen.Add(1)
 	o.slowTotal.Inc()
 	o.rec.RecordAt("engine", "query.slow", fmt.Sprintf("kind=%s query=%q", r.Kind, r.Query), r.Time, r.Dur)
 	if o.slowCap < 1 {
@@ -343,15 +325,6 @@ func (o *observer) recordSlow(r SlowQueryRecord) {
 		o.slowNext = (o.slowNext + 1) % o.slowCap
 	}
 	o.slowMu.Unlock()
-}
-
-// slowCount reports how many slow queries have ever been recorded; 0 on a
-// nil observer.
-func (o *observer) slowCount() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.slowSeen.Load()
 }
 
 // slowQueries returns the logged slow queries, oldest first.

@@ -5,10 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"dualindex/internal/metrics"
+	"dualindex/internal/obshttp"
 	"dualindex/internal/trace"
 )
 
@@ -404,5 +409,272 @@ func TestTraceSinkErrorSurfacesOnClose(t *testing.T) {
 	}
 	if err := eng.Close(); !errors.Is(err, errSinkBroken) {
 		t.Fatalf("Close = %v, want the sink's error", err)
+	}
+}
+
+// TestHealthAfterClose pins the liveness dimension: a closed engine is
+// neither healthy nor ready.
+func TestHealthAfterClose(t *testing.T) {
+	eng, err := Open(smallOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := eng.Health()
+	if h.Healthy || h.Ready {
+		t.Errorf("Health() after Close = %+v", h)
+	}
+}
+
+// TestStatsDeadFraction pins the new Stats fields: DocsIndexed follows
+// flushes and sweeps, DeadFraction is deleted over indexed, and both
+// aggregate across shards.
+func TestStatsDeadFraction(t *testing.T) {
+	eng, err := Open(smallOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var ids []DocID
+	for _, text := range synthTexts(53, 40, 30, 20) {
+		ids = append(ids, eng.AddDocument(text))
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.DocsIndexed != 40 {
+		t.Errorf("DocsIndexed = %d, want 40", st.DocsIndexed)
+	}
+	if st.DeadFraction != 0 {
+		t.Errorf("DeadFraction = %v with no deletes", st.DeadFraction)
+	}
+	for _, id := range ids[:10] {
+		eng.Delete(id)
+	}
+	st = eng.Stats()
+	if want := 10.0 / 40.0; st.DeadFraction != want {
+		t.Errorf("DeadFraction = %v, want %v", st.DeadFraction, want)
+	}
+	// Per-shard stats sum to the engine-wide count, each with its own
+	// fraction.
+	var sum int64
+	for i, ss := range eng.ShardStats() {
+		sum += ss.DocsIndexed
+		if ss.Deleted > 0 && ss.DeadFraction == 0 {
+			t.Errorf("shard %d: %d deleted but DeadFraction 0", i, ss.Deleted)
+		}
+	}
+	if sum != st.DocsIndexed {
+		t.Errorf("per-shard DocsIndexed sums to %d, engine says %d", sum, st.DocsIndexed)
+	}
+	if err := eng.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	st = eng.Stats()
+	if st.DocsIndexed != 30 || st.DeadFraction != 0 {
+		t.Errorf("after sweep: DocsIndexed = %d DeadFraction = %v, want 30 and 0",
+			st.DocsIndexed, st.DeadFraction)
+	}
+}
+
+// TestDeadFractionArithmetic pins the ratio's edge cases: no documents is
+// 0 (not NaN), and more recorded deletes than known indexed documents — a
+// reopened index without a document store loses the count — saturates at 1,
+// erring toward sweeping.
+func TestDeadFractionArithmetic(t *testing.T) {
+	for _, tc := range []struct {
+		indexed, deleted int
+		want             float64
+	}{
+		{0, 0, 0},
+		{100, 0, 0},
+		{100, 25, 0.25},
+		{0, 50, 1},  // unknown denominator: saturate
+		{10, 50, 1}, // stale denominator: saturate
+	} {
+		if got := deadFraction(tc.indexed, tc.deleted); got != tc.want {
+			t.Errorf("deadFraction(%d, %d) = %v, want %v", tc.indexed, tc.deleted, got, tc.want)
+		}
+	}
+}
+
+// TestSlowQueryLogConcurrent hammers the slow-query ring from many
+// goroutines: the ring must stay exactly at its capacity and the cumulative
+// counter must see every query. Run under -race, this is the ring's
+// synchronization proof.
+func TestSlowQueryLogConcurrent(t *testing.T) {
+	opts := smallOpts(1)
+	opts.Metrics = true
+	opts.SlowQuery = 1 // every query qualifies
+	opts.SlowQueryLog = 8
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, text := range synthTexts(59, 30, 20, 10) {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines, each = 10, 10
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := eng.SearchBoolean(synthWord((g*each + i) % 20)); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = eng.SlowQueries() // readers interleave with writers
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := eng.SlowQueries(); len(got) != 8 {
+		t.Errorf("ring length %d after %d concurrent queries, want the cap 8",
+			len(got), goroutines*each)
+	}
+	if got := eng.Metrics().Counter("slow_queries_total").Value(); got != goroutines*each {
+		t.Errorf("slow_queries_total = %d, want %d: the cumulative counter is ring-independent", got, goroutines*each)
+	}
+}
+
+// TestSlowQueryLogZeroCapacity pins the guard recordSlow needs when built
+// without the option defaulting: a zero-capacity ring keeps the counters
+// and drops the record instead of indexing into an empty slice.
+func TestSlowQueryLogZeroCapacity(t *testing.T) {
+	o := &observer{slowThreshold: 1, slowTotal: metrics.NewRegistry("t").Counter("slow_queries_total")}
+	for i := 0; i < 3; i++ {
+		o.recordSlow(SlowQueryRecord{Kind: "boolean", Query: "q"})
+	}
+	if got := o.slowQueries(); len(got) != 0 {
+		t.Errorf("zero-capacity ring holds %d records", len(got))
+	}
+	if got := o.slowTotal.Value(); got != 3 {
+		t.Errorf("slow_queries_total = %d, want 3", got)
+	}
+}
+
+// TestQuerySlowLogCanonical pins what the unified Query path logs: the
+// canonical rendering of the parsed expression, so different spellings of
+// one query group under one string.
+func TestQuerySlowLogCanonical(t *testing.T) {
+	opts := smallOpts(1)
+	opts.SlowQuery = 1
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, text := range synthTexts(61, 30, 20, 10) {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := synthWord(0), synthWord(1)
+	for _, spelling := range []string{
+		a + " AND   " + b,
+		"(" + a + " and " + b + ")",
+	} {
+		if _, err := eng.Query(spelling, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow := eng.SlowQueries()
+	if len(slow) != 2 {
+		t.Fatalf("SlowQueries len = %d, want 2", len(slow))
+	}
+	want := "(" + a + " and " + b + ")"
+	for i, rec := range slow {
+		if rec.Query != want {
+			t.Errorf("slow[%d].Query = %q, want the canonical %q", i, rec.Query, want)
+		}
+		if rec.Kind != "query" {
+			t.Errorf("slow[%d].Kind = %q, want %q", i, rec.Kind, "query")
+		}
+	}
+}
+
+// TestHealthOpenEngine pins the default health states: an open engine with
+// no reshard running is healthy and ready, with no reasons.
+func TestHealthOpenEngine(t *testing.T) {
+	eng, err := Open(smallOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := eng.Health()
+	if !h.Healthy || !h.Ready || len(h.Reasons) != 0 {
+		t.Errorf("Health() = %+v, want healthy and ready", h)
+	}
+}
+
+// TestObsHTTPEngineWiring serves a real engine the way the commands wire
+// it: per-shard statistics on /stats?shard=i carry the dead-posting
+// fraction, and /readyz answers 200 while the engine is open and 503 once
+// it is closed.
+func TestObsHTTPEngineWiring(t *testing.T) {
+	eng, err := Open(smallOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []DocID
+	for _, text := range synthTexts(47, 40, 30, 20) {
+		ids = append(ids, eng.AddDocument(text))
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[:10] {
+		eng.Delete(id)
+	}
+	srv := httptest.NewServer(obshttp.New(obshttp.Config{
+		Stats: func() any { return eng.Stats() },
+		ShardStats: func() []any {
+			sts := eng.ShardStats()
+			out := make([]any, len(sts))
+			for i, s := range sts {
+				out[i] = s
+			}
+			return out
+		},
+		Health: func() obshttp.HealthState {
+			h := eng.Health()
+			return obshttp.HealthState{Healthy: h.Healthy, Ready: h.Ready, Reasons: h.Reasons}
+		},
+	}))
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("/stats?shard=1"); code != 200 || !strings.Contains(body, `"DeadFraction"`) {
+		t.Errorf("/stats?shard=1: code %d, body misses DeadFraction:\n%s", code, body)
+	}
+	if code, body := get("/readyz"); code != 200 || !strings.Contains(body, `"ready": true`) {
+		t.Errorf("/readyz on an open engine: code %d body %s", code, body)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "engine closed") {
+		t.Errorf("/readyz after Close: code %d body %s", code, body)
 	}
 }

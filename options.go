@@ -244,18 +244,6 @@ type Options struct {
 	// The first write error stops the tee (the ring keeps recording), and
 	// Engine.Close returns that error unless closing failed first.
 	TraceSink io.Writer
-	// Maintenance, when non-nil, runs the metrics-driven background
-	// maintenance controller (internal/maintain): a goroutine that watches
-	// the engine's own observability signals — per-shard bucket load
-	// factors, dead-posting fractions, flush p95s, the cache hit rate and
-	// the slow-query rate — against these thresholds and schedules
-	// RebalanceBuckets/Sweep shard by shard in the gaps between flushes.
-	// &MaintenanceOptions{} enables it with defaults; nil (the default)
-	// disables it, spawning nothing — the simulated I/O traces are
-	// byte-identical to an engine without the controller. The controller's
-	// status, decision log and backlog are served by Engine.Maintenance and
-	// internal/obshttp's /maintenance endpoint.
-	Maintenance *MaintenanceOptions
 }
 
 func (o Options) withDefaults() Options {

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"dualindex/internal/disk"
-	"dualindex/internal/maintain"
 	"dualindex/internal/manifest"
 	"dualindex/internal/route"
 	"dualindex/internal/vocab"
@@ -94,19 +93,6 @@ func Open(opts Options) (*Engine, error) {
 		}
 	}
 	e.registerShardFuncs()
-	if opts.Maintenance != nil {
-		ctl, err := maintain.New(engineTarget{e}, maintain.Config{
-			Thresholds: *opts.Maintenance,
-			Registry:   e.Metrics(),
-			Tracer:     e.Tracer(),
-		})
-		if err != nil {
-			e.Close()
-			return nil, fmt.Errorf("dualindex: %w", err)
-		}
-		e.maint = ctl
-		ctl.Start()
-	}
 	return e, nil
 }
 

@@ -53,11 +53,6 @@ go test -race ./...
 # tests; run them by name under the race detector, immune to wildcard drift.
 echo '== go test -race (invariant analyzers)'
 go test -race -count=1 ./internal/analysis/...
-# The maintenance controller is all concurrency — a background loop
-# try-locking against flushes and reshards — so its tests run under the race
-# detector by name too, immune to wildcard drift.
-echo '== go test -race (maintenance controller)'
-go test -race -count=1 ./internal/maintain/
 # The codec fuzz targets' seed corpora run as unit tests above; give each
 # target a short live fuzzing burst too, so `make check` explores beyond the
 # seeds (kept brief — CI does the long runs).

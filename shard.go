@@ -15,7 +15,6 @@ import (
 	"dualindex/internal/docstore"
 	"dualindex/internal/lexer"
 	"dualindex/internal/longlist"
-	"dualindex/internal/maintain"
 	"dualindex/internal/postings"
 	"dualindex/internal/query"
 	"dualindex/internal/vocab"
@@ -68,10 +67,10 @@ type shard struct {
 
 	// docsIndexed counts the documents applied to this shard's on-disk
 	// index: flushes add, sweeps subtract what they reclaim. It is the
-	// denominator of the dead-posting fraction the maintenance controller
-	// watches. Reopening without a document store loses the count (the
-	// index stores postings, not documents), which deadFraction treats as
-	// "unknown, err toward sweeping".
+	// denominator of the dead-posting fraction Stats reports. Reopening
+	// without a document store loses the count (the index stores postings,
+	// not documents), which deadFraction treats as "unknown, err toward
+	// sweeping".
 	docsIndexed int
 
 	docs   docstore.Store // nil unless Options.KeepDocuments
@@ -238,7 +237,8 @@ func (s *shard) numPending() (docs int, postings int64) {
 
 // flushBatch applies the shard's pending batch to its on-disk index — the
 // paper's incremental batch update — and checkpoints. A flush with no
-// pending documents is a no-op.
+// pending documents applies nothing; it only checkpoints deletions made
+// since the last checkpoint, which counts as no batch.
 //
 // Searches are not blocked while the batch is applied: flushBatch detaches
 // the batch and publishes a snapshot of the pre-flush index under a brief
@@ -260,8 +260,11 @@ func (s *shard) flushBatch() (BatchStats, error) {
 		return BatchStats{}, fmt.Errorf("dualindex: document store: %w", s.docErr)
 	}
 	if s.pending.docs == 0 {
+		// No batch to apply, but deletions since the last checkpoint
+		// still have to reach disk.
+		err := s.checkpointDeletedLocked()
 		s.mu.Unlock()
-		return BatchStats{}, nil
+		return BatchStats{}, err
 	}
 	if s.docs != nil {
 		if err := s.docs.Sync(); err != nil {
@@ -427,24 +430,6 @@ func (s *shard) sweep() error {
 	defer s.flushMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sweepLocked()
-}
-
-// trySweep is sweep for the maintenance controller: instead of waiting for
-// a running flush it answers maintain.ErrBusy, so background maintenance
-// slots into the gaps between flushes rather than queueing behind them.
-func (s *shard) trySweep() error {
-	if !s.flushMu.TryLock() {
-		return maintain.ErrBusy
-	}
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sweepLocked()
-}
-
-// sweepLocked is the sweep body; the caller holds flushMu and mu.
-func (s *shard) sweepLocked() error {
 	// Sweep replaces the index's deleted list without writing to it, and
 	// keeps only its suffix of still-pending documents, so what precedes
 	// that suffix here is the swept set.
@@ -464,6 +449,16 @@ func (s *shard) sweepLocked() error {
 		_, gone := slices.BinarySearch(swept, d)
 		return !gone
 	})
+}
+
+// checkpointDeletedLocked makes an on-disk shard's deletions since its last
+// checkpoint durable. In-memory shards skip it: nothing outlives them. The
+// caller holds flushMu and mu.
+func (s *shard) checkpointDeletedLocked() error {
+	if s.dir == "" {
+		return nil
+	}
+	return s.index.CheckpointDeleted()
 }
 
 // readCost reports how many disk reads a query for word would need on this
@@ -493,40 +488,6 @@ func (s *shard) rebalanceBuckets(buckets, bucketSize int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.index.RebalanceBuckets(buckets, bucketSize)
-}
-
-// tryRebalance is rebalanceBuckets for the maintenance controller,
-// answering maintain.ErrBusy instead of waiting behind a running flush.
-func (s *shard) tryRebalance(buckets, bucketSize int) error {
-	if !s.flushMu.TryLock() {
-		return maintain.ErrBusy
-	}
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.index.RebalanceBuckets(buckets, bucketSize)
-}
-
-// maintainSignals gathers the observability inputs one maintenance
-// decision about this shard is made from, under one read lock. During a
-// flush the structural numbers come from the flush's snapshot, like every
-// other mid-flush read.
-func (s *shard) maintainSignals(i int) maintain.ShardSignals {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v := s.view()
-	b := v.Buckets()
-	sig := maintain.ShardSignals{
-		Shard:       i,
-		Buckets:     b.NumBuckets(),
-		BucketSize:  b.BucketSize(),
-		LoadFactor:  b.LoadFactor(),
-		DeletedDocs: v.DeletedCount(),
-		DocsIndexed: s.docsIndexed,
-	}
-	sig.PendingDocs, sig.PendingPostings = s.pendingSize()
-	sig.DeadFraction = deadFraction(s.docsIndexed, sig.DeletedDocs)
-	return sig
 }
 
 // deletedCount reports the shard's logically deleted (not yet swept)
@@ -624,16 +585,18 @@ func (s *shard) maxDoc() DocID {
 	return s.lastDoc
 }
 
-// close releases the shard's resources, persisting the vocabulary first for
-// on-disk shards.
+// close releases the shard's resources, persisting unsaved deletions and
+// the vocabulary first for on-disk shards.
 func (s *shard) close() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
+	first := s.checkpointDeletedLocked()
 	if s.dir != "" {
-		first = s.saveVocab()
+		if err := s.saveVocab(); err != nil && first == nil {
+			first = err
+		}
 	}
 	if s.docs != nil {
 		if err := s.docs.Close(); err != nil && first == nil {

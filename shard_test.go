@@ -304,8 +304,8 @@ func TestShardedCrashReopen(t *testing.T) {
 
 	// Delete two documents, one of them a needle holder, then make sure
 	// every shard has something pending so the next flush checkpoints the
-	// deletions on all three shards (a shard with an empty batch skips its
-	// flush, and deletions persist only at a checkpoint).
+	// deletions with a batch on all three shards (the document-less path is
+	// TestDeleteDurableWithoutDocumentFlush's).
 	eng.Delete(ids[5])
 	eng.Delete(ids[12])
 	extra := synthTexts(31, 12, 30, 20)

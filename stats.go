@@ -84,8 +84,8 @@ type Stats struct {
 	Deleted     int
 	// DocsIndexed counts the documents currently applied to the on-disk
 	// index (flushed minus swept); DeadFraction is Deleted over DocsIndexed
-	// — the dead-posting signal the maintenance controller sweeps on. The
-	// count is rebuilt from the document store on reopen; an index reopened
+	// — the share of indexed documents whose postings a Sweep would
+	// reclaim. The count is rebuilt from the document store on reopen; an index reopened
 	// without one reports DocsIndexed 0, and DeadFraction then saturates at
 	// 1.0 whenever deletions exist (unknown errs toward sweeping).
 	DocsIndexed  int64
@@ -248,4 +248,17 @@ func (e *Engine) BucketLoadFactor() float64 {
 		sum += s.bucketLoadFactor()
 	}
 	return sum / float64(len(e.shards))
+}
+
+// deadFraction is the dead-posting ratio: deleted documents over indexed
+// documents. The denominator floors at the numerator so an index whose
+// indexed count is unknown (reopened without a document store) reports 1.0
+// when deletions exist — sweeping is always correct, so the unknown case
+// errs toward sweeping.
+func deadFraction(indexed, deleted int) float64 {
+	denom := max(indexed, deleted)
+	if denom == 0 {
+		return 0
+	}
+	return float64(deleted) / float64(denom)
 }
