@@ -38,7 +38,6 @@ func main() {
 		routing   = flag.String("routing", "", "document routing for a fresh index: hash | range | round-robin (empty adopts the manifest, hash for a fresh index)")
 		backend   = flag.String("backend", "", "block-store backend: file (empty adopts the manifest; file is the only persistent backend)")
 		codec     = flag.String("codec", "", "long-list block codec for a fresh index: raw | varint | golomb (empty adopts the manifest, raw for a fresh index)")
-		mmapReads = flag.Bool("mmap", false, "serve file-backend reads through a shared mmap where supported")
 		keepDocs  = flag.Bool("keepdocs", false, "keep document text in the index (required for -reshard and positional queries)")
 		reshard   = flag.Int("reshard", 0, "reshard the existing index to this many shards and exit (requires an index built with -keepdocs)")
 		check     = flag.Bool("check", true, "run the consistency check after the build")
@@ -51,16 +50,9 @@ func main() {
 		}
 		return
 	}
-	storage := storageOpts{backend: *backend, codec: *codec, mmap: *mmapReads}
-	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, storage, *keepDocs, *check, *metrics); err != nil {
+	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, *backend, *codec, *keepDocs, *check, *metrics); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// storageOpts groups the backend/codec flags on their way into Options.
-type storageOpts struct {
-	backend, codec string
-	mmap           bool
 }
 
 // runReshard opens an existing index (adopting its manifest) and migrates it
@@ -134,7 +126,7 @@ func policyByName(name string) (dualindex.Policy, error) {
 	return dualindex.Policy{}, fmt.Errorf("unknown policy %q", name)
 }
 
-func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing string, storage storageOpts, keepDocs, check bool, metricsAddr string) error {
+func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing, backend, codec string, keepDocs, check bool, metricsAddr string) error {
 	pol, err := policyByName(policyName)
 	if err != nil {
 		return err
@@ -152,9 +144,8 @@ func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int
 		Dir:           indexDir,
 		Shards:        shards,
 		Routing:       routing,
-		Backend:       storage.backend,
-		Codec:         storage.codec,
-		MmapReads:     storage.mmap,
+		Backend:       backend,
+		Codec:         codec,
 		KeepDocuments: keepDocs,
 		Policy:        &pol,
 		Buckets:       buckets,

@@ -43,7 +43,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "index shards (0 adopts the index's manifest — the usual choice)")
 		backend  = flag.String("backend", "", "block-store backend (empty adopts the index's manifest — the usual choice)")
 		codec    = flag.String("codec", "", "long-list block codec (empty adopts the index's manifest — the usual choice)")
-		mmap     = flag.Bool("mmap", false, "serve file-backend reads through a shared mmap where supported")
 		metrics  = flag.String("metrics", "", "serve /metrics, /stats, /trace, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
 		slow     = flag.Duration("slow", 0, "log queries slower than this duration (view on the -metrics endpoint's /slow)")
 	)
@@ -54,7 +53,6 @@ func main() {
 		Shards:        *shards,
 		Backend:       *backend,
 		Codec:         *codec,
-		MmapReads:     *mmap,
 		KeepDocuments: *docs || *phrase || *near > 0,
 		Scoring:       *scoring,
 		SlowQuery:     *slow,

@@ -30,7 +30,6 @@
 package dualindex
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -316,9 +315,6 @@ func (e *Engine) Close() error {
 		if err := s.close(); err != nil && first == nil {
 			first = err
 		}
-	}
-	if err := e.Tracer().SinkErr(); err != nil && first == nil {
-		first = fmt.Errorf("dualindex: trace sink: %w", err)
 	}
 	return first
 }

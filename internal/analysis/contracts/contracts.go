@@ -117,7 +117,7 @@ var FileIOFuncs = map[string]bool{
 // reports — as are the root-package files named in FileIORootFiles, which
 // are the file-backend glue itself.
 var FileIOPackages = []string{
-	"internal/disk",        // the storage layer itself (and its mmap shims)
+	"internal/disk",        // the storage layer itself
 	"internal/docstore",    // the document log owns its file format
 	"internal/manifest",    // MANIFEST.json atomic save/load
 	"internal/experiments", // the paper-experiment harness writes artifacts
@@ -131,10 +131,10 @@ var FileIOPackages = []string{
 // file-backend and on-disk-layout glue; only they may do file I/O there.
 var FileIORootFiles = []string{"persist.go", "reshard.go"}
 
-// SyscallPackages may import or reference package syscall (the mmap read
-// path). Everything else is above the store abstraction and has no business
-// at the syscall layer.
-var SyscallPackages = []string{"internal/disk"}
+// SyscallPackages may import or reference package syscall. None does: the
+// storage layer uses os files and preads, and everything else is above the
+// store abstraction, so any syscall import is a finding.
+var SyscallPackages []string
 
 // DiskImporters are the packages allowed to import internal/disk — the
 // layers that implement or sit directly on the block-store abstraction.

@@ -1,8 +1,8 @@
 // Package ioboundary enforces the engine's abstraction boundaries around
 // real I/O and raw postings bytes:
 //
-//   - File I/O (the os package's file calls, and anything in syscall — the
-//     mmap path) happens only in the storage layer and the few packages
+//   - File I/O (the os package's file calls, and anything in syscall)
+//     happens only in the storage layer and the few packages
 //     that own an on-disk format (contracts.FileIOPackages), in main
 //     packages (CLI tools), or in the root package's file-backend glue
 //     files (contracts.FileIORootFiles). Everything else reaches disk
@@ -57,7 +57,7 @@ var Analyzer = NewAnalyzer(Config{
 func NewAnalyzer(cfg Config) *framework.Analyzer {
 	return &framework.Analyzer{
 		Name: "ioboundary",
-		Doc: "file and mmap I/O only in the storage layer (everything else goes through Options.Backend); " +
+		Doc: "file I/O only in the storage layer (everything else goes through Options.Backend); " +
 			"raw postings bytes only through Options.Codec's owners",
 		Run: func(pass *framework.Pass) error {
 			run(pass, cfg)
@@ -112,7 +112,7 @@ func run(pass *framework.Pass, cfg Config) {
 			}
 			if p == "syscall" && !syscallPkg {
 				pass.Reportf(imp.Pos(),
-					"package %s imports syscall: only the storage layer (%v) touches the syscall/mmap line",
+					"package %s imports syscall: only the storage layer (%v) touches the syscall line",
 					pkgPath, cfg.SyscallPackages)
 			}
 		}
@@ -133,7 +133,7 @@ func run(pass *framework.Pass, cfg Config) {
 					symbol, cfg.FileIOPackages, cfg.FileIORootFiles)
 			case pkgName == "syscall" && !syscallPkg:
 				pass.Reportf(sel.Pos(),
-					"syscall.%s outside the storage layer: only %v may cross the syscall/mmap line",
+					"syscall.%s outside the storage layer: only %v may cross the syscall line",
 					symbol, cfg.SyscallPackages)
 			case isCodecRef(pkgName, symbol, cfg) && !codecPkg:
 				pass.Reportf(sel.Pos(),

@@ -69,7 +69,7 @@ func (ix *Index) flush(st *UpdateStats) error {
 		return err
 	}
 	ix.array.EndBatch()
-	ix.deletedDirty = false
+	ix.dirty = false
 	st.ReleaseDur = time.Since(releaseStart)
 	return nil
 }
@@ -168,8 +168,7 @@ func (ix *Index) flushDeleted() error {
 
 // Superblock layout constants. Version 2 added the codec field after the
 // bucket geometry; version 3 added the high-water document identifier after
-// the deleted-list region. Version-1 (always raw) and version-2 checkpoints
-// are still readable.
+// the deleted-list region. Only version 3 is read.
 const (
 	superMagic   = 0x494C5549 // "IULI": Inverted-List Update
 	superVersion = 3

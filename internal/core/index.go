@@ -78,13 +78,14 @@ type Index struct {
 	// changes (the rule bucket.Set.Clone applies to buckets).
 	deleted       []postings.DocID
 	deletedShared bool
-	// deletedDirty records that deleted has changed since the last
-	// checkpoint, so CheckpointDeleted has something to make durable.
-	deletedDirty bool
+	// dirty records that deleted or maxDoc has changed since the last
+	// checkpoint, so Checkpoint has something to make durable.
+	dirty bool
 
 	// maxDoc is the high-water document identifier: the largest one any
-	// applied update carried. Checkpointed in the superblock, it survives
-	// the sweep that removes that document's postings.
+	// applied update carried, or RaiseMaxDoc set. Checkpointed in the
+	// superblock, it survives the sweep that removes that document's
+	// postings.
 	maxDoc postings.DocID
 
 	batches int
@@ -184,6 +185,16 @@ func (ix *Index) Batches() int { return ix.batches }
 // update applied to this index carried, deleted and swept documents
 // included. It is 0 in simulation mode, where updates carry no lists.
 func (ix *Index) MaxDoc() postings.DocID { return ix.maxDoc }
+
+// RaiseMaxDoc lifts the high-water document identifier to doc, for an index
+// that must continue an identifier sequence past documents it never held.
+// The next checkpoint records it.
+func (ix *Index) RaiseMaxDoc(doc postings.DocID) {
+	if doc > ix.maxDoc {
+		ix.maxDoc = doc
+		ix.dirty = true
+	}
+}
 
 // WordUpdate is one word's contribution to a batch update: the in-memory
 // inverted list built from the arriving documents. List may be nil in

@@ -101,15 +101,15 @@ func (ix *Index) Delete(doc postings.DocID) {
 		ix.deletedShared = false
 	}
 	ix.deleted = slices.Insert(ix.deleted, i, doc)
-	ix.deletedDirty = true
+	ix.dirty = true
 }
 
-// CheckpointDeleted makes the deletions since the last checkpoint durable
-// without an update: it runs the same checkpoint a batch ends with, which
-// writes the deleted list, but does not count as a batch. A no-op when the
-// deleted list is unchanged since the last checkpoint.
-func (ix *Index) CheckpointDeleted() error {
-	if !ix.deletedDirty {
+// Checkpoint makes the deletions and the high-water mark set since the last
+// checkpoint durable without an update: it runs the same checkpoint a batch
+// ends with, which writes the deleted list and the superblock, but does not
+// count as a batch. A no-op when neither changed since the last checkpoint.
+func (ix *Index) Checkpoint() error {
+	if !ix.dirty {
 		return nil
 	}
 	return ix.flush(nil)

@@ -27,9 +27,9 @@ var ErrNoCheckpoint = errors.New("core: store holds no checkpoint")
 //
 // Open reads the checkpoint and nothing else: the superblock, then the
 // bucket region, the directory and the deleted list it points to. Long
-// lists stay on disk (their chunks are only reserved in the allocator),
-// except for a checkpoint older than superblock version 3, whose missing
-// high-water document identifier is recomputed by reading every long list.
+// lists stay on disk (their chunks are only reserved in the allocator).
+// Only the superblock version this engine writes is read; an older one is
+// refused, and the index has to be rebuilt.
 func Open(cfg Config) (*Index, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("core: Open requires a data store")
@@ -51,12 +51,11 @@ func Open(cfg Config) (*Index, error) {
 // superblock is a decoded checkpoint root: where the bucket, directory and
 // deleted-list images live, and the scalar state a resumed index needs.
 type superblock struct {
-	version                            uint64
 	batches, nextDisk                  int
 	buckets, bucketSize                int
 	codec                              postings.CodecID
 	bucketRegion, dirRegion, delRegion []regionChunk
-	maxDoc                             postings.DocID // version 3 on; 0 before
+	maxDoc                             postings.DocID
 }
 
 // superReader reads a superblock image one bounded varint at a time. The
@@ -122,25 +121,25 @@ func decodeSuperblock(buf []byte, geo disk.Geometry, blockPosting int64) (superb
 	case magic != superMagic:
 		return sb, fmt.Errorf("core: bad superblock magic %#x", magic)
 	}
-	// Version 1 predates the codec field and implies raw; version 2 carries
-	// the codec; version 3 adds the high-water document identifier.
-	sb.version = r.next("version", math.MaxUint64)
-	if r.err == nil && (sb.version < 1 || sb.version > superVersion) {
-		return sb, fmt.Errorf("core: superblock version %d unsupported", sb.version)
+	switch version := r.next("version", math.MaxUint64); {
+	case r.err != nil:
+		return sb, r.err
+	case version < 1:
+		return sb, fmt.Errorf("core: invalid superblock version %d", version)
+	case version < superVersion:
+		return sb, fmt.Errorf("core: superblock version %d predates this engine's %d, which no longer reads it; rebuild the index from its documents", version, superVersion)
+	case version > superVersion:
+		return sb, fmt.Errorf("core: superblock version %d is newer than this engine's %d", version, superVersion)
 	}
 	sb.batches = int(r.next("batch count", math.MaxInt32))
 	sb.nextDisk = int(r.next("next disk", uint64(geo.NumDisks-1)))
 	sb.buckets = int(r.next("bucket count", math.MaxInt32))
 	sb.bucketSize = int(r.next("bucket size", math.MaxInt32))
-	if sb.version >= 2 {
-		sb.codec = postings.CodecID(r.next("codec", math.MaxUint8))
-	}
+	sb.codec = postings.CodecID(r.next("codec", math.MaxUint8))
 	sb.bucketRegion = r.region()
 	sb.dirRegion = r.region()
 	sb.delRegion = r.region()
-	if sb.version >= 3 {
-		sb.maxDoc = postings.DocID(r.next("high-water document", math.MaxUint32))
-	}
+	sb.maxDoc = postings.DocID(r.next("high-water document", math.MaxUint32))
 	if r.err != nil {
 		return sb, r.err
 	}
@@ -263,32 +262,5 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	ix.bucketRegion = sb.bucketRegion
 	ix.dirRegion = sb.dirRegion
 	ix.delRegion = sb.delRegion
-	if sb.version < 3 {
-		ix.maxDoc, err = ix.scanMaxDoc()
-	}
-	return err
-}
-
-// scanMaxDoc recomputes the high-water document identifier from the lists
-// themselves — every short list and one read of every long list — for
-// checkpoints that predate the superblock field. Deleted but unswept
-// documents still have postings and count; swept ones are gone, so the
-// answer can be lower than the identifiers the index once held.
-func (ix *Index) scanMaxDoc() (postings.DocID, error) {
-	var high postings.DocID
-	ix.buckets.ForEachWord(func(w postings.WordID, _ int) {
-		if l := ix.buckets.List(w); l != nil && l.MaxDoc() > high {
-			high = l.MaxDoc()
-		}
-	})
-	for _, w := range ix.dir.Words() {
-		l, _, err := ix.long.ReadList(w)
-		if err != nil {
-			return 0, fmt.Errorf("core: scanning long list of word %d: %w", w, err)
-		}
-		if l.MaxDoc() > high {
-			high = l.MaxDoc()
-		}
-	}
-	return high, nil
+	return nil
 }

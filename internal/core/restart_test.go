@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,6 +17,19 @@ func encodeSuperblockV2(sb superblock) []byte {
 	b := binary.AppendUvarint(nil, superMagic)
 	for _, v := range []uint64{2, uint64(sb.batches), uint64(sb.nextDisk),
 		uint64(sb.buckets), uint64(sb.bucketSize), uint64(sb.codec)} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = appendRegion(b, sb.bucketRegion)
+	b = appendRegion(b, sb.dirRegion)
+	return appendRegion(b, sb.delRegion)
+}
+
+// encodeSuperblockV1 renders a checkpoint root in the version-1 layout: the
+// version-2 fields without the codec.
+func encodeSuperblockV1(sb superblock) []byte {
+	b := binary.AppendUvarint(nil, superMagic)
+	for _, v := range []uint64{1, uint64(sb.batches), uint64(sb.nextDisk),
+		uint64(sb.buckets), uint64(sb.bucketSize)} {
 		b = binary.AppendUvarint(b, v)
 	}
 	b = appendRegion(b, sb.bucketRegion)
@@ -48,6 +62,28 @@ func currentSuperblock(t testing.TB, ix *Index) superblock {
 	return sb
 }
 
+// listsMaxDoc is the largest document identifier still in ix's lists —
+// every short list and every long list.
+func listsMaxDoc(t testing.TB, ix *Index) postings.DocID {
+	t.Helper()
+	var high postings.DocID
+	ix.buckets.ForEachWord(func(w postings.WordID, _ int) {
+		if l := ix.buckets.List(w); l != nil && l.MaxDoc() > high {
+			high = l.MaxDoc()
+		}
+	})
+	for _, w := range ix.dir.Words() {
+		l, _, err := ix.long.ReadList(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.MaxDoc() > high {
+			high = l.MaxDoc()
+		}
+	}
+	return high
+}
+
 // maxRefDoc is the largest document identifier in a fillIndex reference.
 func maxRefDoc(ref map[postings.WordID][]postings.DocID) postings.DocID {
 	var high postings.DocID
@@ -70,8 +106,8 @@ func TestHighWaterCheckpointed(t *testing.T) {
 	if ix.MaxDoc() != want {
 		t.Fatalf("MaxDoc = %d, want %d", ix.MaxDoc(), want)
 	}
-	if sb := currentSuperblock(t, ix); sb.version != superVersion || sb.maxDoc != want {
-		t.Fatalf("superblock version %d maxDoc %d, want %d and %d", sb.version, sb.maxDoc, superVersion, want)
+	if sb := currentSuperblock(t, ix); sb.maxDoc != want {
+		t.Fatalf("superblock maxDoc %d, want %d", sb.maxDoc, want)
 	}
 	// Open takes the value from the superblock: it reads no long list.
 	re, err := Open(cfg)
@@ -88,37 +124,30 @@ func TestHighWaterCheckpointed(t *testing.T) {
 	}
 }
 
-// TestSuperblockV2StillOpens pins the compatibility path: a version-2
-// checkpoint has no high-water field, so Open rediscovers it by scanning
-// the lists, and must land on the same answer.
-func TestSuperblockV2StillOpens(t *testing.T) {
-	cfg := storeConfig()
-	cfg.Buckets, cfg.BucketSize = 8, 64 // small enough to evict long lists
-	ix, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := fillIndex(t, ix, 4, 25)
-	if ix.Directory().NumWords() == 0 {
-		t.Fatal("no long lists: the scan would not be exercised")
-	}
-	sb := currentSuperblock(t, ix)
-	writeSuperblockImage(t, cfg, encodeSuperblockV2(sb))
-
-	re, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.MaxDoc() != maxRefDoc(ref) {
-		t.Fatalf("v2 scan MaxDoc = %d, want %d", re.MaxDoc(), maxRefDoc(ref))
-	}
-	checkAgainstRef(t, re, ref)
-	// The next checkpoint upgrades the image to the current version.
-	if _, err := re.ApplyUpdate([]WordUpdate{upd(1, maxRefDoc(ref)+1)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := currentSuperblock(t, re); got.version != superVersion || got.maxDoc != maxRefDoc(ref)+1 {
-		t.Fatalf("after one flush: version %d maxDoc %d", got.version, got.maxDoc)
+// TestSuperblockOldVersionsRefused: version-1 and version-2 checkpoints,
+// which no current code writes, are refused with an error that names the
+// version and the fix.
+func TestSuperblockOldVersionsRefused(t *testing.T) {
+	for version, encode := range map[int]func(superblock) []byte{
+		1: encodeSuperblockV1,
+		2: encodeSuperblockV2,
+	} {
+		cfg := storeConfig()
+		ix, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillIndex(t, ix, 4, 25)
+		writeSuperblockImage(t, cfg, encode(currentSuperblock(t, ix)))
+		_, err = Open(cfg)
+		if err == nil {
+			t.Fatalf("version-%d superblock opened", version)
+		}
+		for _, want := range []string{fmt.Sprintf("superblock version %d predates", version), "rebuild the index"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: error %q should say %q", version, err, want)
+			}
+		}
 	}
 }
 
@@ -142,8 +171,8 @@ func TestHighWaterSurvivesSweepAndRebalance(t *testing.T) {
 	if re.MaxDoc() != want {
 		t.Fatalf("after sweep: MaxDoc = %d, want %d", re.MaxDoc(), want)
 	}
-	if scanned, err := re.scanMaxDoc(); err != nil || scanned >= want {
-		t.Fatalf("scan after sweep = %d, %v; the swept document should be gone", scanned, err)
+	if scanned := listsMaxDoc(t, re); scanned >= want {
+		t.Fatalf("lists after sweep reach %d; the swept document %d should be gone", scanned, want)
 	}
 	if err := re.RebalanceBuckets(32, 200); err != nil {
 		t.Fatal(err)
@@ -169,7 +198,7 @@ func corruptSuperblocks(geo disk.Geometry) map[string][]byte {
 	// fits is a one-chunk bucket region holding 64 × 256 units exactly.
 	fits := []uint64{1, 0, 8, 512}
 	cases := map[string][]uint64{
-		"region count 2^60":       head(2, 1<<60),
+		"region count 2^60":       head(3, 1<<60),
 		"region count 2^64-1":     head(3, math.MaxUint64),
 		"region disk":             head(3, 1, uint64(geo.NumDisks), 8, 512),
 		"region past disk end":    head(3, 1, 0, uint64(geo.BlocksPerDisk)-1, 2),

@@ -10,6 +10,7 @@ package directory
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"dualindex/internal/postings"
@@ -266,55 +267,67 @@ func (d *Dir) encode(dst []byte, ext bool) []byte {
 	return dst
 }
 
-// Decode reconstructs a directory from an Encode image.
+// Decode reconstructs a directory from an Encode image, which may be
+// followed by block padding. It refuses any image Encode cannot produce —
+// word identifiers that repeat, descend or exceed 32 bits, a word with no
+// chunks, an invalid chunk, a non-minimal varint — so a decoded directory
+// re-encodes to exactly the bytes it was read from.
 func Decode(buf []byte) (*Dir, error) { return decode(buf, false) }
 
-// DecodeExt reconstructs a directory from an EncodeExt image.
+// DecodeExt reconstructs a directory from an EncodeExt image, with Decode's
+// checks.
 func DecodeExt(buf []byte) (*Dir, error) { return decode(buf, true) }
 
 func decode(buf []byte, ext bool) (*Dir, error) {
 	d := New()
-	numWords, off := binary.Uvarint(buf)
-	if off <= 0 {
-		return nil, fmt.Errorf("directory: corrupt header")
-	}
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[off:])
+	off := 0
+	next := func(what string) (uint64, error) {
+		v, n := postings.Uvarint(buf[off:])
 		if n <= 0 {
-			return 0, fmt.Errorf("directory: truncated at byte %d", off)
+			return 0, fmt.Errorf("directory: corrupt %s at byte %d", what, off)
 		}
 		off += n
 		return v, nil
+	}
+	numWords, err := next("word count")
+	if err != nil {
+		return nil, err
 	}
 	perChunk := 5
 	if ext {
 		perChunk = 6
 	}
+	var vals [6]uint64
+	var prev uint64
 	for i := uint64(0); i < numWords; i++ {
-		w, err := next()
+		w, err := next("word id")
 		if err != nil {
 			return nil, err
 		}
-		numChunks, err := next()
+		if w > math.MaxUint32 || (i > 0 && w <= prev) {
+			return nil, fmt.Errorf("directory: word id %d after %d is out of order or range", w, prev)
+		}
+		prev = w
+		numChunks, err := next("chunk count")
 		if err != nil {
 			return nil, err
+		}
+		if numChunks == 0 {
+			return nil, fmt.Errorf("directory: word %d has no chunks", w)
 		}
 		for j := uint64(0); j < numChunks; j++ {
-			vals := make([]uint64, perChunk)
-			for k := range vals {
-				if vals[k], err = next(); err != nil {
+			for k := 0; k < perChunk; k++ {
+				if vals[k], err = next("chunk field"); err != nil {
 					return nil, err
 				}
 			}
 			c := ChunkRef{
-				Disk:     int(vals[0]),
-				Block:    int64(vals[1]),
-				Blocks:   int64(vals[2]),
-				Postings: int64(vals[3]),
-				Capacity: int64(vals[4]),
-			}
-			if ext {
-				c.EncBlocks = int64(vals[5])
+				Disk:      int(vals[0]),
+				Block:     int64(vals[1]),
+				Blocks:    int64(vals[2]),
+				Postings:  int64(vals[3]),
+				Capacity:  int64(vals[4]),
+				EncBlocks: int64(vals[5]),
 			}
 			if err := d.AppendChunk(postings.WordID(w), c); err != nil {
 				return nil, err

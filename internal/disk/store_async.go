@@ -20,11 +20,6 @@ import (
 // flag, which is not portable); durability is batched — individual writes
 // never fsync, Sync drains every queue and fsyncs each file once, and the
 // engine calls it exactly at checkpoint (batch-flush) boundaries.
-//
-// Optionally, reads go through a read-only shared mmap of each file
-// (coherent with pwrite on unix page caches); the files are then sized up
-// front so the mapping never has to be redone. On platforms without mmap
-// support the store silently falls back to pread.
 type AsyncFileStore struct {
 	blockSize int
 	disks     []*asyncDisk
@@ -34,7 +29,6 @@ type AsyncFileStore struct {
 type asyncDisk struct {
 	f    *os.File
 	bs   int
-	mm   []byte // read-only mapping of the full file; nil = use pread
 	done sync.WaitGroup
 
 	mu       sync.Mutex
@@ -59,19 +53,17 @@ type pendingBlock struct {
 }
 
 // NewAsyncFileStore creates (or truncates) the backing files.
-// blocksPerDisk bounds each disk; it is only needed to size the files for
-// mmap reads, which mmapReads enables where the platform supports it.
-func NewAsyncFileStore(dir string, numDisks, blockSize int, blocksPerDisk int64, mmapReads bool) (*AsyncFileStore, error) {
-	return newAsyncFileStore(dir, numDisks, blockSize, blocksPerDisk, mmapReads, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
+func NewAsyncFileStore(dir string, numDisks, blockSize int) (*AsyncFileStore, error) {
+	return newAsyncFileStore(dir, numDisks, blockSize, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
 }
 
 // OpenAsyncFileStore reopens an existing store's files without truncation,
 // for resuming an index from its checkpoint.
-func OpenAsyncFileStore(dir string, numDisks, blockSize int, blocksPerDisk int64, mmapReads bool) (*AsyncFileStore, error) {
-	return newAsyncFileStore(dir, numDisks, blockSize, blocksPerDisk, mmapReads, os.O_RDWR|os.O_CREATE)
+func OpenAsyncFileStore(dir string, numDisks, blockSize int) (*AsyncFileStore, error) {
+	return newAsyncFileStore(dir, numDisks, blockSize, os.O_RDWR|os.O_CREATE)
 }
 
-func newAsyncFileStore(dir string, numDisks, blockSize int, blocksPerDisk int64, mmapReads bool, flag int) (*AsyncFileStore, error) {
+func newAsyncFileStore(dir string, numDisks, blockSize, flag int) (*AsyncFileStore, error) {
 	s := &AsyncFileStore{blockSize: blockSize}
 	for i := 0; i < numDisks; i++ {
 		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("disk%d.dat", i)), flag, 0o644)
@@ -81,19 +73,6 @@ func newAsyncFileStore(dir string, numDisks, blockSize int, blocksPerDisk int64,
 		}
 		d := &asyncDisk{f: f, bs: blockSize, pending: make(map[int64]pendingBlock)}
 		d.cond = sync.NewCond(&d.mu)
-		if mmapReads && blocksPerDisk > 0 {
-			// Size the file to the full disk up front (sparse where the
-			// filesystem allows) so one mapping covers every future block.
-			size := blocksPerDisk * int64(blockSize)
-			if st, err := f.Stat(); err == nil && st.Size() < size {
-				if err := f.Truncate(size); err != nil {
-					f.Close()
-					s.Close()
-					return nil, err
-				}
-			}
-			d.mm, _ = mmapFile(f, size) // nil on failure or unsupported platform: pread fallback
-		}
 		d.done.Add(1)
 		go d.run()
 		s.disks = append(s.disks, d)
@@ -174,7 +153,7 @@ func (s *AsyncFileStore) WriteAt(disk int, block int64, buf []byte) error {
 	return nil
 }
 
-// ReadAt implements BlockStore: the file (or its mapping) supplies the base
+// ReadAt implements BlockStore: the file supplies the base
 // data and any still-pending blocks are laid over it, so enqueued writes are
 // immediately visible.
 func (s *AsyncFileStore) ReadAt(disk int, block int64, buf []byte) error {
@@ -209,15 +188,10 @@ func (s *AsyncFileStore) ReadAt(disk int, block int64, buf []byte) error {
 	return nil
 }
 
-// readFile reads from the mapping when one covers the range, else pread with
-// zero-fill past EOF (raw-partition semantics for never-written blocks).
+// readFile preads the range, zero-filling past EOF (raw-partition semantics
+// for never-written blocks).
 func (d *asyncDisk) readFile(block int64, buf []byte) error {
-	off := block * int64(d.bs)
-	if d.mm != nil && off+int64(len(buf)) <= int64(len(d.mm)) {
-		copy(buf, d.mm[off:off+int64(len(buf))])
-		return nil
-	}
-	n, err := d.f.ReadAt(buf, off)
+	n, err := d.f.ReadAt(buf, block*int64(d.bs))
 	if err == io.EOF {
 		for i := n; i < len(buf); i++ {
 			buf[i] = 0
@@ -252,7 +226,7 @@ func (s *AsyncFileStore) Sync() error {
 	return nil
 }
 
-// Close implements BlockStore: drain, stop the workers, unmap and close.
+// Close implements BlockStore: drain, stop the workers and close.
 func (s *AsyncFileStore) Close() error {
 	var first error
 	for _, d := range s.disks {
@@ -267,12 +241,6 @@ func (s *AsyncFileStore) Close() error {
 		d.cond.Broadcast()
 		d.mu.Unlock()
 		d.done.Wait()
-		if d.mm != nil {
-			if err := munmapFile(d.mm); err != nil && first == nil {
-				first = err
-			}
-			d.mm = nil
-		}
 		if err := d.f.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -2,15 +2,14 @@ package disk
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 )
 
-func asyncVariants(t *testing.T, f func(t *testing.T, mmap bool)) {
-	for _, mm := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mmap=%v", mm), func(t *testing.T) { f(t, mm) })
-	}
+// asyncVariants runs f against the pread store. The subtest keeps the name
+// it had when the store also offered mmap reads, so its id stays stable.
+func asyncVariants(t *testing.T, f func(t *testing.T)) {
+	t.Run("mmap=false", f)
 }
 
 func fillPattern(buf []byte, seed byte) {
@@ -20,10 +19,10 @@ func fillPattern(buf []byte, seed byte) {
 }
 
 func TestBackendFileRoundTrip(t *testing.T) {
-	asyncVariants(t, func(t *testing.T, mm bool) {
+	asyncVariants(t, func(t *testing.T) {
 		dir := t.TempDir()
-		const bs, blocks = 256, 128
-		s, err := NewAsyncFileStore(dir, 2, bs, blocks, mm)
+		const bs = 256
+		s, err := NewAsyncFileStore(dir, 2, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +62,7 @@ func TestBackendFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reopen and verify durability.
-		re, err := OpenAsyncFileStore(dir, 2, bs, blocks, mm)
+		re, err := OpenAsyncFileStore(dir, 2, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,15 +83,14 @@ func TestBackendFileRoundTrip(t *testing.T) {
 // file fills the rest of the caller's buffer with zeros, whatever it held
 // before — raw-partition semantics for never-written blocks.
 func TestBackendFileZeroFillPastEOF(t *testing.T) {
-	asyncVariants(t, func(t *testing.T, mm bool) {
-		const bs, blocks = 64, 16
-		s, err := NewAsyncFileStore(t.TempDir(), 1, bs, blocks, mm)
+	asyncVariants(t, func(t *testing.T) {
+		const bs = 64
+		s, err := NewAsyncFileStore(t.TempDir(), 1, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		// Block 20 lies past the presized mmap range, so the file ends
-		// right after it and reads beyond it go through pread.
+		// The file ends right after block 20.
 		data := bytes.Repeat([]byte{0x5C}, bs)
 		if err := s.WriteAt(0, 20, data); err != nil {
 			t.Fatal(err)
@@ -120,10 +118,10 @@ func TestBackendFileZeroFillPastEOF(t *testing.T) {
 func TestBackendFileOverwriteOrdering(t *testing.T) {
 	// Rapid rewrites of the same block: readers must always see the newest
 	// enqueued version, and the file must end with the last one.
-	asyncVariants(t, func(t *testing.T, mm bool) {
+	asyncVariants(t, func(t *testing.T) {
 		dir := t.TempDir()
 		const bs = 128
-		s, err := NewAsyncFileStore(dir, 1, bs, 64, mm)
+		s, err := NewAsyncFileStore(dir, 1, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,10 +157,10 @@ func TestBackendFileOverwriteOrdering(t *testing.T) {
 
 func TestBackendFileConcurrent(t *testing.T) {
 	// Writers on every disk racing readers; run under -race in CI.
-	asyncVariants(t, func(t *testing.T, mm bool) {
+	asyncVariants(t, func(t *testing.T) {
 		dir := t.TempDir()
 		const bs, disks = 64, 3
-		s, err := NewAsyncFileStore(dir, disks, bs, 256, mm)
+		s, err := NewAsyncFileStore(dir, disks, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,10 +200,10 @@ func TestBackendFileConcurrent(t *testing.T) {
 }
 
 func TestBackendFileMultiBlockWrites(t *testing.T) {
-	asyncVariants(t, func(t *testing.T, mm bool) {
+	asyncVariants(t, func(t *testing.T) {
 		dir := t.TempDir()
 		const bs = 64
-		s, err := NewAsyncFileStore(dir, 1, bs, 64, mm)
+		s, err := NewAsyncFileStore(dir, 1, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +233,7 @@ func TestBackendFileMultiBlockWrites(t *testing.T) {
 
 func TestBackendFileChecksArguments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewAsyncFileStore(dir, 1, 64, 16, false)
+	s, err := NewAsyncFileStore(dir, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

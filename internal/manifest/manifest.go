@@ -5,11 +5,13 @@
 // MANIFEST.json at the directory root, written atomically so a crash can
 // never leave a half-written manifest in place.
 //
-// The manifest records the format version, the shard count and the document
-// router (kind plus parameters). The shard count and router jointly decide
-// where every document's postings live, so an index may only be opened with
-// the recorded values; changing them is what Engine.Reshard is for, and it
-// rewrites the manifest as the last step of its commit.
+// The manifest records the format version, the shard count, the document
+// router, the storage backend and the postings codec. The shard count and
+// router jointly decide where every document's postings live, so an index
+// may only be opened with the recorded values; changing them is what
+// Engine.Reshard is for, and it rewrites the manifest as the last step of
+// its commit. Only the current format version is read: a manifest from an
+// older engine is refused, and the index has to be rebuilt.
 package manifest
 
 import (
@@ -17,16 +19,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"dualindex/internal/route"
 )
 
 // FileName is the manifest's name within an index directory.
 const FileName = "MANIFEST.json"
 
-// Version is the current manifest format version. Readers accept versions
-// in [1, Version]; a larger version means the directory was written by a
-// newer engine and must not be modified by this one. Version 2 added the
-// storage backend and postings codec fields; version-1 manifests are read
-// as backend "file" (the only backend that existed) with the raw codec.
+// Version is the manifest format version, the only one Load accepts. A
+// smaller version was written by an older engine (version 1 lacked the
+// backend and codec fields); a larger one by a newer engine. Neither is
+// modified by this one.
 const Version = 2
 
 // Manifest is the persisted identity of one index directory.
@@ -39,17 +42,18 @@ type Manifest struct {
 	Shards int `json:"shards"`
 	// Routing names the document router ("hash", "range", "round-robin").
 	Routing string `json:"routing"`
-	// RangeSpan is the range router's span (documents per contiguous run);
-	// 0 for the other routers.
-	RangeSpan int `json:"range_span,omitempty"`
+	// Span is the range router's span (documents per contiguous run). The
+	// span is fixed at route.DefaultRangeSpan, so this engine writes 0; it
+	// reads 0 or route.DefaultRangeSpan, which older engines recorded, and
+	// refuses any other span rather than re-route the index's documents.
+	Span int `json:"range_span,omitempty"`
 	// Backend names the block-store backend the index was built on: "file"
 	// (real files with per-disk writer goroutines) — the only backend a
-	// persistent directory can use. Empty (version-1 manifests) means "file".
+	// persistent directory can use.
 	Backend string `json:"backend,omitempty"`
 	// Codec names the long-list block codec: "raw", "varint" or "golomb".
 	// The codec shapes every on-disk chunk image, so an index may only be
-	// opened with the codec it was built with. Empty (version-1 manifests)
-	// means "raw".
+	// opened with the codec it was built with.
 	Codec string `json:"codec,omitempty"`
 }
 
@@ -58,7 +62,7 @@ func Path(dir string) string { return filepath.Join(dir, FileName) }
 
 // Load reads dir's manifest. A missing manifest returns an error satisfying
 // errors.Is(err, fs.ErrNotExist) — the caller decides whether that means a
-// fresh directory or a legacy layout to upgrade. A present but unreadable
+// fresh directory. A present but unreadable
 // or structurally invalid manifest is a hard, descriptive error: guessing
 // the layout of a corrupt index risks routing documents to the wrong shard.
 func Load(dir string) (Manifest, error) {
@@ -81,6 +85,9 @@ func (m Manifest) Validate() error {
 	if m.Version < 1 {
 		return fmt.Errorf("missing or invalid version %d", m.Version)
 	}
+	if m.Version < Version {
+		return fmt.Errorf("format version %d predates this engine's %d, which no longer reads it; rebuild the index from its documents", m.Version, Version)
+	}
 	if m.Version > Version {
 		return fmt.Errorf("format version %d is newer than this engine's %d", m.Version, Version)
 	}
@@ -90,16 +97,20 @@ func (m Manifest) Validate() error {
 	if m.Routing == "" {
 		return fmt.Errorf("missing routing")
 	}
-	if m.RangeSpan < 0 {
-		return fmt.Errorf("invalid range span %d", m.RangeSpan)
+	if m.Span != 0 && m.Span != route.DefaultRangeSpan {
+		return fmt.Errorf("range span %d is not this engine's fixed span %d, and re-routing would strand documents; rebuild the index from its documents", m.Span, route.DefaultRangeSpan)
 	}
 	switch m.Backend {
-	case "", "file", "sim":
+	case "file", "sim":
+	case "":
+		return fmt.Errorf("missing backend")
 	default:
 		return fmt.Errorf("unknown backend %q", m.Backend)
 	}
 	switch m.Codec {
-	case "", "raw", "varint", "golomb":
+	case "raw", "varint", "golomb":
+	case "":
+		return fmt.Errorf("missing codec")
 	default:
 		return fmt.Errorf("unknown codec %q", m.Codec)
 	}

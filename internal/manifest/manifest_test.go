@@ -11,7 +11,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := Manifest{Version: Version, Shards: 4, Routing: "range", RangeSpan: 512}
+	m := Manifest{Version: Version, Shards: 4, Routing: "range", Backend: "file", Codec: "golomb"}
 	if err := Save(dir, m); err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,15 @@ func TestLoadRejectsInvalid(t *testing.T) {
 		name string
 		body string
 	}{
-		{"newer version", `{"version": 99, "shards": 2, "routing": "hash"}`},
-		{"zero version", `{"shards": 2, "routing": "hash"}`},
-		{"zero shards", `{"version": 1, "shards": 0, "routing": "hash"}`},
-		{"missing routing", `{"version": 1, "shards": 2}`},
-		{"negative span", `{"version": 1, "shards": 2, "routing": "range", "range_span": -1}`},
+		{"newer version", `{"version": 99, "shards": 2, "routing": "hash", "backend": "file", "codec": "raw"}`},
+		{"zero version", `{"shards": 2, "routing": "hash", "backend": "file", "codec": "raw"}`},
+		{"version 1", `{"version": 1, "shards": 2, "routing": "hash"}`},
+		{"zero shards", `{"version": 2, "shards": 0, "routing": "hash", "backend": "file", "codec": "raw"}`},
+		{"missing routing", `{"version": 2, "shards": 2, "backend": "file", "codec": "raw"}`},
+		{"negative span", `{"version": 2, "shards": 2, "routing": "range", "range_span": -1, "backend": "file", "codec": "raw"}`},
+		{"custom span", `{"version": 2, "shards": 2, "routing": "range", "range_span": 64, "backend": "file", "codec": "raw"}`},
+		{"missing backend", `{"version": 2, "shards": 2, "routing": "hash", "codec": "raw"}`},
+		{"missing codec", `{"version": 2, "shards": 2, "routing": "hash", "backend": "file"}`},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -68,18 +72,31 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestLoadAcceptsDefaultSpan: older engines recorded the range router's
+// span even at its default, and that is the span this engine routes with.
+func TestLoadAcceptsDefaultSpan(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"version": 2, "shards": 2, "routing": "range", "range_span": 1024, "backend": "file", "codec": "raw"}`
+	if err := os.WriteFile(Path(dir), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err != nil {
+		t.Errorf("default span refused: %v", err)
+	}
+}
+
 func TestSaveRefusesInvalid(t *testing.T) {
-	if err := Save(t.TempDir(), Manifest{Version: Version, Shards: 0, Routing: "hash"}); err == nil {
+	if err := Save(t.TempDir(), Manifest{Version: Version, Shards: 0, Routing: "hash", Backend: "file", Codec: "raw"}); err == nil {
 		t.Error("invalid manifest written")
 	}
 }
 
 func TestSaveOverwritesAtomically(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(dir, Manifest{Version: Version, Shards: 2, Routing: "hash"}); err != nil {
+	if err := Save(dir, Manifest{Version: Version, Shards: 2, Routing: "hash", Backend: "file", Codec: "raw"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(dir, Manifest{Version: Version, Shards: 8, Routing: "round-robin"}); err != nil {
+	if err := Save(dir, Manifest{Version: Version, Shards: 8, Routing: "round-robin", Backend: "file", Codec: "raw"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(dir)

@@ -13,7 +13,8 @@
 //   - Hash spreads documents uniformly with the SplitMix64 finalizer — the
 //     default, best for load balance when queries touch the whole corpus.
 //   - Range keeps contiguous runs of document identifiers together,
-//     assigning spans of Span consecutive documents to shards round-robin.
+//     assigning spans of DefaultRangeSpan consecutive documents to shards
+//     round-robin.
 //     On time-partitioned corpora (the paper's News dataset, where a day's
 //     documents arrive together) hash routing defeats locality by
 //     scattering each day over every shard; range routing keeps a day's
@@ -37,10 +38,10 @@ const (
 	KindRoundRobin = "round-robin"
 )
 
-// DefaultRangeSpan is the Range router's span when none is configured:
-// 1024 consecutive documents per shard assignment, a compromise between
-// locality (a batch of documents lands mostly on one shard) and balance
-// (spans rotate through the shards quickly).
+// DefaultRangeSpan is the Range router's span: 1024 consecutive documents
+// per shard assignment, a compromise between locality (a batch of documents
+// lands mostly on one shard) and balance (spans rotate through the shards
+// quickly).
 const DefaultRangeSpan = 1024
 
 // A Router maps every document identifier to the index of the shard that
@@ -57,9 +58,8 @@ type Router interface {
 }
 
 // New builds the named router for n shards. kind "" means KindHash, the
-// default. span parameterises the Range router (documents per contiguous
-// run); 0 means DefaultRangeSpan, and it is ignored by the other kinds.
-func New(kind string, n, span int) (Router, error) {
+// default.
+func New(kind string, n int) (Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("route: shard count %d < 1", n)
 	}
@@ -67,13 +67,7 @@ func New(kind string, n, span int) (Router, error) {
 	case KindHash, "":
 		return Hash{N: n}, nil
 	case KindRange:
-		if span == 0 {
-			span = DefaultRangeSpan
-		}
-		if span < 1 {
-			return nil, fmt.Errorf("route: range span %d < 1", span)
-		}
-		return Range{N: n, Span: span}, nil
+		return Range{N: n}, nil
 	case KindRoundRobin:
 		return RoundRobin{N: n}, nil
 	}
@@ -107,29 +101,22 @@ func (h Hash) Shards() int { return h.N }
 // Kind implements Router.
 func (h Hash) Kind() string { return KindHash }
 
-// Range assigns contiguous spans of Span consecutive document identifiers
-// to shards round-robin: documents 1..Span land on shard 0, the next Span
-// on shard 1, and so on, wrapping. Identifiers are assigned in arrival
-// order, so on time-partitioned workloads a span is a contiguous slice of
-// time and its postings cluster on one shard.
-type Range struct {
-	N    int
-	Span int
-}
+// Range assigns contiguous spans of DefaultRangeSpan consecutive document
+// identifiers to shards round-robin: documents 1..1024 land on shard 0, the
+// next 1024 on shard 1, and so on, wrapping. Identifiers are assigned in
+// arrival order, so on time-partitioned workloads a span is a contiguous
+// slice of time and its postings cluster on one shard.
+type Range struct{ N int }
 
 // Shard implements Router.
 func (r Range) Shard(doc postings.DocID) int {
 	if r.N <= 1 {
 		return 0
 	}
-	span := uint64(r.Span)
-	if span < 1 {
-		span = DefaultRangeSpan
-	}
 	if doc == 0 {
 		return 0
 	}
-	return int((uint64(doc-1) / span) % uint64(r.N))
+	return int((uint64(doc-1) / DefaultRangeSpan) % uint64(r.N))
 }
 
 // Shards implements Router.

@@ -48,29 +48,23 @@ func TestHashSingleShard(t *testing.T) {
 	}
 }
 
-// TestRangeSpans checks the contiguous-span semantics: spans of Span
-// consecutive identifiers rotate over the shards.
+// TestRangeSpans checks the contiguous-span semantics: spans of
+// DefaultRangeSpan consecutive identifiers rotate over the shards.
 func TestRangeSpans(t *testing.T) {
-	r := Range{N: 3, Span: 4}
+	r := Range{N: 3}
+	const s = DefaultRangeSpan
 	want := map[postings.DocID]int{
-		1: 0, 2: 0, 3: 0, 4: 0, // span 0 → shard 0
-		5: 1, 6: 1, 7: 1, 8: 1, // span 1 → shard 1
-		9: 2, 10: 2, 11: 2, 12: 2, // span 2 → shard 2
-		13: 0, 14: 0, // wraps
-		25: 0, // span 6 → shard 0
+		1: 0, s: 0, // span 0 → shard 0
+		s + 1: 1, 2 * s: 1, // span 1 → shard 1
+		2*s + 1: 2, 3 * s: 2, // span 2 → shard 2
+		3*s + 1: 0, // wraps
+		6*s + 1: 0, // span 6 → shard 0
+		0:       0,
 	}
 	for doc, shard := range want {
 		if got := r.Shard(doc); got != shard {
-			t.Errorf("Range{3,4}.Shard(%d) = %d, want %d", doc, got, shard)
+			t.Errorf("Range{N:3}.Shard(%d) = %d, want %d", doc, got, shard)
 		}
-	}
-	// Zero span falls back to the default rather than dividing by zero.
-	rz := Range{N: 2}
-	if got := rz.Shard(DefaultRangeSpan); got != 0 {
-		t.Errorf("Range{N:2}.Shard(%d) = %d, want 0 (default span)", DefaultRangeSpan, got)
-	}
-	if got := rz.Shard(DefaultRangeSpan + 1); got != 1 {
-		t.Errorf("Range{N:2}.Shard(%d) = %d, want 1 (default span)", DefaultRangeSpan+1, got)
 	}
 }
 
@@ -88,7 +82,7 @@ func TestRoundRobin(t *testing.T) {
 // every shard count — a stranded document is unreachable forever.
 func TestRoutersTotal(t *testing.T) {
 	for n := 1; n <= 7; n++ {
-		routers := []Router{Hash{N: n}, Range{N: n, Span: 8}, RoundRobin{N: n}}
+		routers := []Router{Hash{N: n}, Range{N: n}, RoundRobin{N: n}}
 		for _, r := range routers {
 			for _, doc := range goldenDocs {
 				if got := r.Shard(doc); got < 0 || got >= n {
@@ -102,24 +96,17 @@ func TestRoutersTotal(t *testing.T) {
 
 // TestNew covers the constructor's normalization and error paths.
 func TestNew(t *testing.T) {
-	if r, err := New("", 4, 0); err != nil || r.Kind() != KindHash || r.Shards() != 4 {
-		t.Errorf("New(\"\", 4, 0) = %v, %v; want 4-shard hash", r, err)
+	if r, err := New("", 4); err != nil || r.Kind() != KindHash || r.Shards() != 4 {
+		t.Errorf("New(\"\", 4) = %v, %v; want 4-shard hash", r, err)
 	}
-	r, err := New(KindRange, 2, 0)
-	if err != nil {
-		t.Fatal(err)
+	if r, err := New(KindRange, 2); err != nil || r != (Range{N: 2}) {
+		t.Errorf("New(range, 2) = %#v, %v; want Range{N: 2}", r, err)
 	}
-	if rr, ok := r.(Range); !ok || rr.Span != DefaultRangeSpan {
-		t.Errorf("New(range, 2, 0) = %#v; want Span %d", r, DefaultRangeSpan)
-	}
-	if _, err := New("zoned", 2, 0); err == nil {
+	if _, err := New("zoned", 2); err == nil {
 		t.Error("unknown routing kind accepted")
 	}
-	if _, err := New(KindHash, 0, 0); err == nil {
+	if _, err := New(KindHash, 0); err == nil {
 		t.Error("zero shard count accepted")
-	}
-	if _, err := New(KindRange, 2, -5); err == nil {
-		t.Error("negative range span accepted")
 	}
 }
 

@@ -1,11 +1,7 @@
 // Package trace records structured span events from the engine's hot paths
 // — one event per flush phase, query phase, reshard or slow query — into a
-// fixed-capacity ring buffer, optionally teeing every event to a JSONL
-// sink. The ring answers "what did the last N operations spend their time
-// on" without unbounded memory; the sink turns a run into a replayable
-// per-phase latency log, the measurement style of the dynamic-indexing
-// literature (per-batch, per-phase distributions rather than end-of-run
-// aggregates).
+// fixed-capacity ring buffer. The ring answers "what did the last N
+// operations spend their time on" without unbounded memory.
 //
 // Like the metrics package, everything is nil-safe: recording on a nil
 // *Recorder is a no-op, so disabled tracing costs one nil check on the hot
@@ -13,8 +9,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -31,16 +25,14 @@ type Event struct {
 	Detail string        `json:"detail,omitempty"`
 }
 
-// Recorder keeps the most recent events in a ring buffer and optionally
-// writes each one to a JSONL sink. Safe for concurrent use.
+// Recorder keeps the most recent events in a ring buffer. Safe for
+// concurrent use.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int // ring write position
-	n       int // events currently held (≤ len(buf))
-	seq     uint64
-	sink    io.Writer
-	sinkErr error
+	mu   sync.Mutex
+	buf  []Event
+	next int // ring write position
+	n    int // events currently held (≤ len(buf))
+	seq  uint64
 }
 
 // New creates a recorder holding the most recent capacity events
@@ -52,36 +44,8 @@ func New(capacity int) *Recorder {
 	return &Recorder{buf: make([]Event, capacity)}
 }
 
-// SetSink tees every subsequently recorded event to w as one JSON line.
-// The first write error stops the teeing and is reported by SinkErr. A nil
-// w detaches the sink. No-op on a nil recorder.
-func (r *Recorder) SetSink(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sink = w
-	r.sinkErr = nil
-}
-
-// SinkErr reports the first error the JSONL sink returned, if any.
-func (r *Recorder) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
-}
-
 // Record appends one event, assigning its sequence number. No-op on a nil
 // recorder.
-//
-// The sink write happens under the recorder's mutex: io.Writers are not
-// concurrency-safe in general, and serializing here also keeps the sink's
-// line order identical to the ring's sequence order. A sink that blocks
-// therefore stalls tracing — hand Record a fast writer and let it buffer.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
@@ -94,17 +58,6 @@ func (r *Recorder) Record(ev Event) {
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
-	}
-	if r.sink == nil || r.sinkErr != nil {
-		return
-	}
-	line, err := json.Marshal(ev)
-	if err == nil {
-		line = append(line, '\n')
-		_, err = r.sink.Write(line)
-	}
-	if err != nil {
-		r.sinkErr = err
 	}
 }
 

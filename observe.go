@@ -55,10 +55,13 @@ type observer struct {
 	reshardBatches *metrics.Counter // migration flush batches
 
 	slowMu   sync.Mutex
-	slowCap  int               // Options.SlowQueryLog
-	slow     []SlowQueryRecord // ring, capacity slowCap
+	slow     []SlowQueryRecord // ring, capacity slowQueryLogCap
 	slowNext int
 }
+
+// slowQueryLogCap bounds the slow-query ring: once full, each new slow
+// query evicts the oldest.
+const slowQueryLogCap = 128
 
 // newObserver builds the observer an Options set asks for, or nil when
 // every observability feature is off.
@@ -66,15 +69,12 @@ func newObserver(opts Options) *observer {
 	if !opts.Metrics && opts.SlowQuery <= 0 && opts.TraceBuffer <= 0 {
 		return nil
 	}
-	o := &observer{slowThreshold: opts.SlowQuery, slowCap: opts.SlowQueryLog}
+	o := &observer{slowThreshold: opts.SlowQuery}
 	if opts.Metrics {
 		o.reg = metrics.NewRegistry("dualindex")
 	}
 	if opts.TraceBuffer > 0 {
 		o.rec = trace.New(opts.TraceBuffer)
-		if opts.TraceSink != nil {
-			o.rec.SetSink(opts.TraceSink)
-		}
 	}
 	// With reg nil these come back nil and every Observe is a no-op — the
 	// trace/slow-log features still work without the registry.
@@ -307,22 +307,16 @@ func (q *queryObs) finish(text string, results int) {
 }
 
 // recordSlow appends to the slow-query ring and emits the slow-query
-// signals (counter, span). A non-positive capacity keeps the counter and
-// span but no ring — Options normally defaults the capacity to 128, but the
-// ring must not index into an empty slice (modulo zero) if an observer is
-// ever built without that defaulting.
+// signals (counter, span).
 func (o *observer) recordSlow(r SlowQueryRecord) {
 	o.slowTotal.Inc()
 	o.rec.RecordAt("engine", "query.slow", fmt.Sprintf("kind=%s query=%q", r.Kind, r.Query), r.Time, r.Dur)
-	if o.slowCap < 1 {
-		return
-	}
 	o.slowMu.Lock()
-	if len(o.slow) < o.slowCap {
+	if len(o.slow) < slowQueryLogCap {
 		o.slow = append(o.slow, r)
 	} else {
 		o.slow[o.slowNext] = r
-		o.slowNext = (o.slowNext + 1) % o.slowCap
+		o.slowNext = (o.slowNext + 1) % slowQueryLogCap
 	}
 	o.slowMu.Unlock()
 }
@@ -360,8 +354,7 @@ func (e *Engine) Tracer() *trace.Recorder {
 }
 
 // SlowQueries returns the slow-query log, oldest first: every query whose
-// end-to-end latency met Options.SlowQuery, up to the last
-// Options.SlowQueryLog entries (default 128).
+// end-to-end latency met Options.SlowQuery, up to the last 128 entries.
 func (e *Engine) SlowQueries() []SlowQueryRecord {
 	return e.obs.slowQueries()
 }

@@ -2,8 +2,6 @@ package dualindex
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,9 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"dualindex/internal/metrics"
 	"dualindex/internal/obshttp"
-	"dualindex/internal/trace"
 )
 
 // observeOpts is smallOpts with every observability feature on: metrics,
@@ -31,13 +27,9 @@ func observeOpts(shards int) Options {
 
 // TestObservabilityEndToEnd drives an instrumented engine through flushes
 // and queries and checks every signal arrives: flush and query metrics,
-// scrape-time gauges, trace spans (ring and JSONL sink) and the slow-query
-// log.
+// scrape-time gauges, trace spans and the slow-query log.
 func TestObservabilityEndToEnd(t *testing.T) {
-	var sink bytes.Buffer
-	opts := observeOpts(1)
-	opts.TraceSink = &sink
-	eng, err := Open(opts)
+	eng, err := Open(observeOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +119,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Trace spans: flush phases under the shard scope, query phases under
-	// the engine scope, all mirrored to the JSONL sink.
+	// the engine scope.
 	events := eng.Tracer().Events()
 	if len(events) == 0 {
 		t.Fatal("no trace events recorded")
@@ -144,18 +136,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("trace missing span %s", want)
 		}
-	}
-	dec := json.NewDecoder(&sink)
-	sunk := 0
-	for dec.More() {
-		var ev trace.Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("sink line %d: %v", sunk, err)
-		}
-		sunk++
-	}
-	if sunk < len(events) {
-		t.Errorf("sink holds %d events, ring %d", sunk, len(events))
 	}
 
 	// Slow-query log: with a 1ns threshold both queries qualify.
@@ -328,13 +308,11 @@ func TestStatsAggregationSharded(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogBounded pins Options.SlowQueryLog: the ring keeps exactly
-// the configured number of most recent entries, oldest first, and the
-// zero value defaults to 128.
+// TestSlowQueryLogBounded pins the slow-query ring's bound: it keeps exactly
+// the 128 most recent entries, oldest first.
 func TestSlowQueryLogBounded(t *testing.T) {
 	opts := smallOpts(1)
 	opts.SlowQuery = 1 // every query qualifies
-	opts.SlowQueryLog = 4
 	eng, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -347,68 +325,26 @@ func TestSlowQueryLogBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	queries := make([]string, 10)
+	// Distinct words, so each survivor names the query it logged.
+	queries := make([]string, slowQueryLogCap+12)
 	for i := range queries {
-		queries[i] = synthWord(i % 20)
+		queries[i] = synthWord(i)
 		if _, err := eng.SearchBoolean(queries[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	slow := eng.SlowQueries()
-	if len(slow) != 4 {
-		t.Fatalf("SlowQueries len = %d, want the configured cap 4", len(slow))
+	if len(slow) != slowQueryLogCap {
+		t.Fatalf("SlowQueries len = %d, want the cap %d", len(slow), slowQueryLogCap)
 	}
 	for i, rec := range slow {
-		// The survivors are the last four queries, oldest first.
-		if want := queries[len(queries)-4+i]; rec.Query != want {
+		// The survivors are the last 128 queries, oldest first.
+		if want := queries[len(queries)-slowQueryLogCap+i]; rec.Query != want {
 			t.Errorf("slow[%d].Query = %q, want %q", i, rec.Query, want)
 		}
 	}
-	if !slow[0].Time.Before(slow[3].Time) && !slow[0].Time.Equal(slow[3].Time) {
+	if last := slow[len(slow)-1].Time; slow[0].Time.After(last) {
 		t.Error("slow-query log not in oldest-first order")
-	}
-
-	// The zero value defaults to 128 — the pre-option capacity.
-	if got := (Options{}).withDefaults().SlowQueryLog; got != 128 {
-		t.Errorf("default SlowQueryLog = %d, want 128", got)
-	}
-}
-
-// failingSink accepts its first write and fails every later one.
-type failingSink struct{ writes int }
-
-var errSinkBroken = errors.New("sink broken")
-
-func (f *failingSink) Write(p []byte) (int, error) {
-	f.writes++
-	if f.writes > 1 {
-		return 0, errSinkBroken
-	}
-	return len(p), nil
-}
-
-// TestTraceSinkErrorSurfacesOnClose: a trace sink that fails mid-run stops
-// receiving events, and Close reports its error instead of dropping it.
-func TestTraceSinkErrorSurfacesOnClose(t *testing.T) {
-	sink := &failingSink{}
-	opts := smallOpts(1)
-	opts.TraceBuffer = 64
-	opts.TraceSink = sink
-	eng, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, text := range synthTexts(3, 10, 20, 10) {
-		eng.AddDocument(text)
-	}
-	if _, err := eng.FlushBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.writes != 2 {
-		t.Errorf("sink written %d times, want 2 (the tee stops at the first error)", sink.writes)
-	}
-	if err := eng.Close(); !errors.Is(err, errSinkBroken) {
-		t.Fatalf("Close = %v, want the sink's error", err)
 	}
 }
 
@@ -509,7 +445,6 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 	opts := smallOpts(1)
 	opts.Metrics = true
 	opts.SlowQuery = 1 // every query qualifies
-	opts.SlowQueryLog = 8
 	eng, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +457,7 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const goroutines, each = 10, 10
+	const goroutines, each = 10, 15 // more queries than the ring holds
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -538,28 +473,12 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := eng.SlowQueries(); len(got) != 8 {
-		t.Errorf("ring length %d after %d concurrent queries, want the cap 8",
-			len(got), goroutines*each)
+	if got := eng.SlowQueries(); len(got) != slowQueryLogCap {
+		t.Errorf("ring length %d after %d concurrent queries, want the cap %d",
+			len(got), goroutines*each, slowQueryLogCap)
 	}
 	if got := eng.Metrics().Counter("slow_queries_total").Value(); got != goroutines*each {
 		t.Errorf("slow_queries_total = %d, want %d: the cumulative counter is ring-independent", got, goroutines*each)
-	}
-}
-
-// TestSlowQueryLogZeroCapacity pins the guard recordSlow needs when built
-// without the option defaulting: a zero-capacity ring keeps the counters
-// and drops the record instead of indexing into an empty slice.
-func TestSlowQueryLogZeroCapacity(t *testing.T) {
-	o := &observer{slowThreshold: 1, slowTotal: metrics.NewRegistry("t").Counter("slow_queries_total")}
-	for i := 0; i < 3; i++ {
-		o.recordSlow(SlowQueryRecord{Kind: "boolean", Query: "q"})
-	}
-	if got := o.slowQueries(); len(got) != 0 {
-		t.Errorf("zero-capacity ring holds %d records", len(got))
-	}
-	if got := o.slowTotal.Value(); got != 3 {
-		t.Errorf("slow_queries_total = %d, want 3", got)
 	}
 }
 

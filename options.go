@@ -2,7 +2,6 @@ package dualindex
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"dualindex/internal/lexer"
@@ -89,8 +88,7 @@ const (
 	// BackendFile is the real-I/O backend: each simulated disk is one file
 	// with its own writer goroutine; writes are whole aligned blocks,
 	// durability is batched into one fsync per disk at checkpoint
-	// boundaries, and reads optionally go through a shared mmap
-	// (Options.MmapReads). Requires Dir.
+	// boundaries, and reads are preads. Requires Dir.
 	BackendFile = "file"
 )
 
@@ -141,16 +139,13 @@ type Options struct {
 	Shards int
 	// Routing selects the document-to-shard router: "hash" (a stable
 	// SplitMix64 hash of the DocID — uniform, the default), "range"
-	// (contiguous spans of RangeSpan consecutive DocIDs rotate over the
-	// shards, keeping time-adjacent documents together on time-partitioned
+	// (contiguous spans of 1024 consecutive DocIDs rotate over the shards,
+	// keeping time-adjacent documents together on time-partitioned
 	// corpora) or "round-robin" (documents alternate over the shards).
 	// Routing decides where every document's postings live, so it is
 	// recorded in the index manifest at creation and "" adopts whatever an
 	// existing index records; a non-empty value that disagrees is refused.
 	Routing string
-	// RangeSpan is the "range" router's span — how many consecutive DocIDs
-	// share a shard assignment. 0 means 1024. Ignored by other routings.
-	RangeSpan int
 	// Policy defaults to PolicyBalanced.
 	Policy *Policy
 	// Buckets and BucketSize size the short-list structure (per shard); zero
@@ -178,10 +173,6 @@ type Options struct {
 	// the manifest; "" adopts whatever an existing index records, and a
 	// non-empty value that disagrees is refused.
 	Codec string
-	// MmapReads serves BackendFile reads through a read-only shared mmap of
-	// each disk file instead of pread, where the platform supports it.
-	// Ignored by BackendSim.
-	MmapReads bool
 	// Lexer tokenization options (zero value = the paper's rules).
 	Lexer lexer.Options
 	// Scoring selects the ranked-retrieval model used by Query and
@@ -227,23 +218,14 @@ type Options struct {
 	// the simulated I/O traces are identical either way.
 	Metrics bool
 	// SlowQuery, when positive, logs every query slower than this
-	// threshold to an in-memory ring (Engine.SlowQueries) and counts it in
-	// the slow_queries_total metric. 0 disables the slow-query log.
+	// threshold to an in-memory ring of the last 128 (Engine.SlowQueries)
+	// and counts it in the slow_queries_total metric. 0 disables the
+	// slow-query log.
 	SlowQuery time.Duration
-	// SlowQueryLog caps the slow-query ring: once full, each new slow
-	// query evicts the oldest. Values below 1 mean 128.
-	SlowQueryLog int
 	// TraceBuffer, when positive, records structured span events — one per
 	// flush phase, query phase and slow query — into a ring of that many
 	// events, readable through Engine.Tracer. 0 disables span tracing.
 	TraceBuffer int
-	// TraceSink, when non-nil (and TraceBuffer > 0), additionally writes
-	// every span event to this writer as one JSON line — a per-phase
-	// latency log of the whole run. Writes happen inline on the recording
-	// path; hand it a buffered or asynchronous writer for hot workloads.
-	// The first write error stops the tee (the ring keeps recording), and
-	// Engine.Close returns that error unless closing failed first.
-	TraceSink io.Writer
 }
 
 func (o Options) withDefaults() Options {
@@ -273,9 +255,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = o.NumDisks
 	}
-	if o.SlowQueryLog < 1 {
-		o.SlowQueryLog = 128
-	}
 	if o.Scoring == "" {
 		o.Scoring = ScoringVector
 	}
@@ -283,19 +262,15 @@ func (o Options) withDefaults() Options {
 }
 
 // routingDefaults resolves the "unspecified" zero values of the sharding
-// and routing options for a new index: one shard, hash routing, the
-// default range span. Open applies it to in-memory engines and to fresh
-// persistent directories; existing directories resolve from their manifest
-// instead.
+// and routing options for a new index: one shard, hash routing. Open
+// applies it to in-memory engines and to fresh persistent directories;
+// existing directories resolve from their manifest instead.
 func (o Options) routingDefaults() Options {
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
 	if o.Routing == "" {
 		o.Routing = route.KindHash
-	}
-	if o.Routing == route.KindRange && o.RangeSpan == 0 {
-		o.RangeSpan = route.DefaultRangeSpan
 	}
 	return o
 }

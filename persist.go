@@ -24,17 +24,22 @@ import (
 // bucket region, the directory and the deleted list it points to, the
 // vocabulary, the document log's record offsets, and the text of only the
 // documents newer than the checkpoint. Long lists are not read. The
-// superblock (version 3) records the largest document identifier ever
-// indexed, so identifiers continue past documents a sweep has removed;
-// older superblocks still open, at the cost of decoding every list once.
+// superblock records the largest document identifier ever indexed, so
+// identifiers continue past documents a sweep has removed.
 //
 // On-disk layout: a single-shard engine stores its files (disk*.dat,
-// vocab.txt, docs.log) directly under Dir — the pre-sharding layout,
-// unchanged. A sharded engine gives each shard its own Dir/shard-<i>/
-// subdirectory with that same layout inside, and Open recovers the shards
-// one by one. A MANIFEST.json at the directory root records the shard
-// count, the document routing and a format version; directories from before
-// the manifest existed are detected by their layout and upgraded in place.
+// vocab.txt, docs.log) directly under Dir. A sharded engine gives each
+// shard its own Dir/shard-<i>/ subdirectory with that same layout inside,
+// and Open recovers the shards one by one. A MANIFEST.json at the directory
+// root records the shard count, the document routing, the backend, the
+// codec and a format version.
+//
+// Open reads only the formats this engine writes: manifest version 2 and
+// superblock version 3. It refuses, with an error naming the directory and
+// writing nothing, an older manifest or superblock, a manifest whose range
+// span is not route.DefaultRangeSpan, and a directory that holds index
+// files but no manifest — one from before manifests existed, or one whose
+// first Open never returned. Such an index has to be rebuilt.
 //
 // The shard count and routing are part of the index's identity — they
 // decide where every document lives — so Open refuses an existing index
@@ -47,9 +52,6 @@ func Open(opts Options) (*Engine, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("dualindex: negative shard count %d", opts.Shards)
 	}
-	if opts.RangeSpan < 0 {
-		return nil, fmt.Errorf("dualindex: negative range span %d", opts.RangeSpan)
-	}
 	if err := opts.validateStorage(); err != nil {
 		return nil, err
 	}
@@ -61,11 +63,10 @@ func Open(opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts.Shards, opts.Routing, opts.RangeSpan = m.Shards, m.Routing, m.RangeSpan
-		opts.Backend, opts.Codec = manifestBackend(m), manifestCodec(m)
+		opts.Shards, opts.Routing, opts.Backend, opts.Codec = m.Shards, m.Routing, m.Backend, m.Codec
 		writeManifest = fresh
 	}
-	router, err := route.New(opts.Routing, opts.Shards, opts.RangeSpan)
+	router, err := route.New(opts.Routing, opts.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("dualindex: %w", err)
 	}
@@ -99,34 +100,13 @@ func Open(opts Options) (*Engine, error) {
 // manifestFor renders an Options set (with routing and storage already
 // resolved) as the manifest to persist.
 func manifestFor(opts Options) manifest.Manifest {
-	m := manifest.Manifest{
+	return manifest.Manifest{
 		Version: manifest.Version,
 		Shards:  opts.Shards,
 		Routing: opts.Routing,
 		Backend: opts.Backend,
 		Codec:   opts.Codec,
 	}
-	if opts.Routing == route.KindRange {
-		m.RangeSpan = opts.RangeSpan
-	}
-	return m
-}
-
-// manifestBackend and manifestCodec read a manifest's storage fields with
-// their version-1 defaults: manifests from before the fields existed
-// describe file-backed, raw-codec indexes — the only kind there was.
-func manifestBackend(m manifest.Manifest) string {
-	if m.Backend == "" {
-		return BackendFile
-	}
-	return m.Backend
-}
-
-func manifestCodec(m manifest.Manifest) string {
-	if m.Codec == "" {
-		return CodecRaw
-	}
-	return m.Codec
 }
 
 // resolveLayout determines dir's shard count and routing, reconciling the
@@ -138,10 +118,9 @@ func manifestCodec(m manifest.Manifest) string {
 //     Options.Shards or non-empty Options.Routing that disagrees with the
 //     recorded values is refused with a descriptive error, and every shard
 //     directory the manifest promises must exist.
-//   - A manifest-less directory holding a legacy layout (flat files or
-//     shard-<i> subdirectories from before the manifest existed) is
-//     detected and upgraded in place: legacy indexes were always
-//     hash-routed, so requesting any other routing for one is refused.
+//   - A manifest-less directory holding index files (disk0.dat, flat or in
+//     shard-0/) is refused: it predates manifests, or its first Open never
+//     returned, and either way nothing here can say how it was built.
 //   - An empty or absent directory is a fresh index: the options decide,
 //     and fresh=true tells Open to stamp the manifest once the shards are
 //     built.
@@ -163,46 +142,16 @@ func resolveLayout(dir string, opts Options) (m manifest.Manifest, fresh bool, e
 		}
 		return m, false, nil
 	case errors.Is(err, fs.ErrNotExist):
-		// Manifest-less: a legacy directory or a fresh one.
+		// No manifest: a fresh directory, or one refused below.
 	default:
 		return m, false, fmt.Errorf("dualindex: %w", err)
 	}
-	legacyShards, found, err := probeLegacyLayout(dir)
-	if err != nil {
-		return m, false, err
-	}
-	if found {
-		// Legacy indexes predate routing choices: they are hash-routed by
-		// construction, so upgrading stamps that — and refuses an explicit
-		// request for anything else.
-		if opts.Routing != "" && opts.Routing != route.KindHash {
+	for _, sd := range []string{dir, shardDir(dir, 0, 2)} {
+		if shardResumes(sd) {
 			return m, false, fmt.Errorf(
-				"dualindex: %s predates routing manifests and is hash-routed; it cannot be opened with Routing %q",
-				dir, opts.Routing)
+				"dualindex: %s holds index files (%s) but no %s: it was built before index manifests existed, or its first Open never returned; this engine cannot tell how it was built, so delete the directory and rebuild the index",
+				dir, filepath.Join(sd, "disk0.dat"), manifest.FileName)
 		}
-		if opts.Shards != 0 && opts.Shards != legacyShards {
-			return m, false, fmt.Errorf(
-				"dualindex: %s holds a %d-shard index, not %d shards (set Shards to %d or 0 to adopt)",
-				dir, legacyShards, opts.Shards, legacyShards)
-		}
-		// Legacy indexes likewise predate codec choices: they are raw by
-		// construction.
-		if opts.Codec != "" && opts.Codec != CodecRaw {
-			return m, false, fmt.Errorf(
-				"dualindex: %s predates codec manifests and is raw-encoded; it cannot be opened with Codec %q",
-				dir, opts.Codec)
-		}
-		m = manifest.Manifest{
-			Version: manifest.Version,
-			Shards:  legacyShards,
-			Routing: route.KindHash,
-			Backend: BackendFile,
-			Codec:   CodecRaw,
-		}
-		if err := manifest.Save(dir, m); err != nil {
-			return m, false, fmt.Errorf("dualindex: upgrading legacy index layout: %w", err)
-		}
-		return m, false, nil
 	}
 	opts = opts.routingDefaults().storageDefaults()
 	return manifestFor(opts), true, nil
@@ -221,20 +170,15 @@ func reconcileManifest(dir string, m manifest.Manifest, opts Options) error {
 			"dualindex: %s is %s-routed, not %s-routed (routing is fixed when the index is created)",
 			dir, m.Routing, opts.Routing)
 	}
-	if m.Routing == route.KindRange && opts.RangeSpan != 0 && opts.RangeSpan != m.RangeSpan {
-		return fmt.Errorf(
-			"dualindex: %s uses range span %d, not %d (the span is fixed when the index is created)",
-			dir, m.RangeSpan, opts.RangeSpan)
-	}
-	if opts.Backend != "" && opts.Backend != manifestBackend(m) {
+	if opts.Backend != "" && opts.Backend != m.Backend {
 		return fmt.Errorf(
 			"dualindex: %s was built on the %q backend, not %q",
-			dir, manifestBackend(m), opts.Backend)
+			dir, m.Backend, opts.Backend)
 	}
-	if opts.Codec != "" && opts.Codec != manifestCodec(m) {
+	if opts.Codec != "" && opts.Codec != m.Codec {
 		return fmt.Errorf(
 			"dualindex: %s is %s-encoded, not %s-encoded (the codec shapes every on-disk chunk and is fixed when the index is created)",
-			dir, manifestCodec(m), opts.Codec)
+			dir, m.Codec, opts.Codec)
 	}
 	return nil
 }
@@ -260,26 +204,6 @@ func verifyShardDirs(dir string, shards int) error {
 func shardResumes(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, "disk0.dat"))
 	return err == nil
-}
-
-// probeLegacyLayout detects a pre-manifest index: flat files directly under
-// dir mark a single-shard index, shard-<i> subdirectories a sharded one.
-// found is false for a fresh (empty or absent) directory.
-func probeLegacyLayout(dir string) (shards int, found bool, err error) {
-	if _, err := os.Stat(filepath.Join(dir, "disk0.dat")); err == nil {
-		return 1, true, nil
-	}
-	n := 0
-	for {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%d", n), "disk0.dat")); err != nil {
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		return n, true, nil
-	}
-	return 0, false, nil
 }
 
 // Reshard staging directories, both inside Dir. A reshard builds the new
@@ -372,7 +296,7 @@ func finishReshardCommit(dir string) error {
 }
 
 // shardDir returns shard i's directory: Dir itself for a single-shard
-// engine (the flat pre-sharding layout), Dir/shard-<i> otherwise. Empty for
+// engine (the flat layout), Dir/shard-<i> otherwise. Empty for
 // in-memory engines.
 func shardDir(dir string, i, shards int) string {
 	if dir == "" {
@@ -389,10 +313,10 @@ func openAsyncStore(dir string, opts Options, resume bool) (disk.BlockStore, err
 		return nil, err
 	}
 	if !resume {
-		return disk.NewAsyncFileStore(dir, opts.NumDisks, opts.BlockSize, opts.BlocksPerDisk, opts.MmapReads)
+		return disk.NewAsyncFileStore(dir, opts.NumDisks, opts.BlockSize)
 	}
 	// Reopen existing files without truncation.
-	return disk.OpenAsyncFileStore(dir, opts.NumDisks, opts.BlockSize, opts.BlocksPerDisk, opts.MmapReads)
+	return disk.OpenAsyncFileStore(dir, opts.NumDisks, opts.BlockSize)
 }
 
 func (s *shard) vocabPath() string { return filepath.Join(s.dir, "vocab.txt") }

@@ -1,7 +1,11 @@
 package dualindex
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -84,50 +88,108 @@ func TestOpenPartialIndex(t *testing.T) {
 	}
 }
 
-// TestOpenLegacyLayoutUpgrade pins the upgrade path: a directory from
-// before manifests existed (detected by its layout) reopens fine and is
-// stamped with a hash-routing manifest in place.
-func TestOpenLegacyLayoutUpgrade(t *testing.T) {
+// dirImage hashes every file under dir by its path relative to dir, so a
+// test can assert that a refused Open left the directory byte-identical.
+func dirImage(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	files := map[string][sha256.Size]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = sha256.Sum256(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// openRefused opens dir adopting whatever it records, and requires a
+// refusal whose error names dir and contains every want, with every file
+// in dir byte-identical afterwards.
+func openRefused(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := dirImage(t, dir)
+	opts := smallOpts(0)
+	opts.Dir = dir
+	eng, err := Open(opts)
+	if err == nil {
+		eng.Close()
+		t.Fatalf("Open accepted %s", dir)
+	}
+	for _, w := range append([]string{dir}, want...) {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("refusal %q should contain %q", err, w)
+		}
+	}
+	if after := dirImage(t, dir); !maps.Equal(after, before) {
+		t.Errorf("refused Open changed the directory:\n before %v\n after  %v", before, after)
+	}
+}
+
+// TestOpenLegacyLayoutRefused: a directory that holds index files but no
+// manifest — built before manifests existed, or left by a first Open that
+// never returned — is refused untouched rather than guessed at. An empty or
+// absent directory is still a fresh index.
+func TestOpenLegacyLayoutRefused(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		dir := persistDir(t, shards)
-		// Strip the manifest: this is exactly what a pre-manifest index
-		// directory looks like (flat files for one shard, shard-<i>
-		// subdirectories otherwise).
 		if err := os.Remove(manifest.Path(dir)); err != nil {
 			t.Fatal(err)
 		}
+		openRefused(t, dir, "no "+manifest.FileName, "delete the directory")
+	}
+	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "absent")} {
 		opts := smallOpts(0)
 		opts.Dir = dir
 		eng, err := Open(opts)
 		if err != nil {
-			t.Fatalf("legacy %d-shard layout: %v", shards, err)
-		}
-		if len(eng.shards) != shards {
-			t.Errorf("legacy %d-shard layout reopened with %d shards", shards, len(eng.shards))
-		}
-		if hits, err := eng.SearchBoolean("wa*"); err != nil || len(hits) == 0 {
-			t.Errorf("legacy %d-shard layout: query after upgrade: %v, %v", shards, hits, err)
+			t.Fatalf("fresh directory %s: %v", dir, err)
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := manifest.Load(dir)
-		if err != nil {
-			t.Fatalf("legacy %d-shard layout not stamped: %v", shards, err)
-		}
-		if m.Shards != shards || m.Routing != route.KindHash {
-			t.Errorf("upgrade stamped %+v, want %d hash-routed shards", m, shards)
-		}
+	}
+}
 
-		// Legacy indexes are hash-routed by construction; any other routing
-		// request is refused rather than silently misrouting reads.
-		if err := os.Remove(manifest.Path(dir)); err != nil {
+// TestOpenVersion1ManifestRefused: a version-1 manifest, which no current
+// code writes, is refused untouched.
+func TestOpenVersion1ManifestRefused(t *testing.T) {
+	dir := persistDir(t, 2)
+	if err := os.WriteFile(manifest.Path(dir), []byte(`{"version":1,"shards":2,"routing":"hash"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openRefused(t, dir, "format version 1 predates", "rebuild the index")
+}
+
+// TestOpenOldSuperblockRefused: a checkpoint whose superblock is version 1
+// or 2 is refused untouched, naming the shard's directory.
+func TestOpenOldSuperblockRefused(t *testing.T) {
+	for _, version := range []byte{1, 2} {
+		dir := persistDir(t, 1)
+		path := filepath.Join(dir, "disk0.dat")
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Routing = route.KindRange
-		if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "hash-routed") {
-			t.Errorf("legacy layout opened with range routing: err = %v", err)
+		// The superblock opens disk 0: the magic's varint, then the
+		// version's, which is one byte.
+		_, n := binary.Uvarint(data)
+		if n <= 0 || data[n] != 3 {
+			t.Fatalf("disk0.dat does not open with a version-3 superblock")
 		}
+		data[n] = version
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openRefused(t, dir, fmt.Sprintf("superblock version %d predates", version), "rebuild the index")
 	}
 }
 
@@ -151,21 +213,22 @@ func TestOpenManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestOpenRangeSpanPersisted pins the range-routing manifest fields: the
-// span is recorded, adopted on reopen, and a contradictory span is refused.
+// TestOpenRangeSpanPersisted pins the range router's fixed span in the
+// manifest: this engine records none, an index whose manifest records the
+// default span (as older engines wrote it) reopens with the same answers,
+// and any other span is refused untouched rather than re-routed.
 func TestOpenRangeSpanPersisted(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts(2)
 	opts.Dir = dir
 	opts.KeepDocuments = true
 	opts.Routing = route.KindRange
-	opts.RangeSpan = 64
 	eng, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := synthTexts(73, 150, 25, 15)
-	buildCorpus(t, eng, texts)
+	// Enough documents to fill more than one span per shard.
+	buildCorpus(t, eng, synthTexts(73, 3*route.DefaultRangeSpan, 25, 5))
 	want, err := eng.SearchBoolean("wa*")
 	if err != nil {
 		t.Fatal(err)
@@ -178,19 +241,21 @@ func TestOpenRangeSpanPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Routing != route.KindRange || m.RangeSpan != 64 {
-		t.Fatalf("manifest %+v, want range routing with span 64", m)
+	if m.Routing != route.KindRange || m.Span != 0 {
+		t.Fatalf("manifest %+v, want range routing with no recorded span", m)
 	}
-
+	m.Span = route.DefaultRangeSpan
+	if err := manifest.Save(dir, m); err != nil {
+		t.Fatal(err)
+	}
 	zero := opts
-	zero.Shards, zero.Routing, zero.RangeSpan = 0, "", 0
+	zero.Shards, zero.Routing = 0, ""
 	reopened, err := Open(zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reopened.Close()
-	if got := reopened.opts; got.Routing != route.KindRange || got.RangeSpan != 64 || got.Shards != 2 {
-		t.Errorf("adopted options %+v, want 2 range-routed shards with span 64", got)
+	if got := reopened.opts; got.Routing != route.KindRange || got.Shards != 2 {
+		t.Errorf("adopted options %+v, want 2 range-routed shards", got)
 	}
 	got, err := reopened.SearchBoolean("wa*")
 	if err != nil {
@@ -199,12 +264,15 @@ func TestOpenRangeSpanPersisted(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("range-routed reopen: got %v, want %v", got, want)
 	}
-
-	bad := opts
-	bad.RangeSpan = 128
-	if _, err := Open(bad); err == nil || !strings.Contains(err.Error(), "range span 64") {
-		t.Errorf("range-span mismatch: err = %v", err)
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
 	}
+
+	custom := []byte(`{"version":2,"shards":2,"routing":"range","range_span":64,"backend":"file","codec":"raw"}`)
+	if err := os.WriteFile(manifest.Path(dir), custom, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openRefused(t, dir, "range span 64", "rebuild the index")
 }
 
 // TestOpenRoutingKinds opens a fresh index under every routing kind and

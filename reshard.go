@@ -36,8 +36,10 @@ type ReshardStats struct {
 // live document is streamed out of the document store shard by shard,
 // re-routed through the index's router at the new count, and applied to a
 // staged set of new shards through the normal add/flush batch path. The
-// routing kind (and range span) are preserved; only the shard count
-// changes, and the index's manifest is rewritten as part of the commit.
+// routing kind is preserved; only the shard count changes, and the index's
+// manifest is rewritten as part of the commit. Every new shard checkpoints
+// the old high-water document identifier, so identifiers continue past
+// deleted documents the migration left behind.
 //
 // Reshard requires Options.KeepDocuments: the document store is the source
 // the new shards are built from. Logically deleted documents are not
@@ -77,7 +79,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 		if s.docs == nil {
 			return st, fmt.Errorf("dualindex: reshard streams documents from the document store; Options.KeepDocuments is required")
 		}
-		if s.lastDoc > 0 && s.docs.Len() == 0 {
+		if s.vocab.Len() > 0 && s.docs.Len() == 0 {
 			return st, fmt.Errorf("dualindex: shard %d has indexed documents but an empty document store; the index cannot be resharded", i)
 		}
 	}
@@ -87,7 +89,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 		return st, fmt.Errorf("dualindex: pre-reshard flush: %w", err)
 	}
 
-	newRouter, err := route.New(e.opts.Routing, n, e.opts.RangeSpan)
+	newRouter, err := route.New(e.opts.Routing, n)
 	if err != nil {
 		return st, fmt.Errorf("dualindex: %w", err)
 	}
@@ -186,6 +188,11 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 		}
 	}
 	e.obs.observeReshardStream(st.Docs, st.Skipped, streamStart)
+	// A staged shard's high-water mark otherwise comes from the documents
+	// it received, and trailing deleted documents were not migrated.
+	for _, s := range newShards {
+		s.raiseHighWater(lastDoc)
+	}
 
 	// Commit: install the staged shards as the engine's shard set. The
 	// exclusive state lock drains in-flight queries; they resume against

@@ -253,6 +253,54 @@ func TestReshardSkipsDeleted(t *testing.T) {
 	}
 }
 
+// TestReshardKeepsHighWater: a reshard carries the old layout's high-water
+// document identifier, so a reopen continues the identifier sequence past
+// the deleted documents the migration left behind, also when none survived
+// and no staged shard received a document. A later reshard then streams
+// from shards that hold no document without taking them for shards whose
+// documents are missing.
+func TestReshardKeepsHighWater(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		deleted []DocID
+	}{
+		{"trailing docs deleted", []DocID{9, 10}},
+		{"every doc deleted", []DocID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng, err := Open(reshardOpts(dir, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buildCorpus(t, eng, synthTexts(31, 10, 20, 10))
+			for _, d := range c.deleted {
+				eng.Delete(d)
+			}
+			if _, err := eng.Reshard(3); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(reshardOpts(dir, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if id := re.AddDocument("alpha"); id != 11 {
+				t.Fatalf("AddDocument after reshard and reopen = %d, want 11", id)
+			}
+			if _, err := re.Reshard(2); err != nil {
+				t.Fatal(err)
+			}
+			if id := re.AddDocument("beta"); id != 12 {
+				t.Fatalf("AddDocument after a second reshard = %d, want 12", id)
+			}
+		})
+	}
+}
+
 // TestReshardErrors pins the refusal paths: a reshard needs a document
 // store to stream from, a genuinely different shard count, and a positive
 // target.

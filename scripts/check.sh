@@ -77,6 +77,9 @@ go test -run '^FuzzSuperblock$' -fuzz '^FuzzSuperblock$' -fuzztime 5s ./internal
 # The deleted list it points to likewise: decode or refuse, and a decoded
 # list is duplicate-free and re-encodes to exactly the bytes it was read from.
 go test -run '^FuzzDecodeDocSet$' -fuzz '^FuzzDecodeDocSet$' -fuzztime 5s ./internal/core/
+# And the long-list directory: decode or refuse, and a decoded directory
+# re-encodes to a prefix of the image it was read from.
+go test -run '^FuzzDecodeDirectory$' -fuzz '^FuzzDecodeDirectory$' -fuzztime 5s ./internal/directory/
 # Bucket images are read back on every open: arbitrary bytes must decode or
 # be refused, and what decodes must re-encode to exactly the bytes consumed.
 go test -run '^FuzzDecodeBucket$' -fuzz '^FuzzDecodeBucket$' -fuzztime 5s ./internal/bucket/

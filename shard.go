@@ -136,6 +136,8 @@ func openShard(opts Options, dir string) (*shard, error) {
 			// whose every batch so far was empty. Start it fresh; any
 			// documents in its log are still recovered below.
 			s.index, err = core.New(cfg)
+		} else if err != nil {
+			err = fmt.Errorf("reading the checkpoint in %s: %w", dir, err)
 		}
 		if err == nil {
 			err = s.loadVocab()
@@ -262,7 +264,7 @@ func (s *shard) flushBatch() (BatchStats, error) {
 	if s.pending.docs == 0 {
 		// No batch to apply, but deletions since the last checkpoint
 		// still have to reach disk.
-		err := s.checkpointDeletedLocked()
+		err := s.checkpointLocked()
 		s.mu.Unlock()
 		return BatchStats{}, err
 	}
@@ -451,14 +453,28 @@ func (s *shard) sweep() error {
 	})
 }
 
-// checkpointDeletedLocked makes an on-disk shard's deletions since its last
-// checkpoint durable. In-memory shards skip it: nothing outlives them. The
-// caller holds flushMu and mu.
-func (s *shard) checkpointDeletedLocked() error {
+// checkpointLocked makes an on-disk shard's deletions and high-water mark
+// since its last checkpoint durable. In-memory shards skip it: nothing
+// outlives them. The caller holds flushMu and mu.
+func (s *shard) checkpointLocked() error {
 	if s.dir == "" {
 		return nil
 	}
-	return s.index.CheckpointDeleted()
+	return s.index.Checkpoint()
+}
+
+// raiseHighWater lifts the shard's high-water document identifier to doc,
+// so identifiers continue past doc even if the shard never held it; the
+// next checkpoint, at the latest close, records it.
+func (s *shard) raiseHighWater(doc postings.DocID) {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if doc > s.lastDoc {
+		s.lastDoc = doc
+	}
+	s.index.RaiseMaxDoc(doc)
 }
 
 // readCost reports how many disk reads a query for word would need on this
@@ -592,7 +608,7 @@ func (s *shard) close() error {
 	defer s.flushMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := s.checkpointDeletedLocked()
+	first := s.checkpointLocked()
 	if s.dir != "" {
 		if err := s.saveVocab(); err != nil && first == nil {
 			first = err
