@@ -122,15 +122,20 @@ func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 // AddDocument tokenizes text, assigns it the next document identifier and
 // routes it to its shard's pending tier, returning the identifier.
 //
-// Tokenization runs before any lock is taken, so concurrent additions
-// tokenize in parallel; under the shard lock only vocabulary assignment and
-// the pending tier's tail pushes remain. The shard lock is acquired while
-// the identifier lock is still held, so a shard receives its documents in
-// identifier order and a concurrent flush can never detach a batch that
-// skips an identifier below one it contains — the append-only long lists
-// require ascending identifiers across batches.
+// The text is scanned before any lock is taken, so concurrent additions
+// tokenize in parallel, into one pooled token buffer per document: the
+// lowercased bytes of every token and where each ends, with no string per
+// token and no sort. Under the shard lock only the vocabulary lookups (by
+// bytes; a string is made only for a new word), the pending tier's tail
+// pushes and the document store's append remain. The shard lock is
+// acquired while the identifier lock is still held, so a shard receives its
+// documents in identifier order and a concurrent flush can never detach a
+// batch that skips an identifier below one it contains — the append-only
+// long lists require ascending identifiers across batches.
 func (e *Engine) AddDocument(text string) DocID {
-	words := lexer.Tokenize(text, e.opts.Lexer)
+	toks := tokensPool.Get().(*lexer.Tokens)
+	defer tokensPool.Put(toks)
+	toks.Scan(text, e.opts.Lexer)
 	e.reshardMu.RLock()
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
@@ -141,10 +146,14 @@ func (e *Engine) AddDocument(text string) DocID {
 	s := e.shardFor(doc)
 	s.mu.Lock()
 	e.mu.Unlock()
-	s.addDocumentLocked(doc, text, words)
+	s.addDocumentLocked(doc, text, toks)
 	s.mu.Unlock()
 	return doc
 }
+
+// tokensPool recycles AddDocument's token buffers, so a steady stream of
+// additions stops allocating for its scans.
+var tokensPool = sync.Pool{New: func() any { return new(lexer.Tokens) }}
 
 // PendingDocs reports how many documents await a flush, across all shards.
 func (e *Engine) PendingDocs() int {

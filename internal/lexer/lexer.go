@@ -4,6 +4,12 @@
 // as "Date:") are skipped, tokens are lowercased into words, and duplicate
 // tokens within a document are dropped — yielding the set of words per
 // document that an abstracts-style index records.
+//
+// One byte scanner finds every token, with no string per token: Tokens.Scan
+// lowercases a document's tokens into one reused buffer (the engine's add
+// path resolves word identifiers straight from it), ScanPositions streams
+// them with their title region for positional checks, and Tokenize and
+// TokenizePositions collect the same tokens into strings.
 package lexer
 
 import (
@@ -41,24 +47,59 @@ var DefaultSkipHeaders = []string{
 
 // Tokenize splits a document into lowercase words per the paper's rules.
 // The result is sorted and (unless KeepDuplicates) duplicate-free, matching
-// the paper's Figure 4 example output.
+// the paper's Figure 4 example output. It collects what Tokens.Scan finds.
 func Tokenize(doc string, opt Options) []string {
-	skip := opt.SkipHeaders
-	if skip == nil {
-		skip = DefaultSkipHeaders
+	var t Tokens
+	t.Scan(doc, opt)
+	if t.Len() == 0 {
+		return nil
 	}
-	var tokens []string
-	for _, line := range strings.Split(doc, "\n") {
-		if skipLine(line, skip) {
-			continue
-		}
-		tokens = appendLineTokens(tokens, line, opt)
+	tokens := make([]string, t.Len())
+	for i := range tokens {
+		tokens[i] = string(t.Word(i))
 	}
 	slices.Sort(tokens)
 	if !opt.KeepDuplicates {
-		tokens = dedupeSorted(tokens)
+		tokens = slices.Compact(tokens)
 	}
 	return tokens
+}
+
+// Tokens is one document's tokens in text order, every occurrence kept: the
+// lowercased bytes of all tokens back to back in one buffer, and where each
+// ends. Scanning into it allocates nothing per token, and a Tokens reused
+// across documents stops allocating once its buffers have grown.
+type Tokens struct {
+	buf   []byte
+	ends  []int
+	lower []byte // the run scanner's lowercasing scratch
+}
+
+// Scan replaces t's contents with doc's tokens under Tokenize's rules.
+func (t *Tokens) Scan(doc string, opt Options) {
+	if cap(t.buf) < len(doc) {
+		// The tokens' bytes never outnumber the document's.
+		t.buf = make([]byte, 0, len(doc))
+	}
+	t.buf, t.ends = t.buf[:0], t.ends[:0]
+	t.lower = scanRuns(doc, opt, false, t.lower, func(word string, _ bool) bool {
+		t.buf = append(t.buf, word...)
+		t.ends = append(t.ends, len(t.buf))
+		return true
+	})
+}
+
+// Len reports the number of tokens.
+func (t *Tokens) Len() int { return len(t.ends) }
+
+// Word returns token i's lowercased bytes, a view of t's buffer that the
+// next Scan overwrites.
+func (t *Tokens) Word(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = t.ends[i-1]
+	}
+	return t.buf[start:t.ends[i]:t.ends[i]]
 }
 
 func skipLine(line string, skip []string) bool {
@@ -69,62 +110,6 @@ func skipLine(line string, skip []string) bool {
 		}
 	}
 	return false
-}
-
-// appendLineTokens scans one line for letter-runs and digit-runs. A run of
-// letters ends when a non-letter appears and vice versa, so "abc123" yields
-// two tokens: "abc" and "123".
-func appendLineTokens(tokens []string, line string, opt Options) []string {
-	var b strings.Builder
-	var mode rune // 0 = none, 'a' = letters, 'd' = digits
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		tok := strings.ToLower(b.String())
-		b.Reset()
-		if opt.MinTokenLen > 0 && len(tok) < opt.MinTokenLen {
-			return
-		}
-		if opt.StopWords[tok] {
-			return
-		}
-		tokens = append(tokens, tok)
-	}
-	for _, r := range line {
-		switch {
-		case isLetter(r):
-			if mode != 'a' {
-				flush()
-				mode = 'a'
-			}
-			b.WriteRune(r)
-		case isDigit(r):
-			if mode != 'd' {
-				flush()
-				mode = 'd'
-			}
-			b.WriteRune(r)
-		default:
-			flush()
-			mode = 0
-		}
-	}
-	flush()
-	return tokens
-}
-
-func isLetter(r rune) bool { return (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') }
-func isDigit(r rune) bool  { return r >= '0' && r <= '9' }
-
-func dedupeSorted(s []string) []string {
-	out := s[:0]
-	for i, t := range s {
-		if i == 0 || t != s[i-1] {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Token is one positional token: the word, its 0-based position in the
@@ -171,19 +156,32 @@ func TokenizePositions(doc string, opt Options) []Token {
 // scan reuses. word is therefore valid only until fn returns; a caller that
 // keeps it must copy it.
 func ScanPositions(doc string, opt Options, fn func(word string, title bool) bool) {
+	scanRuns(doc, opt, true, nil, fn)
+}
+
+// scanRuns is the one token scanner behind Tokens.Scan and ScanPositions. It
+// calls fn with each token of doc in order until fn returns false. Skipped
+// header lines contribute nothing. With subjects set, a line beginning with
+// "Subject:" contributes the tokens after that prefix, reported as title;
+// otherwise it is an ordinary line. word is a substring of doc or, for a
+// token with uppercase letters, a view of lower, the lowercasing buffer,
+// which scanRuns grows as needed and returns for reuse.
+func scanRuns(doc string, opt Options, subjects bool, lower []byte, fn func(word string, title bool) bool) []byte {
 	skip := opt.SkipHeaders
 	if skip == nil {
 		skip = DefaultSkipHeaders
 	}
-	var lower []byte
 	for rest := doc; ; {
 		line, next, more := strings.Cut(rest, "\n")
 		title := false
-		trimmed := strings.TrimSpace(line)
-		if len(trimmed) >= len("subject:") && strings.EqualFold(trimmed[:len("subject:")], "subject:") {
-			title = true
-			line = trimmed[len("subject:"):]
-		} else if skipLine(line, skip) {
+		if subjects {
+			trimmed := strings.TrimSpace(line)
+			if len(trimmed) >= len("subject:") && strings.EqualFold(trimmed[:len("subject:")], "subject:") {
+				title = true
+				line = trimmed[len("subject:"):]
+			}
+		}
+		if !title && skipLine(line, skip) {
 			line = ""
 		}
 		// Tokens are ASCII letter-runs and digit-runs, so scanning bytes
@@ -214,11 +212,11 @@ func ScanPositions(doc string, opt Options, fn func(word string, title bool) boo
 				continue
 			}
 			if !fn(word, title) {
-				return
+				return lower
 			}
 		}
 		if !more {
-			return
+			return lower
 		}
 		rest = next
 	}

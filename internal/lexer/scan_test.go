@@ -2,9 +2,90 @@ package lexer
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"dualindex/internal/corpus"
 )
+
+// referenceTokenize is the line-splitting tokenizer Tokens.Scan replaced:
+// split into lines, build each lowercased token into a fresh string, sort
+// the bag and drop duplicates. Tokenize must return exactly its words.
+func referenceTokenize(doc string, opt Options) []string {
+	skip := opt.SkipHeaders
+	if skip == nil {
+		skip = DefaultSkipHeaders
+	}
+	var tokens []string
+	for _, line := range strings.Split(doc, "\n") {
+		if skipLine(line, skip) {
+			continue
+		}
+		tokens = appendLineTokens(tokens, line, opt)
+	}
+	slices.Sort(tokens)
+	if !opt.KeepDuplicates {
+		tokens = dedupeSorted(tokens)
+	}
+	return tokens
+}
+
+// appendLineTokens scans one line for letter-runs and digit-runs. A run of
+// letters ends when a non-letter appears and vice versa, so "abc123" yields
+// two tokens: "abc" and "123".
+func appendLineTokens(tokens []string, line string, opt Options) []string {
+	var b strings.Builder
+	var mode rune // 0 = none, 'a' = letters, 'd' = digits
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		tok := strings.ToLower(b.String())
+		b.Reset()
+		if opt.MinTokenLen > 0 && len(tok) < opt.MinTokenLen {
+			return
+		}
+		if opt.StopWords[tok] {
+			return
+		}
+		tokens = append(tokens, tok)
+	}
+	for _, r := range line {
+		switch {
+		case isLetter(r):
+			if mode != 'a' {
+				flush()
+				mode = 'a'
+			}
+			b.WriteRune(r)
+		case isDigit(r):
+			if mode != 'd' {
+				flush()
+				mode = 'd'
+			}
+			b.WriteRune(r)
+		default:
+			flush()
+			mode = 0
+		}
+	}
+	flush()
+	return tokens
+}
+
+func isLetter(r rune) bool { return (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') }
+func isDigit(r rune) bool  { return r >= '0' && r <= '9' }
+
+func dedupeSorted(s []string) []string {
+	out := s[:0]
+	for i, t := range s {
+		if i == 0 || t != s[i-1] {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 // referenceTokenizePositions is the straightforward positional tokenizer
 // ScanPositions replaced: split into lines, tokenize each line into fresh
@@ -133,4 +214,94 @@ func FuzzScanPositions(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tokenizeOptions are the option sets Tokenize is compared under: every
+// option alone, the header list nil, empty and custom, and a mix.
+var tokenizeOptions = []Options{
+	{},
+	{KeepDuplicates: true},
+	{MinTokenLen: 3},
+	{StopWords: map[string]bool{"the": true, "and": true, "cat": true, "42": true}},
+	{SkipHeaders: []string{}},
+	{SkipHeaders: []string{"subject:", "x-", "the"}},
+	{KeepDuplicates: true, MinTokenLen: 2, StopWords: map[string]bool{"news": true}, SkipHeaders: []string{"from:"}},
+}
+
+// tokenizeSeeds are scanSeeds plus what the engine feeds the add path:
+// corpus documents, and text with \r\n line ends.
+func tokenizeSeeds(tb testing.TB) []string {
+	cfg := corpus.DefaultConfig()
+	cfg.Days, cfg.DocsPerDay, cfg.WordsPerDoc = 1, 4, 40
+	batches, err := corpus.GenerateAll(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds := append([]string{}, scanSeeds...)
+	for _, d := range batches[0].Docs {
+		seeds = append(seeds, corpus.DocText(d, 0))
+	}
+	return append(seeds,
+		"Date: today\r\nFrom: someone\r\nBody Line one\r\n\r\nline TWO two 2\r\n",
+		"x-header: hidden\nThe the THE and AND cat Cat 42 42x 4 2",
+		"abc123DEF456ghi 0 00 000 zZ Zz",
+	)
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	docs := append(tokenizeSeeds(t), strings.Repeat("Word word WORD 7 the ", 300))
+	for _, opt := range tokenizeOptions {
+		for _, doc := range docs {
+			if got, want := Tokenize(doc, opt), referenceTokenize(doc, opt); !slices.Equal(got, want) {
+				t.Errorf("opt %+v doc %q:\n got %v\n ref %v", opt, doc, got, want)
+			}
+		}
+	}
+}
+
+// FuzzScanMatchesTokenize compares Tokenize, now a collector over
+// Tokens.Scan, with the reference tokenizer on arbitrary bytes: the same
+// sorted multiset under KeepDuplicates, the same sorted set otherwise.
+func FuzzScanMatchesTokenize(f *testing.F) {
+	for _, s := range tokenizeSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		for _, opt := range tokenizeOptions {
+			if got, want := Tokenize(doc, opt), referenceTokenize(doc, opt); !slices.Equal(got, want) {
+				t.Fatalf("opt %+v doc %q:\n got %v\n ref %v", opt, doc, got, want)
+			}
+		}
+	})
+}
+
+// TestTokensWordsInTextOrder: Scan keeps every occurrence, in text order.
+func TestTokensWordsInTextOrder(t *testing.T) {
+	var toks Tokens
+	toks.Scan("Date: skipped\nThe cat, the CAT 9lives", Options{})
+	var got []string
+	for i := 0; i < toks.Len(); i++ {
+		got = append(got, string(toks.Word(i)))
+	}
+	want := []string{"the", "cat", "the", "cat", "9", "lives"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Scan found %v, want %v", got, want)
+	}
+	toks.Scan("", Options{})
+	if toks.Len() != 0 {
+		t.Fatalf("rescanning empty text left %d tokens", toks.Len())
+	}
+}
+
+// TestTokensScanAllocs: a reused Tokens scans mixed-case text with as many
+// allocations at 10,000 tokens as at 100 — none, once its buffers grew.
+func TestTokensScanAllocs(t *testing.T) {
+	count := func(doc string) float64 {
+		var toks Tokens
+		return testing.AllocsPerRun(20, func() { toks.Scan(doc, Options{}) })
+	}
+	short, long := count(strings.Repeat("Mixed case 42 ", 33)), count(strings.Repeat("Mixed case 42 ", 3333))
+	if short != long || long != 0 {
+		t.Errorf("reused scan: %v allocs at 100 tokens, %v at 10,000; want 0 for both", short, long)
+	}
 }

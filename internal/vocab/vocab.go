@@ -8,6 +8,7 @@ package vocab
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -49,6 +50,13 @@ func (v *Vocab) Len() int { return len(v.words) }
 // Lookup returns the identifier for word, if assigned.
 func (v *Vocab) Lookup(word string) (postings.WordID, bool) {
 	id, ok := v.ids[word]
+	return id, ok
+}
+
+// LookupBytes is Lookup for a word held as bytes, such as a token in the
+// lexer's scan buffer. It allocates nothing.
+func (v *Vocab) LookupBytes(word []byte) (postings.WordID, bool) {
+	id, ok := v.ids[string(word)]
 	return id, ok
 }
 
@@ -119,32 +127,68 @@ func (v *Vocab) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read reconstructs a vocabulary serialised by WriteTo.
+// Read reconstructs a vocabulary serialised by WriteTo. Lines may be of any
+// length: the lexer bounds no token, so neither does the file.
 func Read(r io.Reader) (*Vocab, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
+	// A large buffer reads a vocabulary file in few system calls.
+	br := bufio.NewReaderSize(r, 1<<20)
+	header, ok, err := readLine(br)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
 		return nil, fmt.Errorf("vocab: missing header")
 	}
-	count, err := strconv.Atoi(strings.TrimSpace(sc.Text()))
+	count, err := strconv.Atoi(strings.TrimSpace(header))
 	if err != nil || count < 0 {
-		return nil, fmt.Errorf("vocab: bad header %q", sc.Text())
+		return nil, fmt.Errorf("vocab: bad header %q", header)
 	}
 	// Presize from the header, capped so a corrupt count cannot allocate
 	// more than a large real vocabulary needs before the file runs out.
 	size := min(count, maxPresize)
 	v := &Vocab{ids: make(map[string]postings.WordID, size), words: make([]string, 0, size)}
 	for i := 0; i < count; i++ {
-		if !sc.Scan() {
+		word, ok, err := readLine(br)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			return nil, fmt.Errorf("vocab: truncated at word %d of %d", i, count)
 		}
-		word := sc.Text()
 		if _, dup := v.ids[word]; dup {
 			return nil, fmt.Errorf("vocab: duplicate word %q", word)
 		}
 		v.GetOrAssign(word)
 	}
-	return v, sc.Err()
+	return v, nil
+}
+
+// readLine returns the next line without its end-of-line marker (an
+// optional carriage return and a newline), as bufio.ScanLines splits them;
+// a final line may lack the newline. ok is false at the end of input. A line
+// longer than the reader's buffer is gathered piecewise, and the string is
+// allocated at the line's exact length.
+func readLine(br *bufio.Reader) (line string, ok bool, err error) {
+	b, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := slices.Clone(b)
+		for err == bufio.ErrBufferFull {
+			b, err = br.ReadSlice('\n')
+			long = append(long, b...)
+		}
+		b = long
+	}
+	switch {
+	case err == io.EOF:
+		if len(b) == 0 {
+			return "", false, nil
+		}
+	case err != nil:
+		return "", false, err
+	default:
+		b = b[:len(b)-1]
+	}
+	return string(bytes.TrimSuffix(b, []byte("\r"))), true, nil
 }
 
 // maxPresize caps the word count Read trusts from a header.

@@ -115,6 +115,62 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestRoundtripLongWord: a word longer than any line buffer survives a
+// write and read, between ordinary words.
+func TestRoundtripLongWord(t *testing.T) {
+	v := New()
+	long := strings.Repeat("a", 2<<20)
+	for _, w := range []string{"hello", long, "world"} {
+		v.GetOrAssign(w)
+	}
+	var buf bytes.Buffer
+	if _, err := v.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if got.Len() != 3 {
+		t.Fatalf("read %d words, want 3", got.Len())
+	}
+	for i, w := range []string{"hello", long, "world"} {
+		if id, ok := got.Lookup(w); !ok || id != postings.WordID(i) {
+			t.Errorf("word %d (%d bytes): id %d, %v", i, len(w), id, ok)
+		}
+	}
+}
+
+// TestReadLineEnds: Read takes \r\n line ends and a last line without a
+// newline, as the line scanner it replaced did.
+func TestReadLineEnds(t *testing.T) {
+	for _, in := range []string{"2\r\ncat\r\ndog\r\n", "2\ncat\ndog"} {
+		v, err := Read(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("Read(%q): %v", in, err)
+		}
+		if id, ok := v.Lookup("dog"); !ok || id != 1 || v.Len() != 2 {
+			t.Errorf("Read(%q): dog = %d, %v; %d words", in, id, ok, v.Len())
+		}
+	}
+}
+
+func TestLookupBytes(t *testing.T) {
+	v := New()
+	v.GetOrAssign("cat")
+	v.GetOrAssign("dog")
+	if id, ok := v.LookupBytes([]byte("dog")); !ok || id != 1 {
+		t.Errorf("LookupBytes(dog) = %d, %v; want 1, true", id, ok)
+	}
+	if _, ok := v.LookupBytes([]byte("cow")); ok {
+		t.Error("LookupBytes found an unassigned word")
+	}
+	word := []byte("cat")
+	if a := testing.AllocsPerRun(20, func() { v.LookupBytes(word) }); a != 0 {
+		t.Errorf("LookupBytes: %v allocs, want 0", a)
+	}
+}
+
 func TestQuickRoundtrip(t *testing.T) {
 	f := func(n uint8) bool {
 		v := New()

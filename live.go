@@ -47,23 +47,26 @@ func newPendingTier() *pendingTier {
 	return &pendingTier{words: make(map[postings.WordID]*postings.List)}
 }
 
-// add indexes one arriving document into the tier: words is its
-// lexer.Tokenize bag resolved to word identifiers. doc must be at least
-// every identifier already in the tier.
-func (lt *pendingTier) add(doc postings.DocID, words []postings.WordID) {
-	for _, w := range words {
+// add indexes one arriving document into the tier: ids holds the word
+// identifier of each of its tokens, in text order, repeats included. The
+// tier dedupes by identifier, so the bag is never sorted: a repeat is
+// skipped when the word's run already ends at doc. Under keepDuplicates
+// (lexer.Options.KeepDuplicates) every occurrence is pushed instead, and
+// Push folds them into one posting with the frequency accumulated. doc must
+// be at least every identifier already in the tier.
+func (lt *pendingTier) add(doc postings.DocID, ids []postings.WordID, keepDuplicates bool) {
+	for _, w := range ids {
 		run := lt.words[w]
 		if run == nil {
 			run = &postings.List{}
 			lt.words[w] = run
+		} else if !keepDuplicates && run.MaxDoc() == doc {
+			continue
 		}
-		// A duplicate token (under lexer.Options.KeepDuplicates) pushes the
-		// tail document again, and Push folds it into one posting with the
-		// frequency accumulated.
 		run.Push(doc, 1)
+		lt.postings++
 	}
 	lt.docs++
-	lt.postings += int64(len(words))
 }
 
 // updates renders the tier as one batch update: its words in ascending

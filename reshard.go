@@ -153,6 +153,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 		pending = 0
 		return nil
 	}
+	var toks lexer.Tokens // reused: each document is indexed before the next scan
 	for id := postings.DocID(1); id <= lastDoc; id++ {
 		s := old[e.router.Shard(id)]
 		// document() is snapshot-aware: a flush applying on the source shard
@@ -167,10 +168,10 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 			st.Skipped++
 			continue
 		}
-		words := lexer.Tokenize(text, e.opts.Lexer)
+		toks.Scan(text, e.opts.Lexer)
 		t := newShards[newRouter.Shard(id)]
 		t.mu.Lock()
-		t.addDocumentLocked(id, text, words)
+		t.addDocumentLocked(id, text, &toks)
 		t.mu.Unlock()
 		st.Docs++
 		pending++

@@ -70,6 +70,9 @@ go test -run '^FuzzRankedMatchesReference$' -fuzz '^FuzzRankedMatchesReference$'
 # scanner must yield exactly the reference tokenizer's tokens, and the
 # streaming matcher must decide every check as the reference does.
 go test -run '^FuzzScanPositions$' -fuzz '^FuzzScanPositions$' -fuzztime 5s ./internal/lexer/
+# The add path scans with the same scanner: Tokenize, collected from it,
+# must equal the line-splitting reference under every option.
+go test -run '^FuzzScanMatchesTokenize$' -fuzz '^FuzzScanMatchesTokenize$' -fuzztime 5s ./internal/lexer/
 go test -run '^FuzzMatchText$' -fuzz '^FuzzMatchText$' -fuzztime 5s ./internal/query/
 # So does the checkpoint root every Open trusts: arbitrary superblock images
 # must open or be refused with an error, never panic.

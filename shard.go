@@ -1,6 +1,7 @@
 package dualindex
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -179,15 +180,19 @@ func openShard(opts Options, dir string) (*shard, error) {
 // in the pending tier, ready for the next flush. Only documents above the
 // checkpoint's high-water mark are read, in ascending identifier order (the
 // order the tier's runs must grow in); every other stored document is
-// already in the on-disk index and reseeds the indexed count.
+// already in the on-disk index and reseeds the indexed count. Each one is
+// scanned and indexed exactly as AddDocument does, into one reused token
+// buffer.
 func (s *shard) recoverPendingDocs() error {
 	w, ok := s.docs.(docstore.Walker)
 	if !ok {
 		return nil
 	}
 	recovered := 0
+	var toks lexer.Tokens
 	err := w.ForEach(s.lastDoc, func(id postings.DocID, text string) error {
-		s.indexPendingLocked(id, lexer.Tokenize(text, s.opts.Lexer))
+		toks.Scan(text, s.opts.Lexer)
+		s.indexPendingLocked(id, &toks)
 		recovered++
 		return nil
 	})
@@ -196,27 +201,45 @@ func (s *shard) recoverPendingDocs() error {
 }
 
 // addDocumentLocked appends a document to the shard's pending tier and
-// document store; words is its lexer.Tokenize bag, computed before any lock
+// document store; toks holds its tokens, scanned from text before any lock
 // was taken. The engine has already assigned the identifier, routed the
 // document here, and acquired s.mu (see Engine.AddDocument for why the two
 // locks overlap). Storing the text here is what lets positional queries
 // verify the document before its flush.
-func (s *shard) addDocumentLocked(doc postings.DocID, text string, words []string) {
-	s.indexPendingLocked(doc, words)
+func (s *shard) addDocumentLocked(doc postings.DocID, text string, toks *lexer.Tokens) {
+	s.indexPendingLocked(doc, toks)
 	if s.docs != nil && s.docErr == nil {
 		s.docErr = s.docs.Put(doc, text)
 	}
 }
 
-// indexPendingLocked assigns the document's word identifiers and pushes it
-// into the pending tier, which makes it searchable the moment this returns.
-// Called with s.mu held (or on a shard not yet shared, during recovery).
-func (s *shard) indexPendingLocked(doc postings.DocID, words []string) {
-	ids := make([]postings.WordID, len(words))
-	for i, word := range words {
-		ids[i] = s.vocab.GetOrAssign(word)
+// indexPendingLocked resolves the document's tokens to word identifiers and
+// pushes it into the pending tier, which makes it searchable the moment this
+// returns. A known word resolves by a lookup on its bytes in the scan
+// buffer; only a word the vocabulary has never seen becomes a string. Those
+// words are assigned identifiers in sorted word order, each once — the order
+// assigning from the document's sorted word set gives, on which every
+// identifier, and so every bucket, trace and artifact, depends. Called with
+// s.mu held (or on a shard not yet shared, during recovery).
+func (s *shard) indexPendingLocked(doc postings.DocID, toks *lexer.Tokens) {
+	ids := make([]postings.WordID, toks.Len())
+	var fresh []int // tokens of unseen words
+	for i := range ids {
+		id, known := s.vocab.LookupBytes(toks.Word(i))
+		if !known {
+			fresh = append(fresh, i)
+		}
+		ids[i] = id
 	}
-	s.pending.add(doc, ids)
+	slices.SortFunc(fresh, func(a, b int) int { return bytes.Compare(toks.Word(a), toks.Word(b)) })
+	for j, i := range fresh {
+		if j > 0 && bytes.Equal(toks.Word(i), toks.Word(fresh[j-1])) {
+			ids[i] = ids[fresh[j-1]] // a repeat of the word just assigned
+			continue
+		}
+		ids[i] = s.vocab.GetOrAssign(string(toks.Word(i)))
+	}
+	s.pending.add(doc, ids, s.opts.Lexer.KeepDuplicates)
 	if doc > s.lastDoc {
 		s.lastDoc = doc
 	}
