@@ -10,7 +10,9 @@ import (
 
 // The executor: runs a Plan against one Source. The engine executes the same
 // plan on every shard concurrently; everything here is read-only on the plan,
-// so one plan value is shared across the fan-out.
+// so one plan value is shared across the fan-out. Ranked plans go through one
+// document walker, rank, which prunes what cannot reach the top k (MaxScore)
+// and returns exactly what a walk of every posting would.
 
 // VerifyFunc checks candidate documents against a positional condition: it
 // returns, in ascending order, the candidates whose stored text satisfies
@@ -44,7 +46,8 @@ func ExecuteMatch(pl *Plan, env Exec) (*postings.List, error) {
 // descending (ties by ascending document). It opens one cursor per scoring
 // list — terms in sorted order, a "p*" term's expansions in WordsWithPrefix
 // order — and scores document-at-a-time into a size-k heap: no per-query
-// score accumulator, no sort of every candidate. With a nil Root (a pure bag
+// score accumulator, no sort of every candidate; once the heap is full,
+// documents that cannot enter it are skipped. With a nil Root (a pure bag
 // of words) every document containing a scoring term matches, the paper's
 // vector-space evaluation; with a Root, the matching structure selects the
 // documents and the cursors rank them — a matched document no scoring term
@@ -62,13 +65,15 @@ func ExecuteRanked(pl *Plan, env Exec) ([]Match, error) {
 		return nil, err
 	}
 	if pl.Root == nil {
-		return rank(curs, sp.K, bound, nil), nil
+		top, _ := rank(curs, sp.K, bound, nil)
+		return top, nil
 	}
 	matched, err := evalStep(pl.Root, env)
 	if err != nil {
 		return nil, err
 	}
-	return rank(curs, sp.K, matched.Len(), matched), nil
+	top, _ := rank(curs, sp.K, matched.Len(), matched)
+	return top, nil
 }
 
 // openCursors opens the scoring plan's cursors in cursor order, skipping
@@ -111,16 +116,24 @@ func openCursors(sp *ScorePlan, env Exec) ([]cursor, int, error) {
 // it in cursor order. With a nil filter every such document is offered to
 // the top-k heap; otherwise only the filter's documents are scored and
 // offered, one no cursor holds with score 0, and the walk stops once the
-// filter is used up. The cursors are consumed.
-func rank(curs []cursor, k, bound int, filter *postings.List) []Match {
+// filter is used up. Once the top-k heap is full, MaxScore pruning
+// (maxScore) moves the cursors whose bounds cannot lift a document past
+// the k-th score out of the heap, and a document the rest propose is
+// offered only if its bound could beat that score; the survivors are
+// scored exactly as without pruning. With a filter, the documents no
+// essential cursor holds are still offered with score 0: pruning starts
+// only at a k-th score above 0, which turns them away as their exact
+// scores would be. The cursors are consumed. visited counts the postings
+// the walk popped off its heap or sought.
+func rank(curs []cursor, k, bound int, filter *postings.List) (ranked []Match, visited int) {
 	h := make(cursorHeap, len(curs))
 	for i := range curs {
 		h[i] = cursorKey(curs[i].ps[0].Doc, i)
+		visited += len(curs[i].ps)
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+	h.init()
 	top := newTopK(k, bound)
+	var ms maxScore
 	var want []postings.Posting
 	if filter != nil {
 		want = filter.Postings()
@@ -132,12 +145,16 @@ func rank(curs []cursor, k, bound int, filter *postings.List) []Match {
 		}
 		matched := len(want) > 0 && want[0].Doc == d
 		offer := filter == nil || matched
-		s := 0.0
+		s, hits := 0.0, ms.hits[:0]
 		for len(h) > 0 && postings.DocID(h[0]>>32) == d {
 			ord := int(uint32(h[0]))
 			c := &curs[ord]
 			if offer {
-				s += c.score()
+				v := c.score()
+				s += v
+				if ms.m > 0 {
+					hits = append(hits, hit{ord, v})
+				}
 			}
 			if c.ps = c.ps[1:]; len(c.ps) > 0 {
 				h[0] = cursorKey(c.ps[0].Doc, ord)
@@ -147,8 +164,11 @@ func rank(curs []cursor, k, bound int, filter *postings.List) []Match {
 			}
 			h.down(0)
 		}
-		if offer {
-			top.offer(Match{Doc: d, Score: s})
+		if offer && ms.m > 0 {
+			s, offer = ms.complete(curs, d, s, hits)
+		}
+		if offer && top.offer(Match{Doc: d, Score: s}) {
+			h = ms.raise(curs, top, h)
 		}
 		if matched {
 			want = want[1:]
@@ -157,7 +177,12 @@ func rank(curs []cursor, k, bound int, filter *postings.List) []Match {
 	for _, p := range want {
 		top.offer(Match{Doc: p.Doc})
 	}
-	return top.ranked()
+	// visited began as every posting: take off those never popped.
+	visited -= ms.unread
+	for _, key := range h {
+		visited -= len(curs[uint32(key)].ps)
+	}
+	return top.ranked(), visited + ms.seeks
 }
 
 // evalStep evaluates one step to a sorted document list.

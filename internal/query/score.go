@@ -14,7 +14,12 @@ import (
 // (more than 100) and the words tend to be frequently appearing words" — so
 // every ranked query reads several long lists. The executor walks those
 // lists in place with one cursor each and keeps the best k documents in a
-// heap; nothing here grows with the number of scored documents.
+// heap; nothing here grows with the number of scored documents. Once that
+// heap is full, MaxScore pruning (Turtle & Flood 1995) skips what cannot
+// reach it: each cursor knows the most its list can add to a score, and
+// the lists whose bounds sum clearly below the k-th score stop driving the
+// walk and are only sought for the documents the others propose. A
+// document that is scored at all is scored exactly as without pruning.
 //
 // Both scoring models score a document by summing, over the query's positive
 // leaf terms, a per-term contribution built from the term's document
@@ -113,6 +118,55 @@ func (c *cursor) score() float64 {
 	return c.last
 }
 
+// bound returns the most the cursor's unread postings add to any score,
+// clamped at 0. contribution is monotone in the frequency, so that is
+// reached at the least or the greatest frequency. A used-up cursor adds
+// nothing, and a NaN contribution counts as 0: a NaN score never beats θ.
+func (c *cursor) bound() float64 {
+	if len(c.ps) == 0 {
+		return 0
+	}
+	lo, hi := c.ps[0].Freq, c.ps[0].Freq
+	for _, p := range c.ps[1:] {
+		lo, hi = min(lo, p.Freq), max(hi, p.Freq)
+	}
+	upper := 0.0
+	for _, v := range [2]float64{c.contribution(lo), c.contribution(hi)} {
+		if v > upper {
+			upper = v
+		}
+	}
+	return upper
+}
+
+// seek advances the cursor to its first posting at or after doc and
+// reports whether that posting is doc's. It gallops from the current
+// posting, so a run of seeks costs the gaps between their targets, not
+// the list's length.
+func (c *cursor) seek(doc postings.DocID) bool {
+	ps := c.ps
+	if len(ps) > 0 && ps[0].Doc < doc {
+		// Gallop until ps[lo] < doc <= ps[hi] (or hi is past the end),
+		// then bisect between them.
+		lo, step := 0, 1
+		for lo+step < len(ps) && ps[lo+step].Doc < doc {
+			lo += step
+			step *= 2
+		}
+		hi := min(lo+step, len(ps))
+		for hi-lo > 1 {
+			if mid := int(uint(lo+hi) >> 1); ps[mid].Doc < doc {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		ps = ps[hi:]
+		c.ps = ps
+	}
+	return len(ps) > 0 && ps[0].Doc == doc
+}
+
 // contribution is the term's share of a score for a posting of frequency
 // freq. The explicit conversion rounds the product before the caller adds
 // it, so no platform fuses the multiply into that addition.
@@ -135,6 +189,13 @@ type cursorHeap []uint64
 
 // cursorKey is the heap key of cursor ord positioned on doc.
 func cursorKey(doc postings.DocID, ord int) uint64 { return uint64(doc)<<32 | uint64(ord) }
+
+// init orders an arbitrary h into a heap.
+func (h cursorHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
 func (h cursorHeap) down(i int) {
 	for {
@@ -180,13 +241,18 @@ func (t *topK) Pop() interface{} {
 	return out
 }
 
-func (t *topK) offer(m Match) {
+// offer keeps m if it is among the k best offered so far and reports
+// whether it did.
+func (t *topK) offer(m Match) bool {
 	if len(t.h) < t.k {
 		heap.Push(t, m)
 	} else if compareMatches(m, t.h[0]) < 0 {
 		t.h[0] = m
 		heap.Fix(t, 0)
+	} else {
+		return false
 	}
+	return true
 }
 
 // ranked returns the kept matches best first. The result's capacity is its
@@ -194,4 +260,173 @@ func (t *topK) offer(m Match) {
 func (t *topK) ranked() []Match {
 	slices.SortFunc(t.h, compareMatches)
 	return slices.Clip(t.h)
+}
+
+// maxScore is the walker's pruning state (MaxScore, Turtle & Flood 1995).
+// It starts once the top-k heap is full, and θ is then the score of the
+// worst match kept: a document offered later enters only with a score
+// strictly above θ, since the walk offers in ascending document order and
+// ties go to the lower document.
+//
+// ranks orders the cursors for pruning by the contribution of their
+// current posting when pruning starts, clamped at 0: that is each list's
+// bound when its frequencies are all alike, as the engine's are. The
+// order is drawn only as far as pruning reaches. ranks[:bounded] carry
+// running sums of their cursors' bounds, each bound taken over the
+// cursor's unread postings when it is drawn; the rest are unordered.
+// ranks[:m] are the non-essential cursors: their bounds sum below limit,
+// so a document only they hold cannot beat θ. The walk no longer drives
+// them but seeks them for the documents the essential cursors propose. θ
+// only rises, so m only grows.
+//
+// A bound adds only positive contributions; a score's negative ones can
+// only lower it. With c cursors on a document, its score, rounded in any
+// order, is at most 1 + c·2⁻⁵³ times the exact sum of its positive
+// contributions, and a rounded bound at least 1 − c·2⁻⁵³ times its exact
+// sum. limit is θ less a relative slack of 1e-9, so for any c below ten
+// million a document whose bound falls below limit scores below θ.
+type maxScore struct {
+	ranks   []boundSum
+	bounded int
+	m       int
+	limit   float64
+	// held is the postings the cursors held when pruning started.
+	held int
+	hits []hit // the current candidate's contributions
+	// unread counts the postings the non-essential cursors held when they
+	// left the walk, and seeks the seeks made since.
+	unread, seeks int
+}
+
+// slack is the relative margin a bound must fall below θ by to prune.
+const slack = 1e-9
+
+// boundSum is one cursor's place in the pruning order. Past bounded, sum
+// is the cursor's key and held is unset.
+type boundSum struct {
+	ord  int     // cursor order
+	sum  float64 // the bounds of ranks up to and including this one, summed
+	held int     // the postings those cursors held when their bounds were taken
+}
+
+// hit is one cursor's contribution to the current candidate.
+type hit struct {
+	ord int
+	v   float64
+}
+
+// raise records θ once top is full and, when that makes more cursors
+// non-essential, takes them out of the walk heap h, which it returns.
+func (ms *maxScore) raise(curs []cursor, top *topK, h cursorHeap) cursorHeap {
+	if len(top.h) < top.k {
+		return h
+	}
+	if ms.ranks == nil {
+		ms.start(curs)
+	}
+	theta := top.h[0].Score
+	ms.limit = theta - theta*slack
+	m := ms.m
+	for ; m < len(ms.ranks); m++ {
+		if m == ms.bounded {
+			ms.extend(curs)
+		}
+		if !(ms.ranks[m].sum < ms.limit) {
+			break
+		}
+	}
+	// Each document the essential cursors propose may cost seeks, so lists
+	// leave the walk only once they held at least half the postings.
+	if m == ms.m || 2*ms.ranks[m-1].held < ms.held {
+		return h
+	}
+	for _, r := range ms.ranks[ms.m:m] {
+		ms.unread += len(curs[r.ord].ps)
+	}
+	ms.m = m
+	h = h[:0]
+	for _, r := range ms.ranks[m:] {
+		if c := &curs[r.ord]; len(c.ps) > 0 {
+			h = append(h, cursorKey(c.ps[0].Doc, r.ord))
+		}
+	}
+	h.init()
+	return h
+}
+
+// start keys the cursors for pruning and sizes the scratch.
+func (ms *maxScore) start(curs []cursor) {
+	ms.ranks = make([]boundSum, len(curs))
+	for i := range curs {
+		ms.ranks[i] = boundSum{ord: i, sum: max(curs[i].last, 0)}
+		ms.held += len(curs[i].ps)
+	}
+	ms.hits = make([]hit, 0, len(curs))
+}
+
+// extend draws the next cursor in pruning order, the lowest key left, and
+// takes its bound.
+func (ms *maxScore) extend(curs []cursor) {
+	rest := ms.ranks[ms.bounded:]
+	low := 0
+	for i, r := range rest {
+		if r.sum < rest[low].sum || r.sum == rest[low].sum && r.ord < rest[low].ord {
+			low = i
+		}
+	}
+	rest[0], rest[low] = rest[low], rest[0]
+	c := &curs[rest[0].ord]
+	rest[0].sum, rest[0].held = c.bound(), len(c.ps)
+	if ms.bounded > 0 {
+		prev := ms.ranks[ms.bounded-1]
+		rest[0].sum += prev.sum
+		rest[0].held += prev.held
+	}
+	ms.bounded++
+}
+
+// complete decides candidate doc while some cursors are non-essential.
+// hits holds what the essential cursors on doc add, in cursor order, and e
+// is their sum. It seeks the non-essential cursors to doc, the last drawn
+// first, and drops doc as soon as its bound falls below limit. Otherwise
+// it returns doc's exact score: every hit added in cursor order from 0,
+// as the walk adds them when nothing is pruned. The bound counts only
+// positive contributions, so it holds whatever their signs.
+func (ms *maxScore) complete(curs []cursor, doc postings.DocID, e float64, hits []hit) (float64, bool) {
+	bound := 0.0
+	for _, h := range hits {
+		if h.v > 0 {
+			bound += h.v
+		}
+	}
+	essential := len(hits)
+	for j := ms.m - 1; j >= 0; j-- {
+		if bound+ms.ranks[j].sum < ms.limit {
+			return 0, false
+		}
+		ms.seeks++
+		if c := &curs[ms.ranks[j].ord]; c.seek(doc) {
+			v := c.score()
+			if v > 0 {
+				bound += v
+			}
+			hits = append(hits, hit{ms.ranks[j].ord, v})
+		}
+	}
+	if bound < ms.limit {
+		return 0, false
+	}
+	if len(hits) == essential {
+		return e, true
+	}
+	for i := essential; i < len(hits); i++ {
+		for j := i; j > 0 && hits[j-1].ord > hits[j].ord; j-- {
+			hits[j-1], hits[j] = hits[j], hits[j-1]
+		}
+	}
+	s := 0.0
+	for _, h := range hits {
+		s += h.v
+	}
+	return s, true
 }
