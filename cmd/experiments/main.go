@@ -40,29 +40,39 @@ type artifact struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the command line and generates the artifacts it asks for.
+func run(args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		runList = flag.String("run", "all", "comma-separated artifact list, or 'all'")
-		scale   = flag.Float64("scale", 1.0, "corpus scale factor")
-		list    = flag.Bool("list", false, "list artifacts and exit")
-		outDir  = flag.String("out", "", "also write each artifact's output to <out>/<name>.txt")
+		runList = fs.String("run", "all", "comma-separated artifact list, or 'all'")
+		scale   = fs.Float64("scale", 1.0, "corpus scale factor, positive")
+		list    = fs.Bool("list", false, "list artifacts and exit")
+		outDir  = fs.String("out", "", "also write each artifact's output to <out>/<name>.txt")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	arts := artifacts()
 	if *list {
 		for _, a := range arts {
 			fmt.Printf("%-10s %s\n", a.name, a.desc)
 		}
-		return
+		return nil
 	}
 	want := map[string]bool{}
 	all := *runList == "all"
 	for _, n := range strings.Split(*runList, ",") {
 		want[strings.TrimSpace(n)] = true
 	}
-	params := experiments.DefaultParams()
-	if *scale != 1.0 {
-		params = params.Scaled(*scale)
+	params, err := experiments.ScaledParams(*scale)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("# Parameters: days=%d docs/day≈%d buckets=%d bucketsize=%d blockposting=%d disks=%d\n\n",
 		params.Corpus.Days, params.Corpus.DocsPerDay, params.Buckets, params.BucketSize,
@@ -70,12 +80,12 @@ func main() {
 	start := time.Now()
 	env, err := experiments.NewEnv(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("# corpus + compute-buckets: %v\n\n", time.Since(start).Round(time.Millisecond))
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	for _, a := range arts {
@@ -84,10 +94,11 @@ func main() {
 		}
 		t0 := time.Now()
 		if err := runArtifact(a, env, *outDir); err != nil {
-			log.Fatalf("%s: %v", a.name, err)
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
 		fmt.Printf("# %s completed in %v\n\n", a.name, time.Since(t0).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // runArtifact prints one artifact to stdout and, when outDir is set, to

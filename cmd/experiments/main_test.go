@@ -72,3 +72,15 @@ func lineDiff(file, want, got string) string {
 	}
 	return b.String()
 }
+
+func TestRunRefusesBadScale(t *testing.T) {
+	for _, scale := range []string{"-1", "0", "NaN", "+Inf"} {
+		out := filepath.Join(t.TempDir(), "out")
+		if err := run([]string{"-run", "table1", "-scale", scale, "-out", out}); err == nil {
+			t.Errorf("-scale %s accepted", scale)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("-scale %s wrote artifacts", scale)
+		}
+	}
+}

@@ -21,36 +21,39 @@ import (
 	"dualindex/internal/disk"
 	"dualindex/internal/experiments"
 	"dualindex/internal/longlist"
-	"dualindex/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracer: ")
-	var (
-		mk       = flag.Bool("make", false, "generate a trace")
-		out      = flag.String("out", "trace.txt", "trace output path (with -make)")
-		policy   = flag.String("policy", "balanced", "fast-update | balanced | fast-query | extents (with -make)")
-		scale    = flag.Float64("scale", 0.25, "corpus scale factor (with -make)")
-		exercise = flag.String("exercise", "", "trace file to replay on the timing model")
-		profile  = flag.String("profile", "seagate", "seagate | fast | optical (with -exercise)")
-		buffer   = flag.Int64("buffer", 256, "coalescing buffer in blocks (with -exercise)")
-		perBatch = flag.Bool("per-batch", false, "print per-batch times (with -exercise)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run parses the command line and runs one stage.
+func run(args []string) error {
+	fs := flag.NewFlagSet("tracer", flag.ExitOnError)
+	var (
+		mk       = fs.Bool("make", false, "generate a trace")
+		out      = fs.String("out", "trace.txt", "trace output path (with -make)")
+		policy   = fs.String("policy", "balanced", "fast-update | balanced | fast-query | extents (with -make)")
+		scale    = fs.Float64("scale", 0.25, "corpus scale factor, positive (with -make)")
+		exercise = fs.String("exercise", "", "trace file to replay on the timing model")
+		profile  = fs.String("profile", "seagate", "seagate | fast | optical (with -exercise)")
+		buffer   = fs.Int64("buffer", 256, "coalescing buffer in blocks, 0 or more (with -exercise)")
+		perBatch = fs.Bool("per-batch", false, "print per-batch times (with -exercise)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	switch {
 	case *mk:
-		if err := makeTrace(*out, *policy, *scale); err != nil {
-			log.Fatal(err)
-		}
+		return makeTrace(*out, *policy, *scale)
 	case *exercise != "":
-		if err := exerciseTrace(*exercise, *profile, *buffer, *perBatch); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatal("pass -make or -exercise FILE (see -help)")
+		return exerciseTrace(*exercise, *profile, *buffer, *perBatch)
 	}
+	return fmt.Errorf("pass -make or -exercise FILE (see -help)")
 }
 
 func policyByName(name string) (longlist.Policy, error) {
@@ -72,24 +75,24 @@ func makeTrace(out, policyName string, scale float64) error {
 	if err != nil {
 		return err
 	}
-	params := experiments.DefaultParams().Scaled(scale)
+	params, err := experiments.ScaledParams(scale)
+	if err != nil {
+		return err
+	}
 	env, err := experiments.NewEnv(params)
 	if err != nil {
 		return err
 	}
-	res, err := sim.ComputeDisks(env.Trace, sim.DiskConfig{
-		Geometry:     params.Geometry,
-		BlockPosting: params.BlockPosting,
-		Policy:       pol,
-	})
+	res, err := env.RunPolicy(pol)
 	if err != nil {
 		return err
 	}
+	tr := res.Array().Trace()
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	if err := res.Trace.WriteText(f); err != nil {
+	if err := tr.WriteText(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -97,7 +100,7 @@ func makeTrace(out, policyName string, scale float64) error {
 		return err
 	}
 	fmt.Printf("wrote %d operations in %d batches to %s (policy %s)\n",
-		res.Trace.Len(), res.Trace.NumBatches(), out, pol)
+		tr.Len(), tr.NumBatches(), out, pol)
 	return nil
 }
 
@@ -114,6 +117,9 @@ func profileByName(name string) (disk.Profile, error) {
 }
 
 func exerciseTrace(path, profileName string, buffer int64, perBatch bool) error {
+	if buffer < 0 {
+		return fmt.Errorf("-buffer %d: the coalescing buffer cannot be negative", buffer)
+	}
 	prof, err := profileByName(profileName)
 	if err != nil {
 		return err
@@ -142,7 +148,10 @@ func exerciseTrace(path, profileName string, buffer int64, perBatch bool) error 
 	if geo.NumDisks == 0 {
 		return fmt.Errorf("empty trace")
 	}
-	res := sim.ExerciseDisks(tr, geo, prof, buffer)
+	x := disk.NewExerciser(geo)
+	x.Profile = prof
+	x.BufferBlocks = buffer
+	res := x.Run(tr)
 	var sum time.Duration
 	for i, b := range res.Batches {
 		sum += b.Elapsed

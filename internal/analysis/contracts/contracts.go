@@ -150,7 +150,6 @@ var DiskImporters = []string{
 	"internal/experiments",
 	"internal/longlist",
 	"internal/rebuild",
-	"internal/sim",
 }
 
 // CodecSymbols are internal/postings' raw-bytes entry points: the

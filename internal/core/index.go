@@ -35,6 +35,10 @@ type Config struct {
 	Geometry disk.Geometry
 	// Policy is the long-list allocation policy.
 	Policy longlist.Policy
+	// UseBuddy swaps the paper's first-fit free-space management for the
+	// buddy system (the related-work alternative), for the allocator
+	// ablation experiment.
+	UseBuddy bool
 	// Store, when non-nil, persists real block contents so the index can
 	// answer queries and restart from a checkpoint. When nil the index runs
 	// in the paper's simulation mode: exact I/O traces, no data.
@@ -124,12 +128,26 @@ type UpdateStats struct {
 	ReleaseDur     time.Duration // freeing previous images, RELEASE drain, store sync
 }
 
+// Fractions reports the update's fractions of new, bucket and long words
+// (Figure 7).
+func (st UpdateStats) Fractions() (newF, bucketF, longF float64) {
+	if st.Words == 0 {
+		return 0, 0, 0
+	}
+	n := float64(st.Words)
+	return float64(st.NewWords) / n, float64(st.BucketWords) / n, float64(st.LongWords) / n
+}
+
 // New creates an empty index.
 func New(cfg Config) (*Index, error) {
 	if cfg.Buckets <= 0 || cfg.BucketSize <= 1 {
 		return nil, fmt.Errorf("core: bad bucket configuration %d×%d", cfg.Buckets, cfg.BucketSize)
 	}
-	array, err := disk.NewArray(cfg.Geometry, cfg.Store)
+	newAlloc := func(total int64) disk.Allocator { return disk.NewFreeList(total) }
+	if cfg.UseBuddy {
+		newAlloc = func(total int64) disk.Allocator { return disk.NewBuddy(total) }
+	}
+	array, err := disk.NewArrayWith(cfg.Geometry, cfg.Store, newAlloc)
 	if err != nil {
 		return nil, err
 	}
@@ -235,49 +253,95 @@ func UpdatesFromBatch(b *corpus.Batch, withPostings bool) []WordUpdate {
 	return out
 }
 
-// ApplyUpdate applies one batch update to the index and flushes the buckets,
-// the directory, the deleted-document list and the superblock, completing
-// the batch. It implements Section 2's per-word algorithm: words with long
-// lists append to them; all others go through their bucket, and overflow
-// evictions become long lists. The word loop stages every long-list write in
-// the array's write plan, and flush writes the plan before the checkpoint.
-func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
-	st := UpdateStats{Batch: ix.batches, Words: len(updates)}
-	r0, w0 := ix.array.ReadOps(), ix.array.WriteOps()
-	planStart := time.Now()
+// BucketStage is the first of the paper's two update stages (§4, Figure 3:
+// compute buckets). It runs Section 2's per-word algorithm over one batch
+// update: a word whose list is long (isLong) goes to toLong; every other word
+// goes through its bucket in set, and each short list the bucket evicts goes
+// to toLong, in eviction order. toLong must make its word long before it
+// returns: a word evicted by an earlier word of the batch may come later in
+// the same batch, and must then take the long path. The stats count the
+// batch's words by category and its evictions; the rest is the disk stage's.
+func BucketStage(set *bucket.Set, updates []WordUpdate, isLong func(postings.WordID) bool, toLong func(WordUpdate) error) (UpdateStats, error) {
+	st := UpdateStats{Words: len(updates)}
 	for _, u := range updates {
 		if u.Count <= 0 {
 			return st, fmt.Errorf("core: word %d update with count %d", u.Word, u.Count)
 		}
 		st.Postings += int64(u.Count)
-		switch {
-		case ix.dir.Has(u.Word):
+		if isLong(u.Word) {
 			st.LongWords++
-		case ix.buckets.Contains(u.Word):
-			st.BucketWords++
-		default:
-			st.NewWords++
-		}
-		if u.List != nil && u.List.MaxDoc() > ix.maxDoc {
-			ix.maxDoc = u.List.MaxDoc()
-		}
-
-		if ix.dir.Has(u.Word) {
-			if err := ix.long.Append(u.Word, int64(u.Count), u.List); err != nil {
+			if err := toLong(u); err != nil {
 				return st, err
 			}
 			continue
 		}
-		evs, err := ix.buckets.Add(u.Word, u.Count, u.List)
+		if set.Contains(u.Word) {
+			st.BucketWords++
+		} else {
+			st.NewWords++
+		}
+		evs, err := set.Add(u.Word, u.Count, u.List)
 		if err != nil {
 			return st, err
 		}
 		for _, ev := range evs {
 			st.Evictions++
-			if err := ix.long.Append(ev.Word, int64(ev.Count), ev.List); err != nil {
+			if err := toLong(WordUpdate{Word: ev.Word, Count: ev.Count, List: ev.List}); err != nil {
 				return st, err
 			}
 		}
+	}
+	return st, nil
+}
+
+// ApplyUpdate applies one batch update to the index and flushes the buckets,
+// the directory, the deleted-document list and the superblock, completing
+// the batch: the bucket stage against the index's own buckets and
+// directory, then the disk stage's flush. Each long-list update is appended
+// as the bucket stage hands it over, so an evicted word is long for the
+// rest of the batch. The word loop stages every long-list write in the
+// array's write plan, and flush writes the plan before the checkpoint.
+func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
+	return ix.batch(func() (UpdateStats, error) {
+		for _, u := range updates {
+			if u.List != nil && u.List.MaxDoc() > ix.maxDoc {
+				ix.maxDoc = u.List.MaxDoc()
+			}
+		}
+		return BucketStage(ix.buckets, updates, ix.dir.Has, ix.appendLong)
+	})
+}
+
+// DiskStage is the second of the paper's two update stages (compute
+// disks): it appends one batch's long-list updates, in order, and ends the
+// batch with ApplyUpdate's flush. Fed what BucketStage handed to toLong
+// for each batch, over a bucket set configured as this index's, it writes
+// the trace ApplyUpdate writes; the index's own buckets stay empty, and
+// the word counts in the stats are the bucket stage's to report.
+func (ix *Index) DiskStage(long []WordUpdate) (UpdateStats, error) {
+	return ix.batch(func() (UpdateStats, error) {
+		for _, u := range long {
+			if err := ix.appendLong(u); err != nil {
+				return UpdateStats{}, err
+			}
+		}
+		return UpdateStats{}, nil
+	})
+}
+
+func (ix *Index) appendLong(u WordUpdate) error {
+	return ix.long.Append(u.Word, int64(u.Count), u.List)
+}
+
+// batch runs one batch's word loop, plan, then the tail both stages share:
+// the flush, and the batch's I/O and the index's state after it.
+func (ix *Index) batch(plan func() (UpdateStats, error)) (UpdateStats, error) {
+	r0, w0 := ix.array.ReadOps(), ix.array.WriteOps()
+	planStart := time.Now()
+	st, err := plan()
+	st.Batch = ix.batches
+	if err != nil {
+		return st, err
 	}
 	st.PlanDur = time.Since(planStart)
 	if err := ix.flush(&st); err != nil {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dualindex/internal/longlist"
-	"dualindex/internal/sim"
 )
 
 // AllocatorRow compares free-space managers for one policy: the paper's
@@ -31,22 +30,24 @@ func (e *Env) AblationAllocators() ([]AllocatorRow, error) {
 	var out []AllocatorRow
 	for _, p := range []longlist.Policy{longlist.NewRecommended(), longlist.QueryOptimized()} {
 		for _, buddy := range []bool{false, true} {
-			cfg := e.diskCfg(p)
+			cfg := e.coreConfig(p)
 			cfg.UseBuddy = buddy
-			r, err := sim.ComputeDisks(e.Trace, cfg)
+			r, err := e.runDisks(cfg)
 			if err != nil {
 				return nil, err
 			}
-			res := e.Exercise(r)
+			res := e.Exercise(r, e.Params.Profile)
 			name := "first-fit"
 			if buddy {
 				name = "buddy"
 			}
 			last := r.PerUpdate[len(r.PerUpdate)-1]
-			consumed := r.TotalBlocks - r.FreeBlocksEnd
+			// Blocks consumed on disk: with the buddy allocator this exceeds
+			// what the directory knows about by the rounding waste.
+			consumed := int64(cfg.Geometry.NumDisks)*cfg.Geometry.BlocksPerDisk - r.Array().FreeBlocks()
 			diskUtil := 0.0
 			if consumed > 0 {
-				diskUtil = float64(r.Dir.TotalPostings()) / float64(consumed*e.Params.BlockPosting)
+				diskUtil = float64(r.Directory().TotalPostings()) / float64(consumed*e.Params.BlockPosting)
 			}
 			out = append(out, AllocatorRow{
 				Policy:    p.String(),
@@ -90,13 +91,14 @@ func (e *Env) AblationAdaptive() ([]AdaptiveRow, error) {
 			return nil, err
 		}
 		last := r.PerUpdate[len(r.PerUpdate)-1]
+		stats := r.LongLists().Stats()
 		out = append(out, AdaptiveRow{
 			Policy:  p.Normalize().String(),
 			Ops:     last.CumOps,
 			Util:    last.Utilization,
 			Reads:   last.AvgReadsPerList,
-			InPlace: r.Stats.InPlace,
-			Frac:    r.Stats.InPlaceFrac(),
+			InPlace: stats.InPlace,
+			Frac:    stats.InPlaceFrac(),
 		})
 	}
 	return out, nil

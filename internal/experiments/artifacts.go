@@ -5,10 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"dualindex/internal/bucket"
+	"dualindex/internal/core"
 	"dualindex/internal/corpus"
 	"dualindex/internal/disk"
 	"dualindex/internal/longlist"
-	"dualindex/internal/sim"
 )
 
 // Table1 computes the corpus statistics table.
@@ -26,24 +27,40 @@ func (e *Env) Table3(n int) []corpus.WordCount {
 	return u[:n]
 }
 
-// Figure1 runs the paper's small bucket system (100 buckets) and returns
-// the animation of one bucket over its first changes.
-func (e *Env) Figure1(observeBucket, maxSamples int) ([]sim.BucketSample, error) {
-	tr, err := sim.ComputeBuckets(e.Batches, sim.ComputeBucketsConfig{
-		Buckets:             100,
-		BucketSize:          e.Params.BucketSize * e.Params.Buckets / 100,
-		ObserveBucket:       observeBucket,
-		MaxAnimationSamples: maxSamples,
+// BucketSample is one Figure 1 animation point: the state of one bucket
+// after a change to it.
+type BucketSample struct {
+	Words    int
+	Postings int
+}
+
+// Figure1 runs the bucket stage on the paper's small bucket system (100
+// buckets) and returns the animation of one bucket over its first
+// maxSamples changes.
+func (e *Env) Figure1(observeBucket, maxSamples int) ([]BucketSample, error) {
+	set, err := bucket.NewSet(bucket.Config{
+		NumBuckets: 100,
+		BucketSize: e.Params.BucketSize * e.Params.Buckets / 100,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tr.Animation, nil
+	var samples []BucketSample
+	set.SetObserver(func(b int) {
+		if b == observeBucket && len(samples) < maxSamples {
+			samples = append(samples, BucketSample{Words: set.WordsIn(b), Postings: set.PostingsIn(b)})
+		}
+	})
+	if _, _, err := bucketStage(e.Batches, set); err != nil {
+		return nil, err
+	}
+	return samples, nil
 }
 
-// Figure7 returns the per-update word-category fractions.
-func (e *Env) Figure7() []sim.WordStats {
-	return e.Trace.Stats
+// Figure7 returns the per-update word categories, whose Fractions are
+// the figure.
+func (e *Env) Figure7() []core.UpdateStats {
+	return e.stats
 }
 
 // FigureCurvePolicies returns the policies whose curves appear in Figures
@@ -60,20 +77,20 @@ type PolicyCurves struct {
 
 // Figure8 returns cumulative I/O operations per update for each policy.
 func (e *Env) Figure8() (PolicyCurves, error) {
-	return e.policyCurves(func(m sim.UpdateMetrics) float64 { return float64(m.CumOps) })
+	return e.policyCurves(func(m core.UpdateStats) float64 { return float64(m.CumOps) })
 }
 
 // Figure9 returns long-list utilization per update for each policy.
 func (e *Env) Figure9() (PolicyCurves, error) {
-	return e.policyCurves(func(m sim.UpdateMetrics) float64 { return m.Utilization })
+	return e.policyCurves(func(m core.UpdateStats) float64 { return m.Utilization })
 }
 
 // Figure10 returns average read operations per long list for each policy.
 func (e *Env) Figure10() (PolicyCurves, error) {
-	return e.policyCurves(func(m sim.UpdateMetrics) float64 { return m.AvgReadsPerList })
+	return e.policyCurves(func(m core.UpdateStats) float64 { return m.AvgReadsPerList })
 }
 
-func (e *Env) policyCurves(metric func(sim.UpdateMetrics) float64) (PolicyCurves, error) {
+func (e *Env) policyCurves(metric func(core.UpdateStats) float64) (PolicyCurves, error) {
 	out := PolicyCurves{Series: map[string][]float64{}}
 	for _, p := range FigureCurvePolicies() {
 		r, err := e.RunPolicy(p)
@@ -156,13 +173,14 @@ func (e *Env) allocRows(style longlist.Style, specs []struct {
 			return nil, err
 		}
 		last := r.PerUpdate[len(r.PerUpdate)-1]
+		stats := r.LongLists().Stats()
 		out = append(out, AllocRow{
 			Alloc:   s.alloc,
 			K:       s.k,
 			Read:    last.AvgReadsPerList,
 			Util:    last.Utilization,
-			InPlace: r.Stats.InPlace,
-			Frac:    r.Stats.InPlaceFrac(),
+			InPlace: stats.InPlace,
+			Frac:    stats.InPlaceFrac(),
 		})
 	}
 	return out, nil
@@ -186,7 +204,7 @@ func (e *Env) ProportionalSweep(style longlist.Style, ks []float64) ([]SweepPoin
 			return nil, err
 		}
 		last := r.PerUpdate[len(r.PerUpdate)-1]
-		out = append(out, SweepPoint{K: k, Utilization: last.Utilization, InPlace: r.Stats.InPlace})
+		out = append(out, SweepPoint{K: k, Utilization: last.Utilization, InPlace: r.LongLists().Stats().InPlace})
 	}
 	return out, nil
 }
@@ -199,7 +217,7 @@ func (e *Env) FillReference() (SweepPoint, error) {
 		return SweepPoint{}, err
 	}
 	last := r.PerUpdate[len(r.PerUpdate)-1]
-	return SweepPoint{Utilization: last.Utilization, InPlace: r.Stats.InPlace}, nil
+	return SweepPoint{Utilization: last.Utilization, InPlace: r.LongLists().Stats().InPlace}, nil
 }
 
 // DefaultSweepKs is the k grid of Figures 11 and 12.
@@ -235,7 +253,7 @@ func (e *Env) Figures13And14() (TimeCurves, error) {
 		if err != nil {
 			return out, err
 		}
-		res := e.Exercise(r)
+		res := e.Exercise(r, e.Params.Profile)
 		label := p.String()
 		out.Labels = append(out.Labels, label)
 		per := make([]time.Duration, len(res.Batches))
@@ -266,15 +284,14 @@ type DiskSweepPoint struct {
 func (e *Env) ExtensionDiskSweep(diskCounts []int, profiles []disk.Profile) ([]DiskSweepPoint, error) {
 	var out []DiskSweepPoint
 	for _, n := range diskCounts {
-		geo := e.Params.Geometry
-		geo.NumDisks = n
-		cfg := sim.DiskConfig{Geometry: geo, BlockPosting: e.Params.BlockPosting, Policy: longlist.NewRecommended()}
-		r, err := sim.ComputeDisks(e.Trace, cfg)
+		cfg := e.coreConfig(longlist.NewRecommended())
+		cfg.Geometry.NumDisks = n
+		r, err := e.runDisks(cfg)
 		if err != nil {
 			return nil, err
 		}
 		for _, prof := range profiles {
-			res := sim.ExerciseDisks(r.Trace, geo, prof, e.Params.BufferBlocks)
+			res := e.Exercise(r, prof)
 			out = append(out, DiskSweepPoint{Disks: n, Profile: prof.Name, Total: res.Total()})
 		}
 	}
@@ -309,9 +326,9 @@ func ExtensionScaleSweep(base Params, scales []float64, policy longlist.Policy) 
 		if err != nil {
 			return nil, err
 		}
-		res := env.Exercise(r)
+		res := env.Exercise(r, p.Profile)
 		var postings int64
-		for _, st := range env.Trace.Stats {
+		for _, st := range env.stats {
 			postings += st.Postings
 		}
 		last := r.PerUpdate[len(r.PerUpdate)-1]

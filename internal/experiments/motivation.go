@@ -52,7 +52,7 @@ func (e *Env) Motivation() ([]MotivationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := e.Exercise(run)
+		res := e.Exercise(run, e.Params.Profile)
 		last := run.PerUpdate[len(run.PerUpdate)-1]
 		rows = append(rows, MotivationRow{
 			Regime:           "incremental " + p.String(),

@@ -9,6 +9,9 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+
 	"dualindex/internal/corpus"
 	"dualindex/internal/disk"
 )
@@ -65,4 +68,15 @@ func (p Params) Scaled(f float64) Params {
 		p.BlockPosting = 20
 	}
 	return p
+}
+
+// ScaledParams returns DefaultParams scaled by f, refusing a factor that is
+// not a positive finite number: the corpus clamps its size to one document
+// a day, so a factor of 0 or less, or NaN, would otherwise run as the
+// smallest corpus without a word, and an infinite one overflows the sizes.
+func ScaledParams(f float64) (Params, error) {
+	if !(f > 0) || math.IsInf(f, 1) {
+		return Params{}, fmt.Errorf("scale %v: must be a positive finite number", f)
+	}
+	return DefaultParams().Scaled(f), nil
 }

@@ -56,7 +56,7 @@ func (e *Env) QueryWorkloads(queries int) ([]QueryWorkloadRow, error) {
 			for i := 0; i < n; i++ {
 				w := allWords[rng.Intn(len(allWords))]
 				boolWords++
-				if chunks := len(r.Dir.Chunks(w)); chunks > 0 {
+				if chunks := len(r.Directory().Chunks(w)); chunks > 0 {
 					boolReads += float64(chunks)
 				} else {
 					bucketHits++
@@ -71,7 +71,7 @@ func (e *Env) QueryWorkloads(queries int) ([]QueryWorkloadRow, error) {
 		for q := 0; q < queries; q++ {
 			for i := 0; i < 120; i++ {
 				w := sampleByFreq(rng, freqWords, freqCum)
-				vecReads += float64(len(r.Dir.Chunks(w)))
+				vecReads += float64(len(r.Directory().Chunks(w)))
 			}
 		}
 		row.VectorReads = vecReads / float64(queries)

@@ -42,7 +42,7 @@ func (e *Env) QueryTimeStudy() ([]QueryTimeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		words := r.Dir.Words()
+		words := r.Directory().Words()
 		if len(words) == 0 {
 			continue
 		}
@@ -51,7 +51,7 @@ func (e *Env) QueryTimeStudy() ([]QueryTimeRow, error) {
 		var disksTouched float64
 		for _, w := range words {
 			perDisk := map[int]time.Duration{}
-			for _, c := range r.Dir.Chunks(w) {
+			for _, c := range r.Directory().Chunks(w) {
 				blocks := (c.Postings + e.Params.BlockPosting - 1) / e.Params.BlockPosting
 				if blocks == 0 {
 					continue
@@ -69,7 +69,7 @@ func (e *Env) QueryTimeStudy() ([]QueryTimeRow, error) {
 				}
 			}
 			latencies = append(latencies, worst)
-			sizes = append(sizes, r.Dir.Postings(w))
+			sizes = append(sizes, r.Directory().Postings(w))
 			disksTouched += float64(len(perDisk))
 		}
 		row := QueryTimeRow{

@@ -24,14 +24,7 @@ type RebalancePoint struct {
 func (e *Env) ExtensionRebalance(threshold float64) ([]RebalancePoint, error) {
 	var out []RebalancePoint
 	for _, rebalance := range []bool{false, true} {
-		cfg := core.Config{
-			Buckets:      e.Params.Buckets,
-			BucketSize:   e.Params.BucketSize,
-			BlockPosting: e.Params.BlockPosting,
-			Geometry:     e.Params.Geometry,
-			Policy:       longlist.NewRecommended(),
-		}
-		ix, err := core.New(cfg)
+		ix, err := core.New(e.coreConfig(longlist.NewRecommended()))
 		if err != nil {
 			return nil, err
 		}

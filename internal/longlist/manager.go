@@ -78,18 +78,14 @@ func (s Stats) InPlaceFrac() float64 {
 	return float64(s.InPlace) / float64(s.Appends)
 }
 
-// NewManager creates a manager. blockPosting is the number of postings per
-// disk block; when the array stores real data it must equal
-// BlockSize/PostingBytes so that the accounting and the bytes agree.
-func NewManager(p Policy, array *disk.Array, dir *directory.Dir, blockPosting int64) (*Manager, error) {
-	return NewManagerCodec(p, array, dir, blockPosting, nil)
-}
-
-// NewManagerCodec is NewManager with a block codec: when codec is non-nil,
-// long-list blocks hold codec-encoded postings instead of fixed records, and
-// the chunk directory tracks each chunk's encoded extent. A codec requires a
-// data store — in pure simulation there are no bytes to compress, and the
-// raw path must stay byte-identical to the paper's accounting.
+// NewManagerCodec creates a manager. blockPosting is the number of postings
+// per disk block; when the array stores real data it must equal
+// BlockSize/PostingBytes so that the accounting and the bytes agree. When
+// codec is non-nil, long-list blocks hold codec-encoded postings instead of
+// fixed records, and the chunk directory tracks each chunk's encoded
+// extent. A codec requires a data store — in pure simulation there are no
+// bytes to compress, and the raw path must stay byte-identical to the
+// paper's accounting.
 func NewManagerCodec(p Policy, array *disk.Array, dir *directory.Dir, blockPosting int64, codec postings.BlockCodec) (*Manager, error) {
 	p = p.Normalize()
 	if err := p.Validate(); err != nil {

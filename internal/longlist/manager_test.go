@@ -20,7 +20,7 @@ func newManager(t *testing.T, p Policy, disks int) (*Manager, *disk.Array) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(p, a, directory.New(), testBP)
+	m, err := NewManagerCodec(p, a, directory.New(), testBP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +30,14 @@ func newManager(t *testing.T, p Policy, disks int) (*Manager, *disk.Array) {
 func TestNewManagerValidation(t *testing.T) {
 	geo := disk.Geometry{NumDisks: 1, BlocksPerDisk: 100, BlockSize: 512}
 	a, _ := disk.NewArray(geo, nil)
-	if _, err := NewManager(UpdateOptimized(), a, directory.New(), 0); err == nil {
+	if _, err := NewManagerCodec(UpdateOptimized(), a, directory.New(), 0, nil); err == nil {
 		t.Error("zero blockPosting accepted")
 	}
 	s, _ := disk.NewArray(geo, disk.NewMemStore(1, 512))
-	if _, err := NewManager(UpdateOptimized(), s, directory.New(), 10); err == nil {
+	if _, err := NewManagerCodec(UpdateOptimized(), s, directory.New(), 10, nil); err == nil {
 		t.Error("store with mismatched blockPosting accepted")
 	}
-	if _, err := NewManager(UpdateOptimized(), s, directory.New(), 512/PostingBytes); err != nil {
+	if _, err := NewManagerCodec(UpdateOptimized(), s, directory.New(), 512/PostingBytes, nil); err != nil {
 		t.Errorf("valid store config rejected: %v", err)
 	}
 }
@@ -251,7 +251,7 @@ func TestRoundRobinDiskAssignment(t *testing.T) {
 func TestAllocSpillsToOtherDisks(t *testing.T) {
 	geo := disk.Geometry{NumDisks: 2, BlocksPerDisk: 4, BlockSize: 512}
 	a, _ := disk.NewArray(geo, nil)
-	m, err := NewManager(Policy{Style: StyleNew, Limit: LimitZero}, a, directory.New(), testBP)
+	m, err := NewManagerCodec(Policy{Style: StyleNew, Limit: LimitZero}, a, directory.New(), testBP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAppendValidation(t *testing.T) {
 	}
 	geo := disk.Geometry{NumDisks: 1, BlocksPerDisk: 1000, BlockSize: 512}
 	a, _ := disk.NewArray(geo, disk.NewMemStore(1, 512))
-	sm, _ := NewManager(UpdateOptimized(), a, directory.New(), 64)
+	sm, _ := NewManagerCodec(UpdateOptimized(), a, directory.New(), 64, nil)
 	if err := sm.Append(1, 5, nil); err == nil {
 		t.Error("store mode accepted nil list")
 	}
@@ -289,7 +289,7 @@ func storeManager(t *testing.T, p Policy) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(p, a, directory.New(), int64(geo.BlockSize/PostingBytes))
+	m, err := NewManagerCodec(p, a, directory.New(), int64(geo.BlockSize/PostingBytes), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestQuickAllPoliciesAgreeOnContent(t *testing.T) {
 		for _, p := range policies {
 			geo := disk.Geometry{NumDisks: 2, BlocksPerDisk: 16384, BlockSize: 256}
 			a, _ := disk.NewArray(geo, disk.NewMemStore(2, 256))
-			m, err := NewManager(p, a, directory.New(), 32)
+			m, err := NewManagerCodec(p, a, directory.New(), 32, nil)
 			if err != nil {
 				return false
 			}
@@ -459,7 +459,7 @@ func TestQuickDirectoryDiskConsistency(t *testing.T) {
 		geo := disk.Geometry{NumDisks: 2, BlocksPerDisk: 8192, BlockSize: 512}
 		a, _ := disk.NewArray(geo, nil)
 		p := FigurePolicies()[r.Intn(6)]
-		m, err := NewManager(p, a, directory.New(), testBP)
+		m, err := NewManagerCodec(p, a, directory.New(), testBP, nil)
 		if err != nil {
 			return false
 		}
@@ -483,7 +483,7 @@ func TestQuickDirectoryDiskConsistency(t *testing.T) {
 func BenchmarkAppendNewZ(b *testing.B) {
 	geo := disk.Geometry{NumDisks: 4, BlocksPerDisk: 1 << 24, BlockSize: 4096}
 	a, _ := disk.NewArray(geo, nil)
-	m, _ := NewManager(NewRecommended(), a, directory.New(), 400)
+	m, _ := NewManagerCodec(NewRecommended(), a, directory.New(), 400, nil)
 	r := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -613,7 +613,7 @@ func TestQuickWholeOpCountIndependentOfLimit(t *testing.T) {
 func newManagerQuick(limit Limit) (*Manager, *disk.Array) {
 	geo := disk.Geometry{NumDisks: 2, BlocksPerDisk: 65536, BlockSize: 512}
 	a, _ := disk.NewArray(geo, nil)
-	m, _ := NewManager(Policy{Style: StyleWhole, Limit: limit}, a, directory.New(), testBP)
+	m, _ := NewManagerCodec(Policy{Style: StyleWhole, Limit: limit}, a, directory.New(), testBP, nil)
 	return m, a
 }
 
