@@ -119,6 +119,33 @@ func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 	return out, nil
 }
 
+// parallel calls fn(i) for every i in [0, n), at most workers calls at a
+// time, started in ascending i, and returns their errors indexed by i.
+// With one worker or one call, every call runs on the caller.
+func parallel(n, workers int, fn func(i int) error) []error {
+	errs := make([]error, n)
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			errs[i] = fn(i)
+		}
+		return errs
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // AddDocument tokenizes text, assigns it the next document identifier and
 // routes it to its shard's pending tier, returning the identifier.
 //
@@ -191,27 +218,10 @@ func (e *Engine) FlushBatch() (BatchStats, error) {
 // flushShardsLocked flushes every shard under the caller's engine locks.
 func (e *Engine) flushShardsLocked() (BatchStats, error) {
 	stats := make([]BatchStats, len(e.shards))
-	errs := make([]error, len(e.shards))
-	if len(e.shards) == 1 {
-		stats[0], errs[0] = e.shards[0].flushBatch()
-	} else {
-		workers := e.opts.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, s := range e.shards {
-			wg.Add(1)
-			go func(i int, s *shard) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				stats[i], errs[i] = s.flushBatch()
-			}(i, s)
-		}
-		wg.Wait()
-	}
+	errs := parallel(len(e.shards), e.opts.Workers, func(i int) (err error) {
+		stats[i], err = e.shards[i].flushBatch()
+		return err
+	})
 	var out BatchStats
 	for _, st := range stats {
 		out = out.add(st)

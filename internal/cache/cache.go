@@ -9,6 +9,7 @@ package cache
 
 import (
 	"container/list"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -168,11 +169,16 @@ func (s *Store) WriteAt(d int, block int64, buf []byte) error {
 	return nil
 }
 
-// cost is the budget charge for one block: its length with trailing zero
-// padding stripped, floored at 1 so all-zero blocks still pay for their
-// bookkeeping.
+// blockCost is the budget charge for one block: its length with trailing
+// zero padding stripped, floored at 1 so all-zero blocks still pay for
+// their bookkeeping. The padding is skipped eight bytes at a time: a
+// checkpoint's bucket region is mostly padding, and every block of it
+// passes through here when an index opens.
 func blockCost(data []byte) int {
 	n := len(data)
+	for n >= 8 && binary.LittleEndian.Uint64(data[n-8:]) == 0 {
+		n -= 8
+	}
 	for n > 0 && data[n-1] == 0 {
 		n--
 	}

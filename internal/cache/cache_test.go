@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -313,5 +314,35 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
 		t.Fatalf("expected activity in all counters: %+v", st)
+	}
+}
+
+// TestBlockCostMatchesBytewise: the word-at-a-time padding scan charges
+// exactly what the plain byte-at-a-time scan does — on random tails of
+// zeros, all-zero blocks, and lengths that are not a multiple of eight.
+func TestBlockCostMatchesBytewise(t *testing.T) {
+	bytewise := func(data []byte) int {
+		n := len(data)
+		for n > 0 && data[n-1] == 0 {
+			n--
+		}
+		return max(n, 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 512, 4096, 4099} {
+		if got, want := blockCost(make([]byte, size)), bytewise(make([]byte, size)); got != want {
+			t.Fatalf("all-zero %d bytes: cost %d, want %d", size, got, want)
+		}
+		for trial := 0; trial < 200 && size > 0; trial++ {
+			data := make([]byte, size)
+			content := rng.Intn(size + 1) // bytes before the zero tail
+			rng.Read(data[:content])
+			if content > 0 && rng.Intn(2) == 0 {
+				data[content-1] = byte(1 + rng.Intn(255)) // a non-zero last byte
+			}
+			if got, want := blockCost(data), bytewise(data); got != want {
+				t.Fatalf("%d bytes, %d before the tail: cost %d, want %d", size, content, got, want)
+			}
+		}
 	}
 }

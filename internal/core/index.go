@@ -55,6 +55,9 @@ type Config struct {
 	// steps. 1 runs them all on the caller; any other value (0 = auto) runs
 	// one goroutine per disk that has steps — the paper's "one sequential
 	// write per disk", actually overlapped. Both widths write the same steps.
+	// Open reads each checkpoint region's chunks at the same width: at most
+	// FlushWorkers at a time, all on the caller at 1, all at once at 0. The
+	// trace records them in region order at every width.
 	FlushWorkers int
 }
 

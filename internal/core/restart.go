@@ -174,20 +174,18 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	ix.cfg.Buckets = sb.buckets
 	ix.cfg.BucketSize = sb.bucketSize
 
-	// Reserve and read every checkpointed region.
+	// Reserve every checkpointed region and read it as one image, its
+	// per-disk chunks concurrently (the bucket region is striped across
+	// every disk).
 	readAll := func(rs []regionChunk) ([]byte, error) {
-		var image []byte
-		for _, r := range rs {
+		runs := make([]disk.Run, len(rs))
+		for i, r := range rs {
 			if err := ix.array.Reserve(r.disk, r.block, r.blocks); err != nil {
 				return nil, err
 			}
-			piece, err := ix.array.ReadBlocksAt(r.disk, r.block, r.blocks, disk.TagDirectory)
-			if err != nil {
-				return nil, err
-			}
-			image = append(image, piece...)
+			runs[i] = disk.Run{Disk: r.disk, Block: r.block, Blocks: r.blocks}
 		}
-		return image, nil
+		return ix.array.ReadRuns(runs, disk.TagDirectory, ix.cfg.FlushWorkers)
 	}
 	bucketImage, err := readAll(sb.bucketRegion)
 	if err != nil {

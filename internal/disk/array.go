@@ -261,6 +261,71 @@ func (a *Array) ReadBlocksAt(disk int, block, count int64, tag string) ([]byte, 
 	return buf, nil
 }
 
+// Run is a contiguous run of blocks on one disk.
+type Run struct {
+	Disk          int
+	Block, Blocks int64
+}
+
+// ReadRuns reads runs as one image, the runs back to back in the order
+// given: what ReadBlocksAt returns for each run, concatenated. Every read
+// is recorded first, in run order, so the trace and the counters do not
+// depend on the order the store serves them in; with a store, the runs are
+// then read into the image at most workers at a time: all on the caller at
+// 1, all at once at 0 (as Commit's executor widths). It returns the first
+// failing run's error in run order, and nil data without a store.
+func (a *Array) ReadRuns(runs []Run, tag string, workers int) ([]byte, error) {
+	var blocks int64
+	for _, r := range runs {
+		a.record(Read, r.Disk, r.Block, r.Blocks, tag)
+		blocks += r.Blocks
+	}
+	if a.store == nil {
+		return nil, nil
+	}
+	image := make([]byte, blocks*int64(a.geo.BlockSize))
+	pieces := make([][]byte, len(runs))
+	var off int64
+	for i, r := range runs {
+		end := off + r.Blocks*int64(a.geo.BlockSize)
+		pieces[i], off = image[off:end:end], end
+	}
+	errs := make([]error, len(runs))
+	read := func(i int) {
+		r := runs[i]
+		if errs[i] = a.store.ReadAt(r.Disk, r.Block, pieces[i]); errs[i] == nil {
+			a.overlay(r.Disk, r.Block, pieces[i])
+		}
+	}
+	if workers == 1 || len(runs) == 1 {
+		for i := range runs {
+			read(i)
+		}
+	} else {
+		if workers <= 0 {
+			workers = len(runs)
+		}
+		sem := make(chan struct{}, workers)
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				read(i)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return image, nil
+}
+
 // WriteBlocksAt records (and, with a store, performs) a write of count
 // blocks straight to the store, bypassing the write plan. data may be nil
 // when no store is attached; when a store is attached, data shorter than

@@ -415,3 +415,52 @@ func TestFreeListReserve(t *testing.T) {
 	f.Free(30, 5)
 	f.checkInvariants()
 }
+
+// TestReadRuns: a multi-run read returns every run's ReadBlocksAt image back
+// to back, staged blocks included, and records the runs in run order at
+// every width.
+func TestReadRuns(t *testing.T) {
+	geo := testGeometry()
+	runs := []Run{{Disk: 1, Block: 7, Blocks: 2}, {Disk: 0, Block: 3, Blocks: 1}, {Disk: 1, Block: 0, Blocks: 3}}
+	for _, workers := range []int{1, 2, 0} {
+		ms := NewMemStore(geo.NumDisks, geo.BlockSize)
+		a, _ := NewArray(geo, ms)
+		for d := 0; d < geo.NumDisks; d++ {
+			img := make([]byte, 10*geo.BlockSize)
+			for i := range img {
+				img[i] = byte(d*31 + i/geo.BlockSize*7 + i%5)
+			}
+			if err := a.WriteBlocksAt(d, 0, 10, img, TagLong); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Stage(0, 3, 1, []byte{9, 9, 9}, TagBucket); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, r := range runs {
+			piece, err := a.ReadBlocksAt(r.Disk, r.Block, r.Blocks, TagDirectory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, piece...)
+		}
+		before := a.Trace().Len()
+		got, err := a.ReadRuns(runs, TagDirectory, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: ReadRuns image differs from the runs' reads", workers)
+		}
+		ops := a.Trace().Ops()[before:]
+		if len(ops) != len(runs) {
+			t.Fatalf("workers=%d: %d reads recorded, want %d", workers, len(ops), len(runs))
+		}
+		for i, r := range runs {
+			if op := ops[i]; op.Kind != Read || op.Disk != r.Disk || op.Block != r.Block || op.Count != r.Blocks {
+				t.Fatalf("workers=%d: read %d recorded as %+v, want %+v", workers, i, op, r)
+			}
+		}
+	}
+}

@@ -199,9 +199,11 @@ type Options struct {
 	// shard's array. It is also the width of each shard's flush executor,
 	// which writes the batch's planned block images with one goroutine per
 	// disk, or all on the flushing goroutine at 1; both widths write the
-	// same images. And it caps how many shards FlushBatch applies
-	// concurrently. 0 defaults to NumDisks (one in-flight read per disk); 1
-	// disables the in-shard parallelism.
+	// same images. It caps how many shards FlushBatch applies, and Open
+	// loads, concurrently; within a shard, Open reads the checkpoint's
+	// per-disk chunks with at most Workers goroutines, alongside the
+	// vocabulary and the document log. 0 defaults to NumDisks (one
+	// in-flight read per disk); 1 disables the in-shard parallelism.
 	Workers int
 	// CacheBlocks, when positive, layers an LRU block cache of that many
 	// blocks (per shard) over the store, so repeated reads of hot chunks —

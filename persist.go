@@ -30,9 +30,10 @@ import (
 // On-disk layout: a single-shard engine stores its files (disk*.dat,
 // vocab.txt, docs.log) directly under Dir. A sharded engine gives each
 // shard its own Dir/shard-<i>/ subdirectory with that same layout inside,
-// and Open recovers the shards one by one. A MANIFEST.json at the directory
-// root records the shard count, the document routing, the backend, the
-// codec and a format version.
+// and Open recovers up to Options.Workers shards at once, each loading its
+// checkpoint, vocabulary and document log concurrently. A MANIFEST.json at
+// the directory root records the shard count, the document routing, the
+// backend, the codec and a format version.
 //
 // Open reads only the formats this engine writes: manifest version 2 and
 // superblock version 3. It refuses, with an error naming the directory and
@@ -70,20 +71,14 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dualindex: %w", err)
 	}
-	e := &Engine{opts: opts, router: router, obs: newObserver(opts)}
-	for i := 0; i < opts.Shards; i++ {
-		s, err := openShard(opts, shardDir(opts.Dir, i, opts.Shards))
-		if err != nil {
-			for _, prev := range e.shards {
-				prev.close()
-			}
-			return nil, fmt.Errorf("dualindex: shard %d: %w", i, err)
-		}
+	shards, err := openShards(opts, opts.Dir, opts.Shards)
+	if err != nil {
+		return nil, fmt.Errorf("dualindex: %w", err)
+	}
+	e := &Engine{opts: opts, router: router, obs: newObserver(opts), shards: shards}
+	for i, s := range shards {
 		s.obs = e.obs.shardObs(i)
-		e.shards = append(e.shards, s)
-		if s.lastDoc > e.nextDoc {
-			e.nextDoc = s.lastDoc
-		}
+		e.nextDoc = max(e.nextDoc, s.lastDoc)
 	}
 	if writeManifest {
 		// Stamped only after every shard opened, so a failed create leaves
@@ -95,6 +90,29 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.registerShardFuncs()
 	return e, nil
+}
+
+// openShards opens the n shards of the layout rooted at dir, at most
+// opts.Workers at a time. If any fails, it closes every shard that did open
+// and reports the lowest-numbered failure, naming that shard.
+func openShards(opts Options, dir string, n int) ([]*shard, error) {
+	shards := make([]*shard, n)
+	errs := parallel(n, opts.Workers, func(i int) (err error) {
+		shards[i], err = openShard(opts, shardDir(dir, i, n))
+		return err
+	})
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		for _, s := range shards {
+			if s != nil {
+				s.close()
+			}
+		}
+		return nil, fmt.Errorf("shard %d: %w", i, err)
+	}
+	return shards, nil
 }
 
 // manifestFor renders an Options set (with routing and storage already
@@ -321,7 +339,15 @@ func openAsyncStore(dir string, opts Options, resume bool) (disk.BlockStore, err
 
 func (s *shard) vocabPath() string { return filepath.Join(s.dir, "vocab.txt") }
 
+// saveVocab replaces the shard's vocabulary file, unless no word was
+// assigned since the vocabulary was last loaded or saved: identifiers are
+// dense and append-only, so an unchanged count is an unchanged file. The
+// caller holds s.mu.
 func (s *shard) saveVocab() error {
+	words := s.vocab.Len()
+	if words == s.savedWords {
+		return nil
+	}
 	tmp := s.vocabPath() + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -334,22 +360,23 @@ func (s *shard) saveVocab() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.vocabPath())
+	if err := os.Rename(tmp, s.vocabPath()); err != nil {
+		return err
+	}
+	s.savedWords = words
+	return nil
 }
 
-func (s *shard) loadVocab() error {
-	f, err := os.Open(s.vocabPath())
+// loadVocab reads the vocabulary file in dir; a shard checkpointed before
+// any word was assigned has none, and starts with an empty vocabulary.
+func loadVocab(dir string) (*vocab.Vocab, error) {
+	f, err := os.Open(filepath.Join(dir, "vocab.txt"))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil // empty index checkpoint with no vocabulary yet
+			return vocab.New(), nil
 		}
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	v, err := vocab.Read(f)
-	if err != nil {
-		return err
-	}
-	s.vocab = v
-	return nil
+	return vocab.Read(f)
 }

@@ -463,3 +463,209 @@ func TestReopenRecoversUnflushedDocsAndCounts(t *testing.T) {
 		})
 	}
 }
+
+// statVocab returns the FileInfo of a shard directory's vocabulary file.
+func statVocab(t *testing.T, shardDir string) os.FileInfo {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(shardDir, "vocab.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
+}
+
+// TestReadOnlySessionKeepsVocab: an Open, query, Close session that assigns
+// no word leaves every shard's vocabulary file in place — the same file,
+// not a rewritten copy.
+func TestReadOnlySessionKeepsVocab(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		dir := persistDir(t, shards)
+		before := make([]os.FileInfo, shards)
+		for i := range before {
+			before[i] = statVocab(t, shardDir(dir, i, shards))
+		}
+		opts := smallOpts(0)
+		opts.Dir = dir
+		eng, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.SearchBoolean("waa or wab"); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, fi := range before {
+			if !os.SameFile(fi, statVocab(t, shardDir(dir, i, shards))) {
+				t.Errorf("%d shards: a read-only session replaced shard %d's vocab.txt", shards, i)
+			}
+		}
+	}
+}
+
+// TestRefusedOpenKeepsOpenedShards: when one shard of a 2-shard index is
+// refused (its superblock predates this engine), the shard that did open
+// is closed without rewriting anything, its vocabulary file included.
+func TestRefusedOpenKeepsOpenedShards(t *testing.T) {
+	dir := persistDir(t, 2)
+	path := filepath.Join(dir, "shard-1", "disk0.dat")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n := binary.Uvarint(data)
+	if n <= 0 || data[n] != 3 {
+		t.Fatalf("disk0.dat does not open with a version-3 superblock")
+	}
+	data[n] = 2
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	vocab0 := statVocab(t, filepath.Join(dir, "shard-0"))
+	openRefused(t, dir, "shard 1", "superblock version 2 predates")
+	if !os.SameFile(vocab0, statVocab(t, filepath.Join(dir, "shard-0"))) {
+		t.Error("a refused Open replaced the opened shard 0's vocab.txt")
+	}
+}
+
+// TestOpenFailedShardJoinsAndCloses: a 3-shard index whose last shard
+// cannot be read fails to open naming that shard, joins every goroutine the
+// concurrent open started, and leaves every file as it was — whether the
+// failure is in the checkpoint or in the vocabulary, which load alongside
+// the other shards and each other.
+func TestOpenFailedShardJoinsAndCloses(t *testing.T) {
+	breaks := map[string]func(t *testing.T, shardDir string){
+		"checkpoint": func(t *testing.T, shardDir string) {
+			path := filepath.Join(shardDir, "disk0.dat")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(data, []byte{0xde, 0xad, 0xbe, 0xef}) // not the superblock magic
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"vocabulary": func(t *testing.T, shardDir string) {
+			path := filepath.Join(shardDir, "vocab.txt")
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(path, 0o755); err != nil { // opens, but cannot be read
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, breakShard := range breaks {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := reshardOpts(dir, 3)
+			eng, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buildCorpus(t, eng, synthTexts(5, 90, 25, 12))
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			breakShard(t, filepath.Join(dir, "shard-2"))
+			baseline := len(engineGoroutines())
+			before := dirImage(t, dir)
+			if eng, err := Open(opts); err == nil {
+				eng.Close()
+				t.Fatal("Open accepted an index with an unreadable shard")
+			} else if !strings.Contains(err.Error(), "shard 2") {
+				t.Errorf("error %q should name shard 2", err)
+			}
+			assertNoEngineGoroutines(t, baseline)
+			if after := dirImage(t, dir); !maps.Equal(after, before) {
+				t.Errorf("failed Open changed the directory:\n before %v\n after  %v", before, after)
+			}
+		})
+	}
+}
+
+// TestReopenRecoversEveryShard: a 3-shard index closed with unflushed
+// documents in every shard's log reopens — its shards recovering
+// concurrently — with the answers and the next document identifier of an
+// engine that never closed.
+func TestReopenRecoversEveryShard(t *testing.T) {
+	dir := t.TempDir()
+	opts := reshardOpts(dir, 3)
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Open(reshardOpts("", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	texts := synthTexts(9, 120, 25, 12)
+	for _, e := range []*Engine{eng, ref} {
+		buildCorpus(t, e, texts[:80])
+		for _, text := range texts[80:] {
+			e.AddDocument(text)
+		}
+	}
+	for i, s := range eng.shards {
+		if docs, _ := s.numPending(); docs == 0 {
+			t.Fatalf("shard %d has no unflushed documents", i)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(reshardOpts(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, want := re.PendingDocs(), ref.PendingDocs(); got != want {
+		t.Errorf("reopened with %d pending documents, want %d", got, want)
+	}
+	sameAnswers(t, re, ref)
+	if got, want := re.AddDocument(texts[0]), ref.AddDocument(texts[0]); got != want {
+		t.Errorf("next document identifier %d after reopen, want %d", got, want)
+	}
+}
+
+// BenchmarkOpen measures a cold open of a 2-shard file index plus its
+// first query — the restart cost the checkpoint design bounds — on the
+// default geometry, so each shard reads a full bucket region:
+//
+//	go test -run '^$' -bench Open -benchmem
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	opts := Options{Dir: dir, Shards: 2, KeepDocuments: true, CacheBlocks: 4096}
+	eng, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, text := range synthTexts(3, 2000, 400, 30) {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	opts.Shards = 0
+	b.ResetTimer()
+	for range b.N {
+		eng, err := Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.SearchVector("waa wab wac", 10); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -105,25 +105,21 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 	}
 	newOpts := e.opts
 	newOpts.Shards = n
-	newShards := make([]*shard, n)
+	newShards, err := openShards(newOpts, staging, n)
 	discard := func() {
 		for _, s := range newShards {
-			if s != nil {
-				s.close()
-			}
+			s.close()
 		}
 		if staging != "" {
 			os.RemoveAll(staging)
 		}
 	}
-	for i := range newShards {
-		s, err := openShard(newOpts, shardDir(staging, i, n))
-		if err != nil {
-			discard()
-			return st, fmt.Errorf("dualindex: staging shard %d: %w", i, err)
-		}
+	if err != nil {
+		discard()
+		return st, fmt.Errorf("dualindex: staging %w", err)
+	}
+	for i, s := range newShards {
 		s.obs = e.obs.shardObs(i)
-		newShards[i] = s
 	}
 
 	// Stream every live document into the staged layout in ascending
@@ -236,21 +232,14 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 			return st, err
 		}
 		// Reopen the committed shards from their final locations.
-		reopened := make([]*shard, n)
-		for i := range reopened {
-			s, err := openShard(newOpts, shardDir(e.opts.Dir, i, n))
-			if err != nil {
-				for _, prev := range reopened {
-					if prev != nil {
-						prev.close()
-					}
-				}
-				err = e.reshardFailedLocked(fmt.Errorf("dualindex: reopening shard %d after reshard: %w", i, err))
-				e.stateMu.Unlock()
-				return st, err
-			}
+		reopened, err := openShards(newOpts, e.opts.Dir, n)
+		if err != nil {
+			err = e.reshardFailedLocked(fmt.Errorf("dualindex: reopening after reshard: %w", err))
+			e.stateMu.Unlock()
+			return st, err
+		}
+		for i, s := range reopened {
 			s.obs = e.obs.shardObs(i)
-			reopened[i] = s
 		}
 		e.shards, e.router, e.opts.Shards = reopened, newRouter, n
 		e.stateMu.Unlock()

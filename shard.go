@@ -76,6 +76,11 @@ type shard struct {
 
 	docs   docstore.Store // nil unless Options.KeepDocuments
 	docErr error          // first deferred document-store failure
+
+	// savedWords is the vocabulary's word count when it was last loaded or
+	// saved, so saveVocab skips a rewrite that would change nothing; -1 on
+	// a fresh shard until its first save. Guarded by mu.
+	savedWords int
 }
 
 // openShard creates one shard, resuming from dir's last checkpoint when one
@@ -129,37 +134,35 @@ func openShard(opts Options, dir string) (*shard, error) {
 		cache:   blockCache,
 		vocab:   vocab.New(),
 		pending: newPendingTier(),
+		// A fresh shard's first save always writes, replacing whatever
+		// vocabulary file the directory may hold.
+		savedWords: -1,
 	}
+	// The checkpoint, the vocabulary and the document log are independent
+	// files: a resumed shard loads them concurrently, longest first.
+	loads := []func() error{func() (err error) {
+		s.index, err = openIndex(cfg, dir, resume)
+		return err
+	}}
 	if resume {
-		s.index, err = core.Open(cfg)
-		if errors.Is(err, core.ErrNoCheckpoint) {
-			// The disk files exist but no batch was ever flushed — a shard
-			// whose every batch so far was empty. Start it fresh; any
-			// documents in its log are still recovered below.
-			s.index, err = core.New(cfg)
-		} else if err != nil {
-			err = fmt.Errorf("reading the checkpoint in %s: %w", dir, err)
-		}
-		if err == nil {
-			err = s.loadVocab()
-		}
-	} else {
-		s.index, err = core.New(cfg)
-	}
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	if opts.KeepDocuments {
-		if dir == "" {
-			s.docs = docstore.NewMem()
-		} else {
-			ds, err := docstore.OpenFile(filepath.Join(dir, "docs.log"))
-			if err != nil {
-				store.Close()
-				return nil, err
+		loads = append(loads, func() (err error) {
+			if s.vocab, err = loadVocab(dir); err == nil {
+				s.savedWords = s.vocab.Len()
 			}
-			s.docs = ds
+			return err
+		})
+	}
+	loads = append(loads, func() (err error) {
+		s.docs, err = openDocs(opts, dir)
+		return err
+	})
+	for _, err := range parallel(len(loads), opts.Workers, func(i int) error { return loads[i]() }) {
+		if err != nil {
+			if s.docs != nil {
+				s.docs.Close()
+			}
+			store.Close()
+			return nil, err
 		}
 	}
 	if resume {
@@ -172,6 +175,42 @@ func openShard(opts Options, dir string) (*shard, error) {
 		}
 	}
 	return s, nil
+}
+
+// openIndex resumes the index from dir's checkpoint, or creates it when the
+// shard is new.
+func openIndex(cfg core.Config, dir string, resume bool) (*core.Index, error) {
+	if !resume {
+		return core.New(cfg)
+	}
+	ix, err := core.Open(cfg)
+	if errors.Is(err, core.ErrNoCheckpoint) {
+		// The disk files exist but no batch was ever flushed — a shard
+		// whose every batch so far was empty. Start it fresh; any
+		// documents in its log are still recovered.
+		return core.New(cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading the checkpoint in %s: %w", dir, err)
+	}
+	return ix, nil
+}
+
+// openDocs opens the shard's document store: nil without
+// Options.KeepDocuments, in memory for an in-memory shard, and otherwise
+// the document log in dir, whose record offsets it scans.
+func openDocs(opts Options, dir string) (docstore.Store, error) {
+	switch {
+	case !opts.KeepDocuments:
+		return nil, nil
+	case dir == "":
+		return docstore.NewMem(), nil
+	}
+	ds, err := docstore.OpenFile(filepath.Join(dir, "docs.log"))
+	if err != nil {
+		return nil, err // not a nil *File in a non-nil Store
+	}
+	return ds, nil
 }
 
 // recoverPendingDocs re-ingests documents that reached the document store
