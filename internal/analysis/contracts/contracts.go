@@ -25,7 +25,8 @@ type Mutex struct {
 
 // LockHierarchy is the engine's documented lock order, outermost first:
 // reshardMu → stateMu → engine mu → per-shard flushMu → per-shard mu →
-// cache lock → per-disk free-list and accounting locks → store locks.
+// cache lock → per-disk free-list and accounting locks → store locks (the
+// block stores' and the document log's).
 var LockHierarchy = []Mutex{
 	{Pkg: "dualindex", Type: "Engine", Field: "reshardMu", Rank: 10},
 	{Pkg: "dualindex", Type: "Engine", Field: "stateMu", Rank: 20},
@@ -37,6 +38,7 @@ var LockHierarchy = []Mutex{
 	{Pkg: "disk", Type: "Array", Field: "mu", Rank: 75},
 	{Pkg: "disk", Type: "MemStore", Field: "mu", Rank: 80},
 	{Pkg: "disk", Type: "asyncDisk", Field: "mu", Rank: 80},
+	{Pkg: "docstore", Type: "File", Field: "mu", Rank: 80},
 }
 
 // A TierPair pairs one mutable read-tier field with the published fields

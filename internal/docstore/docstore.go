@@ -29,8 +29,9 @@ type Store interface {
 	// immutable once written.
 	Put(id postings.DocID, text string) error
 	// Get returns the document's text, with ok false for unknown ids. Gets
-	// may run concurrently with each other: the engine verifies positional
-	// candidates under a shared read lock.
+	// may run concurrently with each other: the engine verifies a
+	// positional query's candidates from several goroutines at once, all
+	// under the shard's shared read lock.
 	Get(id postings.DocID) (text string, ok bool, err error)
 	// Len reports the number of stored documents.
 	Len() int
@@ -81,16 +82,19 @@ func (m *Mem) Close() error { return nil }
 // open, and Compact rebuilds it during its one sequential copy pass, so the
 // file itself is the only durable state.
 //
-// A File is safe for concurrent use. Every method holds mu, because even a
-// Get writes: it flushes the buffered Puts so the record it reads is in the
-// file.
+// A File is safe for concurrent use. Gets of records already in the file
+// share mu's read lock and read with one positioned read each, so they run
+// in parallel; a Get whose record is still in the write buffer takes the
+// write lock to flush it first. Put, Sync, Compact and Close hold the write
+// lock.
 type File struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	path  string // the log's name; f's own name is the temporary one after a Compact
 	f     *os.File
 	w     *bufio.Writer
 	spans map[postings.DocID]span
-	size  int64
+	size  int64 // the log's valid length, buffered records included
+	torn  bool  // the file runs past size: a crash's partial record, cut at the first Put
 }
 
 // span locates one record's text in the log. It is three 32-bit words, so
@@ -108,8 +112,10 @@ func newSpan(off int64, n int) span {
 func (sp span) off() int64 { return int64(sp.offHi)<<32 | int64(sp.offLo) }
 
 // OpenFile opens (creating if needed) a log-file store and rebuilds its
-// index. A trailing partial record — a crash mid-append — is truncated
-// away, mirroring the index's batch-boundary recovery.
+// index. A trailing partial record — a crash mid-append — is ignored, and
+// truncated away by the first Put, mirroring the index's batch-boundary
+// recovery. Opening writes nothing, so an engine whose Open is refused
+// leaves the log as it found it.
 func OpenFile(path string) (*File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -128,8 +134,8 @@ func OpenFile(path string) (*File, error) {
 	return s, nil
 }
 
-// scan rebuilds the offset index, stopping (and truncating) at the first
-// incomplete record.
+// scan rebuilds the offset index, stopping at the first incomplete record
+// and recording whether the file runs past it.
 func (s *File) scan() error {
 	r := bufio.NewReader(s.f)
 	var off int64
@@ -153,7 +159,12 @@ func (s *File) scan() error {
 		off = text + int64(length)
 	}
 	s.size = off
-	return s.f.Truncate(off)
+	fi, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	s.torn = fi.Size() > off
+	return nil
 }
 
 func readUvarint(r *bufio.Reader) (uint64, int, error) {
@@ -185,6 +196,14 @@ func (s *File) Put(id postings.DocID, text string) error {
 	if len(text) > math.MaxUint32 {
 		return fmt.Errorf("docstore: document %d is %d bytes, over the 4 GiB record limit", id, len(text))
 	}
+	if s.torn {
+		// Cut the partial record before the first new byte reaches the
+		// file, so a short record never sits in front of stale tail bytes.
+		if err := s.f.Truncate(s.size); err != nil {
+			return err
+		}
+		s.torn = false
+	}
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(id))
 	hdr = binary.AppendUvarint(hdr, uint64(len(text)))
@@ -199,15 +218,29 @@ func (s *File) Put(id postings.DocID, text string) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. A record already in the file is read under the
+// read lock, concurrently with other such Gets; one still in the write
+// buffer is flushed under the write lock first.
 func (s *File) Get(id postings.DocID) (string, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.get(id)
+	s.mu.RLock()
+	sp, ok := s.spans[id]
+	if ok && s.buffered(sp) {
+		s.mu.RUnlock()
+		return s.flushAndGet(id)
+	}
+	defer s.mu.RUnlock()
+	if !ok {
+		return "", false, nil
+	}
+	return s.read(id, sp)
 }
 
-// get is Get with s.mu held: one read of exactly the text's bytes.
-func (s *File) get(id postings.DocID) (string, bool, error) {
+// flushAndGet is Get for a record that was in the write buffer: it flushes
+// the buffer under the write lock, then reads. The span is looked up again,
+// because a Compact may have replaced the index while no lock was held.
+func (s *File) flushAndGet(id postings.DocID) (string, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sp, ok := s.spans[id]
 	if !ok {
 		return "", false, nil
@@ -215,6 +248,18 @@ func (s *File) get(id postings.DocID) (string, bool, error) {
 	if err := s.w.Flush(); err != nil {
 		return "", false, err
 	}
+	return s.read(id, sp)
+}
+
+// buffered reports whether any of sp's bytes are still in the write buffer
+// rather than the file. Called with s.mu held (either mode).
+func (s *File) buffered(sp span) bool {
+	return sp.off()+int64(sp.n) > s.size-int64(s.w.Buffered())
+}
+
+// read is one positioned read of exactly sp's bytes, which are in the
+// file. Called with s.mu held (either mode).
+func (s *File) read(id postings.DocID, sp span) (string, bool, error) {
 	buf := make([]byte, sp.n)
 	if n, err := s.f.ReadAt(buf, sp.off()); n < len(buf) {
 		return "", false, fmt.Errorf("docstore: reading document %d: %w", id, err)
@@ -225,8 +270,8 @@ func (s *File) get(id postings.DocID) (string, bool, error) {
 
 // Len implements Store.
 func (s *File) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.spans)
 }
 
@@ -293,9 +338,9 @@ func (m *Mem) ForEach(after postings.DocID, fn func(id postings.DocID, text stri
 // ForEach implements Walker for File. fn runs without the store's lock
 // held, so it may call back into the store.
 func (s *File) ForEach(after postings.DocID, fn func(id postings.DocID, text string) error) error {
-	s.mu.Lock()
+	s.mu.RLock()
 	ids := sortedIDs(s.spans, above(after))
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	for _, id := range ids {
 		text, ok, err := s.Get(id)
 		if err != nil {
@@ -358,9 +403,10 @@ func (s *File) Compact(keep func(postings.DocID) bool) error {
 		os.Remove(tmpPath)
 		return err
 	}
-	// The writes left tmp's offset at its end, where the next Put appends.
+	// The writes left tmp's offset at its end, where the next Put appends;
+	// the copy ends at the last whole record, so no torn tail came along.
 	s.f.Close()
-	s.f, s.w, s.spans, s.size = tmp, bufio.NewWriter(tmp), spans, size
+	s.f, s.w, s.spans, s.size, s.torn = tmp, bufio.NewWriter(tmp), spans, size, false
 	return syncDir(filepath.Dir(s.path))
 }
 

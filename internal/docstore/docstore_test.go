@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"dualindex/internal/postings"
@@ -152,6 +153,8 @@ func TestFileTruncatesPartialRecord(t *testing.T) {
 	f.Write([]byte{9, 200, 200}) // id 9, then an unterminated varint length
 	f.Close()
 
+	torn := fileSize(t, path)
+
 	re, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +162,10 @@ func TestFileTruncatesPartialRecord(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 1 {
 		t.Fatalf("Len = %d after partial-record truncation", re.Len())
+	}
+	// Opening writes nothing: the torn tail stays until the first Put.
+	if got := fileSize(t, path); got != torn {
+		t.Fatalf("OpenFile changed the log from %d to %d bytes", torn, got)
 	}
 	if got, ok, _ := re.Get(1); !ok || got != "complete record" {
 		t.Fatal("intact record damaged")
@@ -170,6 +177,65 @@ func TestFileTruncatesPartialRecord(t *testing.T) {
 	if got, ok, _ := re.Get(2); !ok || got != "recovered" {
 		t.Fatal("append after truncation lost")
 	}
+}
+
+// TestFilePutCutsLongerTornTail: a torn tail longer than the first record
+// appended after it is cut, not overwritten in place, so the stale bytes
+// past the new record cannot be read back as a record at the next open.
+func TestFilePutCutsLongerTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "docs.log")
+	s, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(1, "complete record")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	valid := fileSize(t, path)
+	// A header claiming 100 bytes, then 60 of them: a crash mid-append.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(append([]byte{9, 100}, strings.Repeat("z", 60)...))
+	f.Close()
+
+	re, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Put(2, "short"); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileSize(t, path), valid+2+int64(len("short")); got != want {
+		t.Fatalf("log is %d bytes after the first Put, want %d", got, want)
+	}
+	re, err = OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for id, want := range map[postings.DocID]string{1: "complete record", 2: "short"} {
+		if got, ok, err := re.Get(id); err != nil || !ok || got != want {
+			t.Errorf("Get(%d) = %q, %v, %v; want %q", id, got, ok, err, want)
+		}
+	}
+	if re.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", re.Len())
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 func TestQuickFileRoundtrip(t *testing.T) {
@@ -430,5 +496,68 @@ func TestFileConcurrentGetWhileBuffered(t *testing.T) {
 		if n != 1 {
 			t.Errorf("doc %d walked %d times", id, n)
 		}
+	}
+}
+
+// TestFileConcurrentGets: Gets of records already in the file share the read
+// lock. Several goroutines read every stored document at once — run under
+// -race — and one Get completes while another reader holds the read lock,
+// which a Get that locked exclusively could not. A Get right after an
+// unsynced Put flushes under the write lock and returns the new text.
+func TestFileConcurrentGets(t *testing.T) {
+	s, err := OpenFile(filepath.Join(t.TempDir(), "docs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	text := func(id postings.DocID) string { return strings.Repeat("v", int(id)%11) + " stored" }
+	const docs, readers = 64, 4
+	for id := postings.DocID(1); id <= docs; id++ {
+		if err := s.Put(id, text(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := postings.DocID(1); id <= docs; id++ {
+				if got, ok, err := s.Get(id); err != nil || !ok || got != text(id) {
+					t.Errorf("Get(%d) = %q, %v, %v", id, got, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	s.mu.RLock()
+	done := make(chan string, 1)
+	go func() {
+		got, _, _ := s.Get(docs / 2)
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if got != text(docs/2) {
+			t.Errorf("Get under a shared read lock = %q", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Get of a flushed record waited for another reader's lock")
+	}
+	s.mu.RUnlock()
+
+	if err := s.Put(docs+1, "written, not synced"); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get(docs + 1); err != nil || !ok || got != "written, not synced" {
+		t.Fatalf("Get after an unsynced Put = %q, %v, %v", got, ok, err)
+	}
+	if n := s.w.Buffered(); n != 0 {
+		t.Fatalf("Get of a buffered record left %d bytes buffered", n)
 	}
 }

@@ -202,8 +202,12 @@ type Options struct {
 	// same images. It caps how many shards FlushBatch applies, and Open
 	// loads, concurrently; within a shard, Open reads the checkpoint's
 	// per-disk chunks with at most Workers goroutines, alongside the
-	// vocabulary and the document log. 0 defaults to NumDisks (one
-	// in-flight read per disk); 1 disables the in-shard parallelism.
+	// vocabulary and the document log. It also bounds candidate
+	// verification per shard: a phrase, proximity or region query reads
+	// and checks its candidates' stored texts with at most Workers
+	// goroutines, in chunks of 16, so a query with few candidates stays on
+	// one. 0 defaults to NumDisks (one in-flight read per disk); 1 disables
+	// the in-shard parallelism.
 	Workers int
 	// CacheBlocks, when positive, layers an LRU block cache of that many
 	// blocks (per shard) over the store, so repeated reads of hot chunks —

@@ -116,9 +116,17 @@ func dirImage(t *testing.T, dir string) map[string][sha256.Size]byte {
 // in dir byte-identical afterwards.
 func openRefused(t *testing.T, dir string, want ...string) {
 	t.Helper()
-	before := dirImage(t, dir)
 	opts := smallOpts(0)
 	opts.Dir = dir
+	openRefusedWith(t, opts, want...)
+}
+
+// openRefusedWith is openRefused under the given options, whose Dir names
+// the directory.
+func openRefusedWith(t *testing.T, opts Options, want ...string) {
+	t.Helper()
+	dir := opts.Dir
+	before := dirImage(t, dir)
 	eng, err := Open(opts)
 	if err == nil {
 		eng.Close()
@@ -174,22 +182,70 @@ func TestOpenVersion1ManifestRefused(t *testing.T) {
 func TestOpenOldSuperblockRefused(t *testing.T) {
 	for _, version := range []byte{1, 2} {
 		dir := persistDir(t, 1)
-		path := filepath.Join(dir, "disk0.dat")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The superblock opens disk 0: the magic's varint, then the
-		// version's, which is one byte.
-		_, n := binary.Uvarint(data)
-		if n <= 0 || data[n] != 3 {
-			t.Fatalf("disk0.dat does not open with a version-3 superblock")
-		}
-		data[n] = version
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		setSuperblockVersion(t, filepath.Join(dir, "disk0.dat"), version)
 		openRefused(t, dir, fmt.Sprintf("superblock version %d predates", version), "rebuild the index")
+	}
+}
+
+// TestOpenRefusedKeepsTornDocLog: a refused Open leaves every shard's
+// document log as it found it, torn tail included, even in a shard that
+// opened before another shard's refusal. Shard 0's log ends in a one-byte
+// partial record header and shard 1's superblock is version 2.
+func TestOpenRefusedKeepsTornDocLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := smallOpts(2)
+	opts.Dir = dir
+	opts.KeepDocuments = true
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range synthTexts(71, 40, 25, 15) {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.OpenFile(filepath.Join(dir, "shard-0", "docs.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Write([]byte{0x80}); err != nil { // an unterminated id varint
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	setSuperblockVersion(t, filepath.Join(dir, "shard-1", "disk0.dat"), 2)
+	for _, workers := range []int{1, 2} {
+		opts := smallOpts(0)
+		opts.Dir = dir
+		opts.KeepDocuments = true
+		opts.Workers = workers
+		openRefusedWith(t, opts, "shard 1", "superblock version 2 predates")
+	}
+}
+
+// setSuperblockVersion rewrites the version of the superblock that opens
+// the disk file at path, which must be version 3.
+func setSuperblockVersion(t *testing.T, path string, version byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The superblock opens disk 0: the magic's varint, then the version's,
+	// which is one byte.
+	_, n := binary.Uvarint(data)
+	if n <= 0 || data[n] != 3 {
+		t.Fatalf("%s does not open with a version-3 superblock", path)
+	}
+	data[n] = version
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

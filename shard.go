@@ -627,28 +627,54 @@ func (s *shard) ioCounts() disk.DiskOps {
 	return disk.DiskOps{ReadOps: a.ReadOps(), WriteOps: a.WriteOps(), ReadBlocks: a.ReadBlocks(), WriteBlocks: a.WriteBlocks()}
 }
 
+// verifyChunk is how many candidates one verification task checks: few
+// enough that a few hundred candidates spread over the workers, enough that
+// a query with a handful stays on the calling goroutine.
+const verifyChunk = 16
+
 // verifyDocs is the positional half of candidate verification (the
 // executor's VerifyFunc): it keeps the candidates whose stored text
 // satisfies check. Each candidate costs one document-store read and one
 // streaming pass over its tokens that stops as soon as the check is decided
 // (query.Check.MatchText); no token slice is built. Pending documents are in
 // the store from the moment AddDocument returns, so flushed and unflushed
-// candidates take this same path and verify identically. Called under
-// s.mu.RLock, from plan execution.
+// candidates take this same path and verify identically.
+//
+// The candidates are checked in chunks of verifyChunk, at most
+// Options.Workers chunks at a time; the document store serves concurrent
+// Gets. Each candidate's verdict lands in its own slot and the survivors
+// are collected in candidate order, so the answer is ascending and equal
+// to a serial pass's. Any failure fails the whole call, with the error of
+// the first failing candidate in candidate order: no partial answer
+// escapes. Called under s.mu.RLock, from plan execution.
 func (s *shard) verifyDocs(candidates []DocID, check query.Check) ([]DocID, error) {
 	if s.docs == nil {
 		return nil, fmt.Errorf("dualindex: positional queries need Options.KeepDocuments")
 	}
-	var out []DocID
-	for _, d := range candidates {
-		text, ok, err := s.docs.Get(d)
+	keep := make([]bool, len(candidates))
+	chunks := (len(candidates) + verifyChunk - 1) / verifyChunk
+	errs := parallel(chunks, s.opts.Workers, func(c int) error {
+		lo := c * verifyChunk
+		for i, d := range candidates[lo:min(lo+verifyChunk, len(candidates))] {
+			text, ok, err := s.docs.Get(d)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("dualindex: indexed document %d missing from the document store", d)
+			}
+			keep[lo+i] = check.MatchText(text, s.opts.Lexer)
+		}
+		return nil
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("dualindex: indexed document %d missing from the document store", d)
-		}
-		if check.MatchText(text, s.opts.Lexer) {
+	}
+	var out []DocID
+	for i, d := range candidates {
+		if keep[i] {
 			out = append(out, d)
 		}
 	}
