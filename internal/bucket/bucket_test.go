@@ -170,7 +170,7 @@ func TestTrackPostingsKeepsLists(t *testing.T) {
 	}
 	got := s.List(7)
 	want := postings.FromDocs([]postings.DocID{1, 3, 5, 8, 9})
-	if !slices.Equal(got.Postings(), want.Postings()) {
+	if !slices.Equal(got.Docs(), want.Docs()) {
 		t.Fatalf("List = %v, want %v", got.Docs(), want.Docs())
 	}
 	// Evicted entries carry their lists out.
@@ -239,7 +239,7 @@ func TestEncodeDecodeBucketWithPostings(t *testing.T) {
 	if _, err := s2.DecodeBucket(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(s2.List(1).Postings(), s.List(1).Postings()) || !slices.Equal(s2.List(2).Postings(), s.List(2).Postings()) {
+	if !slices.Equal(s2.List(1).Docs(), s.List(1).Docs()) || !slices.Equal(s2.List(2).Docs(), s.List(2).Docs()) {
 		t.Fatal("decoded lists differ")
 	}
 }

@@ -104,6 +104,7 @@ func TestDirectoryRejectsInvalidChunk(t *testing.T) {
 // TestZeroedRawBlockIsAnError zeroes the first block of a raw long list in
 // the store, as an unwritten or corrupt block would read: GetList and
 // CheckConsistency must report it as an error naming the chunk, not panic.
+// Its first record reads as document 0 with frequency 0, which is refused.
 func TestZeroedRawBlockIsAnError(t *testing.T) {
 	ix, words := corruptibleIndex(t)
 	var w postings.WordID
@@ -122,5 +123,5 @@ func TestZeroedRawBlockIsAnError(t *testing.T) {
 	}
 	_, err := ix.GetList(w)
 	wantError(t, err, fmt.Sprintf("word %d chunk at %d/%d", w, c.Disk, c.Block))
-	wantError(t, ix.CheckConsistency(), "out of order")
+	wantError(t, ix.CheckConsistency(), "record 0 has frequency 0")
 }

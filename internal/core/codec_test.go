@@ -180,7 +180,7 @@ func differential(t *testing.T, id postings.CodecID, p longlist.Policy, sh diffS
 				if err != nil {
 					t.Fatalf("%s: workers=%d GetList(%d): %v", stage, workers, w, err)
 				}
-				if !slices.Equal(got.Postings(), want.Postings()) {
+				if !slices.Equal(got.Docs(), want.Docs()) {
 					t.Fatalf("%s: workers=%d word %d: %d postings, reference %d", stage, workers, w, got.Len(), want.Len())
 				}
 			}
@@ -251,7 +251,7 @@ func TestCodecRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Postings(), l.Postings()) {
+			if !slices.Equal(got.Docs(), l.Docs()) {
 				t.Fatalf("word %d differs after restart", w)
 			}
 		}
@@ -322,10 +322,10 @@ func TestCodecSweep(t *testing.T) {
 		}
 		// Delete every third document and sweep.
 		deleted := map[postings.DocID]bool{}
-		for i, p := range before.Postings() {
+		for i, d := range before.Docs() {
 			if i%3 == 0 {
-				ix.Delete(p.Doc)
-				deleted[p.Doc] = true
+				ix.Delete(d)
+				deleted[d] = true
 			}
 		}
 		if err := ix.Sweep(); err != nil {
@@ -338,9 +338,9 @@ func TestCodecSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range after.Postings() {
-			if deleted[p.Doc] {
-				t.Fatalf("doc %d survived the sweep", p.Doc)
+		for _, d := range after.Docs() {
+			if deleted[d] {
+				t.Fatalf("doc %d survived the sweep", d)
 			}
 		}
 		if want := before.Len() - len(deleted); after.Len() != want {

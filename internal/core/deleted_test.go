@@ -54,7 +54,7 @@ func checkDeletionView(t *testing.T, stage string, v interface {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := filtered(docs, deleted); !slices.Equal(got.Postings(), want.Postings()) {
+		if want := filtered(docs, deleted); !slices.Equal(got.Docs(), want.Docs()) {
 			t.Fatalf("%s: word %d has %v, want %v", stage, w, got.Docs(), want.Docs())
 		}
 	}

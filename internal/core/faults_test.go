@@ -147,7 +147,7 @@ func TestCrashMidBatchRecoversLastCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(a.Postings(), b.Postings()) {
+		if !slices.Equal(a.Docs(), b.Docs()) {
 			t.Fatalf("word %d: recovered index differs (%d vs %d postings)", w, b.Len(), a.Len())
 		}
 	}

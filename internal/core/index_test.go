@@ -252,7 +252,7 @@ func TestStoreModeEndToEndQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := postings.FromDocs(docs)
-		if !slices.Equal(got.Postings(), want.Postings()) {
+		if !slices.Equal(got.Docs(), want.Docs()) {
 			t.Fatalf("word %d: got %d postings, want %d (source %v)", w, got.Len(), want.Len(), ix.Lookup(w))
 		}
 	}
@@ -394,7 +394,7 @@ func TestRestartEqualsUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(a.Postings(), b.Postings()) {
+		if !slices.Equal(a.Docs(), b.Docs()) {
 			t.Fatalf("word %d differs after restart: %d vs %d postings (sources %v/%v)",
 				w, a.Len(), b.Len(), full.Lookup(w), reopened.Lookup(w))
 		}
@@ -489,7 +489,7 @@ func TestApplyBatchFromCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got.Postings(), postings.FromDocs(docs).Postings()) {
+	if !slices.Equal(got.Docs(), postings.FromDocs(docs).Docs()) {
 		t.Fatalf("word %d: %d postings, want %d", w, got.Len(), len(docs))
 	}
 }

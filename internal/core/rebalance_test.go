@@ -46,7 +46,7 @@ func checkAgainstRef(t *testing.T, ix *Index, ref map[postings.WordID][]postings
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Postings(), postings.FromDocs(docs).Postings()) {
+		if !slices.Equal(got.Docs(), postings.FromDocs(docs).Docs()) {
 			t.Fatalf("word %d: %d postings, want %d (source %v)", w, got.Len(), len(docs), ix.Lookup(w))
 		}
 	}
@@ -240,7 +240,7 @@ func TestRestartAfterSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Postings(), want.Postings()) {
+		if !slices.Equal(got.Docs(), want.Docs()) {
 			t.Fatalf("word %d: %d postings, want %d", w, got.Len(), want.Len())
 		}
 	}

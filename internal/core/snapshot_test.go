@@ -78,7 +78,7 @@ func TestSnapshotStableDuringApply(t *testing.T) {
 						t.Errorf("word %d: %v", w, err)
 						return
 					}
-					if !slices.Equal(got.Postings(), want[w].Postings()) {
+					if !slices.Equal(got.Docs(), want[w].Docs()) {
 						t.Errorf("word %d: snapshot answer changed during the update: %d postings, want %d",
 							w, got.Len(), want[w].Len())
 						return

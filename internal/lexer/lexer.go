@@ -20,10 +20,6 @@ import (
 
 // Options control tokenization. The zero value gives the paper's behaviour.
 type Options struct {
-	// KeepDuplicates keeps one token per occurrence instead of deduplicating
-	// per document. The paper drops duplicates ("duplicate tokens for a
-	// document are dropped"); full-text positional indexes would keep them.
-	KeepDuplicates bool
 	// SkipHeaders lists line prefixes (matched case-insensitively) whose
 	// whole line is ignored. If nil, DefaultSkipHeaders is used. Pass an
 	// empty non-nil slice to skip nothing.
@@ -46,8 +42,9 @@ var DefaultSkipHeaders = []string{
 }
 
 // Tokenize splits a document into lowercase words per the paper's rules.
-// The result is sorted and (unless KeepDuplicates) duplicate-free, matching
-// the paper's Figure 4 example output. It collects what Tokens.Scan finds.
+// The result is sorted and duplicate-free — the paper drops duplicates
+// ("duplicate tokens for a document are dropped") — matching its Figure 4
+// example output. It collects what Tokens.Scan finds.
 func Tokenize(doc string, opt Options) []string {
 	var t Tokens
 	t.Scan(doc, opt)
@@ -59,10 +56,7 @@ func Tokenize(doc string, opt Options) []string {
 		tokens[i] = string(t.Word(i))
 	}
 	slices.Sort(tokens)
-	if !opt.KeepDuplicates {
-		tokens = slices.Compact(tokens)
-	}
-	return tokens
+	return slices.Compact(tokens)
 }
 
 // Tokens is one document's tokens in text order, every occurrence kept: the

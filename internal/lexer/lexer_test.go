@@ -58,13 +58,6 @@ func TestTokenizeEmptySkipList(t *testing.T) {
 	}
 }
 
-func TestTokenizeKeepDuplicates(t *testing.T) {
-	got := Tokenize("cat cat dog", Options{KeepDuplicates: true})
-	if len(got) != 3 {
-		t.Errorf("KeepDuplicates got %v", got)
-	}
-}
-
 func TestTokenizeMinTokenLen(t *testing.T) {
 	got := Tokenize("a bb ccc", Options{MinTokenLen: 2})
 	want := []string{"bb", "ccc"}

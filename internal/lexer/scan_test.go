@@ -25,10 +25,7 @@ func referenceTokenize(doc string, opt Options) []string {
 		tokens = appendLineTokens(tokens, line, opt)
 	}
 	slices.Sort(tokens)
-	if !opt.KeepDuplicates {
-		tokens = dedupeSorted(tokens)
-	}
-	return tokens
+	return dedupeSorted(tokens)
 }
 
 // appendLineTokens scans one line for letter-runs and digit-runs. A run of
@@ -106,9 +103,7 @@ func referenceTokenizePositions(doc string, opt Options) []Token {
 		} else if skipLine(line, skip) {
 			continue
 		}
-		lineOpt := opt
-		lineOpt.KeepDuplicates = true
-		for _, w := range appendLineTokens(nil, line, lineOpt) {
+		for _, w := range appendLineTokens(nil, line, opt) {
 			tokens = append(tokens, Token{Word: w, Pos: pos, Region: region})
 			pos++
 		}
@@ -220,12 +215,11 @@ func FuzzScanPositions(f *testing.F) {
 // option alone, the header list nil, empty and custom, and a mix.
 var tokenizeOptions = []Options{
 	{},
-	{KeepDuplicates: true},
 	{MinTokenLen: 3},
 	{StopWords: map[string]bool{"the": true, "and": true, "cat": true, "42": true}},
 	{SkipHeaders: []string{}},
 	{SkipHeaders: []string{"subject:", "x-", "the"}},
-	{KeepDuplicates: true, MinTokenLen: 2, StopWords: map[string]bool{"news": true}, SkipHeaders: []string{"from:"}},
+	{MinTokenLen: 2, StopWords: map[string]bool{"news": true}, SkipHeaders: []string{"from:"}},
 }
 
 // tokenizeSeeds are scanSeeds plus what the engine feeds the add path:
@@ -261,7 +255,7 @@ func TestTokenizeMatchesReference(t *testing.T) {
 
 // FuzzScanMatchesTokenize compares Tokenize, now a collector over
 // Tokens.Scan, with the reference tokenizer on arbitrary bytes: the same
-// sorted multiset under KeepDuplicates, the same sorted set otherwise.
+// sorted set of words.
 func FuzzScanMatchesTokenize(f *testing.F) {
 	for _, s := range tokenizeSeeds(f) {
 		f.Add(s)

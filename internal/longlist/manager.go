@@ -230,7 +230,7 @@ func (m *Manager) updateInPlace(w postings.WordID, last directory.ChunkRef, coun
 	if buf != nil {
 		out = make([]byte, writeBlocks*int64(m.array.Geometry().BlockSize))
 		copy(out, buf)
-		writeRecords(out[(last.Postings%m.blockPosting)*PostingBytes:], list.Postings())
+		writeRecords(out[(last.Postings%m.blockPosting)*PostingBytes:], list.Docs())
 	}
 	if err := m.array.Stage(last.Disk, readBlock, writeBlocks, out, disk.TagLong); err != nil {
 		return false, err
@@ -399,7 +399,7 @@ func presized(chunks []directory.ChunkRef) *postings.List {
 	for _, c := range chunks {
 		n += c.Postings
 	}
-	return postings.NewList(make([]postings.Posting, 0, n))
+	return postings.NewList(make([]postings.DocID, 0, n))
 }
 
 // ReadList reads word w's entire long list for query evaluation, returning
@@ -454,37 +454,43 @@ func (m *Manager) EndBatch() {
 // PendingReleases reports how many chunks await deallocation.
 func (m *Manager) PendingReleases() int { return len(m.release) }
 
-// writeRecords packs postings as fixed-width records into dst.
-func writeRecords(dst []byte, ps []postings.Posting) {
-	for i, p := range ps {
-		binary.LittleEndian.PutUint32(dst[i*PostingBytes:], uint32(p.Doc))
-		binary.LittleEndian.PutUint32(dst[i*PostingBytes+4:], p.Freq)
+// recordFreq is the frequency field of every record: the index records
+// word sets, so it is always 1, and a record holding another is corrupt.
+const recordFreq = 1
+
+// writeRecords packs postings as fixed-width (doc, 1) records into dst.
+func writeRecords(dst []byte, docs []postings.DocID) {
+	for i, d := range docs {
+		binary.LittleEndian.PutUint32(dst[i*PostingBytes:], uint32(d))
+		binary.LittleEndian.PutUint32(dst[i*PostingBytes+4:], recordFreq)
 	}
 }
 
 // recordsOf renders postings [off, off+n) of list as records.
 func recordsOf(list *postings.List, off, n int64) []byte {
 	out := make([]byte, n*PostingBytes)
-	writeRecords(out, list.Postings()[off:off+n])
+	writeRecords(out, list.Docs()[off:off+n])
 	return out
 }
 
 // readRecords decodes n fixed-width records from buf. Records out of
-// document order (an unwritten or corrupt block) are an error.
+// document order (an unwritten or corrupt block), or with a frequency
+// other than 1, are an error.
 func readRecords(buf []byte, n int64) (*postings.List, error) {
 	if int64(len(buf)) < n*PostingBytes {
 		return nil, fmt.Errorf("longlist: %d bytes short of %d records", len(buf), n)
 	}
-	ps := make([]postings.Posting, n)
-	for i := range ps {
-		ps[i] = postings.Posting{
-			Doc:  postings.DocID(binary.LittleEndian.Uint32(buf[i*PostingBytes:])),
-			Freq: binary.LittleEndian.Uint32(buf[i*PostingBytes+4:]),
+	docs := make([]postings.DocID, n)
+	for i := range docs {
+		rec := binary.LittleEndian.Uint64(buf[i*PostingBytes:])
+		if f := rec >> 32; f != recordFreq {
+			return nil, fmt.Errorf("%w: record %d has frequency %d", postings.ErrCorrupt, i, f)
 		}
-		if i > 0 && ps[i].Doc <= ps[i-1].Doc {
+		docs[i] = postings.DocID(rec)
+		if i > 0 && docs[i] <= docs[i-1] {
 			return nil, fmt.Errorf("%w: record %d out of order: %d <= %d",
-				postings.ErrCorrupt, i, ps[i].Doc, ps[i-1].Doc)
+				postings.ErrCorrupt, i, docs[i], docs[i-1])
 		}
 	}
-	return postings.NewList(ps), nil
+	return postings.NewList(docs), nil
 }

@@ -330,7 +330,7 @@ func TestStoreModeRoundtripAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Postings(), want.Postings()) {
+			if !slices.Equal(got.Docs(), want.Docs()) {
 				t.Fatalf("policy %v: read %d postings, want %d", p, got.Len(), want.Len())
 			}
 			if reads != len(m.dir.Chunks(9)) {
@@ -357,7 +357,7 @@ func TestRewriteShrinksList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got.Postings(), kept.Postings()) {
+	if !slices.Equal(got.Docs(), kept.Docs()) {
 		t.Fatalf("after rewrite got %d postings", got.Len())
 	}
 	if len(m.dir.Chunks(4)) != 1 {
@@ -439,7 +439,7 @@ func TestQuickAllPoliciesAgreeOnContent(t *testing.T) {
 				continue
 			}
 			for w, l := range got {
-				if !slices.Equal(l.Postings(), reference[w].Postings()) {
+				if !slices.Equal(l.Docs(), reference[w].Docs()) {
 					return false
 				}
 			}

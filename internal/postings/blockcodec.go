@@ -3,7 +3,6 @@ package postings
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // This file defines the block codec layer: the pluggable encoding applied to
@@ -30,11 +29,13 @@ const (
 	// CodecRaw is the fixed 8-byte record layout (no compression) — the
 	// default, and the only codec usable in pure simulation mode.
 	CodecRaw CodecID = iota
-	// CodecVarint delta-codes document gaps and writes gaps and frequencies
-	// as unsigned varints (the codec.go encoding, per block).
+	// CodecVarint delta-codes document gaps and writes each as an unsigned
+	// varint followed by the frequency varint 1 (the codec.go encoding, per
+	// block).
 	CodecVarint
 	// CodecGolomb Golomb-codes document gaps with a per-block parameter
-	// tuned to the block's posting density (the golomb.go encoding).
+	// tuned to the block's posting density (the golomb.go encoding), each
+	// followed by a one-bit frequency of 1.
 	CodecGolomb
 )
 
@@ -75,7 +76,7 @@ const MinCodecBlockSize = 64
 type BlockCodec interface {
 	// ID reports which codec this is.
 	ID() CodecID
-	// EncodeBlock encodes a prefix of l.Postings()[from:] into at most
+	// EncodeBlock encodes a prefix of l.Docs()[from:] into at most
 	// blockSize bytes and returns the encoding and how many postings it
 	// holds. At least one posting is always packed (blockSize must be at
 	// least MinCodecBlockSize).
@@ -101,26 +102,25 @@ func NewBlockCodec(id CodecID) (BlockCodec, error) {
 
 // varintCodec: each block is exactly the codec.go list encoding — varint
 // count, then per posting a varint doc gap (delta chain restarted at the
-// block, first gap = doc+1) and a varint frequency.
+// block, first gap = doc+1) and the frequency varint 1.
 type varintCodec struct{}
 
 func (varintCodec) ID() CodecID { return CodecVarint }
 
 func (varintCodec) EncodeBlock(l *List, from, blockSize int) ([]byte, int) {
-	ps := l.Postings()[from:]
+	docs := l.Docs()[from:]
 	n, size := 0, 0
 	prev := uint64(0)
-	for _, p := range ps {
-		gap := uint64(p.Doc) + 1 - prev
-		d := uvarintLen(gap) + uvarintLen(uint64(p.Freq))
+	for _, doc := range docs {
+		d := uvarintLen(uint64(doc)+1-prev) + 1
 		if n > 0 && size+d+uvarintLen(uint64(n+1)) > blockSize {
 			break
 		}
 		size += d
-		prev = uint64(p.Doc) + 1
+		prev = uint64(doc) + 1
 		n++
 	}
-	buf := Encode(nil, &List{ps: ps[:n]})
+	buf := Encode(nil, &List{docs: docs[:n]})
 	if len(buf) > blockSize {
 		panic(fmt.Sprintf("postings: varint block %d bytes exceeds block size %d", len(buf), blockSize))
 	}
@@ -133,19 +133,20 @@ func (varintCodec) DecodeBlock(buf []byte) (*List, error) {
 }
 
 // golombCodec: each block holds a varint count, the Golomb parameter b, the
-// first posting verbatim (varint absolute doc and frequency — absolute, so a
-// sparse first gap never explodes into a long unary run), then the remaining
-// postings Golomb-coded against b, which is tuned to the block's own density.
+// first posting verbatim (varint absolute doc and frequency 1 — absolute, so
+// a sparse first gap never explodes into a long unary run), then the
+// remaining postings Golomb-coded against b, which is tuned to the block's
+// own density.
 type golombCodec struct{}
 
 func (golombCodec) ID() CodecID { return CodecGolomb }
 
-// golombBlockSize reports the exact encoded size of ps as one Golomb block.
-func golombBlockSize(ps []Posting) int {
-	n := len(ps)
-	b := golombBlockParameter(ps)
-	size := uvarintLen(uint64(n)) + uvarintLen(b) +
-		uvarintLen(uint64(ps[0].Doc)) + uvarintLen(uint64(ps[0].Freq))
+// golombBlockSize reports the exact encoded size of docs as one Golomb
+// block.
+func golombBlockSize(docs []DocID) int {
+	n := len(docs)
+	b := golombBlockParameter(docs)
+	size := uvarintLen(uint64(n)) + uvarintLen(b) + uvarintLen(uint64(docs[0])) + 1
 	if n == 1 {
 		return size
 	}
@@ -155,10 +156,10 @@ func golombBlockSize(ps []Posting) int {
 	}
 	cutoff := uint64(1)<<rbits - b
 	bits := 0
-	prev := uint64(ps[0].Doc) + 1
-	for _, p := range ps[1:] {
-		gap := uint64(p.Doc) + 1 - prev
-		prev = uint64(p.Doc) + 1
+	prev := uint64(docs[0]) + 1
+	for _, d := range docs[1:] {
+		gap := uint64(d) + 1 - prev
+		prev = uint64(d) + 1
 		bits += int((gap-1)/b) + 1 // unary quotient + terminator
 		if r := (gap - 1) % b; r < cutoff {
 			if rbits > 0 {
@@ -167,54 +168,54 @@ func golombBlockSize(ps []Posting) int {
 		} else {
 			bits += int(rbits)
 		}
-		bits += int(p.Freq) // unary frequency: freq-1 ones + terminator
+		bits++ // the frequency 1: its unary terminator
 	}
 	return size + (bits+7)/8
 }
 
 // golombBlockParameter tunes b to the block's own gap density: the classic
 // 0.69·N/f with N the document span covered by the postings after the first.
-func golombBlockParameter(ps []Posting) uint64 {
-	if len(ps) < 2 {
+func golombBlockParameter(docs []DocID) uint64 {
+	if len(docs) < 2 {
 		return 1
 	}
-	span := int64(ps[len(ps)-1].Doc) - int64(ps[0].Doc)
-	return GolombParameter(span, int64(len(ps)-1))
+	span := int64(docs[len(docs)-1]) - int64(docs[0])
+	return GolombParameter(span, int64(len(docs)-1))
 }
 
 func (golombCodec) EncodeBlock(l *List, from, blockSize int) ([]byte, int) {
-	ps := l.Postings()[from:]
+	docs := l.Docs()[from:]
 	// Largest prefix that fits: binary search on the exact encoded size,
 	// then a verification walk-down (the size is not perfectly monotone in
 	// n because b retunes as postings join).
-	lo, hi := 1, len(ps)
+	lo, hi := 1, len(docs)
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if golombBlockSize(ps[:mid]) <= blockSize {
+		if golombBlockSize(docs[:mid]) <= blockSize {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	n := lo
-	for n > 1 && golombBlockSize(ps[:n]) > blockSize {
+	for n > 1 && golombBlockSize(docs[:n]) > blockSize {
 		n--
 	}
-	buf := encodeGolombBlock(ps[:n])
+	buf := encodeGolombBlock(docs[:n])
 	if len(buf) > blockSize {
 		panic(fmt.Sprintf("postings: golomb block %d bytes exceeds block size %d", len(buf), blockSize))
 	}
 	return buf, n
 }
 
-func encodeGolombBlock(ps []Posting) []byte {
-	b := golombBlockParameter(ps)
-	buf := binary.AppendUvarint(nil, uint64(len(ps)))
+func encodeGolombBlock(docs []DocID) []byte {
+	b := golombBlockParameter(docs)
+	buf := binary.AppendUvarint(nil, uint64(len(docs)))
 	buf = binary.AppendUvarint(buf, b)
-	buf = binary.AppendUvarint(buf, uint64(ps[0].Doc))
-	buf = binary.AppendUvarint(buf, uint64(ps[0].Freq))
-	if len(ps) > 1 {
-		buf = encodeGolombFrom(buf, ps[1:], uint64(ps[0].Doc)+1, b)
+	buf = binary.AppendUvarint(buf, uint64(docs[0]))
+	buf = append(buf, storedFreq)
+	if len(docs) > 1 {
+		buf = encodeGolombFrom(buf, docs[1:], uint64(docs[0])+1, b)
 	}
 	return buf
 }
@@ -251,23 +252,18 @@ func (golombCodec) DecodeBlock(buf []byte) (*List, error) {
 	if err != nil {
 		return nil, err
 	}
-	if firstDoc > uint64(^DocID(0)) || firstFreq == 0 || firstFreq > math.MaxUint32 {
+	if firstDoc > uint64(^DocID(0)) || firstFreq != storedFreq {
 		return nil, fmt.Errorf("%w: bad first posting", ErrCorrupt)
 	}
-	first := Posting{Doc: DocID(firstDoc), Freq: uint32(firstFreq)}
+	first := &List{docs: []DocID{DocID(firstDoc)}}
 	if n == 1 {
-		return NewList([]Posting{first}), nil
+		return first, nil
 	}
 	rest, err := decodeGolombFrom(buf[off:], int(n-1), b, firstDoc+1)
 	if err != nil {
 		return nil, err
 	}
-	out := &List{ps: make([]Posting, 0, n)}
-	out.ps = append(out.ps, first)
-	if err := out.Append(rest); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return out, nil
+	return Concat(first, rest)
 }
 
 // PackBlocks encodes count postings of l starting at from into consecutive
@@ -290,7 +286,7 @@ func PackBlocksLimit(c BlockCodec, l *List, from, count, blockSize, maxBlocks in
 	if blockSize < MinCodecBlockSize {
 		panic(fmt.Sprintf("postings: block size %d below codec minimum %d", blockSize, MinCodecBlockSize))
 	}
-	window := &List{ps: l.Postings()[from : from+count]}
+	window := &List{docs: l.Docs()[from : from+count]}
 	for packed < count && blocks < maxBlocks {
 		enc, n := c.EncodeBlock(window, packed, blockSize)
 		image = append(image, enc...)
@@ -307,7 +303,7 @@ func PackBlocksLimit(c BlockCodec, l *List, from, count, blockSize, maxBlocks in
 // UnpackBlocks decodes count postings from an image of consecutive encoded
 // blocks, the inverse of PackBlocks.
 func UnpackBlocks(c BlockCodec, buf []byte, blockSize, count int) (*List, error) {
-	out := &List{ps: make([]Posting, 0, count)}
+	out := &List{docs: make([]DocID, 0, count)}
 	for off := 0; out.Len() < count; off += blockSize {
 		if off >= len(buf) {
 			return nil, fmt.Errorf("%w: %d blocks hold %d of %d postings",

@@ -9,13 +9,13 @@ import (
 )
 
 func codecList(n int, gap uint32) *List {
-	ps := make([]Posting, n)
+	docs := make([]DocID, n)
 	doc := uint32(0)
-	for i := range ps {
-		ps[i] = Posting{Doc: DocID(doc), Freq: uint32(i%3 + 1)}
+	for i := range docs {
+		docs[i] = DocID(doc)
 		doc += gap + uint32(i%7)
 	}
-	return NewList(ps)
+	return NewList(docs)
 }
 
 func TestParseCodec(t *testing.T) {
@@ -72,8 +72,8 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 			codecList(100, 1),    // gap=1 dense run
 			codecList(100, 1000), // sparse
 			codecList(5000, 37),  // multi-block
-			NewList([]Posting{{Doc: 0, Freq: 1}, {Doc: math.MaxUint32, Freq: 2}}),
-			NewList([]Posting{{Doc: math.MaxUint32, Freq: math.MaxUint32}}),
+			NewList([]DocID{0, math.MaxUint32}),
+			NewList([]DocID{math.MaxUint32}),
 		} {
 			for _, bs := range []int{64, 128, 512, 4096} {
 				img, blocks, payload := PackBlocks(c, l, 0, l.Len(), bs)
@@ -87,7 +87,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("unpack (n=%d bs=%d): %v", l.Len(), bs, err)
 				}
-				if !slices.Equal(got.Postings(), l.Postings()) {
+				if !slices.Equal(got.Docs(), l.Docs()) {
 					t.Fatalf("round trip mismatch (n=%d bs=%d)", l.Len(), bs)
 				}
 			}
@@ -120,8 +120,8 @@ func TestBlockCodecPartialWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := NewList(l.Postings()[250:750])
-		if !slices.Equal(got.Postings(), want.Postings()) {
+		want := NewList(l.Docs()[250:750])
+		if !slices.Equal(got.Docs(), want.Docs()) {
 			t.Fatal("window round trip mismatch")
 		}
 	})
@@ -141,7 +141,7 @@ func TestPackBlocksLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Postings(), NewList(l.Postings()[:packed]).Postings()) {
+		if !slices.Equal(got.Docs(), NewList(l.Docs()[:packed]).Docs()) {
 			t.Fatal("limited pack round trip mismatch")
 		}
 	})
@@ -195,8 +195,8 @@ func TestDecodeBlockCorrupt(t *testing.T) {
 func TestGolombBlockSizeExact(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 400} {
 		for _, gap := range []uint32{1, 7, 5000} {
-			ps := codecList(n, gap).Postings()
-			if got, want := golombBlockSize(ps), len(encodeGolombBlock(ps)); got != want {
+			docs := codecList(n, gap).Docs()
+			if got, want := golombBlockSize(docs), len(encodeGolombBlock(docs)); got != want {
 				t.Fatalf("golombBlockSize(n=%d gap=%d) = %d, encoded %d", n, gap, got, want)
 			}
 		}

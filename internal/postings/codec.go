@@ -4,30 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
-// The on-disk encoding delta-compresses document identifiers and writes both
-// gaps and frequencies as unsigned varints. This is the standard inverted
-// list compression the paper cites (Zobel/Moffat/Sacks-Davis) and models
-// implicitly through the BlockPosting parameter: the simulator charges a
-// fixed average number of encoded postings per disk block.
+// The on-disk encoding delta-compresses document identifiers and writes the
+// gaps as unsigned varints, each followed by a frequency varint that is
+// always 1. This is the standard inverted list compression the paper cites
+// (Zobel/Moffat/Sacks-Davis) and models implicitly through the BlockPosting
+// parameter: the simulator charges a fixed average number of encoded
+// postings per disk block.
 
 // ErrCorrupt is returned when encoded postings cannot be decoded.
 var ErrCorrupt = errors.New("postings: corrupt encoding")
 
+// storedFreq is the frequency every on-disk posting carries. The index
+// records word sets, so it is the only value an encoder writes and the only
+// one a decoder accepts; its one-byte varint is storedFreq itself.
+const storedFreq = 1
+
 // Encode appends the encoded form of l to dst and returns the extended
 // buffer. The encoding is: varint count, then for each posting a varint
 // doc-ID gap (first gap is the absolute ID plus one, so a zero gap never
-// appears and corruption is detectable) and a varint frequency.
+// appears and corruption is detectable) and the frequency varint 1.
 func Encode(dst []byte, l *List) []byte {
 	dst = binary.AppendUvarint(dst, uint64(l.Len()))
 	prev := uint64(0)
-	for _, p := range l.Postings() {
-		gap := uint64(p.Doc) + 1 - prev
-		dst = binary.AppendUvarint(dst, gap)
-		dst = binary.AppendUvarint(dst, uint64(p.Freq))
-		prev = uint64(p.Doc) + 1
+	for _, d := range l.Docs() {
+		dst = binary.AppendUvarint(dst, uint64(d)+1-prev)
+		dst = append(dst, storedFreq)
+		prev = uint64(d) + 1
 	}
 	return dst
 }
@@ -36,10 +40,9 @@ func Encode(dst []byte, l *List) []byte {
 func EncodedSize(l *List) int {
 	n := uvarintLen(uint64(l.Len()))
 	prev := uint64(0)
-	for _, p := range l.Postings() {
-		gap := uint64(p.Doc) + 1 - prev
-		n += uvarintLen(gap) + uvarintLen(uint64(p.Freq))
-		prev = uint64(p.Doc) + 1
+	for _, d := range l.Docs() {
+		n += uvarintLen(uint64(d)+1-prev) + 1
+		prev = uint64(d) + 1
 	}
 	return n
 }
@@ -66,7 +69,8 @@ func Uvarint(buf []byte) (uint64, int) {
 
 // Decode decodes one encoded list from buf and returns the list and the
 // number of bytes consumed. It accepts exactly what Encode produces, so a
-// decoded list re-encodes to the bytes consumed.
+// decoded list re-encodes to the bytes consumed: a frequency other than 1
+// is corrupt.
 func Decode(buf []byte) (*List, int, error) {
 	count, n := Uvarint(buf)
 	if n <= 0 {
@@ -79,11 +83,11 @@ func Decode(buf []byte) (*List, int, error) {
 	if count > uint64(len(buf)-off)/2 {
 		return nil, 0, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, count, len(buf)-off)
 	}
-	ps := make([]Posting, count)
+	docs := make([]DocID, count)
 	prev := uint64(0)
-	for i := range ps {
-		// Most varints here are one byte (nearly every frequency, and the
-		// gaps of dense lists): take those without the general decoder.
+	for i := range docs {
+		// Most gaps are one byte (those of dense lists): take those
+		// without the general decoder.
 		gap, n := uint64(0), 1
 		if off < len(buf) && buf[off] < 0x80 {
 			gap = uint64(buf[off])
@@ -94,22 +98,16 @@ func Decode(buf []byte) (*List, int, error) {
 			return nil, 0, fmt.Errorf("%w: bad gap at posting %d", ErrCorrupt, i)
 		}
 		off += n
-		freq, n := uint64(0), 1
-		if off < len(buf) && buf[off] < 0x80 {
-			freq = uint64(buf[off])
-		} else {
-			freq, n = Uvarint(buf[off:])
-		}
-		if n <= 0 || freq > math.MaxUint32 {
+		if off >= len(buf) || buf[off] != storedFreq {
 			return nil, 0, fmt.Errorf("%w: bad freq at posting %d", ErrCorrupt, i)
 		}
-		off += n
+		off++
 		doc := prev + gap - 1
 		if doc > uint64(^DocID(0)) {
 			return nil, 0, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
 		}
-		ps[i] = Posting{Doc: DocID(doc), Freq: uint32(freq)}
+		docs[i] = DocID(doc)
 		prev = doc + 1
 	}
-	return &List{ps: ps}, off, nil
+	return &List{docs: docs}, off, nil
 }

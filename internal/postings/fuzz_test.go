@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -12,12 +13,12 @@ import (
 // gaps — and runs as plain unit tests under `go test` (and so in `make
 // check`); `go test -fuzz=FuzzVarint ./internal/postings/` explores further.
 
-// fuzzList derives a sorted posting list from raw fuzz bytes: each 5-byte
-// group is a varint-ish gap and a frequency nibble.
+// fuzzList derives a sorted posting list from raw fuzz bytes: each 4-byte
+// group is a gap.
 func fuzzList(data []byte) *List {
-	ps := make([]Posting, 0, len(data)/5)
+	docs := make([]DocID, 0, len(data)/4)
 	doc := uint64(0)
-	for i := 0; i+5 <= len(data); i += 5 {
+	for i := 0; i+4 <= len(data); i += 4 {
 		gap := uint64(data[i]) | uint64(data[i+1])<<8 | uint64(data[i+2])<<16 | uint64(data[i+3])<<24
 		doc += gap % (1 << 20)
 		if i > 0 {
@@ -26,30 +27,26 @@ func fuzzList(data []byte) *List {
 		if doc > uint64(math.MaxUint32) {
 			break
 		}
-		ps = append(ps, Posting{Doc: DocID(doc), Freq: uint32(data[i+4]%16) + 1})
+		docs = append(docs, DocID(doc))
 	}
-	if len(ps) == 0 {
+	if len(docs) == 0 {
 		return nil
 	}
-	return NewList(ps)
+	return NewList(docs)
 }
 
 func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{})
-	// gap=1 run: every 5-byte group advances the doc id by exactly one.
-	run := make([]byte, 5*64)
-	for i := 4; i < len(run); i += 5 {
-		run[i] = 7
-	}
-	f.Add(run)
-	// A maximal doc id (the 32-bit ceiling) after a huge jump.
+	// gap=1 run: every 4-byte group advances the doc id by exactly one.
+	f.Add(make([]byte, 4*64))
+	// The largest gaps after a small first id.
 	f.Add([]byte{
-		0x01, 0x00, 0x00, 0x00, 0x01,
-		0xff, 0xff, 0xff, 0xff, 0x0f,
-		0xff, 0xff, 0xff, 0xff, 0xff,
+		0x01, 0x00, 0x00, 0x00,
+		0xff, 0xff, 0xff, 0xff,
+		0xff, 0xff, 0xff, 0xff,
 	})
 	// Sparse gaps near the modulus.
-	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 0x03, 0xfe, 0xff, 0x0f, 0x00, 0x01})
+	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 0xfe, 0xff, 0x0f, 0x00})
 }
 
 func FuzzVarintRoundTrip(f *testing.F) {
@@ -80,7 +77,7 @@ func FuzzGolombRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decodeGolombFrom: %v", err)
 		}
-		if !slices.Equal(got.Postings(), l.Postings()) {
+		if !slices.Equal(got.Docs(), l.Docs()) {
 			t.Fatal("flat golomb round trip mismatch")
 		}
 	})
@@ -96,7 +93,7 @@ func fuzzRoundTrip(t *testing.T, c BlockCodec, l *List) {
 		if err != nil {
 			t.Fatalf("bs=%d: unpack: %v", bs, err)
 		}
-		if !slices.Equal(got.Postings(), l.Postings()) {
+		if !slices.Equal(got.Docs(), l.Docs()) {
 			t.Fatalf("bs=%d: round trip mismatch", bs)
 		}
 	}
@@ -104,6 +101,8 @@ func fuzzRoundTrip(t *testing.T, c BlockCodec, l *List) {
 
 // FuzzDecodeArbitrary feeds raw bytes to every decoder: they must return
 // ErrCorrupt-style errors on garbage and truncation, never panic or hang.
+// What Decode accepts must re-encode to exactly the bytes it consumed, so
+// it cannot accept a frequency other than 1.
 func FuzzDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x00}, uint8(1))
@@ -118,10 +117,18 @@ func FuzzDecodeArbitrary(f *testing.F) {
 	over = binary.AppendUvarint(over, math.MaxUint64)
 	over = binary.AppendUvarint(over, 1)
 	f.Add(over, uint8(0))
+	// Well-formed images whose frequency is not 1: every decoder refuses
+	// them (TestCorruptFrequencyRefused in the longlist package).
+	f.Add([]byte{1, 5, 0}, uint8(0))
+	f.Add([]byte{1, 5, 2}, uint8(1))
+	f.Add([]byte{2, 1, 0, 2, 0x00}, uint8(2))
+	f.Add([]byte{2, 1, 0, 1, 0x60}, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		switch which % 3 {
 		case 0:
-			Decode(data)
+			if l, n, err := Decode(data); err == nil && !bytes.Equal(Encode(nil, l), data[:n]) {
+				t.Fatalf("Decode(%x) = %v, which re-encodes to %x", data[:n], l.Docs(), Encode(nil, l))
+			}
 		case 1:
 			c, _ := NewBlockCodec(CodecVarint)
 			c.DecodeBlock(data)

@@ -83,30 +83,30 @@ func GolombParameter(totalDocs, listLen int64) uint64 {
 	return b
 }
 
-// EncodeGolomb appends the Golomb-coded form of l's document gaps to dst.
-// Frequencies are coded as unary-1 (gamma-style) since abstract-index
-// frequencies are overwhelmingly 1. The parameter b must match at decode
-// time; callers derive it with GolombParameter and store it alongside.
+// EncodeGolomb appends the Golomb-coded form of l's document gaps to dst,
+// each followed by the frequency 1 in unary: one terminator bit. The
+// parameter b must match at decode time; callers derive it with
+// GolombParameter and store it alongside.
 func EncodeGolomb(dst []byte, l *List, b uint64) []byte {
 	if b == 0 {
 		panic("postings: Golomb parameter 0")
 	}
-	return encodeGolombFrom(dst, l.Postings(), 0, b)
+	return encodeGolombFrom(dst, l.Docs(), 0, b)
 }
 
-// encodeGolombFrom codes ps with the delta chain seeded at prev (the
+// encodeGolombFrom codes docs with the delta chain seeded at prev (the
 // successor of the last doc already coded) — the block codec uses it to
 // restart chains at block boundaries.
-func encodeGolombFrom(dst []byte, ps []Posting, prev uint64, b uint64) []byte {
+func encodeGolombFrom(dst []byte, docs []DocID, prev uint64, b uint64) []byte {
 	w := &bitWriter{buf: dst}
 	// ceil(log2 b) bits hold a remainder < b.
 	rbits := uint(0)
 	for 1<<rbits < b {
 		rbits++
 	}
-	for _, p := range ps {
-		gap := uint64(p.Doc) + 1 - prev
-		prev = uint64(p.Doc) + 1
+	for _, d := range docs {
+		gap := uint64(d) + 1 - prev
+		prev = uint64(d) + 1
 		q := (gap - 1) / b
 		r := (gap - 1) % b
 		for i := uint64(0); i < q; i++ {
@@ -122,10 +122,7 @@ func encodeGolombFrom(dst []byte, ps []Posting, prev uint64, b uint64) []byte {
 		} else {
 			w.writeBits(r+cutoff, rbits)
 		}
-		// Frequency: unary (freq-1 ones, then zero).
-		for i := uint32(1); i < p.Freq; i++ {
-			w.writeBit(1)
-		}
+		// The frequency 1 in unary: no ones, then the terminator.
 		w.writeBit(0)
 	}
 	return w.buf
@@ -149,7 +146,7 @@ func decodeGolombFrom(buf []byte, n int, b uint64, prev uint64) (*List, error) {
 	if n < 0 || uint64(n) > 4*uint64(len(buf)) {
 		return nil, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, n, len(buf))
 	}
-	ps := make([]Posting, 0, n)
+	docs := make([]DocID, 0, n)
 	for i := 0; i < n; i++ {
 		var q uint64
 		for {
@@ -188,20 +185,15 @@ func decodeGolombFrom(buf []byte, n int, b uint64, prev uint64) (*List, error) {
 			return nil, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
 		}
 		prev = doc + 1
-		freq := uint32(1)
-		for {
-			bit, err := r.readBit()
-			if err != nil {
-				return nil, err
-			}
-			if bit == 0 {
-				break
-			}
-			freq++
+		// The frequency must be 1: a lone terminator bit.
+		if bit, err := r.readBit(); err != nil {
+			return nil, err
+		} else if bit != 0 {
+			return nil, fmt.Errorf("%w: frequency above 1 at posting %d", ErrCorrupt, i)
 		}
-		ps = append(ps, Posting{Doc: DocID(doc), Freq: freq})
+		docs = append(docs, DocID(doc))
 	}
-	return NewList(ps), nil
+	return &List{docs: docs}, nil
 }
 
 // GolombSize reports the exact byte length EncodeGolomb produces for l.

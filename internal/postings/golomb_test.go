@@ -1,6 +1,8 @@
 package postings
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,7 +16,6 @@ func TestGolombRoundtripSimple(t *testing.T) {
 			FromDocs([]DocID{0}),
 			FromDocs([]DocID{0, 1, 2, 3}),
 			FromDocs([]DocID{5, 100, 10_000}),
-			NewList([]Posting{{Doc: 2, Freq: 3}, {Doc: 9, Freq: 1}}),
 		}
 		for _, l := range lists {
 			buf := EncodeGolomb(nil, l, b)
@@ -22,8 +23,8 @@ func TestGolombRoundtripSimple(t *testing.T) {
 			if err != nil {
 				t.Fatalf("b=%d: %v", b, err)
 			}
-			if !slices.Equal(got.Postings(), l.Postings()) {
-				t.Fatalf("b=%d roundtrip: %v vs %v", b, got.Postings(), l.Postings())
+			if !slices.Equal(got.Docs(), l.Docs()) {
+				t.Fatalf("b=%d roundtrip: %v vs %v", b, got.Docs(), l.Docs())
 			}
 		}
 	}
@@ -88,26 +89,68 @@ func TestQuickGolombRoundtrip(t *testing.T) {
 		l := randomList(r, int(n))
 		b := uint64(bRaw%512) + 1
 		got, err := decodeGolombFrom(EncodeGolomb(nil, l, b), l.Len(), b, 0)
-		return err == nil && slices.Equal(got.Postings(), l.Postings())
+		return err == nil && slices.Equal(got.Docs(), l.Docs())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// encodeGolombFreqs is encodeGolombFrom with a frequency per posting, in
+// unary: freq-1 ones, then the terminator. With every frequency 1 it
+// writes exactly encodeGolombFrom's bits.
+func encodeGolombFreqs(docs []DocID, freqs []uint32, b uint64) []byte {
+	w := &bitWriter{}
+	rbits := uint(0)
+	for 1<<rbits < b {
+		rbits++
+	}
+	prev := uint64(0)
+	for i, d := range docs {
+		gap := uint64(d) + 1 - prev
+		prev = uint64(d) + 1
+		for q := (gap - 1) / b; q > 0; q-- {
+			w.writeBit(1)
+		}
+		w.writeBit(0)
+		if r, cutoff := (gap-1)%b, uint64(1)<<rbits-b; r < cutoff {
+			if rbits > 0 {
+				w.writeBits(r, rbits-1)
+			}
+		} else {
+			w.writeBits(r+cutoff, rbits)
+		}
+		for f := freqs[i]; f > 1; f-- {
+			w.writeBit(1)
+		}
+		w.writeBit(0)
+	}
+	return w.buf
+}
+
+// TestQuickGolombWithFrequencies: a stream that codes a frequency other
+// than 1 anywhere is refused; one whose frequencies are all 1 is exactly
+// EncodeGolomb's and decodes to its list.
 func TestQuickGolombWithFrequencies(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		ps := make([]Posting, 0, n)
-		d := uint32(0)
-		for i := 0; i < int(n); i++ {
-			d += uint32(r.Intn(100)) + 1
-			ps = append(ps, Posting{Doc: DocID(d), Freq: uint32(r.Intn(5) + 1)})
+		l := randomList(r, int(n)+1)
+		freqs := make([]uint32, l.Len())
+		ones := r.Intn(2) == 0
+		for i := range freqs {
+			freqs[i] = 1
+			if !ones && r.Intn(4) == 0 {
+				freqs[i] = uint32(r.Intn(4)) + 2
+			}
 		}
-		l := NewList(ps)
-		b := GolombParameter(int64(d)+1000, int64(l.Len()))
-		got, err := decodeGolombFrom(EncodeGolomb(nil, l, b), l.Len(), b, 0)
-		return err == nil && slices.Equal(got.Postings(), l.Postings())
+		ones = !slices.ContainsFunc(freqs, func(f uint32) bool { return f != 1 })
+		b := GolombParameter(int64(l.MaxDoc())+1000, int64(l.Len()))
+		buf := encodeGolombFreqs(l.Docs(), freqs, b)
+		got, err := decodeGolombFrom(buf, l.Len(), b, 0)
+		if !ones {
+			return errors.Is(err, ErrCorrupt)
+		}
+		return err == nil && slices.Equal(got.Docs(), l.Docs()) && bytes.Equal(buf, EncodeGolomb(nil, l, b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

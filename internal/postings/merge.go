@@ -1,83 +1,93 @@
 package postings
 
-import (
-	"container/heap"
-)
-
-// Iterator walks a posting list in ascending document order. It is the
-// streaming interface list merges are written against.
-type Iterator struct {
-	l *List
-	i int
-}
-
-// Iter returns an iterator positioned before the first posting.
-func (l *List) Iter() *Iterator { return &Iterator{l: l} }
-
-// Next advances and reports whether a posting is available.
-func (it *Iterator) Next() bool {
-	if it.i >= it.l.Len() {
-		return false
-	}
-	it.i++
-	return true
-}
-
-// Posting returns the current posting. Valid only after a true Next.
-func (it *Iterator) Posting() Posting { return it.l.ps[it.i-1] }
-
-// mergeHeap orders iterators by their current document.
-type mergeHeap []*Iterator
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].Posting().Doc < h[j].Posting().Doc }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*Iterator)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // UnionAll merges any number of lists with a k-way heap merge: O(N log k)
 // instead of the O(N·k) of folding pairwise unions. It is the evaluation
 // path of truncation queries, whose prefix can expand to hundreds of
-// vocabulary words. Frequencies of shared documents are summed.
+// vocabulary words, of the tier merge, and of the cross-shard merge of
+// match answers. A document in several lists is one posting. When only one
+// list is non-empty it is returned as is, not copied.
 func UnionAll(lists []*List) *List {
-	switch len(lists) {
+	var a, b *List // the first two non-empty lists
+	k, total := 0, 0
+	for _, l := range lists {
+		if l.Len() > 0 {
+			if k++; a == nil {
+				a = l
+			} else if b == nil {
+				b = l
+			}
+			total += l.Len()
+		}
+	}
+	switch k {
 	case 0:
 		return &List{}
 	case 1:
-		return lists[0].Clone()
+		return a
 	case 2:
-		return Union(lists[0], lists[1])
+		return Union(a, b)
 	}
-	h := make(mergeHeap, 0, len(lists))
-	total := 0
-	for _, l := range lists {
-		total += l.Len()
-		it := l.Iter()
-		if it.Next() {
-			h = append(h, it)
+	// Each non-empty list is one cursor, its ordinal its index in lists.
+	h := make(KeyHeap, 0, k)
+	for i, l := range lists {
+		if l.Len() > 0 {
+			h = append(h, HeapKey(l.docs[0], i))
 		}
 	}
-	heap.Init(&h)
-	out := &List{ps: make([]Posting, 0, total)}
-	for h.Len() > 0 {
-		it := h[0]
-		p := it.Posting()
-		if n := len(out.ps); n > 0 && out.ps[n-1].Doc == p.Doc {
-			out.ps[n-1].Freq += p.Freq
+	h.Init()
+	pos := make([]int, len(lists))
+	out := make([]DocID, 0, total)
+	for len(h) > 0 {
+		d, i := DocID(h[0]>>32), uint32(h[0])
+		if n := len(out); n == 0 || out[n-1] != d {
+			out = append(out, d)
+		}
+		pos[i]++
+		if docs := lists[i].docs; pos[i] < len(docs) {
+			h[0] = HeapKey(docs[pos[i]], int(i))
 		} else {
-			out.ps = append(out.ps, p)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		if it.Next() {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+		h.Down(0)
 	}
-	return out
+	return &List{docs: out}
+}
+
+// KeyHeap is a binary min-heap of cursors over sorted document lists, the
+// one behind UnionAll and the ranked walker. Each key packs a cursor's
+// current document in the high 32 bits and the cursor's ordinal in the low
+// 32, so the cursors on one document leave the top in ordinal order and a
+// comparison is one integer compare. It is sifted here rather than through
+// container/heap because it moves once per posting, where the interface
+// calls dominate.
+type KeyHeap []uint64
+
+// HeapKey is the key of cursor ord positioned on doc.
+func HeapKey(doc DocID, ord int) uint64 { return uint64(doc)<<32 | uint64(ord) }
+
+// Init orders an arbitrary h into a heap.
+func (h KeyHeap) Init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.Down(i)
+	}
+}
+
+// Down moves the key at i down to its place, after it grew.
+func (h KeyHeap) Down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			m = r
+		}
+		if h[m] >= h[i] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

@@ -7,42 +7,75 @@ import (
 	"testing/quick"
 )
 
-func TestIteratorWalk(t *testing.T) {
-	l := FromDocs([]DocID{2, 5, 9})
-	it := l.Iter()
-	var got []DocID
-	for it.Next() {
-		got = append(got, it.Posting().Doc)
+func TestUnionAllBasics(t *testing.T) {
+	cases := []struct {
+		name  string
+		lists [][]DocID
+		want  []DocID
+	}{
+		{"none", nil, nil},
+		{"all empty", [][]DocID{nil, {}, nil}, nil},
+		{"single", [][]DocID{{3, 7, 9}}, []DocID{3, 7, 9}},
+		{"two", [][]DocID{{1, 4}, {2, 4}}, []DocID{1, 2, 4}},
+		{"disjoint", [][]DocID{{1, 4}, {2, 5}, {3}}, []DocID{1, 2, 3, 4, 5}},
+		{"interleaved", [][]DocID{{1, 10, 20}, {5, 15}, {2, 30}}, []DocID{1, 2, 5, 10, 15, 20, 30}},
+		{"shared", [][]DocID{{1, 4}, {2, 4}, {3, 4}}, []DocID{1, 2, 3, 4}},
+		{"duplicates dropped", [][]DocID{{1, 3, 5}, {3, 5, 7}, {5}}, []DocID{1, 3, 5, 7}},
 	}
-	if len(got) != 3 || got[0] != 2 || got[2] != 9 {
-		t.Fatalf("walk = %v", got)
-	}
-	if it.Next() {
-		t.Fatal("Next after exhaustion")
-	}
-	if (&List{}).Iter().Next() {
-		t.Fatal("empty iterator advanced")
+	for _, tc := range cases {
+		lists := make([]*List, len(tc.lists))
+		for i, docs := range tc.lists {
+			lists[i] = NewList(docs)
+		}
+		if got := UnionAll(lists); !slices.Equal(got.Docs(), tc.want) {
+			t.Errorf("%s: UnionAll = %v, want %v", tc.name, got.Docs(), tc.want)
+		}
 	}
 }
 
-func TestUnionAllBasics(t *testing.T) {
-	if UnionAll(nil).Len() != 0 {
-		t.Fatal("empty UnionAll not empty")
-	}
-	single := FromDocs([]DocID{1, 2})
-	if got := UnionAll([]*List{single}); !slices.Equal(got.Postings(), single.Postings()) {
-		t.Fatal("single-list UnionAll differs")
-	}
+// TestUnionAllEdgeCases pins the boundary behaviour the engine's fan-out
+// relies on: duplicates spanning several shards collapse to one, empty
+// shard answers mixed in are harmless, and a merge that reduces to a single
+// non-empty list is a passthrough — the input list itself, no copy.
+func TestUnionAllEdgeCases(t *testing.T) {
 	got := UnionAll([]*List{
-		FromDocs([]DocID{1, 4}),
-		FromDocs([]DocID{2, 4}),
-		FromDocs([]DocID{3, 4}),
+		NewList([]DocID{2, 4, 8}),
+		NewList([]DocID{2, 6}),
+		NewList([]DocID{2, 4, 10}),
 	})
-	if len(got.Docs()) != 4 {
-		t.Fatalf("UnionAll = %v", got.Docs())
+	if want := []DocID{2, 4, 6, 8, 10}; !slices.Equal(got.Docs(), want) {
+		t.Errorf("cross-shard duplicates: %v, want %v", got.Docs(), want)
 	}
-	if got.Postings()[3].Freq != 3 {
-		t.Fatalf("shared doc freq = %d, want 3", got.Postings()[3].Freq)
+	// Empty answers surround the real ones — shards that hold none of the
+	// matching documents are the common case.
+	got = UnionAll([]*List{nil, NewList([]DocID{5, 9}), {}, NewList([]DocID{1}), nil})
+	if want := []DocID{1, 5, 9}; !slices.Equal(got.Docs(), want) {
+		t.Errorf("empty answers mixed in: %v, want %v", got.Docs(), want)
+	}
+	in := NewList([]DocID{3, 1 << 20, 1 << 30})
+	if got = UnionAll([]*List{nil, in, {}}); got != in {
+		t.Errorf("single-list merge is not a passthrough: got %v", got.Docs())
+	}
+}
+
+func TestUnionAllRandomAgainstSort(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		lists := make([]*List, 1+r.Intn(5))
+		var want []DocID
+		for i := range lists {
+			var docs []DocID
+			for j := 0; j < r.Intn(20); j++ {
+				docs = append(docs, DocID(r.Intn(100)+1))
+			}
+			lists[i] = FromDocs(docs)
+			want = append(want, docs...)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := UnionAll(lists); !slices.Equal(got.Docs(), want) {
+			t.Fatalf("trial %d: %v, want %v", trial, got.Docs(), want)
+		}
 	}
 }
 
@@ -59,7 +92,7 @@ func TestQuickUnionAllMatchesFold(t *testing.T) {
 		for _, l := range lists {
 			slow = Union(slow, l)
 		}
-		return slices.Equal(fast.Postings(), slow.Postings())
+		return slices.Equal(fast.Docs(), slow.Docs())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

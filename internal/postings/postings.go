@@ -1,21 +1,25 @@
 // Package postings implements posting lists for inverted indexes.
 //
-// A posting records one occurrence of a word in a document. Posting lists
-// are kept sorted by document identifier so that boolean queries can be
-// answered by linear merges, exactly as the paper assumes ("the document
-// identifiers appear in sorted order in inverted lists" and "all long lists
-// are updated by appending new postings").
+// A posting records that a word occurs in a document; a list is the sorted
+// identifiers of the documents holding its word. The index records word
+// sets, as the paper does ("duplicate tokens for a document are dropped"),
+// so a posting is a document identifier and nothing more. Lists are kept
+// sorted so that boolean queries can be answered by linear merges, exactly
+// as the paper assumes ("the document identifiers appear in sorted order in
+// inverted lists" and "all long lists are updated by appending new
+// postings").
 //
-// The package also provides a compact on-disk encoding (delta + varint)
-// whose compression ratio is what the paper models implicitly through the
-// BlockPosting parameter.
+// The package also provides compact on-disk encodings (delta + varint, and
+// Golomb) whose compression ratio is what the paper models implicitly
+// through the BlockPosting parameter. Every on-disk format still carries a
+// frequency field, always 1, for each posting; the decoders refuse any
+// other value.
 package postings
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // DocID identifies a document. New documents receive strictly increasing
@@ -26,48 +30,30 @@ type DocID uint32
 // conversion of words to unique integers before the bucket computation.
 type WordID uint32
 
-// Posting records the occurrence of a word in a document. Freq carries the
-// within-document frequency; for an abstracts-style index it is typically 1
-// because duplicate tokens are dropped per document.
-type Posting struct {
-	Doc  DocID
-	Freq uint32
-}
-
-// List is a posting list sorted by ascending document identifier.
-// The zero value is an empty, ready-to-use list.
+// List is a posting list: the identifiers of the documents holding a word,
+// in ascending order. The zero value is an empty, ready-to-use list.
 type List struct {
-	ps []Posting
+	docs []DocID
 }
 
-// NewList returns a list holding the given postings. The postings must be
-// sorted by ascending DocID with no duplicates; NewList panics otherwise so
-// that corrupted lists are caught at construction time.
-func NewList(ps []Posting) *List {
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Doc <= ps[i-1].Doc {
-			panic(fmt.Sprintf("postings: out of order at %d: %d <= %d", i, ps[i].Doc, ps[i-1].Doc))
+// NewList returns a list holding docs, which it keeps. The identifiers
+// must be strictly ascending; NewList panics otherwise so that corrupted
+// lists are caught at construction time.
+func NewList(docs []DocID) *List {
+	for i := 1; i < len(docs); i++ {
+		if docs[i] <= docs[i-1] {
+			panic(fmt.Sprintf("postings: out of order at %d: %d <= %d", i, docs[i], docs[i-1]))
 		}
 	}
-	return &List{ps: ps}
+	return &List{docs: docs}
 }
 
-// FromDocs builds a list from document identifiers, each with frequency 1.
-// The identifiers may be unsorted and may contain duplicates; duplicates
-// accumulate frequency.
+// FromDocs builds a list from document identifiers, which may be unsorted
+// and may repeat; a repeated identifier is one posting.
 func FromDocs(docs []DocID) *List {
-	sorted := make([]DocID, len(docs))
-	copy(sorted, docs)
+	sorted := slices.Clone(docs)
 	slices.Sort(sorted)
-	l := &List{}
-	for _, d := range sorted {
-		if n := len(l.ps); n > 0 && l.ps[n-1].Doc == d {
-			l.ps[n-1].Freq++
-			continue
-		}
-		l.ps = append(l.ps, Posting{Doc: d, Freq: 1})
-	}
-	return l
+	return &List{docs: slices.Compact(sorted)}
 }
 
 // Len reports the number of postings in the list.
@@ -75,31 +61,22 @@ func (l *List) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.ps)
-}
-
-// Postings returns the underlying slice. Callers must not mutate it.
-func (l *List) Postings() []Posting {
-	if l == nil {
-		return nil
-	}
-	return l.ps
+	return len(l.docs)
 }
 
 // Docs returns the document identifiers in the list, in ascending order.
+// The slice is the list's own storage: callers must not mutate it, and
+// copy it to keep it past a change to the list.
 func (l *List) Docs() []DocID {
-	out := make([]DocID, l.Len())
-	for i, p := range l.Postings() {
-		out[i] = p.Doc
+	if l == nil {
+		return nil
 	}
-	return out
+	return l.docs
 }
 
 // Clone returns a deep copy of the list.
 func (l *List) Clone() *List {
-	ps := make([]Posting, l.Len())
-	copy(ps, l.Postings())
-	return &List{ps: ps}
+	return &List{docs: slices.Clone(l.Docs())}
 }
 
 // MaxDoc returns the largest document identifier in the list, or 0 for an
@@ -108,7 +85,7 @@ func (l *List) MaxDoc() DocID {
 	if l.Len() == 0 {
 		return 0
 	}
-	return l.ps[len(l.ps)-1].Doc
+	return l.docs[len(l.docs)-1]
 }
 
 // ErrAppendOrder is returned when an append would violate the ascending
@@ -118,16 +95,15 @@ var ErrAppendOrder = errors.New("postings: appended postings must have larger do
 // Append appends the postings of m to l in place. Every document identifier
 // in m must exceed l.MaxDoc(); this mirrors the paper's assumption that new
 // documents are numbered in increasing order so long lists only grow at the
-// tail. Appending a posting for a document already present merges the
-// frequencies only when it is the current tail document.
+// tail.
 func (l *List) Append(m *List) error {
 	if m.Len() == 0 {
 		return nil
 	}
-	if l.Len() > 0 && m.ps[0].Doc <= l.MaxDoc() {
-		return fmt.Errorf("%w: have max %d, got %d", ErrAppendOrder, l.MaxDoc(), m.ps[0].Doc)
+	if l.Len() > 0 && m.docs[0] <= l.MaxDoc() {
+		return fmt.Errorf("%w: have max %d, got %d", ErrAppendOrder, l.MaxDoc(), m.docs[0])
 	}
-	l.ps = append(l.ps, m.ps...)
+	l.docs = append(l.docs, m.docs...)
 	return nil
 }
 
@@ -135,47 +111,40 @@ func (l *List) Append(m *List) error {
 // m, leaving both untouched. Like Append, every document identifier in m
 // must exceed l.MaxDoc(). Either list may be nil.
 func Concat(l, m *List) (*List, error) {
-	if l.Len() > 0 && m.Len() > 0 && m.ps[0].Doc <= l.MaxDoc() {
-		return nil, fmt.Errorf("%w: have max %d, got %d", ErrAppendOrder, l.MaxDoc(), m.ps[0].Doc)
+	if l.Len() > 0 && m.Len() > 0 && m.docs[0] <= l.MaxDoc() {
+		return nil, fmt.Errorf("%w: have max %d, got %d", ErrAppendOrder, l.MaxDoc(), m.docs[0])
 	}
-	ps := make([]Posting, 0, l.Len()+m.Len())
-	ps = append(ps, l.Postings()...)
-	return &List{ps: append(ps, m.Postings()...)}, nil
+	docs := make([]DocID, 0, l.Len()+m.Len())
+	docs = append(docs, l.Docs()...)
+	return &List{docs: append(docs, m.Docs()...)}, nil
 }
 
-// Push appends one posting in place, keeping the ascending-identifier
-// invariant: doc must be at least MaxDoc(). Pushing the current tail
-// document again accumulates its frequency, so a tokenized document can be
-// pushed one occurrence at a time. Push is how the pending tier grows a
-// per-word run incrementally — one posting per arriving document — where
-// Append moves whole already-built lists. It panics on an out-of-order
-// document, like NewList, so a corrupted run is caught at construction.
-func (l *List) Push(doc DocID, freq uint32) {
-	if n := len(l.ps); n > 0 {
-		switch tail := &l.ps[n-1]; {
-		case tail.Doc == doc:
-			tail.Freq += freq
-			return
-		case tail.Doc > doc:
-			panic(fmt.Sprintf("postings: push out of order: have max %d, got %d", tail.Doc, doc))
-		}
+// Push appends one posting in place: doc must exceed MaxDoc() unless the
+// list is empty. Push is how the pending tier grows a per-word run
+// incrementally — one posting per arriving document — where Append moves
+// whole already-built lists. It panics on a document that does not ascend,
+// like NewList, so a corrupted run is caught at construction.
+func (l *List) Push(doc DocID) {
+	if n := len(l.docs); n > 0 && l.docs[n-1] >= doc {
+		panic(fmt.Sprintf("postings: push out of order: have max %d, got %d", l.docs[n-1], doc))
 	}
-	l.ps = append(l.ps, Posting{Doc: doc, Freq: freq})
+	l.docs = append(l.docs, doc)
 }
 
-// Intersect returns the postings present in both lists, with frequencies
-// summed, using a linear merge.
+// Intersect returns the postings present in both lists, using a linear
+// merge.
 func Intersect(a, b *List) *List {
 	out := &List{}
+	x, y := a.Docs(), b.Docs()
 	i, j := 0, 0
-	for i < a.Len() && j < b.Len() {
+	for i < len(x) && j < len(y) {
 		switch {
-		case a.ps[i].Doc < b.ps[j].Doc:
+		case x[i] < y[j]:
 			i++
-		case a.ps[i].Doc > b.ps[j].Doc:
+		case x[i] > y[j]:
 			j++
 		default:
-			out.ps = append(out.ps, Posting{Doc: a.ps[i].Doc, Freq: a.ps[i].Freq + b.ps[j].Freq})
+			out.docs = append(out.docs, x[i])
 			i++
 			j++
 		}
@@ -183,44 +152,43 @@ func Intersect(a, b *List) *List {
 	return out
 }
 
-// Union returns the postings present in either list, with frequencies summed
-// for shared documents, using a linear merge.
+// Union returns the postings present in either list, a document in both
+// once, using a linear merge.
 func Union(a, b *List) *List {
-	out := &List{ps: make([]Posting, 0, a.Len()+b.Len())}
+	x, y := a.Docs(), b.Docs()
+	out := make([]DocID, 0, len(x)+len(y))
 	i, j := 0, 0
-	for i < a.Len() && j < b.Len() {
+	for i < len(x) && j < len(y) {
 		switch {
-		case a.ps[i].Doc < b.ps[j].Doc:
-			out.ps = append(out.ps, a.ps[i])
+		case x[i] < y[j]:
+			out = append(out, x[i])
 			i++
-		case a.ps[i].Doc > b.ps[j].Doc:
-			out.ps = append(out.ps, b.ps[j])
+		case x[i] > y[j]:
+			out = append(out, y[j])
 			j++
 		default:
-			out.ps = append(out.ps, Posting{Doc: a.ps[i].Doc, Freq: a.ps[i].Freq + b.ps[j].Freq})
+			out = append(out, x[i])
 			i++
 			j++
 		}
 	}
-	out.ps = append(out.ps, a.ps[i:]...)
-	out.ps = append(out.ps, b.ps[j:]...)
-	return out
+	out = append(out, x[i:]...)
+	return &List{docs: append(out, y[j:]...)}
 }
 
 // Difference returns the postings of a whose documents do not appear in b.
 func Difference(a, b *List) *List {
 	out := &List{}
-	i, j := 0, 0
-	for i < a.Len() {
-		for j < b.Len() && b.ps[j].Doc < a.ps[i].Doc {
+	x, y := a.Docs(), b.Docs()
+	j := 0
+	for _, d := range x {
+		for j < len(y) && y[j] < d {
 			j++
 		}
-		if j < b.Len() && b.ps[j].Doc == a.ps[i].Doc {
-			i++
+		if j < len(y) && y[j] == d {
 			continue
 		}
-		out.ps = append(out.ps, a.ps[i])
-		i++
+		out.docs = append(out.docs, d)
 	}
 	return out
 }
@@ -234,12 +202,12 @@ func Difference(a, b *List) *List {
 // itself and allocates nothing; otherwise the result is a new list whose
 // storage is sized once.
 func (l *List) Without(del []DocID) (*List, int) {
-	ps := l.Postings()
-	if len(ps) == 0 || len(del) == 0 {
+	docs := l.Docs()
+	if len(docs) == 0 || len(del) == 0 {
 		return l, 0
 	}
-	lo, _ := slices.BinarySearch(del, ps[0].Doc)
-	hi, found := slices.BinarySearch(del[lo:], ps[len(ps)-1].Doc)
+	lo, _ := slices.BinarySearch(del, docs[0])
+	hi, found := slices.BinarySearch(del[lo:], docs[len(docs)-1])
 	if found {
 		hi++
 	}
@@ -247,27 +215,27 @@ func (l *List) Without(del []DocID) (*List, int) {
 	if len(del) == 0 {
 		return l, 0
 	}
-	skip := sort.Search(len(ps), func(i int) bool { return ps[i].Doc >= del[0] })
-	i, j, hit := nextHit(ps[skip:], del)
+	skip, _ := slices.BinarySearch(docs, del[0])
+	i, j, hit := nextHit(docs[skip:], del)
 	if !hit {
 		return l, 0
 	}
 	i += skip
-	out := make([]Posting, 0, len(ps)-1)
+	out := make([]DocID, 0, len(docs)-1)
 	for hit {
-		out = append(out, ps[:i]...)
-		ps, del = ps[i+1:], del[j+1:]
-		i, j, hit = nextHit(ps, del)
+		out = append(out, docs[:i]...)
+		docs, del = docs[i+1:], del[j+1:]
+		i, j, hit = nextHit(docs, del)
 	}
-	out = append(out, ps...)
-	return &List{ps: out}, l.Len() - len(out)
+	out = append(out, docs...)
+	return &List{docs: out}, l.Len() - len(out)
 }
 
-// nextHit merges ps against the sorted identifiers del up to their first
+// nextHit merges the sorted identifiers docs and del up to their first
 // common document, reporting its index in each.
-func nextHit(ps []Posting, del []DocID) (i, j int, hit bool) {
-	for i < len(ps) && j < len(del) {
-		switch d := ps[i].Doc; {
+func nextHit(docs, del []DocID) (i, j int, hit bool) {
+	for i < len(docs) && j < len(del) {
+		switch d := docs[i]; {
 		case d < del[j]:
 			i++
 		case d > del[j]:

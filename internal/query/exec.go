@@ -126,43 +126,42 @@ func openCursors(sp *ScorePlan, env Exec) ([]cursor, int, error) {
 // scores would be. The cursors are consumed. visited counts the postings
 // the walk popped off its heap or sought.
 func rank(curs []cursor, k, bound int, filter *postings.List) (ranked []Match, visited int) {
-	h := make(cursorHeap, len(curs))
+	// The walk heap keys each cursor by its position in cursor order, so
+	// the cursors on one document leave it in the order their
+	// contributions must be added.
+	h := make(postings.KeyHeap, len(curs))
 	for i := range curs {
-		h[i] = cursorKey(curs[i].ps[0].Doc, i)
-		visited += len(curs[i].ps)
+		h[i] = postings.HeapKey(curs[i].docs[0], i)
+		visited += len(curs[i].docs)
 	}
-	h.init()
+	h.Init()
 	top := newTopK(k, bound)
 	var ms maxScore
-	var want []postings.Posting
-	if filter != nil {
-		want = filter.Postings()
-	}
+	want := filter.Docs()
 	for len(h) > 0 && (filter == nil || len(want) > 0) {
 		d := postings.DocID(h[0] >> 32)
-		for ; len(want) > 0 && want[0].Doc < d; want = want[1:] {
-			top.offer(Match{Doc: want[0].Doc})
+		for ; len(want) > 0 && want[0] < d; want = want[1:] {
+			top.offer(Match{Doc: want[0]})
 		}
-		matched := len(want) > 0 && want[0].Doc == d
+		matched := len(want) > 0 && want[0] == d
 		offer := filter == nil || matched
 		s, hits := 0.0, ms.hits[:0]
 		for len(h) > 0 && postings.DocID(h[0]>>32) == d {
 			ord := int(uint32(h[0]))
 			c := &curs[ord]
 			if offer {
-				v := c.score()
-				s += v
+				s += c.score
 				if ms.m > 0 {
-					hits = append(hits, hit{ord, v})
+					hits = append(hits, hit{ord, c.score})
 				}
 			}
-			if c.ps = c.ps[1:]; len(c.ps) > 0 {
-				h[0] = cursorKey(c.ps[0].Doc, ord)
+			if c.docs = c.docs[1:]; len(c.docs) > 0 {
+				h[0] = postings.HeapKey(c.docs[0], ord)
 			} else {
 				h[0] = h[len(h)-1]
 				h = h[:len(h)-1]
 			}
-			h.down(0)
+			h.Down(0)
 		}
 		if offer && ms.m > 0 {
 			s, offer = ms.complete(curs, d, s, hits)
@@ -174,13 +173,13 @@ func rank(curs []cursor, k, bound int, filter *postings.List) (ranked []Match, v
 			want = want[1:]
 		}
 	}
-	for _, p := range want {
-		top.offer(Match{Doc: p.Doc})
+	for _, d := range want {
+		top.offer(Match{Doc: d})
 	}
 	// visited began as every posting: take off those never popped.
 	visited -= ms.unread
 	for _, key := range h {
-		visited -= len(curs[uint32(key)].ps)
+		visited -= len(curs[uint32(key)].docs)
 	}
 	return top.ranked(), visited + ms.seeks
 }

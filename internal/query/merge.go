@@ -1,75 +1,13 @@
 package query
 
-import (
-	"container/heap"
+import "container/heap"
 
-	"dualindex/internal/postings"
-)
-
-// The fan-out/merge half of sharded query evaluation: each shard answers
+// The fan-out/merge half of ranked query evaluation: each shard answers
 // over its own partition of the documents, and the engine combines the
-// sorted per-shard answers here. Shards partition documents, so the merged
-// inputs are disjoint; the merges still tolerate (and drop) duplicates so
-// they are safe on arbitrary sorted inputs.
-
-// docCursor is one partially-consumed sorted document list.
-type docCursor struct {
-	docs []postings.DocID
-	pos  int
-}
-
-type docHeap []docCursor
-
-func (h docHeap) Len() int            { return len(h) }
-func (h docHeap) Less(i, j int) bool  { return h[i].docs[h[i].pos] < h[j].docs[h[j].pos] }
-func (h docHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *docHeap) Push(x interface{}) { *h = append(*h, x.(docCursor)) }
-func (h *docHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
-}
-
-// MergeDocLists k-way merges sorted document lists into one ascending list
-// without duplicates. A single input list is returned as is — the
-// single-shard fast path copies nothing.
-func MergeDocLists(lists [][]postings.DocID) []postings.DocID {
-	h := make(docHeap, 0, len(lists))
-	total := 0
-	var last []postings.DocID
-	for _, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		h = append(h, docCursor{docs: l})
-		total += len(l)
-		last = l
-	}
-	switch len(h) {
-	case 0:
-		return nil
-	case 1:
-		return last
-	}
-	heap.Init(&h)
-	out := make([]postings.DocID, 0, total)
-	for len(h) > 0 {
-		cur := &h[0]
-		d := cur.docs[cur.pos]
-		if n := len(out); n == 0 || out[n-1] != d {
-			out = append(out, d)
-		}
-		cur.pos++
-		if cur.pos == len(cur.docs) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return out
-}
+// per-shard top-k lists here. Shards partition documents, so the merged
+// inputs are disjoint; the merge still tolerates (and drops) duplicates so
+// it is safe on arbitrary inputs. The document lists of match-only plans
+// merge through postings.UnionAll.
 
 // compareMatches is the vector-result order: score descending, ties broken
 // by ascending document id.

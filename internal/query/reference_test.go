@@ -183,8 +183,8 @@ func referenceRanked(pl *Plan, env Exec) ([]Match, error) {
 }
 
 // scoreList folds one term's inverted list into the score accumulator under
-// the given model. totalDocs must already be clamped by
-// EffectiveCollectionSize.
+// the given model, each posting with tf 1 (the index records word sets).
+// totalDocs must already be clamped by EffectiveCollectionSize.
 func scoreList(scores map[postings.DocID]float64, list *postings.List, weight float64, mode string, totalDocs int) {
 	df := list.Len()
 	if df == 0 {
@@ -194,15 +194,15 @@ func scoreList(scores map[postings.DocID]float64, list *postings.List, weight fl
 	case ScoringBM25:
 		idf := math.Log(1 + (float64(totalDocs)-float64(df)+0.5)/(float64(df)+0.5))
 		norm := BM25K1 * (1 - BM25B + BM25B*1)
-		for _, p := range list.Postings() {
-			tf := float64(p.Freq)
-			scores[p.Doc] += weight * idf * tf * (BM25K1 + 1) / (tf + norm)
+		for _, d := range list.Docs() {
+			tf := 1.0
+			scores[d] += weight * idf * tf * (BM25K1 + 1) / (tf + norm)
 		}
 	default: // ScoringVector
 		idf := math.Log(1 + float64(totalDocs)/float64(df))
-		for _, p := range list.Postings() {
-			tf := 1 + math.Log(float64(p.Freq))
-			scores[p.Doc] += float64(weight * tf * idf)
+		for _, d := range list.Docs() {
+			tf := 1.0
+			scores[d] += float64(weight * tf * idf)
 		}
 	}
 }

@@ -24,11 +24,13 @@ import (
 // Both scoring models score a document by summing, over the query's positive
 // leaf terms, a per-term contribution built from the term's document
 // frequency (shard-local, the standard distributed-retrieval approximation)
-// and the posting's within-document frequency; they differ only in the idf
-// and tf shaping, so either model runs from the same plan.
+// and the posting's within-document frequency. The index records word sets,
+// so that frequency is 1 and a term adds the same contribution to every
+// document on its list. The models differ only in the idf and tf shaping,
+// so either runs from the same plan.
 const (
 	// ScoringVector is the paper's vector-space model: tf·idf with
-	// tf = 1 + ln(freq) and idf = ln(1 + N/df).
+	// tf = 1 + ln(freq), which is 1 for every posting, and idf = ln(1 + N/df).
 	ScoringVector = "vector"
 	// ScoringBM25 is Okapi BM25: idf = ln(1 + (N − df + 0.5)/(df + 0.5)),
 	// tf saturation tf·(k1+1)/(tf + k1·(1 − b + b·dl/avgdl)). The
@@ -83,60 +85,31 @@ const bm25Norm = BM25K1 * (1 - BM25B + BM25B*1)
 // not associative, so a fixed order is what pins every score bit for bit,
 // run to run and across flush placements.
 type cursor struct {
-	ps     []postings.Posting // unread postings; ps[0] is the current one
-	weight float64            // the term's query weight
-	idf    float64            // from the list's shard-local document frequency
-	bm25   bool
-	// freq and last memoize the contribution of the frequency scored last,
-	// skipping a math.Log per posting. The engine indexes word sets, so its
-	// stored frequencies are all 1 and every scored posting repeats its
-	// predecessor's; the memo gives the bits recomputing would.
-	freq uint32
-	last float64
+	docs  []postings.DocID // unread postings; docs[0] is the current one
+	score float64          // the contribution to every document on the list
 }
 
 // newCursor opens a cursor over a non-empty list under the given model.
 // totalDocs must already be clamped by EffectiveCollectionSize.
 func newCursor(list *postings.List, weight float64, mode string, totalDocs int) cursor {
-	df := list.Len()
-	c := cursor{ps: list.Postings(), weight: weight, bm25: mode == ScoringBM25}
-	if c.bm25 {
-		c.idf = math.Log(1 + (float64(totalDocs)-float64(df)+0.5)/(float64(df)+0.5))
+	df := float64(list.Len())
+	var idf float64
+	if mode == ScoringBM25 {
+		idf = math.Log(1 + (float64(totalDocs)-df+0.5)/(df+0.5))
 	} else { // ScoringVector
-		c.idf = math.Log(1 + float64(totalDocs)/float64(df))
+		idf = math.Log(1 + float64(totalDocs)/df)
 	}
-	c.freq = c.ps[0].Freq
-	c.last = c.contribution(c.freq)
-	return c
-}
-
-// score is the cursor's contribution to its current document.
-func (c *cursor) score() float64 {
-	if f := c.ps[0].Freq; f != c.freq {
-		c.freq, c.last = f, c.contribution(f)
-	}
-	return c.last
+	return cursor{docs: list.Docs(), score: contribution(weight, idf, mode == ScoringBM25)}
 }
 
 // bound returns the most the cursor's unread postings add to any score,
-// clamped at 0. contribution is monotone in the frequency, so that is
-// reached at the least or the greatest frequency. A used-up cursor adds
-// nothing, and a NaN contribution counts as 0: a NaN score never beats θ.
+// clamped at 0. A used-up cursor adds nothing, and a NaN contribution
+// counts as 0: a NaN score never beats θ.
 func (c *cursor) bound() float64 {
-	if len(c.ps) == 0 {
+	if len(c.docs) == 0 || !(c.score > 0) {
 		return 0
 	}
-	lo, hi := c.ps[0].Freq, c.ps[0].Freq
-	for _, p := range c.ps[1:] {
-		lo, hi = min(lo, p.Freq), max(hi, p.Freq)
-	}
-	upper := 0.0
-	for _, v := range [2]float64{c.contribution(lo), c.contribution(hi)} {
-		if v > upper {
-			upper = v
-		}
-	}
-	return upper
+	return c.score
 }
 
 // seek advances the cursor to its first posting at or after doc and
@@ -144,75 +117,40 @@ func (c *cursor) bound() float64 {
 // posting, so a run of seeks costs the gaps between their targets, not
 // the list's length.
 func (c *cursor) seek(doc postings.DocID) bool {
-	ps := c.ps
-	if len(ps) > 0 && ps[0].Doc < doc {
-		// Gallop until ps[lo] < doc <= ps[hi] (or hi is past the end),
+	docs := c.docs
+	if len(docs) > 0 && docs[0] < doc {
+		// Gallop until docs[lo] < doc <= docs[hi] (or hi is past the end),
 		// then bisect between them.
 		lo, step := 0, 1
-		for lo+step < len(ps) && ps[lo+step].Doc < doc {
+		for lo+step < len(docs) && docs[lo+step] < doc {
 			lo += step
 			step *= 2
 		}
-		hi := min(lo+step, len(ps))
+		hi := min(lo+step, len(docs))
 		for hi-lo > 1 {
-			if mid := int(uint(lo+hi) >> 1); ps[mid].Doc < doc {
+			if mid := int(uint(lo+hi) >> 1); docs[mid] < doc {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
-		ps = ps[hi:]
-		c.ps = ps
+		docs = docs[hi:]
+		c.docs = docs
 	}
-	return len(ps) > 0 && ps[0].Doc == doc
+	return len(docs) > 0 && docs[0] == doc
 }
 
-// contribution is the term's share of a score for a posting of frequency
-// freq. The explicit conversion rounds the product before the caller adds
-// it, so no platform fuses the multiply into that addition.
-func (c *cursor) contribution(freq uint32) float64 {
-	tf := float64(freq)
-	if c.bm25 {
-		return c.weight * c.idf * tf * (BM25K1 + 1) / (tf + bm25Norm)
+// contribution is a term's share of the score of a document holding it,
+// from the term's query weight and idf: every posting's frequency is 1. The
+// explicit conversion rounds the product before the caller adds it, so no
+// platform fuses the multiply into that addition.
+func contribution(weight, idf float64, bm25 bool) float64 {
+	tf := 1.0
+	if bm25 {
+		return weight * idf * tf * (BM25K1 + 1) / (tf + bm25Norm)
 	}
 	tf = 1 + math.Log(tf)
-	return float64(c.weight * tf * c.idf)
-}
-
-// cursorHeap is a min-heap of open cursors, each keyed by its current
-// document in the high 32 bits and its position in cursor order in the low
-// 32, so the cursors on one document leave the top in the order their
-// contributions must be added, and a comparison is one integer compare. It
-// is sifted here rather than through container/heap because it moves once
-// per scored posting, where the interface calls dominate the walk.
-type cursorHeap []uint64
-
-// cursorKey is the heap key of cursor ord positioned on doc.
-func cursorKey(doc postings.DocID, ord int) uint64 { return uint64(doc)<<32 | uint64(ord) }
-
-// init orders an arbitrary h into a heap.
-func (h cursorHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h cursorHeap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && h[r] < h[l] {
-			m = r
-		}
-		if h[m] >= h[i] {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+	return float64(weight * tf * idf)
 }
 
 // topK keeps the k best matches offered to it, in compareMatches order, in
@@ -268,12 +206,10 @@ func (t *topK) ranked() []Match {
 // strictly above θ, since the walk offers in ascending document order and
 // ties go to the lower document.
 //
-// ranks orders the cursors for pruning by the contribution of their
-// current posting when pruning starts, clamped at 0: that is each list's
-// bound when its frequencies are all alike, as the engine's are. The
-// order is drawn only as far as pruning reaches. ranks[:bounded] carry
-// running sums of their cursors' bounds, each bound taken over the
-// cursor's unread postings when it is drawn; the rest are unordered.
+// ranks orders the cursors for pruning by their contribution, clamped at
+// 0. The order is drawn only as far as pruning reaches. ranks[:bounded]
+// carry running sums of their cursors' bounds, each taken when the cursor
+// is drawn; the rest are unordered.
 // ranks[:m] are the non-essential cursors: their bounds sum below limit,
 // so a document only they hold cannot beat θ. The walk no longer drives
 // them but seeks them for the documents the essential cursors propose. θ
@@ -317,7 +253,7 @@ type hit struct {
 
 // raise records θ once top is full and, when that makes more cursors
 // non-essential, takes them out of the walk heap h, which it returns.
-func (ms *maxScore) raise(curs []cursor, top *topK, h cursorHeap) cursorHeap {
+func (ms *maxScore) raise(curs []cursor, top *topK, h postings.KeyHeap) postings.KeyHeap {
 	if len(top.h) < top.k {
 		return h
 	}
@@ -341,16 +277,16 @@ func (ms *maxScore) raise(curs []cursor, top *topK, h cursorHeap) cursorHeap {
 		return h
 	}
 	for _, r := range ms.ranks[ms.m:m] {
-		ms.unread += len(curs[r.ord].ps)
+		ms.unread += len(curs[r.ord].docs)
 	}
 	ms.m = m
 	h = h[:0]
 	for _, r := range ms.ranks[m:] {
-		if c := &curs[r.ord]; len(c.ps) > 0 {
-			h = append(h, cursorKey(c.ps[0].Doc, r.ord))
+		if c := &curs[r.ord]; len(c.docs) > 0 {
+			h = append(h, postings.HeapKey(c.docs[0], r.ord))
 		}
 	}
-	h.init()
+	h.Init()
 	return h
 }
 
@@ -358,8 +294,8 @@ func (ms *maxScore) raise(curs []cursor, top *topK, h cursorHeap) cursorHeap {
 func (ms *maxScore) start(curs []cursor) {
 	ms.ranks = make([]boundSum, len(curs))
 	for i := range curs {
-		ms.ranks[i] = boundSum{ord: i, sum: max(curs[i].last, 0)}
-		ms.held += len(curs[i].ps)
+		ms.ranks[i] = boundSum{ord: i, sum: max(curs[i].score, 0)}
+		ms.held += len(curs[i].docs)
 	}
 	ms.hits = make([]hit, 0, len(curs))
 }
@@ -376,7 +312,7 @@ func (ms *maxScore) extend(curs []cursor) {
 	}
 	rest[0], rest[low] = rest[low], rest[0]
 	c := &curs[rest[0].ord]
-	rest[0].sum, rest[0].held = c.bound(), len(c.ps)
+	rest[0].sum, rest[0].held = c.bound(), len(c.docs)
 	if ms.bounded > 0 {
 		prev := ms.ranks[ms.bounded-1]
 		rest[0].sum += prev.sum
@@ -406,7 +342,7 @@ func (ms *maxScore) complete(curs []cursor, doc postings.DocID, e float64, hits 
 		}
 		ms.seeks++
 		if c := &curs[ms.ranks[j].ord]; c.seek(doc) {
-			v := c.score()
+			v := c.score
 			if v > 0 {
 				bound += v
 			}

@@ -15,9 +15,8 @@ import "dualindex/internal/postings"
 
 // TieredSource merges the inverted lists of several read tiers into one
 // Source. List unions the per-tier lists with a k-way merge; a document
-// reported by more than one tier is deduplicated into a single posting with
-// the frequencies summed (tiers are normally disjoint — a document lives in
-// exactly one tier at a time — so the sum is just that tier's frequency).
+// reported by more than one tier is one posting (tiers are normally
+// disjoint — a document lives in exactly one tier at a time).
 //
 // Tier order carries no semantic weight for List, but WordsWithPrefix
 // resolves through the first tier that can expand prefixes: the engine puts
@@ -46,21 +45,13 @@ func (ts *TieredSource) List(word string) (*postings.List, error) {
 	if len(ts.tiers) == 1 {
 		return ts.tiers[0].List(word)
 	}
-	lists := make([]*postings.List, 0, len(ts.tiers))
-	for _, t := range ts.tiers {
+	lists := make([]*postings.List, len(ts.tiers))
+	for i, t := range ts.tiers {
 		l, err := t.List(word)
 		if err != nil {
 			return nil, err
 		}
-		if l.Len() > 0 {
-			lists = append(lists, l)
-		}
-	}
-	switch len(lists) {
-	case 0:
-		return &postings.List{}, nil
-	case 1:
-		return lists[0], nil
+		lists[i] = l
 	}
 	return postings.UnionAll(lists), nil
 }

@@ -35,7 +35,7 @@ import (
 // publish/release protocol under Lock. While detached it is never grown,
 // so mid-flush queries and core.ApplyUpdate read its runs together.
 type pendingTier struct {
-	// words holds one sorted (doc, freq) run per word. Documents reach a
+	// words holds one sorted document run per word. Documents reach a
 	// shard in ascending identifier order, so each run grows by a tail Push.
 	words map[postings.WordID]*postings.List
 	// docs and postings size the tier for stats and metrics.
@@ -50,20 +50,18 @@ func newPendingTier() *pendingTier {
 // add indexes one arriving document into the tier: ids holds the word
 // identifier of each of its tokens, in text order, repeats included. The
 // tier dedupes by identifier, so the bag is never sorted: a repeat is
-// skipped when the word's run already ends at doc. Under keepDuplicates
-// (lexer.Options.KeepDuplicates) every occurrence is pushed instead, and
-// Push folds them into one posting with the frequency accumulated. doc must
-// be at least every identifier already in the tier.
-func (lt *pendingTier) add(doc postings.DocID, ids []postings.WordID, keepDuplicates bool) {
+// skipped when the word's run already ends at doc. doc must be at least
+// every identifier already in the tier.
+func (lt *pendingTier) add(doc postings.DocID, ids []postings.WordID) {
 	for _, w := range ids {
 		run := lt.words[w]
 		if run == nil {
 			run = &postings.List{}
 			lt.words[w] = run
-		} else if !keepDuplicates && run.MaxDoc() == doc {
+		} else if run.MaxDoc() == doc {
 			continue
 		}
-		run.Push(doc, 1)
+		run.Push(doc)
 		lt.postings++
 	}
 	lt.docs++

@@ -95,7 +95,8 @@ const (
 // Ranked-retrieval scoring models (Options.Scoring).
 const (
 	// ScoringVector is the paper's vector-space model: tf·idf with
-	// tf = 1 + ln(freq) and idf = ln(1 + N/df). The default.
+	// tf = 1 + ln(freq) and idf = ln(1 + N/df). The index records word
+	// sets, so freq and tf are 1. The default.
 	ScoringVector = query.ScoringVector
 	// ScoringBM25 is Okapi BM25 (k1 = 1.2, b = 0.75; document lengths are
 	// not stored, so b's length normalization is neutral).
@@ -108,11 +109,13 @@ const (
 	// only codec whose simulated traces are byte-identical to the original
 	// engine.
 	CodecRaw = "raw"
-	// CodecVarint delta-encodes document gaps and frequencies as varints,
-	// restarting the delta chain at every block boundary.
+	// CodecVarint delta-encodes document gaps as varints, each followed by
+	// a frequency varint of 1, restarting the delta chain at every block
+	// boundary.
 	CodecVarint = "varint"
-	// CodecGolomb Golomb-codes document gaps (with varint frequencies),
-	// restarting at block boundaries; densest for long lists.
+	// CodecGolomb Golomb-codes document gaps, each followed by a one-bit
+	// frequency of 1, restarting at block boundaries; densest for long
+	// lists.
 	CodecGolomb = "golomb"
 )
 

@@ -301,13 +301,13 @@ func referenceRanking(t *testing.T, eng *Engine, scoring, boolean string, terms 
 				t.Fatal(err)
 			}
 			df := float64(list.Len())
-			for _, p := range list.Postings() {
-				tf := float64(p.Freq)
+			for _, d := range list.Docs() {
+				tf := 1.0
 				if scoring == ScoringBM25 {
 					idf := math.Log(1 + (n-df+0.5)/(df+0.5))
-					scores[p.Doc] += idf * tf * (query.BM25K1 + 1) / (tf + query.BM25K1)
+					scores[d] += idf * tf * (query.BM25K1 + 1) / (tf + query.BM25K1)
 				} else {
-					scores[p.Doc] += float64((1 + math.Log(tf)) * math.Log(1+n/df))
+					scores[d] += float64(tf * math.Log(1+n/df))
 				}
 			}
 		}

@@ -75,7 +75,8 @@ go test -run '^FuzzRankedPruning$' -fuzz '^FuzzRankedPruning$' -fuzztime 5s ./in
 # streaming matcher must decide every check as the reference does.
 go test -run '^FuzzScanPositions$' -fuzz '^FuzzScanPositions$' -fuzztime 5s ./internal/lexer/
 # The add path scans with the same scanner: Tokenize, collected from it,
-# must equal the line-splitting reference under every option.
+# must equal the line-splitting reference under every option (header list,
+# minimum length, stop words).
 go test -run '^FuzzScanMatchesTokenize$' -fuzz '^FuzzScanMatchesTokenize$' -fuzztime 5s ./internal/lexer/
 go test -run '^FuzzMatchText$' -fuzz '^FuzzMatchText$' -fuzztime 5s ./internal/query/
 # So does the checkpoint root every Open trusts: arbitrary superblock images

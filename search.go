@@ -2,6 +2,7 @@ package dualindex
 
 import (
 	"dualindex/internal/lexer"
+	"dualindex/internal/postings"
 	"dualindex/internal/query"
 )
 
@@ -86,14 +87,14 @@ func (e *Engine) SearchVector(text string, k int) ([]Match, error) {
 // per-shard answers.
 func (e *Engine) searchDocs(qo queryObs, text string, pl *query.Plan) ([]DocID, error) {
 	qo.routeDone()
-	lists, err := fanOut(e, func(s *shard) ([]DocID, error) {
+	lists, err := fanOut(e, func(s *shard) (*postings.List, error) {
 		return s.execMatch(pl)
 	})
 	if err != nil {
 		return nil, err
 	}
 	qo.mergeStart()
-	docs := query.MergeDocLists(lists)
+	docs := postings.UnionAll(lists).Docs()
 	qo.finish(text, len(docs))
 	return docs, nil
 }

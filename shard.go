@@ -278,7 +278,7 @@ func (s *shard) indexPendingLocked(doc postings.DocID, toks *lexer.Tokens) {
 		}
 		ids[i] = s.vocab.GetOrAssign(string(toks.Word(i)))
 	}
-	s.pending.add(doc, ids, s.opts.Lexer.KeepDuplicates)
+	s.pending.add(doc, ids)
 	if doc > s.lastDoc {
 		s.lastDoc = doc
 	}
@@ -438,7 +438,7 @@ func (s *shard) prefetchPlan(pl *query.Plan) (*query.Prefetched, error) {
 
 // execMatch runs a match-only plan against this shard and returns its
 // matching documents in ascending order.
-func (s *shard) execMatch(pl *query.Plan) ([]DocID, error) {
+func (s *shard) execMatch(pl *query.Plan) (*postings.List, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t0 := s.obs.now()
@@ -452,7 +452,9 @@ func (s *shard) execMatch(pl *query.Plan) ([]DocID, error) {
 		return nil, err
 	}
 	s.obs.observeScore(t1)
-	return l.Docs(), nil
+	// The list may be shared with the shard's tiers or cache: hand back a
+	// copy.
+	return l.Clone(), nil
 }
 
 // execRanked runs a ranked plan against this shard and returns its local
