@@ -6,18 +6,23 @@
 //	search -index idx/ -q '"white mouse" and cat* or title:dog' -docs
 //	search -index idx/ -q 'cat and dog' -scoring bm25
 //	search -index idx/ "(cat and dog) or mouse"
+//	search -index idx/ -docs 'cat near/3 dog'
+//	search -index idx/ -docs '"white mouse" or title:rates'
 //	search -index idx/ -vector -k 10 "words of a query document"
 //	search -index idx/          # interactive: one query per line on stdin
 //
-// -q takes the unified query language (see the README's "Query language"
-// section) and prints ranked results under -scoring; the legacy flags keep
-// their original entry points and output.
+// -q prints ranked results under -scoring. A query given as arguments (or
+// on stdin) prints every matching document, unranked; it takes the same
+// language except that terms are joined by "and"/"or" (a bare "cat dog" is
+// a ranked bag: use -q). See the README's "Query language" section.
+// Phrases, near/k and title:/body: need -docs.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -31,29 +36,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("search: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the command line, opens the index and answers the query (or
+// each query read from stdin), printing to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	var (
-		indexDir = flag.String("index", "idx", "index directory")
-		unified  = flag.String("q", "", "unified-language query (phrases, and/or/not, near/k, title:/body:, prefix*); ranked output")
-		scoring  = flag.String("scoring", "", "ranking model for -q and -vector: vector (default) or bm25")
-		vector   = flag.Bool("vector", false, "vector-space ranking instead of boolean")
-		k        = flag.Int("k", 10, "top-k results for ranked queries")
-		phrase   = flag.Bool("phrase", false, "exact phrase query (requires an index built with documents kept)")
-		near     = flag.Int("near", 0, "proximity window: treat the two query words as 'w1 within N words of w2'")
-		docs     = flag.Bool("docs", false, "keep/load stored documents (enables -phrase and -near)")
-		shards   = flag.Int("shards", 0, "index shards (0 adopts the index's manifest — the usual choice)")
-		backend  = flag.String("backend", "", "block-store backend (empty adopts the index's manifest — the usual choice)")
-		codec    = flag.String("codec", "", "long-list block codec (empty adopts the index's manifest — the usual choice)")
-		metrics  = flag.String("metrics", "", "serve /metrics, /stats, /trace, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
-		slow     = flag.Duration("slow", 0, "log queries slower than this duration (view on the -metrics endpoint's /slow)")
+		indexDir = fs.String("index", "idx", "index directory")
+		unified  = fs.String("q", "", "unified-language query (phrases, and/or/not, near/k, title:/body:, prefix*); ranked output")
+		scoring  = fs.String("scoring", "", "ranking model for -q and -vector: vector (default) or bm25")
+		vector   = fs.Bool("vector", false, "vector-space ranking instead of boolean")
+		k        = fs.Int("k", 10, "top-k results for ranked queries")
+		docs     = fs.Bool("docs", false, "keep/load stored documents (enables phrases, near/k and title:/body:)")
+		shards   = fs.Int("shards", 0, "index shards (0 adopts the index's manifest — the usual choice)")
+		backend  = fs.String("backend", "", "block-store backend (empty adopts the index's manifest — the usual choice)")
+		codec    = fs.String("codec", "", "long-list block codec (empty adopts the index's manifest — the usual choice)")
+		metrics  = fs.String("metrics", "", "serve /metrics, /stats, /trace, /healthz and /debug/pprof on this address (e.g. localhost:6060); enables instrumentation")
+		slow     = fs.Duration("slow", 0, "log queries slower than this duration (view on the -metrics endpoint's /slow)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opts := dualindex.Options{
 		Dir:           *indexDir,
 		Shards:        *shards,
 		Backend:       *backend,
 		Codec:         *codec,
-		KeepDocuments: *docs || *phrase || *near > 0,
+		KeepDocuments: *docs,
 		Scoring:       *scoring,
 		SlowQuery:     *slow,
 	}
@@ -63,7 +77,7 @@ func main() {
 	}
 	eng, err := dualindex.Open(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer eng.Close()
 	if *metrics != "" {
@@ -93,91 +107,52 @@ func main() {
 	}
 
 	if *unified != "" {
-		if err := runUnified(eng, *unified, *k); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runUnified(eng, out, *unified, *k)
 	}
-	if flag.NArg() > 0 {
-		q := strings.Join(flag.Args(), " ")
-		switch {
-		case *phrase:
-			err = runPhrase(eng, q)
-		case *near > 0:
-			err = runNear(eng, flag.Args(), *near)
-		default:
-			err = runQuery(eng, q, *vector, *k)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+	if fs.NArg() > 0 {
+		return runQuery(eng, out, strings.Join(fs.Args(), " "), *vector, *k)
 	}
 	sc := bufio.NewScanner(os.Stdin)
-	fmt.Println("enter queries, one per line (ctrl-D to exit):")
+	fmt.Fprintln(out, "enter queries, one per line (ctrl-D to exit):")
 	for sc.Scan() {
 		q := strings.TrimSpace(sc.Text())
 		if q == "" {
 			continue
 		}
-		if err := runQuery(eng, q, *vector, *k); err != nil {
-			fmt.Println("error:", err)
+		if err := runQuery(eng, out, q, *vector, *k); err != nil {
+			fmt.Fprintln(out, "error:", err)
 		}
 	}
+	return sc.Err()
 }
 
 // runUnified evaluates one unified-language query and prints the ranked
 // results with scores.
-func runUnified(eng *dualindex.Engine, q string, k int) error {
+func runUnified(eng *dualindex.Engine, out io.Writer, q string, k int) error {
 	start := time.Now()
 	matches, err := eng.Query(q, k)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d matches in %v\n", len(matches), time.Since(start).Round(time.Microsecond))
+	fmt.Fprintf(out, "%d matches in %v\n", len(matches), time.Since(start).Round(time.Microsecond))
 	for i, m := range matches {
-		fmt.Printf("%2d. doc %-8d score %.3f\n", i+1, m.Doc, m.Score)
+		fmt.Fprintf(out, "%2d. doc %-8d score %.3f\n", i+1, m.Doc, m.Score)
 	}
 	return nil
 }
 
-func runPhrase(eng *dualindex.Engine, q string) error {
-	docs, err := eng.SearchPhrase(q)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("phrase %q: %d documents\n", q, len(docs))
-	for _, d := range docs {
-		fmt.Printf("doc %d\n", d)
-	}
-	return nil
-}
-
-func runNear(eng *dualindex.Engine, words []string, k int) error {
-	if len(words) != 2 {
-		return fmt.Errorf("-near takes exactly two words, got %d", len(words))
-	}
-	docs, err := eng.SearchNear(words[0], words[1], k)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%q within %d of %q: %d documents\n", words[0], k, words[1], len(docs))
-	for _, d := range docs {
-		fmt.Printf("doc %d\n", d)
-	}
-	return nil
-}
-
-func runQuery(eng *dualindex.Engine, q string, vector bool, k int) error {
+// runQuery evaluates one query given as arguments: ranked by SearchVector
+// under -vector, else every match of SearchBoolean.
+func runQuery(eng *dualindex.Engine, out io.Writer, q string, vector bool, k int) error {
 	start := time.Now()
 	if vector {
 		matches, err := eng.SearchVector(q, k)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%d matches in %v\n", len(matches), time.Since(start).Round(time.Microsecond))
+		fmt.Fprintf(out, "%d matches in %v\n", len(matches), time.Since(start).Round(time.Microsecond))
 		for i, m := range matches {
-			fmt.Printf("%2d. doc %-8d score %.3f\n", i+1, m.Doc, m.Score)
+			fmt.Fprintf(out, "%2d. doc %-8d score %.3f\n", i+1, m.Doc, m.Score)
 		}
 		return nil
 	}
@@ -185,14 +160,14 @@ func runQuery(eng *dualindex.Engine, q string, vector bool, k int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d matching documents in %v\n", len(docs), time.Since(start).Round(time.Microsecond))
+	fmt.Fprintf(out, "%d matching documents in %v\n", len(docs), time.Since(start).Round(time.Microsecond))
 	const maxShown = 20
 	for i, d := range docs {
 		if i == maxShown {
-			fmt.Printf("... and %d more\n", len(docs)-maxShown)
+			fmt.Fprintf(out, "... and %d more\n", len(docs)-maxShown)
 			break
 		}
-		fmt.Printf("doc %d\n", d)
+		fmt.Fprintf(out, "doc %d\n", d)
 	}
 	return nil
 }

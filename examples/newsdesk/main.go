@@ -47,10 +47,10 @@ func main() {
 	docs, err := eng.SearchPhrase("storm warning")
 	show(`phrase "storm warning"`, docs, err)
 
-	docs, err = eng.SearchNear("cat", "dog", 3)
+	docs, err = eng.SearchBoolean("cat near/3 dog")
 	show(`"cat" within 3 words of "dog"`, docs, err)
 
-	docs, err = eng.SearchInRegion("rates", "title")
+	docs, err = eng.SearchBoolean("title:rates")
 	show(`"rates" within the title region`, docs, err)
 
 	docs, err = eng.SearchBoolean("central and (bank or weather)")

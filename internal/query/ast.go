@@ -1,12 +1,19 @@
+// Package query implements the retrieval side of the paper's
+// information-retrieval workload as one layered pipeline: a parser producing
+// a single query AST (ast.go, parser.go), a planner lowering the AST into a
+// per-shard executable plan (plan.go), and an executor running the plan
+// against any Source (exec.go), scoring ranked nodes through the paper's
+// vector-space model or BM25 (score.go).
 package query
 
 import "fmt"
 
-// The one query AST. Every engine entry point — the unified query language,
-// the legacy boolean grammar, and the programmatic wrappers (vector, phrase,
-// proximity, region) — parses or builds into this tree; the planner
-// (plan.go) lowers it into a per-shard executable plan, and the executor
-// (exec.go) runs that plan against any Source. Nodes fall into two families:
+// The one query AST. Every engine entry point parses into this tree — Query
+// through ParseQuery, SearchBoolean through Parse (the same grammar without
+// adjacency) — or builds its leaf directly (SearchVector's bag, SearchPhrase's
+// phrase); the planner (plan.go) lowers it into a per-shard executable plan,
+// and the executor (exec.go) runs that plan against any Source. Nodes fall
+// into two families:
 //
 //   - set-algebra nodes (Word, Prefix, And, Or, Not), resolvable entirely
 //     from inverted lists;

@@ -14,6 +14,20 @@ import (
 // document walker, rank, which prunes what cannot reach the top k (MaxScore)
 // and returns exactly what a walk of every posting would.
 
+// Source supplies the inverted list for a word. Lists must be sorted by
+// document identifier; a word with no list returns an empty list.
+type Source interface {
+	List(word string) (*postings.List, error)
+}
+
+// A PrefixSource additionally enumerates the vocabulary by prefix, enabling
+// truncation queries ("inver*"). Sources without this capability reject
+// prefix queries at evaluation time.
+type PrefixSource interface {
+	Source
+	WordsWithPrefix(prefix string) []string
+}
+
 // VerifyFunc checks candidate documents against a positional condition: it
 // returns, in ascending order, the candidates whose stored text satisfies
 // check (Check.MatchText). The shard's implementation reads its document

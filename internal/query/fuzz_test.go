@@ -6,10 +6,11 @@ import (
 	"dualindex/internal/lexer"
 )
 
-// FuzzParseQuery fuzzes the unified-language parser. The invariants: never
-// panic; on success, the rendering re-parses to an identical rendering (the
-// canonical round trip), and the planner lowers the tree without panicking
-// under both scoring modes. The seed corpus covers every token kind and the
+// FuzzParseQuery fuzzes the query parser. The invariants: never panic;
+// whatever Parse accepts, ParseQuery accepts with the same tree; on success,
+// the rendering re-parses to an identical rendering (the canonical round
+// trip), and the planner lowers the tree without panicking under both
+// scoring modes. The seed corpus covers every token kind and the
 // error shapes; `make check` gives this a short live burst and CI runs it
 // longer.
 func FuzzParseQuery(f *testing.F) {
@@ -34,6 +35,9 @@ func FuzzParseQuery(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, q string) {
 		e, err := ParseQuery(q)
+		if u, uerr := Parse(q); uerr == nil && (err != nil || u.String() != e.String()) {
+			t.Fatalf("Parse(%q) = %s but ParseQuery = %v, %v", q, u, e, err)
+		}
 		if err != nil {
 			return
 		}

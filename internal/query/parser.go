@@ -8,8 +8,8 @@ import (
 	"dualindex/internal/lexer"
 )
 
-// The unified query language. One string expresses everything the engine's
-// entry points used to split across five methods:
+// The query language. One string expresses every query the engine answers,
+// ranked (Engine.Query) or not (Engine.SearchBoolean):
 //
 //	query    = or_expr ;
 //	or_expr  = and_expr { [ "or" ] and_expr } ;      (* adjacency = or *)
@@ -26,12 +26,25 @@ import (
 // query; "and"/"not" tighten it into boolean structure; quoted phrases,
 // near/k proximity and region filters add the paper's positional
 // conditions; a trailing "*" truncates. Precedence, loosest to tightest:
-// or/adjacency, and, not, near/k.
+// or/adjacency, and, not, near/k. Parse, for unranked queries, refuses
+// adjacency and accepts the rest.
 
 // ParseQuery parses a unified-language query into the query AST. The
 // rendering of the result re-parses to an identical rendering (the
 // round-trip invariant pinned by FuzzParseQuery).
-func ParseQuery(s string) (Expr, error) {
+func ParseQuery(s string) (Expr, error) { return parse(s, true) }
+
+// Parse parses a query for the unranked entry point: the whole language
+// except adjacency. A bare "cat dog" is a bag of words, which only has a
+// meaning when ranked, so here two terms must be joined by "and" or "or" at
+// every depth; phrases, near/k, regions and prefixes are accepted as in
+// ParseQuery, and whatever Parse accepts, ParseQuery parses to the same tree.
+//
+// Queries that are purely negative (e.g. "not cat") parse but fail at
+// planning: an inverted index cannot enumerate the complement.
+func Parse(s string) (Expr, error) { return parse(s, false) }
+
+func parse(s string, bags bool) (Expr, error) {
 	toks, err := scanQuery(s)
 	if err != nil {
 		return nil, err
@@ -39,7 +52,7 @@ func ParseQuery(s string) (Expr, error) {
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("query: empty query")
 	}
-	p := &qparser{toks: toks}
+	p := &qparser{toks: toks, bags: bags}
 	e, err := p.parseOr()
 	if err != nil {
 		return nil, err
@@ -201,6 +214,7 @@ func isPlainWord(w string) bool {
 type qparser struct {
 	toks []qtoken
 	pos  int
+	bags bool // adjacency reads as or; otherwise it is an error
 }
 
 func (p *qparser) eof() bool { return p.pos >= len(p.toks) }
@@ -232,6 +246,8 @@ func (p *qparser) parseOr() (Expr, error) {
 			p.pos++
 		} else if !p.startsFactor() {
 			return left, nil
+		} else if !p.bags {
+			return nil, fmt.Errorf("query: unexpected %q: join terms with and/or (a bag of words needs a ranked query)", p.peek().display())
 		}
 		right, err := p.parseAnd()
 		if err != nil {

@@ -153,25 +153,60 @@ func TestQuickParseQueryRoundtrip(t *testing.T) {
 	}
 }
 
-// TestParseQueryLegacyCompat: every query the legacy boolean grammar
-// accepts parses identically under the unified grammar (the unified
-// language is a superset).
-func TestParseQueryLegacyCompat(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := randomExpr(r, 4) // legacy node kinds only
-		legacy, err := Parse(e.String())
-		if err != nil {
-			return false
-		}
-		unified, err := ParseQuery(e.String())
-		if err != nil {
-			t.Logf("ParseQuery(%q): %v", e.String(), err)
-			return false
-		}
-		return legacy.String() == unified.String()
+// TestParseUnranked pins what Parse, the unranked entry point's parser,
+// accepts: the whole language except adjacency, each accepted query parsing
+// to the same tree as under ParseQuery; and what it refuses: a bag of words
+// at the top level, inside parentheses, or after a positional atom.
+func TestParseUnranked(t *testing.T) {
+	accepted := []string{
+		"cat",
+		"(cat and dog) or mouse",
+		"ca* and not do*",
+		`"white mouse"`,
+		`"white mouse" and cat`,
+		"cat near/3 dog",
+		"cat near/3 dog or title:mouse",
+		"title:rates",
+		"body:cat and not (dog or title:mouse)",
+		"not cat",
+		"((cat or dog) and (mouse or bird))",
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for _, q := range accepted {
+		e, err := Parse(q)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", q, err)
+			continue
+		}
+		u, err := ParseQuery(q)
+		if err != nil {
+			t.Fatalf("ParseQuery(%q): %v", q, err)
+		}
+		if e.String() != u.String() {
+			t.Errorf("Parse(%q) = %s, ParseQuery = %s", q, e, u)
+		}
+	}
+	refused := []string{
+		"cat dog",
+		"cat dog mouse",
+		"cat and dog mouse",
+		"cat not dog",
+		"(cat dog)",
+		"mouse and (cat dog)",
+		"(cat or (dog mouse))",
+		`"white mouse" cat`,
+		"cat near/3 dog mouse",
+		"title:cat body:dog",
+		"cat (dog)",
+	}
+	for _, q := range refused {
+		if _, err := ParseQuery(q); err != nil {
+			t.Fatalf("ParseQuery(%q): %v; the row must be valid as a ranked query", q, err)
+		}
+		_, err := Parse(q)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded; adjacency is refused", q)
+		} else if !strings.Contains(err.Error(), "join terms with and/or") {
+			t.Errorf("Parse(%q) error = %q, want the adjacency refusal", q, err)
+		}
 	}
 }

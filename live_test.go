@@ -50,12 +50,12 @@ func liveAnswers(t *testing.T, eng *Engine) map[string]any {
 		t.Fatal(err)
 	}
 	out["phrase"] = phrase
-	near, err := eng.SearchNear("quick", "fox", 3)
+	near, err := eng.SearchBoolean("quick near/3 fox")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["near"] = near
-	region, err := eng.SearchInRegion("market", "title")
+	region, err := eng.SearchBoolean("title:market")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,7 @@ type observer struct {
 	queryMerge *metrics.Histogram            // k-way merge of shard answers
 	queryTotal map[string]*metrics.Histogram // kind → end-to-end latency
 	queryCount map[string]*metrics.Counter   // kind → queries served
+	queryFail  map[string]*metrics.Counter   // kind → queries that returned an error
 
 	reshards       *metrics.Counter // completed reshards
 	reshardDocs    *metrics.Counter // documents migrated by reshards
@@ -82,9 +83,11 @@ func newObserver(opts Options) *observer {
 	o.queryMerge = o.reg.Histogram(`query_phase_seconds{phase="merge"}`, nil)
 	o.queryTotal = make(map[string]*metrics.Histogram, len(queryKinds))
 	o.queryCount = make(map[string]*metrics.Counter, len(queryKinds))
+	o.queryFail = make(map[string]*metrics.Counter, len(queryKinds))
 	for _, kind := range queryKinds {
 		o.queryTotal[kind] = o.reg.Histogram(`query_seconds{kind="`+kind+`"}`, nil)
 		o.queryCount[kind] = o.reg.Counter(`queries_total{kind="` + kind + `"}`)
+		o.queryFail[kind] = o.reg.Counter(`queries_failed_total{kind="` + kind + `"}`)
 	}
 	o.slowTotal = o.reg.Counter("slow_queries_total")
 	o.reshards = o.reg.Counter("reshards_total")
@@ -238,11 +241,11 @@ func (so *shardObs) observeScore(t0 time.Time) {
 	so.o.rec.RecordAt(so.scope, "query.score", "", t0, d)
 }
 
-// queryKinds are the engine's query entry points: the five legacy methods
-// plus the unified-language "query" kind. Each gets its own latency
-// histogram and served counter; the per-phase histograms
+// queryKinds are the engine's query entry points: SearchBoolean, SearchVector,
+// SearchPhrase and the ranked Query. Each gets its own latency histogram,
+// served counter and failed counter; the per-phase histograms
 // (query_phase_seconds) stay unlabelled by kind, shared across all of them.
-var queryKinds = []string{"boolean", "vector", "phrase", "near", "region", "query"}
+var queryKinds = []string{"boolean", "vector", "phrase", "query"}
 
 // queryObs measures one engine-level query: route → (per-shard work) →
 // merge, then the total with slow-query bookkeeping. The zero queryObs —
@@ -304,6 +307,15 @@ func (q *queryObs) finish(text string, results int) {
 			Time: q.t0, Kind: q.kind, Query: text, Dur: total, Results: results,
 		})
 	}
+}
+
+// fail counts a query that returns err instead of an answer — a parse,
+// plan or fan-out error — and returns err.
+func (q *queryObs) fail(err error) error {
+	if q.o != nil {
+		q.o.queryFail[q.kind].Inc()
+	}
+	return err
 }
 
 // recordSlow appends to the slow-query ring and emits the slow-query

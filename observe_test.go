@@ -151,6 +151,45 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFailedQueriesCounted: a query that returns an error instead of an
+// answer — refused by the parser, the planner or a shard — counts in
+// queries_failed_total under its kind and not in queries_total.
+func TestFailedQueriesCounted(t *testing.T) {
+	eng, err := Open(observeOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, text := range synthTexts(37, 20, 20, 10) {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.SearchBoolean("((("); err == nil {
+		t.Error(`SearchBoolean("(((") succeeded`)
+	}
+	if _, err := eng.Query("not cat", 5); err == nil {
+		t.Error(`Query("not cat") succeeded`)
+	}
+	if _, err := eng.SearchPhrase("white mouse"); err == nil {
+		t.Error("phrase query without stored documents succeeded")
+	}
+	if _, err := eng.SearchBoolean(synthWord(0)); err != nil {
+		t.Fatal(err)
+	}
+	reg := eng.Metrics()
+	for kind, want := range map[string][2]int64{
+		"boolean": {1, 1},
+		"query":   {1, 0},
+		"phrase":  {1, 0},
+		"vector":  {0, 0},
+	} {
+		failed := reg.Counter(`queries_failed_total{kind="` + kind + `"}`).Value()
+		served := reg.Counter(`queries_total{kind="` + kind + `"}`).Value()
+		if failed != want[0] || served != want[1] {
+			t.Errorf("%s: queries_failed_total = %d, queries_total = %d; want %d, %d", kind, failed, served, want[0], want[1])
+		}
+	}
+}
+
 // TestObservabilityDisabled pins the disabled path: a default engine carries
 // no observer, the accessors return nil/empty, and everything still works.
 func TestObservabilityDisabled(t *testing.T) {

@@ -185,8 +185,8 @@ type Options struct {
 	Scoring string
 	// KeepDocuments stores the original document text (in memory, or in a
 	// docs.log per shard directory for persistent engines), enabling
-	// Document retrieval and the positional query layer (SearchPhrase,
-	// SearchNear, SearchInRegion).
+	// Document retrieval and positional queries: SearchPhrase, and phrases,
+	// near/k and title:/body: in Query and SearchBoolean.
 	KeepDocuments bool
 	// LiveSearch has no effect. It once cached each unflushed document's
 	// positional tokens in memory; positional verification now streams the

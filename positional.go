@@ -1,21 +1,18 @@
 package dualindex
 
-import (
-	"fmt"
-
-	"dualindex/internal/lexer"
-	"dualindex/internal/query"
-)
+import "dualindex/internal/query"
 
 // The positional query layer: phrase, proximity and region conditions from
 // the paper's introduction ("the query may also give additional conditions,
 // such as requiring that cat and dog occur within so many words of each
-// other, or that mouse occur within a title region"). Each entry point
-// builds its positional AST leaf and runs the common pipeline: the planner
-// lowers the leaf into a candidate-verification step, each shard's inverted
-// index prunes to candidate documents and its document store verifies
-// positions — the classic candidate-verification design for an
-// abstracts-level index — and the sorted per-shard answers are merged.
+// other, or that mouse occur within a title region"). They are atoms of the
+// query language ("white mouse", cat near/3 dog, title:mouse), answered by
+// Query and SearchBoolean; SearchPhrase builds the phrase leaf from raw
+// text. The planner lowers each positional leaf into a candidate-verification
+// step: each shard's inverted index prunes to candidate documents and its
+// document store verifies positions — the classic candidate-verification
+// design for an abstracts-level index — and the sorted per-shard answers are
+// merged.
 
 // Document returns the stored text of a document. It requires
 // Options.KeepDocuments and returns ok=false for unknown or deleted
@@ -30,42 +27,9 @@ func (e *Engine) Document(id DocID) (text string, ok bool, err error) {
 // phrase (adjacent positions, in order). Requires Options.KeepDocuments.
 func (e *Engine) SearchPhrase(phrase string) ([]DocID, error) {
 	qo := e.obs.beginQuery("phrase")
-	if len(lexer.Tokenize(phrase, e.opts.Lexer)) == 0 {
-		return nil, fmt.Errorf("dualindex: empty phrase")
-	}
 	pl, err := query.NewPlan(query.Phrase{Text: phrase}, query.PlanOptions{Lexer: e.opts.Lexer})
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	return e.searchDocs(qo, phrase, pl)
-}
-
-// SearchNear finds documents where w1 and w2 occur within k words of each
-// other (in either order). Requires Options.KeepDocuments.
-func (e *Engine) SearchNear(w1, w2 string, k int) ([]DocID, error) {
-	qo := e.obs.beginQuery("near")
-	if k < 1 {
-		return nil, fmt.Errorf("dualindex: proximity window %d < 1", k)
-	}
-	expr := query.Near{A: w1, B: w2, K: k}
-	pl, err := query.NewPlan(expr, query.PlanOptions{Lexer: e.opts.Lexer})
-	if err != nil {
-		return nil, fmt.Errorf("dualindex: bad proximity words %q, %q", w1, w2)
-	}
-	return e.searchDocs(qo, expr.String(), pl)
-}
-
-// SearchInRegion finds documents where word occurs within the named region
-// ("title" or "body"). Requires Options.KeepDocuments.
-func (e *Engine) SearchInRegion(word, region string) ([]DocID, error) {
-	qo := e.obs.beginQuery("region")
-	if region != lexer.RegionTitle && region != lexer.RegionBody {
-		return nil, fmt.Errorf("dualindex: unknown region %q", region)
-	}
-	expr := query.Region{Name: region, W: word}
-	pl, err := query.NewPlan(expr, query.PlanOptions{Lexer: e.opts.Lexer})
-	if err != nil {
-		return nil, fmt.Errorf("dualindex: bad region word %q", word)
-	}
-	return e.searchDocs(qo, expr.String(), pl)
 }

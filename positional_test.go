@@ -27,10 +27,10 @@ func TestPositionalQueriesRequireDocStore(t *testing.T) {
 	if _, err := eng.SearchPhrase("some words"); err == nil {
 		t.Error("phrase query without doc store accepted")
 	}
-	if _, err := eng.SearchNear("some", "words", 3); err == nil {
+	if _, err := eng.SearchBoolean("some near/3 words"); err == nil {
 		t.Error("proximity query without doc store accepted")
 	}
-	if _, err := eng.SearchInRegion("some", "title"); err == nil {
+	if _, err := eng.SearchBoolean("title:some"); err == nil {
 		t.Error("region query without doc store accepted")
 	}
 	if _, _, err := eng.Document(1); err == nil {
@@ -92,14 +92,14 @@ func TestSearchNear(t *testing.T) {
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	docs, err := eng.SearchNear("cat", "dog", 1)
+	docs, err := eng.SearchBoolean("cat near/1 dog")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 1 || docs[0] != d2 {
 		t.Fatalf("near 1 = %v", docs)
 	}
-	docs, err = eng.SearchNear("cat", "dog", 5)
+	docs, err = eng.SearchBoolean("cat near/5 dog")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +112,17 @@ func TestSearchNear(t *testing.T) {
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	docs, err = eng.SearchNear("echo", "echo", 2)
+	docs, err = eng.SearchBoolean("echo near/2 echo")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 1 || docs[0] != d4 {
 		t.Fatalf("self-near = %v", docs)
 	}
-	if _, err := eng.SearchNear("cat", "dog", 0); err == nil {
+	if _, err := eng.SearchBoolean("cat near/0 dog"); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := eng.SearchNear("two words", "dog", 3); err == nil {
+	if _, err := eng.SearchBoolean(`"two words" near/3 dog`); err == nil {
 		t.Error("multi-word proximity operand accepted")
 	}
 }
@@ -135,21 +135,21 @@ func TestSearchInRegion(t *testing.T) {
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	docs, err := eng.SearchInRegion("market", "title")
+	docs, err := eng.SearchBoolean("title:market")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 1 || docs[0] != d1 {
 		t.Fatalf("title region = %v", docs)
 	}
-	docs, err = eng.SearchInRegion("market", "body")
+	docs, err = eng.SearchBoolean("body:market")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 1 || docs[0] != d2 {
 		t.Fatalf("body region = %v", docs)
 	}
-	if _, err := eng.SearchInRegion("market", "footnote"); err == nil {
+	if _, err := eng.SearchBoolean("footnote:market"); err == nil {
 		t.Error("unknown region accepted")
 	}
 }
@@ -195,7 +195,7 @@ func TestDocStorePersistsAcrossOpen(t *testing.T) {
 	if len(docs) != 1 || docs[0] != d {
 		t.Fatalf("reopened phrase = %v", docs)
 	}
-	docs, err = re.SearchInRegion("durable", "title")
+	docs, err = re.SearchBoolean("title:durable")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,19 +164,19 @@ func TestQueryWrapperEquivalence(t *testing.T) {
 	if ms, _ := eng.Query(`"white mouse"`, 100); sortedDocs(ms) != fmt.Sprint(phrase) {
 		t.Errorf("phrase: Query %s, SearchPhrase %v", sortedDocs(ms), phrase)
 	}
-	near, err := eng.SearchNear("white", "mouse", 2)
+	near, err := eng.SearchBoolean("white near/2 mouse")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms, _ := eng.Query("white near/2 mouse", 100); sortedDocs(ms) != fmt.Sprint(near) {
-		t.Errorf("near: Query %s, SearchNear %v", sortedDocs(ms), near)
+		t.Errorf("near: Query %s, SearchBoolean %v", sortedDocs(ms), near)
 	}
-	region, err := eng.SearchInRegion("mouse", "title")
+	region, err := eng.SearchBoolean("title:mouse")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms, _ := eng.Query("title:mouse", 100); sortedDocs(ms) != fmt.Sprint(region) {
-		t.Errorf("region: Query %s, SearchInRegion %v", sortedDocs(ms), region)
+		t.Errorf("region: Query %s, SearchBoolean %v", sortedDocs(ms), region)
 	}
 }
 

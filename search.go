@@ -10,27 +10,26 @@ import (
 // becomes the query AST), plan (the AST lowers into a shard-executable plan,
 // once per query), execute (every shard runs the same plan concurrently
 // under the snapshot/fan-out machinery, and the sorted per-shard answers are
-// k-way merged). Query is the unified entry point over the whole language;
-// the legacy methods — SearchBoolean, SearchVector and the positional trio
-// in positional.go — are thin wrappers that build their fragment of the AST
-// directly and run the same pipeline.
+// k-way merged). Query ranks and SearchBoolean matches over the one query
+// language; SearchVector (a document-like text) and SearchPhrase
+// (positional.go) build their leaf of the AST directly and run the same
+// pipeline.
 
 // Match is a scored query result.
 type Match = query.Match
 
 // Query evaluates a unified-language query and returns the top k documents
 // ranked under Options.Scoring (score descending, ties by ascending
-// document). The language composes everything the legacy entry points split
-// across five methods: bare term lists rank as a bag of words ("incremental
-// inverted lists"), "and"/"or"/"not" add boolean structure, quoted phrases,
-// "near/k" proximity and "title:"/"body:" region filters add positional
-// conditions (these require Options.KeepDocuments), and a trailing "*"
-// truncates. See query.ParseQuery for the grammar.
+// document). Bare term lists rank as a bag of words ("incremental inverted
+// lists"), "and"/"or"/"not" add boolean structure, quoted phrases, "near/k"
+// proximity and "title:"/"body:" region filters add positional conditions
+// (these require Options.KeepDocuments), and a trailing "*" truncates. See
+// query.ParseQuery for the grammar.
 func (e *Engine) Query(q string, k int) ([]Match, error) {
 	qo := e.obs.beginQuery("query")
 	expr, err := query.ParseQuery(q)
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	pl, err := query.NewPlan(expr, query.PlanOptions{
 		Lexer:   e.opts.Lexer,
@@ -38,7 +37,7 @@ func (e *Engine) Query(q string, k int) ([]Match, error) {
 		K:       k,
 	})
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	// The slow-query log records the canonical rendering of the parsed
 	// query, not the raw input: two spellings of the same query ("a AND b",
@@ -47,22 +46,26 @@ func (e *Engine) Query(q string, k int) ([]Match, error) {
 	return e.searchRanked(qo, expr.String(), pl)
 }
 
-// SearchBoolean evaluates a boolean query such as "(cat and dog) or mouse"
-// and returns the matching documents in ascending order. Truncation terms
-// ("inver*") expand through each shard's sorted vocabulary. Pending
-// documents are visible. The query is parsed and planned once, executed on
-// every shard concurrently — each shard fetching its term lists with at
-// most Options.Workers reads in flight — and the sorted per-shard answers
-// are k-way merged.
+// SearchBoolean evaluates a query such as "(cat and dog) or mouse",
+// "cat near/3 dog" or "title:rates and not storm" and returns every matching
+// document in ascending order, unranked. It takes Query's language except
+// adjacency: a bag of words ("cat dog") only has a meaning when ranked, so
+// terms are joined by "and" or "or" (see query.Parse). Truncation terms
+// ("inver*") expand through each shard's sorted vocabulary; phrases,
+// proximity and regions require Options.KeepDocuments. Pending documents
+// are visible. The query is parsed and planned once, executed on every
+// shard concurrently — each shard fetching its term lists with at most
+// Options.Workers reads in flight — and the sorted per-shard answers are
+// k-way merged.
 func (e *Engine) SearchBoolean(q string) ([]DocID, error) {
 	qo := e.obs.beginQuery("boolean")
 	expr, err := query.Parse(q)
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	pl, err := query.NewPlan(expr, query.PlanOptions{Lexer: e.opts.Lexer})
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	return e.searchDocs(qo, q, pl)
 }
@@ -91,7 +94,7 @@ func (e *Engine) searchDocs(qo queryObs, text string, pl *query.Plan) ([]DocID, 
 		return s.execMatch(pl)
 	})
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	qo.mergeStart()
 	docs := postings.UnionAll(lists).Docs()
@@ -108,7 +111,7 @@ func (e *Engine) searchRanked(qo queryObs, text string, pl *query.Plan) ([]Match
 		return s.execRanked(pl, total)
 	})
 	if err != nil {
-		return nil, err
+		return nil, qo.fail(err)
 	}
 	qo.mergeStart()
 	matches := query.MergeMatches(groups, pl.Score.K)

@@ -665,11 +665,11 @@ func TestPositionalSharded(t *testing.T) {
 		t.Errorf("phrase: 1 shard %v, 3 shards %v", pa, pb)
 	}
 
-	na, err := one.SearchNear("fox", "dog", 4)
+	na, err := one.SearchBoolean("fox near/4 dog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := three.SearchNear("fox", "dog", 4)
+	nb, err := three.SearchBoolean("fox near/4 dog")
 	if err != nil {
 		t.Fatal(err)
 	}

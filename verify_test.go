@@ -58,11 +58,11 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 		{"phrase3", query.Check{Kind: "phrase", Ordered: []string{"gamma", "delta", "gamma"}},
 			func(e *Engine) ([]DocID, error) { return e.SearchPhrase("gamma delta gamma") }},
 		{"near", query.Check{Kind: "near", A: "epsilon", B: "zeta", K: 2},
-			func(e *Engine) ([]DocID, error) { return e.SearchNear("epsilon", "zeta", 2) }},
+			func(e *Engine) ([]DocID, error) { return e.SearchBoolean("epsilon near/2 zeta") }},
 		{"title", query.Check{Kind: "region", Region: "title", Word: "gamma"},
-			func(e *Engine) ([]DocID, error) { return e.SearchInRegion("gamma", "title") }},
+			func(e *Engine) ([]DocID, error) { return e.SearchBoolean("title:gamma") }},
 		{"body", query.Check{Kind: "region", Region: "body", Word: "alpha"},
-			func(e *Engine) ([]DocID, error) { return e.SearchInRegion("alpha", "body") }},
+			func(e *Engine) ([]DocID, error) { return e.SearchBoolean("body:alpha") }},
 	}
 	ranked := []string{`"alpha beta" and gamma`, `"delta epsilon" or title:zeta`, `beta near/3 delta`}
 
