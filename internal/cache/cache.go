@@ -148,7 +148,9 @@ func (s *Store) ReadAt(d int, block int64, buf []byte) error {
 }
 
 // WriteAt implements disk.BlockStore: write-through, updating any resident
-// blocks so cached data never goes stale.
+// blocks so cached data never goes stale. buf passes to the inner store,
+// which owns it and never modifies it; the cache keeps copies of what it
+// reads from buf.
 func (s *Store) WriteAt(d int, block int64, buf []byte) error {
 	if err := s.inner.WriteAt(d, block, buf); err != nil {
 		return err
@@ -171,9 +173,8 @@ func (s *Store) WriteAt(d int, block int64, buf []byte) error {
 
 // blockCost is the budget charge for one block: its length with trailing
 // zero padding stripped, floored at 1 so all-zero blocks still pay for
-// their bookkeeping. The padding is skipped eight bytes at a time: a
-// checkpoint's bucket region is mostly padding, and every block of it
-// passes through here when an index opens.
+// their bookkeeping. The padding, a long-list chunk's last block or a
+// codec block's tail, is skipped eight bytes at a time.
 func blockCost(data []byte) int {
 	n := len(data)
 	for n >= 8 && binary.LittleEndian.Uint64(data[n-8:]) == 0 {

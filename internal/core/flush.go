@@ -76,35 +76,39 @@ func (ix *Index) flush(st *UpdateStats) error {
 
 // flushBuckets stages the whole fixed-size bucket region, striped evenly
 // across all disks: one sequential write per disk, as in the paper's trace
-// ("update bucket disk 0 id 0 size 1678" once per disk).
+// ("update bucket disk 0 id 0 size 1678" once per disk). The trace records
+// every stripe whole; the store receives only the blocks the encoded image
+// occupies, and the superblock records the image's length.
 func (ix *Index) flushBuckets() error {
 	total := ix.bucketRegionBlocks()
 	n := int64(ix.cfg.Geometry.NumDisks)
 	perDisk := (total + n - 1) / n
+	bs := int64(ix.cfg.Geometry.BlockSize)
 
 	var image []byte
 	if ix.cfg.Store != nil {
 		for i := 0; i < ix.buckets.NumBuckets(); i++ {
 			image = ix.buckets.EncodeBucket(i, image)
 		}
-		if int64(len(image)) > total*int64(ix.cfg.Geometry.BlockSize) {
+		if int64(len(image)) > total*bs {
 			return fmt.Errorf("core: bucket image %d bytes exceeds region of %d blocks", len(image), total)
 		}
+		ix.bucketBytes = int64(len(image))
+		// Pad the image to whole blocks once, so every stripe is a
+		// block-aligned piece of it that the store takes as it is.
+		image = append(image, make([]byte, ix.cfg.Geometry.BlocksFor(ix.bucketBytes)*bs-ix.bucketBytes)...)
 	}
 	// A fresh slice, never the old backing array: flush() holds the previous
 	// region's chunks for deallocation, and they must not be overwritten.
 	ix.bucketRegion = make([]regionChunk, 0, ix.cfg.Geometry.NumDisks)
-	bytesPerDisk := perDisk * int64(ix.cfg.Geometry.BlockSize)
+	bytesPerDisk := perDisk * bs
 	for d := 0; d < ix.cfg.Geometry.NumDisks; d++ {
 		block, err := ix.array.Alloc(d, perDisk)
 		if err != nil {
 			return fmt.Errorf("core: bucket flush: %w", err)
 		}
-		var piece []byte
-		if ix.cfg.Store != nil {
-			lo := min(int64(d)*bytesPerDisk, int64(len(image)))
-			piece = image[lo:min(lo+bytesPerDisk, int64(len(image)))]
-		}
+		lo := min(int64(d)*bytesPerDisk, int64(len(image)))
+		piece := image[lo:min(lo+bytesPerDisk, int64(len(image)))]
 		if err := ix.array.Stage(d, block, perDisk, piece, disk.TagBucket); err != nil {
 			return err
 		}
@@ -168,10 +172,11 @@ func (ix *Index) flushDeleted() error {
 
 // Superblock layout constants. Version 2 added the codec field after the
 // bucket geometry; version 3 added the high-water document identifier after
-// the deleted-list region. Only version 3 is read.
+// the deleted-list region; version 4 added the bucket image's byte count
+// after the bucket region. Only version 4 is read.
 const (
 	superMagic   = 0x494C5549 // "IULI": Inverted-List Update
-	superVersion = 3
+	superVersion = 4
 )
 
 // writeSuperblock records where everything lives. It is written last, so a
@@ -199,6 +204,7 @@ func (ix *Index) encodeSuperblock() []byte {
 	b = binary.AppendUvarint(b, uint64(ix.cfg.BucketSize))
 	b = binary.AppendUvarint(b, uint64(ix.cfg.Codec))
 	b = appendRegion(b, ix.bucketRegion)
+	b = binary.AppendUvarint(b, uint64(ix.bucketBytes))
 	b = appendRegion(b, ix.dirRegion)
 	b = appendRegion(b, ix.delRegion)
 	b = binary.AppendUvarint(b, uint64(ix.maxDoc))

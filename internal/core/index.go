@@ -78,6 +78,9 @@ type Index struct {
 	bucketRegion []regionChunk
 	dirRegion    []regionChunk
 	delRegion    []regionChunk
+	// bucketBytes is the length of the encoded bucket image at the start
+	// of bucketRegion: the occupied prefix Open reads back.
+	bucketBytes int64
 
 	// deleted is the paper's "list of deleted document identifiers",
 	// sorted ascending. A Snapshot shares it; deletedShared then makes the

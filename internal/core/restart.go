@@ -26,8 +26,10 @@ var ErrNoCheckpoint = errors.New("core: store holds no checkpoint")
 // simply re-applied by the caller.
 //
 // Open reads the checkpoint and nothing else: the superblock, then the
-// bucket region, the directory and the deleted list it points to. Long
-// lists stay on disk (their chunks are only reserved in the allocator).
+// blocks of the bucket region that the bucket image occupies, the
+// directory and the deleted list it points to. Long lists stay on disk
+// (their chunks, and the whole bucket region, are only reserved in the
+// allocator).
 // Only the superblock version this engine writes is read; an older one is
 // refused, and the index has to be rebuilt.
 func Open(cfg Config) (*Index, error) {
@@ -38,7 +40,7 @@ func Open(cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	super, err := ix.array.ReadBlocksAt(0, 0, superBlocks, disk.TagDirectory)
+	super, err := ix.array.ReadBlocksAt(nil, 0, 0, superBlocks, disk.TagDirectory)
 	if err != nil {
 		return nil, err
 	}
@@ -55,6 +57,7 @@ type superblock struct {
 	buckets, bucketSize                int
 	codec                              postings.CodecID
 	bucketRegion, dirRegion, delRegion []regionChunk
+	bucketBytes                        int64 // the bucket image's length
 	maxDoc                             postings.DocID
 }
 
@@ -137,6 +140,11 @@ func decodeSuperblock(buf []byte, geo disk.Geometry, blockPosting int64) (superb
 	sb.bucketSize = int(r.next("bucket size", math.MaxInt32))
 	sb.codec = postings.CodecID(r.next("codec", math.MaxUint8))
 	sb.bucketRegion = r.region()
+	var regionBlocks int64
+	for _, c := range sb.bucketRegion {
+		regionBlocks += c.blocks
+	}
+	sb.bucketBytes = int64(r.next("bucket image bytes", uint64(regionBlocks)*uint64(geo.BlockSize)))
 	sb.dirRegion = r.region()
 	sb.delRegion = r.region()
 	sb.maxDoc = postings.DocID(r.next("high-water document", math.MaxUint32))
@@ -146,12 +154,8 @@ func decodeSuperblock(buf []byte, geo disk.Geometry, blockPosting int64) (superb
 	if sb.buckets == 0 || sb.bucketSize <= 1 {
 		return sb, fmt.Errorf("core: corrupt bucket geometry %d×%d in superblock", sb.buckets, sb.bucketSize)
 	}
-	// The bucket region holds every bucket at full capacity (flushBuckets),
-	// which also bounds the bucket count by the bytes Open will decode.
-	var regionBlocks int64
-	for _, c := range sb.bucketRegion {
-		regionBlocks += c.blocks
-	}
+	// The bucket region is reserved at every bucket's full capacity
+	// (flushBuckets), which bounds the bucket count by the region.
 	if units := int64(sb.buckets) * int64(sb.bucketSize); units > regionBlocks*blockPosting {
 		return sb, fmt.Errorf("core: bucket geometry %d×%d overflows its %d-block region",
 			sb.buckets, sb.bucketSize, regionBlocks)
@@ -174,28 +178,33 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	ix.cfg.Buckets = sb.buckets
 	ix.cfg.BucketSize = sb.bucketSize
 
-	// Reserve every checkpointed region and read it as one image, its
-	// per-disk chunks concurrently (the bucket region is striped across
-	// every disk).
-	readAll := func(rs []regionChunk) ([]byte, error) {
-		runs := make([]disk.Run, len(rs))
-		for i, r := range rs {
+	// Reserve every checkpointed region whole, and read the blocks of it
+	// that hold data as one image, its per-disk chunks concurrently (the
+	// bucket region is striped across every disk). A region holds data in
+	// chunk order: all of a directory or deleted-list region, the occupied
+	// prefix of the bucket region.
+	readRegion := func(rs []regionChunk, blocks int64) ([]byte, error) {
+		runs := make([]disk.Run, 0, len(rs))
+		for _, r := range rs {
 			if err := ix.array.Reserve(r.disk, r.block, r.blocks); err != nil {
 				return nil, err
 			}
-			runs[i] = disk.Run{Disk: r.disk, Block: r.block, Blocks: r.blocks}
+			if n := min(r.blocks, blocks); n > 0 {
+				runs = append(runs, disk.Run{Disk: r.disk, Block: r.block, Blocks: n})
+				blocks -= n
+			}
 		}
 		return ix.array.ReadRuns(runs, disk.TagDirectory, ix.cfg.FlushWorkers)
 	}
-	bucketImage, err := readAll(sb.bucketRegion)
+	bucketImage, err := readRegion(sb.bucketRegion, ix.cfg.Geometry.BlocksFor(sb.bucketBytes))
 	if err != nil {
 		return fmt.Errorf("core: restoring buckets: %w", err)
 	}
-	dirImage, err := readAll(sb.dirRegion)
+	dirImage, err := readRegion(sb.dirRegion, math.MaxInt64)
 	if err != nil {
 		return fmt.Errorf("core: restoring directory: %w", err)
 	}
-	delImage, err := readAll(sb.delRegion)
+	delImage, err := readRegion(sb.delRegion, math.MaxInt64)
 	if err != nil {
 		return fmt.Errorf("core: restoring deleted list: %w", err)
 	}
@@ -209,6 +218,9 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	if err != nil {
 		return err
 	}
+	// The image must decode to exactly its recorded length: the bytes past
+	// it are block padding, or whatever the region's blocks held before.
+	bucketImage = bucketImage[:sb.bucketBytes]
 	pos := 0
 	for i := 0; i < ix.cfg.Buckets; i++ {
 		n, err := bs.DecodeBucket(i, bucketImage[pos:])
@@ -216,6 +228,9 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 			return fmt.Errorf("core: bucket %d: %w", i, err)
 		}
 		pos += n
+	}
+	if pos != len(bucketImage) {
+		return fmt.Errorf("core: bucket image decodes to %d of its %d recorded bytes", pos, len(bucketImage))
 	}
 
 	var dir *directory.Dir
@@ -258,6 +273,7 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	ix.batches = sb.batches
 	ix.maxDoc = sb.maxDoc
 	ix.bucketRegion = sb.bucketRegion
+	ix.bucketBytes = sb.bucketBytes
 	ix.dirRegion = sb.dirRegion
 	ix.delRegion = sb.delRegion
 	return nil

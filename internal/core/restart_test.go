@@ -1,15 +1,33 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dualindex/internal/disk"
 	"dualindex/internal/postings"
 )
+
+// encodeSuperblockV3 renders a checkpoint root in the version-3 layout: the
+// version-4 fields without the bucket image's byte count.
+func encodeSuperblockV3(sb superblock) []byte {
+	b := binary.AppendUvarint(nil, superMagic)
+	for _, v := range []uint64{3, uint64(sb.batches), uint64(sb.nextDisk),
+		uint64(sb.buckets), uint64(sb.bucketSize), uint64(sb.codec)} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = appendRegion(b, sb.bucketRegion)
+	b = appendRegion(b, sb.dirRegion)
+	b = appendRegion(b, sb.delRegion)
+	return binary.AppendUvarint(b, uint64(sb.maxDoc))
+}
 
 // encodeSuperblockV2 renders a checkpoint root in the version-2 layout: the
 // version-3 fields without the trailing high-water document identifier.
@@ -124,13 +142,14 @@ func TestHighWaterCheckpointed(t *testing.T) {
 	}
 }
 
-// TestSuperblockOldVersionsRefused: version-1 and version-2 checkpoints,
+// TestSuperblockOldVersionsRefused: version-1 to version-3 checkpoints,
 // which no current code writes, are refused with an error that names the
 // version and the fix.
 func TestSuperblockOldVersionsRefused(t *testing.T) {
 	for version, encode := range map[int]func(superblock) []byte{
 		1: encodeSuperblockV1,
 		2: encodeSuperblockV2,
+		3: encodeSuperblockV3,
 	} {
 		cfg := storeConfig()
 		ix, err := New(cfg)
@@ -197,17 +216,20 @@ func corruptSuperblocks(geo disk.Geometry) map[string][]byte {
 	}
 	// fits is a one-chunk bucket region holding 64 × 256 units exactly.
 	fits := []uint64{1, 0, 8, 512}
+	regionBytes := uint64(512 * geo.BlockSize)
 	cases := map[string][]uint64{
-		"region count 2^60":       head(3, 1<<60),
-		"region count 2^64-1":     head(3, math.MaxUint64),
-		"region disk":             head(3, 1, uint64(geo.NumDisks), 8, 512),
-		"region past disk end":    head(3, 1, 0, uint64(geo.BlocksPerDisk)-1, 2),
-		"empty region chunk":      head(3, 1, 0, 8, 0),
-		"buckets beyond region":   head(3, 1, 0, 8, 1),
-		"next disk":               {magic, 3, 1, uint64(geo.NumDisks), 64, 256, 0},
-		"version 0":               {magic, 0},
-		"future version":          {magic, superVersion + 1},
-		"high-water beyond DocID": head(3, append(fits, 0, 0, 1<<40)...),
+		"region count 2^60":          head(superVersion, 1<<60),
+		"region count 2^64-1":        head(superVersion, math.MaxUint64),
+		"region disk":                head(superVersion, 1, uint64(geo.NumDisks), 8, 512),
+		"region past disk end":       head(superVersion, 1, 0, uint64(geo.BlocksPerDisk)-1, 2),
+		"empty region chunk":         head(superVersion, 1, 0, 8, 0),
+		"buckets beyond region":      head(superVersion, 1, 0, 8, 1),
+		"bucket bytes beyond region": head(superVersion, append(fits, regionBytes+1)...),
+		"bucket bytes 2^64-1":        head(superVersion, append(fits, math.MaxUint64)...),
+		"next disk":                  {magic, superVersion, 1, uint64(geo.NumDisks), 64, 256, 0},
+		"version 0":                  {magic, 0},
+		"future version":             {magic, superVersion + 1},
+		"high-water beyond DocID":    head(superVersion, append(fits, regionBytes, 0, 0, 1<<40)...),
 	}
 	images := make(map[string][]byte, len(cases))
 	for name, fields := range cases {
@@ -258,6 +280,13 @@ func FuzzSuperblock(f *testing.F) {
 	}
 	fillIndex(f, ix, 3, 20)
 	f.Add(ix.encodeSuperblock())
+	// Version-4 images whose bucket image length is off by one either way.
+	for _, delta := range []int64{-1, 1} {
+		ix.bucketBytes += delta
+		f.Add(ix.encodeSuperblock())
+		ix.bucketBytes -= delta
+	}
+	f.Add(encodeSuperblockV3(currentSuperblock(f, ix)))
 	f.Add(encodeSuperblockV2(currentSuperblock(f, ix)))
 	for _, image := range corruptSuperblocks(cfg.Geometry) {
 		f.Add(image)
@@ -275,4 +304,128 @@ func FuzzSuperblock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBucketImageLengthChecked: Open decodes the bucket image to exactly
+// the byte count its superblock records. A count one short cuts the last
+// bucket off, one long leaves a byte undecoded, and either is refused.
+func TestBucketImageLengthChecked(t *testing.T) {
+	for _, delta := range []int64{-1, 1} {
+		cfg := storeConfig()
+		ix, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillIndex(t, ix, 3, 20)
+		ix.batches-- // encodeSuperblock records the batch count after a flush
+		ix.bucketBytes += delta
+		writeSuperblockImage(t, cfg, ix.encodeSuperblock())
+		if _, err := Open(cfg); err == nil {
+			t.Fatalf("bucket image length off by %d accepted", delta)
+		} else if !strings.HasPrefix(err.Error(), "core: ") {
+			t.Fatalf("off by %d: unexpected error %v", delta, err)
+		}
+	}
+}
+
+// TestStaleStripeTailsNeverRead: a flush writes only the blocks the bucket
+// image occupies, so the rest of each stripe keeps whatever it held, and
+// Open must neither read nor decode it. Every byte of the live bucket
+// region past the recorded image length is overwritten with 0xFF in the
+// disk files; the reopened index must pass its consistency check, answer
+// exactly as before, and read exactly the image's blocks of the region.
+// The image ends inside disk 0's stripe under storeConfig (short lists
+// only) and longListConfig; over eight disks it spans two stripes and
+// leaves six empty.
+func TestStaleStripeTailsNeverRead(t *testing.T) {
+	striped := longListConfig()
+	striped.Geometry.NumDisks = 8
+	for name, cfg := range map[string]Config{
+		"buckets":     storeConfig(),
+		"long lists":  longListConfig(),
+		"eight disks": striped,
+	} {
+		t.Run(name, func(t *testing.T) { staleStripeTails(t, cfg) })
+	}
+}
+
+func staleStripeTails(t *testing.T, cfg Config) {
+	dir := t.TempDir()
+	geo := cfg.Geometry
+	store, err := disk.NewAsyncFileStore(dir, geo.NumDisks, geo.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = store
+	ix, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fillIndex(t, ix, 5, 30)
+	want := map[postings.WordID][]postings.DocID{}
+	for w := range ref {
+		l, err := ix.GetList(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[w] = l.Docs()
+	}
+	sb := currentSuperblock(t, ix)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bs := int64(geo.BlockSize)
+	occupied, overwritten := sb.bucketBytes, int64(0)
+	for _, c := range sb.bucketRegion {
+		keep := min(occupied, c.blocks*bs)
+		occupied -= keep
+		stale := bytes.Repeat([]byte{0xFF}, int(c.blocks*bs-keep))
+		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("disk%d.dat", c.disk)), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(stale, c.block*bs+keep); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		overwritten += int64(len(stale))
+	}
+	if overwritten == 0 {
+		t.Fatal("the bucket image fills its region: no stripe tail to overwrite")
+	}
+
+	if cfg.Store, err = disk.OpenAsyncFileStore(dir, geo.NumDisks, geo.BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	defer cfg.Store.Close()
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regionReads int64
+	for _, op := range re.Array().Trace().Ops() {
+		for _, c := range sb.bucketRegion {
+			if op.Kind == disk.Read && op.Disk == c.disk && op.Block < c.block+c.blocks && c.block < op.Block+op.Count {
+				regionReads += op.Count
+			}
+		}
+	}
+	if wantReads := geo.BlocksFor(sb.bucketBytes); regionReads != wantReads {
+		t.Errorf("Open read %d blocks of the bucket region, want the image's %d", regionReads, wantReads)
+	}
+	if err := re.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for w, docs := range want {
+		got, err := re.GetList(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Docs(), docs) {
+			t.Fatalf("word %d: %d postings after reopen, want %d", w, got.Len(), len(docs))
+		}
+	}
 }

@@ -246,14 +246,20 @@ func (a *Array) record(kind Kind, disk int, block, count int64, tag string) {
 
 // ReadBlocksAt records (and, with a store, performs) a read of count blocks:
 // blocks the write plan has staged read as their staged image, the rest
-// from the store. Without a store it returns nil data. Safe for concurrent
-// use.
-func (a *Array) ReadBlocksAt(disk int, block, count int64, tag string) ([]byte, error) {
+// from the store. The blocks are read into buf's storage when its capacity
+// holds them, else into a new buffer; the filled buffer is returned. Pass
+// a nil buf for a fresh one. Without a store it returns nil data. Safe for
+// concurrent use.
+func (a *Array) ReadBlocksAt(buf []byte, disk int, block, count int64, tag string) ([]byte, error) {
 	a.record(Read, disk, block, count, tag)
 	if a.store == nil {
 		return nil, nil
 	}
-	buf := make([]byte, count*int64(a.geo.BlockSize))
+	n := count * int64(a.geo.BlockSize)
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if err := a.store.ReadAt(disk, block, buf); err != nil {
 		return nil, err
 	}
@@ -329,17 +335,17 @@ func (a *Array) ReadRuns(runs []Run, tag string, workers int) ([]byte, error) {
 // WriteBlocksAt records (and, with a store, performs) a write of count
 // blocks straight to the store, bypassing the write plan. data may be nil
 // when no store is attached; when a store is attached, data shorter than
-// the block run is zero-padded.
+// the block run is zero-padded. The store owns data once it is handed over
+// (BlockStore.WriteAt), so the caller must not modify it afterwards.
 func (a *Array) WriteBlocksAt(disk int, block, count int64, data []byte, tag string) error {
 	a.record(Write, disk, block, count, tag)
 	if a.store == nil {
 		return nil
 	}
-	buf, err := a.blockImage(count, data)
-	if err != nil {
-		return err
+	if int64(len(data)) > count*int64(a.geo.BlockSize) {
+		return fmt.Errorf("disk: %d bytes exceed %d blocks", len(data), count)
 	}
-	return a.store.WriteAt(disk, block, buf)
+	return a.store.WriteAt(disk, block, a.padTo(count, data))
 }
 
 // Sync flushes the store, modelling the paper's flush of all system buffers

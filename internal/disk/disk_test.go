@@ -42,7 +42,7 @@ func TestArrayNoSpace(t *testing.T) {
 
 func TestArrayTraceAndCounts(t *testing.T) {
 	a, _ := NewArray(testGeometry(), nil)
-	if _, err := a.ReadBlocksAt(0, 0, 4, TagLong); err != nil {
+	if _, err := a.ReadBlocksAt(nil, 0, 0, 4, TagLong); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.WriteBlocksAt(1, 10, 2, nil, TagBucket); err != nil {
@@ -69,7 +69,7 @@ func TestArrayOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range access did not panic")
 		}
 	}()
-	_, _ = a.ReadBlocksAt(0, 1020, 10, TagLong)
+	_, _ = a.ReadBlocksAt(nil, 0, 1020, 10, TagLong)
 }
 
 func TestArrayWithMemStoreRoundtrip(t *testing.T) {
@@ -79,7 +79,7 @@ func TestArrayWithMemStoreRoundtrip(t *testing.T) {
 	if err := a.WriteBlocksAt(0, 5, 2, data, TagLong); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.ReadBlocksAt(0, 5, 2, TagLong)
+	got, err := a.ReadBlocksAt(nil, 0, 5, 2, TagLong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStageThenCommit(t *testing.T) {
 		copy(want, old[:geo.BlockSize])
 		copy(want[geo.BlockSize:], bytes.Repeat([]byte{2}, geo.BlockSize))
 		want[2*geo.BlockSize] = 3
-		got, err := a.ReadBlocksAt(0, 10, 3, TagLong)
+		got, err := a.ReadBlocksAt(nil, 0, 10, 3, TagLong)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +150,50 @@ func TestStageThenCommit(t *testing.T) {
 		}
 		if a.WriteOps() != 4 {
 			t.Fatalf("workers=%d: %d writes recorded, want 4", workers, a.WriteOps())
+		}
+	}
+}
+
+// TestStageWritesOccupiedPrefix: Stage records the whole run in the trace
+// but hands the store only the blocks its data occupies, the last one
+// zero-padded; the rest of the run keeps what it held, and a stage with no
+// data writes nothing.
+func TestStageWritesOccupiedPrefix(t *testing.T) {
+	geo := testGeometry()
+	bs := geo.BlockSize
+	ms := NewMemStore(geo.NumDisks, bs)
+	a, _ := NewArray(geo, ms)
+	old := bytes.Repeat([]byte{0xAA}, 5*bs)
+	if err := a.WriteBlocksAt(0, 10, 5, old, TagBucket); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stage(0, 10, 5, bytes.Repeat([]byte{7}, bs+bs/2), TagBucket); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stage(1, 10, 5, nil, TagBucket); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stage(0, 20, 1, make([]byte, bs+1), TagBucket); err == nil {
+		t.Fatal("data longer than its run accepted")
+	}
+	if err := a.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	want := append(bytes.Repeat([]byte{7}, bs+bs/2), make([]byte, bs/2)...)
+	want = append(want, old[2*bs:]...)
+	got := make([]byte, 5*bs)
+	if err := ms.ReadAt(0, 10, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("store does not hold the occupied prefix over the run's old tail")
+	}
+	if n := len(ms.disks[1]); n != 0 {
+		t.Fatalf("a stage with no data wrote %d blocks", n)
+	}
+	for _, op := range a.Trace().Ops()[1:3] {
+		if op.Kind != Write || op.Count != 5 {
+			t.Fatalf("stage recorded as %+v, want a 5-block write", op)
 		}
 	}
 }
@@ -439,7 +483,7 @@ func TestReadRuns(t *testing.T) {
 		}
 		var want []byte
 		for _, r := range runs {
-			piece, err := a.ReadBlocksAt(r.Disk, r.Block, r.Blocks, TagDirectory)
+			piece, err := a.ReadBlocksAt(nil, r.Disk, r.Block, r.Blocks, TagDirectory)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,9 +19,12 @@ type blockKey struct {
 }
 
 // Stage records a write of count blocks in the trace and, with a store,
-// appends its image to the write plan: ReadBlocksAt sees the image at once,
-// the store at Commit. data shorter than the block run is zero-padded; data
-// may be nil when no store is attached. Stage keeps data, so the caller must
+// appends the blocks data occupies to the write plan: ReadBlocksAt sees
+// them at once, the store at Commit. data is zero-padded only to its own
+// last block, so the store receives the occupied prefix of the run and
+// the blocks past it keep whatever they held; the trace still records the
+// whole run, the paper's write. data may be nil when no store is attached.
+// Stage keeps data and hands it to the store at Commit, so the caller must
 // not modify it afterwards.
 //
 // Staging is the batch update's one write path. Its caller is the single
@@ -32,15 +35,19 @@ func (a *Array) Stage(disk int, block, count int64, data []byte, tag string) err
 	if a.store == nil {
 		return nil
 	}
-	img, err := a.blockImage(count, data)
-	if err != nil {
-		return err
+	occupied := a.geo.BlocksFor(int64(len(data)))
+	if occupied > count {
+		return fmt.Errorf("disk: %d bytes exceed %d blocks", len(data), count)
 	}
+	if occupied == 0 {
+		return nil
+	}
+	img := a.padTo(occupied, data)
 	bs := int64(a.geo.BlockSize)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.plan = append(a.plan, Step{Disk: disk, Block: block, Blocks: count, Image: img})
-	for i := int64(0); i < count; i++ {
+	a.plan = append(a.plan, Step{Disk: disk, Block: block, Blocks: occupied, Image: img})
+	for i := int64(0); i < occupied; i++ {
 		a.staged[blockKey{disk, block + i}] = img[i*bs : (i+1)*bs]
 	}
 	return nil
@@ -117,16 +124,14 @@ func (a *Array) overlay(disk int, block int64, buf []byte) {
 	}
 }
 
-// blockImage returns data zero-padded to count whole blocks.
-func (a *Array) blockImage(count int64, data []byte) ([]byte, error) {
-	want := count * int64(a.geo.BlockSize)
-	if int64(len(data)) > want {
-		return nil, fmt.Errorf("disk: %d bytes exceed %d blocks", len(data), count)
-	}
+// padTo returns data zero-padded to blocks whole blocks: data itself when
+// it fills them already, else a padded copy. data must fit the blocks.
+func (a *Array) padTo(blocks int64, data []byte) []byte {
+	want := blocks * int64(a.geo.BlockSize)
 	if int64(len(data)) == want {
-		return data, nil
+		return data
 	}
 	buf := make([]byte, want)
 	copy(buf, data)
-	return buf, nil
+	return buf
 }

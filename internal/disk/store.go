@@ -19,7 +19,10 @@ type BlockStore interface {
 	// len(buf) must be a multiple of the block size.
 	ReadAt(disk int, block int64, buf []byte) error
 	// WriteAt writes buf starting at the given block. len(buf) must be a
-	// multiple of the block size.
+	// multiple of the block size. The store takes ownership of buf: it may
+	// keep buf and read it until the write lands, so the caller must not
+	// modify or reuse it once WriteAt is called. A store never modifies a
+	// buffer handed to it, so the caller may still read it.
 	WriteAt(disk int, block int64, buf []byte) error
 	// Sync flushes buffered writes to stable storage.
 	Sync() error

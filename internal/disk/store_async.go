@@ -49,7 +49,7 @@ type asyncWrite struct {
 
 type pendingBlock struct {
 	seq  uint64
-	data []byte // one block; never mutated after enqueue
+	data []byte // one block of a buffer the store owns; never mutated
 }
 
 // NewAsyncFileStore creates (or truncates) the backing files.
@@ -104,6 +104,9 @@ func (d *asyncDisk) run() {
 			return
 		}
 		op := d.queue[0]
+		// Clear the popped slot: the queue's backing array outlives the
+		// pop, and must not keep the written image reachable.
+		d.queue[0] = asyncWrite{}
 		d.queue = d.queue[1:]
 		d.inflight = true
 		d.mu.Unlock()
@@ -126,15 +129,14 @@ func (d *asyncDisk) run() {
 	}
 }
 
-// WriteAt implements BlockStore: the data is copied, installed in the
-// pending overlay, and queued for the disk's worker.
+// WriteAt implements BlockStore: buf itself, which the store now owns, is
+// installed in the pending overlay and queued for the disk's worker. Once
+// the write lands, the store keeps no reference to it.
 func (s *AsyncFileStore) WriteAt(disk int, block int64, buf []byte) error {
 	if err := s.check(disk, buf); err != nil {
 		return err
 	}
 	d := s.disks[disk]
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
@@ -144,9 +146,9 @@ func (s *AsyncFileStore) WriteAt(disk int, block int64, buf []byte) error {
 		return fmt.Errorf("disk: write to closed store")
 	}
 	d.seq++
-	op := asyncWrite{block: block, data: cp, seq: d.seq}
-	for i := 0; i < len(cp)/d.bs; i++ {
-		d.pending[block+int64(i)] = pendingBlock{seq: d.seq, data: cp[i*d.bs : (i+1)*d.bs]}
+	op := asyncWrite{block: block, data: buf, seq: d.seq}
+	for i := 0; i < len(buf)/d.bs; i++ {
+		d.pending[block+int64(i)] = pendingBlock{seq: d.seq, data: buf[i*d.bs : (i+1)*d.bs]}
 	}
 	d.queue = append(d.queue, op)
 	d.cond.Broadcast()

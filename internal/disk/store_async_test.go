@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -125,8 +126,10 @@ func TestBackendFileOverwriteOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := make([]byte, bs)
+		// The store owns each written buffer, so every write gets a fresh one.
+		var data []byte
 		for i := 0; i < 500; i++ {
+			data = make([]byte, bs)
 			fillPattern(data, byte(i))
 			if err := s.WriteAt(0, 3, data); err != nil {
 				t.Fatal(err)
@@ -169,8 +172,8 @@ func TestBackendFileConcurrent(t *testing.T) {
 			wg.Add(2)
 			go func(d int) {
 				defer wg.Done()
-				buf := make([]byte, bs)
 				for i := 0; i < 200; i++ {
+					buf := make([]byte, bs) // the store owns each written buffer
 					fillPattern(buf, byte(i))
 					if err := s.WriteAt(d, int64(i%32), buf); err != nil {
 						t.Error(err)
@@ -249,5 +252,34 @@ func TestBackendFileChecksArguments(t *testing.T) {
 	}
 	if err := s.WriteAt(0, 0, make([]byte, 64)); err == nil {
 		t.Error("write after close accepted")
+	}
+}
+
+// TestBackendFileReleasesWrittenImage: once a write has landed, the store
+// keeps no reference to its image. A 64 MiB write, synced and dropped by
+// the caller, must leave the live heap where it was.
+func TestBackendFileReleasesWrittenImage(t *testing.T) {
+	const bs, size = 4096, 64 << 20
+	s, err := NewAsyncFileStore(t.TempDir(), 1, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	if err := s.WriteAt(0, 0, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if after := heap(); after > before+8<<20 {
+		t.Fatalf("live heap grew %d MiB after a synced 64 MiB write", (after-before)>>20)
 	}
 }

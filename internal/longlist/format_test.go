@@ -82,6 +82,13 @@ func formatImages(t *testing.T, l *postings.List) [4]string {
 	return out
 }
 
+// recordsOf renders postings [off, off+n) of list as records, unpadded.
+func recordsOf(list *postings.List, off, n int64) []byte {
+	out := make([]byte, n*PostingBytes)
+	writeRecords(out, list.Docs()[off:off+n])
+	return out
+}
+
 // rawRecords renders (doc, freq) pairs as fixed-width records, whatever
 // their values.
 func rawRecords(pairs ...uint32) []byte {
@@ -102,7 +109,7 @@ func TestCorruptFrequencyRefused(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = c.DecodeBlock(img)
+			_, err = c.DecodeBlock(nil, img)
 			return err
 		}
 	}
@@ -118,7 +125,7 @@ func TestCorruptFrequencyRefused(t *testing.T) {
 	}
 	records := func(img []byte) func() error {
 		return func() error {
-			_, err := readRecords(img, int64(len(img)/PostingBytes))
+			_, err := appendRecords(nil, img, int64(len(img)/PostingBytes))
 			return err
 		}
 	}

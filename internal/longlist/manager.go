@@ -3,6 +3,7 @@ package longlist
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"dualindex/internal/directory"
@@ -222,14 +223,16 @@ func (m *Manager) updateInPlace(w postings.WordID, last directory.ChunkRef, coun
 	readBlock := last.Block + firstBlock
 	writeBlocks := lastBlock - firstBlock + 1
 
-	buf, err := m.array.ReadBlocksAt(last.Disk, readBlock, 1, disk.TagLong)
-	if err != nil {
+	// The block holding the append point is read straight into the image
+	// of the blocks written back.
+	var out []byte
+	if m.array.HasStore() {
+		out = make([]byte, writeBlocks*int64(m.array.Geometry().BlockSize))
+	}
+	if _, err := m.array.ReadBlocksAt(out, last.Disk, readBlock, 1, disk.TagLong); err != nil {
 		return false, err
 	}
-	var out []byte
-	if buf != nil {
-		out = make([]byte, writeBlocks*int64(m.array.Geometry().BlockSize))
-		copy(out, buf)
+	if out != nil {
 		writeRecords(out[(last.Postings%m.blockPosting)*PostingBytes:], list.Docs())
 	}
 	if err := m.array.Stage(last.Disk, readBlock, writeBlocks, out, disk.TagLong); err != nil {
@@ -276,7 +279,7 @@ func (m *Manager) appendFill(w postings.WordID, count int64, list *postings.List
 		}
 		var data []byte
 		if m.array.HasStore() {
-			data = recordsOf(list, off, n)
+			data = m.recordImage(list, off, n)
 		}
 		if err := m.array.Stage(d, block, m.blocksFor(n), data, disk.TagLong); err != nil {
 			return err
@@ -325,7 +328,7 @@ func (m *Manager) writeReserved(x, upd int64, list *postings.List) (directory.Ch
 	}
 	var data []byte
 	if m.array.HasStore() {
-		data = recordsOf(list, 0, x)
+		data = m.recordImage(list, 0, x)
 	}
 	if err := m.array.Stage(d, block, m.blocksFor(x), data, disk.TagLong); err != nil {
 		return directory.ChunkRef{}, err
@@ -361,45 +364,51 @@ func (m *Manager) alloc(blocks int64) (int, int64, error) {
 // directory snapshot: queries running concurrently with a batch flush read
 // through a snapshot whose chunks stay intact until the flush completes.
 // ReadChunks is safe to call from multiple goroutines.
+//
+// Each chunk is read into one pooled read buffer and decoded straight into
+// the result, which is sized once for every chunk's postings: a posting is
+// copied once on its way from the store. A chunk that does not open above
+// the previous chunk's last posting is corrupt.
 func (m *Manager) ReadChunks(w postings.WordID, chunks []directory.ChunkRef) (int64, *postings.List, error) {
-	if m.codec != nil {
-		return m.readChunksCodec(w, chunks)
-	}
 	var total int64
-	out := &postings.List{}
-	if m.array.HasStore() {
-		out = presized(chunks)
+	for _, c := range chunks {
+		total += c.Postings
 	}
+	var docs []postings.DocID
+	if m.array.HasStore() {
+		docs = make([]postings.DocID, 0, total)
+	}
+	bufp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bufp)
 	for _, c := range chunks {
 		if c.Postings == 0 {
 			continue
 		}
-		buf, err := m.array.ReadBlocksAt(c.Disk, c.Block, m.blocksFor(c.Postings), disk.TagLong)
+		buf, err := m.array.ReadBlocksAt(*bufp, c.Disk, c.Block, c.DataBlocks(m.blockPosting), disk.TagLong)
 		if err != nil {
 			return 0, nil, err
 		}
-		total += c.Postings
-		if m.array.HasStore() {
-			part, err := readRecords(buf, c.Postings)
-			if err != nil {
-				return 0, nil, fmt.Errorf("longlist: word %d chunk at %d/%d: %w", w, c.Disk, c.Block, err)
-			}
-			if err := out.Append(part); err != nil {
-				return 0, nil, fmt.Errorf("longlist: word %d: %w", w, err)
-			}
+		if buf == nil {
+			continue // no store: the read is recorded, and there is no data
+		}
+		*bufp = buf
+		if docs, err = m.decodeChunk(docs, buf, c); err != nil {
+			return 0, nil, fmt.Errorf("longlist: word %d chunk at %d/%d: %w", w, c.Disk, c.Block, err)
 		}
 	}
-	return total, out, nil
+	return total, postings.NewList(docs), nil
 }
 
-// presized returns an empty list with room for every posting the chunks
-// hold, so appending their decoded postings never regrows it.
-func presized(chunks []directory.ChunkRef) *postings.List {
-	var n int64
-	for _, c := range chunks {
-		n += c.Postings
+// readBufs pools ReadChunks' read buffers, each grown to the largest chunk
+// it has held.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodeChunk appends chunk c's postings, decoded from buf, to docs.
+func (m *Manager) decodeChunk(docs []postings.DocID, buf []byte, c directory.ChunkRef) ([]postings.DocID, error) {
+	if m.codec != nil {
+		return postings.UnpackBlocks(m.codec, docs, buf, m.blockSize, int(c.Postings))
 	}
-	return postings.NewList(make([]postings.DocID, 0, n))
+	return appendRecords(docs, buf, c.Postings)
 }
 
 // ReadList reads word w's entire long list for query evaluation, returning
@@ -466,31 +475,38 @@ func writeRecords(dst []byte, docs []postings.DocID) {
 	}
 }
 
-// recordsOf renders postings [off, off+n) of list as records.
-func recordsOf(list *postings.List, off, n int64) []byte {
-	out := make([]byte, n*PostingBytes)
+// recordImage renders postings [off, off+n) of list as records, in whole
+// blocks: the image Stage hands to the store as it is.
+func (m *Manager) recordImage(list *postings.List, off, n int64) []byte {
+	out := make([]byte, m.blocksFor(n)*int64(m.array.Geometry().BlockSize))
 	writeRecords(out, list.Docs()[off:off+n])
 	return out
 }
 
-// readRecords decodes n fixed-width records from buf. Records out of
-// document order (an unwritten or corrupt block), or with a frequency
-// other than 1, are an error.
-func readRecords(buf []byte, n int64) (*postings.List, error) {
+// appendRecords decodes n fixed-width records from buf and appends them to
+// docs. Records with a frequency other than 1, or that do not ascend above
+// the posting before them (docs' last included: an unwritten or corrupt
+// block), are an error.
+func appendRecords(docs []postings.DocID, buf []byte, n int64) ([]postings.DocID, error) {
 	if int64(len(buf)) < n*PostingBytes {
 		return nil, fmt.Errorf("longlist: %d bytes short of %d records", len(buf), n)
 	}
-	docs := make([]postings.DocID, n)
-	for i := range docs {
+	var next uint64 // the smallest document the next record may hold
+	if len(docs) > 0 {
+		next = uint64(docs[len(docs)-1]) + 1
+	}
+	for i := 0; i < int(n); i++ {
 		rec := binary.LittleEndian.Uint64(buf[i*PostingBytes:])
 		if f := rec >> 32; f != recordFreq {
 			return nil, fmt.Errorf("%w: record %d has frequency %d", postings.ErrCorrupt, i, f)
 		}
-		docs[i] = postings.DocID(rec)
-		if i > 0 && docs[i] <= docs[i-1] {
+		doc := rec & 0xFFFFFFFF
+		if doc < next {
 			return nil, fmt.Errorf("%w: record %d out of order: %d <= %d",
-				postings.ErrCorrupt, i, docs[i], docs[i-1])
+				postings.ErrCorrupt, i, doc, next-1)
 		}
+		docs = append(docs, postings.DocID(doc))
+		next = doc + 1
 	}
-	return postings.NewList(docs), nil
+	return docs, nil
 }

@@ -38,15 +38,15 @@ func (m *Manager) inPlaceCodec(w postings.WordID, last directory.ChunkRef, count
 		return false, nil // nothing packed yet; let the style path lay it out
 	}
 	tailBlock := last.Block + used - 1
-	buf, err := m.array.ReadBlocksAt(last.Disk, tailBlock, 1, disk.TagLong)
+	buf, err := m.array.ReadBlocksAt(nil, last.Disk, tailBlock, 1, disk.TagLong)
 	if err != nil {
 		return false, err
 	}
-	tail, err := m.codec.DecodeBlock(buf)
+	tail, err := m.codec.DecodeBlock(nil, buf)
 	if err != nil {
 		return false, fmt.Errorf("longlist: word %d tail block at %d/%d: %w", w, last.Disk, tailBlock, err)
 	}
-	comb := tail.Clone()
+	comb := postings.NewList(tail)
 	if err := comb.Append(list); err != nil {
 		return false, fmt.Errorf("longlist: word %d: %w", w, err)
 	}
@@ -155,30 +155,4 @@ func (m *Manager) packReserved(list *postings.List, x, upd int64) (directory.Chu
 		Disk: d, Block: block, Blocks: blocks,
 		Postings: x, Capacity: capacity, EncBlocks: need,
 	}, nil
-}
-
-// readChunksCodec is ReadChunks for encoded chunks: one read operation per
-// chunk covering its encoded extent, then a decode.
-func (m *Manager) readChunksCodec(w postings.WordID, chunks []directory.ChunkRef) (int64, *postings.List, error) {
-	var total int64
-	out := presized(chunks)
-	for _, c := range chunks {
-		if c.Postings == 0 {
-			continue
-		}
-		nb := c.DataBlocks(m.blockPosting)
-		buf, err := m.array.ReadBlocksAt(c.Disk, c.Block, nb, disk.TagLong)
-		if err != nil {
-			return 0, nil, err
-		}
-		total += c.Postings
-		part, err := postings.UnpackBlocks(m.codec, buf, m.blockSize, int(c.Postings))
-		if err != nil {
-			return 0, nil, fmt.Errorf("longlist: word %d chunk at %d/%d: %w", w, c.Disk, c.Block, err)
-		}
-		if err := out.Append(part); err != nil {
-			return 0, nil, fmt.Errorf("longlist: word %d: %w", w, err)
-		}
-	}
-	return total, out, nil
 }

@@ -82,8 +82,9 @@ type BlockCodec interface {
 	// least MinCodecBlockSize).
 	EncodeBlock(l *List, from, blockSize int) ([]byte, int)
 	// DecodeBlock decodes one encoded block (possibly followed by padding,
-	// which is ignored).
-	DecodeBlock(buf []byte) (*List, error)
+	// which is ignored) and appends its postings to dst. It checks the
+	// block's own order only: joining blocks is UnpackBlocks' check.
+	DecodeBlock(dst []DocID, buf []byte) ([]DocID, error)
 }
 
 // NewBlockCodec returns the BlockCodec for id — nil for CodecRaw, whose
@@ -127,9 +128,9 @@ func (varintCodec) EncodeBlock(l *List, from, blockSize int) ([]byte, int) {
 	return buf, n
 }
 
-func (varintCodec) DecodeBlock(buf []byte) (*List, error) {
-	l, _, err := Decode(buf)
-	return l, err
+func (varintCodec) DecodeBlock(dst []DocID, buf []byte) ([]DocID, error) {
+	dst, _, err := decodeAppend(dst, buf)
+	return dst, err
 }
 
 // golombCodec: each block holds a varint count, the Golomb parameter b, the
@@ -220,7 +221,7 @@ func encodeGolombBlock(docs []DocID) []byte {
 	return buf
 }
 
-func (golombCodec) DecodeBlock(buf []byte) (*List, error) {
+func (golombCodec) DecodeBlock(dst []DocID, buf []byte) ([]DocID, error) {
 	off := 0
 	next := func() (uint64, error) {
 		v, k := binary.Uvarint(buf[off:])
@@ -255,15 +256,11 @@ func (golombCodec) DecodeBlock(buf []byte) (*List, error) {
 	if firstDoc > uint64(^DocID(0)) || firstFreq != storedFreq {
 		return nil, fmt.Errorf("%w: bad first posting", ErrCorrupt)
 	}
-	first := &List{docs: []DocID{DocID(firstDoc)}}
+	dst = append(dst, DocID(firstDoc))
 	if n == 1 {
-		return first, nil
+		return dst, nil
 	}
-	rest, err := decodeGolombFrom(buf[off:], int(n-1), b, firstDoc+1)
-	if err != nil {
-		return nil, err
-	}
-	return Concat(first, rest)
+	return decodeGolombFrom(dst, buf[off:], int(n-1), b, firstDoc+1)
 }
 
 // PackBlocks encodes count postings of l starting at from into consecutive
@@ -301,28 +298,29 @@ func PackBlocksLimit(c BlockCodec, l *List, from, count, blockSize, maxBlocks in
 }
 
 // UnpackBlocks decodes count postings from an image of consecutive encoded
-// blocks, the inverse of PackBlocks.
-func UnpackBlocks(c BlockCodec, buf []byte, blockSize, count int) (*List, error) {
-	out := &List{docs: make([]DocID, 0, count)}
-	for off := 0; out.Len() < count; off += blockSize {
+// blocks, the inverse of PackBlocks, and appends them to dst. Every block
+// must open above the posting before it, dst's last included, so postings
+// appended to a list stay strictly ascending.
+func UnpackBlocks(c BlockCodec, dst []DocID, buf []byte, blockSize, count int) ([]DocID, error) {
+	base := len(dst)
+	for off := 0; len(dst)-base < count; off += blockSize {
 		if off >= len(buf) {
 			return nil, fmt.Errorf("%w: %d blocks hold %d of %d postings",
-				ErrCorrupt, off/blockSize, out.Len(), count)
+				ErrCorrupt, off/blockSize, len(dst)-base, count)
 		}
-		end := off + blockSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		part, err := c.DecodeBlock(buf[off:end])
-		if err != nil {
+		end := min(off+blockSize, len(buf))
+		start := len(dst)
+		var err error
+		if dst, err = c.DecodeBlock(dst, buf[off:end]); err != nil {
 			return nil, err
 		}
-		if err := out.Append(part); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if start > 0 && len(dst) > start && dst[start] <= dst[start-1] {
+			return nil, fmt.Errorf("%w: block at byte %d opens at %d, not above %d",
+				ErrCorrupt, off, dst[start], dst[start-1])
 		}
-		if out.Len() > count {
-			return nil, fmt.Errorf("%w: decoded %d postings, expected %d", ErrCorrupt, out.Len(), count)
+		if len(dst)-base > count {
+			return nil, fmt.Errorf("%w: decoded %d postings, expected %d", ErrCorrupt, len(dst)-base, count)
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -83,11 +83,11 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 				if payload <= 0 || payload > len(img) {
 					t.Fatalf("payload %d outside (0, %d]", payload, len(img))
 				}
-				got, err := UnpackBlocks(c, img, bs, l.Len())
+				got, err := UnpackBlocks(c, nil, img, bs, l.Len())
 				if err != nil {
 					t.Fatalf("unpack (n=%d bs=%d): %v", l.Len(), bs, err)
 				}
-				if !slices.Equal(got.Docs(), l.Docs()) {
+				if !slices.Equal(got, l.Docs()) {
 					t.Fatalf("round trip mismatch (n=%d bs=%d)", l.Len(), bs)
 				}
 			}
@@ -116,12 +116,12 @@ func TestBlockCodecPartialWindow(t *testing.T) {
 	eachCodec(t, func(t *testing.T, c BlockCodec) {
 		l := codecList(1000, 211)
 		img, _, _ := PackBlocks(c, l, 250, 500, 128)
-		got, err := UnpackBlocks(c, img, 128, 500)
+		got, err := UnpackBlocks(c, nil, img, 128, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := NewList(l.Docs()[250:750])
-		if !slices.Equal(got.Docs(), want.Docs()) {
+		if !slices.Equal(got, want.Docs()) {
 			t.Fatal("window round trip mismatch")
 		}
 	})
@@ -137,11 +137,11 @@ func TestPackBlocksLimit(t *testing.T) {
 		if packed <= 0 || packed >= l.Len() {
 			t.Fatalf("packed %d of %d postings in 4 small blocks", packed, l.Len())
 		}
-		got, err := UnpackBlocks(c, img, 64, packed)
+		got, err := UnpackBlocks(c, nil, img, 64, packed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Docs(), NewList(l.Docs()[:packed]).Docs()) {
+		if !slices.Equal(got, NewList(l.Docs()[:packed]).Docs()) {
 			t.Fatal("limited pack round trip mismatch")
 		}
 	})
@@ -152,12 +152,12 @@ func TestUnpackBlocksTruncated(t *testing.T) {
 		l := codecList(2000, 37)
 		img, _, _ := PackBlocks(c, l, 0, l.Len(), 128)
 		// Too few blocks for the posting count.
-		if _, err := UnpackBlocks(c, img[:128], 128, l.Len()); !errors.Is(err, ErrCorrupt) {
+		if _, err := UnpackBlocks(c, nil, img[:128], 128, l.Len()); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncated image: got %v, want ErrCorrupt", err)
 		}
 		// A directory posting count smaller than the blocks hold is
 		// corruption too — the count must match what was packed.
-		if _, err := UnpackBlocks(c, img, 128, 1); !errors.Is(err, ErrCorrupt) {
+		if _, err := UnpackBlocks(c, nil, img, 128, 1); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("short count: got %v, want ErrCorrupt", err)
 		}
 	})
@@ -186,7 +186,7 @@ func TestDecodeBlockCorrupt(t *testing.T) {
 						t.Fatalf("DecodeBlock(%x) panicked: %v", in, r)
 					}
 				}()
-				c.DecodeBlock(in)
+				c.DecodeBlock(nil, in)
 			}()
 		}
 	})

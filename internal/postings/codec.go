@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // The on-disk encoding delta-compresses document identifiers and writes the
@@ -72,6 +73,16 @@ func Uvarint(buf []byte) (uint64, int) {
 // decoded list re-encodes to the bytes consumed: a frequency other than 1
 // is corrupt.
 func Decode(buf []byte) (*List, int, error) {
+	docs, n, err := decodeAppend(nil, buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &List{docs: docs}, n, nil
+}
+
+// decodeAppend is Decode appending the postings to dst, which it returns
+// with the number of bytes consumed.
+func decodeAppend(dst []DocID, buf []byte) ([]DocID, int, error) {
 	count, n := Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("%w: bad count", ErrCorrupt)
@@ -83,9 +94,9 @@ func Decode(buf []byte) (*List, int, error) {
 	if count > uint64(len(buf)-off)/2 {
 		return nil, 0, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, count, len(buf)-off)
 	}
-	docs := make([]DocID, count)
+	dst = slices.Grow(dst, int(count))
 	prev := uint64(0)
-	for i := range docs {
+	for i := 0; i < int(count); i++ {
 		// Most gaps are one byte (those of dense lists): take those
 		// without the general decoder.
 		gap, n := uint64(0), 1
@@ -106,8 +117,8 @@ func Decode(buf []byte) (*List, int, error) {
 		if doc > uint64(^DocID(0)) {
 			return nil, 0, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
 		}
-		docs[i] = DocID(doc)
+		dst = append(dst, DocID(doc))
 		prev = doc + 1
 	}
-	return &List{docs: docs}, off, nil
+	return dst, off, nil
 }

@@ -73,11 +73,11 @@ func FuzzGolombRoundTrip(f *testing.F) {
 		// Also the flat (non-block) coder with a fuzz-derived parameter.
 		b := GolombParameter(int64(l.MaxDoc()), int64(l.Len()))
 		enc := EncodeGolomb(nil, l, b)
-		got, err := decodeGolombFrom(enc, l.Len(), b, 0)
+		got, err := decodeGolombFrom(nil, enc, l.Len(), b, 0)
 		if err != nil {
 			t.Fatalf("decodeGolombFrom: %v", err)
 		}
-		if !slices.Equal(got.Docs(), l.Docs()) {
+		if !slices.Equal(got, l.Docs()) {
 			t.Fatal("flat golomb round trip mismatch")
 		}
 	})
@@ -89,11 +89,11 @@ func fuzzRoundTrip(t *testing.T, c BlockCodec, l *List) {
 		if blocks*bs != len(img) {
 			t.Fatalf("bs=%d: image %d bytes for %d blocks", bs, len(img), blocks)
 		}
-		got, err := UnpackBlocks(c, img, bs, l.Len())
+		got, err := UnpackBlocks(c, nil, img, bs, l.Len())
 		if err != nil {
 			t.Fatalf("bs=%d: unpack: %v", bs, err)
 		}
-		if !slices.Equal(got.Docs(), l.Docs()) {
+		if !slices.Equal(got, l.Docs()) {
 			t.Fatalf("bs=%d: round trip mismatch", bs)
 		}
 	}
@@ -131,10 +131,10 @@ func FuzzDecodeArbitrary(f *testing.F) {
 			}
 		case 1:
 			c, _ := NewBlockCodec(CodecVarint)
-			c.DecodeBlock(data)
+			c.DecodeBlock(nil, data)
 		case 2:
 			c, _ := NewBlockCodec(CodecGolomb)
-			c.DecodeBlock(data)
+			c.DecodeBlock(nil, data)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package postings
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Golomb coding of document gaps — the inverted-list compression of the
@@ -129,8 +130,9 @@ func encodeGolombFrom(dst []byte, docs []DocID, prev uint64, b uint64) []byte {
 }
 
 // decodeGolombFrom decodes n postings Golomb-coded with parameter b, the
-// delta chain seeded at prev, mirroring encodeGolombFrom.
-func decodeGolombFrom(buf []byte, n int, b uint64, prev uint64) (*List, error) {
+// delta chain seeded at prev, mirroring encodeGolombFrom, and appends them
+// to dst.
+func decodeGolombFrom(dst []DocID, buf []byte, n int, b uint64, prev uint64) ([]DocID, error) {
 	if b == 0 {
 		return nil, fmt.Errorf("%w: Golomb parameter 0", ErrCorrupt)
 	}
@@ -146,7 +148,7 @@ func decodeGolombFrom(buf []byte, n int, b uint64, prev uint64) (*List, error) {
 	if n < 0 || uint64(n) > 4*uint64(len(buf)) {
 		return nil, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, n, len(buf))
 	}
-	docs := make([]DocID, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		var q uint64
 		for {
@@ -191,9 +193,9 @@ func decodeGolombFrom(buf []byte, n int, b uint64, prev uint64) (*List, error) {
 		} else if bit != 0 {
 			return nil, fmt.Errorf("%w: frequency above 1 at posting %d", ErrCorrupt, i)
 		}
-		docs = append(docs, DocID(doc))
+		dst = append(dst, DocID(doc))
 	}
-	return &List{docs: docs}, nil
+	return dst, nil
 }
 
 // GolombSize reports the exact byte length EncodeGolomb produces for l.

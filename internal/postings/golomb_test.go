@@ -19,12 +19,12 @@ func TestGolombRoundtripSimple(t *testing.T) {
 		}
 		for _, l := range lists {
 			buf := EncodeGolomb(nil, l, b)
-			got, err := decodeGolombFrom(buf, l.Len(), b, 0)
+			got, err := decodeGolombFrom(nil, buf, l.Len(), b, 0)
 			if err != nil {
 				t.Fatalf("b=%d: %v", b, err)
 			}
-			if !slices.Equal(got.Docs(), l.Docs()) {
-				t.Fatalf("b=%d roundtrip: %v vs %v", b, got.Docs(), l.Docs())
+			if !slices.Equal(got, l.Docs()) {
+				t.Fatalf("b=%d roundtrip: %v vs %v", b, got, l.Docs())
 			}
 		}
 	}
@@ -67,10 +67,10 @@ func TestGolombBeatsVarintOnSparseLists(t *testing.T) {
 }
 
 func TestGolombDecodeErrors(t *testing.T) {
-	if _, err := decodeGolombFrom(nil, 1, 7, 0); err == nil {
+	if _, err := decodeGolombFrom(nil, nil, 1, 7, 0); err == nil {
 		t.Error("empty stream accepted")
 	}
-	if _, err := decodeGolombFrom([]byte{0xFF, 0xFF}, 1, 0, 0); err == nil {
+	if _, err := decodeGolombFrom(nil, []byte{0xFF, 0xFF}, 1, 0, 0); err == nil {
 		t.Error("zero parameter accepted")
 	}
 	// All-ones stream: runaway unary must terminate with an error.
@@ -78,7 +78,7 @@ func TestGolombDecodeErrors(t *testing.T) {
 	for i := range buf {
 		buf[i] = 0xFF
 	}
-	if _, err := decodeGolombFrom(buf, 1, 1, 0); err == nil {
+	if _, err := decodeGolombFrom(nil, buf, 1, 1, 0); err == nil {
 		t.Error("runaway unary accepted")
 	}
 }
@@ -88,8 +88,8 @@ func TestQuickGolombRoundtrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		l := randomList(r, int(n))
 		b := uint64(bRaw%512) + 1
-		got, err := decodeGolombFrom(EncodeGolomb(nil, l, b), l.Len(), b, 0)
-		return err == nil && slices.Equal(got.Docs(), l.Docs())
+		got, err := decodeGolombFrom(nil, EncodeGolomb(nil, l, b), l.Len(), b, 0)
+		return err == nil && slices.Equal(got, l.Docs())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -146,11 +146,11 @@ func TestQuickGolombWithFrequencies(t *testing.T) {
 		ones = !slices.ContainsFunc(freqs, func(f uint32) bool { return f != 1 })
 		b := GolombParameter(int64(l.MaxDoc())+1000, int64(l.Len()))
 		buf := encodeGolombFreqs(l.Docs(), freqs, b)
-		got, err := decodeGolombFrom(buf, l.Len(), b, 0)
+		got, err := decodeGolombFrom(nil, buf, l.Len(), b, 0)
 		if !ones {
 			return errors.Is(err, ErrCorrupt)
 		}
-		return err == nil && slices.Equal(got.Docs(), l.Docs()) && bytes.Equal(buf, EncodeGolomb(nil, l, b))
+		return err == nil && slices.Equal(got, l.Docs()) && bytes.Equal(buf, EncodeGolomb(nil, l, b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func BenchmarkDecodeGolomb(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeGolombFrom(buf, l.Len(), param, 0); err != nil {
+		if _, err := decodeGolombFrom(nil, buf, l.Len(), param, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

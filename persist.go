@@ -36,7 +36,7 @@ import (
 // backend, the codec and a format version.
 //
 // Open reads only the formats this engine writes: manifest version 2 and
-// superblock version 3. It refuses, with an error naming the directory and
+// superblock version 4. It refuses, with an error naming the directory and
 // writing nothing, an older manifest or superblock, a manifest whose range
 // span is not route.DefaultRangeSpan, and a directory that holds index
 // files but no manifest — one from before manifests existed, or one whose

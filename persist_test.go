@@ -177,10 +177,10 @@ func TestOpenVersion1ManifestRefused(t *testing.T) {
 	openRefused(t, dir, "format version 1 predates", "rebuild the index")
 }
 
-// TestOpenOldSuperblockRefused: a checkpoint whose superblock is version 1
-// or 2 is refused untouched, naming the shard's directory.
+// TestOpenOldSuperblockRefused: a checkpoint whose superblock is version 1,
+// 2 or 3 is refused untouched, naming the shard's directory.
 func TestOpenOldSuperblockRefused(t *testing.T) {
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		dir := persistDir(t, 1)
 		setSuperblockVersion(t, filepath.Join(dir, "disk0.dat"), version)
 		openRefused(t, dir, fmt.Sprintf("superblock version %d predates", version), "rebuild the index")
@@ -230,7 +230,7 @@ func TestOpenRefusedKeepsTornDocLog(t *testing.T) {
 }
 
 // setSuperblockVersion rewrites the version of the superblock that opens
-// the disk file at path, which must be version 3.
+// the disk file at path, which must be version 4.
 func setSuperblockVersion(t *testing.T, path string, version byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -240,8 +240,8 @@ func setSuperblockVersion(t *testing.T, path string, version byte) {
 	// The superblock opens disk 0: the magic's varint, then the version's,
 	// which is one byte.
 	_, n := binary.Uvarint(data)
-	if n <= 0 || data[n] != 3 {
-		t.Fatalf("%s does not open with a version-3 superblock", path)
+	if n <= 0 || data[n] != 4 {
+		t.Fatalf("%s does not open with a version-4 superblock", path)
 	}
 	data[n] = version
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -571,8 +571,8 @@ func TestRefusedOpenKeepsOpenedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, n := binary.Uvarint(data)
-	if n <= 0 || data[n] != 3 {
-		t.Fatalf("disk0.dat does not open with a version-3 superblock")
+	if n <= 0 || data[n] != 4 {
+		t.Fatalf("disk0.dat does not open with a version-4 superblock")
 	}
 	data[n] = 2
 	if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -85,6 +85,9 @@ go test -run '^FuzzDecodeDocSet$' -fuzz '^FuzzDecodeDocSet$' -fuzztime 5s ./inte
 # And the long-list directory: decode or refuse, and a decoded directory
 # re-encodes to a prefix of the image it was read from.
 go test -run '^FuzzDecodeDirectory$' -fuzz '^FuzzDecodeDirectory$' -fuzztime 5s ./internal/directory/
+# The chunks it points to are read back on every query: arbitrary images,
+# split into chunks, must decode to a strictly ascending list or be refused.
+go test -run '^FuzzReadChunks$' -fuzz '^FuzzReadChunks$' -fuzztime 5s ./internal/longlist/
 # Bucket images are read back on every open: arbitrary bytes must decode or
 # be refused, and what decodes must re-encode to exactly the bytes consumed.
 go test -run '^FuzzDecodeBucket$' -fuzz '^FuzzDecodeBucket$' -fuzztime 5s ./internal/bucket/
