@@ -7,6 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dualindex/internal/core"
+	"dualindex/internal/disk"
+	"dualindex/internal/longlist"
 )
 
 // TestConcurrentAddSearchFlush hammers the engine from three directions at
@@ -196,49 +200,110 @@ func testQueryDuringFlush(t *testing.T, live bool) {
 	}
 }
 
-// TestFlushDoesNotBlockSearches checks liveness structurally: a search
-// issued while a flush is applying its batch completes against the
-// snapshot. (With -race this also exercises snapshot reads racing the
-// apply.)
+// parkingStore parks the first write made after it is armed until release
+// is closed, and announces it by closing parked. A flush's first write is
+// made inside ApplyUpdate, so a parked flush sits in its apply phase,
+// between the two moments it holds the shard lock.
+type parkingStore struct {
+	disk.BlockStore
+	armed   atomic.Bool
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingStore) WriteAt(d int, block int64, buf []byte) error {
+	if p.armed.Load() {
+		p.once.Do(func() {
+			close(p.parked)
+			<-p.release
+		})
+	}
+	return p.BlockStore.WriteAt(d, block, buf)
+}
+
+// TestFlushDoesNotBlockSearches checks liveness deterministically: while a
+// flush is parked inside its apply phase, the shard lock is free and a
+// search returns the pre-flush answer, which the flush leaves unchanged.
+// (With -race this also exercises snapshot reads racing the apply.)
 func TestFlushDoesNotBlockSearches(t *testing.T) {
 	eng, err := Open(Options{Buckets: 16, BucketSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	for i := 0; i < 500; i++ {
-		eng.AddDocument(fmt.Sprintf("liveness word%d filler%d", i%13, i))
-	}
-	var wg sync.WaitGroup
-	searched := make(chan int, 64)
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			docs, err := eng.SearchBoolean("liveness and word3")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			select {
-			case searched <- len(docs):
-			default:
-			}
-		}
-	}()
-	if _, err := eng.FlushBatch(); err != nil {
+	// Give the shard a fresh index that writes through the parking store.
+	s, o := eng.shards[0], eng.opts
+	store := &parkingStore{BlockStore: s.store, parked: make(chan struct{}), release: make(chan struct{})}
+	pol, err := o.Policy.internal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	wg.Wait()
-	if len(searched) == 0 {
-		t.Fatal("no search completed around the flush")
+	if s.index, err = core.New(core.Config{
+		Buckets:      o.Buckets,
+		BucketSize:   o.BucketSize,
+		BlockPosting: int64(o.BlockSize / longlist.PostingBytes),
+		Geometry:     disk.Geometry{NumDisks: o.NumDisks, BlocksPerDisk: o.BlocksPerDisk, BlockSize: o.BlockSize},
+		Policy:       pol,
+		Store:        store,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const query = "liveness and gamma"
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+	for i := 0; i < 1000; i++ {
+		eng.AddDocument("liveness filler " + words[i%len(words)])
+		if i == 499 {
+			if _, err := eng.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := eng.SearchBoolean(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("the query matches nothing; the check is vacuous")
+	}
+
+	store.armed.Store(true)
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := eng.FlushBatch()
+		flushed <- err
+	}()
+	<-store.parked
+	// The checks run while the flush is parked; it is released before
+	// any of them fails the test.
+	parkedErr := func() error {
+		if !s.mu.TryRLock() {
+			return fmt.Errorf("the flush holds the shard lock while it applies its batch")
+		}
+		s.mu.RUnlock()
+		got, err := eng.SearchBoolean(query)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("mid-flush search: %d docs, want the pre-flush %d", len(got), len(want))
+		}
+		return nil
+	}()
+	close(store.release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if parkedErr != nil {
+		t.Fatal(parkedErr)
+	}
+	after, err := eng.SearchBoolean(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, want) {
+		t.Fatalf("post-flush search: %d docs, want %d", len(after), len(want))
 	}
 }
 

@@ -30,10 +30,12 @@
 package dualindex
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
 	"dualindex/internal/lexer"
+	"dualindex/internal/parallel"
 	"dualindex/internal/postings"
 	"dualindex/internal/route"
 )
@@ -85,65 +87,22 @@ func (e *Engine) shardFor(doc postings.DocID) *shard {
 	return e.shards[e.router.Shard(doc)]
 }
 
-// fanOut runs fn on every shard — concurrently when there is more than one
-// — and collects the per-shard results in shard order. The first error
-// wins. It holds the engine's shard-set read lock for the duration, so a
-// reshard commit cannot close a shard mid-query.
+// fanOut runs fn on every shard, all at once, and collects the per-shard
+// results in shard order. The lowest-numbered shard's error wins. It holds
+// the engine's shard-set read lock for the duration, so a reshard commit
+// cannot close a shard mid-query.
 func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
 	out := make([]T, len(e.shards))
-	if len(e.shards) == 1 {
-		var err error
-		out[0], err = fn(e.shards[0])
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	errs := make([]error, len(e.shards))
-	var wg sync.WaitGroup
-	for i, s := range e.shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			out[i], errs[i] = fn(s)
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	errs := parallel.Do(len(e.shards), len(e.shards), func(i int) (err error) {
+		out[i], err = fn(e.shards[i])
+		return err
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// parallel calls fn(i) for every i in [0, n), at most workers calls at a
-// time, started in ascending i, and returns their errors indexed by i.
-// With one worker or one call, every call runs on the caller.
-func parallel(n, workers int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	workers = min(workers, n)
-	if workers <= 1 {
-		for i := range n {
-			errs[i] = fn(i)
-		}
-		return errs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
 }
 
 // AddDocument tokenizes text, assigns it the next document identifier and
@@ -218,18 +177,16 @@ func (e *Engine) FlushBatch() (BatchStats, error) {
 // flushShardsLocked flushes every shard under the caller's engine locks.
 func (e *Engine) flushShardsLocked() (BatchStats, error) {
 	stats := make([]BatchStats, len(e.shards))
-	errs := parallel(len(e.shards), e.opts.Workers, func(i int) (err error) {
+	errs := parallel.Do(len(e.shards), e.opts.Workers, func(i int) (err error) {
 		stats[i], err = e.shards[i].flushBatch()
 		return err
 	})
+	if err := cmp.Or(errs...); err != nil {
+		return BatchStats{}, err
+	}
 	var out BatchStats
 	for _, st := range stats {
 		out = out.add(st)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return BatchStats{}, err
-		}
 	}
 	return out, nil
 }

@@ -129,6 +129,16 @@ var FileIOPackages = []string{
 	"internal/analysis/framework",
 }
 
+// GoroutinePackages are the packages (by import-path suffix) allowed to
+// contain go statements. Every other package runs its concurrent work
+// through parallel.Do, which bounds it; the storage layer's AsyncFileStore
+// runs one long-lived writer per disk. Main packages (cmd/*, examples/*)
+// are also exempt.
+var GoroutinePackages = []string{
+	"internal/parallel", // the library's one fan-out
+	"internal/disk",     // one writer goroutine per disk
+}
+
 // FileIORootFiles are the files of the root package that implement the
 // file-backend and on-disk-layout glue; only they may do file I/O there.
 var FileIORootFiles = []string{"persist.go", "reshard.go"}

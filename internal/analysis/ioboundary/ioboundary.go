@@ -14,6 +14,10 @@
 //     owners (bucket, longlist, core) may call internal/postings' raw
 //     codec entry points (contracts.CodecSymbols/CodecUsers) — postings
 //     bytes always flow through Options.Codec.
+//
+//   - Goroutines start only in the library's one fan-out and the storage
+//     layer's per-disk writers (contracts.GoroutinePackages), or in main
+//     packages: a hand-rolled worker pool anywhere else is a finding.
 package ioboundary
 
 import (
@@ -29,28 +33,30 @@ import (
 
 // Config carries the boundary tables; the repo instance lives in contracts.
 type Config struct {
-	FileIOFuncs     map[string]bool
-	FileIOPackages  []string
-	FileIORootFiles []string
-	SyscallPackages []string
-	DiskImporters   []string
-	DiskPath        string // import path (suffix) of the block-store package
-	CodecSymbols    map[string]bool
-	CodecUsers      []string
-	CodecPath       string // import path (suffix) of the postings package
+	FileIOFuncs       map[string]bool
+	FileIOPackages    []string
+	FileIORootFiles   []string
+	GoroutinePackages []string
+	SyscallPackages   []string
+	DiskImporters     []string
+	DiskPath          string // import path (suffix) of the block-store package
+	CodecSymbols      map[string]bool
+	CodecUsers        []string
+	CodecPath         string // import path (suffix) of the postings package
 }
 
 // Analyzer checks the repo's I/O boundaries.
 var Analyzer = NewAnalyzer(Config{
-	FileIOFuncs:     contracts.FileIOFuncs,
-	FileIOPackages:  contracts.FileIOPackages,
-	FileIORootFiles: contracts.FileIORootFiles,
-	SyscallPackages: contracts.SyscallPackages,
-	DiskImporters:   contracts.DiskImporters,
-	DiskPath:        "internal/disk",
-	CodecSymbols:    contracts.CodecSymbols,
-	CodecUsers:      contracts.CodecUsers,
-	CodecPath:       "internal/postings",
+	FileIOFuncs:       contracts.FileIOFuncs,
+	FileIOPackages:    contracts.FileIOPackages,
+	FileIORootFiles:   contracts.FileIORootFiles,
+	GoroutinePackages: contracts.GoroutinePackages,
+	SyscallPackages:   contracts.SyscallPackages,
+	DiskImporters:     contracts.DiskImporters,
+	DiskPath:          "internal/disk",
+	CodecSymbols:      contracts.CodecSymbols,
+	CodecUsers:        contracts.CodecUsers,
+	CodecPath:         "internal/postings",
 })
 
 // NewAnalyzer builds an ioboundary analyzer over cfg.
@@ -58,7 +64,8 @@ func NewAnalyzer(cfg Config) *framework.Analyzer {
 	return &framework.Analyzer{
 		Name: "ioboundary",
 		Doc: "file I/O only in the storage layer (everything else goes through Options.Backend); " +
-			"raw postings bytes only through Options.Codec's owners",
+			"raw postings bytes only through Options.Codec's owners; " +
+			"go statements only in parallel.Do and the storage layer",
 		Run: func(pass *framework.Pass) error {
 			run(pass, cfg)
 			return nil
@@ -97,6 +104,7 @@ func run(pass *framework.Pass, cfg Config) {
 	fileIOPkg := isMain || pathAllowed(pkgPath, cfg.FileIOPackages)
 	syscallPkg := pathAllowed(pkgPath, cfg.SyscallPackages)
 	codecPkg := pathAllowed(pkgPath, cfg.CodecUsers)
+	goPkg := isMain || pathAllowed(pkgPath, cfg.GoroutinePackages)
 
 	for _, file := range pass.Files {
 		fileName := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
@@ -118,6 +126,11 @@ func run(pass *framework.Pass, cfg Config) {
 		}
 
 		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok && !goPkg {
+				pass.Reportf(g.Pos(),
+					"go statement in package %s: run concurrent work through parallel.Do (allowed: %v and main packages)",
+					pkgPath, cfg.GoroutinePackages)
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true

@@ -13,15 +13,16 @@ import (
 // repo grants no package, so the fixtures pin both sides of that check.
 func TestIOBoundary(t *testing.T) {
 	analyzer := ioboundary.NewAnalyzer(ioboundary.Config{
-		FileIOFuncs:     contracts.FileIOFuncs,
-		FileIOPackages:  contracts.FileIOPackages,
-		FileIORootFiles: contracts.FileIORootFiles,
-		SyscallPackages: []string{"internal/disk"},
-		DiskImporters:   contracts.DiskImporters,
-		DiskPath:        "internal/disk",
-		CodecSymbols:    contracts.CodecSymbols,
-		CodecUsers:      contracts.CodecUsers,
-		CodecPath:       "internal/postings",
+		FileIOFuncs:       contracts.FileIOFuncs,
+		FileIOPackages:    contracts.FileIOPackages,
+		FileIORootFiles:   contracts.FileIORootFiles,
+		GoroutinePackages: contracts.GoroutinePackages,
+		SyscallPackages:   []string{"internal/disk"},
+		DiskImporters:     contracts.DiskImporters,
+		DiskPath:          "internal/disk",
+		CodecSymbols:      contracts.CodecSymbols,
+		CodecUsers:        contracts.CodecUsers,
+		CodecPath:         "internal/postings",
 	})
 	analysistest.Run(t, "testdata", analyzer,
 		"internal/feature", "internal/disk", "internal/postings", "cmd/tool")

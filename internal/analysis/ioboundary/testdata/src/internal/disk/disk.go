@@ -1,5 +1,6 @@
 // Package disk is the fixture's storage layer: inside the I/O boundary, it
-// may open files and cross the syscall line. Clean throughout.
+// may open files, cross the syscall line and start its writer goroutines.
+// Clean throughout.
 package disk
 
 import (
@@ -16,5 +17,8 @@ func Open(path string) error {
 	}
 	defer f.Close()
 	_ = syscall.Getpagesize()
+	done := make(chan struct{})
+	go close(done)
+	<-done
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package feature sits above the storage abstraction: file I/O, the
-// syscall line, block-store imports and raw codec calls are all boundary
-// crossings here.
+// syscall line, block-store imports, raw codec calls and go statements are
+// all boundary crossings here.
 package feature
 
 import (
@@ -23,4 +23,8 @@ func leak(path string) {
 
 	// Non-file os helpers are not file I/O.
 	_ = os.Getenv("HOME")
+
+	done := make(chan struct{})
+	go close(done) // want "run concurrent work through parallel.Do"
+	<-done
 }

@@ -65,7 +65,7 @@ func eachCoreCodec(t *testing.T, f func(t *testing.T, id postings.CodecID)) {
 }
 
 // diffPolicies are the long-list policies the differential test crosses
-// with every codec and flush width: the four named ones, and whole style
+// with every codec: the four named ones, and whole style
 // without in-place updates, which reads every old chunk on each append.
 var diffPolicies = []struct {
 	name   string
@@ -88,12 +88,12 @@ func docRange(lo, hi postings.DocID) []postings.DocID {
 }
 
 // TestCodecMatchesRaw is the differential test of the flush path. Each
-// codec (raw included), under every policy of diffPolicies, runs at flush
-// width 1 and 0 (one writer per disk) beside a raw width-1 reference that
-// applies the same batches. After every batch, after a sweep, after a
-// bucket rebalance and after a reopen, every word must read back exactly as
-// in the reference and every index must pass CheckConsistency. The codecs
-// must also allocate fewer long-list blocks than raw.
+// codec (raw included), under every policy of diffPolicies, runs beside a
+// raw reference that applies the same batches. After every batch, after a
+// sweep, after a bucket rebalance and after a reopen, every word must read
+// back exactly as in the reference and every index must pass
+// CheckConsistency. The codecs must also allocate fewer long-list blocks
+// than raw.
 func TestCodecMatchesRaw(t *testing.T) {
 	shapes := []diffShape{
 		{"mixed", 64, 256, codecBatches(42, 6), true},
@@ -150,12 +150,10 @@ func differential(t *testing.T, id postings.CodecID, p longlist.Policy, sh diffS
 		}
 		return ix
 	}
-	ref := open(postings.CodecRaw, 1)
-	cells := map[int]*Index{0: open(id, 0)}
-	if id != postings.CodecRaw {
-		cells[1] = open(id, 1)
-	}
-	// each runs op on the reference and on every cell, then compares them.
+	// The cell reopens reading the checkpoint's regions four runs at a
+	// time, the reference one at a time.
+	ref, cell := open(postings.CodecRaw, 1), open(id, 4)
+	// each runs op on the reference and on the cell, then compares them.
 	each := func(stage string, op func(ix *Index) error) {
 		t.Helper()
 		if err := op(ref); err != nil {
@@ -164,25 +162,23 @@ func differential(t *testing.T, id postings.CodecID, p longlist.Policy, sh diffS
 		if err := ref.CheckConsistency(); err != nil {
 			t.Fatalf("%s: reference inconsistent: %v", stage, err)
 		}
-		for workers, ix := range cells {
-			if err := op(ix); err != nil {
-				t.Fatalf("%s: workers=%d: %v", stage, workers, err)
+		if err := op(cell); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if err := cell.CheckConsistency(); err != nil {
+			t.Fatalf("%s: inconsistent: %v", stage, err)
+		}
+		for w := range words {
+			want, err := ref.GetList(w)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := ix.CheckConsistency(); err != nil {
-				t.Fatalf("%s: workers=%d inconsistent: %v", stage, workers, err)
+			got, err := cell.GetList(w)
+			if err != nil {
+				t.Fatalf("%s: GetList(%d): %v", stage, w, err)
 			}
-			for w := range words {
-				want, err := ref.GetList(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ix.GetList(w)
-				if err != nil {
-					t.Fatalf("%s: workers=%d GetList(%d): %v", stage, workers, w, err)
-				}
-				if !slices.Equal(got.Docs(), want.Docs()) {
-					t.Fatalf("%s: workers=%d word %d: %d postings, reference %d", stage, workers, w, got.Len(), want.Len())
-				}
+			if !slices.Equal(got.Docs(), want.Docs()) {
+				t.Fatalf("%s: word %d: %d postings, reference %d", stage, w, got.Len(), want.Len())
 			}
 		}
 	}
@@ -193,10 +189,8 @@ func differential(t *testing.T, id postings.CodecID, p longlist.Policy, sh diffS
 		})
 	}
 	if id != postings.CodecRaw && sh.compresses {
-		for workers, ix := range cells {
-			if got, raw := allocatedBlocks(ix.dir), allocatedBlocks(ref.dir); got >= raw {
-				t.Errorf("workers=%d: codec allocates %d blocks, raw %d — no win", workers, got, raw)
-			}
+		if got, raw := allocatedBlocks(cell.dir), allocatedBlocks(ref.dir); got >= raw {
+			t.Errorf("codec allocates %d blocks, raw %d — no win", got, raw)
 		}
 	}
 	each("sweep", func(ix *Index) error {

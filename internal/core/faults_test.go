@@ -14,8 +14,8 @@ import (
 
 // faultStore wraps a BlockStore and fails every write once a budget of
 // successful operations is exhausted — a crash mid-batch. Like any
-// BlockStore it must tolerate concurrent use (the flush executor writes
-// with one goroutine per disk), so the budget is guarded by a mutex.
+// BlockStore it must tolerate concurrent use, so the budget is guarded by
+// a mutex.
 type faultStore struct {
 	disk.BlockStore
 	mu         sync.Mutex

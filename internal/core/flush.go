@@ -16,11 +16,11 @@ import (
 // is written so the build can restart, the previous images are returned to
 // free space, and the RELEASE list of the long-list manager is drained.
 // Every batch, sweep and rebalance ends here: the bucket stripes join the
-// long-list writes already staged in the array's write plan, and one
-// executor writes them all before the checkpoint.
+// long-list writes already staged in the array's write plan, and
+// disk.Array.Commit writes them all, in plan order, before the checkpoint.
 //
 // st, when non-nil, receives the wall-clock durations of the flush's phases
-// (bucket staging, executor, checkpoint, release) — the per-phase numbers
+// (bucket staging, commit, checkpoint, release) — the per-phase numbers
 // the observability layer exports. Checkpoints outside a batch (Sweep,
 // rebalance, CheckpointDeleted) pass nil.
 func (ix *Index) flush(st *UpdateStats) error {
@@ -35,7 +35,7 @@ func (ix *Index) flush(st *UpdateStats) error {
 	}
 	st.BucketFlushDur = time.Since(bucketStart)
 	applyStart := time.Now()
-	if err := ix.array.Commit(ix.cfg.FlushWorkers); err != nil {
+	if err := ix.array.Commit(); err != nil {
 		return err
 	}
 	st.LongApplyDur = time.Since(applyStart)

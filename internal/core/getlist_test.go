@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dualindex/internal/disk"
 	"dualindex/internal/postings"
 )
 
@@ -86,4 +87,65 @@ func TestGetListConcurrentExact(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestGetListLeavesTraceAlone: query reads are counted but not traced, so
+// a serving index's trace does not grow with the queries it answers.
+// 1,000 GetLists, half against the index and half against a snapshot,
+// raise ReadOps, ReadBlocks and each disk's read counters by exactly the
+// chunks they read and leave the trace as it was.
+func TestGetListLeavesTraceAlone(t *testing.T) {
+	ix, err := New(longListConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillIndex(t, ix, 6, 40)
+	a := ix.Array()
+	geo := a.Geometry()
+	traced, ops, blocks := a.Trace().Len(), a.ReadOps(), a.ReadBlocks()
+	perDisk := make([]disk.DiskOps, geo.NumDisks)
+	for d := range perDisk {
+		perDisk[d] = a.DiskOpCounts(d)
+	}
+	words := ix.dir.Words()
+	snap := ix.Snapshot()
+	var wantOps, wantBlocks int64
+	wantDisk := make([]disk.DiskOps, geo.NumDisks)
+	for i := 0; i < 1000; i++ {
+		w := words[i%len(words)]
+		for _, c := range ix.dir.Chunks(w) {
+			if n := c.DataBlocks(ix.cfg.BlockPosting); n > 0 {
+				wantOps++
+				wantBlocks += n
+				wantDisk[c.Disk].ReadOps++
+				wantDisk[c.Disk].ReadBlocks += n
+			}
+		}
+		get := ix.GetList
+		if i%2 == 1 {
+			get = snap.GetList
+		}
+		if _, err := get(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wantOps == 0 {
+		t.Fatal("no GetList read a chunk; the check is vacuous")
+	}
+	if got := a.Trace().Len(); got != traced {
+		t.Errorf("trace grew from %d to %d ops over 1,000 GetLists", traced, got)
+	}
+	if got := a.ReadOps() - ops; got != wantOps {
+		t.Errorf("ReadOps rose by %d, want %d", got, wantOps)
+	}
+	if got := a.ReadBlocks() - blocks; got != wantBlocks {
+		t.Errorf("ReadBlocks rose by %d, want %d", got, wantBlocks)
+	}
+	for d := range perDisk {
+		got := a.DiskOpCounts(d)
+		if got.ReadOps-perDisk[d].ReadOps != wantDisk[d].ReadOps || got.ReadBlocks-perDisk[d].ReadBlocks != wantDisk[d].ReadBlocks {
+			t.Errorf("disk %d: reads rose by %d ops, %d blocks, want %d, %d", d,
+				got.ReadOps-perDisk[d].ReadOps, got.ReadBlocks-perDisk[d].ReadBlocks, wantDisk[d].ReadOps, wantDisk[d].ReadBlocks)
+		}
+	}
 }

@@ -48,16 +48,9 @@ type Config struct {
 	// I/O traces. The compressing codecs require a Store, are recorded in
 	// every checkpoint, and are fixed for the life of the index.
 	Codec postings.CodecID
-	// FlushWorkers is the width of the executor that writes each flush's
-	// plan. Planning — allocation, directory mutation, trace recording,
-	// every read and every encode — always runs on the caller, in update
-	// order, and stages its writes; the executor then writes the staged
-	// steps. 1 runs them all on the caller; any other value (0 = auto) runs
-	// one goroutine per disk that has steps — the paper's "one sequential
-	// write per disk", actually overlapped. Both widths write the same steps.
-	// Open reads each checkpoint region's chunks at the same width: at most
-	// FlushWorkers at a time, all on the caller at 1, all at once at 0. The
-	// trace records them in region order at every width.
+	// FlushWorkers bounds how many of a checkpoint region's chunks Open
+	// reads at once (disk.Array.ReadRuns). The trace records them in region
+	// order at every width.
 	FlushWorkers int
 }
 
@@ -128,7 +121,7 @@ type UpdateStats struct {
 	// per word); the engine's observability layer turns them into
 	// histograms and trace spans.
 	PlanDur        time.Duration // per-word apply: allocation, directory and bucket bookkeeping, reads, encoding, trace recording
-	LongApplyDur   time.Duration // the executor writing the flush's staged plan: long-list chunks and bucket stripes
+	LongApplyDur   time.Duration // Commit writing the flush's staged plan: long-list chunks and bucket stripes
 	BucketFlushDur time.Duration // encoding and staging the striped bucket region
 	CheckpointDur  time.Duration // directory + deleted list + superblock writes
 	ReleaseDur     time.Duration // freeing previous images, RELEASE drain, store sync

@@ -55,15 +55,16 @@ func (ix *Index) ReadCost(w postings.WordID) int {
 // out — the paper's deletion scheme ("existing implementations typically
 // maintain a list of deleted document identifiers and filter any answer to
 // a query through this list"). It requires a data store. Long lists are
-// read from disk (one read per chunk); short lists come from the in-memory
-// buckets. A word with no list returns an empty list.
+// read from disk, one read per chunk, counted but not traced; short lists
+// come from the in-memory buckets. A word with no list returns an empty
+// list.
 func (ix *Index) GetList(w postings.WordID) (*postings.List, error) {
 	if ix.cfg.Store == nil {
 		return nil, fmt.Errorf("core: GetList requires a data store")
 	}
 	switch ix.Lookup(w) {
 	case SourceLong:
-		l, _, err := ix.long.ReadList(w)
+		l, err := ix.long.FetchList(w, ix.dir.Chunks(w))
 		if err != nil {
 			return nil, err
 		}

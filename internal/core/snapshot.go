@@ -79,7 +79,7 @@ func (s *Snapshot) GetList(w postings.WordID) (*postings.List, error) {
 	}
 	switch {
 	case s.dir.Has(w):
-		_, l, err := s.ix.long.ReadChunks(w, s.dir.Chunks(w))
+		l, err := s.ix.long.FetchList(w, s.dir.Chunks(w))
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,11 @@
 package disk
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
+
+	"dualindex/internal/parallel"
 )
 
 // Geometry describes a disk array.
@@ -54,9 +57,9 @@ func (e ErrNoSpace) Error() string {
 // parallel (one allocator lock per disk, matching the paper's one-spindle-
 // per-disk parallelism). Both provided stores tolerate concurrent access.
 // Note that concurrent allocation makes placement nondeterministic; the
-// index's batch protocol therefore allocates, reads and stages writes from a
-// single planning goroutine, and only Commit's executor writes in parallel,
-// which keeps simulated I/O traces deterministic.
+// index's batch protocol therefore allocates, reads, stages and commits its
+// writes from a single goroutine, which keeps simulated I/O traces
+// deterministic.
 type Array struct {
 	geo    Geometry
 	free   []Allocator
@@ -231,6 +234,12 @@ func (a *Array) record(kind Kind, disk int, block, count int64, tag string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.trace.Append(Op{Kind: kind, Disk: disk, Block: block, Count: count, Tag: tag})
+	a.countLocked(kind, disk, count)
+}
+
+// countLocked adds one operation of count blocks to the counters. The
+// caller holds a.mu.
+func (a *Array) countLocked(kind Kind, disk int, count int64) {
 	if kind == Read {
 		a.readOps++
 		a.readBlocks += count
@@ -252,6 +261,23 @@ func (a *Array) record(kind Kind, disk int, block, count int64, tag string) {
 // concurrent use.
 func (a *Array) ReadBlocksAt(buf []byte, disk int, block, count int64, tag string) ([]byte, error) {
 	a.record(Read, disk, block, count, tag)
+	return a.readInto(buf, disk, block, count)
+}
+
+// ReadUntracedAt is ReadBlocksAt for a query's read: it counts the read in
+// every counter but appends nothing to the trace. The trace is what the
+// paper's disk model replays — updates, sweeps, rebalances and opens — and
+// a serving engine's query reads would grow it for the life of the index.
+func (a *Array) ReadUntracedAt(buf []byte, disk int, block, count int64) ([]byte, error) {
+	a.checkRange(disk, block, count)
+	a.mu.Lock()
+	a.countLocked(Read, disk, count)
+	a.mu.Unlock()
+	return a.readInto(buf, disk, block, count)
+}
+
+// readInto performs a counted read (see ReadBlocksAt).
+func (a *Array) readInto(buf []byte, disk int, block, count int64) ([]byte, error) {
 	if a.store == nil {
 		return nil, nil
 	}
@@ -277,9 +303,9 @@ type Run struct {
 // given: what ReadBlocksAt returns for each run, concatenated. Every read
 // is recorded first, in run order, so the trace and the counters do not
 // depend on the order the store serves them in; with a store, the runs are
-// then read into the image at most workers at a time: all on the caller at
-// 1, all at once at 0 (as Commit's executor widths). It returns the first
-// failing run's error in run order, and nil data without a store.
+// then read into the image at most workers at a time (parallel.Do). It
+// returns the first failing run's error in run order, and nil data without
+// a store.
 func (a *Array) ReadRuns(runs []Run, tag string, workers int) ([]byte, error) {
 	var blocks int64
 	for _, r := range runs {
@@ -296,38 +322,16 @@ func (a *Array) ReadRuns(runs []Run, tag string, workers int) ([]byte, error) {
 		end := off + r.Blocks*int64(a.geo.BlockSize)
 		pieces[i], off = image[off:end:end], end
 	}
-	errs := make([]error, len(runs))
-	read := func(i int) {
+	errs := parallel.Do(len(runs), workers, func(i int) error {
 		r := runs[i]
-		if errs[i] = a.store.ReadAt(r.Disk, r.Block, pieces[i]); errs[i] == nil {
-			a.overlay(r.Disk, r.Block, pieces[i])
+		if err := a.store.ReadAt(r.Disk, r.Block, pieces[i]); err != nil {
+			return err
 		}
-	}
-	if workers == 1 || len(runs) == 1 {
-		for i := range runs {
-			read(i)
-		}
-	} else {
-		if workers <= 0 {
-			workers = len(runs)
-		}
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range runs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				read(i)
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		a.overlay(r.Disk, r.Block, pieces[i])
+		return nil
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	return image, nil
 }

@@ -98,59 +98,56 @@ func TestArrayWithMemStoreRoundtrip(t *testing.T) {
 
 // TestStageThenCommit pins the write plan: a staged image is what reads see
 // at once, overlaid block by block on the store, the newest staging of a
-// block wins, and the store receives the plan only at Commit, at either
-// executor width.
+// block wins, and the store receives the plan only at Commit.
 func TestStageThenCommit(t *testing.T) {
 	geo := testGeometry()
-	for _, workers := range []int{1, 0} {
-		ms := NewMemStore(geo.NumDisks, geo.BlockSize)
-		a, _ := NewArray(geo, ms)
-		old := bytes.Repeat([]byte{1}, 3*geo.BlockSize)
-		if err := a.WriteBlocksAt(0, 10, 3, old, TagLong); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Stage(0, 11, 2, bytes.Repeat([]byte{2}, geo.BlockSize), TagLong); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Stage(0, 12, 1, []byte{3}, TagLong); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Stage(1, 0, 1, []byte{4}, TagBucket); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, 3*geo.BlockSize)
-		copy(want, old[:geo.BlockSize])
-		copy(want[geo.BlockSize:], bytes.Repeat([]byte{2}, geo.BlockSize))
-		want[2*geo.BlockSize] = 3
-		got, err := a.ReadBlocksAt(nil, 0, 10, 3, TagLong)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: read before commit does not see the staged images", workers)
-		}
-		stored := make([]byte, 3*geo.BlockSize)
-		if err := ms.ReadAt(0, 10, stored); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(stored, old) {
-			t.Fatalf("workers=%d: staged images reached the store before Commit", workers)
-		}
-		if err := a.Commit(workers); err != nil {
-			t.Fatal(err)
-		}
-		if err := ms.ReadAt(0, 10, stored); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(stored, want) {
-			t.Fatalf("workers=%d: store after Commit differs from the plan", workers)
-		}
-		if err := ms.ReadAt(1, 0, stored[:geo.BlockSize]); err != nil || stored[0] != 4 {
-			t.Fatalf("workers=%d: disk 1 step not written (%v)", workers, err)
-		}
-		if a.WriteOps() != 4 {
-			t.Fatalf("workers=%d: %d writes recorded, want 4", workers, a.WriteOps())
-		}
+	ms := NewMemStore(geo.NumDisks, geo.BlockSize)
+	a, _ := NewArray(geo, ms)
+	old := bytes.Repeat([]byte{1}, 3*geo.BlockSize)
+	if err := a.WriteBlocksAt(0, 10, 3, old, TagLong); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stage(0, 11, 2, bytes.Repeat([]byte{2}, geo.BlockSize), TagLong); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stage(0, 12, 1, []byte{3}, TagLong); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stage(1, 0, 1, []byte{4}, TagBucket); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 3*geo.BlockSize)
+	copy(want, old[:geo.BlockSize])
+	copy(want[geo.BlockSize:], bytes.Repeat([]byte{2}, geo.BlockSize))
+	want[2*geo.BlockSize] = 3
+	got, err := a.ReadBlocksAt(nil, 0, 10, 3, TagLong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read before commit does not see the staged images")
+	}
+	stored := make([]byte, 3*geo.BlockSize)
+	if err := ms.ReadAt(0, 10, stored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, old) {
+		t.Fatal("staged images reached the store before Commit")
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.ReadAt(0, 10, stored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, want) {
+		t.Fatal("store after Commit differs from the plan")
+	}
+	if err := ms.ReadAt(1, 0, stored[:geo.BlockSize]); err != nil || stored[0] != 4 {
+		t.Fatalf("disk 1 step not written (%v)", err)
+	}
+	if a.WriteOps() != 4 {
+		t.Fatalf("%d writes recorded, want 4", a.WriteOps())
 	}
 }
 
@@ -176,7 +173,7 @@ func TestStageWritesOccupiedPrefix(t *testing.T) {
 	if err := a.Stage(0, 20, 1, make([]byte, bs+1), TagBucket); err == nil {
 		t.Fatal("data longer than its run accepted")
 	}
-	if err := a.Commit(1); err != nil {
+	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	want := append(bytes.Repeat([]byte{7}, bs+bs/2), make([]byte, bs/2)...)

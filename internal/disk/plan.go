@@ -1,9 +1,6 @@
 package disk
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Step is one staged write of the array's write plan: the image of Blocks
 // whole blocks starting at Block on Disk.
@@ -53,59 +50,26 @@ func (a *Array) Stage(disk int, block, count int64, data []byte, tag string) err
 	return nil
 }
 
-// Commit writes the staged plan to the store and empties it. workers is the
-// executor's width: 1 runs every step on the caller in plan order; any
-// other value runs one goroutine per disk that has steps, each writing its
-// disk's steps in plan order. The plan is emptied even when a write fails,
-// and Commit returns the first error.
-func (a *Array) Commit(workers int) error {
+// Commit writes the staged plan to the store, on the caller in plan order,
+// and empties it. Writes to different disks still overlap below: a store
+// may queue them, as AsyncFileStore's one writer per disk does. The plan is
+// emptied even when a write fails, and Commit returns the first error.
+func (a *Array) Commit() error {
 	a.mu.Lock()
 	plan := a.plan
 	a.mu.Unlock()
-	err := a.execute(plan, workers)
+	var err error
+	for _, s := range plan {
+		if err = a.store.WriteAt(s.Disk, s.Block, s.Image); err != nil {
+			break
+		}
+	}
 	a.mu.Lock()
 	clear(a.plan)
 	a.plan = a.plan[:0]
 	clear(a.staged)
 	a.mu.Unlock()
 	return err
-}
-
-func (a *Array) execute(plan []Step, workers int) error {
-	write := func(steps []Step) error {
-		for _, s := range steps {
-			if err := a.store.WriteAt(s.Disk, s.Block, s.Image); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers == 1 {
-		return write(plan)
-	}
-	perDisk := make([][]Step, a.geo.NumDisks)
-	for _, s := range plan {
-		perDisk[s.Disk] = append(perDisk[s.Disk], s)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(perDisk))
-	for d, steps := range perDisk {
-		if len(steps) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[d] = write(steps)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // overlay lays the plan's staged images over buf, a store read of the run

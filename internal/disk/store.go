@@ -9,9 +9,9 @@ import (
 // one (operation counts and the timing model need no data); the real index
 // stores encoded postings through one.
 //
-// Implementations must be safe for concurrent use: the parallel batch-apply
-// path issues reads and writes from one worker per disk, and queries read
-// concurrently with a running flush. Both provided stores satisfy this —
+// Implementations must be safe for concurrent use: queries read
+// concurrently with a running flush's writes, and Open reads a checkpoint
+// region's chunks concurrently. Both provided stores satisfy this —
 // MemStore with per-disk locks, AsyncFileStore with per-disk write queues
 // and pread/pwrite.
 type BlockStore interface {
@@ -31,8 +31,8 @@ type BlockStore interface {
 }
 
 // MemStore is an in-memory block store. It is safe for concurrent use:
-// each simulated disk has its own lock, so per-disk workers and concurrent
-// query reads never serialise across disks.
+// each simulated disk has its own lock, so concurrent reads and writes
+// never serialise across disks.
 type MemStore struct {
 	blockSize int
 	mu        []sync.RWMutex // one per disk

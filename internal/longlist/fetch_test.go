@@ -44,7 +44,7 @@ func TestReadChunksRefusesChunkOutOfOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := m.array.Commit(1); err != nil {
+			if err := m.array.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			chunks := m.dir.Chunks(w)

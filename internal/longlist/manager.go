@@ -358,18 +358,30 @@ func (m *Manager) alloc(blocks int64) (int, int64, error) {
 	return 0, 0, disk.ErrNoSpace{Disk: m.nextDisk, Blocks: blocks}
 }
 
-// ReadChunks reads the given chunks of word w's long list (one operation
-// per non-empty chunk) and returns the posting count and, with a store, the
-// decoded postings. The chunks may come from the live directory or from a
-// directory snapshot: queries running concurrently with a batch flush read
-// through a snapshot whose chunks stay intact until the flush completes.
-// ReadChunks is safe to call from multiple goroutines.
+// ReadChunks reads the given chunks of word w's long list (one traced
+// operation per non-empty chunk) and returns the posting count and, with a
+// store, the decoded postings. ReadChunks is safe to call from multiple
+// goroutines.
 //
 // Each chunk is read into one pooled read buffer and decoded straight into
 // the result, which is sized once for every chunk's postings: a posting is
 // copied once on its way from the store. A chunk that does not open above
 // the previous chunk's last posting is corrupt.
 func (m *Manager) ReadChunks(w postings.WordID, chunks []directory.ChunkRef) (int64, *postings.List, error) {
+	return m.readChunks(w, chunks, true)
+}
+
+// FetchList is ReadChunks for a query: the same reads and postings, counted
+// but not traced (disk.Array.ReadUntracedAt). The chunks may come from the
+// live directory or from a directory snapshot: queries running concurrently
+// with a batch flush read through a snapshot whose chunks stay intact until
+// the flush completes.
+func (m *Manager) FetchList(w postings.WordID, chunks []directory.ChunkRef) (*postings.List, error) {
+	_, list, err := m.readChunks(w, chunks, false)
+	return list, err
+}
+
+func (m *Manager) readChunks(w postings.WordID, chunks []directory.ChunkRef, traced bool) (int64, *postings.List, error) {
 	var total int64
 	for _, c := range chunks {
 		total += c.Postings
@@ -384,7 +396,13 @@ func (m *Manager) ReadChunks(w postings.WordID, chunks []directory.ChunkRef) (in
 		if c.Postings == 0 {
 			continue
 		}
-		buf, err := m.array.ReadBlocksAt(*bufp, c.Disk, c.Block, c.DataBlocks(m.blockPosting), disk.TagLong)
+		var buf []byte
+		var err error
+		if traced {
+			buf, err = m.array.ReadBlocksAt(*bufp, c.Disk, c.Block, c.DataBlocks(m.blockPosting), disk.TagLong)
+		} else {
+			buf, err = m.array.ReadUntracedAt(*bufp, c.Disk, c.Block, c.DataBlocks(m.blockPosting))
+		}
 		if err != nil {
 			return 0, nil, err
 		}
@@ -411,7 +429,7 @@ func (m *Manager) decodeChunk(docs []postings.DocID, buf []byte, c directory.Chu
 	return appendRecords(docs, buf, c.Postings)
 }
 
-// ReadList reads word w's entire long list for query evaluation, returning
+// ReadList reads word w's entire long list through ReadChunks, returning
 // the postings (nil without a store) and the number of read operations
 // performed. The count is derived from the chunk list rather than a global
 // counter delta, so it stays exact when other goroutines do I/O in parallel.

@@ -1,10 +1,10 @@
 package query
 
 import (
-	"runtime"
+	"cmp"
 	"strings"
-	"sync"
 
+	"dualindex/internal/parallel"
 	"dualindex/internal/postings"
 )
 
@@ -33,17 +33,17 @@ func (p *Prefetched) WordsWithPrefix(prefix string) []string {
 	return nil
 }
 
-// Prefetch fetches the inverted lists of the given terms from src with a
-// bounded pool of at most workers goroutines and returns a Source serving
-// them from memory. A multi-term query's list reads — the dominant I/O of
-// boolean and vector evaluation — thereby overlap across the disks of the
-// array instead of arriving one at a time.
+// Prefetch fetches the inverted lists of the given terms from src, at most
+// workers at a time (parallel.Do), and returns a Source serving them from
+// memory. A multi-term query's list reads — the dominant I/O of boolean and
+// vector evaluation — thereby overlap across the disks of the array
+// instead of arriving one at a time.
 //
 // Terms ending in '*' are truncation terms; they are expanded through the
-// source's vocabulary first so that every expansion is fetched by the pool.
+// source's vocabulary first so that every expansion is fetched up front.
 // A source that cannot expand prefixes leaves them to evaluation, which
-// reports the error. workers <= 0 selects GOMAXPROCS. src.List must be safe
-// for concurrent use when workers > 1.
+// reports the error. src.List must be safe for concurrent use when
+// workers > 1. The first failing word's error, in fetch order, is returned.
 func Prefetch(terms []string, src Source, workers int) (*Prefetched, error) {
 	seen := make(map[string]bool, len(terms))
 	words := make([]string, 0, len(terms))
@@ -64,54 +64,17 @@ func Prefetch(terms []string, src Source, workers int) (*Prefetched, error) {
 		}
 		add(t)
 	}
+	lists := make([]*postings.List, len(words))
+	errs := parallel.Do(len(words), workers, func(i int) (err error) {
+		lists[i], err = src.List(words[i])
+		return err
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
 	p := &Prefetched{src: src, lists: make(map[string]*postings.List, len(words))}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(words) {
-		workers = len(words)
-	}
-	if workers <= 1 {
-		for _, w := range words {
-			l, err := src.List(w)
-			if err != nil {
-				return nil, err
-			}
-			p.lists[w] = l
-		}
-		return p, nil
-	}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	ch := make(chan string)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for w := range ch {
-				l, err := src.List(w)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					p.lists[w] = l
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, w := range words {
-		ch <- w
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, w := range words {
+		p.lists[w] = lists[i]
 	}
 	return p, nil
 }

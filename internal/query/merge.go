@@ -1,6 +1,6 @@
 package query
 
-import "container/heap"
+import "slices"
 
 // The fan-out/merge half of ranked query evaluation: each shard answers
 // over its own partition of the documents, and the engine combines the
@@ -25,47 +25,25 @@ func compareMatches(a, b Match) int {
 	return 0
 }
 
-func matchBefore(a, b Match) bool { return compareMatches(a, b) < 0 }
-
-// matchCursor is one partially-consumed sorted match list.
-type matchCursor struct {
-	matches []Match
-	pos     int
-}
-
-type matchHeap []matchCursor
-
-func (h matchHeap) Len() int { return len(h) }
-func (h matchHeap) Less(i, j int) bool {
-	return matchBefore(h[i].matches[h[i].pos], h[j].matches[h[j].pos])
-}
-func (h matchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x interface{}) { *h = append(*h, x.(matchCursor)) }
-func (h *matchHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
-}
-
 // MergeMatches merges per-shard top-k match lists — each sorted by score
 // descending, ties by ascending document — into the global top k in the
 // same order. A single input group is truncated and returned as is.
+// compareMatches orders distinct documents totally, so sorting the
+// concatenated groups and dropping repeats is the merge.
 func MergeMatches(groups [][]Match, k int) []Match {
 	if k <= 0 {
 		return nil
 	}
-	h := make(matchHeap, 0, len(groups))
 	var last []Match
+	total, nonEmpty := 0, 0
 	for _, g := range groups {
-		if len(g) == 0 {
-			continue
+		if len(g) > 0 {
+			last = g
+			total += len(g)
+			nonEmpty++
 		}
-		h = append(h, matchCursor{matches: g})
-		last = g
 	}
-	switch len(h) {
+	switch nonEmpty {
 	case 0:
 		return nil
 	case 1:
@@ -74,20 +52,12 @@ func MergeMatches(groups [][]Match, k int) []Match {
 		}
 		return last
 	}
-	heap.Init(&h)
-	out := make([]Match, 0, k)
-	for len(h) > 0 && len(out) < k {
-		cur := &h[0]
-		m := cur.matches[cur.pos]
-		if n := len(out); n == 0 || out[n-1].Doc != m.Doc || out[n-1].Score != m.Score {
-			out = append(out, m)
-		}
-		cur.pos++
-		if cur.pos == len(cur.matches) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
+	all := make([]Match, 0, total)
+	for _, g := range groups {
+		all = append(all, g...)
 	}
-	return out
+	slices.SortFunc(all, compareMatches)
+	all = slices.Compact(all)
+	n := min(k, len(all))
+	return all[:n:n]
 }

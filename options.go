@@ -196,21 +196,15 @@ type Options struct {
 	// existing callers that set it still compile; it is not recorded in the
 	// manifest.
 	LiveSearch bool
-	// Workers bounds query-time fetch concurrency within one shard: a
-	// multi-term query reads its inverted lists with at most Workers
-	// goroutines per shard, overlapping reads across the disks of that
-	// shard's array. It is also the width of each shard's flush executor,
-	// which writes the batch's planned block images with one goroutine per
-	// disk, or all on the flushing goroutine at 1; both widths write the
-	// same images. It caps how many shards FlushBatch applies, and Open
-	// loads, concurrently; within a shard, Open reads the checkpoint's
-	// per-disk chunks with at most Workers goroutines, alongside the
-	// vocabulary and the document log. It also bounds candidate
-	// verification per shard: a phrase, proximity or region query reads
-	// and checks its candidates' stored texts with at most Workers
-	// goroutines, in chunks of 16, so a query with few candidates stays on
-	// one. 0 defaults to NumDisks (one in-flight read per disk); 1 disables
-	// the in-shard parallelism.
+	// Workers bounds the engine's concurrent sections: a multi-term
+	// query's list fetches per shard, its candidate verification per shard
+	// (chunks of 16 candidates, so a query with few stays on one
+	// goroutine), how many shards FlushBatch applies and Open loads at
+	// once, and within a shard, Open's concurrent reads of the checkpoint,
+	// the vocabulary and the document log. A query reaches every shard at
+	// once regardless. Answers, traces and counts are the same at every
+	// value. 0 defaults to NumDisks (one in-flight read per disk); 1 runs
+	// each section on the calling goroutine.
 	Workers int
 	// CacheBlocks, when positive, layers an LRU block cache of that many
 	// blocks (per shard) over the store, so repeated reads of hot chunks —

@@ -11,6 +11,7 @@ import (
 
 	"dualindex/internal/disk"
 	"dualindex/internal/manifest"
+	"dualindex/internal/parallel"
 	"dualindex/internal/route"
 	"dualindex/internal/vocab"
 )
@@ -97,7 +98,7 @@ func Open(opts Options) (*Engine, error) {
 // and reports the lowest-numbered failure, naming that shard.
 func openShards(opts Options, dir string, n int) ([]*shard, error) {
 	shards := make([]*shard, n)
-	errs := parallel(n, opts.Workers, func(i int) (err error) {
+	errs := parallel.Do(n, opts.Workers, func(i int) (err error) {
 		shards[i], err = openShard(opts, shardDir(dir, i, n))
 		return err
 	})

@@ -2,6 +2,7 @@ package dualindex
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"dualindex/internal/docstore"
 	"dualindex/internal/lexer"
 	"dualindex/internal/longlist"
+	"dualindex/internal/parallel"
 	"dualindex/internal/postings"
 	"dualindex/internal/query"
 	"dualindex/internal/vocab"
@@ -156,14 +158,13 @@ func openShard(opts Options, dir string) (*shard, error) {
 		s.docs, err = openDocs(opts, dir)
 		return err
 	})
-	for _, err := range parallel(len(loads), opts.Workers, func(i int) error { return loads[i]() }) {
-		if err != nil {
-			if s.docs != nil {
-				s.docs.Close()
-			}
-			store.Close()
-			return nil, err
+	errs := parallel.Do(len(loads), opts.Workers, func(i int) error { return loads[i]() })
+	if err := cmp.Or(errs...); err != nil {
+		if s.docs != nil {
+			s.docs.Close()
 		}
+		store.Close()
+		return nil, err
 	}
 	if resume {
 		// The checkpoint's high-water mark resumes the identifier sequence,
@@ -655,7 +656,7 @@ func (s *shard) verifyDocs(candidates []DocID, check query.Check) ([]DocID, erro
 	}
 	keep := make([]bool, len(candidates))
 	chunks := (len(candidates) + verifyChunk - 1) / verifyChunk
-	errs := parallel(chunks, s.opts.Workers, func(c int) error {
+	errs := parallel.Do(chunks, s.opts.Workers, func(c int) error {
 		lo := c * verifyChunk
 		for i, d := range candidates[lo:min(lo+verifyChunk, len(candidates))] {
 			text, ok, err := s.docs.Get(d)
@@ -669,10 +670,8 @@ func (s *shard) verifyDocs(candidates []DocID, check query.Check) ([]DocID, erro
 		}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	var out []DocID
 	for i, d := range candidates {

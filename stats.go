@@ -4,7 +4,7 @@ import "time"
 
 // FlushPhases breaks one batch flush's wall-clock time into the paper's
 // phases: the per-word apply (allocation, bucket and directory
-// bookkeeping, reads and encoding), the executor writing the planned
+// bookkeeping, reads and encoding), the commit writing the planned
 // long-list and bucket-stripe images (LongApply), encoding and staging the
 // striped bucket region, the checkpoint (directory + deleted list +
 // superblock) and the release of the previous images. For a sharded engine the durations are
