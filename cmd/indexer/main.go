@@ -35,7 +35,6 @@ func main() {
 		buckets   = flag.Int("buckets", 256, "number of buckets")
 		bsize     = flag.Int("bucketsize", 8192, "bucket size in word+posting units")
 		shards    = flag.Int("shards", 0, "index shards for a fresh index (0 adopts an existing index's manifest)")
-		routing   = flag.String("routing", "", "document routing for a fresh index: hash | range | round-robin (empty adopts the manifest, hash for a fresh index)")
 		backend   = flag.String("backend", "", "block-store backend: file (empty adopts the manifest; file is the only persistent backend)")
 		codec     = flag.String("codec", "", "long-list block codec for a fresh index: raw | varint | golomb (empty adopts the manifest, raw for a fresh index)")
 		keepDocs  = flag.Bool("keepdocs", false, "keep document text in the index (required for -reshard and positional queries)")
@@ -50,7 +49,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *routing, *backend, *codec, *keepDocs, *check, *metrics); err != nil {
+	if err := run(*corpusDir, *indexDir, *policy, *buckets, *bsize, *shards, *backend, *codec, *keepDocs, *check, *metrics); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -126,7 +125,7 @@ func policyByName(name string) (dualindex.Policy, error) {
 	return dualindex.Policy{}, fmt.Errorf("unknown policy %q", name)
 }
 
-func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, routing, backend, codec string, keepDocs, check bool, metricsAddr string) error {
+func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int, backend, codec string, keepDocs, check bool, metricsAddr string) error {
 	pol, err := policyByName(policyName)
 	if err != nil {
 		return err
@@ -143,7 +142,6 @@ func run(corpusDir, indexDir, policyName string, buckets, bucketSize, shards int
 	opts := dualindex.Options{
 		Dir:           indexDir,
 		Shards:        shards,
-		Routing:       routing,
 		Backend:       backend,
 		Codec:         codec,
 		KeepDocuments: keepDocs,

@@ -12,8 +12,8 @@ import (
 
 // deletionAnswers collects what deletions must decide: the boolean answer
 // of every vocabulary word and a few combinations, two phrase answers, and
-// which documents the store still returns.
-func deletionAnswers(t *testing.T, eng *Engine, texts []string) []string {
+// which of the texts, documents lead+1 onwards, the store still returns.
+func deletionAnswers(t *testing.T, eng *Engine, texts []string, lead int) []string {
 	t.Helper()
 	var out []string
 	queries := []string{"waa and wab", "wac or wad", "waa and not wab"}
@@ -35,7 +35,7 @@ func deletionAnswers(t *testing.T, eng *Engine, texts []string) []string {
 		}
 		out = append(out, fmt.Sprintf("%q: %v", phrase, docs))
 	}
-	for id := DocID(1); int(id) <= len(texts); id++ {
+	for id := DocID(lead + 1); int(id) <= lead+len(texts); id++ {
 		_, ok, err := eng.Document(id)
 		if err != nil {
 			t.Fatal(err)
@@ -60,11 +60,22 @@ func TestRandomOrderDeletesSurviveSweepAndReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// On two shards, filler puts the second batch across the
+			// boundary of shard 0's span and the pending documents on
+			// shard 1.
+			lead := 0
+			if shards > 1 {
+				lead = shardSpan - 60
+				addFiller(t, eng, lead)
+			}
 			texts := synthTexts(41, 120, 25, 12)
 			buildCorpus(t, eng, texts[:50])
 			buildCorpus(t, eng, texts[50:90])
 			for _, text := range texts[90:] {
-				eng.AddDocument(text) // documents 91..120 stay pending
+				eng.AddDocument(text) // texts 90..119 stay pending
+			}
+			if shards > 1 {
+				requireShardsHoldDocs(t, eng)
 			}
 			r := rand.New(rand.NewSource(17))
 			victims := r.Perm(len(texts))[:40]
@@ -72,19 +83,19 @@ func TestRandomOrderDeletesSurviveSweepAndReopen(t *testing.T) {
 				t.Fatal("no pending document among the victims")
 			}
 			for _, i := range victims {
-				eng.Delete(DocID(i + 1))
+				eng.Delete(DocID(lead + i + 1))
 			}
-			eng.Delete(DocID(victims[0] + 1)) // deleting twice is a no-op
-			want := deletionAnswers(t, eng, texts)
+			eng.Delete(DocID(lead + victims[0] + 1)) // deleting twice is a no-op
+			want := deletionAnswers(t, eng, texts, lead)
 			for _, i := range victims {
-				if !slices.Contains(want, fmt.Sprintf("doc %d: false", i+1)) {
-					t.Fatalf("deleted document %d still served", i+1)
+				if !slices.Contains(want, fmt.Sprintf("doc %d: false", lead+i+1)) {
+					t.Fatalf("deleted document %d still served", lead+i+1)
 				}
 			}
 
 			same := func(stage string, eng *Engine) {
 				t.Helper()
-				got := deletionAnswers(t, eng, texts)
+				got := deletionAnswers(t, eng, texts, lead)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: %s, want %s", stage, got[i], want[i])
@@ -174,9 +185,16 @@ func TestDeleteDurableWithoutDocumentFlush(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// On two shards, filler puts two documents on each shard.
+				if shards > 1 {
+					addFiller(t, eng, shardSpan-2)
+				}
 				var ids []DocID
 				for i := 0; i < 4; i++ {
 					ids = append(ids, eng.AddDocument("common "+synthWord(i)))
+				}
+				if shards > 1 {
+					requireShardsHoldDocs(t, eng)
 				}
 				if flushed {
 					if _, err := eng.FlushBatch(); err != nil {

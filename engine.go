@@ -12,13 +12,16 @@
 // be deleted logically and reclaimed by a background-style sweep.
 //
 // The engine scales out by sharding: Options.Shards splits it into that
-// many independent dual-structure indexes behind one facade. A pluggable
-// router (Options.Routing: hash, range or round-robin) assigns each
-// document to one shard; queries fan out to every shard and merge their
-// sorted answers. One shard (the default) is exactly the unsharded engine,
-// simulated I/O traces included. The shard count and routing are recorded
-// in a versioned MANIFEST.json in the index directory, and Engine.Reshard
-// grows (or shrinks) a live index to a new shard count without a rebuild.
+// many independent dual-structure indexes behind one facade. Documents are
+// placed by range: each run of 1024 consecutive identifiers lives on one
+// shard, and the runs rotate over the shards, so a batch of new documents
+// updates each long list on one shard, as the paper's single index does.
+// Queries fan out to every shard and merge their sorted answers; ranked
+// scores use shard-local document frequencies, so on a sharded engine they
+// depend on placement. One shard (the default) is exactly the unsharded
+// engine, simulated I/O traces included. The shard count is recorded in a
+// versioned MANIFEST.json in the index directory, and Engine.Reshard grows
+// (or shrinks) a live index to a new shard count without a rebuild.
 //
 // # Quick start
 //
@@ -31,38 +34,36 @@ package dualindex
 
 import (
 	"cmp"
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"dualindex/internal/lexer"
 	"dualindex/internal/parallel"
 	"dualindex/internal/postings"
-	"dualindex/internal/route"
 )
 
 // Engine is a searchable, incrementally updatable document index, served by
-// one or more routed shards.
+// one or more shards.
 //
 // Engine is safe for concurrent use. The engine itself holds almost no
 // state — a short mutex guards the document-identifier sequence — and every
-// other operation routes or fans out to the shards, each of which keeps the
-// pre-sharding concurrency discipline: searches under a read lock, flushes
-// that only lock at their boundaries, maintenance serialised on a per-shard
-// flush lock. Shards therefore add, flush and answer in parallel.
+// other operation goes to one shard or fans out to all of them, each of
+// which keeps the pre-sharding concurrency discipline: searches under a
+// read lock, flushes that only lock at their boundaries, maintenance
+// serialised on a per-shard flush lock. Shards therefore add, flush and answer in parallel.
 type Engine struct {
 	opts Options
 	obs  *observer // nil unless Options enables observability (see observe.go)
 
-	// stateMu guards the shard set and router against the commit swap at
-	// the end of Engine.Reshard: every operation that touches e.shards or
-	// e.router holds RLock for its duration, and the swap — close old
-	// shards, commit the staged layout, install the new shards — holds
-	// Lock, so it both drains in-flight operations and blocks new ones for
-	// that brief window. Lock order: reshardMu, then stateMu, then e.mu
+	// stateMu guards the shard set against the commit swap at the end of
+	// Engine.Reshard: every operation that touches e.shards holds RLock
+	// for its duration, and the swap — close old shards, commit the staged
+	// layout, install the new shards — holds Lock, so it both drains
+	// in-flight operations and blocks new ones for that brief window. Lock order: reshardMu, then stateMu, then e.mu
 	// and the per-shard locks.
 	stateMu sync.RWMutex
-	shards  []*shard
-	router  route.Router
+	shards  []*shard // empty only after a failed reshard commit closed the engine
 
 	// reshardMu gates mutators against a whole reshard: AddDocument,
 	// Delete, FlushBatch, Sweep, RebalanceBuckets and Close hold RLock, and
@@ -81,10 +82,36 @@ type Engine struct {
 	resharding atomic.Bool
 }
 
-// shardFor returns the shard owning the document. The caller must hold
-// e.stateMu.RLock (or otherwise exclude a reshard swap).
+// shardSpan is how many consecutive document identifiers one shard keeps
+// together: enough that a flush batch of new documents lands mostly on one
+// shard, few enough that the runs rotate through the shards quickly.
+const shardSpan = 1024
+
+// shardOf places a document on one of n shards: identifiers 1..shardSpan
+// on shard 0, the next shardSpan on shard 1, and so on, wrapping over n.
+// Identifiers are assigned in arrival order, so a batch of new documents
+// updates each of its long lists on one shard. Placement decides where
+// every document's postings live, so it never changes for an index; only
+// Engine.Reshard re-places documents, at the new shard count.
+func shardOf(doc postings.DocID, n int) int {
+	if n <= 1 || doc == 0 {
+		return 0
+	}
+	return int(uint64(doc-1) / shardSpan % uint64(n))
+}
+
+// errClosed answers operations on an engine that a failed reshard commit
+// left without shards.
+var errClosed = errors.New("dualindex: the engine is closed")
+
+// shardFor returns the shard owning the document, or nil when the engine
+// has no shards. The caller must hold e.stateMu.RLock (or otherwise
+// exclude a reshard swap).
 func (e *Engine) shardFor(doc postings.DocID) *shard {
-	return e.shards[e.router.Shard(doc)]
+	if len(e.shards) == 0 {
+		return nil
+	}
+	return e.shards[shardOf(doc, len(e.shards))]
 }
 
 // fanOut runs fn on every shard, all at once, and collects the per-shard
@@ -94,6 +121,9 @@ func (e *Engine) shardFor(doc postings.DocID) *shard {
 func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
+	if len(e.shards) == 0 {
+		return nil, errClosed
+	}
 	out := make([]T, len(e.shards))
 	errs := parallel.Do(len(e.shards), len(e.shards), func(i int) (err error) {
 		out[i], err = fn(e.shards[i])
@@ -106,7 +136,9 @@ func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 }
 
 // AddDocument tokenizes text, assigns it the next document identifier and
-// routes it to its shard's pending tier, returning the identifier.
+// adds it to its shard's pending tier, returning the identifier. An engine
+// that a failed reshard commit closed indexes nothing and returns 0, an
+// identifier no document receives.
 //
 // The text is scanned before any lock is taken, so concurrent additions
 // tokenize in parallel, into one pooled token buffer per document: the
@@ -126,6 +158,9 @@ func (e *Engine) AddDocument(text string) DocID {
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
+	if len(e.shards) == 0 {
+		return 0
+	}
 	e.mu.Lock()
 	e.nextDoc++
 	doc := e.nextDoc
@@ -176,6 +211,9 @@ func (e *Engine) FlushBatch() (BatchStats, error) {
 
 // flushShardsLocked flushes every shard under the caller's engine locks.
 func (e *Engine) flushShardsLocked() (BatchStats, error) {
+	if len(e.shards) == 0 {
+		return BatchStats{}, errClosed
+	}
 	stats := make([]BatchStats, len(e.shards))
 	errs := parallel.Do(len(e.shards), e.opts.Workers, func(i int) (err error) {
 		stats[i], err = e.shards[i].flushBatch()
@@ -205,8 +243,8 @@ func (e *Engine) Delete(doc DocID) {
 	e.mu.Lock()
 	assigned := doc != 0 && doc <= e.nextDoc
 	e.mu.Unlock()
-	if assigned {
-		e.shardFor(doc).delete(doc)
+	if s := e.shardFor(doc); assigned && s != nil {
+		s.delete(doc)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 // must also equal runs pushed from the reference's word sets.
 func TestWordIDsMatchReference(t *testing.T) {
 	cfg := corpus.DefaultConfig()
-	cfg.Seed, cfg.Days, cfg.DocsPerDay, cfg.WordsPerDoc, cfg.VocabSize = 7, 4, 30, 30, 4000
+	// Enough documents that Reshard(2) places some on shard 1.
+	cfg.Seed, cfg.Days, cfg.DocsPerDay, cfg.WordsPerDoc, cfg.VocabSize = 7, 4, 270, 30, 4000
 	batches, err := corpus.GenerateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +44,7 @@ func TestWordIDsMatchReference(t *testing.T) {
 	// the subtest is named for that.
 	t.Run("KeepDuplicates=false", func(t *testing.T) {
 		opts := smallOpts(1)
+		opts.BlocksPerDisk = 8192 // room for the larger corpus
 		opts.Dir = t.TempDir()
 		opts.KeepDocuments = true
 		// want is the reference vocabulary of the documents with the
@@ -153,10 +155,11 @@ func TestWordIDsMatchReference(t *testing.T) {
 		if _, err := eng.Reshard(2); err != nil {
 			t.Fatal(err)
 		}
+		requireShardsHoldDocs(t, eng)
 		check("Reshard(2)", eng, func(i int) []DocID {
 			var docs []DocID
 			for _, d := range all {
-				if eng.router.Shard(postings.DocID(d)) == i {
+				if shardOf(d, len(eng.shards)) == i {
 					docs = append(docs, d)
 				}
 			}

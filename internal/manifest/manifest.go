@@ -1,14 +1,14 @@
-// Package manifest persists an index directory's identity: the layout and
-// routing facts that must never drift between the process that built an
-// index and the process that reopens it. The manifest replaces layout
+// Package manifest persists an index directory's identity: the layout
+// facts that must never drift between the process that built an index and
+// the process that reopens it. The manifest replaces layout
 // probing ("does shard-0/disk0.dat exist?") with a single versioned record,
 // MANIFEST.json at the directory root, written atomically so a crash can
 // never leave a half-written manifest in place.
 //
-// The manifest records the format version, the shard count, the document
-// router, the storage backend and the postings codec. The shard count and
-// router jointly decide where every document's postings live, so an index
-// may only be opened with the recorded values; changing them is what
+// The manifest records the format version, the shard count, the storage
+// backend and the postings codec. Documents are placed on shards by range,
+// so the shard count decides where every document's postings live and an
+// index may only be opened with the recorded count; changing it is what
 // Engine.Reshard is for, and it rewrites the manifest as the last step of
 // its commit. Only the current format version is read: a manifest from an
 // older engine is refused, and the index has to be rebuilt.
@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"dualindex/internal/route"
 )
 
 // FileName is the manifest's name within an index directory.
@@ -28,9 +26,10 @@ const FileName = "MANIFEST.json"
 
 // Version is the manifest format version, the only one Load accepts. A
 // smaller version was written by an older engine (version 1 lacked the
-// backend and codec fields); a larger one by a newer engine. Neither is
-// modified by this one.
-const Version = 2
+// backend and codec fields; version 2 named a document router, which may
+// have placed documents by hash or round-robin); a larger one by a newer
+// engine. Neither is modified by this one.
+const Version = 3
 
 // Manifest is the persisted identity of one index directory.
 type Manifest struct {
@@ -40,13 +39,6 @@ type Manifest struct {
 	// layout (index files directly under the directory); more means one
 	// shard-<i> subdirectory per shard.
 	Shards int `json:"shards"`
-	// Routing names the document router ("hash", "range", "round-robin").
-	Routing string `json:"routing"`
-	// Span is the range router's span (documents per contiguous run). The
-	// span is fixed at route.DefaultRangeSpan, so this engine writes 0; it
-	// reads 0 or route.DefaultRangeSpan, which older engines recorded, and
-	// refuses any other span rather than re-route the index's documents.
-	Span int `json:"range_span,omitempty"`
 	// Backend names the block-store backend the index was built on: "file"
 	// (real files with per-disk writer goroutines) — the only backend a
 	// persistent directory can use.
@@ -64,7 +56,7 @@ func Path(dir string) string { return filepath.Join(dir, FileName) }
 // errors.Is(err, fs.ErrNotExist) — the caller decides whether that means a
 // fresh directory. A present but unreadable
 // or structurally invalid manifest is a hard, descriptive error: guessing
-// the layout of a corrupt index risks routing documents to the wrong shard.
+// the layout of a corrupt index risks placing documents on the wrong shard.
 func Load(dir string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(Path(dir))
@@ -93,12 +85,6 @@ func (m Manifest) Validate() error {
 	}
 	if m.Shards < 1 {
 		return fmt.Errorf("invalid shard count %d", m.Shards)
-	}
-	if m.Routing == "" {
-		return fmt.Errorf("missing routing")
-	}
-	if m.Span != 0 && m.Span != route.DefaultRangeSpan {
-		return fmt.Errorf("range span %d is not this engine's fixed span %d, and re-routing would strand documents; rebuild the index from its documents", m.Span, route.DefaultRangeSpan)
 	}
 	switch m.Backend {
 	case "file", "sim":

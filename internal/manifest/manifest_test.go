@@ -11,7 +11,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := Manifest{Version: Version, Shards: 4, Routing: "range", Backend: "file", Codec: "golomb"}
+	m := Manifest{Version: Version, Shards: 4, Backend: "file", Codec: "golomb"}
 	if err := Save(dir, m); err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +51,13 @@ func TestLoadRejectsInvalid(t *testing.T) {
 		name string
 		body string
 	}{
-		{"newer version", `{"version": 99, "shards": 2, "routing": "hash", "backend": "file", "codec": "raw"}`},
-		{"zero version", `{"shards": 2, "routing": "hash", "backend": "file", "codec": "raw"}`},
+		{"newer version", `{"version": 99, "shards": 2, "backend": "file", "codec": "raw"}`},
+		{"zero version", `{"shards": 2, "backend": "file", "codec": "raw"}`},
 		{"version 1", `{"version": 1, "shards": 2, "routing": "hash"}`},
-		{"zero shards", `{"version": 2, "shards": 0, "routing": "hash", "backend": "file", "codec": "raw"}`},
-		{"missing routing", `{"version": 2, "shards": 2, "backend": "file", "codec": "raw"}`},
-		{"negative span", `{"version": 2, "shards": 2, "routing": "range", "range_span": -1, "backend": "file", "codec": "raw"}`},
-		{"custom span", `{"version": 2, "shards": 2, "routing": "range", "range_span": 64, "backend": "file", "codec": "raw"}`},
-		{"missing backend", `{"version": 2, "shards": 2, "routing": "hash", "codec": "raw"}`},
-		{"missing codec", `{"version": 2, "shards": 2, "routing": "hash", "backend": "file"}`},
+		{"version 2", `{"version": 2, "shards": 2, "routing": "hash", "backend": "file", "codec": "raw"}`},
+		{"zero shards", `{"version": 3, "shards": 0, "backend": "file", "codec": "raw"}`},
+		{"missing backend", `{"version": 3, "shards": 2, "codec": "raw"}`},
+		{"missing codec", `{"version": 3, "shards": 2, "backend": "file"}`},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -72,38 +70,25 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestLoadAcceptsDefaultSpan: older engines recorded the range router's
-// span even at its default, and that is the span this engine routes with.
-func TestLoadAcceptsDefaultSpan(t *testing.T) {
-	dir := t.TempDir()
-	body := `{"version": 2, "shards": 2, "routing": "range", "range_span": 1024, "backend": "file", "codec": "raw"}`
-	if err := os.WriteFile(Path(dir), []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err != nil {
-		t.Errorf("default span refused: %v", err)
-	}
-}
-
 func TestSaveRefusesInvalid(t *testing.T) {
-	if err := Save(t.TempDir(), Manifest{Version: Version, Shards: 0, Routing: "hash", Backend: "file", Codec: "raw"}); err == nil {
+	if err := Save(t.TempDir(), Manifest{Version: Version, Shards: 0, Backend: "file", Codec: "raw"}); err == nil {
 		t.Error("invalid manifest written")
 	}
 }
 
 func TestSaveOverwritesAtomically(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(dir, Manifest{Version: Version, Shards: 2, Routing: "hash", Backend: "file", Codec: "raw"}); err != nil {
+	if err := Save(dir, Manifest{Version: Version, Shards: 2, Backend: "file", Codec: "raw"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(dir, Manifest{Version: Version, Shards: 8, Routing: "round-robin", Backend: "file", Codec: "raw"}); err != nil {
+	if err := Save(dir, Manifest{Version: Version, Shards: 8, Backend: "file", Codec: "raw"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards != 8 || got.Routing != "round-robin" {
+	if got.Shards != 8 {
 		t.Errorf("overwrite: got %+v", got)
 	}
 	entries, err := os.ReadDir(dir)

@@ -78,6 +78,11 @@ func TestLiveSearchImmediateVisibility(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", scoring, shards), func(t *testing.T) {
 				eng := liveEngine(t, true, scoring, shards)
 				defer eng.Close()
+				// On three shards, filler puts the flushed background on
+				// shard 0 and the pending documents on shard 1.
+				if shards > 1 {
+					addFiller(t, eng, shardSpan-2)
+				}
 				// A flushed background so the on-disk tier participates too.
 				eng.AddDocument("brown bears hibernate slowly")
 				eng.AddDocument("Subject: quick note\n\nunrelated body text")
@@ -86,6 +91,9 @@ func TestLiveSearchImmediateVisibility(t *testing.T) {
 				}
 				target := eng.AddDocument("Subject: market update\n\nthe quick brown fox jumps over markets")
 				eng.AddDocument("another pending document about foxes")
+				if shards > 1 {
+					requireShardsHoldDocs(t, eng)
+				}
 
 				pre := liveAnswers(t, eng)
 				for _, kind := range []string{"boolean", "prefix", "phrase", "near", "region"} {
@@ -143,6 +151,9 @@ func TestPendingPositionalMatchesFlushed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Filler puts the pending half of the corpus across the boundary of
+		// shard 0's span.
+		addFiller(t, eng, shardSpan-45)
 		var firstPending DocID
 		for i, text := range texts {
 			d := eng.AddDocument(text)
@@ -154,6 +165,7 @@ func TestPendingPositionalMatchesFlushed(t *testing.T) {
 				firstPending = d + 1
 			}
 		}
+		requireShardsHoldDocs(t, eng)
 		answers := func() [][]Match {
 			out := make([][]Match, len(queries))
 			for i, q := range queries {
@@ -229,6 +241,9 @@ func TestFlushInvarianceProperty(t *testing.T) {
 		baseline := map[string][]Match{}
 		for name, every := range schedules {
 			eng := liveEngine(t, true, scoring, 2)
+			// Filler puts the documents across the boundary of shard 0's
+			// span.
+			addFiller(t, eng, shardSpan-len(docs)/2)
 			for i, d := range docs {
 				eng.AddDocument(d)
 				if every > 0 && (i+1)%every == 0 {
@@ -237,6 +252,7 @@ func TestFlushInvarianceProperty(t *testing.T) {
 					}
 				}
 			}
+			requireShardsHoldDocs(t, eng)
 			for _, q := range queries {
 				got, err := eng.Query(q, 20)
 				if err != nil {
@@ -263,8 +279,16 @@ func TestFlushInvarianceProperty(t *testing.T) {
 func TestStatsPendingCounts(t *testing.T) {
 	eng := liveEngine(t, false, ScoringVector, 2)
 	defer eng.Close()
+	// Filler puts the two pending documents on different shards.
+	addFiller(t, eng, shardSpan-1)
 	eng.AddDocument("one two three")
 	eng.AddDocument("two three four five")
+	requireShardsHoldDocs(t, eng)
+	for i, ss := range eng.ShardStats() {
+		if ss.PendingDocs != 1 {
+			t.Errorf("shard %d holds %d pending documents, want 1", i, ss.PendingDocs)
+		}
+	}
 	st := eng.Stats()
 	if st.PendingDocs != 2 {
 		t.Errorf("PendingDocs = %d, want 2", st.PendingDocs)

@@ -122,7 +122,7 @@ func (o *observer) observeReshard(start time.Time, st ReshardStats) {
 }
 
 // observeReshardStream records the migration's streaming phase — every
-// live document fetched, re-routed and applied to the staged shards — as a
+// live document fetched, re-placed and applied to the staged shards — as a
 // trace span.
 func (o *observer) observeReshardStream(docs, skipped int, start time.Time) {
 	if o == nil {

@@ -294,7 +294,7 @@ func TestStatsAggregationSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	for i, text := range synthTexts(41, 120, 40, 25) {
+	for i, text := range synthTexts(41, shardSpan+120, 40, 25) {
 		eng.AddDocument(text)
 		if (i+1)%40 == 0 {
 			if _, err := eng.FlushBatch(); err != nil {
@@ -302,6 +302,7 @@ func TestStatsAggregationSharded(t *testing.T) {
 			}
 		}
 	}
+	requireShardsHoldDocs(t, eng)
 	st = eng.Stats()
 	var utilWeighted float64
 	longLists := 0
@@ -407,30 +408,35 @@ func TestHealthAfterClose(t *testing.T) {
 // flushes and sweeps, DeadFraction is deleted over indexed, and both
 // aggregate across shards.
 func TestStatsDeadFraction(t *testing.T) {
-	eng, err := Open(smallOpts(2))
+	opts := smallOpts(2)
+	opts.BlocksPerDisk = 8192 // room for the sweep to rewrite shard 0's lists
+	eng, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	const n = shardSpan + 40
 	var ids []DocID
-	for _, text := range synthTexts(53, 40, 30, 20) {
+	for _, text := range synthTexts(53, n, 30, 20) {
 		ids = append(ids, eng.AddDocument(text))
 	}
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
+	requireShardsHoldDocs(t, eng)
 	st := eng.Stats()
-	if st.DocsIndexed != 40 {
-		t.Errorf("DocsIndexed = %d, want 40", st.DocsIndexed)
+	if st.DocsIndexed != n {
+		t.Errorf("DocsIndexed = %d, want %d", st.DocsIndexed, n)
 	}
 	if st.DeadFraction != 0 {
 		t.Errorf("DeadFraction = %v with no deletes", st.DeadFraction)
 	}
-	for _, id := range ids[:10] {
+	// Five deletions on each shard.
+	for _, id := range append(ids[:5:5], ids[n-5:]...) {
 		eng.Delete(id)
 	}
 	st = eng.Stats()
-	if want := 10.0 / 40.0; st.DeadFraction != want {
+	if want := 10.0 / n; st.DeadFraction != want {
 		t.Errorf("DeadFraction = %v, want %v", st.DeadFraction, want)
 	}
 	// Per-shard stats sum to the engine-wide count, each with its own
@@ -438,8 +444,8 @@ func TestStatsDeadFraction(t *testing.T) {
 	var sum int64
 	for i, ss := range eng.ShardStats() {
 		sum += ss.DocsIndexed
-		if ss.Deleted > 0 && ss.DeadFraction == 0 {
-			t.Errorf("shard %d: %d deleted but DeadFraction 0", i, ss.Deleted)
+		if ss.Deleted != 5 || ss.DeadFraction == 0 {
+			t.Errorf("shard %d: %d deleted, DeadFraction %v; want 5 and above 0", i, ss.Deleted, ss.DeadFraction)
 		}
 	}
 	if sum != st.DocsIndexed {
@@ -449,9 +455,9 @@ func TestStatsDeadFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = eng.Stats()
-	if st.DocsIndexed != 30 || st.DeadFraction != 0 {
-		t.Errorf("after sweep: DocsIndexed = %d DeadFraction = %v, want 30 and 0",
-			st.DocsIndexed, st.DeadFraction)
+	if st.DocsIndexed != n-10 || st.DeadFraction != 0 {
+		t.Errorf("after sweep: DocsIndexed = %d DeadFraction = %v, want %d and 0",
+			st.DocsIndexed, st.DeadFraction, n-10)
 	}
 }
 

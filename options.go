@@ -8,7 +8,6 @@ import (
 	"dualindex/internal/longlist"
 	"dualindex/internal/postings"
 	"dualindex/internal/query"
-	"dualindex/internal/route"
 )
 
 // DocID identifies a document. Identifiers are assigned in arrival order,
@@ -130,25 +129,20 @@ type Options struct {
 	// in-memory.
 	Dir string
 	// Shards partitions the engine into that many independent index shards.
-	// Documents are routed to a shard (see Routing); queries fan out to
-	// every shard and merge. Each shard owns a full disk array, bucket
-	// space and vocabulary of the sizes configured below, and its own flush
-	// lock, so shards update and answer in parallel. One shard preserves
-	// the unsharded engine's behaviour — and its simulated I/O traces —
-	// exactly. 0 means "unspecified": one shard for a new index, and for an
-	// existing persistent index whatever its manifest records. A non-zero
-	// count that disagrees with an existing index's manifest is refused;
-	// Engine.Reshard is how the shard count of a live index changes.
+	// Documents are placed by range: DocIDs 1..1024 on shard 0, the next
+	// 1024 on shard 1, and so on, wrapping over the shards, so a flush
+	// batch of new documents updates each long list on one shard. Queries
+	// fan out to every shard and merge; ranked scores use each shard's own
+	// document frequencies, so they depend on placement. Each shard owns a
+	// full disk array, bucket space and vocabulary of the sizes configured
+	// below, and its own flush lock, so shards update and answer in
+	// parallel. One shard preserves the unsharded engine's behaviour — and
+	// its simulated I/O traces — exactly. 0 means "unspecified": one shard
+	// for a new index, and for an existing persistent index whatever its
+	// manifest records. A non-zero count that disagrees with an existing
+	// index's manifest is refused; Engine.Reshard is how the shard count of
+	// a live index changes.
 	Shards int
-	// Routing selects the document-to-shard router: "hash" (a stable
-	// SplitMix64 hash of the DocID — uniform, the default), "range"
-	// (contiguous spans of 1024 consecutive DocIDs rotate over the shards,
-	// keeping time-adjacent documents together on time-partitioned
-	// corpora) or "round-robin" (documents alternate over the shards).
-	// Routing decides where every document's postings live, so it is
-	// recorded in the index manifest at creation and "" adopts whatever an
-	// existing index records; a non-empty value that disagrees is refused.
-	Routing string
 	// Policy defaults to PolicyBalanced.
 	Policy *Policy
 	// Buckets and BucketSize size the short-list structure (per shard); zero
@@ -232,9 +226,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	// Shards and Routing are NOT defaulted here: their zero values mean
-	// "adopt the manifest" for an existing persistent index, and Open
-	// resolves them (via routingDefaults) only once it knows the index is
+	// Shards, Backend and Codec are NOT defaulted here: their zero values
+	// mean "adopt the manifest" for an existing persistent index, and Open
+	// resolves them (via layoutDefaults) only once it knows the index is
 	// new. See Open.
 	if o.Policy == nil {
 		p := PolicyBalanced
@@ -260,20 +254,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scoring == "" {
 		o.Scoring = ScoringVector
-	}
-	return o
-}
-
-// routingDefaults resolves the "unspecified" zero values of the sharding
-// and routing options for a new index: one shard, hash routing. Open
-// applies it to in-memory engines and to fresh persistent directories;
-// existing directories resolve from their manifest instead.
-func (o Options) routingDefaults() Options {
-	if o.Shards == 0 {
-		o.Shards = 1
-	}
-	if o.Routing == "" {
-		o.Routing = route.KindHash
 	}
 	return o
 }
@@ -308,11 +288,16 @@ func (o Options) validateStorage() error {
 	return nil
 }
 
-// storageDefaults resolves the "unspecified" zero values of the storage
-// options for a new index: the backend follows Dir (simulated in memory,
-// file-backed on disk) and the codec defaults to raw — the paper's exact
-// layout. Existing directories resolve from their manifest instead.
-func (o Options) storageDefaults() Options {
+// layoutDefaults resolves the "unspecified" zero values of the options an
+// index records in its manifest, for a new index: one shard, the backend
+// following Dir (simulated in memory, file-backed on disk) and the raw
+// codec — the paper's exact layout. Open applies it to in-memory engines
+// and to fresh persistent directories; existing directories resolve from
+// their manifest instead.
+func (o Options) layoutDefaults() Options {
+	if o.Shards == 0 {
+		o.Shards = 1
+	}
 	if o.Backend == "" {
 		if o.Dir == "" {
 			o.Backend = BackendSim

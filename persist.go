@@ -12,7 +12,6 @@ import (
 	"dualindex/internal/disk"
 	"dualindex/internal/manifest"
 	"dualindex/internal/parallel"
-	"dualindex/internal/route"
 	"dualindex/internal/vocab"
 )
 
@@ -33,22 +32,23 @@ import (
 // shard its own Dir/shard-<i>/ subdirectory with that same layout inside,
 // and Open recovers up to Options.Workers shards at once, each loading its
 // checkpoint, vocabulary and document log concurrently. A MANIFEST.json at
-// the directory root records the shard count, the document routing, the
-// backend, the codec and a format version.
+// the directory root records the shard count, the backend, the codec and a
+// format version.
 //
-// Open reads only the formats this engine writes: manifest version 2 and
+// Open reads only the formats this engine writes: manifest version 3 and
 // superblock version 4. It refuses, with an error naming the directory and
-// writing nothing, an older manifest or superblock, a manifest whose range
-// span is not route.DefaultRangeSpan, and a directory that holds index
-// files but no manifest — one from before manifests existed, or one whose
-// first Open never returned. Such an index has to be rebuilt.
+// writing nothing, an older manifest or superblock and a directory that
+// holds index files but no manifest — one from before manifests existed, or
+// one whose first Open never returned. Such an index has to be rebuilt.
+// Version 2 manifests belong to engines that could place documents by hash
+// or round-robin, and nothing in one says where its documents live under
+// range placement.
 //
-// The shard count and routing are part of the index's identity — they
-// decide where every document lives — so Open refuses an existing index
-// whose manifest disagrees with a non-zero Options.Shards or non-empty
-// Options.Routing. Leave them zero to adopt whatever the manifest records
-// (the usual way to reopen), and use Engine.Reshard to change the shard
-// count of a live index.
+// The shard count is part of the index's identity — with range placement
+// it decides where every document lives — so Open refuses an existing
+// index whose manifest disagrees with a non-zero Options.Shards. Leave it
+// zero to adopt whatever the manifest records (the usual way to reopen),
+// and use Engine.Reshard to change the shard count of a live index.
 func Open(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if opts.Shards < 0 {
@@ -59,24 +59,20 @@ func Open(opts Options) (*Engine, error) {
 	}
 	writeManifest := false
 	if opts.Dir == "" {
-		opts = opts.routingDefaults().storageDefaults()
+		opts = opts.layoutDefaults()
 	} else {
 		m, fresh, err := resolveLayout(opts.Dir, opts)
 		if err != nil {
 			return nil, err
 		}
-		opts.Shards, opts.Routing, opts.Backend, opts.Codec = m.Shards, m.Routing, m.Backend, m.Codec
+		opts.Shards, opts.Backend, opts.Codec = m.Shards, m.Backend, m.Codec
 		writeManifest = fresh
-	}
-	router, err := route.New(opts.Routing, opts.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("dualindex: %w", err)
 	}
 	shards, err := openShards(opts, opts.Dir, opts.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("dualindex: %w", err)
 	}
-	e := &Engine{opts: opts, router: router, obs: newObserver(opts), shards: shards}
+	e := &Engine{opts: opts, obs: newObserver(opts), shards: shards}
 	for i, s := range shards {
 		s.obs = e.obs.shardObs(i)
 		e.nextDoc = max(e.nextDoc, s.lastDoc)
@@ -116,27 +112,27 @@ func openShards(opts Options, dir string, n int) ([]*shard, error) {
 	return shards, nil
 }
 
-// manifestFor renders an Options set (with routing and storage already
-// resolved) as the manifest to persist.
+// manifestFor renders an Options set (with its layout already resolved) as
+// the manifest to persist.
 func manifestFor(opts Options) manifest.Manifest {
 	return manifest.Manifest{
 		Version: manifest.Version,
 		Shards:  opts.Shards,
-		Routing: opts.Routing,
 		Backend: opts.Backend,
 		Codec:   opts.Codec,
 	}
 }
 
-// resolveLayout determines dir's shard count and routing, reconciling the
-// on-disk manifest with the requested options. It first settles any
-// interrupted reshard: a committed staging directory (the rename happened)
-// is rolled forward, an uncommitted one is discarded. Then:
+// resolveLayout determines dir's shard count, backend and codec,
+// reconciling the on-disk manifest with the requested options. It first
+// settles any interrupted reshard: a committed staging directory (the
+// rename happened) is rolled forward, an uncommitted one is discarded.
+// Then:
 //
 //   - A manifest is loaded and checked against the options: a non-zero
-//     Options.Shards or non-empty Options.Routing that disagrees with the
-//     recorded values is refused with a descriptive error, and every shard
-//     directory the manifest promises must exist.
+//     Options.Shards, Backend or Codec that disagrees with the recorded
+//     value is refused with a descriptive error, and every shard directory
+//     the manifest promises must exist.
 //   - A manifest-less directory holding index files (disk0.dat, flat or in
 //     shard-0/) is refused: it predates manifests, or its first Open never
 //     returned, and either way nothing here can say how it was built.
@@ -172,8 +168,7 @@ func resolveLayout(dir string, opts Options) (m manifest.Manifest, fresh bool, e
 				dir, filepath.Join(sd, "disk0.dat"), manifest.FileName)
 		}
 	}
-	opts = opts.routingDefaults().storageDefaults()
-	return manifestFor(opts), true, nil
+	return manifestFor(opts.layoutDefaults()), true, nil
 }
 
 // reconcileManifest refuses options that contradict what the manifest
@@ -183,11 +178,6 @@ func reconcileManifest(dir string, m manifest.Manifest, opts Options) error {
 		return fmt.Errorf(
 			"dualindex: %s holds a %d-shard index, not %d shards (set Shards to %d or 0 to adopt; use Engine.Reshard to change it)",
 			dir, m.Shards, opts.Shards, m.Shards)
-	}
-	if opts.Routing != "" && opts.Routing != m.Routing {
-		return fmt.Errorf(
-			"dualindex: %s is %s-routed, not %s-routed (routing is fixed when the index is created)",
-			dir, m.Routing, opts.Routing)
 	}
 	if opts.Backend != "" && opts.Backend != m.Backend {
 		return fmt.Errorf(
@@ -205,7 +195,7 @@ func reconcileManifest(dir string, m manifest.Manifest, opts Options) error {
 // verifyShardDirs checks that every shard the manifest promises is actually
 // on disk, so a partially deleted index fails with a description instead of
 // silently reopening the missing shard as empty — which would lose every
-// document routed to it.
+// document placed on it.
 func verifyShardDirs(dir string, shards int) error {
 	for i := 0; i < shards; i++ {
 		sd := shardDir(dir, i, shards)

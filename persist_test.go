@@ -13,11 +13,11 @@ import (
 	"testing"
 
 	"dualindex/internal/manifest"
-	"dualindex/internal/route"
 )
 
 // persistDir builds a small persistent index at the given shard count and
-// closes it, returning its directory.
+// closes it, returning its directory. A sharded index gets a span more
+// documents, so that at least two of its shards hold some.
 func persistDir(t *testing.T, shards int) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -27,11 +27,18 @@ func persistDir(t *testing.T, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, text := range synthTexts(71, 40, 25, 15) {
+	n := 40
+	if shards > 1 {
+		n += shardSpan
+	}
+	for _, text := range synthTexts(71, n, 25, 15) {
 		eng.AddDocument(text)
 	}
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
+	}
+	if shards > 1 {
+		requireShardsHoldDocs(t, eng)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -58,7 +65,7 @@ func TestOpenCorruptManifest(t *testing.T) {
 	}
 
 	// An invalid-but-parseable manifest is refused too.
-	if err := os.WriteFile(manifest.Path(dir), []byte(`{"version":1,"shards":0,"routing":"hash"}`), 0o644); err != nil {
+	if err := os.WriteFile(manifest.Path(dir), []byte(`{"version":3,"shards":0,"backend":"file","codec":"raw"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(opts); err == nil {
@@ -69,7 +76,7 @@ func TestOpenCorruptManifest(t *testing.T) {
 // TestOpenPartialIndex pins the missing-shard path: a manifest that
 // promises shards whose files are gone must produce a descriptive error
 // instead of silently reopening the missing shard empty (which would lose
-// every document routed to it).
+// every document placed on it).
 func TestOpenPartialIndex(t *testing.T) {
 	dir := persistDir(t, 3)
 	if err := os.RemoveAll(filepath.Join(dir, "shard-1")); err != nil {
@@ -167,14 +174,21 @@ func TestOpenLegacyLayoutRefused(t *testing.T) {
 	}
 }
 
-// TestOpenVersion1ManifestRefused: a version-1 manifest, which no current
-// code writes, is refused untouched.
+// TestOpenVersion1ManifestRefused: manifests of versions 1 and 2, which no
+// current code writes, are refused untouched. Version 2 named a document
+// router, which may have placed documents by hash or round-robin, so it is
+// not read under range placement.
 func TestOpenVersion1ManifestRefused(t *testing.T) {
-	dir := persistDir(t, 2)
-	if err := os.WriteFile(manifest.Path(dir), []byte(`{"version":1,"shards":2,"routing":"hash"}`), 0o644); err != nil {
-		t.Fatal(err)
+	for version, body := range map[int]string{
+		1: `{"version":1,"shards":2,"routing":"hash"}`,
+		2: `{"version":2,"shards":2,"routing":"hash","backend":"file","codec":"raw"}`,
+	} {
+		dir := persistDir(t, 2)
+		if err := os.WriteFile(manifest.Path(dir), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openRefused(t, dir, fmt.Sprintf("format version %d predates", version), "rebuild the index")
 	}
-	openRefused(t, dir, "format version 1 predates", "rebuild the index")
 }
 
 // TestOpenOldSuperblockRefused: a checkpoint whose superblock is version 1,
@@ -200,12 +214,8 @@ func TestOpenRefusedKeepsTornDocLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, text := range synthTexts(71, 40, 25, 15) {
-		eng.AddDocument(text)
-	}
-	if _, err := eng.FlushBatch(); err != nil {
-		t.Fatal(err)
-	}
+	buildCorpus(t, eng, synthTexts(71, shardSpan+40, 25, 15))
+	requireShardsHoldDocs(t, eng)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,136 +270,6 @@ func TestOpenManifestMismatch(t *testing.T) {
 	if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "holds a 2-shard index") {
 		t.Errorf("shard-count mismatch: err = %v", err)
 	}
-
-	opts = smallOpts(0)
-	opts.Dir = dir
-	opts.Routing = route.KindRoundRobin
-	if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "hash-routed") {
-		t.Errorf("routing mismatch: err = %v", err)
-	}
-}
-
-// TestOpenRangeSpanPersisted pins the range router's fixed span in the
-// manifest: this engine records none, an index whose manifest records the
-// default span (as older engines wrote it) reopens with the same answers,
-// and any other span is refused untouched rather than re-routed.
-func TestOpenRangeSpanPersisted(t *testing.T) {
-	dir := t.TempDir()
-	opts := smallOpts(2)
-	opts.Dir = dir
-	opts.KeepDocuments = true
-	opts.Routing = route.KindRange
-	eng, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough documents to fill more than one span per shard.
-	buildCorpus(t, eng, synthTexts(73, 3*route.DefaultRangeSpan, 25, 5))
-	want, err := eng.SearchBoolean("wa*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := manifest.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Routing != route.KindRange || m.Span != 0 {
-		t.Fatalf("manifest %+v, want range routing with no recorded span", m)
-	}
-	m.Span = route.DefaultRangeSpan
-	if err := manifest.Save(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	zero := opts
-	zero.Shards, zero.Routing = 0, ""
-	reopened, err := Open(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reopened.opts; got.Routing != route.KindRange || got.Shards != 2 {
-		t.Errorf("adopted options %+v, want 2 range-routed shards", got)
-	}
-	got, err := reopened.SearchBoolean("wa*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("range-routed reopen: got %v, want %v", got, want)
-	}
-	if err := reopened.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	custom := []byte(`{"version":2,"shards":2,"routing":"range","range_span":64,"backend":"file","codec":"raw"}`)
-	if err := os.WriteFile(manifest.Path(dir), custom, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	openRefused(t, dir, "range span 64", "rebuild the index")
-}
-
-// TestOpenRoutingKinds opens a fresh index under every routing kind and
-// round-trips it through close/reopen — the non-default routers must
-// persist and answer queries like the hash default does.
-func TestOpenRoutingKinds(t *testing.T) {
-	texts := synthTexts(79, 100, 25, 15)
-	var want []DocID
-	for _, kind := range []string{route.KindHash, route.KindRange, route.KindRoundRobin} {
-		dir := t.TempDir()
-		opts := smallOpts(3)
-		opts.Dir = dir
-		opts.Routing = kind
-		eng, err := Open(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		for _, text := range texts {
-			eng.AddDocument(text)
-		}
-		if _, err := eng.FlushBatch(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.CheckConsistency(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		hits, err := eng.SearchBoolean("wa*")
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if want == nil {
-			want = hits
-		} else if !slices.Equal(hits, want) {
-			// Routing decides placement, never visibility: every kind must
-			// answer identically.
-			t.Errorf("%s: got %v, want %v", kind, hits, want)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		zero := opts
-		zero.Shards, zero.Routing = 0, ""
-		reopened, err := Open(zero)
-		if err != nil {
-			t.Fatalf("%s reopen: %v", kind, err)
-		}
-		if reopened.opts.Routing != kind {
-			t.Errorf("reopen adopted routing %q, want %q", reopened.opts.Routing, kind)
-		}
-		got, err := reopened.SearchBoolean("wa*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s reopen: got %v, want %v", kind, got, want)
-		}
-		if err := reopened.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestDocIDNotReusedAfterSweepReopen: a swept document's identifier stays
@@ -406,13 +286,18 @@ func TestDocIDNotReusedAfterSweepReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, text := range []string{"alpha beta", "beta gamma", "gamma alpha"} {
-				eng.AddDocument(text)
+			// On two shards, the three documents straddle the boundary of
+			// shard 0's span: the swept one is shard 1's newest.
+			lead := 0
+			if shards > 1 {
+				lead = shardSpan - 1
+				addFiller(t, eng, lead)
 			}
-			if _, err := eng.FlushBatch(); err != nil {
-				t.Fatal(err)
+			buildCorpus(t, eng, []string{"alpha beta", "beta gamma", "gamma alpha"})
+			if shards > 1 {
+				requireShardsHoldDocs(t, eng)
 			}
-			eng.Delete(3)
+			eng.Delete(DocID(lead + 3))
 			if err := eng.Sweep(); err != nil {
 				t.Fatal(err)
 			}
@@ -439,8 +324,8 @@ func TestDocIDNotReusedAfterSweepReopen(t *testing.T) {
 			if !slices.Equal(after, before) {
 				t.Errorf("ranked answer moved across reopen:\n before %v\n after  %v", before, after)
 			}
-			if id := re.AddDocument("delta"); id != 4 {
-				t.Fatalf("AddDocument after sweep and reopen = %d, want 4 (3 was swept, not free)", id)
+			if id, want := re.AddDocument("delta"), DocID(lead+4); id != want {
+				t.Fatalf("AddDocument after sweep and reopen = %d, want %d (%d was swept, not free)", id, want, want-1)
 			}
 		})
 	}
@@ -463,14 +348,22 @@ func TestReopenRecoversUnflushedDocsAndCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// On two shards, filler puts documents lead+41.. on shard 1:
+			// the deleted newest checkpointed document, lead+50, and the
+			// pending ones.
+			lead := 0
+			if shards > 1 {
+				lead = shardSpan - 40
+				addFiller(t, eng, lead)
+			}
 			texts := synthTexts(83, 60, 25, 15)
 			buildCorpus(t, eng, texts[:40])
-			eng.Delete(3)
-			eng.Delete(17)
+			eng.Delete(DocID(lead + 3))
+			eng.Delete(DocID(lead + 17))
 			for _, text := range texts[40:50] {
 				eng.AddDocument(text)
 			}
-			eng.Delete(50)
+			eng.Delete(DocID(lead + 50))
 			if _, err := eng.FlushBatch(); err != nil {
 				t.Fatal(err)
 			}
@@ -478,6 +371,9 @@ func TestReopenRecoversUnflushedDocsAndCounts(t *testing.T) {
 				eng.AddDocument(text)
 			}
 			eng.AddDocument("unflushed zebra")
+			if shards > 1 {
+				requireShardsHoldDocs(t, eng)
+			}
 			before := eng.Stats()
 			want, err := eng.SearchBoolean("wa* or zebra")
 			if err != nil {
@@ -510,11 +406,11 @@ func TestReopenRecoversUnflushedDocsAndCounts(t *testing.T) {
 			if err := re.CheckConsistency(); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := re.SearchBoolean("zebra"); err != nil || !slices.Equal(got, []DocID{61}) {
+			if got, err := re.SearchBoolean("zebra"); err != nil || !slices.Equal(got, []DocID{DocID(lead + 61)}) {
 				t.Fatalf("recovered document after flush: %v, %v", got, err)
 			}
-			if id := re.AddDocument("fresh"); id != 62 {
-				t.Fatalf("AddDocument after reopen = %d, want 62", id)
+			if id := re.AddDocument("fresh"); id != DocID(lead+62) {
+				t.Fatalf("AddDocument after reopen = %d, want %d", id, lead+62)
 			}
 		})
 	}
@@ -621,7 +517,9 @@ func TestOpenFailedShardJoinsAndCloses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buildCorpus(t, eng, synthTexts(5, 90, 25, 12))
+			// Enough documents that shard 2 holds some.
+			buildCorpus(t, eng, synthTexts(5, 2*shardSpan+90, 25, 12))
+			requireShardsHoldDocs(t, eng)
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -658,10 +556,11 @@ func TestReopenRecoversEveryShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	texts := synthTexts(9, 120, 25, 12)
+	// The unflushed documents span all three shards.
+	texts := synthTexts(9, 2*shardSpan+120, 25, 12)
 	for _, e := range []*Engine{eng, ref} {
-		buildCorpus(t, e, texts[:80])
-		for _, text := range texts[80:] {
+		buildCorpus(t, e, texts[:shardSpan-80])
+		for _, text := range texts[shardSpan-80:] {
 			e.AddDocument(text)
 		}
 	}

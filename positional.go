@@ -20,7 +20,11 @@ import "dualindex/internal/query"
 func (e *Engine) Document(id DocID) (text string, ok bool, err error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	return e.shardFor(id).document(id)
+	s := e.shardFor(id)
+	if s == nil {
+		return "", false, errClosed
+	}
+	return s.document(id)
 }
 
 // SearchPhrase finds documents containing the exact word sequence of

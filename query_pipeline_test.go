@@ -17,13 +17,34 @@ import (
 // pipeline with their original results.
 
 // pipelineCorpus is a small hand-built corpus with known positions and
-// regions (document ids are assignment order, 1-based).
+// regions (document ids are assignment order, 1-based, after
+// pipelineLead filler documents).
 var pipelineCorpus = []string{
 	"Subject: white mouse\ncat dance floor", // 1: title white+mouse; body cat…
 	"white cat brown mouse",                 // 2
 	"mouse white",                           // 3: near, but not the phrase
 	"bird dance",                            // 4
 	"cattle herd",                           // 5: cat* matches cattle too
+}
+
+// pipelineLead is how many filler documents pipelineEngine adds before
+// the corpus: none on one shard; on several, enough that documents 1 and
+// 2 land on shard 0 and 3 to 5 on shard 1.
+func pipelineLead(shards int) int {
+	if shards > 1 {
+		return shardSpan - 2
+	}
+	return 0
+}
+
+// pipelineDocs renders corpus documents as the identifiers pipelineEngine
+// gave them at the given shard count.
+func pipelineDocs(shards int, docs ...int) string {
+	ids := make([]DocID, len(docs))
+	for i, d := range docs {
+		ids[i] = DocID(pipelineLead(shards) + d)
+	}
+	return fmt.Sprint(ids)
 }
 
 func pipelineEngine(t *testing.T, opts Options) *Engine {
@@ -33,11 +54,17 @@ func pipelineEngine(t *testing.T, opts Options) *Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
+	if lead := pipelineLead(opts.Shards); lead > 0 {
+		addFiller(t, eng, lead)
+	}
 	for _, text := range pipelineCorpus {
 		eng.AddDocument(text)
 	}
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
+	}
+	if opts.Shards > 1 {
+		requireShardsHoldDocs(t, eng)
 	}
 	return eng
 }
@@ -76,8 +103,8 @@ func TestQueryUnifiedAcceptance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sortedDocs(ms); got != "[1 4]" {
-				t.Fatalf("Query = %v (docs %s), want docs [1 4]", ms, got)
+			if got, want := sortedDocs(ms), pipelineDocs(2, 1, 4); got != want {
+				t.Fatalf("Query = %v (docs %s), want docs %s", ms, got, want)
 			}
 			for i, m := range ms {
 				if m.Score <= 0 {
@@ -95,8 +122,8 @@ func TestQueryUnifiedAcceptance(t *testing.T) {
 			}
 			// near/2 gives {1,3} (doc 2 has white@0 and mouse@3, outside the
 			// window); title:mouse then removes doc 1.
-			if got := sortedDocs(ms); got != "[3]" {
-				t.Fatalf("near∧¬region = %v (docs %s), want docs [3]", ms, got)
+			if got, want := sortedDocs(ms), pipelineDocs(2, 3); got != want {
+				t.Fatalf("near∧¬region = %v (docs %s), want docs %s", ms, got, want)
 			}
 
 			// A bare word list ranks as a bag: every cat-or-dance document.
@@ -104,12 +131,12 @@ func TestQueryUnifiedAcceptance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sortedDocs(ms); got != "[1 2 4]" {
-				t.Fatalf("bag = %v (docs %s), want docs [1 2 4]", ms, got)
+			if got, want := sortedDocs(ms), pipelineDocs(2, 1, 2, 4); got != want {
+				t.Fatalf("bag = %v (docs %s), want docs %s", ms, got, want)
 			}
 			// Doc 1 holds both words and must outrank the single-word docs.
-			if ms[0].Doc != 1 {
-				t.Errorf("bag top doc = %d, want 1", ms[0].Doc)
+			if got, want := fmt.Sprint([]DocID{ms[0].Doc}), pipelineDocs(2, 1); got != want {
+				t.Errorf("bag top doc = %s, want %s", got, want)
 			}
 		})
 	}

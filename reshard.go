@@ -9,7 +9,6 @@ import (
 	"dualindex/internal/lexer"
 	"dualindex/internal/manifest"
 	"dualindex/internal/postings"
-	"dualindex/internal/route"
 )
 
 // reshardBatchDocs is how many documents a reshard migrates between flushes
@@ -26,20 +25,19 @@ type ReshardStats struct {
 	// Batches is how many flush batches the migration used.
 	Batches int
 	// Skipped counts logically deleted documents left behind — a reshard
-	// is also an implicit sweep, since only live documents are re-routed.
+	// is also an implicit sweep, since only live documents are re-placed.
 	Skipped int
 	// Dur is the end-to-end wall-clock time, migration through commit.
 	Dur time.Duration
 }
 
 // Reshard changes a live index's shard count to n without a rebuild: every
-// live document is streamed out of the document store shard by shard,
-// re-routed through the index's router at the new count, and applied to a
-// staged set of new shards through the normal add/flush batch path. The
-// routing kind is preserved; only the shard count changes, and the index's
-// manifest is rewritten as part of the commit. Every new shard checkpoints
-// the old high-water document identifier, so identifiers continue past
-// deleted documents the migration left behind.
+// live document is streamed out of the document store, placed on
+// shardOf(id, n), and applied to a staged set of new shards through the
+// normal add/flush batch path. The index's manifest is rewritten as part
+// of the commit. Every new shard checkpoints the old high-water document
+// identifier, so identifiers continue past deleted documents the
+// migration left behind.
 //
 // Reshard requires Options.KeepDocuments: the document store is the source
 // the new shards are built from. Logically deleted documents are not
@@ -65,8 +63,8 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 
 	start := time.Now()
 	// No mutator is running (reshardMu) and no other reshard can swap the
-	// shard set, so e.shards and e.router are stable for the migration;
-	// queries share them concurrently but never modify them.
+	// shard set, so e.shards is stable for the migration; queries share
+	// it concurrently but never modify it.
 	old := e.shards
 	st := ReshardStats{FromShards: len(old), ToShards: n}
 	if n < 1 {
@@ -84,14 +82,9 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 		}
 	}
 	// Flush pending batches first so the old shards are checkpointed and
-	// their document logs synced before their contents are re-routed.
+	// their document logs synced before their contents are re-placed.
 	if _, err := e.flushShardsLocked(); err != nil {
 		return st, fmt.Errorf("dualindex: pre-reshard flush: %w", err)
-	}
-
-	newRouter, err := route.New(e.opts.Routing, n)
-	if err != nil {
-		return st, fmt.Errorf("dualindex: %w", err)
 	}
 
 	// Stage the new shards: in a .resharding/ staging directory for
@@ -126,7 +119,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 	// document-id order — not shard by shard: each staged shard's postings
 	// must see monotonically increasing ids across flush batches (the
 	// index's append invariant), and only the global id order guarantees
-	// that. The old router knows which shard holds each id, so the stream
+	// that. shardOf knows which old shard holds each id, so the stream
 	// is a sequence of per-document fetches, flushed every
 	// reshardBatchDocs documents.
 	var lastDoc postings.DocID
@@ -151,7 +144,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 	}
 	var toks lexer.Tokens // reused: each document is indexed before the next scan
 	for id := postings.DocID(1); id <= lastDoc; id++ {
-		s := old[e.router.Shard(id)]
+		s := old[shardOf(id, len(old))]
 		// document() is snapshot-aware: a flush applying on the source shard
 		// cannot tear the deletion check. ok is false both for deleted
 		// documents and for ones already compacted out of the store.
@@ -165,7 +158,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 			continue
 		}
 		toks.Scan(text, e.opts.Lexer)
-		t := newShards[newRouter.Shard(id)]
+		t := newShards[shardOf(id, n)]
 		t.mu.Lock()
 		t.addDocumentLocked(id, text, &toks)
 		t.mu.Unlock()
@@ -196,7 +189,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 	// the new shards.
 	if e.opts.Dir == "" {
 		e.stateMu.Lock()
-		e.shards, e.router, e.opts.Shards = newShards, newRouter, n
+		e.shards, e.opts.Shards = newShards, n
 		e.stateMu.Unlock()
 		for _, s := range old {
 			s.close()
@@ -241,7 +234,7 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 		for i, s := range reopened {
 			s.obs = e.obs.shardObs(i)
 		}
-		e.shards, e.router, e.opts.Shards = reopened, newRouter, n
+		e.shards, e.opts.Shards = reopened, n
 		e.stateMu.Unlock()
 	}
 	e.registerShardFuncs()
@@ -251,13 +244,15 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 	return st, nil
 }
 
-// reshardFailedLocked puts the engine into a closed state after a
-// commit-phase failure: the old shards are already closed and the
-// directory may be mid-commit, so serving from stale shard handles would
-// be wrong. The on-disk index is still recoverable — the commit either
-// never happened (old layout intact) or rolls forward on the next Open.
-// Caller holds e.stateMu.Lock.
+// reshardFailedLocked closes the engine after a commit-phase failure: the
+// old shards are already closed and the directory may be mid-commit, so
+// serving from stale shard handles would be wrong. With no shards, queries
+// and flushes return errClosed and AddDocument indexes nothing; Health
+// reports the engine closed. The on-disk index is still recoverable — the
+// commit either never happened (old layout intact) or rolls forward on the
+// next Open. Caller holds e.stateMu.Lock.
 func (e *Engine) reshardFailedLocked(err error) error {
-	e.shards, e.router = nil, route.Hash{N: 1}
+	e.closed.Store(true)
+	e.shards = nil
 	return fmt.Errorf("%w; the engine is closed — reopen the index with Open, which recovers the directory", err)
 }

@@ -85,7 +85,7 @@ func sameAnswers(t *testing.T, got, want *Engine) {
 // 4-shard index built from the same corpus from scratch, stays consistent,
 // and a reopen with Shards=0 adopts the rewritten manifest.
 func TestReshardMatchesFreshIndex(t *testing.T) {
-	texts := synthTexts(41, 120, 30, 20)
+	texts := synthTexts(41, shardSpan+120, 30, 20)
 
 	dir := t.TempDir()
 	eng, err := Open(reshardOpts(dir, 2))
@@ -93,6 +93,7 @@ func TestReshardMatchesFreshIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildCorpus(t, eng, texts)
+	requireShardsHoldDocs(t, eng)
 
 	st, err := eng.Reshard(4)
 	if err != nil {
@@ -110,6 +111,7 @@ func TestReshardMatchesFreshIndex(t *testing.T) {
 	if err := eng.CheckConsistency(); err != nil {
 		t.Fatalf("consistency after reshard: %v", err)
 	}
+	requireShardsHoldDocs(t, eng)
 
 	fresh, err := Open(reshardOpts(t.TempDir(), 4))
 	if err != nil {
@@ -150,8 +152,8 @@ func TestReshardMatchesFreshIndex(t *testing.T) {
 	}
 	sameAnswers(t, reopened, fresh)
 
-	// The resharded index keeps growing: new documents route at the new
-	// count and are queryable.
+	// The resharded index keeps growing: new documents are placed at the
+	// new count and are queryable.
 	doc := reopened.AddDocument("waa wab zzunique")
 	if _, err := reopened.FlushBatch(); err != nil {
 		t.Fatal(err)
@@ -169,7 +171,7 @@ func TestReshardMatchesFreshIndex(t *testing.T) {
 // the staged shards live in memory and the swap is purely an in-process
 // exchange.
 func TestReshardInMemory(t *testing.T) {
-	texts := synthTexts(43, 90, 30, 20)
+	texts := synthTexts(43, shardSpan+90, 30, 20)
 	opts := smallOpts(1)
 	opts.KeepDocuments = true
 	eng, err := Open(opts)
@@ -185,6 +187,7 @@ func TestReshardInMemory(t *testing.T) {
 	if err := eng.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	requireShardsHoldDocs(t, eng)
 	st, err := eng.Reshard(2)
 	if err != nil {
 		t.Fatalf("3 -> 2: %v", err)
@@ -192,6 +195,7 @@ func TestReshardInMemory(t *testing.T) {
 	if st.FromShards != 3 || st.ToShards != 2 || st.Docs != len(texts) {
 		t.Errorf("shrink stats %+v", st)
 	}
+	requireShardsHoldDocs(t, eng)
 
 	opts2 := smallOpts(2)
 	opts2.KeepDocuments = true
@@ -208,15 +212,16 @@ func TestReshardInMemory(t *testing.T) {
 // documents are not migrated, the stats report them as skipped, and the new
 // layout starts with a clean deleted list.
 func TestReshardSkipsDeleted(t *testing.T) {
-	texts := synthTexts(47, 80, 30, 20)
+	texts := synthTexts(47, shardSpan+80, 30, 20)
 	eng, err := Open(reshardOpts(t.TempDir(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	buildCorpus(t, eng, texts)
+	requireShardsHoldDocs(t, eng)
 
-	deleted := []DocID{3, 17, 42}
+	deleted := []DocID{3, 17, shardSpan + 42} // on shards 0, 0 and 1
 	for _, d := range deleted {
 		eng.Delete(d)
 	}
@@ -237,6 +242,7 @@ func TestReshardSkipsDeleted(t *testing.T) {
 	if got := eng.Stats().Deleted; got != 0 {
 		t.Errorf("deleted count after reshard = %d, want 0 (implicit sweep)", got)
 	}
+	requireShardsHoldDocs(t, eng)
 	for _, d := range deleted {
 		if _, ok, _ := eng.Document(d); ok {
 			t.Errorf("deleted doc %d survived the reshard", d)
@@ -335,13 +341,14 @@ func TestReshardErrors(t *testing.T) {
 // leftover .resharding directory is discarded on Open and the index serves
 // its old layout untouched.
 func TestReshardStagingDiscarded(t *testing.T) {
-	texts := synthTexts(59, 60, 25, 15)
+	texts := synthTexts(59, shardSpan+60, 25, 15)
 	dir := t.TempDir()
 	eng, err := Open(reshardOpts(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	buildCorpus(t, eng, texts)
+	requireShardsHoldDocs(t, eng)
 	want, err := eng.SearchBoolean("wa*")
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +389,7 @@ func TestReshardStagingDiscarded(t *testing.T) {
 // but before the roll-forward: Open finds a .reshard-commit directory,
 // moves its contents into place (manifest last) and serves the new layout.
 func TestReshardCommitRollForward(t *testing.T) {
-	texts := synthTexts(61, 100, 30, 20)
+	texts := synthTexts(61, shardSpan+100, 30, 20)
 	dir := t.TempDir()
 
 	// The pre-crash index: 2 shards.
@@ -391,6 +398,7 @@ func TestReshardCommitRollForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildCorpus(t, old, texts)
+	requireShardsHoldDocs(t, old)
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +437,7 @@ func TestReshardCommitRollForward(t *testing.T) {
 	if err := reopened.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	requireShardsHoldDocs(t, reopened)
 
 	fresh, err := Open(reshardOpts(t.TempDir(), 4))
 	if err != nil {
@@ -484,5 +493,78 @@ func TestReshardObserved(t *testing.T) {
 	}
 	if reshardSpans != 1 || streamSpans != 1 {
 		t.Errorf("trace holds %d reshard + %d stream spans, want 1 + 1", reshardSpans, streamSpans)
+	}
+}
+
+// TestReshardPlacesByRange: a reshard re-places every live document on
+// shardOf at the new count, and no other shard keeps a copy.
+func TestReshardPlacesByRange(t *testing.T) {
+	eng, err := Open(reshardOpts(t.TempDir(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	texts := synthTexts(71, 2*shardSpan+100, 20, 5)
+	buildCorpus(t, eng, texts)
+	eng.Delete(shardSpan + 1)
+	if _, err := eng.Reshard(3); err != nil {
+		t.Fatal(err)
+	}
+	requireShardsHoldDocs(t, eng)
+	for id := DocID(1); id <= DocID(len(texts)); id++ {
+		for i, s := range eng.shards {
+			_, ok, err := s.document(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := i == shardOf(id, 3) && id != shardSpan+1; ok != want {
+				t.Fatalf("document %d on shard %d: %v, want %v", id, i, ok, want)
+			}
+		}
+	}
+}
+
+// TestReshardCommitFailureClosesEngine: when the commit rename fails, the
+// engine reports itself closed, every query fails instead of answering
+// from no shards, and AddDocument neither panics nor indexes.
+func TestReshardCommitFailureClosesEngine(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := Open(reshardOpts(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for range 50 {
+		eng.AddDocument("waa wab")
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty commit directory makes the commit rename fail.
+	commit := filepath.Join(dir, reshardCommitName)
+	if err := os.MkdirAll(filepath.Join(commit, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Reshard(3); err == nil || !strings.Contains(err.Error(), "commit rename") {
+		t.Fatalf("Reshard with a blocked commit: err = %v", err)
+	}
+
+	if h := eng.Health(); h.Healthy || h.Ready {
+		t.Errorf("Health after a failed commit = %+v, want neither healthy nor ready", h)
+	}
+	if got, err := eng.SearchBoolean("waa"); err == nil {
+		t.Errorf("SearchBoolean answered %d documents on a closed engine", len(got))
+	}
+	if got, err := eng.Query("waa", 10); err == nil {
+		t.Errorf("Query answered %d matches on a closed engine", len(got))
+	}
+	if _, _, err := eng.Document(1); err == nil {
+		t.Error("Document answered on a closed engine")
+	}
+	if id := eng.AddDocument("waa"); id != 0 {
+		t.Errorf("AddDocument on a closed engine = %d, want 0", id)
+	}
+	if _, err := eng.FlushBatch(); err == nil {
+		t.Error("FlushBatch succeeded on a closed engine")
 	}
 }

@@ -27,7 +27,7 @@ import (
 // index with its own disk array (or store), bucket space, long-list
 // directory, vocabulary, pending batch and flush lock. It is exactly the
 // pre-sharding Engine with document-identifier assignment lifted out: the
-// Engine assigns identifiers globally and routes each document to one shard,
+// Engine assigns identifiers globally and places each document on one shard,
 // so a single-shard engine behaves — down to the simulated I/O trace —
 // like the unsharded engine did.
 //
@@ -242,7 +242,7 @@ func (s *shard) recoverPendingDocs() error {
 
 // addDocumentLocked appends a document to the shard's pending tier and
 // document store; toks holds its tokens, scanned from text before any lock
-// was taken. The engine has already assigned the identifier, routed the
+// was taken. The engine has already assigned the identifier, placed the
 // document here, and acquired s.mu (see Engine.AddDocument for why the two
 // locks overlap). Storing the text here is what lets positional queries
 // verify the document before its flush.

@@ -15,7 +15,6 @@ import (
 	"dualindex/internal/lexer"
 	"dualindex/internal/longlist"
 	"dualindex/internal/postings"
-	"dualindex/internal/route"
 	"dualindex/internal/vocab"
 )
 
@@ -204,7 +203,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 	defer four.Close()
 
-	texts := synthTexts(13, 120, 40, 25)
+	texts := synthTexts(13, shardSpan+120, 40, 25)
 	for i, text := range texts {
 		d1 := one.AddDocument(text)
 		d4 := four.AddDocument(text)
@@ -223,6 +222,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if got, want := four.Stats().Docs, one.Stats().Docs; got != want {
 		t.Fatalf("Docs = %d, want %d", got, want)
 	}
+	requireShardsHoldDocs(t, four)
 
 	queries := []string{
 		"wab",
@@ -290,7 +290,7 @@ func TestShardedCrashReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	texts := synthTexts(29, 60, 30, 20)
+	texts := synthTexts(29, shardSpan+60, 30, 20)
 	var ids []DocID
 	for i, text := range texts {
 		if i%10 == 5 {
@@ -301,28 +301,15 @@ func TestShardedCrashReopen(t *testing.T) {
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
+	requireShardsHoldDocs(t, eng)
 
-	// Delete two documents, one of them a needle holder, then make sure
-	// every shard has something pending so the next flush checkpoints the
-	// deletions with a batch on all three shards (the document-less path is
-	// TestDeleteDurableWithoutDocumentFlush's).
+	// Delete two documents, a needle holder on shard 0 and one on shard 1,
+	// then add documents, which land on shard 1: the next flush checkpoints
+	// one deletion with a batch and the other without.
 	eng.Delete(ids[5])
-	eng.Delete(ids[12])
-	extra := synthTexts(31, 12, 30, 20)
-	for i := 0; ; i++ {
-		empty := false
-		for _, s := range eng.shards {
-			if docs, _ := s.numPending(); docs == 0 {
-				empty = true
-			}
-		}
-		if !empty {
-			break
-		}
-		if i >= len(extra) {
-			t.Fatal("could not seed every shard with a pending document")
-		}
-		eng.AddDocument(extra[i])
+	eng.Delete(ids[shardSpan+12])
+	for _, text := range synthTexts(31, 12, 30, 20) {
+		eng.AddDocument(text)
 	}
 	if _, err := eng.FlushBatch(); err != nil {
 		t.Fatal(err)
@@ -408,6 +395,7 @@ func TestShardedCrashReopen(t *testing.T) {
 	if err := re.CheckConsistency(); err != nil {
 		t.Fatalf("consistency after reopen: %v", err)
 	}
+	requireShardsHoldDocs(t, re)
 	after := capture(re)
 	// Vector scores sum per-word contributions in map iteration order, so
 	// they are only reproducible to floating-point rounding; everything else
@@ -440,13 +428,10 @@ func TestShardedPendingRecovery(t *testing.T) {
 	// The lexer splits letter-runs from digit-runs, so unique marker words
 	// must be purely alphabetic.
 	uniq := func(i int) string { return "uniq" + string(rune('a'+i)) }
-	for i := 0; i < 10; i++ {
-		eng.AddDocument("flushed filler " + uniq(i))
-	}
-	if _, err := eng.FlushBatch(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 10; i < 15; i++ {
+	addFiller(t, eng, shardSpan-2)
+	// Documents shardSpan-1 .. shardSpan+3: two pending on shard 0, three
+	// on shard 1.
+	for i := 0; i < 5; i++ {
 		eng.AddDocument("unflushed filler " + uniq(i))
 	}
 	if err := eng.Close(); err != nil {
@@ -458,18 +443,26 @@ func TestShardedPendingRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	requireShardsHoldDocs(t, re)
+	for i, s := range re.shards {
+		if docs, _ := s.numPending(); docs == 0 {
+			t.Errorf("shard %d recovered no pending documents", i)
+		}
+	}
 	if got := re.PendingDocs(); got != 5 {
 		t.Fatalf("PendingDocs after reopen = %d, want 5", got)
 	}
-	docs, err := re.SearchBoolean(uniq(12))
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 5; i++ {
+		docs, err := re.SearchBoolean(uniq(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := DocID(shardSpan - 1 + i); len(docs) != 1 || docs[0] != want {
+			t.Fatalf("recovered doc search %s = %v, want [%d]", uniq(i), docs, want)
+		}
 	}
-	if len(docs) != 1 || docs[0] != 13 {
-		t.Fatalf("recovered doc search = %v, want [13]", docs)
-	}
-	if next := re.AddDocument("fresh"); next != 16 {
-		t.Fatalf("AddDocument after reopen = %d, want 16", next)
+	if next := re.AddDocument("fresh"); next != shardSpan+4 {
+		t.Fatalf("AddDocument after reopen = %d, want %d", next, shardSpan+4)
 	}
 	if _, err := re.FlushBatch(); err != nil {
 		t.Fatal(err)
@@ -488,7 +481,7 @@ func TestFlushBatchAggregatesShards(t *testing.T) {
 	}
 	defer eng.Close()
 
-	texts := synthTexts(17, 40, 30, 20)
+	texts := synthTexts(17, shardSpan+40, 30, 20)
 	for _, text := range texts {
 		eng.AddDocument(text)
 	}
@@ -496,6 +489,7 @@ func TestFlushBatchAggregatesShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireShardsHoldDocs(t, eng)
 	if st.Docs != len(texts) {
 		t.Errorf("Docs = %d, want %d", st.Docs, len(texts))
 	}
@@ -536,35 +530,84 @@ func TestFlushBatchAggregatesShards(t *testing.T) {
 	}
 }
 
-// TestShardRouterStable pins the routing function: deterministic, total, and
-// not grossly unbalanced.
+// TestShardRouterStable pins range placement: identifiers 1..1024 on shard
+// 0, 1025..2048 on shard 1, and so on, wrapping over the shard count; 0 and
+// every identifier of a single-shard engine on shard 0.
 func TestShardRouterStable(t *testing.T) {
-	for doc := DocID(1); doc <= 100; doc++ {
-		if (route.Hash{N: 1}).Shard(doc) != 0 {
-			t.Fatalf("single shard routing for doc %d", doc)
-		}
+	cases := []struct {
+		doc  DocID
+		n    int
+		want int
+	}{
+		{0, 1, 0}, {0, 3, 0},
+		{1, 1, 0}, {5000, 1, 0},
+		{1, 2, 0}, {1024, 2, 0}, {1025, 2, 1}, {2048, 2, 1}, {2049, 2, 0},
+		{1, 3, 0}, {1025, 3, 1}, {2049, 3, 2}, {3072, 3, 2}, {3073, 3, 0},
+		{4096, 4, 3}, {4097, 4, 0},
 	}
-	counts := make([]int, 4)
-	four := route.Hash{N: 4}
-	for doc := DocID(1); doc <= 400; doc++ {
-		i := four.Shard(doc)
-		if i != four.Shard(doc) {
-			t.Fatalf("unstable routing for doc %d", doc)
-		}
-		if i < 0 || i >= 4 {
-			t.Fatalf("doc %d routed to shard %d", doc, i)
-		}
-		counts[i]++
-	}
-	for i, c := range counts {
-		if c < 40 {
-			t.Errorf("shard %d got only %d of 400 docs: %v", i, c, counts)
+	for _, c := range cases {
+		if got := shardOf(c.doc, c.n); got != c.want {
+			t.Errorf("shardOf(%d, %d) = %d, want %d", c.doc, c.n, got, c.want)
 		}
 	}
 }
 
+// TestBatchInOneSpanWritesOneShard: a flush batch whose identifiers lie in
+// one span updates one shard's lists, so only that shard's write counters
+// move — a batch costs what it costs the unsharded index.
+func TestBatchInOneSpanWritesOneShard(t *testing.T) {
+	eng, err := Open(smallOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	writes := func() [2]int64 {
+		st := eng.ShardStats()
+		return [2]int64{st[0].WriteOps + st[0].WriteBlocks, st[1].WriteOps + st[1].WriteBlocks}
+	}
+	texts := synthTexts(19, shardSpan+100, 25, 10)
+	for i, batch := range [][]string{texts[:shardSpan], texts[shardSpan:]} {
+		before := writes()
+		buildCorpus(t, eng, batch)
+		after := writes()
+		if after[i] == before[i] || after[1-i] != before[1-i] {
+			t.Errorf("batch %d on shard %d moved the write counters from %v to %v", i, i, before, after)
+		}
+	}
+}
+
+// addFiller adds n documents of filler text, which no probe query
+// matches, and flushes them. Padding a corpus with just under shardSpan
+// filler documents puts the test's own documents across the boundary of
+// shard 0's span.
+func addFiller(t *testing.T, eng *Engine, n int) {
+	t.Helper()
+	for range n {
+		eng.AddDocument("filler text")
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireShardsHoldDocs fails the test unless at least two of eng's shards
+// hold documents. Range placement keeps identifiers 1..1024 on shard 0, so
+// a sharded test over fewer documents would silently test one shard.
+func requireShardsHoldDocs(t *testing.T, eng *Engine) {
+	t.Helper()
+	busy := 0
+	for _, st := range eng.ShardStats() {
+		if st.Words > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("%d of %d shards hold documents; the test needs at least two", busy, len(eng.ShardStats()))
+	}
+}
+
 // TestShardLayoutMismatch: an index must be reopened with the shard count it
-// was built with — the routing depends on it.
+// was built with — placement depends on it.
 func TestShardLayoutMismatch(t *testing.T) {
 	if _, err := Open(Options{Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
@@ -642,6 +685,9 @@ func TestPositionalSharded(t *testing.T) {
 		"dogs chase the quick brown fox daily",
 		"nothing relevant here at all",
 	}
+	// Filler first, so the corpus straddles the boundary of shard 0's span.
+	addFiller(t, one, shardSpan-len(corpus)/2)
+	addFiller(t, three, shardSpan-len(corpus)/2)
 	for _, text := range corpus {
 		one.AddDocument(text)
 		three.AddDocument(text)
@@ -652,6 +698,7 @@ func TestPositionalSharded(t *testing.T) {
 	if _, err := three.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
+	requireShardsHoldDocs(t, three)
 
 	pa, err := one.SearchPhrase("quick brown fox")
 	if err != nil {

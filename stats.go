@@ -104,8 +104,9 @@ type Stats struct {
 	PendingDocs     int
 	PendingPostings int64
 	// MaxBucketLoadFactor is the fullest shard's bucket load factor. The
-	// engine-wide BucketLoadFactor is a mean, and hash routing keeps the
-	// shards near it — but a hot shard can saturate (evicting short lists
+	// engine-wide BucketLoadFactor is a mean, and range placement fills
+	// the shards one span at a time, so the shard receiving new documents
+	// runs ahead of it: a hot shard can saturate (evicting short lists
 	// early) while the mean still looks healthy, so rebalancing decisions
 	// should watch the max. For a single shard, max and mean coincide.
 	MaxBucketLoadFactor float64

@@ -75,6 +75,12 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer eng.Close()
+				// On two shards, filler splits the texts between them.
+				lead := 0
+				if shards > 1 {
+					lead = shardSpan - len(texts)/2
+					addFiller(t, eng, lead)
+				}
 				deleted := map[DocID]bool{}
 				for i, text := range texts {
 					id := eng.AddDocument(text)
@@ -88,6 +94,9 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 						}
 					}
 				}
+				if shards > 1 {
+					requireShardsHoldDocs(t, eng)
+				}
 				for _, c := range checks {
 					got, err := c.run(eng)
 					if err != nil {
@@ -96,7 +105,7 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 					var want []DocID
 					candidates := 0
 					for i, text := range texts {
-						id := DocID(i + 1)
+						id := DocID(lead + i + 1)
 						if deleted[id] || !holdsAll(text, eng.opts.Lexer, c.check) {
 							continue
 						}
