@@ -4,18 +4,17 @@
 //
 //	search -index idx/ -q 'incremental inverted lists' -k 10
 //	search -index idx/ -q '"white mouse" and cat* or title:dog' -docs
-//	search -index idx/ -q 'cat and dog' -scoring bm25
 //	search -index idx/ "(cat and dog) or mouse"
 //	search -index idx/ -docs 'cat near/3 dog'
 //	search -index idx/ -docs '"white mouse" or title:rates'
 //	search -index idx/ -vector -k 10 "words of a query document"
 //	search -index idx/          # interactive: one query per line on stdin
 //
-// -q prints ranked results under -scoring. A query given as arguments (or
-// on stdin) prints every matching document, unranked; it takes the same
-// language except that terms are joined by "and"/"or" (a bare "cat dog" is
-// a ranked bag: use -q). See the README's "Query language" section.
-// Phrases, near/k and title:/body: need -docs.
+// -q prints ranked results. A query given as arguments (or on stdin) prints
+// every matching document, unranked; it takes the same language except that
+// terms are joined by "and"/"or" (a bare "cat dog" is a ranked bag: use -q).
+// See the README's "Query language" section. Phrases, near/k and
+// title:/body: need -docs.
 package main
 
 import (
@@ -48,7 +47,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		indexDir = fs.String("index", "idx", "index directory")
 		unified  = fs.String("q", "", "unified-language query (phrases, and/or/not, near/k, title:/body:, prefix*); ranked output")
-		scoring  = fs.String("scoring", "", "ranking model for -q and -vector: vector (default) or bm25")
 		vector   = fs.Bool("vector", false, "vector-space ranking instead of boolean")
 		k        = fs.Int("k", 10, "top-k results for ranked queries")
 		docs     = fs.Bool("docs", false, "keep/load stored documents (enables phrases, near/k and title:/body:)")
@@ -68,7 +66,6 @@ func run(args []string, out io.Writer) error {
 		Backend:       *backend,
 		Codec:         *codec,
 		KeepDocuments: *docs,
-		Scoring:       *scoring,
 		SlowQuery:     *slow,
 	}
 	if *metrics != "" {

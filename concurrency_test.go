@@ -1,7 +1,9 @@
 package dualindex
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -429,5 +431,67 @@ func TestPrefixQueriesRightAfterOpen(t *testing.T) {
 				t.Fatalf("prefix over words added after open = %v, want %v", got, wantNew)
 			}
 		})
+	}
+}
+
+// TestCloseDuringQueries: Close on a file index waits for the queries in
+// flight, and a query issued after Close returns finds the engine closed,
+// so no query reads a file Close has closed: every answer is either the
+// full result or errClosed. Run with -race.
+func TestCloseDuringQueries(t *testing.T) {
+	eng, err := Open(reshardOpts(t.TempDir(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, 300)
+	for i := range texts {
+		texts[i] = "anchor term common words"
+	}
+	buildCorpus(t, eng, texts)
+
+	const readers = 4
+	var wg sync.WaitGroup
+	var answered atomic.Int64
+	var closed atomic.Bool
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				after := closed.Load()
+				docs, err := eng.SearchBoolean("anchor and term")
+				if err == nil {
+					_, _, err = eng.Document(1)
+				}
+				switch {
+				case errors.Is(err, errClosed):
+					return
+				case err != nil:
+					errs <- fmt.Errorf("query during Close: %w", err)
+					return
+				case after:
+					errs <- fmt.Errorf("query issued after Close answered %d documents", len(docs))
+					return
+				case len(docs) != len(texts):
+					errs <- fmt.Errorf("query answered %d documents, want %d", len(docs), len(texts))
+					return
+				}
+				answered.Add(1)
+			}
+		}()
+	}
+	// Close once the readers are well under way.
+	for answered.Load() < 4*readers && len(errs) == 0 {
+		runtime.Gosched()
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

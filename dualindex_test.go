@@ -1,6 +1,7 @@
 package dualindex
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -522,4 +523,68 @@ func TestEngineCheckConsistency(t *testing.T) {
 	if err := eng.CheckConsistency(); err != nil {
 		t.Fatalf("consistent engine failed fsck: %v", err)
 	}
+}
+
+// requireClosed calls every public operation of a closed engine and checks
+// that it refuses or reports nothing: no identifier is handed out, every
+// query, flush and maintenance call returns errClosed, the counters read
+// zero, Health is neither healthy nor ready, and Close returns nil.
+func requireClosed(t *testing.T, eng *Engine) {
+	t.Helper()
+	if err := eng.Close(); err != nil {
+		t.Errorf("Close on a closed engine: %v", err)
+	}
+	if h := eng.Health(); h.Healthy || h.Ready {
+		t.Errorf("Health = %+v, want neither healthy nor ready", h)
+	}
+	if id := eng.AddDocument("waa"); id != 0 {
+		t.Errorf("AddDocument = %d, want 0", id)
+	}
+	eng.Delete(1)
+	_, err := eng.FlushBatch()
+	errs := map[string]error{"FlushBatch": err}
+	_, errs["SearchBoolean"] = eng.SearchBoolean("waa")
+	_, errs["Query"] = eng.Query("waa", 10)
+	_, errs["SearchVector"] = eng.SearchVector("waa", 10)
+	_, errs["SearchPhrase"] = eng.SearchPhrase("waa wab")
+	_, _, errs["Document"] = eng.Document(1)
+	_, errs["Reshard"] = eng.Reshard(3)
+	errs["Sweep"] = eng.Sweep()
+	errs["RebalanceBuckets"] = eng.RebalanceBuckets(16, 128)
+	errs["CheckConsistency"] = eng.CheckConsistency()
+	for op, err := range errs {
+		if !errors.Is(err, errClosed) {
+			t.Errorf("%s: err = %v, want %v", op, err, errClosed)
+		}
+	}
+	if n := eng.PendingDocs(); n != 0 {
+		t.Errorf("PendingDocs = %d, want 0", n)
+	}
+	if st := eng.Stats(); st.Words != 0 || st.DocsIndexed != 0 {
+		t.Errorf("Stats = %+v, want no words or indexed documents", st)
+	}
+	if n := len(eng.ShardStats()); n != 0 {
+		t.Errorf("ShardStats has %d entries, want 0", n)
+	}
+	if lf := eng.BucketLoadFactor(); lf != 0 {
+		t.Errorf("BucketLoadFactor = %v, want 0", lf)
+	}
+	if n := eng.ReadCost("waa"); n != 0 {
+		t.Errorf("ReadCost = %d, want 0", n)
+	}
+}
+
+// TestClosedEngineRefuses: after Close, a file index hands out no
+// identifiers and answers every operation as closed, instead of writing to
+// or reading from the files it closed.
+func TestClosedEngineRefuses(t *testing.T) {
+	eng, err := Open(reshardOpts(t.TempDir(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildCorpus(t, eng, []string{"waa wab", "wab wac", "waa wac"})
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireClosed(t, eng)
 }

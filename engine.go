@@ -63,7 +63,7 @@ type Engine struct {
 	// in-flight operations and blocks new ones for that brief window. Lock order: reshardMu, then stateMu, then e.mu
 	// and the per-shard locks.
 	stateMu sync.RWMutex
-	shards  []*shard // empty only after a failed reshard commit closed the engine
+	shards  []*shard // empty once the engine is closed (Close or a failed reshard commit)
 
 	// reshardMu gates mutators against a whole reshard: AddDocument,
 	// Delete, FlushBatch, Sweep, RebalanceBuckets and Close hold RLock, and
@@ -75,10 +75,8 @@ type Engine struct {
 	mu      sync.Mutex // guards nextDoc
 	nextDoc postings.DocID
 
-	// closed and resharding feed the Health states: closed flips at Close,
-	// resharding brackets a running Engine.Reshard (ready = open and not
-	// resharding).
-	closed     atomic.Bool
+	// resharding brackets a running Engine.Reshard: Health reports an open
+	// engine ready only while it is false.
 	resharding atomic.Bool
 }
 
@@ -100,8 +98,8 @@ func shardOf(doc postings.DocID, n int) int {
 	return int(uint64(doc-1) / shardSpan % uint64(n))
 }
 
-// errClosed answers operations on an engine that a failed reshard commit
-// left without shards.
+// errClosed answers operations on a closed engine: one that Close or a
+// failed reshard commit left without shards.
 var errClosed = errors.New("dualindex: the engine is closed")
 
 // shardFor returns the shard owning the document, or nil when the engine
@@ -136,9 +134,8 @@ func fanOut[T any](e *Engine, fn func(*shard) (T, error)) ([]T, error) {
 }
 
 // AddDocument tokenizes text, assigns it the next document identifier and
-// adds it to its shard's pending tier, returning the identifier. An engine
-// that a failed reshard commit closed indexes nothing and returns 0, an
-// identifier no document receives.
+// adds it to its shard's pending tier, returning the identifier. A closed
+// engine indexes nothing and returns 0, an identifier no document receives.
 //
 // The text is scanned before any lock is taken, so concurrent additions
 // tokenize in parallel, into one pooled token buffer per document: the
@@ -256,6 +253,9 @@ func (e *Engine) Sweep() error {
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
+	if len(e.shards) == 0 {
+		return errClosed
+	}
 	for _, s := range e.shards {
 		if err := s.sweep(); err != nil {
 			return err
@@ -272,6 +272,9 @@ func (e *Engine) RebalanceBuckets(buckets, bucketSize int) error {
 	defer e.reshardMu.RUnlock()
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
+	if len(e.shards) == 0 {
+		return errClosed
+	}
 	for _, s := range e.shards {
 		if err := s.rebalanceBuckets(buckets, bucketSize); err != nil {
 			return err
@@ -287,6 +290,9 @@ func (e *Engine) RebalanceBuckets(buckets, bucketSize int) error {
 func (e *Engine) CheckConsistency() error {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
+	if len(e.shards) == 0 {
+		return errClosed
+	}
 	for _, s := range e.shards {
 		if err := s.checkConsistency(); err != nil {
 			return err
@@ -306,7 +312,10 @@ type Health struct {
 
 // Health reports the engine's current health states.
 func (e *Engine) Health() Health {
-	if e.closed.Load() {
+	e.stateMu.RLock()
+	closed := len(e.shards) == 0
+	e.stateMu.RUnlock()
+	if closed {
 		return Health{Reasons: []string{"engine closed"}}
 	}
 	if e.resharding.Load() {
@@ -316,19 +325,22 @@ func (e *Engine) Health() Health {
 }
 
 // Close releases the engine's resources, persisting each shard's unsaved
-// deletions and vocabulary first for on-disk engines. All shards are closed even if one fails; the
-// first error is returned. Close waits for a running reshard to finish.
+// deletions and vocabulary first for on-disk engines. All shards are closed
+// even if one fails; the first error is returned. Close waits for a running
+// reshard and for the operations in flight to finish. The engine then holds
+// no shards: every later operation finds it closed, and a second Close
+// returns nil.
 func (e *Engine) Close() error {
-	e.closed.Store(true)
 	e.reshardMu.RLock()
 	defer e.reshardMu.RUnlock()
-	e.stateMu.RLock()
-	defer e.stateMu.RUnlock()
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
 	var first error
 	for _, s := range e.shards {
 		if err := s.close(); err != nil && first == nil {
 			first = err
 		}
 	}
+	e.shards = nil
 	return first
 }

@@ -3,7 +3,7 @@
 // a single query AST (ast.go, parser.go), a planner lowering the AST into a
 // per-shard executable plan (plan.go), and an executor running the plan
 // against any Source (exec.go), scoring ranked nodes through the paper's
-// vector-space model or BM25 (score.go).
+// vector-space model (score.go).
 package query
 
 import "fmt"

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"dualindex/internal/postings"
@@ -95,14 +94,9 @@ func ExecuteRanked(pl *Plan, env Exec) ([]Match, error) {
 // bound on the documents they touch.
 func openCursors(sp *ScorePlan, env Exec) ([]cursor, int, error) {
 	total := EffectiveCollectionSize(env.Total)
-	terms := make([]string, 0, len(sp.Terms))
-	for term := range sp.Terms {
-		terms = append(terms, term)
-	}
-	slices.Sort(terms)
-	curs := make([]cursor, 0, len(terms))
+	curs := make([]cursor, 0, len(sp.Terms))
 	bound := 0
-	for _, term := range terms {
+	for _, term := range sp.Terms {
 		words := []string{term}
 		if p, ok := strings.CutSuffix(term, "*"); ok {
 			ps, ok := env.Src.(PrefixSource)
@@ -117,7 +111,7 @@ func openCursors(sp *ScorePlan, env Exec) ([]cursor, int, error) {
 				return nil, 0, err
 			}
 			if list.Len() > 0 {
-				curs = append(curs, newCursor(list, sp.Terms[term], sp.Mode, total))
+				curs = append(curs, newCursor(list, total))
 				bound += list.Len()
 			}
 		}
@@ -126,8 +120,8 @@ func openCursors(sp *ScorePlan, env Exec) ([]cursor, int, error) {
 }
 
 // rank is the one document walker: it repeatedly takes the lowest current
-// document of the cursor heap and sums the contributions of the cursors on
-// it in cursor order. With a nil filter every such document is offered to
+// document of the cursor heap and sums the idfs of the cursors on it in
+// cursor order. With a nil filter every such document is offered to
 // the top-k heap; otherwise only the filter's documents are scored and
 // offered, one no cursor holds with score 0, and the walk stops once the
 // filter is used up. Once the top-k heap is full, MaxScore pruning

@@ -9,8 +9,8 @@ import (
 // FuzzParseQuery fuzzes the query parser. The invariants: never panic;
 // whatever Parse accepts, ParseQuery accepts with the same tree; on success,
 // the rendering re-parses to an identical rendering (the canonical round
-// trip), and the planner lowers the tree without panicking under both
-// scoring modes. The seed corpus covers every token kind and the
+// trip), and the planner lowers the tree without panicking, match-only and
+// ranked. The seed corpus covers every token kind and the
 // error shapes; `make check` gives this a short live burst and CI runs it
 // longer.
 func FuzzParseQuery(f *testing.F) {
@@ -50,13 +50,12 @@ func FuzzParseQuery(f *testing.F) {
 		if got := e2.String(); got != r {
 			t.Fatalf("roundtrip %q: %q -> %q", q, r, got)
 		}
-		// Planning any parseable query must not panic — match-only and both
-		// scoring modes. Plan errors (complements, degenerate positional
+		// Planning any parseable query must not panic — match-only and
+		// ranked. Plan errors (complements, degenerate positional
 		// leaves) are legitimate outcomes.
 		for _, po := range []PlanOptions{
 			{Lexer: lexer.Options{}},
 			{Scoring: ScoringVector, K: 10},
-			{Scoring: ScoringBM25, K: 10},
 		} {
 			if pl, err := NewPlan(e, po); err == nil && pl == nil {
 				t.Fatal("NewPlan returned nil plan and nil error")

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"dualindex/internal/lexer"
 )
@@ -20,10 +21,9 @@ type PlanOptions struct {
 	// proximity/region words normalize through it so queries match exactly
 	// what indexing saw.
 	Lexer lexer.Options
-	// Scoring selects the ranking model (ScoringVector or ScoringBM25) for a
-	// ranked plan. Empty means a match-only plan: the executor returns the
-	// matching documents unscored, the boolean/positional entry points'
-	// contract.
+	// Scoring is ScoringVector for a ranked plan. Empty means a match-only
+	// plan: the executor returns the matching documents unscored, the
+	// boolean/positional entry points' contract. Any other value is refused.
 	Scoring string
 	// K is the result budget of a ranked plan; ignored when Scoring is
 	// empty.
@@ -50,9 +50,8 @@ type Plan struct {
 
 // ScorePlan is the ranking half of a plan.
 type ScorePlan struct {
-	Mode  string             // ScoringVector or ScoringBM25
-	Terms map[string]float64 // scoring term → query weight; "p*" entries expand
-	K     int                // result budget
+	Terms []string // scoring terms, sorted and distinct; "p*" entries expand
+	K     int      // result budget
 }
 
 // errComplement rejects queries whose answer would be the complement of a
@@ -211,21 +210,17 @@ func matchNear(text string, opt lexer.Options, a, b string, k int) bool {
 // and the negation algebra (a query whose answer is a complement is
 // rejected here).
 func NewPlan(e Expr, po PlanOptions) (*Plan, error) {
-	mode := ""
-	if po.Scoring != "" {
-		var err error
-		mode, err = ParseScoring(po.Scoring)
+	pl := &Plan{Fetch: Words(e)}
+	switch po.Scoring {
+	case "":
+	case ScoringVector:
+		terms, err := collectScoreTerms(e, false, po, nil)
 		if err != nil {
 			return nil, err
 		}
-	}
-	pl := &Plan{Fetch: Words(e)}
-	if mode != "" {
-		terms := make(map[string]float64)
-		if err := collectScoreTerms(e, false, po, terms); err != nil {
-			return nil, err
-		}
-		pl.Score = &ScorePlan{Mode: mode, Terms: terms, K: po.K}
+		pl.Score = newScorePlan(terms, po.K)
+	default:
+		return nil, fmt.Errorf("query: unknown scoring %q (want %q)", po.Scoring, ScoringVector)
 	}
 	if pl.Score != nil && isBag(e) {
 		// A pure bag of words — the classic ranked query. No matching
@@ -244,23 +239,30 @@ func NewPlan(e Expr, po PlanOptions) (*Plan, error) {
 	return pl, nil
 }
 
-// NewRankedBag builds the plan of a weighted bag of words directly — the
-// vector entry point's fast path, which has no expression to lower. words
-// may repeat; each distinct word scores with weight 1 (abstracts-style
-// indexes drop duplicate tokens, so a query document's term frequency is 1).
-func NewRankedBag(words []string, mode string, k int) *Plan {
-	terms := make(map[string]float64, len(words))
+// NewRankedBag builds the plan of a bag of words directly — the vector entry
+// point's fast path, which has no expression to lower. words may repeat;
+// each distinct word scores once (abstracts-style indexes drop duplicate
+// tokens, so a query document's term frequency is 1).
+func NewRankedBag(words []string, k int) *Plan {
 	fetch := make([]string, 0, len(words))
+	seen := make(map[string]bool, len(words))
 	for _, w := range words {
-		if _, ok := terms[w]; !ok {
+		if !seen[w] {
+			seen[w] = true
 			fetch = append(fetch, w)
 		}
-		terms[w] = 1
 	}
 	return &Plan{
 		Fetch: fetch,
-		Score: &ScorePlan{Mode: mode, Terms: terms, K: k},
+		Score: newScorePlan(slices.Clone(fetch), k),
 	}
+}
+
+// newScorePlan sorts terms, drops their repeats and keeps the result as the
+// plan's cursor order.
+func newScorePlan(terms []string, k int) *ScorePlan {
+	slices.Sort(terms)
+	return &ScorePlan{Terms: slices.Compact(terms), K: k}
 }
 
 // isBag reports whether e is an Or-tree over Word leaves only — the shape
@@ -275,58 +277,58 @@ func isBag(e Expr) bool {
 	return false
 }
 
-// collectScoreTerms gathers the scoring terms of a ranked plan: every leaf
-// term in a positive context, weight 1. Terms under a negation do not score
-// — they only exclude. Phrase leaves contribute their distinct words (a
-// document matching the phrase necessarily contains them), prefixes
+// collectScoreTerms appends the scoring terms of a ranked plan to terms:
+// every leaf term in a positive context. Terms under a negation do not
+// score — they only exclude. Phrase leaves contribute their distinct words
+// (a document matching the phrase necessarily contains them), prefixes
 // contribute a "p*" entry for the executor to expand.
-func collectScoreTerms(e Expr, neg bool, po PlanOptions, terms map[string]float64) error {
+func collectScoreTerms(e Expr, neg bool, po PlanOptions, terms []string) ([]string, error) {
 	switch e := e.(type) {
 	case Word:
 		if !neg {
-			terms[e.W] = 1
+			terms = append(terms, e.W)
 		}
 	case Prefix:
 		if !neg {
-			terms[e.P+"*"] = 1
+			terms = append(terms, e.P+"*")
 		}
 	case Phrase:
 		if !neg {
-			for _, w := range lexer.Tokenize(e.Text, po.Lexer) {
-				terms[w] = 1
-			}
+			terms = append(terms, lexer.Tokenize(e.Text, po.Lexer)...)
 		}
 	case Near:
 		if !neg {
 			if a := normalizeQueryWord(e.A, po.Lexer); a != "" {
-				terms[a] = 1
+				terms = append(terms, a)
 			}
 			if b := normalizeQueryWord(e.B, po.Lexer); b != "" {
-				terms[b] = 1
+				terms = append(terms, b)
 			}
 		}
 	case Region:
 		if !neg {
 			if w := normalizeQueryWord(e.W, po.Lexer); w != "" {
-				terms[w] = 1
+				terms = append(terms, w)
 			}
 		}
 	case And:
-		if err := collectScoreTerms(e.L, neg, po, terms); err != nil {
-			return err
-		}
-		return collectScoreTerms(e.R, neg, po, terms)
+		return collectPair(e.L, e.R, neg, po, terms)
 	case Or:
-		if err := collectScoreTerms(e.L, neg, po, terms); err != nil {
-			return err
-		}
-		return collectScoreTerms(e.R, neg, po, terms)
+		return collectPair(e.L, e.R, neg, po, terms)
 	case Not:
 		return collectScoreTerms(e.E, !neg, po, terms)
 	default:
-		return fmt.Errorf("query: unknown expression %T", e)
+		return nil, fmt.Errorf("query: unknown expression %T", e)
 	}
-	return nil
+	return terms, nil
+}
+
+func collectPair(l, r Expr, neg bool, po PlanOptions, terms []string) ([]string, error) {
+	terms, err := collectScoreTerms(l, neg, po, terms)
+	if err != nil {
+		return nil, err
+	}
+	return collectScoreTerms(r, neg, po, terms)
 }
 
 // lowerStep lowers one expression node, tracking negation structurally: the

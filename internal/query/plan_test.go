@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,31 +22,32 @@ func TestEffectiveCollectionSize(t *testing.T) {
 			t.Errorf("EffectiveCollectionSize(%d) = %d, want %d", tt.in, got, tt.want)
 		}
 	}
-	// The guard keeps both models finite on an empty collection.
+	// The guard keeps scores finite on an empty collection.
 	scores := map[postings.DocID]float64{}
-	list := postings.FromDocs([]postings.DocID{1, 2})
-	for _, mode := range []string{ScoringVector, ScoringBM25} {
-		clear(scores)
-		scoreList(scores, list, 1, mode, EffectiveCollectionSize(0))
-		for d, s := range scores {
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Errorf("%s: empty-collection score for doc %d = %v", mode, d, s)
-			}
+	scoreList(scores, postings.FromDocs([]postings.DocID{1, 2}), EffectiveCollectionSize(0))
+	for d, s := range scores {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Errorf("empty-collection score for doc %d = %v", d, s)
 		}
 	}
 }
 
-func TestParseScoring(t *testing.T) {
-	for in, want := range map[string]string{
-		"": ScoringVector, "vector": ScoringVector, "bm25": ScoringBM25,
-	} {
-		got, err := ParseScoring(in)
-		if err != nil || got != want {
-			t.Errorf("ParseScoring(%q) = %q, %v; want %q", in, got, err, want)
-		}
+// TestPlanScoringOption: PlanOptions.Scoring "" plans match-only,
+// ScoringVector plans a ranking, and any other value is refused.
+func TestPlanScoringOption(t *testing.T) {
+	e, err := ParseQuery("cat and dog")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseScoring("pagerank"); err == nil {
-		t.Error("ParseScoring accepted an unknown mode")
+	if pl, err := NewPlan(e, PlanOptions{}); err != nil || pl.Score != nil {
+		t.Errorf(`Scoring "": plan %+v, %v; want a match-only plan`, pl, err)
+	}
+	if pl, err := NewPlan(e, PlanOptions{Scoring: ScoringVector, K: 5}); err != nil || pl.Score == nil {
+		t.Errorf("Scoring %q: plan %+v, %v; want a ranked plan", ScoringVector, pl, err)
+	}
+	if _, err := NewPlan(e, PlanOptions{Scoring: "pagerank", K: 5}); err == nil ||
+		!strings.Contains(err.Error(), `unknown scoring "pagerank"`) {
+		t.Errorf("Scoring pagerank: err = %v", err)
 	}
 }
 
@@ -99,15 +101,10 @@ func TestPlanFetchAndShape(t *testing.T) {
 	}
 
 	// Scoring terms come from positive-context leaves only.
-	ranked := mustPlan(`cat and not dog or "white mouse"`, PlanOptions{Scoring: ScoringBM25, K: 5})
-	terms := ranked.Score.Terms
-	for _, want := range []string{"cat", "white", "mouse"} {
-		if _, ok := terms[want]; !ok {
-			t.Errorf("scoring terms missing %q: %v", want, terms)
-		}
-	}
-	if _, ok := terms["dog"]; ok {
-		t.Errorf("negated term scored: %v", terms)
+	// They are sorted and distinct: the cursor order.
+	ranked := mustPlan(`cat and not dog or "white mouse" or cat`, PlanOptions{Scoring: ScoringVector, K: 5})
+	if got, want := ranked.Score.Terms, []string{"cat", "mouse", "white"}; !slices.Equal(got, want) {
+		t.Errorf("scoring terms = %v, want %v", got, want)
 	}
 
 	// Boolean-only structure does not need documents.
@@ -190,14 +187,14 @@ func TestQuickPlanMatchesEvalBoolean(t *testing.T) {
 }
 
 // TestRankedBagMatchesEvalVector: a pure bag plan scores byte-identically
-// with the reference vector evaluator under the vector model.
+// with the reference vector evaluator.
 func TestRankedBagMatchesEvalVector(t *testing.T) {
 	words := []string{"cat", "dog", "mouse", "bird", "cat"}
-	want, err := EvalVector(FromDocument(words), corpus, 7, 10)
+	want, err := EvalVector(words, corpus, 7, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewRankedBag(words, ScoringVector, 10)
+	pl := NewRankedBag(words, 10)
 	got, err := ExecuteRanked(pl, Exec{Src: corpus, Total: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -227,37 +224,6 @@ func TestRankedBagMatchesEvalVector(t *testing.T) {
 		if got2[i] != want[i] {
 			t.Fatalf("parsed bag diverges at %d: %+v vs %+v", i, got2[i], want[i])
 		}
-	}
-}
-
-// TestBM25Scoring: BM25 ranks like an idf-weighted model (rare words
-// dominate), stays finite, and differs from the vector model only in
-// scores, not in which documents can match.
-func TestBM25Scoring(t *testing.T) {
-	pl := NewRankedBag([]string{"bird", "cat"}, ScoringBM25, 10)
-	got, err := ExecuteRanked(pl, Exec{Src: corpus, Total: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("matches = %v", got)
-	}
-	// "bird" (df 1) outweighs "cat" (df 4): doc 7 ranks first.
-	if got[0].Doc != 7 {
-		t.Errorf("top doc = %d, want 7", got[0].Doc)
-	}
-	for _, m := range got {
-		if math.IsNaN(m.Score) || math.IsInf(m.Score, 0) || m.Score <= 0 {
-			t.Errorf("doc %d score = %v", m.Doc, m.Score)
-		}
-	}
-	// Same candidates as the vector model.
-	vec, err := ExecuteRanked(NewRankedBag([]string{"bird", "cat"}, ScoringVector, 10), Exec{Src: corpus, Total: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != len(got) {
-		t.Errorf("models disagree on candidates: %d vs %d", len(vec), len(got))
 	}
 }
 
@@ -440,13 +406,13 @@ func TestExecuteRankedPrefixTerms(t *testing.T) {
 // TestExecuteRankedEdgeCases: k<=0 and empty term sets return nothing; a
 // zero collection size stays finite via EffectiveCollectionSize.
 func TestExecuteRankedEdgeCases(t *testing.T) {
-	if got, err := ExecuteRanked(NewRankedBag([]string{"cat"}, ScoringVector, 0), Exec{Src: corpus, Total: 7}); err != nil || got != nil {
+	if got, err := ExecuteRanked(NewRankedBag([]string{"cat"}, 0), Exec{Src: corpus, Total: 7}); err != nil || got != nil {
 		t.Errorf("k=0: %v, %v", got, err)
 	}
-	if got, err := ExecuteRanked(NewRankedBag(nil, ScoringVector, 5), Exec{Src: corpus, Total: 7}); err != nil || got != nil {
+	if got, err := ExecuteRanked(NewRankedBag(nil, 5), Exec{Src: corpus, Total: 7}); err != nil || got != nil {
 		t.Errorf("empty bag: %v, %v", got, err)
 	}
-	got, err := ExecuteRanked(NewRankedBag([]string{"cat"}, ScoringBM25, 5), Exec{Src: corpus, Total: 0})
+	got, err := ExecuteRanked(NewRankedBag([]string{"cat"}, 5), Exec{Src: corpus, Total: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualindex/internal/postings"
@@ -18,9 +19,9 @@ var pruneVocab = []string{"a", "ab", "abc", "b", "ba", "c", "d", "e", "f", "g", 
 // skewedCase draws a pruning-regime case over documents 1..docs: Zipf
 // document frequencies, frequencies mostly 1 with a tenth at 2–3, and a
 // few hundred documents that copy another's postings in every list, so
-// scores tie at θ. The bag has 4–9 terms with non-integer weights and,
-// usually, "a" beside "a*", a plain term overlapping its own truncation.
-func skewedCase(r *rand.Rand, docs, k int, mode string) rankedCase {
+// scores tie at θ. The bag has 4–9 terms and, usually, "a" beside "a*", a
+// plain term overlapping its own truncation.
+func skewedCase(r *rand.Rand, docs, k int) rankedCase {
 	freq := make(map[string][]int, len(pruneVocab))
 	for i, w := range pruneVocab {
 		f := make([]int, docs+1)
@@ -51,14 +52,16 @@ func skewedCase(r *rand.Rand, docs, k int, mode string) rankedCase {
 		}
 		src.mapSource[w] = list
 	}
-	terms := map[string]float64{}
+	var terms []string
 	if r.Intn(4) != 0 {
-		terms["a"], terms["a*"] = 1, 0.5+r.Float64()
+		terms = append(terms, "a", "a*")
 	}
 	for len(terms) < 4+r.Intn(6) {
-		terms[pruneVocab[r.Intn(len(pruneVocab))]] = 0.05 + 3*r.Float64()
+		if w := pruneVocab[r.Intn(len(pruneVocab))]; !slices.Contains(terms, w) {
+			terms = append(terms, w)
+		}
 	}
-	pl := &Plan{Score: &ScorePlan{Mode: mode, Terms: terms, K: k}}
+	pl := &Plan{Score: newScorePlan(terms, k)}
 	return rankedCase{src: src, pl: pl, total: docs, docs: docs}
 }
 
@@ -77,37 +80,29 @@ func walkCost(t *testing.T, c rankedCase) (visited, total int) {
 // TestRankedPruningMatchesReference: with MaxScore pruning on, ranked
 // execution still returns exactly the reference's answer — documents,
 // order and == scores — on skewed lists over thousands of documents, for
-// k of 1, 10 and 100 under both scorings, as a bag, with a negative BM25
-// idf (a collection smaller than the lists), and under a matching
-// structure. Together the bags must visit at most half their postings, so
-// a walker that never prunes fails; and a hand-built case whose exact
-// score beats θ by two ulps where its bound, summed in another order,
-// falls below it, fails a walker that prunes without slack.
+// k of 1, 10 and 100, as a bag and under a matching structure. Together
+// the bags must visit at most half their postings, so a walker that never
+// prunes fails; and a hand-built case whose exact score beats θ by two ulps
+// where its bound, summed in another order, falls below it, fails a walker
+// that prunes without slack.
 func TestRankedPruningMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var visited, total int
-	for _, mode := range []string{ScoringVector, ScoringBM25} {
-		for _, k := range []int{1, 10, 100} {
-			for rep := 0; rep < 3; rep++ {
-				c := skewedCase(r, 4000, k, mode)
-				checkRankedCase(t, c)
-				v, n := walkCost(t, c)
-				visited, total = visited+v, total+n
-				if mode == ScoringBM25 {
-					neg := c
-					neg.total = c.docs / 4 // the longest lists have df > N
-					checkRankedCase(t, neg)
-				}
-				structured := c
-				structured.pl = &Plan{Root: randomPruneStep(r), Score: c.pl.Score}
-				checkRankedCase(t, structured)
-			}
+	for _, k := range []int{1, 10, 100} {
+		for rep := 0; rep < 3; rep++ {
+			c := skewedCase(r, 4000, k)
+			checkRankedCase(t, c)
+			v, n := walkCost(t, c)
+			visited, total = visited+v, total+n
+			structured := c
+			structured.pl = &Plan{Root: randomPruneStep(r), Score: c.pl.Score}
+			checkRankedCase(t, structured)
 		}
 	}
 	if 2*visited > total {
 		t.Errorf("the bags visited %d of their %d postings, want at most half", visited, total)
 	}
-	checkRankedCase(t, roundingCase(t))
+	checkRoundingCase(t)
 }
 
 // randomPruneStep is a matching structure over the skewed vocabulary
@@ -123,48 +118,34 @@ func randomPruneStep(r *rand.Rand) Step {
 	return DiffStep{L: PrefixStep{Prefix: "a"}, R: FetchStep{Word: pruneVocab[4+r.Intn(4)]}}
 }
 
-// roundingCase is a bag whose answer hangs on the pruning slack. With
-// k = 1, document 1 holds only "w" and sets θ = 1.25 + 2⁻⁵²; document 2
-// holds "z" (1.25) and four tiny terms "a"–"d" (2⁻⁵³ each), which are
-// non-essential under θ. Added in cursor order, document 2 scores
-// 1.25 + 2⁻⁵¹ and must win. Its bound, summed from "z" down, rounds each
-// tiny term away and reaches 1.25 < θ: a walker that trusts the bound
-// without slack drops the winner.
-func roundingCase(t *testing.T) rankedCase {
+// checkRoundingCase walks a bag whose answer hangs on the pruning slack,
+// its cursors opened by hand in cursor order. With k = 1, document 1 holds
+// only "w" and sets θ = 1.25 + 2⁻⁵²; document 2 holds "z" (1.25) and four
+// tiny terms "a"–"d" (2⁻⁵³ each), which are non-essential under θ. Added
+// in cursor order, document 2 scores 1.25 + 2⁻⁵¹ and must win. Its bound,
+// summed from "z" down, rounds each tiny term away and reaches 1.25 < θ: a
+// walker that trusts the bound without slack drops the winner.
+func checkRoundingCase(t *testing.T) {
 	t.Helper()
-	// One document in the collection and a df of 1 everywhere: every idf
-	// is ln 2 < 1, so every target below is some weight's exact product.
-	idf := math.Log(2)
-	weight := func(target float64) float64 {
-		w := target / idf
-		for i := 0; i < 64; i++ {
-			switch p := float64(w * idf); {
-			case p == target:
-				return w
-			case p < target:
-				w = math.Nextafter(w, math.Inf(1))
-			default:
-				w = math.Nextafter(w, 0)
-			}
-		}
-		t.Fatalf("no weight gives %v", target)
-		return 0
-	}
 	tiny := math.Ldexp(1, -53)
-	terms := map[string]float64{"w": weight(1.25 + 2*tiny), "z": weight(1.25)}
-	src := prefixSource{mapSource{"w": {1}, "z": {2}}}
-	for _, w := range []string{"a", "b", "c", "d"} {
-		terms[w] = weight(tiny)
-		src.mapSource[w] = []postings.DocID{2}
+	curs := []cursor{
+		{docs: []postings.DocID{2}, score: tiny},          // a
+		{docs: []postings.DocID{2}, score: tiny},          // b
+		{docs: []postings.DocID{2}, score: tiny},          // c
+		{docs: []postings.DocID{2}, score: tiny},          // d
+		{docs: []postings.DocID{1}, score: 1.25 + 2*tiny}, // w
+		{docs: []postings.DocID{2}, score: 1.25},          // z
 	}
-	pl := &Plan{Score: &ScorePlan{Mode: ScoringVector, Terms: terms, K: 1}}
-	return rankedCase{src: src, pl: pl, total: 1, docs: 2}
+	got, _ := rank(curs, 1, 6, nil)
+	if want := []Match{{Doc: 2, Score: 1.25 + 4*tiny}}; !slices.Equal(got, want) {
+		t.Errorf("rounding case ranked %v, want %v", got, want)
+	}
 }
 
 // FuzzRankedPruning is TestRankedPruningMatchesReference's property over
-// fuzzed seeds: a skewed case of up to 1,500 documents, as a bag, with a
-// negative BM25 idf or under a matching structure, and k below its
-// candidate count, so the heap fills and pruning starts. `make check`
+// fuzzed seeds: a skewed case of up to 1,500 documents, as a bag or under
+// a matching structure, and k below its candidate count, so the heap fills
+// and pruning starts. `make check`
 // gives it a short live burst.
 func FuzzRankedPruning(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 3, 42, 1994, -7} {
@@ -172,16 +153,9 @@ func FuzzRankedPruning(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		mode := ScoringVector
-		if r.Intn(2) == 0 {
-			mode = ScoringBM25
-		}
 		docs := 50 + r.Intn(1450)
-		c := skewedCase(r, docs, docs+1, mode)
-		switch r.Intn(3) {
-		case 0:
-			c.total = 1 + r.Intn(docs)
-		case 1:
+		c := skewedCase(r, docs, docs+1)
+		if r.Intn(2) == 0 {
 			c.pl = &Plan{Root: randomPruneStep(r), Score: c.pl.Score}
 		}
 		all, err := referenceRanked(c.pl, Exec{Src: c.src, Total: c.total})
@@ -232,7 +206,7 @@ func BenchmarkExecuteRankedBag(b *testing.B) {
 			}
 			words = append(words, w)
 		}
-		plans[i] = NewRankedBag(words, ScoringVector, 10)
+		plans[i] = NewRankedBag(words, 10)
 		all = append(all, words...)
 	}
 	pre, err := Prefetch(all, src, 1)

@@ -234,7 +234,7 @@ func TestQuickParseRoundtrip(t *testing.T) {
 }
 
 func TestEvalVector(t *testing.T) {
-	q := FromDocument([]string{"cat", "mouse"})
+	q := []string{"cat", "mouse"}
 	matches, err := EvalVector(q, corpus, 7, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestEvalVector(t *testing.T) {
 		}
 	}
 	// Rarer words carry higher idf: "bird" (1 doc) outweighs "cat" (4 docs).
-	q2 := VectorQuery{Terms: map[string]float64{"bird": 1, "cat": 1}}
+	q2 := []string{"bird", "cat"}
 	m2, err := EvalVector(q2, corpus, 7, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestEvalVector(t *testing.T) {
 }
 
 func TestEvalVectorTopK(t *testing.T) {
-	q := FromDocument([]string{"cat", "dog", "mouse"})
+	q := []string{"cat", "dog", "mouse"}
 	m, err := EvalVector(q, corpus, 7, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -275,14 +275,14 @@ func TestEvalVectorTopK(t *testing.T) {
 	if m0, _ := EvalVector(q, corpus, 7, 0); m0 != nil {
 		t.Error("k=0 returned matches")
 	}
-	if me, _ := EvalVector(VectorQuery{}, corpus, 7, 5); me != nil {
+	if me, _ := EvalVector(nil, corpus, 7, 5); me != nil {
 		t.Error("empty query returned matches")
 	}
 }
 
 func TestEvalVectorDeterministicTies(t *testing.T) {
 	// Docs 1 and 3 both contain only "cat": equal scores, ascending id order.
-	q := FromDocument([]string{"cat"})
+	q := []string{"cat"}
 	m, err := EvalVector(q, corpus, 7, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,7 @@ type rankedCase struct {
 
 // randomRankedCase draws a case: random lists with freqs 1–3, where some
 // documents copy another's postings in every list (forcing score ties); up
-// to 9 scoring terms with non-integer weights under either scoring; k from 1
-// to past the candidate count; and, half the time, a random matching
+// to 9 scoring terms; k from 1 to past the candidate count; and, half the time, a random matching
 // structure that may select documents no scoring term touches.
 func randomRankedCase(r *rand.Rand) rankedCase {
 	n := 1 + r.Intn(60)
@@ -62,19 +61,11 @@ func randomRankedCase(r *rand.Rand) rankedCase {
 		src.mapSource[w] = docs
 	}
 
-	mode := ScoringVector
-	if r.Intn(2) == 0 {
-		mode = ScoringBM25
-	}
-	terms := map[string]float64{}
+	var terms []string
 	for i := 1 + r.Intn(9); i > 0; i-- {
-		weight := 1.0
-		if r.Intn(4) != 0 {
-			weight = 0.05 + 3*r.Float64()
-		}
-		terms[rankTerms[r.Intn(len(rankTerms))]] = weight
+		terms = append(terms, rankTerms[r.Intn(len(rankTerms))])
 	}
-	pl := &Plan{Score: &ScorePlan{Mode: mode, Terms: terms, K: 1 + r.Intn(n+5)}}
+	pl := &Plan{Score: newScorePlan(terms, 1+r.Intn(n+5))}
 	if r.Intn(2) == 0 {
 		pl.Root = randomStep(r, 3)
 	}
@@ -131,7 +122,7 @@ func checkRankedCase(t *testing.T, c rankedCase) {
 // TestRankedMatchesReference: document-at-a-time execution into a k-heap
 // returns exactly the reference's term-at-a-time map-and-sort answer — the
 // same documents, in the same order, with bit-identical scores — over random
-// lists, both scorings, overlapping truncations, forced ties, every k and
+// lists, overlapping truncations, forced ties, every k and
 // matching structures. It also checks that the draw reaches the cases that
 // matter.
 func TestRankedMatchesReference(t *testing.T) {
@@ -155,8 +146,8 @@ func TestRankedMatchesReference(t *testing.T) {
 				zeroScored++
 			}
 		}
-		for term := range c.pl.Score.Terms {
-			if _, ok := c.pl.Score.Terms[term[:1]+"*"]; ok && term[len(term)-1] != '*' {
+		for _, term := range c.pl.Score.Terms {
+			if slices.Contains(c.pl.Score.Terms, term[:1]+"*") && term[len(term)-1] != '*' {
 				prefixOverlap++
 			}
 		}
@@ -201,8 +192,8 @@ func TestExecuteRankedAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		env := Exec{Src: pre, Total: 4 * n}
-		bagPlan := NewRankedBag(words, ScoringVector, 10)
-		rootPlan := &Plan{Root: FetchStep{Word: "a"}, Score: &ScorePlan{Mode: ScoringBM25, Terms: bagPlan.Score.Terms, K: 10}}
+		bagPlan := NewRankedBag(words, 10)
+		rootPlan := &Plan{Root: FetchStep{Word: "a"}, Score: bagPlan.Score}
 		run := func(pl *Plan) float64 {
 			return testing.AllocsPerRun(10, func() {
 				if _, err := ExecuteRanked(pl, env); err != nil {
@@ -243,13 +234,13 @@ func BenchmarkExecuteRankedWide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	terms := map[string]float64{"x": 1, "y*": 1}
+	terms := []string{"x", "y*"}
 	x, y := FetchStep{Word: "x"}, PrefixStep{Prefix: "y"}
 	for _, c := range []struct {
 		name string
 		root Step
 	}{{"and", IntersectStep{L: x, R: y}}, {"or", UnionStep{L: x, R: y}}, {"bag", nil}} {
-		pl := &Plan{Root: c.root, Score: &ScorePlan{Mode: ScoringVector, Terms: terms, K: 10}}
+		pl := &Plan{Root: c.root, Score: &ScorePlan{Terms: terms, K: 10}}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ExecuteRanked(pl, Exec{Src: pre, Total: 20_000}); err != nil {

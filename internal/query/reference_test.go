@@ -113,32 +113,20 @@ func eval(e Expr, src Source) (result, error) {
 	return result{}, fmt.Errorf("query: unknown expression %T", e)
 }
 
-// VectorQuery is a weighted bag of words.
-type VectorQuery struct {
-	Terms map[string]float64 // word → query weight
-}
-
-// FromDocument builds a vector query from document text tokens: each
-// distinct word gets weight 1.
-func FromDocument(words []string) VectorQuery {
-	q := VectorQuery{Terms: make(map[string]float64, len(words))}
-	for _, w := range words {
-		q.Terms[w] = 1
-	}
-	return q
-}
-
-// EvalVector scores documents against q with tf·idf and returns the top k
-// matches, highest score first (ties broken by ascending document id).
-// Only documents containing at least one query word are scored.
-func EvalVector(q VectorQuery, src Source, totalDocs int, k int) ([]Match, error) {
-	return referenceRanked(&Plan{Score: &ScorePlan{Mode: ScoringVector, Terms: q.Terms, K: k}},
+// EvalVector scores documents against the distinct words of a query
+// document with tf·idf and returns the top k matches, highest score first
+// (ties broken by ascending document id). Only documents containing at
+// least one query word are scored.
+func EvalVector(words []string, src Source, totalDocs int, k int) ([]Match, error) {
+	terms := slices.Clone(words)
+	slices.Sort(terms)
+	return referenceRanked(&Plan{Score: &ScorePlan{Terms: slices.Compact(terms), K: k}},
 		Exec{Src: src, Total: totalDocs})
 }
 
 // referenceRanked is ExecuteRanked term-at-a-time: every scoring list folds
-// into one map accumulator, terms in sorted order (so scores are exact for a
-// bag of any size), and every candidate is sorted to keep k.
+// into one map accumulator, terms in plan order (sorted, so scores are exact
+// for a bag of any size), and every candidate is sorted to keep k.
 func referenceRanked(pl *Plan, env Exec) ([]Match, error) {
 	sp := pl.Score
 	if sp.K <= 0 || len(sp.Terms) == 0 {
@@ -146,12 +134,7 @@ func referenceRanked(pl *Plan, env Exec) ([]Match, error) {
 	}
 	total := EffectiveCollectionSize(env.Total)
 	scores := map[postings.DocID]float64{}
-	terms := make([]string, 0, len(sp.Terms))
-	for term := range sp.Terms {
-		terms = append(terms, term)
-	}
-	slices.Sort(terms)
-	for _, term := range terms {
+	for _, term := range sp.Terms {
 		words := []string{term}
 		if p, ok := strings.CutSuffix(term, "*"); ok {
 			ps, ok := env.Src.(PrefixSource)
@@ -165,7 +148,7 @@ func referenceRanked(pl *Plan, env Exec) ([]Match, error) {
 			if err != nil {
 				return nil, err
 			}
-			scoreList(scores, list, sp.Terms[term], sp.Mode, total)
+			scoreList(scores, list, total)
 		}
 	}
 	if pl.Root == nil {
@@ -182,28 +165,17 @@ func referenceRanked(pl *Plan, env Exec) ([]Match, error) {
 	return topMatches(out, sp.K), nil
 }
 
-// scoreList folds one term's inverted list into the score accumulator under
-// the given model, each posting with tf 1 (the index records word sets).
-// totalDocs must already be clamped by EffectiveCollectionSize.
-func scoreList(scores map[postings.DocID]float64, list *postings.List, weight float64, mode string, totalDocs int) {
-	df := list.Len()
-	if df == 0 {
+// scoreList folds one term's inverted list into the score accumulator: each
+// document on it gains the term's idf, ln(1 + N/df) (the index records word
+// sets, so tf is 1). totalDocs must already be clamped by
+// EffectiveCollectionSize.
+func scoreList(scores map[postings.DocID]float64, list *postings.List, totalDocs int) {
+	if list.Len() == 0 {
 		return
 	}
-	switch mode {
-	case ScoringBM25:
-		idf := math.Log(1 + (float64(totalDocs)-float64(df)+0.5)/(float64(df)+0.5))
-		norm := BM25K1 * (1 - BM25B + BM25B*1)
-		for _, d := range list.Docs() {
-			tf := 1.0
-			scores[d] += weight * idf * tf * (BM25K1 + 1) / (tf + norm)
-		}
-	default: // ScoringVector
-		idf := math.Log(1 + float64(totalDocs)/float64(df))
-		for _, d := range list.Docs() {
-			tf := 1.0
-			scores[d] += float64(weight * tf * idf)
-		}
+	idf := math.Log(1 + float64(totalDocs)/float64(list.Len()))
+	for _, d := range list.Docs() {
+		scores[d] += idf
 	}
 }
 

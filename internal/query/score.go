@@ -2,7 +2,6 @@ package query
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"slices"
 
@@ -21,45 +20,20 @@ import (
 // walk and are only sought for the documents the others propose. A
 // document that is scored at all is scored exactly as without pruning.
 //
-// Both scoring models score a document by summing, over the query's positive
-// leaf terms, a per-term contribution built from the term's document
+// A ranked score is the paper's vector-space model with tf·idf weights: a
+// document's score is the sum, over the query's positive leaf terms it
+// holds, of each term's idf = ln(1 + N/df), df being the term's document
 // frequency (shard-local, the standard distributed-retrieval approximation)
-// and the posting's within-document frequency. The index records word sets,
-// so that frequency is 1 and a term adds the same contribution to every
-// document on its list. The models differ only in the idf and tf shaping,
-// so either runs from the same plan.
-const (
-	// ScoringVector is the paper's vector-space model: tf·idf with
-	// tf = 1 + ln(freq), which is 1 for every posting, and idf = ln(1 + N/df).
-	ScoringVector = "vector"
-	// ScoringBM25 is Okapi BM25: idf = ln(1 + (N − df + 0.5)/(df + 0.5)),
-	// tf saturation tf·(k1+1)/(tf + k1·(1 − b + b·dl/avgdl)). The
-	// abstracts-style index stores word sets, not document lengths, so
-	// dl/avgdl is taken as 1 — b's length normalization is neutral.
-	ScoringBM25 = "bm25"
-)
+// and N the collection size. The index records word sets, so every
+// posting's frequency is 1, its tf = 1 + ln 1 is 1, and a term adds its idf
+// to every document on its list.
 
-// BM25 parameter defaults (the conventional values).
-const (
-	BM25K1 = 1.2
-	BM25B  = 0.75
-)
-
-// ParseScoring resolves a scoring-mode name; "" selects the vector model.
-func ParseScoring(s string) (string, error) {
-	switch s {
-	case "", ScoringVector:
-		return ScoringVector, nil
-	case ScoringBM25:
-		return ScoringBM25, nil
-	}
-	return "", fmt.Errorf("query: unknown scoring %q (want %q or %q)", s, ScoringVector, ScoringBM25)
-}
+// ScoringVector names the vector-space model in PlanOptions.Scoring.
+const ScoringVector = "vector"
 
 // EffectiveCollectionSize clamps a collection size to at least one document
-// — the single home of the empty-collection idf guard, so the vector model
-// and BM25 cannot diverge on the edge case: ln(1 + N/df) and the BM25 idf
-// both stay finite and non-negative for every df ≥ 1 once N ≥ 1.
+// — the single home of the empty-collection idf guard: ln(1 + N/df) stays
+// finite and positive for every df ≥ 1 once N ≥ 1.
 func EffectiveCollectionSize(total int) int {
 	if total < 1 {
 		return 1
@@ -73,33 +47,22 @@ type Match struct {
 	Score float64
 }
 
-// bm25Norm is BM25's length denominator term k1·(1 − b + b·dl/avgdl) with
-// dl/avgdl ≈ 1: no document lengths are stored, so it reduces to k1 itself.
-const bm25Norm = BM25K1 * (1 - BM25B + BM25B*1)
-
 // A cursor walks one scoring list in ascending document order. The executor
 // keeps one per list it scores — a word reached twice, say as a plain term
 // and through a truncation, gets two — and a document's score is the sum of
-// the contributions of the cursors positioned on it, added in cursor order
-// starting from 0. That order is the terms' sorted order: float addition is
-// not associative, so a fixed order is what pins every score bit for bit,
-// run to run and across flush placements.
+// the idfs of the cursors positioned on it, added in cursor order starting
+// from 0. That order is the terms' sorted order: float addition is not
+// associative, so a fixed order is what pins every score bit for bit, run
+// to run and across flush placements.
 type cursor struct {
 	docs  []postings.DocID // unread postings; docs[0] is the current one
-	score float64          // the contribution to every document on the list
+	score float64          // the list's idf, added to every document on it
 }
 
-// newCursor opens a cursor over a non-empty list under the given model.
-// totalDocs must already be clamped by EffectiveCollectionSize.
-func newCursor(list *postings.List, weight float64, mode string, totalDocs int) cursor {
-	df := float64(list.Len())
-	var idf float64
-	if mode == ScoringBM25 {
-		idf = math.Log(1 + (float64(totalDocs)-df+0.5)/(df+0.5))
-	} else { // ScoringVector
-		idf = math.Log(1 + float64(totalDocs)/df)
-	}
-	return cursor{docs: list.Docs(), score: contribution(weight, idf, mode == ScoringBM25)}
+// newCursor opens a cursor over a non-empty list. totalDocs must already be
+// clamped by EffectiveCollectionSize.
+func newCursor(list *postings.List, totalDocs int) cursor {
+	return cursor{docs: list.Docs(), score: math.Log(1 + float64(totalDocs)/float64(list.Len()))}
 }
 
 // bound returns the most the cursor's unread postings add to any score,
@@ -138,19 +101,6 @@ func (c *cursor) seek(doc postings.DocID) bool {
 		c.docs = docs
 	}
 	return len(docs) > 0 && docs[0] == doc
-}
-
-// contribution is a term's share of the score of a document holding it,
-// from the term's query weight and idf: every posting's frequency is 1. The
-// explicit conversion rounds the product before the caller adds it, so no
-// platform fuses the multiply into that addition.
-func contribution(weight, idf float64, bm25 bool) float64 {
-	tf := 1.0
-	if bm25 {
-		return weight * idf * tf * (BM25K1 + 1) / (tf + bm25Norm)
-	}
-	tf = 1 + math.Log(tf)
-	return float64(weight * tf * idf)
 }
 
 // topK keeps the k best matches offered to it, in compareMatches order, in
@@ -206,21 +156,21 @@ func (t *topK) ranked() []Match {
 // strictly above θ, since the walk offers in ascending document order and
 // ties go to the lower document.
 //
-// ranks orders the cursors for pruning by their contribution, clamped at
-// 0. The order is drawn only as far as pruning reaches. ranks[:bounded]
-// carry running sums of their cursors' bounds, each taken when the cursor
-// is drawn; the rest are unordered.
+// ranks orders the cursors for pruning by their idf, clamped at 0. The
+// order is drawn only as far as pruning reaches. ranks[:bounded] carry
+// running sums of their cursors' bounds, each taken when the cursor is
+// drawn; the rest are unordered.
 // ranks[:m] are the non-essential cursors: their bounds sum below limit,
 // so a document only they hold cannot beat θ. The walk no longer drives
 // them but seeks them for the documents the essential cursors propose. θ
 // only rises, so m only grows.
 //
-// A bound adds only positive contributions; a score's negative ones can
-// only lower it. With c cursors on a document, its score, rounded in any
-// order, is at most 1 + c·2⁻⁵³ times the exact sum of its positive
-// contributions, and a rounded bound at least 1 − c·2⁻⁵³ times its exact
-// sum. limit is θ less a relative slack of 1e-9, so for any c below ten
-// million a document whose bound falls below limit scores below θ.
+// A bound adds only positive idfs; every idf is positive, and the clamp
+// keeps a NaN out of the sums. With c cursors on a document, its score,
+// rounded in any order, is at most 1 + c·2⁻⁵³ times the exact sum of its
+// idfs, and a rounded bound at least 1 − c·2⁻⁵³ times its exact sum. limit
+// is θ less a relative slack of 1e-9, so for any c below ten million a
+// document whose bound falls below limit scores below θ.
 type maxScore struct {
 	ranks   []boundSum
 	bounded int
@@ -327,7 +277,7 @@ func (ms *maxScore) extend(curs []cursor) {
 // first, and drops doc as soon as its bound falls below limit. Otherwise
 // it returns doc's exact score: every hit added in cursor order from 0,
 // as the walk adds them when nothing is pruned. The bound counts only
-// positive contributions, so it holds whatever their signs.
+// positive idfs, as the cursors' bounds do.
 func (ms *maxScore) complete(curs []cursor, doc postings.DocID, e float64, hits []hit) (float64, bool) {
 	bound := 0.0
 	for _, h := range hits {

@@ -9,7 +9,7 @@ import "dualindex/internal/postings"
 // the one Source the executor, the prefetcher and the scorer already
 // consume, so ExecuteMatch and ExecuteRanked see a single merged inverted
 // list per word and need no tier awareness of their own: boolean steps,
-// positional pruning, tf·idf and BM25 all operate on the merged lists, and
+// positional pruning and tf·idf scoring all operate on the merged lists, and
 // the per-shard answers that reach the cross-shard k-way merge are already
 // deduplicated.
 

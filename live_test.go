@@ -14,12 +14,11 @@ import (
 
 // liveEngine opens an in-memory engine that keeps documents. live sets
 // Options.LiveSearch, which has no effect; callers still pass it.
-func liveEngine(t *testing.T, live bool, scoring string, shards int) *Engine {
+func liveEngine(t *testing.T, live bool, shards int) *Engine {
 	t.Helper()
 	eng, err := Open(Options{
 		KeepDocuments: true,
 		LiveSearch:    live,
-		Scoring:       scoring,
 		Shards:        shards,
 		Buckets:       8,
 		BucketSize:    128,
@@ -69,60 +68,57 @@ func liveAnswers(t *testing.T, eng *Engine) map[string]any {
 }
 
 // TestLiveSearchImmediateVisibility: a document is returned by every query
-// kind — under either scoring, on one shard or several — immediately after
-// AddDocument, and the answers are deep-equal to the ones the same engine
-// gives after flushing.
+// kind — on one shard or several — immediately after AddDocument, and the
+// answers are deep-equal to the ones the same engine gives after flushing.
 func TestLiveSearchImmediateVisibility(t *testing.T) {
-	for _, scoring := range []string{ScoringVector, ScoringBM25} {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", scoring, shards), func(t *testing.T) {
-				eng := liveEngine(t, true, scoring, shards)
-				defer eng.Close()
-				// On three shards, filler puts the flushed background on
-				// shard 0 and the pending documents on shard 1.
-				if shards > 1 {
-					addFiller(t, eng, shardSpan-2)
-				}
-				// A flushed background so the on-disk tier participates too.
-				eng.AddDocument("brown bears hibernate slowly")
-				eng.AddDocument("Subject: quick note\n\nunrelated body text")
-				if _, err := eng.FlushBatch(); err != nil {
-					t.Fatal(err)
-				}
-				target := eng.AddDocument("Subject: market update\n\nthe quick brown fox jumps over markets")
-				eng.AddDocument("another pending document about foxes")
-				if shards > 1 {
-					requireShardsHoldDocs(t, eng)
-				}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%s/shards=%d", ScoringVector, shards), func(t *testing.T) {
+			eng := liveEngine(t, true, shards)
+			defer eng.Close()
+			// On three shards, filler puts the flushed background on
+			// shard 0 and the pending documents on shard 1.
+			if shards > 1 {
+				addFiller(t, eng, shardSpan-2)
+			}
+			// A flushed background so the on-disk tier participates too.
+			eng.AddDocument("brown bears hibernate slowly")
+			eng.AddDocument("Subject: quick note\n\nunrelated body text")
+			if _, err := eng.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			target := eng.AddDocument("Subject: market update\n\nthe quick brown fox jumps over markets")
+			eng.AddDocument("another pending document about foxes")
+			if shards > 1 {
+				requireShardsHoldDocs(t, eng)
+			}
 
-				pre := liveAnswers(t, eng)
-				for _, kind := range []string{"boolean", "prefix", "phrase", "near", "region"} {
-					docs := pre[kind].([]DocID)
-					found := false
-					for _, d := range docs {
-						found = found || d == target
-					}
-					if !found {
-						t.Errorf("%s: pending doc %d missing from %v", kind, target, docs)
-					}
-				}
+			pre := liveAnswers(t, eng)
+			for _, kind := range []string{"boolean", "prefix", "phrase", "near", "region"} {
+				docs := pre[kind].([]DocID)
 				found := false
-				for _, m := range pre["ranked"].([]Match) {
-					found = found || m.Doc == target
+				for _, d := range docs {
+					found = found || d == target
 				}
 				if !found {
-					t.Errorf("ranked: pending doc %d missing from %v", target, pre["ranked"])
+					t.Errorf("%s: pending doc %d missing from %v", kind, target, docs)
 				}
+			}
+			found := false
+			for _, m := range pre["ranked"].([]Match) {
+				found = found || m.Doc == target
+			}
+			if !found {
+				t.Errorf("ranked: pending doc %d missing from %v", target, pre["ranked"])
+			}
 
-				if _, err := eng.FlushBatch(); err != nil {
-					t.Fatal(err)
-				}
-				post := liveAnswers(t, eng)
-				if !reflect.DeepEqual(pre, post) {
-					t.Errorf("answers changed across the flush:\n pre:  %v\n post: %v", pre, post)
-				}
-			})
-		}
+			if _, err := eng.FlushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			post := liveAnswers(t, eng)
+			if !reflect.DeepEqual(pre, post) {
+				t.Errorf("answers changed across the flush:\n pre:  %v\n post: %v", pre, post)
+			}
+		})
 	}
 }
 
@@ -218,8 +214,8 @@ func liveInvarianceDoc(r *rand.Rand) string {
 // TestFlushInvarianceProperty is the flush-invariance property test: one
 // fixed (seeded) document sequence, queried with the same unified-language
 // workload under several flush schedules — never, every document, every
-// third, every seventh, end only — must give identical Engine.Query answers
-// under both scorings. Flushing is a durability event, not a semantic one.
+// third, every seventh, end only — must give identical Engine.Query answers.
+// Flushing is a durability event, not a semantic one.
 func TestFlushInvarianceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	docs := make([]string, 48)
@@ -237,39 +233,37 @@ func TestFlushInvarianceProperty(t *testing.T) {
 	}
 	schedules := map[string]int{"never": 0, "every": 1, "third": 3, "seventh": 7, "end": len(docs)}
 
-	for _, scoring := range []string{ScoringVector, ScoringBM25} {
-		baseline := map[string][]Match{}
-		for name, every := range schedules {
-			eng := liveEngine(t, true, scoring, 2)
-			// Filler puts the documents across the boundary of shard 0's
-			// span.
-			addFiller(t, eng, shardSpan-len(docs)/2)
-			for i, d := range docs {
-				eng.AddDocument(d)
-				if every > 0 && (i+1)%every == 0 {
-					if _, err := eng.FlushBatch(); err != nil {
-						t.Fatal(err)
-					}
+	baseline := map[string][]Match{}
+	for name, every := range schedules {
+		eng := liveEngine(t, true, 2)
+		// Filler puts the documents across the boundary of shard 0's
+		// span.
+		addFiller(t, eng, shardSpan-len(docs)/2)
+		for i, d := range docs {
+			eng.AddDocument(d)
+			if every > 0 && (i+1)%every == 0 {
+				if _, err := eng.FlushBatch(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			requireShardsHoldDocs(t, eng)
-			for _, q := range queries {
-				got, err := eng.Query(q, 20)
-				if err != nil {
-					t.Fatalf("%s: %v", q, err)
-				}
-				want, pinned := baseline[q]
-				if !pinned {
-					baseline[q] = got
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %q: schedule %s answered %v, baseline answered %v",
-						scoring, q, name, got, want)
-				}
-			}
-			eng.Close()
 		}
+		requireShardsHoldDocs(t, eng)
+		for _, q := range queries {
+			got, err := eng.Query(q, 20)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			want, pinned := baseline[q]
+			if !pinned {
+				baseline[q] = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: schedule %s answered %v, baseline answered %v",
+					q, name, got, want)
+			}
+		}
+		eng.Close()
 	}
 }
 
@@ -277,7 +271,7 @@ func TestFlushInvarianceProperty(t *testing.T) {
 // ShardStats report the unflushed volume, and a flush drains the counts to
 // zero.
 func TestStatsPendingCounts(t *testing.T) {
-	eng := liveEngine(t, false, ScoringVector, 2)
+	eng := liveEngine(t, false, 2)
 	defer eng.Close()
 	// Filler puts the two pending documents on different shards.
 	addFiller(t, eng, shardSpan-1)
@@ -318,7 +312,7 @@ func TestStatsPendingCounts(t *testing.T) {
 // TestLiveSearchDeletePending pins the deletion view across tiers: deleting
 // a pending document removes it from live answers immediately.
 func TestLiveSearchDeletePending(t *testing.T) {
-	eng := liveEngine(t, false, ScoringVector, 1)
+	eng := liveEngine(t, false, 1)
 	defer eng.Close()
 	keep := eng.AddDocument("shared words here")
 	gone := eng.AddDocument("shared words there")

@@ -91,16 +91,11 @@ const (
 	BackendFile = "file"
 )
 
-// Ranked-retrieval scoring models (Options.Scoring).
-const (
-	// ScoringVector is the paper's vector-space model: tf·idf with
-	// tf = 1 + ln(freq) and idf = ln(1 + N/df). The index records word
-	// sets, so freq and tf are 1. The default.
-	ScoringVector = query.ScoringVector
-	// ScoringBM25 is Okapi BM25 (k1 = 1.2, b = 0.75; document lengths are
-	// not stored, so b's length normalization is neutral).
-	ScoringBM25 = query.ScoringBM25
-)
+// ScoringVector names the paper's vector-space model, the one ranking Query
+// and SearchVector use: a document scores the sum of idf = ln(1 + N/df)
+// over the query terms it holds (tf·idf with tf = 1, since the index
+// records word sets).
+const ScoringVector = query.ScoringVector
 
 // Long-list block codecs (Options.Codec).
 const (
@@ -172,11 +167,6 @@ type Options struct {
 	Codec string
 	// Lexer tokenization options (zero value = the paper's rules).
 	Lexer lexer.Options
-	// Scoring selects the ranked-retrieval model used by Query and
-	// SearchVector: ScoringVector (the default) or ScoringBM25. Scoring is a
-	// query-time choice — both models read the same index, so it can differ
-	// between engines opened on the same directory.
-	Scoring string
 	// KeepDocuments stores the original document text (in memory, or in a
 	// docs.log per shard directory for persistent engines), enabling
 	// Document retrieval and positional queries: SearchPhrase, and phrases,
@@ -252,9 +242,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = o.NumDisks
 	}
-	if o.Scoring == "" {
-		o.Scoring = ScoringVector
-	}
 	return o
 }
 
@@ -270,11 +257,6 @@ func (o Options) validateStorage() error {
 	case "", CodecRaw, CodecVarint, CodecGolomb:
 	default:
 		return fmt.Errorf("dualindex: unknown codec %q (want %q, %q or %q)", o.Codec, CodecRaw, CodecVarint, CodecGolomb)
-	}
-	switch o.Scoring {
-	case "", ScoringVector, ScoringBM25:
-	default:
-		return fmt.Errorf("dualindex: unknown scoring %q (want %q or %q)", o.Scoring, ScoringVector, ScoringBM25)
 	}
 	if o.Backend == BackendFile && o.Dir == "" {
 		return fmt.Errorf("dualindex: backend %q needs Options.Dir", BackendFile)

@@ -6,14 +6,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"dualindex/internal/query"
 )
 
 // Acceptance tests for the unified query pipeline: Engine.Query runs the
 // whole language (boolean structure, phrases, proximity, regions,
-// truncation, ranked bags) through parse→plan→execute, under both scoring
-// models, and the five legacy entry points are thin wrappers over the same
+// truncation, ranked bags) through parse→plan→execute, and the five legacy entry points are thin wrappers over the same
 // pipeline with their original results.
 
 // pipelineCorpus is a small hand-built corpus with known positions and
@@ -88,58 +85,55 @@ func sortedDocs(ms []Match) string {
 }
 
 // TestQueryUnifiedAcceptance: one compound query mixing a phrase, boolean
-// structure and truncation, evaluated under both scoring models.
+// structure and truncation, ranked by the vector model.
 func TestQueryUnifiedAcceptance(t *testing.T) {
-	for _, scoring := range []string{ScoringVector, ScoringBM25} {
-		t.Run(scoring, func(t *testing.T) {
-			opts := smallOpts(2)
-			opts.KeepDocuments = true
-			opts.Scoring = scoring
-			eng := pipelineEngine(t, opts)
+	t.Run(ScoringVector, func(t *testing.T) {
+		opts := smallOpts(2)
+		opts.KeepDocuments = true
+		eng := pipelineEngine(t, opts)
 
-			// "white mouse" matches only doc 1 (title-adjacent); ∧cat keeps
-			// it; ∨bir* adds doc 4.
-			ms, err := eng.Query(`"white mouse" and cat or bir*`, 10)
-			if err != nil {
-				t.Fatal(err)
+		// "white mouse" matches only doc 1 (title-adjacent); ∧cat keeps
+		// it; ∨bir* adds doc 4.
+		ms, err := eng.Query(`"white mouse" and cat or bir*`, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sortedDocs(ms), pipelineDocs(2, 1, 4); got != want {
+			t.Fatalf("Query = %v (docs %s), want docs %s", ms, got, want)
+		}
+		for i, m := range ms {
+			if m.Score <= 0 {
+				t.Errorf("match %d score = %v, want > 0", i, m.Score)
 			}
-			if got, want := sortedDocs(ms), pipelineDocs(2, 1, 4); got != want {
-				t.Fatalf("Query = %v (docs %s), want docs %s", ms, got, want)
+			if i > 0 && ms[i-1].Score < m.Score {
+				t.Errorf("matches not score-descending: %v", ms)
 			}
-			for i, m := range ms {
-				if m.Score <= 0 {
-					t.Errorf("match %d score = %v, want > 0", i, m.Score)
-				}
-				if i > 0 && ms[i-1].Score < m.Score {
-					t.Errorf("matches not score-descending: %v", ms)
-				}
-			}
+		}
 
-			// Proximity and region leaves compose with the algebra too.
-			ms, err = eng.Query("white near/2 mouse and not title:mouse", 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// near/2 gives {1,3} (doc 2 has white@0 and mouse@3, outside the
-			// window); title:mouse then removes doc 1.
-			if got, want := sortedDocs(ms), pipelineDocs(2, 3); got != want {
-				t.Fatalf("near∧¬region = %v (docs %s), want docs %s", ms, got, want)
-			}
+		// Proximity and region leaves compose with the algebra too.
+		ms, err = eng.Query("white near/2 mouse and not title:mouse", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// near/2 gives {1,3} (doc 2 has white@0 and mouse@3, outside the
+		// window); title:mouse then removes doc 1.
+		if got, want := sortedDocs(ms), pipelineDocs(2, 3); got != want {
+			t.Fatalf("near∧¬region = %v (docs %s), want docs %s", ms, got, want)
+		}
 
-			// A bare word list ranks as a bag: every cat-or-dance document.
-			ms, err = eng.Query("cat dance", 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := sortedDocs(ms), pipelineDocs(2, 1, 2, 4); got != want {
-				t.Fatalf("bag = %v (docs %s), want docs %s", ms, got, want)
-			}
-			// Doc 1 holds both words and must outrank the single-word docs.
-			if got, want := fmt.Sprint([]DocID{ms[0].Doc}), pipelineDocs(2, 1); got != want {
-				t.Errorf("bag top doc = %s, want %s", got, want)
-			}
-		})
-	}
+		// A bare word list ranks as a bag: every cat-or-dance document.
+		ms, err = eng.Query("cat dance", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sortedDocs(ms), pipelineDocs(2, 1, 2, 4); got != want {
+			t.Fatalf("bag = %v (docs %s), want docs %s", ms, got, want)
+		}
+		// Doc 1 holds both words and must outrank the single-word docs.
+		if got, want := fmt.Sprint([]DocID{ms[0].Doc}), pipelineDocs(2, 1); got != want {
+			t.Errorf("bag top doc = %s, want %s", got, want)
+		}
+	})
 }
 
 // TestQueryWrapperEquivalence: each legacy entry point returns exactly what
@@ -223,61 +217,6 @@ func TestQueryPendingTier(t *testing.T) {
 	}
 }
 
-// TestScoringOption pins Options.Scoring: the default is the vector model,
-// BM25 changes scores (not candidates), and junk is rejected at Open.
-func TestScoringOption(t *testing.T) {
-	if got := (Options{}).withDefaults().Scoring; got != ScoringVector {
-		t.Errorf("default Scoring = %q, want %q", got, ScoringVector)
-	}
-	if _, err := Open(Options{Scoring: "pagerank"}); err == nil ||
-		!strings.Contains(err.Error(), `unknown scoring "pagerank"`) {
-		t.Fatalf("Open(Scoring: pagerank) err = %v", err)
-	}
-
-	vecOpts := smallOpts(1)
-	vec := pipelineEngine(t, vecOpts)
-	bmOpts := smallOpts(1)
-	bmOpts.Scoring = ScoringBM25
-	bm := pipelineEngine(t, bmOpts)
-
-	q := "white mouse cat"
-	vm, err := vec.Query(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bmm, err := bm.Query(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sortedDocs(vm) != sortedDocs(bmm) {
-		t.Fatalf("models disagree on candidates: %v vs %v", vm, bmm)
-	}
-	scoresDiffer := false
-	for _, v := range vm {
-		for _, b := range bmm {
-			if v.Doc == b.Doc && v.Score != b.Score {
-				scoresDiffer = true
-			}
-		}
-	}
-	if !scoresDiffer {
-		t.Error("BM25 produced identical scores to the vector model")
-	}
-	// SearchVector honours the option too.
-	sv, err := bm.SearchVector(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sv) != len(bmm) {
-		t.Fatalf("SearchVector under bm25 = %v, Query = %v", sv, bmm)
-	}
-	for i := range sv {
-		if sv[i] != bmm[i] {
-			t.Errorf("match %d: SearchVector %+v, Query %+v", i, sv[i], bmm[i])
-		}
-	}
-}
-
 // TestQueryTopKOwnsItsArray: a ranked answer is exactly its k matches — its
 // capacity is its length — whether the bag arm or the structured arm ranked
 // it, so holding a top-k result does not pin every scored candidate.
@@ -302,10 +241,10 @@ func TestQueryTopKOwnsItsArray(t *testing.T) {
 // referenceRanking scores a one-shard engine's ranked query term-at-a-time:
 // the documents SearchBoolean(boolean) matches, scored from the shard's own
 // lists with a map accumulator over terms (already in sorted order, each
-// truncation expanded through the vocabulary), then fully sorted and cut to
-// k. It spells out both models' contributions independently of the
-// executor.
-func referenceRanking(t *testing.T, eng *Engine, scoring, boolean string, terms []string, k int) []Match {
+// truncation expanded through the vocabulary), every document on a list
+// gaining its idf, ln(1 + N/df), then fully sorted and cut to k. It spells
+// out the score independently of the executor.
+func referenceRanking(t *testing.T, eng *Engine, boolean string, terms []string, k int) []Match {
 	t.Helper()
 	matched, err := eng.SearchBoolean(boolean)
 	if err != nil {
@@ -327,15 +266,9 @@ func referenceRanking(t *testing.T, eng *Engine, scoring, boolean string, terms 
 			if err != nil {
 				t.Fatal(err)
 			}
-			df := float64(list.Len())
+			idf := math.Log(1 + n/float64(list.Len()))
 			for _, d := range list.Docs() {
-				tf := 1.0
-				if scoring == ScoringBM25 {
-					idf := math.Log(1 + (n-df+0.5)/(df+0.5))
-					scores[d] += idf * tf * (query.BM25K1 + 1) / (tf + query.BM25K1)
-				} else {
-					scores[d] += float64(tf * math.Log(1+n/df))
-				}
+				scores[d] += idf
 			}
 		}
 	}
@@ -358,8 +291,7 @@ func referenceRanking(t *testing.T, eng *Engine, scoring, boolean string, terms 
 // TestQueryRankedMatchesReference: on one shard, where document frequencies
 // are global, Engine.Query's structured ranked answers — an intersection,
 // and a plain term overlapping a truncation that expands to it — equal the
-// term-at-a-time reference exactly under both scorings: same documents,
-// same order, == scores.
+// term-at-a-time reference exactly: same documents, same order, == scores.
 func TestQueryRankedMatchesReference(t *testing.T) {
 	texts := []string{
 		"cat dog", "cat cattle herd", "dog", "cat dog catalog",
@@ -372,30 +304,26 @@ func TestQueryRankedMatchesReference(t *testing.T) {
 		{"cat and dog", "cat and dog", []string{"cat", "dog"}},
 		{"cat ca*", "cat or ca*", []string{"ca*", "cat"}},
 	}
-	for _, scoring := range []string{ScoringVector, ScoringBM25} {
-		opts := smallOpts(1)
-		opts.Scoring = scoring
-		eng, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { eng.Close() })
-		for _, text := range texts {
-			eng.AddDocument(text)
-		}
-		if _, err := eng.FlushBatch(); err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range cases {
-			for _, k := range []int{1, 3, 100} {
-				got, err := eng.Query(tc.q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := referenceRanking(t, eng, scoring, tc.boolean, tc.terms, k)
-				if len(want) == 0 || !slices.Equal(got, want) {
-					t.Errorf("%s %q k=%d:\n got %v\nwant %v", scoring, tc.q, k, got, want)
-				}
+	eng, err := Open(smallOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	for _, text := range texts {
+		eng.AddDocument(text)
+	}
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		for _, k := range []int{1, 3, 100} {
+			got, err := eng.Query(tc.q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceRanking(t, eng, tc.boolean, tc.terms, k)
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("%q k=%d:\n got %v\nwant %v", tc.q, k, got, want)
 			}
 		}
 	}

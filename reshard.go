@@ -67,6 +67,9 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 	// it concurrently but never modify it.
 	old := e.shards
 	st := ReshardStats{FromShards: len(old), ToShards: n}
+	if len(old) == 0 {
+		return st, errClosed
+	}
 	if n < 1 {
 		return st, fmt.Errorf("dualindex: reshard to %d shards", n)
 	}
@@ -246,13 +249,11 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 
 // reshardFailedLocked closes the engine after a commit-phase failure: the
 // old shards are already closed and the directory may be mid-commit, so
-// serving from stale shard handles would be wrong. With no shards, queries
-// and flushes return errClosed and AddDocument indexes nothing; Health
-// reports the engine closed. The on-disk index is still recoverable — the
+// serving from stale shard handles would be wrong. With no shards the
+// engine is closed, as after Close. The on-disk index is still recoverable — the
 // commit either never happened (old layout intact) or rolls forward on the
 // next Open. Caller holds e.stateMu.Lock.
 func (e *Engine) reshardFailedLocked(err error) error {
-	e.closed.Store(true)
 	e.shards = nil
 	return fmt.Errorf("%w; the engine is closed — reopen the index with Open, which recovers the directory", err)
 }

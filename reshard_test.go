@@ -549,22 +549,5 @@ func TestReshardCommitFailureClosesEngine(t *testing.T) {
 		t.Fatalf("Reshard with a blocked commit: err = %v", err)
 	}
 
-	if h := eng.Health(); h.Healthy || h.Ready {
-		t.Errorf("Health after a failed commit = %+v, want neither healthy nor ready", h)
-	}
-	if got, err := eng.SearchBoolean("waa"); err == nil {
-		t.Errorf("SearchBoolean answered %d documents on a closed engine", len(got))
-	}
-	if got, err := eng.Query("waa", 10); err == nil {
-		t.Errorf("Query answered %d matches on a closed engine", len(got))
-	}
-	if _, _, err := eng.Document(1); err == nil {
-		t.Error("Document answered on a closed engine")
-	}
-	if id := eng.AddDocument("waa"); id != 0 {
-		t.Errorf("AddDocument on a closed engine = %d, want 0", id)
-	}
-	if _, err := eng.FlushBatch(); err == nil {
-		t.Error("FlushBatch succeeded on a closed engine")
-	}
+	requireClosed(t, eng)
 }

@@ -64,8 +64,8 @@ go test -run '^FuzzParseQuery$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal
 # every fuzzed case: same documents, same order, == scores.
 go test -run '^FuzzRankedMatchesReference$' -fuzz '^FuzzRankedMatchesReference$' -fuzztime 5s ./internal/query/
 # So must it once the top-k heap fills and MaxScore pruning starts: skewed
-# lists with k below the candidate count, as a bag, with a negative BM25
-# idf and under a matching structure.
+# lists with k below the candidate count, as a bag and under a matching
+# structure.
 go test -run '^FuzzRankedPruning$' -fuzz '^FuzzRankedPruning$' -fuzztime 5s ./internal/query/
 # Positional verification streams tokens instead of materializing them: the
 # scanner must yield exactly the reference tokenizer's tokens, and the

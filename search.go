@@ -19,7 +19,8 @@ import (
 type Match = query.Match
 
 // Query evaluates a unified-language query and returns the top k documents
-// ranked under Options.Scoring (score descending, ties by ascending
+// ranked by the vector-space model (ScoringVector: a document scores the
+// sum of its matched terms' idf; score descending, ties by ascending
 // document). Bare term lists rank as a bag of words ("incremental inverted
 // lists"), "and"/"or"/"not" add boolean structure, quoted phrases, "near/k"
 // proximity and "title:"/"body:" region filters add positional conditions
@@ -33,7 +34,7 @@ func (e *Engine) Query(q string, k int) ([]Match, error) {
 	}
 	pl, err := query.NewPlan(expr, query.PlanOptions{
 		Lexer:   e.opts.Lexer,
-		Scoring: e.opts.Scoring,
+		Scoring: ScoringVector,
 		K:       k,
 	})
 	if err != nil {
@@ -71,8 +72,8 @@ func (e *Engine) SearchBoolean(q string) ([]DocID, error) {
 }
 
 // SearchVector ranks documents against the words of text (a document-like
-// query, the paper's vector-space workload) and returns the top k under
-// Options.Scoring. Vector queries "often contain many words (more than
+// query, the paper's vector-space workload) and returns the top k, each
+// scored by the sum of its shared words' idf. Vector queries "often contain many words (more than
 // 100)"; every shard fetches its term lists concurrently (at most
 // Options.Workers reads in flight per shard), scores its own documents, and
 // the per-shard top-k lists are merged into the global top k. Inverse
@@ -82,7 +83,7 @@ func (e *Engine) SearchBoolean(q string) ([]DocID, error) {
 func (e *Engine) SearchVector(text string, k int) ([]Match, error) {
 	qo := e.obs.beginQuery("vector")
 	words := lexer.Tokenize(text, e.opts.Lexer)
-	pl := query.NewRankedBag(words, e.opts.Scoring, k)
+	pl := query.NewRankedBag(words, k)
 	return e.searchRanked(qo, text, pl)
 }
 

@@ -241,7 +241,10 @@ func (e *Engine) ShardStats() []Stats {
 func (e *Engine) BucketLoadFactor() float64 {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	if len(e.shards) == 1 {
+	switch len(e.shards) {
+	case 0:
+		return 0
+	case 1:
 		return e.shards[0].bucketLoadFactor()
 	}
 	var sum float64
