@@ -9,16 +9,21 @@
 // unit and each word is charged one unit too", i.e. a bucket's load is the
 // number of words it holds plus the number of postings it holds.
 //
-// Each bucket keeps its short lists as a slice of entries sorted by word,
-// and a stored posting list is never mutated: an append stores a new list.
-// That makes Clone cheap. It copies the bucket headers only, and the two
-// sets share every bucket's entries until one of them writes to the bucket,
-// which first copies that bucket's entry slice for itself.
+// Each bucket keeps its short lists as a slice of entries sorted by word.
+// An entry holds its list encoded: the body postings.Encode writes after
+// the count, so a flush copies bodies into the bucket image instead of
+// encoding every posting again. A stored body is never mutated: an append
+// stores a new body, the old bytes followed by the new postings' gaps, and
+// a read decodes a fresh list. That makes Clone cheap. It copies the bucket
+// headers only, and the two sets share every bucket's entries until one of
+// them writes to the bucket, which first copies that bucket's entry slice
+// for itself.
 package bucket
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -26,20 +31,24 @@ import (
 )
 
 // Evicted reports a short list pushed out of an overflowing bucket; the
-// caller turns it into a long list. List may still be shared with a clone
-// of the set, so the caller must not mutate it.
+// caller turns it into a long list. List is freshly decoded from the
+// evicted body, so the caller owns it.
 type Evicted struct {
 	Word  postings.WordID
 	Count int            // number of postings evicted
 	List  *postings.List // nil when the set tracks counts only
 }
 
-// entry is one word's short list inside a bucket. The list is immutable
-// once stored, so entries are plain values that clones may share.
+// entry is one word's short list inside a bucket: its posting count and,
+// when the set tracks postings, the list's body (postings.AppendBody from
+// base 0) and its last posting, the base an append continues from. A body
+// is immutable once stored, so entries are plain values that clones may
+// share.
 type entry struct {
 	word  postings.WordID
-	count int
-	list  *postings.List // nil in count-only mode
+	count int32
+	last  postings.DocID
+	body  []byte // nil in count-only mode
 }
 
 // bucketState holds one bucket's lists and cached load.
@@ -133,14 +142,23 @@ func (s *Set) Contains(w postings.WordID) bool {
 	return s.buckets[s.Hash(w)].get(w) != nil
 }
 
-// List returns w's short list postings (nil in count-only mode or if absent).
-// The list is the set's own storage, shared with its clones: callers must
-// not mutate it.
+// List returns w's short list postings (nil in count-only mode or if
+// absent), freshly decoded: the caller owns it.
 func (s *Set) List(w postings.WordID) *postings.List {
-	if e := s.buckets[s.Hash(w)].get(w); e != nil {
-		return e.list
+	if e := s.buckets[s.Hash(w)].get(w); e != nil && s.trackPostings {
+		return e.list()
 	}
 	return nil
+}
+
+// list decodes e's body. Every stored body was built by AppendBody or
+// checked by DecodeBucket, so a failure is a broken invariant.
+func (e *entry) list() *postings.List {
+	l, err := postings.DecodeBody(e.body, int(e.count))
+	if err != nil {
+		panic(fmt.Sprintf("bucket: stored body of word %d: %v", e.word, err))
+	}
+	return l
 }
 
 // WordsIn reports how many words live in bucket i.
@@ -174,7 +192,7 @@ func (s *Set) LoadFactor() float64 {
 func (s *Set) ForEachWord(fn func(w postings.WordID, count int)) {
 	for i := range s.buckets {
 		for _, e := range s.buckets[i].entries {
-			fn(e.word, e.count)
+			fn(e.word, int(e.count))
 		}
 	}
 }
@@ -207,22 +225,35 @@ func (s *Set) Add(w postings.WordID, count int, list *postings.List) ([]Evicted,
 	}
 	idx := s.Hash(w)
 	b := &s.buckets[idx]
-	b.own()
 	i, ok := b.find(w)
+	var have entry
+	if ok {
+		have = b.entries[i]
+	}
+	if int64(have.count)+int64(count) > math.MaxInt32 {
+		return nil, fmt.Errorf("bucket: word %d would hold over %d postings", w, math.MaxInt32)
+	}
+	if ok && s.trackPostings && list.Docs()[0] <= have.last {
+		return nil, fmt.Errorf("bucket: word %d: %w: have max %d, got %d", w, postings.ErrAppendOrder, have.last, list.Docs()[0])
+	}
+	b.own()
 	if !ok {
 		b.entries = slices.Insert(b.entries, i, entry{word: w})
 		b.load++ // the word unit
 	}
 	e := &b.entries[i]
 	if s.trackPostings {
-		// A new list, never an append to the stored one: clones share it.
-		joined, err := postings.Concat(e.list, list)
-		if err != nil {
-			return nil, fmt.Errorf("bucket: word %d: %w", w, err)
+		// A new body, never an append to the stored one: clones share it.
+		base := uint64(0)
+		if ok {
+			base = uint64(e.last) + 1
 		}
-		e.list = joined
+		body := make([]byte, len(e.body), len(e.body)+postings.BodySize(base, list))
+		copy(body, e.body)
+		e.body = postings.AppendBody(body, base, list)
+		e.last = list.MaxDoc()
 	}
-	e.count += count
+	e.count += int32(count)
 	b.load += count
 	s.notify(idx)
 
@@ -249,34 +280,49 @@ func (s *Set) evictLongest(b *bucketState) Evicted {
 	}
 	e := b.entries[victim]
 	b.entries = slices.Delete(b.entries, victim, victim+1)
-	b.load -= e.count + 1
-	return Evicted{Word: e.word, Count: e.count, List: e.list}
+	b.load -= int(e.count) + 1
+	ev := Evicted{Word: e.word, Count: int(e.count)}
+	if s.trackPostings {
+		ev.List = e.list()
+	}
+	return ev
 }
 
-// ReplaceList swaps w's short list contents (deletion sweep rewriting a
-// list with deleted documents removed). The list must shrink or stay equal.
-func (s *Set) ReplaceList(w postings.WordID, list *postings.List) error {
-	if !s.trackPostings {
-		return fmt.Errorf("bucket: ReplaceList in count-only mode")
+// Purge removes the postings of the documents in swept, a sorted
+// document list, from every short list (the deletion sweep); a list left
+// empty leaves its bucket. It decodes only the lists whose [first, last]
+// range holds a swept document and stores a new body only for those that
+// held one. In count-only mode there are no postings to purge.
+func (s *Set) Purge(swept []postings.DocID) {
+	if !s.trackPostings || len(swept) == 0 {
+		return
 	}
-	b := &s.buckets[s.Hash(w)]
-	i, ok := b.find(w)
-	if !ok {
-		return fmt.Errorf("bucket: ReplaceList of absent word %d", w)
+	for bi := range s.buckets {
+		b := &s.buckets[bi]
+		for i := 0; i < len(b.entries); i++ {
+			e := &b.entries[i]
+			lo, _ := slices.BinarySearch(swept, postings.BodyFirst(e.body))
+			if lo == len(swept) || swept[lo] > e.last {
+				continue
+			}
+			l := e.list()
+			if l.Drop(swept[lo:]) == 0 {
+				continue
+			}
+			b.own()
+			e = &b.entries[i]
+			b.load -= int(e.count) - l.Len()
+			if l.Len() == 0 {
+				b.entries = slices.Delete(b.entries, i, i+1)
+				b.load--
+				i--
+				continue
+			}
+			e.count = int32(l.Len())
+			e.last = l.MaxDoc()
+			e.body = postings.AppendBody(make([]byte, 0, postings.BodySize(0, l)), 0, l)
+		}
 	}
-	if list.Len() > b.entries[i].count {
-		return fmt.Errorf("bucket: ReplaceList grew list %d: %d > %d", w, list.Len(), b.entries[i].count)
-	}
-	b.own()
-	e := &b.entries[i]
-	b.load -= e.count - list.Len()
-	e.count = list.Len()
-	e.list = list.Clone()
-	if e.count == 0 {
-		b.entries = slices.Delete(b.entries, i, i+1)
-		b.load--
-	}
-	return nil
 }
 
 // Clone returns a copy of the bucket set that evolves independently of the
@@ -284,7 +330,7 @@ func (s *Set) ReplaceList(w postings.WordID, list *postings.List) error {
 // snapshot so queries keep reading pre-flush state while the live set
 // absorbs a batch. It copies only the bucket headers, so it costs
 // O(buckets) and allocates the same however many postings the set holds:
-// both sets share every bucket's entries and (immutable) lists, and the
+// both sets share every bucket's entries and (immutable) bodies, and the
 // first write to a bucket on either side copies that bucket's entry slice.
 // Clone marks s's buckets shared, so it must not run concurrently with
 // other calls on s. The observer is not copied.
@@ -300,37 +346,54 @@ func (s *Set) Clone() *Set {
 	}
 }
 
+// EncodedSize reports the number of bytes EncodeBucket writes for all
+// buckets together.
+func (s *Set) EncodedSize() int {
+	var scratch [binary.MaxVarintLen64]byte
+	n := 0
+	for i := range s.buckets {
+		b := &s.buckets[i]
+		n += binary.PutUvarint(scratch[:], uint64(len(b.entries)))
+		for _, e := range b.entries {
+			n += binary.PutUvarint(scratch[:], uint64(e.word)) + binary.PutUvarint(scratch[:], uint64(e.count)) + len(e.body)
+		}
+	}
+	return n
+}
+
 // EncodeBucket serialises bucket i for the on-disk flush: varint word count,
 // then per word a varint word id and either a varint posting count
-// (count-only mode) or the encoded posting list. Words are written in
+// (count-only mode) or the encoded posting list — the count and the stored
+// body, which is what postings.Encode writes. Words are written in
 // ascending order so encoding is deterministic.
 func (s *Set) EncodeBucket(i int, dst []byte) []byte {
 	b := &s.buckets[i]
 	dst = binary.AppendUvarint(dst, uint64(len(b.entries)))
 	for _, e := range b.entries {
 		dst = binary.AppendUvarint(dst, uint64(e.word))
-		if s.trackPostings {
-			dst = postings.Encode(dst, e.list)
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(e.count))
-		}
+		dst = binary.AppendUvarint(dst, uint64(e.count))
+		dst = append(dst, e.body...)
 	}
 	return dst
 }
 
 // DecodeBucket replaces bucket i's contents from an EncodeBucket image and
 // returns the bytes consumed. An image whose word ids do not strictly
-// ascend, or whose words do not hash to bucket i, is corrupt. On error the
-// bucket is left as it was.
+// ascend, whose words do not hash to bucket i, that holds an empty list or
+// whose words and postings overfill the bucket is corrupt. On error the
+// bucket is left as it was. The set keeps each body as a sub-slice of buf,
+// so the caller must not modify buf afterwards; decoding allocates the
+// bucket's entry slice and nothing per entry.
 func (s *Set) DecodeBucket(i int, buf []byte) (int, error) {
 	n, off := postings.Uvarint(buf)
 	if off <= 0 {
 		return 0, fmt.Errorf("bucket: corrupt bucket %d header", i)
 	}
-	// An entry takes at least two bytes (word id, then count or list): a
-	// larger count is corrupt, and must not size the allocation below.
-	if n > uint64(len(buf)-off)/2 {
-		return 0, fmt.Errorf("bucket: bucket %d count %d exceeds its %d-byte image", i, n, len(buf)-off)
+	// An entry takes at least two bytes (word id, then count or list), and
+	// two units of the bucket's capacity: a larger count is corrupt, and
+	// must not size the allocation below.
+	if n > uint64(len(buf)-off)/2 || n > uint64(s.bucketSize)/2 {
+		return 0, fmt.Errorf("bucket: bucket %d count %d exceeds its %d-byte image or its size %d", i, n, len(buf)-off, s.bucketSize)
 	}
 	entries := make([]entry, 0, n)
 	load := 0
@@ -347,24 +410,26 @@ func (s *Set) DecodeBucket(i int, buf []byte) (int, error) {
 		if s.Hash(e.word) != i {
 			return 0, fmt.Errorf("bucket: word %d in bucket %d hashes to bucket %d", e.word, i, s.Hash(e.word))
 		}
+		c, k := postings.Uvarint(buf[off:])
+		if k <= 0 {
+			return 0, fmt.Errorf("bucket: corrupt count in bucket %d", i)
+		}
+		off += k
+		// The word takes one unit and each posting one more.
+		if free := s.bucketSize - load - 1; c == 0 || free < 1 || c > uint64(free) {
+			return 0, fmt.Errorf("bucket: bucket %d word %d: %d postings do not fit its size %d", i, e.word, c, s.bucketSize)
+		}
+		e.count = int32(c)
 		if s.trackPostings {
-			list, k, err := postings.Decode(buf[off:])
+			k, last, err := postings.ScanBody(buf[off:], int(c))
 			if err != nil {
 				return 0, fmt.Errorf("bucket: bucket %d word %d: %w", i, e.word, err)
 			}
+			e.body, e.last = buf[off:off+k:off+k], last
 			off += k
-			e.list = list
-			e.count = list.Len()
-		} else {
-			c, k := postings.Uvarint(buf[off:])
-			if k <= 0 {
-				return 0, fmt.Errorf("bucket: corrupt count in bucket %d", i)
-			}
-			off += k
-			e.count = int(c)
 		}
 		entries = append(entries, e)
-		load += e.count + 1
+		load += int(c) + 1
 	}
 	// A fresh slice replaces the old one, so a clone sharing it is unharmed.
 	s.buckets[i] = bucketState{entries: entries, load: load}

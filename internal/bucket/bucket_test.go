@@ -1,7 +1,9 @@
 package bucket
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -69,6 +71,17 @@ func TestAddRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ts.Add(1, 3, postings.FromDocs([]postings.DocID{1})); err == nil {
 		t.Error("tracking set accepted count/list mismatch")
+	}
+	// An append must open above the stored list, and a refused one leaves
+	// the list as it was.
+	if _, err := ts.Add(1, 2, postings.FromDocs([]postings.DocID{5, 6})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.Add(1, 1, postings.FromDocs([]postings.DocID{6})); !errors.Is(err, postings.ErrAppendOrder) {
+		t.Errorf("overlapping append err = %v, want ErrAppendOrder", err)
+	}
+	if got := ts.List(1).Docs(); !slices.Equal(got, []postings.DocID{5, 6}) || ts.buckets[1].load != 3 {
+		t.Errorf("refused append left %v, load %d", got, ts.buckets[1].load)
 	}
 }
 
@@ -183,24 +196,33 @@ func TestTrackPostingsKeepsLists(t *testing.T) {
 	}
 }
 
-func TestRemoveAndReplace(t *testing.T) {
+func TestPurge(t *testing.T) {
 	s, _ := NewSet(Config{NumBuckets: 2, BucketSize: 50, TrackPostings: true})
 	s.Add(6, 3, postings.FromDocs([]postings.DocID{1, 2, 3}))
-	if err := s.ReplaceList(6, postings.FromDocs([]postings.DocID{2})); err != nil {
-		t.Fatal(err)
+	s.Add(8, 2, postings.FromDocs([]postings.DocID{10, 20}))
+	untouched := s.buckets[s.Hash(8)].get(8).body
+	s.Purge([]postings.DocID{1, 3, 15})
+	if count(s, 6) != 1 || s.buckets[s.Hash(6)].load != 2+3 {
+		t.Fatalf("after purge Count=%d Load=%d", count(s, 6), s.buckets[s.Hash(6)].load)
 	}
-	if count(s, 6) != 1 || s.buckets[s.Hash(6)].load != 2 {
-		t.Fatalf("after replace Count=%d Load=%d", count(s, 6), s.buckets[s.Hash(6)].load)
+	if got := s.List(6).Docs(); !slices.Equal(got, []postings.DocID{2}) {
+		t.Fatalf("purged list = %v, want [2]", got)
 	}
-	// Shrinking to empty removes the word entirely.
-	if err := s.ReplaceList(6, postings.FromDocs(nil)); err != nil {
-		t.Fatal(err)
+	// A list whose range holds a swept document it lacks keeps its body.
+	if &s.buckets[s.Hash(8)].get(8).body[0] != &untouched[0] || count(s, 8) != 2 {
+		t.Fatal("purge rewrote a list it did not change")
 	}
-	if s.Contains(6) || s.buckets[s.Hash(6)].load != 0 {
-		t.Fatal("empty replacement left residue")
+	// Purging a list to empty removes the word entirely.
+	s.Purge([]postings.DocID{2})
+	if s.Contains(6) || s.buckets[s.Hash(6)].load != 3 {
+		t.Fatal("empty list left residue")
 	}
-	if err := s.ReplaceList(99, postings.FromDocs(nil)); err == nil {
-		t.Error("ReplaceList of absent word accepted")
+	// Count-only sets hold no postings to purge.
+	c := newSet(t, 2, 50)
+	c.Add(6, 3, nil)
+	c.Purge([]postings.DocID{1, 2, 3})
+	if count(c, 6) != 3 {
+		t.Fatal("count-only purge changed a count")
 	}
 }
 
@@ -289,6 +311,61 @@ func TestDecodeBucketRejectsDisorder(t *testing.T) {
 	}
 }
 
+// TestDecodeBucketRefusesOverfull: an image whose words and postings
+// exceed the bucket's size is corrupt in both modes; a flush never writes
+// one, since the checkpoint's geometry is the one the set is opened with.
+func TestDecodeBucketRefusesOverfull(t *testing.T) {
+	for _, track := range []bool{false, true} {
+		full, _ := NewSet(Config{NumBuckets: 1, BucketSize: 100, TrackPostings: track})
+		full.Add(0, 50, postings.FromDocs(seqDocs(1, 50)))
+		image := full.EncodeBucket(0, nil) // one word of 51 units
+		for size, fits := range map[int]bool{10: false, 50: false, 51: true} {
+			s, _ := NewSet(Config{NumBuckets: 1, BucketSize: size, TrackPostings: track})
+			_, err := s.DecodeBucket(0, image)
+			if fits != (err == nil) {
+				t.Errorf("track=%v: 51-unit image into a %d-unit bucket: err = %v", track, size, err)
+			}
+		}
+		// Two words of 21 units each overfill a 41-unit bucket together.
+		two, _ := NewSet(Config{NumBuckets: 1, BucketSize: 100, TrackPostings: track})
+		two.Add(0, 20, postings.FromDocs(seqDocs(1, 20)))
+		two.Add(1, 20, postings.FromDocs(seqDocs(1, 20)))
+		s, _ := NewSet(Config{NumBuckets: 1, BucketSize: 41, TrackPostings: track})
+		if _, err := s.DecodeBucket(0, two.EncodeBucket(0, nil)); err == nil {
+			t.Errorf("track=%v: 42-unit image accepted into a 41-unit bucket", track)
+		}
+	}
+	// An empty list is corrupt too: no write leaves one in a bucket.
+	s := newSet(t, 1, 100)
+	if _, err := s.DecodeBucket(0, []byte{1, 0, 0}); err == nil {
+		t.Error("empty list accepted")
+	}
+}
+
+// TestDecodeBucketAllocsFlat: decoding keeps each body as a piece of the
+// image, so a bucket of 10,000 postings in 1,000 lists decodes with the
+// allocations of one of 10 postings in 10 lists.
+func TestDecodeBucketAllocsFlat(t *testing.T) {
+	allocs := func(words, postingsPerWord int) float64 {
+		src, _ := NewSet(Config{NumBuckets: 1, BucketSize: 20_000, TrackPostings: true})
+		for w := 0; w < words; w++ {
+			if _, err := src.Add(postings.WordID(w), postingsPerWord, postings.FromDocs(seqDocs(w, postingsPerWord))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		image := src.EncodeBucket(0, nil)
+		dst, _ := NewSet(Config{NumBuckets: 1, BucketSize: 20_000, TrackPostings: true})
+		return testing.AllocsPerRun(50, func() {
+			if _, err := dst.DecodeBucket(0, image); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10, 1), allocs(1000, 10); small != large {
+		t.Fatalf("DecodeBucket allocates %v times for 10 postings but %v for 10,000", small, large)
+	}
+}
+
 // setState is everything a reader can observe of a set: per-word presence,
 // count and postings over a range of words, and every bucket's image.
 type setState struct {
@@ -330,9 +407,7 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	// Bucket 2's image, as another set holds it, for DecodeBucket below.
 	other := build()
-	if err := other.ReplaceList(2, postings.FromDocs([]postings.DocID{1})); err != nil {
-		t.Fatal(err)
-	}
+	other.Purge([]postings.DocID{4}) // word 2's second posting
 	otherImage := other.EncodeBucket(2, nil)
 
 	mutate := func(t *testing.T, s *Set) {
@@ -356,11 +431,13 @@ func TestCloneIsolation(t *testing.T) {
 				}
 				return err
 			}},
-			{"replace a list with nothing", func() error {
-				return s.ReplaceList(3, postings.FromDocs(nil))
+			{"purge a list to nothing", func() error {
+				s.Purge([]postings.DocID{100}) // all of word 29, part of word 4
+				return nil
 			}},
-			{"replace a list", func() error {
-				return s.ReplaceList(8, postings.FromDocs([]postings.DocID{1}))
+			{"purge a list", func() error {
+				s.Purge([]postings.DocID{10}) // word 8's second posting
+				return nil
 			}},
 			{"decode a bucket", func() error {
 				_, err := s.DecodeBucket(2, otherImage)
@@ -531,7 +608,201 @@ func TestObserverFiresPerMutation(t *testing.T) {
 // count is the number of postings in w's short list (0 if absent).
 func count(s *Set, w postings.WordID) int {
 	if e := s.buckets[s.Hash(w)].get(w); e != nil {
-		return e.count
+		return int(e.count)
 	}
 	return 0
+}
+
+// refSet is the reference model of a tracking Set: each word's postings,
+// kept as a plain slice, and the same geometry and eviction rule.
+type refSet struct {
+	buckets, size int
+	lists         map[postings.WordID][]postings.DocID
+}
+
+func (r *refSet) clone() *refSet {
+	c := &refSet{buckets: r.buckets, size: r.size, lists: map[postings.WordID][]postings.DocID{}}
+	for w, docs := range r.lists {
+		c.lists[w] = slices.Clone(docs)
+	}
+	return c
+}
+
+// words returns bucket i's words in ascending order.
+func (r *refSet) words(i int) []postings.WordID {
+	var ws []postings.WordID
+	for w := range r.lists {
+		if int(w)%r.buckets == i {
+			ws = append(ws, w)
+		}
+	}
+	slices.Sort(ws)
+	return ws
+}
+
+// image encodes bucket i with postings.Encode, list by list.
+func (r *refSet) image(i int) []byte {
+	ws := r.words(i)
+	buf := binary.AppendUvarint(nil, uint64(len(ws)))
+	for _, w := range ws {
+		buf = binary.AppendUvarint(buf, uint64(w))
+		buf = postings.Encode(buf, postings.NewList(r.lists[w]))
+	}
+	return buf
+}
+
+// add appends docs to w's list and evicts as the paper does: the longest
+// list, the lowest word among equals, until the bucket fits. It returns the
+// evicted words in order.
+func (r *refSet) add(w postings.WordID, docs []postings.DocID) []postings.WordID {
+	r.lists[w] = append(r.lists[w], docs...)
+	i := int(w) % r.buckets
+	var evicted []postings.WordID
+	for {
+		ws, load := r.words(i), 0
+		for _, x := range ws {
+			load += 1 + len(r.lists[x])
+		}
+		if load <= r.size {
+			return evicted
+		}
+		victim := ws[0]
+		for _, x := range ws {
+			if len(r.lists[x]) > len(r.lists[victim]) {
+				victim = x
+			}
+		}
+		evicted = append(evicted, victim)
+		delete(r.lists, victim)
+	}
+}
+
+func (r *refSet) purge(swept []postings.DocID) {
+	for w, docs := range r.lists {
+		docs = slices.DeleteFunc(docs, func(d postings.DocID) bool {
+			_, found := slices.BinarySearch(swept, d)
+			return found
+		})
+		if len(docs) == 0 {
+			delete(r.lists, w)
+		} else {
+			r.lists[w] = docs
+		}
+	}
+}
+
+// TestBucketImageMatchesReference drives sets through seeded random
+// operations — Add of a new word, an append, an Add that evicts, Purge,
+// DecodeBucket and Clone, then writes to both sides of the clone — and
+// after every step requires each set's bucket images to equal the images
+// postings.Encode builds from a reference model, and every List to equal
+// the model's postings.
+func TestBucketImageMatchesReference(t *testing.T) {
+	const (
+		numBuckets = 4
+		size       = 64
+		words      = 40
+	)
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		first, err := NewSet(Config{NumBuckets: numBuckets, BucketSize: size, TrackPostings: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := []*Set{first}
+		refs := []*refSet{{buckets: numBuckets, size: size, lists: map[postings.WordID][]postings.DocID{}}}
+		next := postings.DocID(0) // every Add's documents lie above all earlier ones
+		newDocs := func(n int) []postings.DocID {
+			docs := make([]postings.DocID, n)
+			for i := range docs {
+				next += postings.DocID(r.Intn(300)) + 1
+				docs[i] = next
+			}
+			return docs
+		}
+		for step := 0; step < 600; step++ {
+			k := r.Intn(len(sets))
+			s, ref := sets[k], refs[k]
+			var op string
+			switch x := r.Intn(20); {
+			case x < 12: // an Add: a new word, an append, or one that evicts
+				w := postings.WordID(r.Intn(words))
+				n := r.Intn(6) + 1
+				op = fmt.Sprintf("append %d postings to word %d", n, w)
+				if _, ok := ref.lists[w]; !ok {
+					op = fmt.Sprintf("add word %d with %d postings", w, n)
+				}
+				if x < 2 {
+					n = r.Intn(size) + size/2
+					op = fmt.Sprintf("add %d postings to word %d, evicting", n, w)
+				}
+				docs := newDocs(n)
+				evs, err := s.Add(w, n, postings.NewList(slices.Clone(docs)))
+				if err != nil {
+					t.Fatalf("seed %d step %d: %s: %v", seed, step, op, err)
+				}
+				want := map[postings.WordID][]postings.DocID{}
+				for _, v := range ref.words(int(w) % numBuckets) {
+					want[v] = slices.Clone(ref.lists[v])
+				}
+				want[w] = append(want[w], docs...)
+				wantEvicted := ref.add(w, docs)
+				if len(evs) != len(wantEvicted) {
+					t.Fatalf("seed %d step %d: %s: evicted %d lists, want %d", seed, step, op, len(evs), len(wantEvicted))
+				}
+				for i, ev := range evs {
+					if ev.Word != wantEvicted[i] || ev.Count != len(want[ev.Word]) || !slices.Equal(ev.List.Docs(), want[ev.Word]) {
+						t.Fatalf("seed %d step %d: %s: eviction %d is word %d %v, want word %d %v",
+							seed, step, op, i, ev.Word, ev.List.Docs(), wantEvicted[i], want[wantEvicted[i]])
+					}
+				}
+			case x < 15: // Purge a random set of the documents issued so far
+				var swept []postings.DocID
+				for i := r.Intn(40); i > 0 && next > 0; i-- {
+					swept = append(swept, postings.DocID(r.Intn(int(next)+1)))
+				}
+				slices.Sort(swept)
+				swept = slices.Compact(swept)
+				op = fmt.Sprintf("purge %d documents", len(swept))
+				s.Purge(swept)
+				ref.purge(swept)
+			case x < 18: // DecodeBucket an image of the bucket less one word
+				i := r.Intn(numBuckets)
+				if ws := ref.words(i); len(ws) > 0 {
+					delete(ref.lists, ws[r.Intn(len(ws))])
+				}
+				op = fmt.Sprintf("decode bucket %d", i)
+				image := ref.image(i)
+				if n, err := s.DecodeBucket(i, image); err != nil || n != len(image) {
+					t.Fatalf("seed %d step %d: %s: %d of %d bytes, %v", seed, step, op, n, len(image), err)
+				}
+			default: // Clone a set; the clone replaces the second side
+				op = fmt.Sprintf("clone set %d", k)
+				c, cref := s.Clone(), ref.clone()
+				if len(sets) == 1 {
+					sets, refs = append(sets, c), append(refs, cref)
+				} else {
+					sets[1-k], refs[1-k] = c, cref
+				}
+			}
+			for j, s := range sets {
+				total := 0
+				for i := 0; i < numBuckets; i++ {
+					got, want := s.EncodeBucket(i, nil), refs[j].image(i)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("seed %d step %d (%s): set %d bucket %d image\n got %x\nwant %x", seed, step, op, j, i, got, want)
+					}
+					total += len(got)
+				}
+				if s.EncodedSize() != total {
+					t.Fatalf("seed %d step %d (%s): set %d EncodedSize %d, images %d bytes", seed, step, op, j, s.EncodedSize(), total)
+				}
+				for w := postings.WordID(0); w < words; w++ {
+					if got, want := s.List(w).Docs(), refs[j].lists[w]; !slices.Equal(got, want) || s.Contains(w) != (want != nil) {
+						t.Fatalf("seed %d step %d (%s): set %d word %d = %v, want %v", seed, step, op, j, w, got, want)
+					}
+				}
+			}
+		}
+	}
 }

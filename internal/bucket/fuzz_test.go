@@ -31,6 +31,16 @@ func FuzzDecodeBucket(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 3, 1}, uint8(0), false)    // duplicate word
 	f.Add([]byte{1, 0x83, 0x00, 1}, uint8(0), false) // overlong word id
 	f.Add([]byte{1, 0, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x10}, uint8(0), true)
+	// One word of 1001 units: more than the bucket holds.
+	f.Add([]byte{1, 0, 0xe8, 0x07}, uint8(0), false)
+	over, err := NewSet(Config{NumBuckets: numBuckets, BucketSize: 2000, TrackPostings: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := over.Add(0, 1000, postings.FromDocs(seqDocs(1, 1000))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(over.EncodeBucket(0, nil), uint8(0), true)
 
 	f.Fuzz(func(t *testing.T, data []byte, bucket uint8, track bool) {
 		s, err := NewSet(Config{NumBuckets: numBuckets, BucketSize: 1000, TrackPostings: track})

@@ -78,7 +78,9 @@ func (ix *Index) flush(st *UpdateStats) error {
 // across all disks: one sequential write per disk, as in the paper's trace
 // ("update bucket disk 0 id 0 size 1678" once per disk). The trace records
 // every stripe whole; the store receives only the blocks the encoded image
-// occupies, and the superblock records the image's length.
+// occupies, and the superblock records the image's length. The buckets
+// hold their lists encoded, so the image is their bodies copied into one
+// buffer, allocated once at its padded size.
 func (ix *Index) flushBuckets() error {
 	total := ix.bucketRegionBlocks()
 	n := int64(ix.cfg.Geometry.NumDisks)
@@ -87,16 +89,18 @@ func (ix *Index) flushBuckets() error {
 
 	var image []byte
 	if ix.cfg.Store != nil {
+		size := int64(ix.buckets.EncodedSize())
+		if size > total*bs {
+			return fmt.Errorf("core: bucket image %d bytes exceeds region of %d blocks", size, total)
+		}
+		ix.bucketBytes = size
+		// The image fills whole blocks, zero past its end, so every stripe
+		// is a block-aligned piece of it that the store takes as it is.
+		image = make([]byte, 0, ix.cfg.Geometry.BlocksFor(size)*bs)
 		for i := 0; i < ix.buckets.NumBuckets(); i++ {
 			image = ix.buckets.EncodeBucket(i, image)
 		}
-		if int64(len(image)) > total*bs {
-			return fmt.Errorf("core: bucket image %d bytes exceeds region of %d blocks", len(image), total)
-		}
-		ix.bucketBytes = int64(len(image))
-		// Pad the image to whole blocks once, so every stripe is a
-		// block-aligned piece of it that the store takes as it is.
-		image = append(image, make([]byte, ix.cfg.Geometry.BlocksFor(ix.bucketBytes)*bs-ix.bucketBytes)...)
+		image = image[:cap(image)]
 	}
 	// A fresh slice, never the old backing array: flush() holds the previous
 	// region's chunks for deallocation, and they must not be overwritten.

@@ -54,6 +54,44 @@ func TestGetListAllocs(t *testing.T) {
 	}
 }
 
+// TestGetListShortAllocs: a short list is decoded from its bucket body
+// into the result and filtered in place, so GetList allocates the result
+// list and its postings whether or not the list holds a deleted document.
+func TestGetListShortAllocs(t *testing.T) {
+	ix, err := New(storeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fillIndex(t, ix, 3, 40)
+	w, most := postings.WordID(0), 0
+	ix.buckets.ForEachWord(func(v postings.WordID, count int) {
+		if count > most {
+			w, most = v, count
+		}
+	})
+	if most < 3 {
+		t.Fatalf("no short list holds 3 postings (most: %d)", most)
+	}
+	measure := func(name string, want []postings.DocID) {
+		t.Helper()
+		got, err := ix.GetList(w)
+		if err != nil || !slices.Equal(got.Docs(), want) {
+			t.Fatalf("%s: GetList = %v, %v; want %v", name, got.Docs(), err, want)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ix.GetList(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("%s: GetList of a %d-posting short list: %v allocations, want at most 2", name, most, allocs)
+		}
+	}
+	measure("no deletions", ref[w])
+	ix.Delete(ref[w][1])
+	measure("one deleted", slices.Delete(slices.Clone(ref[w]), 1, 2))
+}
+
 // TestGetListConcurrentExact: GetLists of different words running at once,
 // each through its own pooled read buffer, answer exactly what they answer
 // one at a time (run it under -race).

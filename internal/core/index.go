@@ -217,7 +217,7 @@ func (ix *Index) RaiseMaxDoc(doc postings.DocID) {
 // inverted list built from the arriving documents. List may be nil in
 // simulation mode.
 //
-// ApplyUpdate only reads List: a bucket stores a clone of it, and the
+// ApplyUpdate only reads List: a bucket stores it encoded, and the
 // long-list writers copy its postings into block images. The caller keeps
 // ownership, so other goroutines may keep reading the same list while the
 // update applies (the engine's mid-flush queries do).

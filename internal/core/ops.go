@@ -56,34 +56,27 @@ func (ix *Index) ReadCost(w postings.WordID) int {
 // maintain a list of deleted document identifiers and filter any answer to
 // a query through this list"). It requires a data store. Long lists are
 // read from disk, one read per chunk, counted but not traced; short lists
-// come from the in-memory buckets. A word with no list returns an empty
-// list.
+// are decoded from the in-memory buckets. Either way the list is freshly
+// decoded, so deleted documents are filtered out in place. A word with no
+// list returns an empty list.
 func (ix *Index) GetList(w postings.WordID) (*postings.List, error) {
 	if ix.cfg.Store == nil {
 		return nil, fmt.Errorf("core: GetList requires a data store")
 	}
+	var l *postings.List
 	switch ix.Lookup(w) {
 	case SourceLong:
-		l, err := ix.long.FetchList(w, ix.dir.Chunks(w))
-		if err != nil {
+		var err error
+		if l, err = ix.long.FetchList(w, ix.dir.Chunks(w)); err != nil {
 			return nil, err
 		}
-		kept, _ := l.Without(ix.deleted) // freshly decoded: no one else holds it
-		return kept, nil
 	case SourceBucket:
-		return bucketListWithout(ix.buckets.List(w), ix.deleted), nil
+		l = ix.buckets.List(w)
+	default:
+		return &postings.List{}, nil
 	}
-	return &postings.List{}, nil
-}
-
-// bucketListWithout filters a short list through the deleted list. The
-// bucket's storage is shared, so when nothing is dropped the result is a
-// copy rather than the list itself.
-func bucketListWithout(l *postings.List, deleted []postings.DocID) *postings.List {
-	if kept, dropped := l.Without(deleted); dropped > 0 {
-		return kept
-	}
-	return l.Clone()
+	l.Drop(ix.deleted)
+	return l, nil
 }
 
 // Delete marks a document deleted. The document disappears from query
@@ -160,32 +153,14 @@ func (ix *Index) Sweep() error {
 		if err != nil {
 			return err
 		}
-		kept, dropped := list.Without(swept)
-		if dropped == 0 {
+		if list.Drop(swept) == 0 {
 			continue
 		}
-		if err := ix.long.Rewrite(w, int64(kept.Len()), kept); err != nil {
+		if err := ix.long.Rewrite(w, int64(list.Len()), list); err != nil {
 			return err
 		}
 	}
-
-	var sweepErr error
-	var toReplace []postings.WordID
-	ix.buckets.ForEachWord(func(w postings.WordID, _ int) {
-		toReplace = append(toReplace, w)
-	})
-	for _, w := range toReplace {
-		kept, dropped := ix.buckets.List(w).Without(swept)
-		if dropped == 0 {
-			continue
-		}
-		if err := ix.buckets.ReplaceList(w, kept); err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if sweepErr != nil {
-		return sweepErr
-	}
+	ix.buckets.Purge(swept)
 	// A fresh slice for the unapplied rest: the swept prefix may still be
 	// read through a Snapshot or by the caller.
 	ix.deleted, ix.deletedShared = slices.Clone(ix.deleted[cut:]), false

@@ -12,7 +12,7 @@ import (
 // batch boundary. It deep-copies the directory, shares the sorted
 // deleted-document list copy-on-write (the index's next Delete copies it
 // before writing), and takes a copy-on-write clone of the buckets
-// (bucket.Set.Clone: O(buckets), sharing the immutable short lists), so
+// (bucket.Set.Clone: O(buckets), sharing the immutable short-list bodies), so
 // queries can keep reading it while ApplyUpdate mutates the live structures
 // — the engine's search-during-flush scheme.
 //
@@ -77,16 +77,18 @@ func (s *Snapshot) GetList(w postings.WordID) (*postings.List, error) {
 	if s.ix.cfg.Store == nil {
 		return nil, fmt.Errorf("core: GetList requires a data store")
 	}
+	var l *postings.List
 	switch {
 	case s.dir.Has(w):
-		l, err := s.ix.long.FetchList(w, s.dir.Chunks(w))
-		if err != nil {
+		var err error
+		if l, err = s.ix.long.FetchList(w, s.dir.Chunks(w)); err != nil {
 			return nil, err
 		}
-		kept, _ := l.Without(s.deleted) // freshly decoded: no one else holds it
-		return kept, nil
 	case s.buckets.Contains(w):
-		return bucketListWithout(s.buckets.List(w), s.deleted), nil
+		l = s.buckets.List(w)
+	default:
+		return &postings.List{}, nil
 	}
-	return &postings.List{}, nil
+	l.Drop(s.deleted) // freshly decoded: no one else holds it
+	return l, nil
 }

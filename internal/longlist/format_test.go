@@ -133,8 +133,8 @@ func TestCorruptFrequencyRefused(t *testing.T) {
 		name   string
 		decode func() error
 	}{
-		{"list, frequency 0", func() error { _, _, err := postings.Decode([]byte{1, 5, 0}); return err }},
-		{"list, frequency 2", func() error { _, _, err := postings.Decode([]byte{1, 5, 2}); return err }},
+		{"list body, frequency 0", func() error { _, err := postings.DecodeBody([]byte{5, 0}, 1); return err }},
+		{"list body, frequency 2", func() error { _, err := postings.DecodeBody([]byte{5, 2}, 1); return err }},
 		{"bucket image, frequency 0", bucketImage([]byte{1, 7, 1, 5, 0})},
 		{"bucket image, frequency 2", bucketImage([]byte{1, 7, 1, 5, 2})},
 		{"varint block, frequency 0", block(postings.CodecVarint, []byte{1, 5, 0})},

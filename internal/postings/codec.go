@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // The on-disk encoding delta-compresses document identifiers and writes the
@@ -27,8 +26,24 @@ const storedFreq = 1
 // doc-ID gap (first gap is the absolute ID plus one, so a zero gap never
 // appears and corruption is detectable) and the frequency varint 1.
 func Encode(dst []byte, l *List) []byte {
-	dst = binary.AppendUvarint(dst, uint64(l.Len()))
-	prev := uint64(0)
+	return AppendBody(binary.AppendUvarint(dst, uint64(l.Len())), 0, l)
+}
+
+// EncodedSize returns the exact number of bytes Encode will produce for l.
+func EncodedSize(l *List) int {
+	return uvarintLen(uint64(l.Len())) + BodySize(0, l)
+}
+
+// A body is what Encode writes after a list's count: the postings' gap
+// varints, each followed by the frequency 1. Its first gap is taken from a
+// base: 0 for the body of a whole list, last+1 for a body that continues a
+// list whose largest posting is last. A list's body followed by the body
+// of later postings taken from its last+1 is the joined list's body, so a
+// stored body grows without re-encoding what it already holds.
+
+// AppendBody appends the body of l's postings, taken from base, to dst.
+func AppendBody(dst []byte, base uint64, l *List) []byte {
+	prev := base
 	for _, d := range l.Docs() {
 		dst = binary.AppendUvarint(dst, uint64(d)+1-prev)
 		dst = append(dst, storedFreq)
@@ -37,15 +52,40 @@ func Encode(dst []byte, l *List) []byte {
 	return dst
 }
 
-// EncodedSize returns the exact number of bytes Encode will produce for l.
-func EncodedSize(l *List) int {
-	n := uvarintLen(uint64(l.Len()))
-	prev := uint64(0)
+// BodySize returns the exact number of bytes AppendBody appends for l's
+// postings taken from base.
+func BodySize(base uint64, l *List) int {
+	n, prev := 0, base
 	for _, d := range l.Docs() {
 		n += uvarintLen(uint64(d)+1-prev) + 1
 		prev = uint64(d) + 1
 	}
 	return n
+}
+
+// BodyFirst returns the first posting of a whole list's body, which must
+// hold at least one posting.
+func BodyFirst(body []byte) DocID {
+	gap, _ := Uvarint(body)
+	return DocID(gap - 1)
+}
+
+// ScanBody checks that buf opens with the body of a whole list of count
+// postings, accepting exactly what DecodeBody accepts, and returns the
+// body's length and its last posting. It allocates nothing.
+func ScanBody(buf []byte, count int) (int, DocID, error) {
+	_, n, last, err := decodeBody(nil, buf, uint64(count), false)
+	return n, last, err
+}
+
+// DecodeBody decodes the body of a whole list of count postings that
+// opens buf.
+func DecodeBody(buf []byte, count int) (*List, error) {
+	docs, _, _, err := decodeBody(nil, buf, uint64(count), true)
+	if err != nil {
+		return nil, err
+	}
+	return &List{docs: docs}, nil
 }
 
 func uvarintLen(v uint64) int {
@@ -68,34 +108,35 @@ func Uvarint(buf []byte) (uint64, int) {
 	return v, n
 }
 
-// Decode decodes one encoded list from buf and returns the list and the
-// number of bytes consumed. It accepts exactly what Encode produces, so a
-// decoded list re-encodes to the bytes consumed: a frequency other than 1
-// is corrupt.
-func Decode(buf []byte) (*List, int, error) {
-	docs, n, err := decodeAppend(nil, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &List{docs: docs}, n, nil
-}
-
-// decodeAppend is Decode appending the postings to dst, which it returns
-// with the number of bytes consumed.
+// decodeAppend decodes one encoded list from buf, appending its postings
+// to dst, and returns dst and the number of bytes consumed. It accepts
+// exactly what Encode produces, so a decoded list re-encodes to the bytes
+// consumed: a frequency other than 1 is corrupt.
 func decodeAppend(dst []DocID, buf []byte) ([]DocID, int, error) {
 	count, n := Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
-	off := n
+	dst, k, _, err := decodeBody(dst, buf[n:], count, true)
+	return dst, n + k, err
+}
+
+// decodeBody reads the body of a whole list of count postings from buf,
+// appending the postings to dst when keep is set, and returns dst, the
+// number of bytes read and the last posting.
+func decodeBody(dst []DocID, buf []byte, count uint64, keep bool) ([]DocID, int, DocID, error) {
 	// Every posting encodes to at least two bytes (one gap varint, one freq
-	// varint), so a count the remaining buffer cannot possibly hold is corrupt
-	// — reject it before it sizes the allocation below.
-	if count > uint64(len(buf)-off)/2 {
-		return nil, 0, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, count, len(buf)-off)
+	// varint), so a count the buffer cannot possibly hold is corrupt —
+	// reject it before it sizes the allocation below.
+	if count > uint64(len(buf))/2 {
+		return nil, 0, 0, fmt.Errorf("%w: count %d exceeds %d-byte buffer", ErrCorrupt, count, len(buf))
 	}
-	dst = slices.Grow(dst, int(count))
-	prev := uint64(0)
+	if keep && cap(dst)-len(dst) < int(count) {
+		// One allocation, also under the race detector, where
+		// slices.Grow's make is not folded into its append.
+		dst = append(make([]DocID, 0, len(dst)+int(count)), dst...)
+	}
+	off, prev := 0, uint64(0)
 	for i := 0; i < int(count); i++ {
 		// Most gaps are one byte (those of dense lists): take those
 		// without the general decoder.
@@ -106,19 +147,21 @@ func decodeAppend(dst []DocID, buf []byte) ([]DocID, int, error) {
 			gap, n = Uvarint(buf[off:])
 		}
 		if n <= 0 || gap == 0 {
-			return nil, 0, fmt.Errorf("%w: bad gap at posting %d", ErrCorrupt, i)
+			return nil, 0, 0, fmt.Errorf("%w: bad gap at posting %d", ErrCorrupt, i)
 		}
 		off += n
 		if off >= len(buf) || buf[off] != storedFreq {
-			return nil, 0, fmt.Errorf("%w: bad freq at posting %d", ErrCorrupt, i)
+			return nil, 0, 0, fmt.Errorf("%w: bad freq at posting %d", ErrCorrupt, i)
 		}
 		off++
 		doc := prev + gap - 1
 		if doc > uint64(^DocID(0)) {
-			return nil, 0, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
+			return nil, 0, 0, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
 		}
-		dst = append(dst, DocID(doc))
+		if keep {
+			dst = append(dst, DocID(doc))
+		}
 		prev = doc + 1
 	}
-	return dst, off, nil
+	return dst, off, DocID(prev - 1), nil
 }

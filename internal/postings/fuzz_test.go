@@ -101,8 +101,9 @@ func fuzzRoundTrip(t *testing.T, c BlockCodec, l *List) {
 
 // FuzzDecodeArbitrary feeds raw bytes to every decoder: they must return
 // ErrCorrupt-style errors on garbage and truncation, never panic or hang.
-// What Decode accepts must re-encode to exactly the bytes it consumed, so
-// it cannot accept a frequency other than 1.
+// What the list decoder accepts must re-encode to exactly the bytes it
+// consumed, so it cannot accept a frequency other than 1, and the body
+// readers must accept exactly the same bodies after the count.
 func FuzzDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x00}, uint8(1))
@@ -126,8 +127,19 @@ func FuzzDecodeArbitrary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		switch which % 3 {
 		case 0:
-			if l, n, err := Decode(data); err == nil && !bytes.Equal(Encode(nil, l), data[:n]) {
-				t.Fatalf("Decode(%x) = %v, which re-encodes to %x", data[:n], l.Docs(), Encode(nil, l))
+			l, n, err := decode(data)
+			if err == nil && !bytes.Equal(Encode(nil, l), data[:n]) {
+				t.Fatalf("decode(%x) = %v, which re-encodes to %x", data[:n], l.Docs(), Encode(nil, l))
+			}
+			if count, k := Uvarint(data); k > 0 && count <= math.MaxInt32 {
+				m, last, serr := ScanBody(data[k:], int(count))
+				body, derr := DecodeBody(data[k:], int(count))
+				if (serr == nil) != (err == nil) || (derr == nil) != (err == nil) {
+					t.Fatalf("%x: decode err %v, ScanBody err %v, DecodeBody err %v", data, err, serr, derr)
+				}
+				if err == nil && (m != n-k || !slices.Equal(body.Docs(), l.Docs()) || (count > 0 && last != l.MaxDoc())) {
+					t.Fatalf("%x: body readers disagree with decode: %d bytes, last %d, %v", data, m, last, body.Docs())
+				}
 			}
 		case 1:
 			c, _ := NewBlockCodec(CodecVarint)

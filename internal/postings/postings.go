@@ -107,18 +107,6 @@ func (l *List) Append(m *List) error {
 	return nil
 }
 
-// Concat returns a new list holding the postings of l followed by those of
-// m, leaving both untouched. Like Append, every document identifier in m
-// must exceed l.MaxDoc(). Either list may be nil.
-func Concat(l, m *List) (*List, error) {
-	if l.Len() > 0 && m.Len() > 0 && m.docs[0] <= l.MaxDoc() {
-		return nil, fmt.Errorf("%w: have max %d, got %d", ErrAppendOrder, l.MaxDoc(), m.docs[0])
-	}
-	docs := make([]DocID, 0, l.Len()+m.Len())
-	docs = append(docs, l.Docs()...)
-	return &List{docs: append(docs, m.Docs()...)}, nil
-}
-
 // Push appends one posting in place: doc must exceed MaxDoc() unless the
 // list is empty. Push is how the pending tier grows a per-word run
 // incrementally — one posting per arriving document — where Append moves
@@ -202,9 +190,34 @@ func Difference(a, b *List) *List {
 // itself and allocates nothing; otherwise the result is a new list whose
 // storage is sized once.
 func (l *List) Without(del []DocID) (*List, int) {
+	i, del, j, hit := l.firstHit(del)
+	if !hit {
+		return l, 0
+	}
+	out := dropHits(make([]DocID, 0, len(l.docs)-1), l.docs, del, i, j)
+	return &List{docs: out}, l.Len() - len(out)
+}
+
+// Drop is Without in place, for a list no one else holds: it removes the
+// postings of the documents in del from l, reports how many it removed,
+// and allocates nothing.
+func (l *List) Drop(del []DocID) int {
+	i, del, j, hit := l.firstHit(del)
+	if !hit {
+		return 0
+	}
+	n := len(l.docs)
+	l.docs = dropHits(l.docs[:0], l.docs, del, i, j)
+	return n - len(l.docs)
+}
+
+// firstHit clips del to l's identifier range and finds the first document
+// in both: its index i in l's postings and j in the clipped del, which it
+// returns.
+func (l *List) firstHit(del []DocID) (i int, clipped []DocID, j int, hit bool) {
 	docs := l.Docs()
 	if len(docs) == 0 || len(del) == 0 {
-		return l, 0
+		return 0, nil, 0, false
 	}
 	lo, _ := slices.BinarySearch(del, docs[0])
 	hi, found := slices.BinarySearch(del[lo:], docs[len(docs)-1])
@@ -213,22 +226,22 @@ func (l *List) Without(del []DocID) (*List, int) {
 	}
 	del = del[lo : lo+hi]
 	if len(del) == 0 {
-		return l, 0
+		return 0, nil, 0, false
 	}
 	skip, _ := slices.BinarySearch(docs, del[0])
-	i, j, hit := nextHit(docs[skip:], del)
-	if !hit {
-		return l, 0
-	}
-	i += skip
-	out := make([]DocID, 0, len(docs)-1)
-	for hit {
+	i, j, hit = nextHit(docs[skip:], del)
+	return skip + i, del, j, hit
+}
+
+// dropHits appends to out the postings of docs not in del, given their
+// first common document docs[i] == del[j]. out may share docs' storage
+// from its start: it never outgrows the postings already read.
+func dropHits(out, docs, del []DocID, i, j int) []DocID {
+	for hit := true; hit; i, j, hit = nextHit(docs, del) {
 		out = append(out, docs[:i]...)
 		docs, del = docs[i+1:], del[j+1:]
-		i, j, hit = nextHit(docs, del)
 	}
-	out = append(out, docs...)
-	return &List{docs: out}, l.Len() - len(out)
+	return append(out, docs...)
 }
 
 // nextHit merges the sorted identifiers docs and del up to their first

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -8,6 +9,16 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// decode is the whole-list decoder behind the block codecs: one encoded
+// list read from the front of buf.
+func decode(buf []byte) (*List, int, error) {
+	docs, n, err := decodeAppend(nil, buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &List{docs: docs}, n, nil
+}
 
 func mustList(t *testing.T, docs ...DocID) *List {
 	t.Helper()
@@ -78,30 +89,10 @@ func TestAppendEmpty(t *testing.T) {
 	}
 }
 
-func TestConcatLeavesInputsUntouched(t *testing.T) {
-	a, b := mustList(t, 1, 2, 3), mustList(t, 4, 5)
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(c.Docs(), mustList(t, 1, 2, 3, 4, 5).Docs()) {
-		t.Fatalf("Concat = %v", c.Docs())
-	}
-	if !slices.Equal(a.Docs(), mustList(t, 1, 2, 3).Docs()) || !slices.Equal(b.Docs(), mustList(t, 4, 5).Docs()) {
-		t.Fatalf("Concat mutated its inputs: %v, %v", a.Docs(), b.Docs())
-	}
-	if c, err := Concat(nil, b); err != nil || !slices.Equal(c.Docs(), b.Docs()) || &c.Docs()[0] == &b.Docs()[0] {
-		t.Fatalf("Concat(nil, b) = %v, %v; want a copy of b", c.Docs(), err)
-	}
-	if _, err := Concat(a, mustList(t, 3, 4)); !errors.Is(err, ErrAppendOrder) {
-		t.Fatalf("overlapping Concat err = %v, want ErrAppendOrder", err)
-	}
-}
-
 func TestDecodeRejectsNonCanonical(t *testing.T) {
 	valid := Encode(nil, mustList(t, 5, 9))
-	if l, n, err := Decode(valid); err != nil || n != len(valid) || !slices.Equal(l.Docs(), mustList(t, 5, 9).Docs()) {
-		t.Fatalf("Decode(%x) = %v, %d, %v", valid, l.Docs(), n, err)
+	if l, n, err := decode(valid); err != nil || n != len(valid) || !slices.Equal(l.Docs(), mustList(t, 5, 9).Docs()) {
+		t.Fatalf("decode(%x) = %v, %d, %v", valid, l.Docs(), n, err)
 	}
 	for name, buf := range map[string][]byte{
 		"overlong count": {0x81, 0x00, 6, 1},
@@ -111,8 +102,8 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		"freq 0":         {1, 6, 0},
 		"freq 2":         {1, 6, 2},
 	} {
-		if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Decode(%x) err = %v, want ErrCorrupt", name, buf, err)
+		if _, _, err := decode(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decode(%x) err = %v, want ErrCorrupt", name, buf, err)
 		}
 	}
 }
@@ -236,6 +227,11 @@ func TestWithoutMatchesFilter(t *testing.T) {
 		if (dropped == 0) != (got == l) {
 			t.Fatalf("%s: dropped %d but result aliases input = %v", name, dropped, got == l)
 		}
+		// Drop filters a private copy in place to the same answer.
+		own := l.Clone()
+		if n := own.Drop(del); n != dropped || !slices.Equal(own.Docs(), want.Docs()) {
+			t.Fatalf("%s: Drop = %v (%d), want %v (%d)", name, own.Docs(), n, want.Docs(), dropped)
+		}
 	}
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
@@ -271,6 +267,10 @@ func TestWithoutAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { l.Without(hit) }); a > 2 {
 		t.Errorf("Without with hits allocates %.0f, want at most 2", a)
 	}
+	copies := testing.AllocsPerRun(50, func() { l.Clone() })
+	if a := testing.AllocsPerRun(50, func() { l.Clone().Drop(hit) }); a != copies {
+		t.Errorf("Drop with hits allocates %.0f beyond the copy it filters", a-copies)
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -297,7 +297,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		if len(buf) != EncodedSize(l) {
 			t.Errorf("EncodedSize = %d, len(Encode) = %d", EncodedSize(l), len(buf))
 		}
-		got, n, err := Decode(buf)
+		got, n, err := decode(buf)
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
@@ -310,6 +310,52 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestBodiesConcatenate pins the body helpers to Encode: a list's body
+// followed by the body of later postings, taken from the list's last
+// posting, is the joined list's body, byte for byte; ScanBody and
+// DecodeBody read it back, and BodySize predicts every body's length.
+func TestBodiesConcatenate(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 500; iter++ {
+		joined := randomList(r, r.Intn(40)+1)
+		docs := joined.Docs()
+		cut := r.Intn(len(docs)) + 1
+		head, tail := NewList(docs[:cut]), NewList(docs[cut:])
+
+		body := AppendBody(nil, 0, head)
+		base := uint64(head.MaxDoc()) + 1
+		body = AppendBody(body, base, tail)
+		whole := Encode(nil, joined)
+		if want := whole[uvarintLen(uint64(joined.Len())):]; !bytes.Equal(body, want) {
+			t.Fatalf("%v + %v: body %x, want %x", head.Docs(), tail.Docs(), body, want)
+		}
+		if got := BodySize(0, head) + BodySize(base, tail); got != len(body) {
+			t.Fatalf("BodySize = %d, want %d", got, len(body))
+		}
+		n, last, err := ScanBody(body, joined.Len())
+		if err != nil || n != len(body) || last != joined.MaxDoc() {
+			t.Fatalf("ScanBody = %d, %d, %v; want %d, %d", n, last, err, len(body), joined.MaxDoc())
+		}
+		if got, err := DecodeBody(body, joined.Len()); err != nil || !slices.Equal(got.Docs(), docs) {
+			t.Fatalf("DecodeBody = %v, %v; want %v", got.Docs(), err, docs)
+		}
+		if first := BodyFirst(body); first != docs[0] {
+			t.Fatalf("BodyFirst = %d, want %d", first, docs[0])
+		}
+		// A body one posting short of its count is refused by both readers.
+		if _, _, err := ScanBody(body, joined.Len()+1); err == nil {
+			t.Fatal("ScanBody accepted a short body")
+		}
+		if _, err := DecodeBody(body, joined.Len()+1); err == nil {
+			t.Fatal("DecodeBody accepted a short body")
+		}
+	}
+	body := AppendBody(nil, 0, NewList([]DocID{1, 5, 300}))
+	if a := testing.AllocsPerRun(20, func() { ScanBody(body, 3) }); a != 0 {
+		t.Errorf("ScanBody allocates %.0f times, want 0", a)
+	}
+}
+
 func TestDecodeCorrupt(t *testing.T) {
 	cases := [][]byte{
 		{},        // missing count
@@ -319,7 +365,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{0xff},    // incomplete varint
 	}
 	for i, buf := range cases {
-		if _, _, err := Decode(buf); err == nil {
+		if _, _, err := decode(buf); err == nil {
 			t.Errorf("case %d: Decode accepted corrupt input %v", i, buf)
 		}
 	}
@@ -339,7 +385,7 @@ func TestQuickCodecRoundtrip(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		l := randomList(r, int(n))
-		got, used, err := Decode(Encode(nil, l))
+		got, used, err := decode(Encode(nil, l))
 		return err == nil && used == EncodedSize(l) && slices.Equal(got.Docs(), l.Docs())
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -435,7 +481,7 @@ func BenchmarkDecode(b *testing.B) {
 	buf := Encode(nil, l)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(buf); err != nil {
+		if _, _, err := decode(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,6 +50,12 @@ go test -race ./...
 # tests; run them by name under the race detector, immune to wildcard drift.
 echo '== go test -race (invariant analyzers)'
 go test -race -count=1 ./internal/analysis/...
+# A flush snapshot's bucket clone shares every stored body with the live
+# set: run the tests that write to both sides of a clone, and the core
+# snapshot test, repeatedly under the race detector.
+echo '== go test -race -count=20 (shared bucket bodies)'
+go test -race -count=20 -run '^(TestCloneIsolation|TestBucketImageMatchesReference)$' ./internal/bucket/
+go test -race -count=20 -run '^TestSnapshotStableDuringApply$' ./internal/core/
 # The codec fuzz targets' seed corpora run as unit tests above; give each
 # target a short live fuzzing burst too, so `make check` explores beyond the
 # seeds (kept brief — CI does the long runs).
