@@ -451,7 +451,8 @@ func TestVocabCorruptionDetectedOnOpen(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "vocab.txt"), []byte("not a number\n"), 0o644); err != nil {
+	// As many words as the checkpoint counts, but one twice.
+	if err := os.WriteFile(filepath.Join(dir, "vocab.txt"), []byte("some\nsome\nwords\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(opts); err == nil {

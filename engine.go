@@ -325,9 +325,9 @@ func (e *Engine) Health() Health {
 }
 
 // Close releases the engine's resources, persisting each shard's unsaved
-// deletions and vocabulary first for on-disk engines. All shards are closed
-// even if one fails; the first error is returned. Close waits for a running
-// reshard and for the operations in flight to finish. The engine then holds
+// deletions first for on-disk engines. All shards are closed even if one
+// fails; the first error is returned. Close waits for a running reshard
+// and for the operations in flight to finish. The engine then holds
 // no shards: every later operation finds it closed, and a second Close
 // returns nil.
 func (e *Engine) Close() error {

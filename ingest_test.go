@@ -56,19 +56,16 @@ func TestWordIDsMatchReference(t *testing.T) {
 					v.GetOrAssign(w)
 				}
 			}
-			var buf bytes.Buffer
-			v.WriteTo(&buf)
-			return buf.Bytes()
+			return v.AppendLog(nil, 0)
 		}
 		check := func(stage string, eng *Engine, shardDocs func(i int) []DocID) {
 			t.Helper()
 			for i, s := range eng.shards {
-				var got bytes.Buffer
 				s.mu.RLock()
-				s.vocab.WriteTo(&got)
+				got := s.vocab.AppendLog(nil, 0)
 				s.mu.RUnlock()
-				if w := want(shardDocs(i)); !bytes.Equal(got.Bytes(), w) {
-					t.Errorf("%s: shard %d vocabulary differs from the reference (%d bytes, want %d)", stage, i, got.Len(), len(w))
+				if w := want(shardDocs(i)); !bytes.Equal(got, w) {
+					t.Errorf("%s: shard %d vocabulary differs from the reference (%d bytes, want %d)", stage, i, len(got), len(w))
 				}
 			}
 		}

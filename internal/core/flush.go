@@ -177,10 +177,11 @@ func (ix *Index) flushDeleted() error {
 // Superblock layout constants. Version 2 added the codec field after the
 // bucket geometry; version 3 added the high-water document identifier after
 // the deleted-list region; version 4 added the bucket image's byte count
-// after the bucket region. Only version 4 is read.
+// after the bucket region; version 5 added the word count after the
+// high-water document identifier. Only version 5 is read.
 const (
 	superMagic   = 0x494C5549 // "IULI": Inverted-List Update
-	superVersion = 4
+	superVersion = 5
 )
 
 // writeSuperblock records where everything lives. It is written last, so a
@@ -212,6 +213,7 @@ func (ix *Index) encodeSuperblock() []byte {
 	b = appendRegion(b, ix.dirRegion)
 	b = appendRegion(b, ix.delRegion)
 	b = binary.AppendUvarint(b, uint64(ix.maxDoc))
+	b = binary.AppendUvarint(b, uint64(ix.words))
 	return b
 }
 

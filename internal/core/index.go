@@ -90,6 +90,9 @@ type Index struct {
 	// superblock, it survives the sweep that removes that document's
 	// postings.
 	maxDoc postings.DocID
+	// words is one more than the largest word identifier any applied
+	// update carried, checkpointed beside maxDoc.
+	words int
 
 	batches int
 }
@@ -203,6 +206,10 @@ func (ix *Index) Batches() int { return ix.batches }
 // included. It is 0 in simulation mode, where updates carry no lists.
 func (ix *Index) MaxDoc() postings.DocID { return ix.maxDoc }
 
+// Words reports one more than the largest word identifier any update
+// applied to this index carried: how many words its lists may refer to.
+func (ix *Index) Words() int { return ix.words }
+
 // RaiseMaxDoc lifts the high-water document identifier to doc, for an index
 // that must continue an identifier sequence past documents it never held.
 // The next checkpoint records it.
@@ -306,6 +313,7 @@ func (ix *Index) ApplyUpdate(updates []WordUpdate) (UpdateStats, error) {
 			if u.List != nil && u.List.MaxDoc() > ix.maxDoc {
 				ix.maxDoc = u.List.MaxDoc()
 			}
+			ix.words = max(ix.words, int(u.Word)+1)
 		}
 		return BucketStage(ix.buckets, updates, ix.dir.Has, ix.appendLong)
 	})

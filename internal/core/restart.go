@@ -59,6 +59,7 @@ type superblock struct {
 	bucketRegion, dirRegion, delRegion []regionChunk
 	bucketBytes                        int64 // the bucket image's length
 	maxDoc                             postings.DocID
+	words                              int
 }
 
 // superReader reads a superblock image one bounded varint at a time. The
@@ -148,6 +149,7 @@ func decodeSuperblock(buf []byte, geo disk.Geometry, blockPosting int64) (superb
 	sb.dirRegion = r.region()
 	sb.delRegion = r.region()
 	sb.maxDoc = postings.DocID(r.next("high-water document", math.MaxUint32))
+	sb.words = int(r.next("word count", math.MaxUint32+1))
 	if r.err != nil {
 		return sb, r.err
 	}
@@ -272,6 +274,7 @@ func (ix *Index) restoreSuperblock(buf []byte) error {
 	ix.long = long
 	ix.batches = sb.batches
 	ix.maxDoc = sb.maxDoc
+	ix.words = sb.words
 	ix.bucketRegion = sb.bucketRegion
 	ix.bucketBytes = sb.bucketBytes
 	ix.dirRegion = sb.dirRegion

@@ -15,6 +15,21 @@ import (
 	"dualindex/internal/postings"
 )
 
+// encodeSuperblockV4 renders a checkpoint root in the version-4 layout: the
+// version-5 fields without the trailing word count.
+func encodeSuperblockV4(sb superblock) []byte {
+	b := binary.AppendUvarint(nil, superMagic)
+	for _, v := range []uint64{4, uint64(sb.batches), uint64(sb.nextDisk),
+		uint64(sb.buckets), uint64(sb.bucketSize), uint64(sb.codec)} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = appendRegion(b, sb.bucketRegion)
+	b = binary.AppendUvarint(b, uint64(sb.bucketBytes))
+	b = appendRegion(b, sb.dirRegion)
+	b = appendRegion(b, sb.delRegion)
+	return binary.AppendUvarint(b, uint64(sb.maxDoc))
+}
+
 // encodeSuperblockV3 renders a checkpoint root in the version-3 layout: the
 // version-4 fields without the bucket image's byte count.
 func encodeSuperblockV3(sb superblock) []byte {
@@ -102,6 +117,16 @@ func listsMaxDoc(t testing.TB, ix *Index) postings.DocID {
 	return high
 }
 
+// refWords is one more than the largest word identifier in a fillIndex
+// reference.
+func refWords(ref map[postings.WordID][]postings.DocID) int {
+	n := 0
+	for w := range ref {
+		n = max(n, int(w)+1)
+	}
+	return n
+}
+
 // maxRefDoc is the largest document identifier in a fillIndex reference.
 func maxRefDoc(ref map[postings.WordID][]postings.DocID) postings.DocID {
 	var high postings.DocID
@@ -124,16 +149,20 @@ func TestHighWaterCheckpointed(t *testing.T) {
 	if ix.MaxDoc() != want {
 		t.Fatalf("MaxDoc = %d, want %d", ix.MaxDoc(), want)
 	}
-	if sb := currentSuperblock(t, ix); sb.maxDoc != want {
-		t.Fatalf("superblock maxDoc %d, want %d", sb.maxDoc, want)
+	words := refWords(ref)
+	if ix.Words() != words {
+		t.Fatalf("Words = %d, want %d", ix.Words(), words)
 	}
-	// Open takes the value from the superblock: it reads no long list.
+	if sb := currentSuperblock(t, ix); sb.maxDoc != want || sb.words != words {
+		t.Fatalf("superblock maxDoc %d, words %d; want %d, %d", sb.maxDoc, sb.words, want, words)
+	}
+	// Open takes both values from the superblock: it reads no long list.
 	re, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.MaxDoc() != want {
-		t.Fatalf("reopened MaxDoc = %d, want %d", re.MaxDoc(), want)
+	if re.MaxDoc() != want || re.Words() != words {
+		t.Fatalf("reopened MaxDoc = %d, Words = %d; want %d, %d", re.MaxDoc(), re.Words(), want, words)
 	}
 	for _, op := range re.Array().Trace().Ops() {
 		if op.Tag != disk.TagDirectory {
@@ -142,7 +171,7 @@ func TestHighWaterCheckpointed(t *testing.T) {
 	}
 }
 
-// TestSuperblockOldVersionsRefused: version-1 to version-3 checkpoints,
+// TestSuperblockOldVersionsRefused: version-1 to version-4 checkpoints,
 // which no current code writes, are refused with an error that names the
 // version and the fix.
 func TestSuperblockOldVersionsRefused(t *testing.T) {
@@ -150,6 +179,7 @@ func TestSuperblockOldVersionsRefused(t *testing.T) {
 		1: encodeSuperblockV1,
 		2: encodeSuperblockV2,
 		3: encodeSuperblockV3,
+		4: encodeSuperblockV4,
 	} {
 		cfg := storeConfig()
 		ix, err := New(cfg)
@@ -171,14 +201,16 @@ func TestSuperblockOldVersionsRefused(t *testing.T) {
 }
 
 // TestHighWaterSurvivesSweepAndRebalance: the maintenance checkpoints keep
-// the high-water mark even when the largest document's postings are gone.
+// the high-water mark even when the largest document's postings are gone,
+// and the word count with it.
 func TestHighWaterSurvivesSweepAndRebalance(t *testing.T) {
 	cfg := storeConfig()
 	ix, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := maxRefDoc(fillIndex(t, ix, 4, 25))
+	ref := fillIndex(t, ix, 4, 25)
+	want, words := maxRefDoc(ref), refWords(ref)
 	ix.Delete(want)
 	if err := ix.Sweep(); err != nil {
 		t.Fatal(err)
@@ -187,8 +219,8 @@ func TestHighWaterSurvivesSweepAndRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.MaxDoc() != want {
-		t.Fatalf("after sweep: MaxDoc = %d, want %d", re.MaxDoc(), want)
+	if re.MaxDoc() != want || re.Words() != words {
+		t.Fatalf("after sweep: MaxDoc = %d, Words = %d; want %d, %d", re.MaxDoc(), re.Words(), want, words)
 	}
 	if scanned := listsMaxDoc(t, re); scanned >= want {
 		t.Fatalf("lists after sweep reach %d; the swept document %d should be gone", scanned, want)
@@ -200,8 +232,8 @@ func TestHighWaterSurvivesSweepAndRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re2.MaxDoc() != want {
-		t.Fatalf("after rebalance: MaxDoc = %d, want %d", re2.MaxDoc(), want)
+	if re2.MaxDoc() != want || re2.Words() != words {
+		t.Fatalf("after rebalance: MaxDoc = %d, Words = %d; want %d, %d", re2.MaxDoc(), re2.Words(), want, words)
 	}
 }
 
@@ -230,6 +262,7 @@ func corruptSuperblocks(geo disk.Geometry) map[string][]byte {
 		"version 0":                  {magic, 0},
 		"future version":             {magic, superVersion + 1},
 		"high-water beyond DocID":    head(superVersion, append(fits, regionBytes, 0, 0, 1<<40)...),
+		"words beyond WordID":        head(superVersion, append(fits, regionBytes, 0, 0, 1, 1<<40)...),
 	}
 	images := make(map[string][]byte, len(cases))
 	for name, fields := range cases {
@@ -280,12 +313,18 @@ func FuzzSuperblock(f *testing.F) {
 	}
 	fillIndex(f, ix, 3, 20)
 	f.Add(ix.encodeSuperblock())
-	// Version-4 images whose bucket image length is off by one either way.
+	// Version-5 images whose bucket image length is off by one either way.
 	for _, delta := range []int64{-1, 1} {
 		ix.bucketBytes += delta
 		f.Add(ix.encodeSuperblock())
 		ix.bucketBytes -= delta
 	}
+	// One whose word count is the largest a word identifier allows.
+	words := ix.words
+	ix.words = math.MaxUint32 + 1
+	f.Add(ix.encodeSuperblock())
+	ix.words = words
+	f.Add(encodeSuperblockV4(currentSuperblock(f, ix)))
 	f.Add(encodeSuperblockV3(currentSuperblock(f, ix)))
 	f.Add(encodeSuperblockV2(currentSuperblock(f, ix)))
 	for _, image := range corruptSuperblocks(cfg.Geometry) {

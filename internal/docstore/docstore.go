@@ -141,11 +141,8 @@ func (s *File) scan() error {
 	var off int64
 	for {
 		id, idLen, err := readUvarint(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			break // partial header: truncate here
+		if err != nil || id > math.MaxUint32 {
+			break // partial or corrupt header: truncate here
 		}
 		length, lenLen, err := readUvarint(r)
 		if err != nil || length > math.MaxUint32 {
@@ -176,12 +173,12 @@ func readUvarint(r *bufio.Reader) (uint64, int, error) {
 			return 0, n, err
 		}
 		n++
+		if shift == 63 && b > 1 {
+			return 0, n, fmt.Errorf("docstore: varint overflow")
+		}
 		v |= uint64(b&0x7F) << shift
 		if b < 0x80 {
 			return v, n, nil
-		}
-		if shift > 56 {
-			return 0, n, fmt.Errorf("docstore: varint overflow")
 		}
 	}
 }

@@ -7,15 +7,13 @@
 package vocab
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"dualindex/internal/postings"
 )
@@ -27,8 +25,8 @@ import (
 // opening an index pays nothing for truncation queries it may never run.
 // The zero value is not usable; call New.
 //
-// The read methods (Lookup, WordsWithPrefix, Len, WriteTo) may run
-// concurrently with each other; GetOrAssign must run alone.
+// The read methods (Lookup, WordsWithPrefix, Len, AppendLog) may run
+// concurrently with each other; GetOrAssign and Cut must run alone.
 type Vocab struct {
 	ids   map[string]postings.WordID
 	words []string
@@ -110,86 +108,56 @@ func (v *Vocab) WordsWithPrefix(prefix string) []string {
 	return out
 }
 
-// WriteTo serialises the vocabulary as a header line holding the word
-// count, then one word per line, in identifier order. Words never contain
+// AppendLog appends to b the log lines of the words from identifier from
+// on, one word and a newline each, in identifier order: the bytes a
+// vocabulary log gains when those words are assigned. Words never contain
 // newlines (the lexer admits only [a-z0-9]).
-func (v *Vocab) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(strconv.Itoa(len(v.words)))
-	bw.WriteByte('\n')
-	n := int64(bw.Buffered())
-	for _, word := range v.words {
-		// A bufio.Writer keeps its first error and reports it from Flush.
-		bw.WriteString(word)
-		bw.WriteByte('\n')
-		n += int64(len(word)) + 1
+func (v *Vocab) AppendLog(b []byte, from int) []byte {
+	for _, word := range v.words[from:] {
+		b = append(b, word...)
+		b = append(b, '\n')
 	}
-	return n, bw.Flush()
+	return b
 }
 
-// Read reconstructs a vocabulary serialised by WriteTo. Lines may be of any
-// length: the lexer bounds no token, so neither does the file.
-func Read(r io.Reader) (*Vocab, error) {
-	// A large buffer reads a vocabulary file in few system calls.
-	br := bufio.NewReaderSize(r, 1<<20)
-	header, ok, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("vocab: missing header")
-	}
-	count, err := strconv.Atoi(strings.TrimSpace(header))
-	if err != nil || count < 0 {
-		return nil, fmt.Errorf("vocab: bad header %q", header)
-	}
-	// Presize from the header, capped so a corrupt count cannot allocate
-	// more than a large real vocabulary needs before the file runs out.
-	size := min(count, maxPresize)
-	v := &Vocab{ids: make(map[string]postings.WordID, size), words: make([]string, 0, size)}
-	for i := 0; i < count; i++ {
-		word, ok, err := readLine(br)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("vocab: truncated at word %d of %d", i, count)
-		}
+// Parse reconstructs a vocabulary from its log: one word per line, in
+// identifier order. A last line without its newline is an append that never
+// completed, and is ignored; so the words parsed are exactly those whose
+// lines AppendLog writes back. Lines may be of any length: the lexer bounds
+// no token, so neither does the log. A repeated word is refused. The words
+// share log's bytes, so the caller must not write to log again.
+func Parse(log []byte) (*Vocab, error) {
+	log = log[:bytes.LastIndexByte(log, '\n')+1]
+	n := bytes.Count(log, []byte{'\n'})
+	v := &Vocab{ids: make(map[string]postings.WordID, n), words: make([]string, 0, n)}
+	text := unsafe.String(unsafe.SliceData(log), len(log))
+	for text != "" {
+		end := strings.IndexByte(text, '\n')
+		word := text[:end]
 		if _, dup := v.ids[word]; dup {
-			return nil, fmt.Errorf("vocab: duplicate word %q", word)
+			return nil, fmt.Errorf("vocab: duplicate word %q at line %d", word, v.Len()+1)
 		}
 		v.GetOrAssign(word)
+		text = text[end+1:]
 	}
 	return v, nil
 }
 
-// readLine returns the next line without its end-of-line marker (an
-// optional carriage return and a newline), as bufio.ScanLines splits them;
-// a final line may lack the newline. ok is false at the end of input. A line
-// longer than the reader's buffer is gathered piecewise, and the string is
-// allocated at the line's exact length.
-func readLine(br *bufio.Reader) (line string, ok bool, err error) {
-	b, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		long := slices.Clone(b)
-		for err == bufio.ErrBufferFull {
-			b, err = br.ReadSlice('\n')
-			long = append(long, b...)
-		}
-		b = long
+// Cut drops the words from identifier n on, as if they had never been
+// assigned, and returns the length of the log that holds the words kept.
+// n must not exceed Len.
+func (v *Vocab) Cut(n int) int64 {
+	var size int64
+	for _, word := range v.words[:n] {
+		size += int64(len(word)) + 1
 	}
-	switch {
-	case err == io.EOF:
-		if len(b) == 0 {
-			return "", false, nil
-		}
-	case err != nil:
-		return "", false, err
-	default:
-		b = b[:len(b)-1]
+	for _, word := range v.words[n:] {
+		delete(v.ids, word)
 	}
-	return string(bytes.TrimSuffix(b, []byte("\r"))), true, nil
+	clear(v.words[n:])
+	v.words = v.words[:n]
+	v.mu.Lock()
+	v.sorted = nil // rebuilt by the next prefix scan
+	v.mu.Unlock()
+	return size
 }
-
-// maxPresize caps the word count Read trusts from a header.
-const maxPresize = 1 << 20

@@ -46,11 +46,7 @@ func TestSerializationRoundtrip(t *testing.T) {
 	for _, w := range []string{"cat", "dog", "mouse", "42"} {
 		v.GetOrAssign(w)
 	}
-	var buf bytes.Buffer
-	if _, err := v.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Parse(v.AppendLog(nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,26 +62,22 @@ func TestSerializationRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWriteToBytes pins the on-disk format: a header line with the word
-// count, then one word per line in identifier order.
-func TestWriteToBytes(t *testing.T) {
+// TestLogBytes pins the on-disk format: one word per line in identifier
+// order, no header, so the log of later words is the earlier log's
+// continuation.
+func TestLogBytes(t *testing.T) {
 	v := New()
 	for _, w := range []string{"cat", "dog", "mouse", "42"} {
 		v.GetOrAssign(w)
 	}
-	var buf bytes.Buffer
-	n, err := v.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
+	const want = "cat\ndog\nmouse\n42\n"
+	if got := string(v.AppendLog(nil, 0)); got != want {
+		t.Fatalf("AppendLog wrote %q, want %q", got, want)
 	}
-	const want = "4\ncat\ndog\nmouse\n42\n"
-	if buf.String() != want {
-		t.Fatalf("WriteTo wrote %q, want %q", buf.String(), want)
+	if got := string(v.AppendLog([]byte("cat\ndog\n"), 2)); got != want {
+		t.Fatalf("AppendLog from word 2 continued the log as %q, want %q", got, want)
 	}
-	if n != int64(len(want)) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(want))
-	}
-	got, err := Read(&buf)
+	got, err := Parse([]byte(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,24 +86,21 @@ func TestWriteToBytes(t *testing.T) {
 			t.Errorf("word %q = id %d (ok=%v), want %d", w, id, ok, i)
 		}
 	}
-
-	buf.Reset()
-	if _, err := New().WriteTo(&buf); err != nil || buf.String() != "0\n" {
-		t.Fatalf("empty vocabulary wrote %q, %v; want \"0\\n\"", buf.String(), err)
+	if got := New().AppendLog(nil, 0); len(got) != 0 {
+		t.Fatalf("empty vocabulary wrote %q", got)
 	}
 }
 
+// TestReadErrors: a repeated word is refused; an empty log is an empty
+// vocabulary.
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"notanumber\n",
-		"3\ncat\ndog\n", // truncated
-		"2\ncat\ncat\n", // duplicate
-	}
-	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("Read(%q) succeeded", c)
+	for _, c := range []string{"cat\ncat\n", "cat\ndog\ncat\n"} {
+		if _, err := Parse([]byte(c)); err == nil {
+			t.Errorf("Parse(%q) succeeded", c)
 		}
+	}
+	if v, err := Parse([]byte("")); err != nil || v.Len() != 0 {
+		t.Errorf("Parse of an empty log: %d words, %v", v.Len(), err)
 	}
 }
 
@@ -123,13 +112,9 @@ func TestRoundtripLongWord(t *testing.T) {
 	for _, w := range []string{"hello", long, "world"} {
 		v.GetOrAssign(w)
 	}
-	var buf bytes.Buffer
-	if _, err := v.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Parse(v.AppendLog(nil, 0))
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
 	if got.Len() != 3 {
 		t.Fatalf("read %d words, want 3", got.Len())
@@ -141,18 +126,78 @@ func TestRoundtripLongWord(t *testing.T) {
 	}
 }
 
-// TestReadLineEnds: Read takes \r\n line ends and a last line without a
-// newline, as the line scanner it replaced did.
+// TestReadLineEnds: a last line without its newline is an append that
+// never completed and is dropped, however long; a carriage return is part of
+// its word, so every loaded log writes back as the lines it was read from.
 func TestReadLineEnds(t *testing.T) {
-	for _, in := range []string{"2\r\ncat\r\ndog\r\n", "2\ncat\ndog"} {
-		v, err := Read(strings.NewReader(in))
+	for _, in := range []string{"cat\ndog\nmo", "cat\ndog\n" + strings.Repeat("m", 2<<20)} {
+		v, err := Parse([]byte(in))
 		if err != nil {
-			t.Fatalf("Read(%q): %v", in, err)
+			t.Fatalf("Parse(%.12q…): %v", in, err)
 		}
 		if id, ok := v.Lookup("dog"); !ok || id != 1 || v.Len() != 2 {
-			t.Errorf("Read(%q): dog = %d, %v; %d words", in, id, ok, v.Len())
+			t.Errorf("Parse(%.12q…): dog = %d, %v; %d words", in, id, ok, v.Len())
 		}
 	}
+	v, err := Parse([]byte("cat\r\ndog\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v.Lookup("cat\r"); !ok || string(v.AppendLog(nil, 0)) != "cat\r\ndog\n" {
+		t.Errorf("carriage return not kept: %q", v.AppendLog(nil, 0))
+	}
+}
+
+// TestCut: the words past the cut are gone — unknown to lookups and prefix
+// scans, reassigned from the cut on — and the returned length is the log
+// of the words kept.
+func TestCut(t *testing.T) {
+	v := New()
+	for _, w := range []string{"invert", "index", "inversion", "zebra"} {
+		v.GetOrAssign(w)
+	}
+	if got := v.WordsWithPrefix("inv"); len(got) != 2 {
+		t.Fatalf("before the cut: %v", got)
+	}
+	if size := v.Cut(2); size != int64(len("invert\nindex\n")) {
+		t.Fatalf("Cut(2) = %d", size)
+	}
+	if _, ok := v.Lookup("inversion"); ok || v.Len() != 2 {
+		t.Fatalf("a cut word is still known; %d words", v.Len())
+	}
+	if got := v.WordsWithPrefix("inv"); !slices.Equal(got, []string{"invert"}) {
+		t.Fatalf("prefix scan after the cut = %v", got)
+	}
+	if id := v.GetOrAssign("zebra"); id != 2 {
+		t.Fatalf("first word after the cut took id %d, want 2", id)
+	}
+	if got := v.WordsWithPrefix(""); !slices.Equal(got, []string{"index", "invert", "zebra"}) {
+		t.Fatalf("words after the cut = %v", got)
+	}
+}
+
+// FuzzVocabLog reads arbitrary bytes as a vocabulary log: each must load or
+// be refused, never panic, and a loaded log writes back byte for byte as the
+// complete lines it was read from, each word at its line's identifier.
+func FuzzVocabLog(f *testing.F) {
+	for _, seed := range []string{"", "cat\ndog\n", "cat\ndog", "cat\ncat\n", "\n\n", "a\r\nb\n", "4\ncat\ndog\nmouse\n42\n"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := Parse(bytes.Clone(data))
+		if err != nil {
+			return
+		}
+		lines := data[:bytes.LastIndexByte(data, '\n')+1]
+		if got := v.AppendLog(nil, 0); !bytes.Equal(got, lines) {
+			t.Fatalf("log %q writes back as %q", lines, got)
+		}
+		for i, w := range strings.SplitAfter(string(lines), "\n") {
+			if id, ok := v.Lookup(strings.TrimSuffix(w, "\n")); w != "" && (!ok || int(id) != i) {
+				t.Fatalf("line %d %q resolves to %d, %v", i, w, id, ok)
+			}
+		}
+	})
 }
 
 func TestLookupBytes(t *testing.T) {
@@ -177,11 +222,7 @@ func TestQuickRoundtrip(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			v.GetOrAssign(word(i))
 		}
-		var buf bytes.Buffer
-		if _, err := v.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
+		got, err := Parse(v.AppendLog(nil, 0))
 		if err != nil || got.Len() != v.Len() {
 			return false
 		}
@@ -231,11 +272,7 @@ func TestWordsWithPrefix(t *testing.T) {
 	}
 	// Serialisation keeps the dictionary: a reloaded vocabulary answers the
 	// same prefix scans.
-	var buf bytes.Buffer
-	if _, err := v.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Read(&buf)
+	re, err := Parse(v.AppendLog(nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +284,7 @@ func TestWordsWithPrefix(t *testing.T) {
 
 // TestPrefixTreeBuiltOnFirstUse pins the lazy sorted view: nothing is
 // sorted until the first prefix scan, words assigned after it join the view
-// at the next scan, and a vocabulary from Read defers its sort again —
+// at the next scan, and a vocabulary from Parse defers its sort again —
 // every path answering exactly like the same words scanned fresh.
 func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
 	v := New()
@@ -267,23 +304,19 @@ func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
 		t.Fatalf("scan after later assignments = %v, want %v", got, want)
 	}
 
-	var buf bytes.Buffer
-	if _, err := v.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Read(&buf)
+	re, err := Parse(v.AppendLog(nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re.sorted != nil {
-		t.Fatal("Read sorted the view")
+		t.Fatal("Parse sorted the view")
 	}
 	if got := re.WordsWithPrefix("inv"); !slices.Equal(got, want) {
-		t.Fatalf("scan after Read = %v, want %v", got, want)
+		t.Fatalf("scan after Parse = %v, want %v", got, want)
 	}
 	re.GetOrAssign("invest")
 	if got, want := re.WordsWithPrefix("inv"), append(want, "invest"); !slices.Equal(got, want) {
-		t.Fatalf("scan after Read and a later assignment = %v, want %v", got, want)
+		t.Fatalf("scan after Parse and a later assignment = %v, want %v", got, want)
 	}
 	if got := re.WordsWithPrefix(""); len(got) != re.Len() {
 		t.Fatalf("empty prefix = %d words, vocabulary holds %d", len(got), re.Len())
@@ -292,7 +325,7 @@ func TestPrefixTreeBuiltOnFirstUse(t *testing.T) {
 
 // TestWordsWithPrefixProperty checks the sorted view against a brute-force
 // filter-and-sort while assignments interleave with scans, on a fresh
-// vocabulary and on one reloaded by Read that keeps growing.
+// vocabulary and on one reloaded by Parse that keeps growing.
 func TestWordsWithPrefixProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randWord := func() string {
@@ -333,11 +366,7 @@ func TestWordsWithPrefixProperty(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		v := New()
 		all := grow(v, nil, 300)
-		var buf bytes.Buffer
-		if _, err := v.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Read(&buf)
+		re, err := Parse(v.AppendLog(nil, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,9 @@ import (
 // vocabulary, the document log's record offsets, and the text of only the
 // documents newer than the checkpoint. Long lists are not read. The
 // superblock records the largest document identifier ever indexed, so
-// identifiers continue past documents a sweep has removed.
+// identifiers continue past documents a sweep has removed, and how many
+// words of vocab.txt, an append-only log, its lists use: a shorter log is
+// refused.
 //
 // On-disk layout: a single-shard engine stores its files (disk*.dat,
 // vocab.txt, docs.log) directly under Dir. A sharded engine gives each
@@ -36,7 +38,7 @@ import (
 // format version.
 //
 // Open reads only the formats this engine writes: manifest version 3 and
-// superblock version 4. It refuses, with an error naming the directory and
+// superblock version 5. It refuses, with an error naming the directory and
 // writing nothing, an older manifest or superblock and a directory that
 // holds index files but no manifest — one from before manifests existed, or
 // one whose first Open never returned. Such an index has to be rebuilt.
@@ -330,44 +332,61 @@ func openAsyncStore(dir string, opts Options, resume bool) (disk.BlockStore, err
 
 func (s *shard) vocabPath() string { return filepath.Join(s.dir, "vocab.txt") }
 
-// saveVocab replaces the shard's vocabulary file, unless no word was
-// assigned since the vocabulary was last loaded or saved: identifiers are
-// dense and append-only, so an unchanged count is an unchanged file. The
-// caller holds s.mu.
-func (s *shard) saveVocab() error {
-	words := s.vocab.Len()
-	if words == s.savedWords {
+// appendVocab appends the words assigned since the last append to the
+// shard's vocabulary log and syncs it, so that the log holds every word
+// before the checkpoint that counts it. It first cuts the file to the words
+// it is known to hold, dropping any tail an uncommitted flush or a failed
+// append left. In-memory shards have no log. The caller holds s.mu.
+func (s *shard) appendVocab() error {
+	if s.dir == "" || s.vocab.Len() == s.logWords {
 		return nil
 	}
-	tmp := s.vocabPath() + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.OpenFile(s.vocabPath(), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := s.vocab.WriteTo(f); err != nil {
-		f.Close()
+	defer f.Close() // for the error paths; a second Close is harmless
+	words := s.vocab.AppendLog(nil, s.logWords)
+	if err := f.Truncate(s.logSize); err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(words, s.logSize); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, s.vocabPath()); err != nil {
-		return err
-	}
-	s.savedWords = words
+	s.logWords, s.logSize = s.vocab.Len(), s.logSize+int64(len(words))
 	return nil
 }
 
-// loadVocab reads the vocabulary file in dir; a shard checkpointed before
-// any word was assigned has none, and starts with an empty vocabulary.
-func loadVocab(dir string) (*vocab.Vocab, error) {
-	f, err := os.Open(filepath.Join(dir, "vocab.txt"))
+// cutVocab keeps the first words of a resumed shard's vocabulary that its
+// checkpoint counts. The log may hold more, assigned by a flush that never
+// committed: they are dropped here and assigned again as the documents that
+// hold them are recovered, and the next append cuts them from the file. A
+// log shorter than the count cannot name every word the checkpoint's lists
+// hold, and is refused.
+func (s *shard) cutVocab() error {
+	n := s.index.Words()
+	if s.vocab.Len() < n {
+		return fmt.Errorf("%s holds %d words, but the checkpoint counts %d: the index cannot name its words; delete it and rebuild", s.vocabPath(), s.vocab.Len(), n)
+	}
+	s.logWords, s.logSize = n, s.vocab.Cut(n)
+	return nil
+}
+
+// loadVocab reads the vocabulary log at path; a shard that never appended
+// to it has none, and starts with an empty vocabulary.
+func loadVocab(path string) (*vocab.Vocab, error) {
+	log, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return vocab.New(), nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return vocab.New(), nil
-		}
 		return nil, err
 	}
-	defer f.Close()
-	return vocab.Read(f)
+	return vocab.Parse(log)
 }

@@ -1,6 +1,7 @@
 package dualindex
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -192,9 +194,9 @@ func TestOpenVersion1ManifestRefused(t *testing.T) {
 }
 
 // TestOpenOldSuperblockRefused: a checkpoint whose superblock is version 1,
-// 2 or 3 is refused untouched, naming the shard's directory.
+// 2, 3 or 4 is refused untouched, naming the shard's directory.
 func TestOpenOldSuperblockRefused(t *testing.T) {
-	for _, version := range []byte{1, 2, 3} {
+	for _, version := range []byte{1, 2, 3, 4} {
 		dir := persistDir(t, 1)
 		setSuperblockVersion(t, filepath.Join(dir, "disk0.dat"), version)
 		openRefused(t, dir, fmt.Sprintf("superblock version %d predates", version), "rebuild the index")
@@ -240,7 +242,7 @@ func TestOpenRefusedKeepsTornDocLog(t *testing.T) {
 }
 
 // setSuperblockVersion rewrites the version of the superblock that opens
-// the disk file at path, which must be version 4.
+// the disk file at path, which must be version 5.
 func setSuperblockVersion(t *testing.T, path string, version byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -250,8 +252,8 @@ func setSuperblockVersion(t *testing.T, path string, version byte) {
 	// The superblock opens disk 0: the magic's varint, then the version's,
 	// which is one byte.
 	_, n := binary.Uvarint(data)
-	if n <= 0 || data[n] != 4 {
-		t.Fatalf("%s does not open with a version-4 superblock", path)
+	if n <= 0 || data[n] != 5 {
+		t.Fatalf("%s does not open with a version-5 superblock", path)
 	}
 	data[n] = version
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -456,6 +458,188 @@ func TestReadOnlySessionKeepsVocab(t *testing.T) {
 	}
 }
 
+// duringCommit runs FlushBatch on a one-shard engine and calls fn while the
+// flush is stopped between its checkpoint and its return, where a crash
+// would leave the directory. The test holds the shard's read lock across
+// the flush's first write lock, which publishes the snapshot, and takes it
+// again before the flush can retire that snapshot. fn runs once the flush
+// waits for the retiring write lock: the batch is applied, its superblock
+// written and synced.
+func duringCommit(t *testing.T, eng *Engine, fn func()) {
+	t.Helper()
+	s := eng.shards[0]
+	s.mu.RLock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.FlushBatch()
+		done <- err
+	}()
+	awaitWriter(s) // the flush waits to publish
+	s.mu.RUnlock()
+	// A reader that arrives while a writer waits is let in when that
+	// writer unlocks, ahead of any later writer.
+	s.mu.RLock()
+	if s.snap == nil {
+		s.mu.RUnlock()
+		t.Fatalf("no snapshot published after the flush's first write lock (flush: %v)", <-done)
+	}
+	awaitWriter(s) // the flush waits to retire
+	fn()
+	s.mu.RUnlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitWriter returns once a writer waits for s.mu, which the caller holds
+// for reading: a waiting writer makes a further read lock fail.
+func awaitWriter(s *shard) {
+	for s.mu.TryRLock() {
+		s.mu.RUnlock()
+		runtime.Gosched()
+	}
+}
+
+// TestVocabCrashAfterCommit: a copy of a two-batch file index taken once
+// the second batch's superblock is on disk, before its flush returns,
+// reopens with every word at its own identifier. A word the second batch
+// added still finds its document, and a word added after the reopen finds
+// only its own.
+func TestVocabCrashAfterCommit(t *testing.T) {
+	opts := smallOpts(1)
+	opts.Dir = t.TempDir()
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.AddDocument("alpha beta gamma")
+	if _, err := eng.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	eng.AddDocument("delta epsilon")
+	crash := opts
+	crash.Dir = t.TempDir()
+	duringCommit(t, eng, func() { copyTree(t, crash.Dir, opts.Dir) })
+
+	re, err := Open(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	want := map[string][]DocID{"alpha": {1}, "gamma": {1}, "delta": {2}, "epsilon": {2}}
+	check := func(stage string) {
+		t.Helper()
+		for word, docs := range want {
+			if got, err := re.SearchBoolean(word); err != nil || !slices.Equal(got, docs) {
+				t.Errorf("%s: %s = %v, %v; want %v", stage, word, got, err, docs)
+			}
+		}
+	}
+	check("reopened crash image")
+	want["omega"] = []DocID{re.AddDocument("omega")}
+	if _, err := re.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a new word")
+	if err := re.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesShortVocab: a checkpointed shard whose vocabulary log is
+// missing, or holds fewer words than its superblock counts, cannot name the
+// words of its lists. Open refuses it, naming the log, and writes nothing.
+func TestOpenRefusesShortVocab(t *testing.T) {
+	breaks := map[string]func(t *testing.T, path string){
+		"missing": func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"short": func(t *testing.T, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:bytes.IndexByte(data, '\n')+1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, breakLog := range breaks {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				dir := persistDir(t, shards)
+				path := filepath.Join(shardDir(dir, shards-1, shards), "vocab.txt")
+				breakLog(t, path)
+				openRefused(t, dir, path, "checkpoint counts")
+			})
+		}
+	}
+}
+
+// TestFlushVocabFailureCommitsNothing: a FlushBatch whose vocabulary append
+// fails commits nothing. The batch count is unchanged, the batch's
+// documents are still pending, and a retried flush leaves the directory a
+// flush without the fault leaves.
+func TestFlushVocabFailureCommitsNothing(t *testing.T) {
+	engines := make([]*Engine, 2) // faulted, reference
+	for i := range engines {
+		opts := smallOpts(1)
+		opts.Dir = t.TempDir()
+		eng, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildCorpus(t, eng, synthTexts(7, 40, 25, 12))
+		// A wider vocabulary: the second batch assigns new words.
+		for _, text := range synthTexts(8, 40, 60, 12) {
+			eng.AddDocument(text)
+		}
+		engines[i] = eng
+	}
+	eng, ref := engines[0], engines[1]
+	// A directory where the log was makes the append fail.
+	path := filepath.Join(eng.opts.Dir, "vocab.txt")
+	if err := os.Rename(path, path+".saved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	batches := eng.Stats().Batches
+	if _, err := eng.FlushBatch(); err == nil {
+		t.Fatal("FlushBatch succeeded without its vocabulary log")
+	}
+	if got := eng.Stats().Batches; got != batches {
+		t.Errorf("the failed flush counted a batch: %d, want %d", got, batches)
+	}
+	if got := eng.PendingDocs(); got != 40 {
+		t.Errorf("%d documents pending after the failed flush, want 40", got)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".saved", path); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range engines {
+		if _, err := e.FlushBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameAnswers(t, eng, ref)
+	for _, e := range engines {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := dirImage(t, eng.opts.Dir), dirImage(t, ref.opts.Dir); !maps.Equal(got, want) {
+		t.Errorf("retried flush left\n %v\nwant\n %v", got, want)
+	}
+}
+
 // TestRefusedOpenKeepsOpenedShards: when one shard of a 2-shard index is
 // refused (its superblock predates this engine), the shard that did open
 // is closed without rewriting anything, its vocabulary file included.
@@ -467,8 +651,8 @@ func TestRefusedOpenKeepsOpenedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, n := binary.Uvarint(data)
-	if n <= 0 || data[n] != 4 {
-		t.Fatalf("disk0.dat does not open with a version-4 superblock")
+	if n <= 0 || data[n] != 5 {
+		t.Fatalf("disk0.dat does not open with a version-5 superblock")
 	}
 	data[n] = 2
 	if err := os.WriteFile(path, data, 0o644); err != nil {

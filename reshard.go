@@ -198,10 +198,10 @@ func (e *Engine) Reshard(n int) (ReshardStats, error) {
 			s.close()
 		}
 	} else {
-		// Persist the staged layout: manifest into staging, shards closed
-		// (saving their vocabularies), then the atomic rename that is the
-		// commit point, then the roll-forward that moves entries into
-		// place — the same roll-forward Open runs after a crash.
+		// Persist the staged layout: manifest into staging, shards closed,
+		// then the atomic rename that is the commit point, then the
+		// roll-forward that moves entries into place — the same
+		// roll-forward Open runs after a crash.
 		if err := manifest.Save(staging, manifestFor(newOpts)); err != nil {
 			discard()
 			return st, fmt.Errorf("dualindex: staging manifest: %w", err)

@@ -85,6 +85,11 @@ go test -run '^FuzzMatchText$' -fuzz '^FuzzMatchText$' -fuzztime 5s ./internal/q
 # So does the checkpoint root every Open trusts: arbitrary superblock images
 # must open or be refused with an error, never panic.
 go test -run '^FuzzSuperblock$' -fuzz '^FuzzSuperblock$' -fuzztime 5s ./internal/core/
+# The two logs beside it load or are refused, never panic: a vocabulary log
+# writes back as the lines it was read from, and a document log opens to its
+# longest prefix of whole records.
+go test -run '^FuzzVocabLog$' -fuzz '^FuzzVocabLog$' -fuzztime 5s ./internal/vocab/
+go test -run '^FuzzDocLog$' -fuzz '^FuzzDocLog$' -fuzztime 5s ./internal/docstore/
 # The deleted list it points to likewise: decode or refuse, and a decoded
 # list is duplicate-free and re-encodes to exactly the bytes it was read from.
 go test -run '^FuzzDecodeDocSet$' -fuzz '^FuzzDecodeDocSet$' -fuzztime 5s ./internal/core/

@@ -79,10 +79,11 @@ type shard struct {
 	docs   docstore.Store // nil unless Options.KeepDocuments
 	docErr error          // first deferred document-store failure
 
-	// savedWords is the vocabulary's word count when it was last loaded or
-	// saved, so saveVocab skips a rewrite that would change nothing; -1 on
-	// a fresh shard until its first save. Guarded by mu.
-	savedWords int
+	// vocab.txt, the vocabulary log, holds the first logWords words in its
+	// first logSize bytes. Anything after them is an append no checkpoint
+	// counts, which the next append cuts. Guarded by mu.
+	logWords int
+	logSize  int64
 }
 
 // openShard creates one shard, resuming from dir's last checkpoint when one
@@ -136,9 +137,6 @@ func openShard(opts Options, dir string) (*shard, error) {
 		cache:   blockCache,
 		vocab:   vocab.New(),
 		pending: newPendingTier(),
-		// A fresh shard's first save always writes, replacing whatever
-		// vocabulary file the directory may hold.
-		savedWords: -1,
 	}
 	// The checkpoint, the vocabulary and the document log are independent
 	// files: a resumed shard loads them concurrently, longest first.
@@ -148,9 +146,7 @@ func openShard(opts Options, dir string) (*shard, error) {
 	}}
 	if resume {
 		loads = append(loads, func() (err error) {
-			if s.vocab, err = loadVocab(dir); err == nil {
-				s.savedWords = s.vocab.Len()
-			}
+			s.vocab, err = loadVocab(s.vocabPath())
 			return err
 		})
 	}
@@ -159,7 +155,11 @@ func openShard(opts Options, dir string) (*shard, error) {
 		return err
 	})
 	errs := parallel.Do(len(loads), opts.Workers, func(i int) error { return loads[i]() })
-	if err := cmp.Or(errs...); err != nil {
+	err = cmp.Or(errs...)
+	if err == nil && resume {
+		err = s.cutVocab()
+	}
+	if err != nil {
 		if s.docs != nil {
 			s.docs.Close()
 		}
@@ -331,11 +331,16 @@ func (s *shard) flushBatch() (BatchStats, error) {
 		s.mu.Unlock()
 		return BatchStats{}, err
 	}
-	if s.docs != nil {
-		if err := s.docs.Sync(); err != nil {
-			s.mu.Unlock()
-			return BatchStats{}, err
-		}
+	// Both logs reach disk before the checkpoint that counts them: the
+	// batch's documents and the words it assigned. A failure here leaves
+	// the batch pending, and nothing committed.
+	err := s.appendVocab()
+	if err == nil && s.docs != nil {
+		err = s.docs.Sync()
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return BatchStats{}, err
 	}
 	// Publish: detach the pending tier as the batch and start a fresh one.
 	// Documents added while the batch applies land in the fresh tier;
@@ -373,13 +378,9 @@ func (s *shard) flushBatch() (BatchStats, error) {
 		},
 	}
 	s.docsIndexed += batch.docs
-	var vocabErr error
-	if s.dir != "" {
-		vocabErr = s.saveVocab()
-	}
 	s.mu.Unlock()
 	s.obs.observeFlush(t0, st, batch.docs)
-	return out, vocabErr
+	return out, nil
 }
 
 // tiers assembles the shard's current read tiers into the one merged Source
@@ -690,19 +691,14 @@ func (s *shard) maxDoc() DocID {
 	return s.lastDoc
 }
 
-// close releases the shard's resources, persisting unsaved deletions and
-// the vocabulary first for on-disk shards.
+// close releases the shard's resources, persisting unsaved deletions first
+// for on-disk shards.
 func (s *shard) close() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	first := s.checkpointLocked()
-	if s.dir != "" {
-		if err := s.saveVocab(); err != nil && first == nil {
-			first = err
-		}
-	}
 	if s.docs != nil {
 		if err := s.docs.Close(); err != nil && first == nil {
 			first = err
